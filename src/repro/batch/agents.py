@@ -48,6 +48,7 @@ from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .board import BatchBulletinBoard
 from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policies
 
@@ -99,8 +100,8 @@ class BatchAgentConfig:
         self.seeds = np.broadcast_to(seeds.astype(np.int64), shape).copy()
         if np.any(self.num_agents < 1):
             raise ValueError("every row needs at least one agent")
-        if np.any(self.update_periods <= 0) or np.any(self.horizons <= 0):
-            raise ValueError("update periods and horizons must be positive")
+        require_positive("update_periods", self.update_periods)
+        require_positive("horizons", self.horizons)
 
     @property
     def batch_size(self) -> int:

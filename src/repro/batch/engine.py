@@ -46,6 +46,7 @@ from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .board import BatchBulletinBoard
 
 Policies = Union[ReroutingPolicy, Sequence[ReroutingPolicy]]
@@ -93,6 +94,9 @@ class BatchConfig:
 
     def __post_init__(self) -> None:
         self.update_periods = np.atleast_1d(np.asarray(self.update_periods, dtype=float))
+        require_positive("update_periods", self.update_periods)
+        require_positive("horizons", self.horizons)
+        require_positive("steps_per_phase", self.steps_per_phase)
         batch = len(self.update_periods)
         self.horizons = np.broadcast_to(
             np.asarray(self.horizons, dtype=float), (batch,)
@@ -100,12 +104,6 @@ class BatchConfig:
         self.steps_per_phase = np.broadcast_to(
             np.asarray(self.steps_per_phase, dtype=int), (batch,)
         ).copy()
-        if np.any(self.update_periods <= 0):
-            raise ValueError("all update periods must be positive")
-        if np.any(self.horizons <= 0):
-            raise ValueError("all horizons must be positive")
-        if np.any(self.steps_per_phase <= 0):
-            raise ValueError("steps_per_phase must be positive")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be a positive sub-step stride")
 

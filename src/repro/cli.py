@@ -50,6 +50,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -496,8 +497,8 @@ def _cmd_simulate(
         update_period = policy.safe_update_period(network)
     else:
         update_period = float(period)
-        if update_period <= 0:
-            print("error: --period must be positive", file=sys.stderr)
+        if not (math.isfinite(update_period) and update_period > 0):
+            print("error: --period must be finite and positive", file=sys.stderr)
             return 2
     if column_generation and method == "agents":
         print("error: --column-generation supports fluid methods only", file=sys.stderr)
@@ -596,8 +597,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         print("error: --periods must be a comma-separated list of numbers", file=sys.stderr)
         return 2
-    if not periods or any(period <= 0 for period in periods):
-        print("error: --periods must contain positive numbers", file=sys.stderr)
+    if not periods or not all(math.isfinite(p) and p > 0 for p in periods):
+        print("error: --periods must contain finite positive numbers", file=sys.stderr)
         return 2
 
     if args.column_generation and args.method == "agents":

@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .bulletin import BulletinBoard
 from .policy import ReroutingPolicy
 from .trajectory import PhaseRecord, Trajectory
@@ -99,8 +100,8 @@ class AgentSimulationConfig:
     def __post_init__(self) -> None:
         if self.num_agents < 1:
             raise ValueError("need at least one agent")
-        if self.update_period <= 0 or self.horizon <= 0:
-            raise ValueError("update period and horizon must be positive")
+        require_positive("update_period", self.update_period)
+        require_positive("horizon", self.horizon)
         if self.record_interval is not None and self.record_interval < self.update_period:
             raise ValueError(
                 "record_interval must be at least the update period: trajectory "

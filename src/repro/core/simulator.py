@@ -24,6 +24,7 @@ import numpy as np
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .bulletin import BulletinBoard, FreshInformationBoard
 from .dynamics import integrate, integration_step_for
 from .policy import ReroutingPolicy
@@ -67,12 +68,9 @@ class SimulationConfig:
     record_every_step: bool = False
 
     def __post_init__(self) -> None:
-        if self.update_period <= 0:
-            raise ValueError("update_period must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.steps_per_phase <= 0:
-            raise ValueError("steps_per_phase must be positive")
+        require_positive("update_period", self.update_period)
+        require_positive("horizon", self.horizon)
+        require_positive("steps_per_phase", self.steps_per_phase)
 
 
 class ReroutingSimulator:

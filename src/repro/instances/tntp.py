@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
-from ..largescale.incidence import have_scipy
 from ..largescale.shortest import ShortestPathOracle
 from ..wardrop.commodity import Commodity
 from ..wardrop.latency import BPRLatency
@@ -217,8 +216,9 @@ def load_tntp_instance(
         Optionally keep only the ``K`` highest-demand OD pairs (ties broken
         by OD ids) -- the down-scaled variants used by fast tests.
     incidence_mode:
-        Incidence backend; defaults to ``"sparse"`` when scipy is available
-        (road networks are the sparse layer's home turf), else ``"dense"``.
+        Incidence backend; ``None`` (the default) means ``"sparse"``, since
+        road networks are the CSR layer's home turf.  Pass ``"dense"`` or
+        ``"auto"`` to override.
 
     The returned network carries ``first_thru_node``, ``total_demand`` (the
     raw trips before normalisation, *after* any ``max_od_pairs`` filter) and
@@ -301,14 +301,12 @@ def load_tntp_from_text(
     ]
     oracle = ShortestPathOracle(graph, commodities, first_thru_node=first_thru_node)
     seeds = oracle.shortest_commodity_paths(oracle.free_flow_costs())
-    if incidence_mode is None:
-        incidence_mode = "sparse" if have_scipy() else "dense"
     return WardropNetwork(
         graph,
         commodities,
         normalise=True,
         paths=PathSet([[seed] for seed in seeds]),
-        incidence_mode=incidence_mode,
+        incidence_mode="sparse" if incidence_mode is None else incidence_mode,
     )
 
 

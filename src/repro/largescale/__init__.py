@@ -41,7 +41,6 @@ _EXPORTS = {
     "EdgeIncidence": "incidence",
     "SparseIncidence": "incidence",
     "build_incidence": "incidence",
-    "have_scipy": "incidence",
     "ShortestPathOracle": "shortest",
     "AllOrNothingLoad": "shortest",
 }

@@ -57,6 +57,7 @@ from ..telemetry.runtime import get_telemetry
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path
+from ..wardrop.validation import require_positive
 from .columns import (
     ActivePathSet,
     PolicyOrBuilder,
@@ -254,10 +255,9 @@ def simulate_with_column_generation_batch(
     See the module docstring for the union-growth semantics; closed-mode
     rows are bit-identical to :func:`simulate_with_column_generation`.
     """
-    if update_period <= 0 or horizon <= 0:
-        raise ValueError("update period and horizon must be positive")
-    if steps_per_phase <= 0:
-        raise ValueError("steps_per_phase must be positive")
+    require_positive("update_period", update_period)
+    require_positive("horizon", horizon)
+    require_positive("steps_per_phase", steps_per_phase)
 
     if scenarios is not None:
         scenarios = list(scenarios)

@@ -43,6 +43,7 @@ from ..wardrop.commodity import Commodity, normalise_demands
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path, PathSet
+from ..wardrop.validation import require_positive
 from .shortest import ShortestPathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -376,10 +377,9 @@ def simulate_with_column_generation(
     volume) -- and the forced refresh seeds detour routes around the closed
     link in the same instant.
     """
-    if update_period <= 0 or horizon <= 0:
-        raise ValueError("update period and horizon must be positive")
-    if steps_per_phase <= 0:
-        raise ValueError("steps_per_phase must be positive")
+    require_positive("update_period", update_period)
+    require_positive("horizon", horizon)
+    require_positive("steps_per_phase", steps_per_phase)
     network = active.network
     if scenario is not None:
         scenario.require_edges(network)

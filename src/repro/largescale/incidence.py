@@ -16,9 +16,10 @@ bit-for-bit batch/scalar equivalence; the sparse backend accumulates each
 row's nonzeros in one fixed index order for the scalar *and* the batched
 product, so the two sparse paths also agree bit for bit with each other.
 
-``scipy`` is an optional dependency: :func:`build_incidence` falls back to
-the dense backend when it is missing, so nothing in the library hard-requires
-it (``mode="sparse"`` raises a clear error instead).
+The sparse backend is built on ``scipy.sparse`` (a required dependency,
+shared with the shortest-path oracle); the dense tier is kept for the small
+instances whose products must stay bit-identical to the historical inline
+arithmetic.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy import sparse as _sparse
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sparse = None
-    _HAVE_SCIPY = False
+from scipy import sparse as _sparse
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..wardrop.paths import EdgeKey, PathSet
@@ -46,13 +41,8 @@ AUTO_SPARSE_THRESHOLD = 200_000
 # once the network has this many edges, regardless of the current path count
 # (column generation starts with few paths and grows -- picking the backend
 # from the initial dense size would start road networks on the dense tier and
-# re-tier them mid-run).  Matches the oracle's scipy-backend threshold.
+# re-tier them mid-run).  The bundled Sioux Falls fixture has 76 links.
 AUTO_SPARSE_MIN_EDGES = 64
-
-
-def have_scipy() -> bool:
-    """Return ``True`` if the sparse backend is available."""
-    return _HAVE_SCIPY
 
 
 class EdgeIncidence:
@@ -165,10 +155,6 @@ class SparseIncidence(EdgeIncidence):
     """
 
     def __init__(self, membership_rows: Sequence[np.ndarray], num_paths: int):
-        if not _HAVE_SCIPY:
-            raise ImportError(
-                "SparseIncidence requires scipy; install it or use mode='dense'"
-            )
         indptr = np.zeros(len(membership_rows) + 1, dtype=np.int64)
         counts = [len(indices) for indices in membership_rows]
         np.cumsum(counts, out=indptr[1:])
@@ -225,7 +211,7 @@ def build_incidence(
     """Build the incidence backend for a path set over a fixed edge order.
 
     ``mode`` is ``"dense"``, ``"sparse"`` or ``"auto"``.  Auto picks CSR
-    whenever scipy is available and the instance is road-network sized --
+    whenever the instance is road-network sized --
     at least :data:`AUTO_SPARSE_MIN_EDGES` edges -- or the dense matrix
     would exceed :data:`AUTO_SPARSE_THRESHOLD` entries; the dense tier is
     the small-network special case.  Both backends consume the path set's
@@ -241,7 +227,6 @@ def build_incidence(
     ]
     if mode == "sparse" or (
         mode == "auto"
-        and _HAVE_SCIPY
         and (
             len(edges) >= AUTO_SPARSE_MIN_EDGES
             or len(edges) * num_paths > AUTO_SPARSE_THRESHOLD

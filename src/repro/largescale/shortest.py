@@ -14,40 +14,32 @@ edges on enumerated paths) and exposes cost vectors over that order.
 First-thru-node semantics (TNTP): road-network files mark the first node
 that real traffic may pass *through*; lower-numbered nodes are zone
 centroids that can appear only as origins or destinations.  The oracle
-enforces this during the Dijkstra expansion.
+enforces this by pricing the outgoing arcs of every centroid other than the
+query's source at ``+inf``.
 
-Backends: the reference implementation is a pure-Python binary-heap Dijkstra
-(always available, deterministic tie-breaking).  At road-network sizes the
-oracle auto-selects a ``scipy.sparse.csgraph.dijkstra`` backend over a CSR
-adjacency matrix: one C-level one-to-many query per origin, with the
-first-thru-node rule enforced by pricing the outgoing arcs of every
-non-source centroid at ``+inf``.  The scipy backend requires a graph without
-parallel edges (CSR holds one entry per node pair); multigraph instances
-fall back to the Python backend automatically.  Both backends return true
-shortest paths and identical distances -- only tie-breaking between equal
-cost paths may differ (see the parity test on Sioux Falls).
+Queries run ``scipy.sparse.csgraph.dijkstra`` over a CSR matrix with one
+entry per distinct ``(u, v)`` node pair.  Tie rule: parallel arcs collapse
+to their cheapest arc, and among equally cheap parallel arcs the one with
+the lowest oracle edge index carries the path.  Ties between equal-cost
+routes through different nodes are broken by scipy's Dijkstra, which is
+deterministic for fixed costs.  All commodity sources are answered by one
+C call (plus one per centroid source, whose own out-arcs must stay open),
+and a single vectorised predecessor walk over every commodity then yields
+the paths and the all-or-nothing edge flows.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from ..wardrop.commodity import Commodity
 from ..wardrop.network import LATENCY_ATTR
 from ..wardrop.paths import EdgeKey, Path
-from .incidence import have_scipy
-
-INFINITY = float("inf")
-
-# Auto mode switches to the scipy csgraph backend at this edge count --
-# road-network territory (the bundled Sioux Falls fixture has 76 links).
-SCIPY_BACKEND_MIN_EDGES = 64
-
 
 @dataclass(frozen=True)
 class AllOrNothingLoad:
@@ -74,13 +66,6 @@ class ShortestPathOracle:
     first_thru_node:
         Optional TNTP-style centroid bound: integer nodes strictly below it
         may start or end a path but never be passed through.
-    backend:
-        ``"auto"`` (default), ``"python"`` or ``"scipy"``.  Auto keeps the
-        pure-Python heap on small or multigraph instances and switches to
-        ``scipy.sparse.csgraph.dijkstra`` at
-        :data:`SCIPY_BACKEND_MIN_EDGES` edges; ``"scipy"`` forces the CSR
-        backend (raising if scipy is missing or the graph has parallel
-        edges).
     """
 
     def __init__(
@@ -88,7 +73,6 @@ class ShortestPathOracle:
         graph: nx.MultiDiGraph,
         commodities: Sequence[Commodity],
         first_thru_node: Optional[int] = None,
-        backend: str = "auto",
     ):
         self.graph = graph
         self.commodities: List[Commodity] = list(commodities)
@@ -97,90 +81,71 @@ class ShortestPathOracle:
         # positions are stable across restricted networks of one graph.
         self.edges: List[EdgeKey] = sorted(graph.edges(keys=True), key=str)
         self.edge_index: Dict[EdgeKey, int] = {e: i for i, e in enumerate(self.edges)}
-        self._adjacency: Dict[Hashable, List[Tuple[int, Hashable]]] = {
-            node: [] for node in graph.nodes
-        }
-        for index, (u, v, _key) in enumerate(self.edges):
-            self._adjacency[u].append((index, v))
-        self._sinks_by_source: Dict[Hashable, List[Tuple[int, Hashable]]] = {}
-        for i, commodity in enumerate(self.commodities):
-            if commodity.source not in self._adjacency or commodity.sink not in self._adjacency:
+
+        nodes = list(graph.nodes)
+        node_index = {node: i for i, node in enumerate(nodes)}
+        for commodity in self.commodities:
+            if commodity.source not in node_index or commodity.sink not in node_index:
                 raise ValueError(
                     f"commodity endpoints {commodity.source!r}->{commodity.sink!r} "
                     "missing from graph"
                 )
-            self._sinks_by_source.setdefault(commodity.source, []).append(
-                (i, commodity.sink)
-            )
-        self.backend = self._resolve_backend(backend)
-        if self.backend == "scipy":
-            self._build_scipy()
+        num_nodes = len(nodes)
+        self._num_nodes = num_nodes
 
-    def _has_parallel_edges(self) -> bool:
-        return len({(u, v) for u, v, _key in self.edges}) != len(self.edges)
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend == "python":
-            return "python"
-        if backend == "scipy":
-            if not have_scipy():
-                raise ValueError("the scipy Dijkstra backend requires scipy")
-            if self._has_parallel_edges():
-                raise ValueError(
-                    "the scipy Dijkstra backend requires a graph without "
-                    "parallel edges (CSR holds one entry per node pair)"
-                )
-            return "scipy"
-        if backend != "auto":
-            raise ValueError(
-                f"unknown oracle backend {backend!r}; use 'auto', 'python' or 'scipy'"
-            )
-        if (
-            have_scipy()
-            and len(self.edges) >= SCIPY_BACKEND_MIN_EDGES
-            and not self._has_parallel_edges()
-        ):
-            return "scipy"
-        return "python"
-
-    def _build_scipy(self) -> None:
-        """Build the CSR adjacency template reused by every scipy query."""
-        from scipy import sparse
-
-        self._nodes: List[Hashable] = list(self._adjacency)
-        node_index = {node: i for i, node in enumerate(self._nodes)}
-        self._node_index = node_index
-        num_nodes = len(self._nodes)
-        rows = np.array([node_index[u] for u, _v, _key in self.edges], dtype=np.int64)
-        cols = np.array([node_index[v] for _u, v, _key in self.edges], dtype=np.int64)
-        # Template trick: store 1-based edge positions as data, let tocsr()
-        # sort them into CSR slot order, and read the slot -> edge permutation
-        # back out (no duplicate coordinates, so nothing is summed).
-        template = sparse.coo_matrix(
-            (np.arange(1, len(self.edges) + 1, dtype=float), (rows, cols)),
-            shape=(num_nodes, num_nodes),
-        ).tocsr()
-        self._csr_indices = template.indices
-        self._csr_indptr = template.indptr
-        self._csr_shape = (num_nodes, num_nodes)
-        self._slot_edge = template.data.astype(np.int64) - 1
-        slot_rows = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(template.indptr)
+        # Arcs sorted by node-pair key ``tail * N + head`` (stable, so each
+        # pair's run starts at its lowest edge index).  The distinct keys are
+        # already in CSR order: rows by tail, columns sorted within a row.
+        tails = np.array([node_index[u] for u, _v, _key in self.edges], dtype=np.int64)
+        heads = np.array([node_index[v] for _u, v, _key in self.edges], dtype=np.int64)
+        arc_keys = tails * num_nodes + heads
+        self._arc_order = np.argsort(arc_keys, kind="stable")
+        self._pair_keys, self._pair_starts = np.unique(
+            arc_keys[self._arc_order], return_index=True
         )
-        self._slot_rows = slot_rows
+        self._has_parallel_arcs = len(self._pair_keys) < len(self.edges)
+        pair_tails = self._pair_keys // num_nodes
+        self._pair_tails = pair_tails
+        self._csr_indices = (self._pair_keys % num_nodes).astype(np.int32)
+        self._csr_indptr = np.searchsorted(
+            pair_tails, np.arange(num_nodes + 1)
+        ).astype(np.int32)
+
         is_centroid = np.array(
-            [self._blocked_through(node) for node in self._nodes], dtype=bool
+            [
+                first_thru_node is not None
+                and isinstance(node, (int, np.integer))
+                and node < first_thru_node
+                for node in nodes
+            ],
+            dtype=bool,
         )
-        self._node_is_centroid = is_centroid
-        # Slots leaving a centroid: priced at +inf unless the centroid is the
-        # query's source (mirroring the Python expansion rule exactly).
-        self._centroid_out_slots = is_centroid[slot_rows]
-        self._pair_edge: Dict[Tuple[int, int], int] = {
-            (int(rows[e]), int(cols[e])): e for e in range(len(self.edges))
-        }
+        self._centroid_out_pairs = is_centroid[pair_tails]
+
+        # One query row per distinct source, in first-appearance order.
+        # Plain sources share one C call; each centroid source gets its own.
+        first_seen: Dict[int, int] = {}
+        self._commodity_rows = np.array(
+            [
+                first_seen.setdefault(node_index[c.source], len(first_seen))
+                for c in self.commodities
+            ],
+            dtype=np.int64,
+        )
+        self._sources = np.array(list(first_seen), dtype=np.int64)
+        self._commodity_sources = self._sources[self._commodity_rows]
+        self._commodity_sinks = np.array(
+            [node_index[c.sink] for c in self.commodities], dtype=np.int64
+        )
+        centroid_source = is_centroid[self._sources]
+        self._plain_rows = np.flatnonzero(~centroid_source)
+        self._centroid_rows = np.flatnonzero(centroid_source)
+        # Commodities grouped by source, each group in commodity order: the
+        # order every per-commodity sum runs in.
+        self._grouped = np.argsort(self._commodity_rows, kind="stable")
 
     @classmethod
-    def for_network(cls, network, backend: str = "auto") -> "ShortestPathOracle":
+    def for_network(cls, network) -> "ShortestPathOracle":
         """Build an oracle for a network, honouring its TNTP centroid metadata.
 
         The canonical constructor call (graph + commodities +
@@ -192,20 +157,11 @@ class ShortestPathOracle:
             network.graph,
             network.commodities,
             first_thru_node=network.graph.graph.get("first_thru_node"),
-            backend=backend,
         )
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def _blocked_through(self, node: Hashable) -> bool:
-        """True if ``node`` is a centroid that may not be passed through."""
-        return (
-            self.first_thru_node is not None
-            and isinstance(node, (int, np.integer))
-            and node < self.first_thru_node
-        )
 
     # Cost vectors ----------------------------------------------------------
 
@@ -254,22 +210,6 @@ class ShortestPathOracle:
 
     # Queries ---------------------------------------------------------------
 
-    def _dijkstra(
-        self,
-        source: Hashable,
-        costs: np.ndarray,
-        targets: Optional[set] = None,
-    ) -> Tuple[Dict[Hashable, float], Dict[Hashable, int]]:
-        """One-to-many Dijkstra on the selected backend.
-
-        Returns distance and predecessor-edge maps covering every reached
-        node; unreachable nodes are absent from both.
-        """
-        costs = self._check_costs(costs)
-        if self.backend == "scipy":
-            return self._dijkstra_scipy(source, costs)
-        return self._dijkstra_python(source, costs, targets)
-
     def _check_costs(self, costs: np.ndarray) -> np.ndarray:
         costs = np.asarray(costs, dtype=float)
         if len(costs) != self.num_edges:
@@ -278,191 +218,113 @@ class ShortestPathOracle:
             )
         # ``costs < 0`` is False for NaN, so a bare negativity check would
         # let NaN costs through and silently corrupt Dijkstra distances.
-        # +inf stays legal: the scipy backend prices centroid out-arcs at
-        # +inf, and both backends treat an infinite edge as unusable.
+        # +inf stays legal: centroid out-arcs are priced at +inf, and an
+        # infinite edge is simply unusable.
         if np.any(np.isnan(costs)):
             raise ValueError("Dijkstra received NaN edge costs")
         if np.any(costs < 0):
             raise ValueError("Dijkstra requires non-negative edge costs")
         return costs
 
-    def _query_commodity_sources(
-        self, costs: np.ndarray
-    ) -> Dict[Hashable, Tuple[Dict[Hashable, float], Dict[Hashable, int]]]:
-        """Return each commodity source's (distance, predecessor) maps.
+    def _pair_costs(self, costs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Collapse arcs to node pairs: each pair's cost and carrying edge.
 
-        The scipy backend answers all sources in as few C calls as possible
-        (one, when the graph has no centroids); the Python backend runs one
-        early-terminating heap Dijkstra per source.
+        The carrying edge is the pair's cheapest arc, the lowest edge index
+        among equally cheap ones.
         """
-        costs = self._check_costs(costs)
-        if self.backend == "scipy":
-            return self._scipy_query_sources(list(self._sinks_by_source), costs)
-        return {
-            source: self._dijkstra_python(
-                source, costs, targets={sink for _, sink in pairs}
-            )
-            for source, pairs in self._sinks_by_source.items()
-        }
+        arc_costs = costs[self._arc_order]
+        if not self._has_parallel_arcs:
+            return arc_costs, self._arc_order
+        cheapest = np.minimum.reduceat(arc_costs, self._pair_starts)
+        run_lengths = np.diff(np.append(self._pair_starts, len(arc_costs)))
+        positions = np.where(
+            arc_costs == np.repeat(cheapest, run_lengths),
+            np.arange(len(arc_costs)),
+            len(arc_costs),
+        )
+        return cheapest, self._arc_order[np.minimum.reduceat(positions, self._pair_starts)]
 
-    def _maps_from_arrays(
-        self, dist: np.ndarray, pred: np.ndarray
-    ) -> Tuple[Dict[Hashable, float], Dict[Hashable, int]]:
-        """Convert scipy's distance/predecessor arrays into the map contract."""
-        distance: Dict[Hashable, float] = {}
-        predecessor: Dict[Hashable, int] = {}
-        for i in np.flatnonzero(np.isfinite(dist)):
-            node_position = int(i)
-            distance[self._nodes[node_position]] = float(dist[node_position])
-            p = int(pred[node_position])
-            if p >= 0:
-                predecessor[self._nodes[node_position]] = self._pair_edge[
-                    (p, node_position)
-                ]
-        return distance, predecessor
+    def _query(self, costs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run Dijkstra from every distinct commodity source.
 
-    def _scipy_query_sources(
-        self, sources: Sequence[Hashable], costs: np.ndarray
-    ) -> Dict[Hashable, Tuple[Dict[Hashable, float], Dict[Hashable, int]]]:
-        """Batched one-to-many queries over the CSR adjacency template.
-
-        Outgoing arcs of every centroid are priced at ``+inf`` (scipy treats
-        them as unreachable-through), which is exactly the Python backend's
-        expansion rule; explicit zero-cost arcs remain genuine zero-weight
-        edges in scipy's sparse convention.  All non-centroid sources share
-        one blocked matrix and run as a *single* multi-source C call --
-        which, with TNTP's ``first_thru_node`` covering every node (as in
-        Sioux Falls), means one call per cost vector.  Centroid sources get
-        one call each (their own outgoing arcs must be restored).
+        Returns the ``(sources, nodes)`` distance and predecessor-node arrays
+        and each node pair's carrying edge.
         """
-        from scipy import sparse
         from scipy.sparse import csgraph
 
-        base = costs[self._slot_edge]
-        any_blocked = bool(self._centroid_out_slots.any())
-        results: Dict[Hashable, Tuple[Dict[Hashable, float], Dict[Hashable, int]]] = {}
-        source_positions = np.array(
-            [self._node_index[source] for source in sources], dtype=np.int64
-        )
-        centroid_source = self._node_is_centroid[source_positions]
+        pair_costs, pair_edges = self._pair_costs(self._check_costs(costs))
+        shape = (self._num_nodes, self._num_nodes)
+        dist = np.empty((len(self._sources), self._num_nodes))
+        pred = np.empty((len(self._sources), self._num_nodes), dtype=np.int64)
 
-        def run(data: np.ndarray, indices: np.ndarray) -> None:
+        def run(data: np.ndarray, rows: np.ndarray) -> None:
             matrix = sparse.csr_matrix(
-                (data, self._csr_indices, self._csr_indptr), shape=self._csr_shape
+                (data, self._csr_indices, self._csr_indptr), shape=shape
             )
-            dist, pred = csgraph.dijkstra(
-                matrix, indices=indices, return_predecessors=True
+            dist[rows], pred[rows] = csgraph.dijkstra(
+                matrix, indices=self._sources[rows], return_predecessors=True
             )
-            dist = np.atleast_2d(dist)
-            pred = np.atleast_2d(pred)
-            for row, position in enumerate(indices):
-                results[self._nodes[int(position)]] = self._maps_from_arrays(
-                    dist[row], pred[row]
-                )
 
-        plain = source_positions[~centroid_source]
-        if len(plain):
-            data = np.where(self._centroid_out_slots, np.inf, base) if any_blocked else base
-            run(data, plain)
-        for position in source_positions[centroid_source]:
-            data = np.where(
-                self._centroid_out_slots & (self._slot_rows != position), np.inf, base
+        blocked = self._centroid_out_pairs
+        if len(self._plain_rows):
+            run(
+                np.where(blocked, np.inf, pair_costs) if blocked.any() else pair_costs,
+                self._plain_rows,
             )
-            run(data, np.array([position], dtype=np.int64))
-        return results
+        for row in self._centroid_rows:
+            own = self._pair_tails == self._sources[row]
+            run(np.where(blocked & ~own, np.inf, pair_costs), np.array([row]))
+        return dist, pred, pair_edges
 
-    def _dijkstra_scipy(
-        self, source: Hashable, costs: np.ndarray
-    ) -> Tuple[Dict[Hashable, float], Dict[Hashable, int]]:
-        """One-source adapter over :meth:`_scipy_query_sources`."""
-        return self._scipy_query_sources([source], costs)[source]
+    def _sink_distances(self, dist: np.ndarray) -> np.ndarray:
+        return dist[self._commodity_rows, self._commodity_sinks]
 
-    def _dijkstra_python(
-        self,
-        source: Hashable,
-        costs: np.ndarray,
-        targets: Optional[set] = None,
-    ) -> Tuple[Dict[Hashable, float], Dict[Hashable, int]]:
-        """The reference heap Dijkstra; returns distance/predecessor maps.
+    def _require_reachable(self, sink_distances: np.ndarray) -> None:
+        unreachable = self._grouped[~np.isfinite(sink_distances[self._grouped])]
+        if len(unreachable):
+            commodity = self.commodities[int(unreachable[0])]
+            raise ValueError(f"no path from {commodity.source!r} to {commodity.sink!r}")
 
-        Expansion stops early once every target is settled.  Ties are broken
-        by heap insertion order, which is deterministic for fixed costs.
+    def _walk(self, pred: np.ndarray, pair_edges: np.ndarray) -> np.ndarray:
+        """Trace every commodity's path back from its sink at once.
+
+        Returns an ``(steps, commodities)`` matrix of oracle edge indices,
+        sink-first, padded with ``-1`` once a commodity reaches its source.
         """
-        distance: Dict[Hashable, float] = {source: 0.0}
-        predecessor: Dict[Hashable, int] = {}
-        settled: set = set()
-        remaining = set(targets) if targets is not None else None
-        counter = 0
-        heap: List[Tuple[float, int, Hashable]] = [(0.0, counter, source)]
-        while heap:
-            dist, _, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            if remaining is not None:
-                remaining.discard(node)
-                if not remaining:
-                    break
-            if node != source and self._blocked_through(node):
-                continue
-            for edge_position, neighbour in self._adjacency[node]:
-                candidate = dist + costs[edge_position]
-                if candidate < distance.get(neighbour, INFINITY):
-                    distance[neighbour] = candidate
-                    predecessor[neighbour] = edge_position
-                    counter += 1
-                    heapq.heappush(heap, (candidate, counter, neighbour))
-        return distance, predecessor
-
-    def _trace(self, source: Hashable, sink: Hashable, predecessor: Dict[Hashable, int]):
-        """Backtrack predecessor edges into the source->sink edge sequence."""
-        edges: List[EdgeKey] = []
-        node = sink
-        while node != source:
-            edge_position = predecessor[node]
-            edge = self.edges[edge_position]
-            edges.append(edge)
-            node = edge[0]
-        edges.reverse()
-        return tuple(edges)
-
-    def shortest_path(
-        self, source: Hashable, sink: Hashable, costs: np.ndarray
-    ) -> Tuple[Tuple[EdgeKey, ...], float]:
-        """Return one cheapest ``source -> sink`` edge sequence and its cost."""
-        distance, predecessor = self._dijkstra(source, costs, targets={sink})
-        if sink not in distance or distance[sink] == INFINITY:
-            raise ValueError(f"no path from {source!r} to {sink!r}")
-        return self._trace(source, sink, predecessor), float(distance[sink])
+        node = self._commodity_sinks.copy()
+        live = np.flatnonzero(node != self._commodity_sources)
+        steps: List[np.ndarray] = []
+        while len(live):
+            heads = node[live]
+            tails = pred[self._commodity_rows[live], heads]
+            step = np.full(len(node), -1, dtype=np.int64)
+            pairs = np.searchsorted(self._pair_keys, tails * self._num_nodes + heads)
+            step[live] = pair_edges[pairs]
+            steps.append(step)
+            node[live] = tails
+            live = live[tails != self._commodity_sources[live]]
+        return np.array(steps, dtype=np.int64).reshape(len(steps), len(node))
 
     def shortest_commodity_paths(self, costs: np.ndarray) -> List[Path]:
-        """Return one cheapest path per commodity (grouped by source)."""
-        results: List[Optional[Path]] = [None] * len(self.commodities)
-        maps = self._query_commodity_sources(costs)
-        for source, pairs in self._sinks_by_source.items():
-            distance, predecessor = maps[source]
-            for commodity_index, sink in pairs:
-                if sink not in distance:
-                    raise ValueError(f"no path from {source!r} to {sink!r}")
-                results[commodity_index] = Path(
-                    self._trace(source, sink, predecessor), commodity_index
-                )
-        return results  # type: ignore[return-value]
+        """Return one cheapest path per commodity."""
+        dist, pred, pair_edges = self._query(costs)
+        self._require_reachable(self._sink_distances(dist))
+        walk = self._walk(pred, pair_edges)
+        lengths = np.count_nonzero(walk >= 0, axis=0).tolist()
+        edges = self.edges
+        return [
+            Path(tuple([edges[e] for e in column[:length][::-1]]), commodity_index)
+            for commodity_index, (column, length) in enumerate(zip(walk.T.tolist(), lengths))
+        ]
 
     def commodity_costs(self, costs: np.ndarray) -> np.ndarray:
         """Return each commodity's shortest-path cost under ``costs``.
 
-        The per-OD column of the network report: one one-to-many query per
-        distinct source, no path tracing.  Unreachable sinks get ``inf``.
+        The per-OD column of the network report: one query, no path
+        tracing.  Unreachable sinks get ``inf``.
         """
-        results = np.full(len(self.commodities), INFINITY)
-        maps = self._query_commodity_sources(costs)
-        for source, pairs in self._sinks_by_source.items():
-            distance, _predecessor = maps[source]
-            for commodity_index, sink in pairs:
-                if sink in distance:
-                    results[commodity_index] = float(distance[sink])
-        return results
+        dist, _pred, _pair_edges = self._query(costs)
+        return self._sink_distances(dist)
 
     def all_or_nothing(
         self, costs: np.ndarray, demands: Optional[np.ndarray] = None
@@ -471,23 +333,25 @@ class ShortestPathOracle:
 
         ``demands`` defaults to the commodity demands; the result's
         ``edge_flows`` live on the oracle's edge order and ``sptt`` is the
-        demand-weighted shortest-path travel time.
+        demand-weighted shortest-path travel time.  Both sums run over the
+        commodities grouped by source, so each total accumulates in one
+        fixed order.
         """
         if demands is None:
             demands = np.array([c.demand for c in self.commodities])
-        flows = np.zeros(self.num_edges)
-        sptt = 0.0
-        maps = self._query_commodity_sources(costs)
-        for source, pairs in self._sinks_by_source.items():
-            distance, predecessor = maps[source]
-            for commodity_index, sink in pairs:
-                if sink not in distance:
-                    raise ValueError(f"no path from {source!r} to {sink!r}")
-                demand = float(demands[commodity_index])
-                sptt += distance[sink] * demand
-                node = sink
-                while node != source:
-                    edge_position = predecessor[node]
-                    flows[edge_position] += demand
-                    node = self.edges[edge_position][0]
-        return AllOrNothingLoad(edge_flows=flows, sptt=float(sptt))
+        demands = np.asarray(demands, dtype=float)[self._grouped]
+        dist, pred, pair_edges = self._query(costs)
+        sink_distances = self._sink_distances(dist)
+        self._require_reachable(sink_distances)
+        # Commodity-major: each edge's flow adds its commodities' demands in
+        # grouped order (a commodity crosses an edge at most once).
+        walk = self._walk(pred, pair_edges).T[self._grouped]
+        on_path = walk >= 0
+        flows = np.bincount(
+            walk[on_path],
+            weights=np.broadcast_to(demands[:, None], walk.shape)[on_path],
+            minlength=self.num_edges,
+        )
+        terms = sink_distances[self._grouped] * demands
+        sptt = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+        return AllOrNothingLoad(edge_flows=flows, sptt=sptt)

@@ -94,6 +94,14 @@ class FlowVector:
 
     def check_feasible(self, tolerance: float = 1e-7) -> None:
         """Raise ``ValueError`` if the flow is infeasible."""
+        # ``x < -tolerance`` is False for NaN, so non-finite components are
+        # rejected explicitly before the sign and demand checks.
+        finite = np.isfinite(self._flows)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise ValueError(
+                f"flow vector component {index} is not finite: {self._flows[index]}"
+            )
         if np.any(self._flows < -tolerance):
             worst = float(self._flows.min())
             raise ValueError(f"flow vector has negative component {worst}")

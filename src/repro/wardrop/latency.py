@@ -32,6 +32,21 @@ import numpy as np
 StackedEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _finite(name: str, value: float, minimum: float = 0.0, strict: bool = False) -> float:
+    """Return ``value`` as a float, or raise naming ``name`` if it is out of range.
+
+    ``value >= minimum`` (``> minimum`` when ``strict``) and finiteness are
+    checked together: a bare ``value < 0`` guard is False for NaN and would
+    let it through.
+    """
+    value = float(value)
+    in_range = value > minimum if strict else value >= minimum
+    if not (math.isfinite(value) and in_range):
+        bound = ">" if strict else ">="
+        raise ValueError(f"{name} must be finite and {bound} {minimum}, got {value}")
+    return value
+
+
 def _int_pow(x, exponent: int):
     """Return ``x ** exponent`` by binary exponentiation (scalars or arrays).
 
@@ -168,9 +183,7 @@ class ConstantLatency(LatencyFunction):
     """A flow-independent latency ``l(x) = c`` (e.g. propagation delay)."""
 
     def __init__(self, constant: float):
-        if constant < 0:
-            raise ValueError("constant latency must be non-negative")
-        self.constant = float(constant)
+        self.constant = _finite("constant", constant)
 
     def value(self, x: float) -> float:
         return self.constant
@@ -204,9 +217,7 @@ class LinearLatency(LatencyFunction):
     """A homogeneous linear latency ``l(x) = a * x``."""
 
     def __init__(self, coefficient: float = 1.0):
-        if coefficient < 0:
-            raise ValueError("linear coefficient must be non-negative")
-        self.coefficient = float(coefficient)
+        self.coefficient = _finite("coefficient", coefficient)
 
     def value(self, x: float) -> float:
         return self.coefficient * x
@@ -240,10 +251,8 @@ class AffineLatency(LatencyFunction):
     """An affine latency ``l(x) = a * x + b`` with ``a, b >= 0``."""
 
     def __init__(self, slope: float, intercept: float):
-        if slope < 0 or intercept < 0:
-            raise ValueError("affine latency requires non-negative slope and intercept")
-        self.slope = float(slope)
-        self.intercept = float(intercept)
+        self.slope = _finite("slope", slope)
+        self.intercept = _finite("intercept", intercept)
 
     def value(self, x: float) -> float:
         return self.slope * x + self.intercept
@@ -285,9 +294,9 @@ class PolynomialLatency(LatencyFunction):
     def __init__(self, coefficients: Sequence[float]):
         if not coefficients:
             raise ValueError("polynomial latency requires at least one coefficient")
-        if any(c < 0 for c in coefficients):
-            raise ValueError("polynomial latency requires non-negative coefficients")
-        self.coefficients = [float(c) for c in coefficients]
+        self.coefficients = [
+            _finite(f"coefficients[{i}]", c) for i, c in enumerate(coefficients)
+        ]
 
     def value(self, x: float) -> float:
         total = 0.0
@@ -355,12 +364,8 @@ class MonomialLatency(LatencyFunction):
     """A monomial latency ``l(x) = a * x**d`` (the Pigou-style nonlinearity)."""
 
     def __init__(self, coefficient: float = 1.0, degree: int = 1):
-        if coefficient < 0:
-            raise ValueError("monomial coefficient must be non-negative")
-        if degree < 1:
-            raise ValueError("monomial degree must be at least 1")
-        self.coefficient = float(coefficient)
-        self.degree = int(degree)
+        self.coefficient = _finite("coefficient", coefficient)
+        self.degree = int(_finite("degree", degree, minimum=1.0))
 
     def value(self, x: float) -> float:
         return self.coefficient * _int_pow(x, self.degree)
@@ -407,12 +412,10 @@ class BPRLatency(LatencyFunction):
     """
 
     def __init__(self, free_flow_time: float, capacity: float, alpha: float = 0.15, beta: int = 4):
-        if free_flow_time < 0 or capacity <= 0 or alpha < 0 or beta < 1:
-            raise ValueError("invalid BPR parameters")
-        self.free_flow_time = float(free_flow_time)
-        self.capacity = float(capacity)
-        self.alpha = float(alpha)
-        self.beta = int(beta)
+        self.free_flow_time = _finite("free_flow_time", free_flow_time)
+        self.capacity = _finite("capacity", capacity, strict=True)
+        self.alpha = _finite("alpha", alpha)
+        self.beta = int(_finite("beta", beta, minimum=1.0))
 
     def value(self, x: float) -> float:
         return self.free_flow_time * (1.0 + self.alpha * _int_pow(x / self.capacity, self.beta))
@@ -480,8 +483,10 @@ class MM1Latency(LatencyFunction):
     """
 
     def __init__(self, capacity: float, cap_fraction: float = 0.9):
-        if capacity <= 1.0:
-            raise ValueError("M/M/1 capacity must exceed the unit demand (c > 1)")
+        if not (math.isfinite(capacity) and capacity > 1.0):
+            raise ValueError(
+                f"M/M/1 capacity must be finite and exceed the unit demand (c > 1), got {capacity}"
+            )
         if not 0.0 < cap_fraction < 1.0:
             raise ValueError("cap_fraction must lie strictly between 0 and 1")
         self.capacity = float(capacity)
@@ -560,6 +565,8 @@ class PiecewiseLinearLatency(LatencyFunction):
             raise ValueError("breakpoint x-coordinates must be strictly increasing")
         if any(b < a - 1e-12 for a, b in zip(ys, ys[1:])):
             raise ValueError("breakpoint y-coordinates must be non-decreasing")
+        if not all(math.isfinite(v) for v in xs + ys):
+            raise ValueError("breakpoint coordinates must be finite")
         if ys[0] < 0:
             raise ValueError("latency must be non-negative")
         self.xs = xs
@@ -684,8 +691,7 @@ class ThresholdLatency(PiecewiseLinearLatency):
     """
 
     def __init__(self, beta: float, threshold: float = 0.5):
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
+        beta = _finite("beta", beta)
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must lie strictly inside (0, 1)")
         self.beta = float(beta)
@@ -702,10 +708,8 @@ class ScaledLatency(LatencyFunction):
     """A latency function multiplied by a non-negative scalar."""
 
     def __init__(self, base: LatencyFunction, factor: float):
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
         self.base = base
-        self.factor = float(factor)
+        self.factor = _finite("factor", factor)
 
     def value(self, x: float) -> float:
         return self.factor * self.base.value(x)
@@ -760,14 +764,10 @@ class ModulatedLatency(LatencyFunction):
     """
 
     def __init__(self, base: LatencyFunction, gain: float = 1.0, stretch: float = 1.0, offset: float = 0.0):
-        if gain < 0 or stretch <= 0 or offset < 0:
-            raise ValueError(
-                "modulation requires gain >= 0, stretch > 0 and offset >= 0"
-            )
         self.base = base
-        self.gain = float(gain)
-        self.stretch = float(stretch)
-        self.offset = float(offset)
+        self.gain = _finite("gain", gain)
+        self.stretch = _finite("stretch", stretch, strict=True)
+        self.offset = _finite("offset", offset)
 
     def value(self, x: float) -> float:
         return self.gain * self.base.value(self.stretch * x) + self.offset

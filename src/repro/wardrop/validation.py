@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from .commodity import demands_are_normalised
 from .network import WardropNetwork
 
@@ -38,6 +40,21 @@ class ValidationReport:
     def raise_if_invalid(self) -> None:
         if self.issues:
             raise InstanceValidationError("; ".join(self.issues))
+
+
+def require_positive(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is finite and > 0.
+
+    ``value <= 0`` is False for NaN, so a bare sign check lets NaN past the
+    boundary to fail later, deep inside an engine.  Array-valued settings
+    name the first offending row.
+    """
+    array = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(array) & (array > 0)))
+    if len(bad):
+        index = int(bad[0])
+        label = name if array.ndim == 0 else f"{name}[{index}]"
+        raise ValueError(f"{label} must be finite and positive, got {array.flat[index]}")
 
 
 def validate_network(network: WardropNetwork, samples: int = 32) -> ValidationReport:

@@ -15,7 +15,7 @@ from repro.instances.city import (
     _periphery_nodes,
 )
 from repro.instances.tntp import parse_tntp_network, parse_tntp_trips
-from repro.largescale import ShortestPathOracle, have_scipy
+from repro.largescale import ShortestPathOracle
 
 
 class TestCityTntpText:
@@ -132,15 +132,12 @@ class TestRegistryIntegration:
             get_instance("no-such-instance")
 
 
-@pytest.mark.skipif(not have_scipy(), reason="scipy not installed")
 class TestCityBackendTier:
-    def test_city_uses_sparse_incidence_and_scipy_oracle(self):
+    def test_city_uses_sparse_incidence(self):
         from repro.largescale import SparseIncidence
 
         network = synthetic_city_network(blocks=8, arterial_every=4, od_pairs=6)
         assert isinstance(network.incidence_operator, SparseIncidence)
-        oracle = ShortestPathOracle.for_network(network)
-        assert oracle.backend == "scipy"
 
     def test_default_city_keeps_mild_equilibrium_congestion(self):
         from repro.solvers import solve_edge_flow_equilibrium

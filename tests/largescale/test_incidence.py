@@ -13,12 +13,8 @@ from repro.largescale import (
     DenseIncidence,
     SparseIncidence,
     build_incidence,
-    have_scipy,
 )
 from repro.wardrop import WardropNetwork
-
-requires_scipy = pytest.mark.skipif(not have_scipy(), reason="scipy not installed")
-
 
 def build_both(network):
     dense = build_incidence(network.paths, network.edges, mode="dense")
@@ -27,7 +23,6 @@ def build_both(network):
 
 
 class TestBackendAgreement:
-    @requires_scipy
     @pytest.mark.parametrize("factory", [braess_network, lambda: grid_network(3, 3, num_commodities=2, seed=3)])
     def test_dense_and_sparse_products_agree(self, factory):
         network = factory()
@@ -53,7 +48,6 @@ class TestBackendAgreement:
             atol=1e-13,
         )
 
-    @requires_scipy
     def test_sparse_scalar_and_batch_rows_are_bit_identical(self):
         """The CSR batch product must replay the scalar accumulation exactly."""
         network = grid_network(3, 3, num_commodities=2, seed=3)
@@ -68,7 +62,6 @@ class TestBackendAgreement:
         for row in range(6):
             assert np.array_equal(batched_totals[row], sparse.path_totals(batch_values[row]))
 
-    @requires_scipy
     def test_network_evaluation_matches_across_modes(self):
         base = braess_network()
         sparse_net = WardropNetwork(
@@ -146,7 +139,6 @@ class TestReadOnlyDenseViews:
         flows = np.ones(network.num_paths)
         assert np.array_equal(dense.edge_flows(flows), view @ flows)
 
-    @requires_scipy
     def test_sparse_backend_cache_is_read_only_and_stable(self):
         network = braess_network()
         sparse = build_incidence(network.paths, network.edges, mode="sparse")
@@ -170,7 +162,6 @@ class TestReadOnlyDenseViews:
 
 
 class TestModeSelection:
-    @requires_scipy
     def test_sioux_falls_uses_the_sparse_backend(self):
         network = sioux_falls_network()
         assert isinstance(network.incidence_operator, SparseIncidence)
@@ -179,7 +170,6 @@ class TestModeSelection:
         network = braess_network()
         assert isinstance(network.incidence_operator, DenseIncidence)
 
-    @requires_scipy
     def test_auto_goes_sparse_at_road_network_edge_counts(self):
         """CSR is the default tier at road-network sizes regardless of the
         current path count: column generation starts with few paths, so the

@@ -129,6 +129,13 @@ class TestCommands:
     def test_simulate_rejects_non_positive_period(self):
         assert main(["simulate", "two-links", "--period", "0", "--horizon", "5"]) == 2
 
+    @pytest.mark.parametrize("period", ["nan", "inf"])
+    def test_simulate_rejects_non_finite_period(self, period):
+        assert main(["simulate", "two-links", "--period", period, "--horizon", "5"]) == 2
+
+    def test_sweep_rejects_non_finite_periods(self):
+        assert main(["sweep", "braess", "--periods", "0.2,nan"]) == 2
+
     def test_oscillate(self, capsys):
         assert main(["oscillate", "--beta", "2", "--period", "0.5", "--phases", "10"]) == 0
         output = capsys.readouterr().out

@@ -1,0 +1,103 @@
+"""Non-finite inputs are rejected at the boundary, naming the bad field.
+
+``x < 0`` and ``x <= 0`` are False for NaN, so sign-only guards let NaN
+(and often inf) through to fail later, deep in an engine.  Every row here
+builds one object with one bad field and expects a ``ValueError`` whose
+message names that field.
+"""
+
+import numpy as np
+import pytest
+
+from repro.batch.agents import BatchAgentConfig
+from repro.batch.engine import BatchConfig
+from repro.core.agents import AgentSimulationConfig
+from repro.core.simulator import SimulationConfig
+from repro.instances import braess_network
+from repro.wardrop import FlowVector
+from repro.wardrop.latency import (
+    AffineLatency,
+    BPRLatency,
+    ConstantLatency,
+    LinearLatency,
+    MM1Latency,
+    ModulatedLatency,
+    MonomialLatency,
+    PiecewiseLinearLatency,
+    PolynomialLatency,
+    ScaledLatency,
+    ThresholdLatency,
+)
+
+NAN = float("nan")
+INF = float("inf")
+BASE = LinearLatency(1.0)
+BRAESS = braess_network()
+
+ROWS = [
+    # Latency constructors.
+    ("ConstantLatency(nan)", lambda: ConstantLatency(NAN), "constant"),
+    ("ConstantLatency(inf)", lambda: ConstantLatency(INF), "constant"),
+    ("ConstantLatency(-1)", lambda: ConstantLatency(-1.0), "constant"),
+    ("LinearLatency(nan)", lambda: LinearLatency(NAN), "coefficient"),
+    ("AffineLatency(nan, 1)", lambda: AffineLatency(NAN, 1.0), "slope"),
+    ("AffineLatency(1, inf)", lambda: AffineLatency(1.0, INF), "intercept"),
+    ("PolynomialLatency([nan, 1])", lambda: PolynomialLatency([NAN, 1.0]), r"coefficients\[0\]"),
+    ("PolynomialLatency([1, -2])", lambda: PolynomialLatency([1.0, -2.0]), r"coefficients\[1\]"),
+    ("MonomialLatency(nan, 2)", lambda: MonomialLatency(NAN, 2), "coefficient"),
+    ("MonomialLatency(1, 0)", lambda: MonomialLatency(1.0, 0), "degree"),
+    ("BPRLatency(nan, 1)", lambda: BPRLatency(NAN, 1.0), "free_flow_time"),
+    ("BPRLatency(1, nan)", lambda: BPRLatency(1.0, NAN), "capacity"),
+    ("BPRLatency(1, inf)", lambda: BPRLatency(1.0, INF), "capacity"),
+    ("BPRLatency(1, 0)", lambda: BPRLatency(1.0, 0.0), "capacity"),
+    ("BPRLatency(alpha=nan)", lambda: BPRLatency(1.0, 1.0, alpha=NAN), "alpha"),
+    ("BPRLatency(beta=0)", lambda: BPRLatency(1.0, 1.0, beta=0), "beta"),
+    ("MM1Latency(nan)", lambda: MM1Latency(NAN), "capacity"),
+    ("MM1Latency(inf)", lambda: MM1Latency(INF), "capacity"),
+    (
+        "PiecewiseLinearLatency(nan y)",
+        lambda: PiecewiseLinearLatency([(0.0, 0.0), (1.0, NAN)]),
+        "breakpoint",
+    ),
+    ("ThresholdLatency(nan)", lambda: ThresholdLatency(NAN), "beta"),
+    ("ScaledLatency(nan)", lambda: ScaledLatency(BASE, NAN), "factor"),
+    ("ModulatedLatency(gain=nan)", lambda: ModulatedLatency(BASE, gain=NAN), "gain"),
+    ("ModulatedLatency(stretch=0)", lambda: ModulatedLatency(BASE, stretch=0.0), "stretch"),
+    ("ModulatedLatency(offset=inf)", lambda: ModulatedLatency(BASE, offset=INF), "offset"),
+    # Flow state.
+    ("FlowVector([nan, ...])", lambda: FlowVector(BRAESS, [NAN, 0.5, 0.5]), "component 0"),
+    ("FlowVector([..., inf])", lambda: FlowVector(BRAESS, [0.5, 0.5, INF]), "component 2"),
+    # Engine configs.
+    ("SimulationConfig(update_period=nan)", lambda: SimulationConfig(update_period=NAN), "update_period"),
+    ("SimulationConfig(horizon=inf)", lambda: SimulationConfig(horizon=INF), "horizon"),
+    ("SimulationConfig(steps_per_phase=nan)", lambda: SimulationConfig(steps_per_phase=NAN), "steps_per_phase"),
+    ("BatchConfig(update_periods=[.1, nan])", lambda: BatchConfig(update_periods=[0.1, NAN]), r"update_periods\[1\]"),
+    ("BatchConfig(horizons=nan)", lambda: BatchConfig(horizons=NAN), "horizons"),
+    ("BatchConfig(steps_per_phase=nan)", lambda: BatchConfig(steps_per_phase=NAN), "steps_per_phase"),
+    ("AgentSimulationConfig(update_period=nan)", lambda: AgentSimulationConfig(update_period=NAN), "update_period"),
+    ("AgentSimulationConfig(horizon=nan)", lambda: AgentSimulationConfig(horizon=NAN), "horizon"),
+    ("BatchAgentConfig(update_periods=nan)", lambda: BatchAgentConfig(update_periods=NAN), "update_periods"),
+    (
+        "BatchAgentConfig(horizons=[1, nan])",
+        lambda: BatchAgentConfig(num_agents=[10, 10], horizons=[1.0, NAN]),
+        r"horizons\[1\]",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, field", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_bad_input_is_rejected_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_is_feasible_is_false_for_nan_flows():
+    flow = FlowVector(BRAESS, [NAN, 0.5, 0.5], validate=False)
+    assert not flow.is_feasible()
+
+
+def test_valid_boundary_values_still_accepted():
+    assert ConstantLatency(0.0).value(0.5) == 0.0
+    assert BPRLatency(1.0, 0.5, alpha=0.0).value(1.0) == 1.0
+    assert ModulatedLatency(BASE, gain=0.0, offset=1e3).value(0.5) == 1e3
+    assert BatchConfig(update_periods=np.array([0.1, 0.2])).batch_size == 2
