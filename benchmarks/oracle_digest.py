@@ -1,10 +1,15 @@
-"""Fingerprint the shortest-path oracle's outputs, to compare two checkouts.
+"""Fingerprint the oracle's and the latency table's outputs, to compare two checkouts.
 
 For sioux-falls, city-grid, braess and two-links, under free-flow costs and
 three congested cost vectors, this hashes the exact bytes of every
 commodity's returned path, ``all_or_nothing(...).edge_flows``, ``sptt`` and
-``commodity_costs``.  Run it against two source trees and diff the output;
-identical lines mean the oracle answers are bit-identical::
+``commodity_costs``.  It also hashes, per instance, ``edge_latencies`` and
+``edge_latencies_batch`` at three edge-flow vectors; one
+``ScenarioEnsemble.family_at(...).edge_latencies_batch`` on Sioux Falls with
+a capacity-drop incident and a closure; and the Sioux Falls edge-flow
+``fw``/``cfw``/``bfw`` solves at relative gap 1e-3 as ``iterations``, the
+relative gap bytes and the potential bytes.  Run it against two source trees
+and diff the output; identical lines mean bit-identical answers::
 
     PYTHONPATH=src python benchmarks/oracle_digest.py > new.txt
     PYTHONPATH=../other/src python benchmarks/oracle_digest.py > old.txt
@@ -19,8 +24,12 @@ import numpy as np
 
 from repro.instances import get_instance
 from repro.largescale import ShortestPathOracle
+from repro.scenarios import LinkIncident, Scenario, ScenarioEnsemble
+from repro.solvers import solve_edge_flow_equilibrium
 
 INSTANCES = ("sioux-falls", "city-grid", "braess", "two-links")
+FW_METHODS = ("fw", "cfw", "bfw")
+FW_GAP = 1e-3
 
 
 def cost_vectors(network, oracle):
@@ -47,12 +56,61 @@ def digest(network, oracle, costs) -> str:
     return sha.hexdigest()[:16]
 
 
+def hash_arrays(*arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def edge_flow_vectors(network) -> np.ndarray:
+    """Three ``(E,)`` edge-flow vectors: uniform, random and overloaded."""
+    rng = np.random.default_rng(11)
+    uniform = network.edge_flows(np.full(network.num_paths, 1.0 / network.num_paths))
+    random_flows = network.edge_flows(rng.dirichlet(np.ones(network.num_paths)))
+    return np.stack([uniform, random_flows, 3.0 * random_flows])
+
+
+def latency_digest(network) -> str:
+    flows = edge_flow_vectors(network)
+    singles = [network.edge_latencies(row) for row in flows]
+    return hash_arrays(*singles, network.edge_latencies_batch(flows))
+
+
+def incident_family_digest() -> str:
+    """One phase of a four-row Sioux Falls ensemble: idle, drop, closure, idle."""
+    network = get_instance("sioux-falls")
+    busiest = network.edges[int(np.argmax(edge_flow_vectors(network)[0]))]
+    scenarios = [
+        None,
+        Scenario(incidents=[LinkIncident(busiest, 0.0, 1.0, capacity_factor=0.35)]),
+        Scenario(incidents=[LinkIncident(busiest, 0.0, 1.0, closure_penalty=50.0)]),
+        Scenario(incidents=[LinkIncident(busiest, 2.0, 3.0, capacity_factor=0.35)]),
+    ]
+    family = ScenarioEnsemble(network, scenarios).family_at(np.full(len(scenarios), 0.5))
+    flows = np.tile(edge_flow_vectors(network)[1], (len(scenarios), 1))
+    flows *= np.linspace(0.5, 2.0, len(scenarios))[:, None]
+    return hash_arrays(family.edge_latencies_batch(flows))
+
+
 def main() -> None:
     for name in INSTANCES:
         network = get_instance(name)
         oracle = ShortestPathOracle.for_network(network)
         for label, costs in cost_vectors(network, oracle).items():
             print(f"{name:12s} {label:10s} {digest(network, oracle, costs)}")
+    for name in INSTANCES:
+        print(f"{name:12s} {'latencies':10s} {latency_digest(get_instance(name))}")
+    print(f"{'sioux-falls':12s} {'family-at':10s} {incident_family_digest()}")
+    network = get_instance("sioux-falls")
+    oracle = ShortestPathOracle.for_network(network)
+    for method in FW_METHODS:
+        result = solve_edge_flow_equilibrium(
+            network, tolerance=FW_GAP, oracle=oracle, method=method
+        )
+        gap = np.float64(result.relative_gap).tobytes().hex()
+        potential = np.float64(result.potential_value).tobytes().hex()
+        print(f"{'sioux-falls':12s} {method:10s} {result.iterations} {gap} {potential}")
 
 
 if __name__ == "__main__":

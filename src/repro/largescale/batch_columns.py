@@ -196,8 +196,8 @@ def _normalise_initial_flows(
 
 
 class _PostedCostCache:
-    """Full-graph posted cost vectors, assembled with one Python scan per
-    distinct effective environment instead of one per row per refresh.
+    """Full-graph posted cost vectors, whose off-path part is evaluated once
+    per distinct effective environment instead of once per row per refresh.
 
     The on-path positions of a cost vector are the row's (vectorised) posted
     edge latencies; the off-path positions carry the environment's zero-flow
@@ -219,13 +219,8 @@ class _PostedCostCache:
         key = (id(network), modulation)
         base = self._off_path.get(key)
         if base is None:
-            base = np.zeros(self.oracle.num_edges)
-            off_path = np.ones(self.oracle.num_edges, dtype=bool)
-            off_path[positions] = False
-            for index in np.flatnonzero(off_path):
-                base[index] = member.latency_function(
-                    self.oracle.edges[index]
-                ).value(0.0)
+            base = self.oracle.free_flow_costs(member)
+            base[positions] = 0.0
             self._off_path[key] = base
         return base
 

@@ -30,6 +30,7 @@ the paths and the all-or-nothing edge flows.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from ..wardrop.commodity import Commodity
+from ..wardrop.latency import EdgeLatencyTable
 from ..wardrop.network import LATENCY_ATTR
 from ..wardrop.paths import EdgeKey, Path
 
@@ -121,6 +123,9 @@ class ShortestPathOracle:
             dtype=bool,
         )
         self._centroid_out_pairs = is_centroid[pair_tails]
+        # Per-network latency tables over `edges`; weak keys, so an entry
+        # lives only as long as its network.
+        self._tables = weakref.WeakKeyDictionary()
 
         # One query row per distinct source, in first-appearance order.
         # Plain sources share one C call; each centroid source gets its own.
@@ -168,31 +173,32 @@ class ShortestPathOracle:
     def free_flow_costs(self, network=None) -> np.ndarray:
         """Return every edge's latency at zero flow (the Dijkstra seed costs).
 
-        With a ``network`` the (override-aware) ``latency_function`` lookup
-        is used; without one the latencies are read straight off the graph's
+        With a ``network`` its (override-aware) :meth:`latency_table` is
+        used; without one the latencies are read straight off the graph's
         edge attributes -- the pre-network situation of the TNTP loader and
         of :class:`~repro.largescale.columns.ActivePathSet` seeding.
         """
+        zeros = np.zeros(self.num_edges)
         if network is not None:
-            return np.array(
-                [network.latency_function(edge).value(0.0) for edge in self.edges]
-            )
-        return np.array(
-            [
-                self.graph[u][v][key][LATENCY_ATTR].value(0.0)
-                for (u, v, key) in self.edges
-            ]
-        )
+            return self.latency_table(network).values(zeros)
+        functions = [self.graph[u][v][key][LATENCY_ATTR] for (u, v, key) in self.edges]
+        return EdgeLatencyTable(functions).values(zeros)
 
     def latency_costs(self, network, edge_flows: np.ndarray) -> np.ndarray:
         """Evaluate every graph edge's latency at the given oracle-order flows."""
-        edge_flows = np.asarray(edge_flows, dtype=float)
-        return np.array(
-            [
-                network.latency_function(edge).value(edge_flows[i])
-                for i, edge in enumerate(self.edges)
-            ]
-        )
+        return self.latency_table(network).values(edge_flows)
+
+    def latency_table(self, network) -> EdgeLatencyTable:
+        """Return ``network``'s latencies over :attr:`edges` as one table.
+
+        Built once per network and held only while the network lives, so an
+        oracle outliving many effective networks keeps none of them.
+        """
+        table = self._tables.get(network)
+        if table is None:
+            table = EdgeLatencyTable([network.latency_function(edge) for edge in self.edges])
+            self._tables[network] = table
+        return table
 
     def network_edge_positions(self, network) -> np.ndarray:
         """Map ``network.edges`` (on-path edges) to oracle edge positions."""

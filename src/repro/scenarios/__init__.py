@@ -14,8 +14,8 @@ equilibrium.  This package supplies that workload class:
 * :mod:`~repro.scenarios.scenario` -- :class:`Scenario`, which compiles the
   effects into per-edge ``(gain, stretch, offset)`` modulations applied at
   phase boundaries, and :class:`ScenarioEnsemble`, its batched counterpart
-  stacking per-row scenarios through
-  :class:`~repro.wardrop.latency.LatencyStack`,
+  applying every row's modulation as ``(B, E)`` arrays around one
+  :class:`~repro.wardrop.latency.EdgeLatencyTable`,
 * :mod:`~repro.scenarios.tracking` -- per-interval ground-truth equilibria
   (path or edge-flow Frank--Wolfe) and the tracking metrics
   (:func:`tracking_error`, :func:`time_to_reequilibrate`,

@@ -23,8 +23,11 @@ overlapping on the same edge (factors multiply, penalties add).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+from ..wardrop.latency import _finite
 
 EdgeKey = Tuple  # (u, v, key) triples, matching repro.wardrop.paths.EdgeKey
 
@@ -51,12 +54,15 @@ class LinkIncident:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge", tuple(self.edge))
+        # A NaN window is never active: the incident would silently not happen.
+        _finite("start", self.start, minimum=-math.inf)
+        _finite("end", self.end, minimum=-math.inf)
         if self.end <= self.start:
             raise ValueError("incident window must have positive length")
         if not 0.0 <= self.capacity_factor <= 1.0:
             raise ValueError("capacity_factor must lie in [0, 1] (0 closes the link)")
-        if self.capacity_factor == 0.0 and self.closure_penalty <= 0:
-            raise ValueError("a closure needs a positive closure_penalty")
+        if self.capacity_factor == 0.0:
+            _finite("closure_penalty", self.closure_penalty, strict=True)
 
     @property
     def closes(self) -> bool:

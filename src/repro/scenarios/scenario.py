@@ -13,21 +13,24 @@ frozen at the phase's start, which matches the paper's information model (the
 world, like the bulletin board, is sampled at discrete instants) and keeps
 batched and scalar runs bit-identical.
 
-:meth:`Scenario.network_at` materialises the effective network at a sample
-time as a lightweight :meth:`~repro.wardrop.network.WardropNetwork.with_latencies`
-copy -- cached per distinct modulation, so piecewise-constant scenarios build
-a handful of networks no matter how many phases run.
-:class:`ScenarioEnsemble` is the batched counterpart: it stacks the per-row
-effective networks of a whole ensemble into cached
-:class:`~repro.wardrop.family.NetworkFamily` objects whose per-edge
-:class:`~repro.wardrop.latency.LatencyStack` evaluation is fully vectorised
-(every covered edge is wrapped in a ``ModulatedLatency``, identity where a
-row is unaffected -- the identity modulation is float-transparent, so
-wrapping never perturbs a row).
+The scalar engines use :meth:`Scenario.network_at`, which materialises the
+effective network at a sample time as a lightweight
+:meth:`~repro.wardrop.network.WardropNetwork.with_latencies` copy with
+``ModulatedLatency`` wrappers -- cached per distinct modulation, so
+piecewise-constant scenarios build a handful of networks no matter how many
+phases run.  :class:`ScenarioEnsemble` is the batched counterpart and builds
+no networks: :meth:`ScenarioEnsemble.family_at` fills ``(B, E)`` gain,
+stretch and offset arrays from every row's :meth:`Scenario.modulation_at` and
+applies them around the base family's
+:class:`~repro.wardrop.latency.EdgeLatencyTable` with the ``ModulatedLatency``
+arithmetic (``gain = stretch = 1``, ``offset = 0`` on unaffected cells, which
+is float-transparent).  The two constructions are independent, which is what
+the scalar-versus-batched suites compare.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -43,16 +46,12 @@ Triple = Tuple[float, float, float]
 
 IDENTITY_TRIPLE: Triple = (1.0, 1.0, 0.0)
 
-# Memoisation bounds.  Piecewise-constant scenarios revisit a handful of
-# modulations and never approach these; continuous profiles (ramps, periodic
-# peaks) produce a fresh modulation every phase, so without a bound the
-# caches would grow linearly with the phase count of a run.  Values held in
-# a cache keep their constituents alive, so ids used as keys can never be
-# reused while their entry is live.
+# Memoisation bound of `Scenario.network_at`, per base network.
+# Piecewise-constant scenarios revisit a handful of modulations and never
+# approach it; continuous profiles (ramps, periodic peaks) produce a fresh
+# modulation every phase, so without a bound the cache would grow linearly
+# with the phase count of a run.
 NETWORK_CACHE_LIMIT = 128
-FAMILY_CACHE_LIMIT = 64
-STACK_CACHE_LIMIT = 512
-MEMBER_CACHE_LIMIT = 256
 
 
 def _bounded_insert(cache: Dict, key, value, limit: int) -> None:
@@ -124,17 +123,23 @@ class Scenario:
         if incidents is not None and not isinstance(incidents, IncidentPlan):
             incidents = IncidentPlan(list(incidents))
         self.incidents: Optional[IncidentPlan] = incidents
-        # Effective-network cache: (id(base), modulation, cover) -> network.
-        # The base is stored alongside so its id stays valid for the cache's
-        # lifetime.  Dropped on pickling (rebuilt lazily in workers).
-        self._cache: Dict[Tuple, Tuple[WardropNetwork, WardropNetwork]] = {}
+        # Effective-network cache: base -> {modulation: network}.  Weak keys,
+        # so the entries of a base network go when it does.  Dropped on
+        # pickling (rebuilt lazily in workers).
+        self._cache: "weakref.WeakKeyDictionary[WardropNetwork, Dict]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # Pickling (process-pool dispatch) ---------------------------------------
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["_cache"] = {}
+        del state["_cache"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._cache = weakref.WeakKeyDictionary()
 
     # Sampling ----------------------------------------------------------------
 
@@ -202,74 +207,31 @@ class Scenario:
                 f"graph: {missing}"
             )
 
-    def scope(self, base: WardropNetwork) -> Optional[List[EdgeKey]]:
-        """Return the graph edges this scenario can ever touch on ``base``.
-
-        ``None`` means *every* edge (a demand or all-edge coefficient profile
-        modulates the whole network).  Edge-scoped effects return only the
-        edges present in the base graph.
-        """
-        if self.demand is not None or any(c.edges is None for c in self.coefficients):
-            return None
-        edges: List[EdgeKey] = []
-        for coefficient in self.coefficients:
-            edges.extend(coefficient.edges or [])
-        if self.incidents is not None:
-            edges.extend(self.incidents.edges())
-        seen: List[EdgeKey] = []
-        for edge in edges:
-            if edge not in seen and base.graph.has_edge(*edge):
-                seen.append(edge)
-        return seen
-
     # Effective networks ------------------------------------------------------
 
-    def network_at(
-        self,
-        base: WardropNetwork,
-        t: float,
-        cover: Optional[Tuple[EdgeKey, ...]] = None,
-    ) -> WardropNetwork:
+    def network_at(self, base: WardropNetwork, t: float) -> WardropNetwork:
         """Return the effective network at sample time ``t`` (cached).
 
         The result is a lightweight ``with_latencies`` copy of ``base`` whose
-        affected edges carry :class:`ModulatedLatency` wrappers.  ``cover``
-        (used by :class:`ScenarioEnsemble`) lists additional on-path edges to
-        wrap with the *identity* modulation so the batched per-edge latency
-        stacks stay type-homogeneous; identity wrapping is float-transparent,
-        so covered scalar and uncovered scalar evaluation agree bit for bit.
+        affected edges carry :class:`ModulatedLatency` wrappers.
         """
         modulation = self.modulation_at(t)
-        if modulation.is_identity and not cover:
+        if modulation.is_identity:
             return base
-        key = (id(base), modulation, cover)
-        cached = self._cache.get(key)
+        cache = self._cache.setdefault(base, {})
+        cached = cache.get(modulation)
         if cached is not None:
-            return cached[1]
-        # dict-as-ordered-set: cover edges may overlap the modulated ones.
-        targets: Dict[EdgeKey, None] = {}
+            return cached
         if modulation.demand != 1.0 or modulation.gain != 1.0:
-            targets.update((edge, None) for edge in base.graph.edges(keys=True))
+            targets = list(base.graph.edges(keys=True))
         else:
-            targets.update(
-                (edge, None)
-                for edge, _ in modulation.edges
-                if base.graph.has_edge(*edge)
-            )
-        if cover:
-            targets.update((edge, None) for edge in cover)
-        per_edge = dict(modulation.edges)
+            targets = [edge for edge, _ in modulation.edges if base.graph.has_edge(*edge)]
         overrides = {}
         for edge in targets:
-            gain, stretch, offset = per_edge.get(edge, IDENTITY_TRIPLE)
-            overrides[edge] = ModulatedLatency(
-                base.latency_function(edge),
-                modulation.gain * gain,
-                modulation.demand * stretch,
-                offset,
-            )
+            gain, stretch, offset = modulation.triple_for(edge)
+            overrides[edge] = ModulatedLatency(base.latency_function(edge), gain, stretch, offset)
         network = base.with_latencies(overrides) if overrides else base
-        _bounded_insert(self._cache, key, (base, network), NETWORK_CACHE_LIMIT)
+        _bounded_insert(cache, modulation, network, NETWORK_CACHE_LIMIT)
         return network
 
     def __repr__(self) -> str:
@@ -285,15 +247,14 @@ class Scenario:
 
 
 class ScenarioEnsemble:
-    """Per-row scenarios of a batched run, stacked into cached families.
+    """Per-row scenarios of a batched run, applied to one shared latency table.
 
     ``base`` is the shared :class:`WardropNetwork` or the
     :class:`NetworkFamily` the batch routes on; ``scenarios`` holds one
     :class:`Scenario` (or ``None`` for a stationary row) per batch row.
-    :meth:`family_at` returns the effective family at per-row sample times;
-    families are cached by their member combination, so piecewise-constant
-    scenario sweeps (e.g. 32 incident timings) build one family per distinct
-    environment combination, not one per phase.
+    :meth:`family_at` returns the effective family at per-row sample times:
+    the base family's latency table, built once, under ``(B, E)``
+    modulation arrays.
     """
 
     def __init__(
@@ -307,100 +268,40 @@ class ScenarioEnsemble:
                 raise ValueError(
                     f"family of {base.size} networks for {len(self.scenarios)} scenarios"
                 )
-            self.bases: List[WardropNetwork] = [
-                base.member(row) for row in range(base.size)
-            ]
-            structure = base.base
+            self.family = base
         else:
-            self.bases = [base] * len(self.scenarios)
-            structure = base
-        # The cover: every on-path edge some row's scenario can touch.  All
-        # rows wrap exactly these edges (identity where unaffected), so each
-        # edge's latency stack holds one ModulatedLatency per row and
-        # vectorises through the stacked evaluator.
+            self.family = NetworkFamily.replicate(base, len(self.scenarios))
         for row, scenario in enumerate(self.scenarios):
             if scenario is not None:
-                scenario.require_edges(self.bases[row])
-        cover_all = False
-        scoped: List[EdgeKey] = []
-        for row, scenario in enumerate(self.scenarios):
-            if scenario is None:
-                continue
-            scope = scenario.scope(self.bases[row])
-            if scope is None:
-                cover_all = True
-                break
-            scoped.extend(scope)
-        if cover_all:
-            self.cover: Tuple[EdgeKey, ...] = tuple(structure.edges)
-        else:
-            scoped_set = set(scoped)
-            self.cover = tuple(edge for edge in structure.edges if edge in scoped_set)
-        self._structure = structure
-        self._identity_members: Dict[int, Tuple[WardropNetwork, WardropNetwork]] = {}
-        self._families: Dict[Tuple[int, ...], NetworkFamily] = {}
-        # Stack memoisation: most per-phase family swaps change the latency
-        # functions of only a few edges (the ones whose modulation toggled),
-        # so per-edge LatencyStacks are cached by their function identities
-        # and the per-member function rows are fetched once per distinct
-        # effective member.
-        self._member_functions: Dict[int, Tuple[WardropNetwork, List]] = {}
-        self._stack_cache: Dict[Tuple[int, ...], "LatencyStack"] = {}
-
-    def _functions_of(self, member: WardropNetwork) -> List:
-        cached = self._member_functions.get(id(member))
-        if cached is None:
-            cached = (
-                member,
-                [member.latency_function(edge) for edge in self._structure.edges],
-            )
-            _bounded_insert(
-                self._member_functions, id(member), cached, MEMBER_CACHE_LIMIT
-            )
-        return cached[1]
-
-    def _stacks_for(self, members: Sequence[WardropNetwork]) -> List["LatencyStack"]:
-        from ..wardrop.latency import LatencyStack
-
-        rows = [self._functions_of(member) for member in members]
-        stacks = []
-        for position in range(len(self._structure.edges)):
-            functions = [row[position] for row in rows]
-            key = tuple(id(function) for function in functions)
-            stack = self._stack_cache.get(key)
-            if stack is None:
-                stack = LatencyStack(functions)
-                _bounded_insert(self._stack_cache, key, stack, STACK_CACHE_LIMIT)
-            stacks.append(stack)
-        return stacks
-
-    def _identity(self, base: WardropNetwork) -> WardropNetwork:
-        """Return ``base`` with identity wrappers on the covered edges."""
-        if not self.cover:
-            return base
-        cached = self._identity_members.get(id(base))
-        if cached is not None:
-            return cached[1]
-        wrapped = base.with_latencies(
-            {edge: ModulatedLatency(base.latency_function(edge)) for edge in self.cover}
-        )
-        self._identity_members[id(base)] = (base, wrapped)
-        return wrapped
+                scenario.require_edges(self.family.member(row))
+        self._columns: Dict[EdgeKey, int] = {
+            edge: column for column, edge in enumerate(self.family.base.edges)
+        }
 
     def family_at(self, times: np.ndarray) -> NetworkFamily:
         """Return the effective family at per-row sample times ``(B,)``."""
-        members: List[WardropNetwork] = []
+        times = np.array(times, dtype=float)
+        shape = (self.family.size, self.family.num_edges)
+        gain, stretch, offset = np.ones(shape), np.ones(shape), np.zeros(shape)
         for row, scenario in enumerate(self.scenarios):
-            base = self.bases[row]
             if scenario is None:
-                members.append(self._identity(base))
-            else:
-                members.append(scenario.network_at(base, float(times[row]), cover=self.cover))
-        key = tuple(id(member) for member in members)
-        family = self._families.get(key)
-        if family is None:
-            family = NetworkFamily(
-                members, validate=False, stacks=self._stacks_for(members)
-            )
-            _bounded_insert(self._families, key, family, FAMILY_CACHE_LIMIT)
-        return family
+                continue
+            modulation = scenario.modulation_at(float(times[row]))
+            gain[row] = modulation.gain
+            stretch[row] = modulation.demand
+            for edge, _ in modulation.edges:
+                column = self._columns.get(edge)
+                if column is not None:
+                    gain[row, column], stretch[row, column], offset[row, column] = (
+                        modulation.triple_for(edge)
+                    )
+
+        def members() -> List[WardropNetwork]:
+            return [
+                self.family.member(row)
+                if scenario is None
+                else scenario.network_at(self.family.member(row), float(times[row]))
+                for row, scenario in enumerate(self.scenarios)
+            ]
+
+        return self.family.modulated(gain, stretch, offset, members)

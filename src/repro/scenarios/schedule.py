@@ -26,10 +26,19 @@ edges return ``g(t) * l(x)``).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..wardrop.latency import _finite
+
+
+def _finite_values(name: str, values: np.ndarray, minimum: float = 0.0) -> None:
+    """Raise naming ``name[i]`` unless every entry is finite and ``>= minimum``."""
+    for index, value in enumerate(values):
+        _finite(f"{name}[{index}]", value, minimum=minimum)
 
 
 class Schedule(ABC):
@@ -60,9 +69,7 @@ class ConstantSchedule(Schedule):
     """The stationary profile ``m(t) = value``."""
 
     def __init__(self, value: float = 1.0):
-        if value < 0:
-            raise ValueError("schedule values must be non-negative")
-        self.value = float(value)
+        self.value = _finite("value", value)
 
     def at_batch(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.value, dtype=float)
@@ -96,10 +103,10 @@ class PiecewiseConstantSchedule(Schedule):
                 f"{len(self.times)} step instants need {len(self.times) + 1} "
                 f"values, got {len(self.values)}"
             )
+        _finite_values("times", self.times, minimum=-math.inf)
+        _finite_values("values", self.values)
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise ValueError("step instants must be strictly increasing")
-        if np.any(self.values < 0):
-            raise ValueError("schedule values must be non-negative")
 
     def at_batch(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
@@ -129,10 +136,10 @@ class PiecewiseLinearSchedule(Schedule):
         self.values = np.asarray(list(values), dtype=float)
         if len(self.times) < 2 or len(self.times) != len(self.values):
             raise ValueError("need matching times/values with at least two knots")
+        _finite_values("times", self.times, minimum=-math.inf)
+        _finite_values("values", self.values)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("knot times must be strictly increasing")
-        if np.any(self.values < 0):
-            raise ValueError("schedule values must be non-negative")
 
     def at_batch(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
@@ -152,10 +159,8 @@ class PeriodicSchedule(Schedule):
     """A profile repeating every ``period`` time units (daily peak cycles)."""
 
     def __init__(self, profile: Schedule, period: float):
-        if period <= 0:
-            raise ValueError("period must be positive")
         self.profile = profile
-        self.period = float(period)
+        self.period = _finite("period", period, strict=True)
 
     def at_batch(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)

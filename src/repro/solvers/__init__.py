@@ -16,7 +16,6 @@ interchangeable methods (see :mod:`repro.solvers.options` for the table):
 
 from .edge_frank_wolfe import (
     EdgeEquilibriumResult,
-    edge_potential,
     relative_duality_gap,
     solve_edge_flow_equilibrium,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "bisection_root",
     "check_method",
     "duality_gap",
-    "edge_potential",
     "equilibrium_latency_level",
     "golden_section_minimise",
     "optimal_potential",

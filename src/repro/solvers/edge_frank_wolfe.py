@@ -46,6 +46,7 @@ import numpy as np
 
 from ..largescale.shortest import ShortestPathOracle
 from ..telemetry.runtime import get_telemetry
+from ..wardrop.latency import ordered_sum
 from ..wardrop.network import WardropNetwork
 from .line_search import bisection_root
 from .options import check_method
@@ -96,16 +97,6 @@ class EdgeEquilibriumResult:
     method: str = "fw"
 
 
-def edge_potential(network: WardropNetwork, oracle: ShortestPathOracle, edge_flows: np.ndarray) -> float:
-    """Return the Beckmann potential of an oracle-order edge-flow vector."""
-    return float(
-        sum(
-            network.latency_function(edge).integral(edge_flows[i])
-            for i, edge in enumerate(oracle.edges)
-        )
-    )
-
-
 def relative_duality_gap(
     network: WardropNetwork,
     oracle: ShortestPathOracle,
@@ -116,13 +107,6 @@ def relative_duality_gap(
     load = oracle.all_or_nothing(costs)
     tstt = float(np.dot(costs, edge_flows))
     return tstt / load.sptt - 1.0
-
-
-def _hessian_diagonal(functions, flows: np.ndarray) -> np.ndarray:
-    """Return ``diag(l_e'(f_e))``, the Beckmann Hessian at ``flows``."""
-    return np.array(
-        [functions[i].derivative(flows[i]) for i in range(len(flows))]
-    )
 
 
 def _conjugate_point(
@@ -245,7 +229,7 @@ def solve_edge_flow_equilibrium(
                 f"expected ({oracle.num_edges},)"
             )
 
-    functions = [network.latency_function(edge) for edge in oracle.edges]
+    table = oracle.latency_table(network)
     tele = get_telemetry()
     run_span = tele.span(
         "engine_run",
@@ -291,7 +275,8 @@ def solve_edge_flow_equilibrium(
             break
         target = load.edge_flows
         if method != "fw" and previous_point is not None:
-            hessian = _hessian_diagonal(functions, flows)
+            # diag(l_e'(f_e)), the Beckmann Hessian at the current flows.
+            hessian = table.derivatives(flows)
             if method == "bfw" and previous_point2 is not None:
                 target = _biconjugate_point(
                     flows, load.edge_flows, previous_point, previous_point2,
@@ -308,17 +293,12 @@ def solve_edge_flow_equilibrium(
             if float(np.dot(costs, target - flows)) >= 0.0:
                 target = load.edge_flows
         direction = target - flows
+        moving = direction != 0.0
 
         def potential_slope(step: float) -> float:
             """Directional derivative of the Beckmann potential at ``step``."""
-            point = flows + step * direction
-            return float(
-                sum(
-                    functions[i].value(point[i]) * direction[i]
-                    for i in range(len(direction))
-                    if direction[i] != 0.0
-                )
-            )
+            latencies = table.values(flows + step * direction)
+            return ordered_sum(latencies[moving] * direction[moving])
 
         step = bisection_root(potential_slope, 0.0, 1.0)
         if step <= 0.0:
@@ -348,7 +328,7 @@ def solve_edge_flow_equilibrium(
     tele.counter("fw.runs").add()
     return EdgeEquilibriumResult(
         edge_flows=flows,
-        potential_value=edge_potential(network, oracle, flows),
+        potential_value=table.potential(flows),
         relative_gap=float(relative_gap),
         tstt=tstt,
         sptt=float(sptt),

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from ..wardrop.potential import potential
+from ..wardrop.potential import potential, potential_of_edge_flows
 from .frank_wolfe import EquilibriumResult, all_or_nothing_flow
 
 # Derivative sums can vanish on all-constant-latency instances; the shift
@@ -45,17 +45,6 @@ MIN_CURVATURE = 1e-12
 # The backtracking guard halves the sweep scale at most this many times per
 # iteration before accepting the (tiny) step anyway.
 MAX_BACKTRACKS = 30
-
-
-def _beckmann(network: WardropNetwork, path_flows: np.ndarray) -> float:
-    """Return the Beckmann potential of a path-flow vector."""
-    edge_flows = network.edge_flows(path_flows)
-    return float(
-        sum(
-            network.latency_function(edge).integral(edge_flows[i])
-            for i, edge in enumerate(network.edges)
-        )
-    )
 
 
 def _sweep(
@@ -117,7 +106,7 @@ def solve_path_projection_gradient(
     converged = False
     iterations = 0
     scale = 1.0
-    value = _beckmann(network, flow)
+    value = potential_of_edge_flows(network, network.edge_flows(flow))
     for iterations in range(1, max_iterations + 1):
         edge_flows = network.edge_flows(flow)
         edge_latencies = network.edge_latencies(edge_flows)
@@ -131,7 +120,7 @@ def solve_path_projection_gradient(
         derivatives = network.edge_latency_derivatives(edge_flows)
         for _ in range(MAX_BACKTRACKS):
             candidate = _sweep(network, flow, costs, derivatives, scale)
-            candidate_value = _beckmann(network, candidate)
+            candidate_value = potential_of_edge_flows(network, network.edge_flows(candidate))
             if candidate_value <= value:
                 break
             scale *= 0.5

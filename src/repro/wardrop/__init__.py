@@ -14,8 +14,8 @@ from .latency import (
     AffineLatency,
     BPRLatency,
     ConstantLatency,
+    EdgeLatencyTable,
     LatencyFunction,
-    LatencyStack,
     LinearLatency,
     MM1Latency,
     MonomialLatency,
@@ -63,12 +63,12 @@ __all__ = [
     "BPRLatency",
     "Commodity",
     "ConstantLatency",
+    "EdgeLatencyTable",
     "EquilibriumReport",
     "FlowVector",
     "InstanceValidationError",
     "LATENCY_ATTR",
     "LatencyFunction",
-    "LatencyStack",
     "LinearLatency",
     "MM1Latency",
     "MarginalCostLatency",

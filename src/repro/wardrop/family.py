@@ -6,9 +6,10 @@ coefficients vary while the graph, path sets and commodities stay fixed.  A
 :class:`NetworkFamily` stacks ``B`` such networks so the batched simulation
 engine can integrate one replica per member as a single ``(B, P)`` ensemble:
 geometry (edge/path incidence, projections) is shared through the base
-network, while latency evaluation uses per-edge
-:class:`~repro.wardrop.latency.LatencyStack` objects that apply each
-member's coefficients to its own row.
+network, while latency evaluation uses one
+:class:`~repro.wardrop.latency.EdgeLatencyTable` over the ``(B, E)`` grid of
+member latency functions, so row ``b`` is priced with member ``b``'s
+coefficients in one array call per group of same-class cells.
 
 ``topology_signature`` is the grouping key used by the experiment runner:
 cases whose networks share a signature can always be fused into one family
@@ -18,11 +19,12 @@ produce silently wrong results).
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+import copy
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .latency import LatencyStack
+from .latency import EdgeLatencyTable
 from .network import WardropNetwork
 
 
@@ -56,31 +58,19 @@ class NetworkFamily:
     validate:
         Set to ``False`` to skip the ``O(paths)`` topology check when the
         members are same-structure by construction -- e.g. the
-        :meth:`~repro.wardrop.network.WardropNetwork.with_latencies` clones
-        the scenario layer stacks every phase, which share the base network's
-        path-set and incidence objects outright.
-    stacks:
-        Internal: prebuilt per-edge :class:`LatencyStack` objects, one per
-        ``base.edges`` entry, built from exactly the members' latency
-        functions in member order.  The scenario layer's
-        :class:`~repro.scenarios.scenario.ScenarioEnsemble` passes memoised
-        stacks here so per-phase family swaps reuse the stacks of edges whose
-        functions did not change.
+        :meth:`~repro.wardrop.network.WardropNetwork.with_latencies` clones,
+        which share the base network's path-set and incidence objects
+        outright.
 
     The family exposes the same batched evaluation methods as a single
     :class:`WardropNetwork` (``edge_flows_batch``, ``edge_latencies_batch``,
     ``path_latencies_batch``, ...), with row ``b`` evaluated against member
-    ``b``'s latency functions.  The optional ``rows`` argument restricts an
-    evaluation to a subset of members -- the batched engine uses it so frozen
-    (converged or horizon-exhausted) rows skip latency work.
+    ``b``'s latency functions.  The optional ``rows`` argument evaluates a
+    subset of members -- the batched engine passes the rows still running
+    (not converged or horizon-exhausted).
     """
 
-    def __init__(
-        self,
-        networks: Sequence[WardropNetwork],
-        validate: bool = True,
-        stacks: Optional[Sequence[LatencyStack]] = None,
-    ):
+    def __init__(self, networks: Sequence[WardropNetwork], validate: bool = True):
         networks = list(networks)
         if not networks:
             raise ValueError("a network family needs at least one member")
@@ -88,6 +78,8 @@ class NetworkFamily:
         if validate:
             signature = topology_signature(base)
             for index, network in enumerate(networks[1:], start=1):
+                if network is base:
+                    continue
                 if topology_signature(network) != signature:
                     raise ValueError(
                         f"family member {index} has a different topology than member 0"
@@ -96,20 +88,11 @@ class NetworkFamily:
                     raise ValueError(
                         f"family member {index} has a different incidence matrix than member 0"
                     )
-        self.networks: List[WardropNetwork] = networks
+        self._networks: Union[List[WardropNetwork], Callable[[], List[WardropNetwork]]] = networks
+        self._size = len(networks)
         self.base = base
-        if stacks is not None:
-            stacks = list(stacks)
-            if len(stacks) != len(base.edges):
-                raise ValueError(
-                    f"got {len(stacks)} prebuilt stacks for {len(base.edges)} edges"
-                )
-            self._stacks = stacks
-        else:
-            self._stacks = [
-                LatencyStack([network.latency_function(edge) for network in networks])
-                for edge in base.edges
-            ]
+        self._table: Optional[EdgeLatencyTable] = None
+        self._modulation: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # Construction helpers -------------------------------------------------
 
@@ -144,9 +127,8 @@ class NetworkFamily:
         sharing the instance's graph, path set and incidence matrix, so --
         unlike :meth:`from_builder` -- no ``networkx`` graph is built and no
         path enumeration runs per member: family setup is O(edges) per row
-        instead of O(graph).  The resulting :class:`LatencyStack` per edge is
-        identical to the one a graph-built family of the same coefficients
-        would produce.
+        instead of O(graph).  Its latency table evaluates exactly like the
+        one of a graph-built family of the same coefficients.
         """
         if not grid:
             raise ValueError("a coefficient grid needs at least one entry")
@@ -159,11 +141,39 @@ class NetworkFamily:
             raise ValueError("a family needs at least one member")
         return cls([network] * count)
 
+    def modulated(
+        self,
+        gain: np.ndarray,
+        stretch: np.ndarray,
+        offset: np.ndarray,
+        members: Callable[[], List[WardropNetwork]],
+    ) -> "NetworkFamily":
+        """Return this family with every cell priced ``gain * l(stretch * x) + offset``.
+
+        ``gain``, ``stretch`` and ``offset`` are ``(B, E)`` arrays over
+        (member, edge) -- the arithmetic of
+        :class:`~repro.wardrop.latency.ModulatedLatency`, applied around this
+        family's latency table, which is shared rather than rebuilt.
+        ``members`` returns the effective member networks; it is only called
+        if they are asked for.
+        """
+        family = copy.copy(self)
+        family._table = self.latency_table()
+        family._modulation = (gain, stretch, offset)
+        family._networks = members
+        return family
+
     # Structure ------------------------------------------------------------
 
     @property
+    def networks(self) -> List[WardropNetwork]:
+        if callable(self._networks):
+            self._networks = list(self._networks())
+        return self._networks
+
+    @property
     def size(self) -> int:
-        return len(self.networks)
+        return self._size
 
     def __len__(self) -> int:
         return self.size
@@ -188,10 +198,24 @@ class NetworkFamily:
     def incidence(self) -> np.ndarray:
         return self.base.incidence
 
-    @property
-    def vectorised(self) -> bool:
-        """True if every edge's stack avoids the per-row Python loop."""
-        return all(stack.vectorised for stack in self._stacks)
+    def latency_table(self) -> EdgeLatencyTable:
+        """Return the members' latency table, built on first use.
+
+        Members that are all one network share that network's own table,
+        which applies to every row.
+        """
+        if self._table is None:
+            networks = self.networks
+            if all(network is networks[0] for network in networks):
+                self._table = networks[0].latency_table()
+            else:
+                self._table = EdgeLatencyTable(
+                    [
+                        [network.latency_function(edge) for edge in self.base.edges]
+                        for network in networks
+                    ]
+                )
+        return self._table
 
     # Theory constants over the family --------------------------------------
 
@@ -217,11 +241,13 @@ class NetworkFamily:
         Row ``i`` is evaluated with member ``rows[i]``'s latency functions
         (``rows`` defaults to ``0..B-1``, requiring ``R == B``).
         """
-        edge_flows = np.asarray(edge_flows, dtype=float)
-        result = np.empty_like(edge_flows)
-        for index, stack in enumerate(self._stacks):
-            result[:, index] = stack.values(edge_flows[:, index], rows)
-        return result
+        table = self.latency_table()
+        if self._modulation is None:
+            return table.values(edge_flows, rows)
+        gain, stretch, offset = (
+            part if rows is None else part[rows] for part in self._modulation
+        )
+        return gain * table.values(stretch * np.asarray(edge_flows, dtype=float), rows) + offset
 
     def path_latencies_batch(
         self, path_flows: np.ndarray, rows: Optional[np.ndarray] = None
@@ -237,5 +263,5 @@ class NetworkFamily:
     def __repr__(self) -> str:
         return (
             f"NetworkFamily(size={self.size}, paths={self.num_paths}, "
-            f"edges={self.num_edges}, vectorised={self.vectorised})"
+            f"edges={self.num_edges})"
         )

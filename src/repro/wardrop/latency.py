@@ -17,19 +17,24 @@ In addition ``integral(x)`` returns the exact value of
 ``int_0^x l_e(u) du`` which is the edge contribution to the
 Beckmann--McGuire--Winsten potential; having it in closed form keeps the
 potential computation exact rather than quadrature based.
+
+Each built-in class writes ``value``, ``derivative`` and ``integral`` once,
+in numpy array arithmetic: its coefficient fields may be floats (one
+function) or arrays (one entry per cell of a table), and ``x`` may be a float
+or an array broadcasting against them.  :class:`EdgeLatencyTable` builds on
+this to evaluate a whole grid of latency functions -- one network's edges, or
+every member of a family -- with one call per group of same-class cells, and
+performs exactly the floating-point operations of the scalar call.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-# A stacked evaluator maps ``(x, rows)`` -- the flows ``x[i]`` and the family
-# member indices ``rows[i]`` -- to the latencies ``functions[rows[i]](x[i])``.
-StackedEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _finite(name: str, value: float, minimum: float = 0.0, strict: bool = False) -> float:
@@ -37,14 +42,27 @@ def _finite(name: str, value: float, minimum: float = 0.0, strict: bool = False)
 
     ``value >= minimum`` (``> minimum`` when ``strict``) and finiteness are
     checked together: a bare ``value < 0`` guard is False for NaN and would
-    let it through.
+    let it through.  ``minimum=-inf`` checks finiteness alone.
     """
     value = float(value)
     in_range = value > minimum if strict else value >= minimum
     if not (math.isfinite(value) and in_range):
-        bound = ">" if strict else ">="
-        raise ValueError(f"{name} must be finite and {bound} {minimum}, got {value}")
+        bound = "" if minimum == -math.inf else f" and {'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
     return value
+
+
+def _exponent(name: str, value: float) -> int:
+    """Return a positive integer exponent, or raise naming ``name``.
+
+    Exponents select a table group and the multiplication chain of
+    :func:`_int_pow`, so a non-integral value is rejected rather than
+    truncated.
+    """
+    value = _finite(name, value, minimum=1.0)
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _int_pow(x, exponent: int):
@@ -52,10 +70,10 @@ def _int_pow(x, exponent: int):
 
     Numpy's vectorised pow kernel and the scalar ``float ** int`` (libm) pow
     disagree by an ulp on a few percent of inputs, which would break the
-    bit-for-bit contract between the scalar and the batched engines wherever
-    a latency uses an integer power (BPR, monomials).  Binary exponentiation
-    performs the *same* multiplication sequence elementwise whether ``x`` is
-    a float or an array, so every evaluation tier produces identical bits --
+    bit-for-bit contract between a scalar call and a table evaluation
+    wherever a latency uses an integer power (BPR, monomials).  Binary
+    exponentiation performs the *same* multiplication sequence elementwise
+    whether ``x`` is a float or an array, so both produce identical bits --
     and for the small exponents of road latencies (BPR beta = 4 is two
     squarings) it is faster than pow as well.
     """
@@ -74,19 +92,6 @@ def _int_pow(x, exponent: int):
     return result
 
 
-def _int_power(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Return ``x ** exponents`` with per-element integer exponents.
-
-    Groups by exponent and applies :func:`_int_pow` per group, so per-row
-    stacked evaluation performs exactly the scalar multiplication sequence.
-    """
-    result = np.empty_like(x)
-    for exponent in np.unique(exponents):
-        selected = exponents == exponent
-        result[selected] = _int_pow(x[selected], int(exponent))
-    return result
-
-
 class LatencyFunction(ABC):
     """A continuous, non-decreasing latency function on ``[0, 1]``.
 
@@ -95,6 +100,12 @@ class LatencyFunction(ABC):
     non-negative on the unit interval; :meth:`validate` spot-checks this and
     is used by the instance validators.
     """
+
+    # Coefficient fields an EdgeLatencyTable stacks into per-cell arrays.
+    # Only classes that declare this themselves are stacked (a subclass may
+    # override the arithmetic); every other function is evaluated by the
+    # table's per-cell loop.
+    _stacked_fields: Optional[Tuple[str, ...]] = None
 
     @abstractmethod
     def value(self, x: float) -> float:
@@ -118,33 +129,13 @@ class LatencyFunction(ABC):
         """
         return self.derivative(hi)
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        """Return ``value`` evaluated elementwise on an array of flows.
+    def _structure(self) -> Hashable:
+        """Return what, besides the class, must match for cells to stack.
 
-        The batched simulation engine evaluates every edge latency on a whole
-        ensemble of flows at once; subclasses override this with a vectorised
-        implementation that performs the *same floating-point operations* as
-        :meth:`value` so that batched and scalar runs agree bit for bit.  The
-        default falls back to a Python loop, which is slow but always correct
-        (custom latency functions keep working without a batch override).
+        Integer exponents and coefficient or breakpoint counts fix the shape
+        of the arithmetic, so only cells that agree on them share a group.
         """
-        x = np.asarray(x, dtype=float)
-        return np.array([self.value(float(v)) for v in x.ravel()]).reshape(x.shape)
-
-    @classmethod
-    def stacked_evaluator(cls, functions: Sequence["LatencyFunction"]) -> Optional[StackedEvaluator]:
-        """Return a coefficient-stacked evaluator for same-type functions.
-
-        ``functions`` holds one instance of ``cls`` per family member.  The
-        returned callable ``evaluate(x, rows)`` computes
-        ``functions[rows[i]].value(x[i])`` for a whole batch at once by
-        stacking the functions' coefficients into arrays, performing the same
-        floating-point operations as the scalar :meth:`value` so that
-        family-batched and per-row scalar runs agree bit for bit.  Classes
-        without a stacked form return ``None`` and callers fall back to a
-        per-row loop (see :class:`LatencyStack`).
-        """
-        return None
+        return ()
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -182,6 +173,8 @@ class LatencyFunction(ABC):
 class ConstantLatency(LatencyFunction):
     """A flow-independent latency ``l(x) = c`` (e.g. propagation delay)."""
 
+    _stacked_fields = ("constant",)
+
     def __init__(self, constant: float):
         self.constant = _finite("constant", constant)
 
@@ -197,24 +190,14 @@ class ConstantLatency(LatencyFunction):
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return 0.0
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(x), self.constant, dtype=float)
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        constants = np.array([f.constant for f in functions])
-
-        def evaluate(x, rows):
-            return constants[rows].copy()
-
-        return evaluate
-
     def __repr__(self) -> str:
         return f"ConstantLatency({self.constant})"
 
 
 class LinearLatency(LatencyFunction):
     """A homogeneous linear latency ``l(x) = a * x``."""
+
+    _stacked_fields = ("coefficient",)
 
     def __init__(self, coefficient: float = 1.0):
         self.coefficient = _finite("coefficient", coefficient)
@@ -231,24 +214,14 @@ class LinearLatency(LatencyFunction):
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return self.coefficient
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.coefficient * np.asarray(x, dtype=float)
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        coefficients = np.array([f.coefficient for f in functions])
-
-        def evaluate(x, rows):
-            return coefficients[rows] * np.asarray(x, dtype=float)
-
-        return evaluate
-
     def __repr__(self) -> str:
         return f"LinearLatency({self.coefficient})"
 
 
 class AffineLatency(LatencyFunction):
     """An affine latency ``l(x) = a * x + b`` with ``a, b >= 0``."""
+
+    _stacked_fields = ("slope", "intercept")
 
     def __init__(self, slope: float, intercept: float):
         self.slope = _finite("slope", slope)
@@ -266,19 +239,6 @@ class AffineLatency(LatencyFunction):
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return self.slope
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        slopes = np.array([f.slope for f in functions])
-        intercepts = np.array([f.intercept for f in functions])
-
-        def evaluate(x, rows):
-            return slopes[rows] * np.asarray(x, dtype=float) + intercepts[rows]
-
-        return evaluate
-
     def __repr__(self) -> str:
         return f"AffineLatency(slope={self.slope}, intercept={self.intercept})"
 
@@ -291,6 +251,8 @@ class PolynomialLatency(LatencyFunction):
     anarchy literature (Roughgarden & Tardos).
     """
 
+    _stacked_fields = ("coefficients",)
+
     def __init__(self, coefficients: Sequence[float]):
         if not coefficients:
             raise ValueError("polynomial latency requires at least one coefficient")
@@ -298,12 +260,15 @@ class PolynomialLatency(LatencyFunction):
             _finite(f"coefficients[{i}]", c) for i, c in enumerate(coefficients)
         ]
 
+    def _structure(self) -> Hashable:
+        return len(self.coefficients)
+
     def value(self, x: float) -> float:
         total = 0.0
         power = 1.0
         for coefficient in self.coefficients:
-            total += coefficient * power
-            power *= x
+            total = total + coefficient * power
+            power = power * x
         return total
 
     def derivative(self, x: float) -> float:
@@ -311,8 +276,8 @@ class PolynomialLatency(LatencyFunction):
         power = 1.0
         for degree, coefficient in enumerate(self.coefficients):
             if degree >= 1:
-                total += degree * coefficient * power
-                power *= x
+                total = total + degree * coefficient * power
+                power = power * x
             # degree 0 contributes nothing; power stays at 1 until degree 1.
         return total
 
@@ -320,41 +285,13 @@ class PolynomialLatency(LatencyFunction):
         total = 0.0
         power = x
         for degree, coefficient in enumerate(self.coefficients):
-            total += coefficient * power / (degree + 1)
-            power *= x
+            total = total + coefficient * power / (degree + 1)
+            power = power * x
         return total
 
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         # Non-negative coefficients make the derivative non-decreasing.
         return self.derivative(hi)
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # Same accumulation order as the scalar `value` for bit equality.
-        total = np.zeros_like(x)
-        power = np.ones_like(x)
-        for coefficient in self.coefficients:
-            total += coefficient * power
-            power *= x
-        return total
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        if len({len(f.coefficients) for f in functions}) != 1:
-            return None
-        coefficients = np.array([f.coefficients for f in functions])
-
-        def evaluate(x, rows):
-            x = np.asarray(x, dtype=float)
-            # Same accumulation order as `value` / `value_array`.
-            total = np.zeros_like(x)
-            power = np.ones_like(x)
-            for degree in range(coefficients.shape[1]):
-                total += coefficients[rows, degree] * power
-                power *= x
-            return total
-
-        return evaluate
 
     def __repr__(self) -> str:
         return f"PolynomialLatency({self.coefficients})"
@@ -363,41 +300,26 @@ class PolynomialLatency(LatencyFunction):
 class MonomialLatency(LatencyFunction):
     """A monomial latency ``l(x) = a * x**d`` (the Pigou-style nonlinearity)."""
 
+    _stacked_fields = ("coefficient",)
+
     def __init__(self, coefficient: float = 1.0, degree: int = 1):
         self.coefficient = _finite("coefficient", coefficient)
-        self.degree = int(_finite("degree", degree, minimum=1.0))
+        self.degree = _exponent("degree", degree)
+
+    def _structure(self) -> Hashable:
+        return self.degree
 
     def value(self, x: float) -> float:
         return self.coefficient * _int_pow(x, self.degree)
 
     def derivative(self, x: float) -> float:
-        return self.coefficient * self.degree * x ** (self.degree - 1)
+        return self.coefficient * self.degree * _int_pow(x, self.degree - 1)
 
     def integral(self, x: float) -> float:
-        return self.coefficient * x ** (self.degree + 1) / (self.degree + 1)
+        return self.coefficient * _int_pow(x, self.degree + 1) / (self.degree + 1)
 
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return self.derivative(hi)
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.coefficient * _int_pow(np.asarray(x, dtype=float), self.degree)
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        coefficients = np.array([f.coefficient for f in functions])
-        degrees = np.array([f.degree for f in functions])
-        if (degrees == degrees[0]).all():
-            degree = int(degrees[0])
-
-            def evaluate(x, rows):
-                return coefficients[rows] * _int_pow(np.asarray(x, dtype=float), degree)
-
-        else:
-
-            def evaluate(x, rows):
-                return coefficients[rows] * _int_power(np.asarray(x, dtype=float), degrees[rows])
-
-        return evaluate
 
     def __repr__(self) -> str:
         return f"MonomialLatency({self.coefficient}, degree={self.degree})"
@@ -411,11 +333,16 @@ class BPRLatency(LatencyFunction):
     for traffic-assignment solvers.
     """
 
+    _stacked_fields = ("free_flow_time", "capacity", "alpha")
+
     def __init__(self, free_flow_time: float, capacity: float, alpha: float = 0.15, beta: int = 4):
         self.free_flow_time = _finite("free_flow_time", free_flow_time)
         self.capacity = _finite("capacity", capacity, strict=True)
         self.alpha = _finite("alpha", alpha)
-        self.beta = int(_finite("beta", beta, minimum=1.0))
+        self.beta = _exponent("beta", beta)
+
+    def _structure(self) -> Hashable:
+        return self.beta
 
     def value(self, x: float) -> float:
         return self.free_flow_time * (1.0 + self.alpha * _int_pow(x / self.capacity, self.beta))
@@ -425,45 +352,20 @@ class BPRLatency(LatencyFunction):
             self.free_flow_time
             * self.alpha
             * self.beta
-            * x ** (self.beta - 1)
-            / self.capacity**self.beta
+            * _int_pow(x, self.beta - 1)
+            / _int_pow(self.capacity, self.beta)
         )
 
     def integral(self, x: float) -> float:
         return self.free_flow_time * (
-            x + self.alpha * x ** (self.beta + 1) / ((self.beta + 1) * self.capacity**self.beta)
+            x
+            + self.alpha
+            * _int_pow(x, self.beta + 1)
+            / ((self.beta + 1) * _int_pow(self.capacity, self.beta))
         )
 
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return self.derivative(hi)
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.free_flow_time * (1.0 + self.alpha * _int_pow(x / self.capacity, self.beta))
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        free_flow_times = np.array([f.free_flow_time for f in functions])
-        capacities = np.array([f.capacity for f in functions])
-        alphas = np.array([f.alpha for f in functions])
-        betas = np.array([f.beta for f in functions])
-        if (betas == betas[0]).all():
-            exponent = int(betas[0])
-
-            def evaluate(x, rows):
-                x = np.asarray(x, dtype=float)
-                return free_flow_times[rows] * (
-                    1.0 + alphas[rows] * _int_pow(x / capacities[rows], exponent)
-                )
-
-        else:
-
-            def evaluate(x, rows):
-                x = np.asarray(x, dtype=float)
-                powered = _int_power(x / capacities[rows], betas[rows])
-                return free_flow_times[rows] * (1.0 + alphas[rows] * powered)
-
-        return evaluate
 
     def __repr__(self) -> str:
         return (
@@ -482,6 +384,8 @@ class MM1Latency(LatencyFunction):
     Lipschitz constant is required.
     """
 
+    _stacked_fields = ("capacity", "cap", "_cap_value", "_cap_slope")
+
     def __init__(self, capacity: float, cap_fraction: float = 0.9):
         if not (math.isfinite(capacity) and capacity > 1.0):
             raise ValueError(
@@ -495,51 +399,33 @@ class MM1Latency(LatencyFunction):
         self._cap_value = 1.0 / (self.capacity - self.cap)
         self._cap_slope = 1.0 / (self.capacity - self.cap) ** 2
 
+    # The queueing branch is only selected where x <= cap < capacity, so the
+    # pole (and the log of a non-positive number) sits in discarded lanes.
+
     def value(self, x: float) -> float:
-        if x <= self.cap:
-            return 1.0 / (self.capacity - x)
-        return self._cap_value + self._cap_slope * (x - self.cap)
-
-    def derivative(self, x: float) -> float:
-        if x <= self.cap:
-            return 1.0 / (self.capacity - x) ** 2
-        return self._cap_slope
-
-    def integral(self, x: float) -> float:
-        if x <= self.cap:
-            return math.log(self.capacity / (self.capacity - x))
-        head = math.log(self.capacity / (self.capacity - self.cap))
-        tail = x - self.cap
-        return head + self._cap_value * tail + 0.5 * self._cap_slope * tail * tail
-
-    def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return self.derivative(min(hi, self.cap)) if hi <= self.cap else self._cap_slope
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # The queueing branch is only selected where x <= cap < capacity, so
-        # the masked-out division can never hit the pole.
         with np.errstate(divide="ignore", invalid="ignore"):
             queueing = 1.0 / (self.capacity - x)
         linear = self._cap_value + self._cap_slope * (x - self.cap)
-        return np.where(x <= self.cap, queueing, linear)
+        return np.where(x <= self.cap, queueing, linear)[()]
 
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        capacities = np.array([f.capacity for f in functions])
-        caps = np.array([f.cap for f in functions])
-        cap_values = np.array([f._cap_value for f in functions])
-        cap_slopes = np.array([f._cap_slope for f in functions])
+    def derivative(self, x: float) -> float:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            queueing = 1.0 / (self.capacity - x) ** 2
+        return np.where(x <= self.cap, queueing, self._cap_slope)[()]
 
-        def evaluate(x, rows):
-            x = np.asarray(x, dtype=float)
-            cap = caps[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                queueing = 1.0 / (capacities[rows] - x)
-            linear = cap_values[rows] + cap_slopes[rows] * (x - cap)
-            return np.where(x <= cap, queueing, linear)
+    def integral(self, x: float) -> float:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            queueing = np.log(self.capacity / (self.capacity - x))
+        head = np.log(self.capacity / (self.capacity - self.cap))
+        tail = x - self.cap
+        linear = head + self._cap_value * tail + 0.5 * self._cap_slope * tail * tail
+        return np.where(x <= self.cap, queueing, linear)[()]
 
-        return evaluate
+    def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return self.derivative(min(hi, self.cap)) if hi <= self.cap else self._cap_slope
 
     def __repr__(self) -> str:
         return f"MM1Latency(capacity={self.capacity}, cap={self.cap})"
@@ -551,8 +437,11 @@ class PiecewiseLinearLatency(LatencyFunction):
     ``breakpoints`` is a list of ``(x, y)`` pairs with strictly increasing
     ``x`` covering ``[0, 1]`` and non-decreasing ``y``.  This class expresses
     the paper's oscillation example ``l(x) = max{0, beta * (x - 1/2)}``
-    exactly (see :class:`ThresholdLatency`).
+    exactly (see :class:`ThresholdLatency`).  Flows outside the breakpoint
+    range extrapolate the first or last segment.
     """
+
+    _stacked_fields = ("xs", "ys", "_slopes")
 
     def __init__(self, breakpoints: Sequence[tuple]):
         if len(breakpoints) < 2:
@@ -571,42 +460,43 @@ class PiecewiseLinearLatency(LatencyFunction):
             raise ValueError("latency must be non-negative")
         self.xs = xs
         self.ys = ys
+        self._slopes = [
+            (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
+        ]
 
-    def _segment(self, x: float) -> int:
-        """Return the index ``i`` such that ``xs[i] <= x <= xs[i+1]``."""
-        if x <= self.xs[0]:
-            return 0
-        if x >= self.xs[-1]:
-            return len(self.xs) - 2
-        lo, hi = 0, len(self.xs) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def _structure(self) -> Hashable:
+        return len(self.xs)
 
-    def _slope(self, i: int) -> float:
-        return (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
+    def _segment(self, x):
+        """Return ``(x_i, y_i, slope_i)`` of the segment containing ``x``.
+
+        The segment is the last ``i <= len(xs) - 2`` with ``xs[i] <= x``
+        (segment 0 below the first breakpoint).
+        """
+        x_lo, y_lo, slope = self.xs[0], self.ys[0], self._slopes[0]
+        for i in range(1, len(self.xs) - 1):
+            above = x >= self.xs[i]
+            x_lo = np.where(above, self.xs[i], x_lo)
+            y_lo = np.where(above, self.ys[i], y_lo)
+            slope = np.where(above, self._slopes[i], slope)
+        return x_lo, y_lo, slope
 
     def value(self, x: float) -> float:
-        i = self._segment(x)
-        return self.ys[i] + self._slope(i) * (x - self.xs[i])
+        x_lo, y_lo, slope = self._segment(x)
+        return y_lo + slope * (x - x_lo)
 
     def derivative(self, x: float) -> float:
-        return self._slope(self._segment(x))
+        # ``* 1.0`` turns a scalar call's 0-d selection into a float.
+        return self._segment(x)[2] * 1.0
 
     def integral(self, x: float) -> float:
+        # Trapezoids of every segment left of x; segments starting at or
+        # beyond x have no width and add nothing.
         total = 0.0
         for i in range(len(self.xs) - 1):
-            left = self.xs[i]
-            right = min(x, self.xs[i + 1])
-            if right <= left:
-                break
-            y_left = self.ys[i]
-            y_right = y_left + self._slope(i) * (right - left)
-            total += 0.5 * (y_left + y_right) * (right - left)
+            width = np.minimum(x, self.xs[i + 1]) - self.xs[i]
+            y_right = self.ys[i] + self._slopes[i] * width
+            total = total + np.where(width > 0.0, 0.5 * (self.ys[i] + y_right) * width, 0.0)
         return total
 
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -614,68 +504,8 @@ class PiecewiseLinearLatency(LatencyFunction):
         for i in range(len(self.xs) - 1):
             if self.xs[i + 1] <= lo or self.xs[i] >= hi:
                 continue
-            best = max(best, self._slope(i))
+            best = max(best, self._slopes[i])
         return best
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        # Mirror `_segment`: the largest i with xs[i] <= x, clipped to a valid
-        # segment so values outside [x0, x_last] extrapolate linearly exactly
-        # like the scalar path.
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        slopes = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
-        return ys[idx] + slopes * (x - xs[idx])
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        xs = np.asarray(functions[0].xs)
-        if all(
-            len(f.xs) == len(xs) and np.array_equal(np.asarray(f.xs), xs)
-            for f in functions[1:]
-        ):
-            # Shared breakpoint x-coordinates (e.g. a beta sweep of the
-            # oscillation latency): one searchsorted locates every row's
-            # segment at once.
-            ys = np.array([f.ys for f in functions])
-
-            def evaluate(x, rows):
-                x = np.asarray(x, dtype=float)
-                idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-                y_lo = ys[rows, idx]
-                slopes = (ys[rows, idx + 1] - y_lo) / (xs[idx + 1] - xs[idx])
-                return y_lo + slopes * (x - xs[idx])
-
-            return evaluate
-        # Per-row breakpoint x-coordinates (e.g. a threshold sweep): pad every
-        # row to the widest breakpoint count.  Padded x-slots hold +inf so the
-        # row-wise count of "xs <= x" never includes them, and the segment
-        # index is clipped to each row's own last real segment -- the selected
-        # segment, and hence the interpolation arithmetic, matches the scalar
-        # `_segment`/`value` pair exactly.
-        lengths = np.array([len(f.xs) for f in functions])
-        width = int(lengths.max())
-        padded_xs = np.full((len(functions), width), np.inf)
-        padded_ys = np.zeros((len(functions), width))
-        for i, f in enumerate(functions):
-            padded_xs[i, : len(f.xs)] = f.xs
-            padded_ys[i, : len(f.ys)] = f.ys
-        last_segment = lengths - 2
-
-        def evaluate(x, rows):
-            x = np.asarray(x, dtype=float)
-            row_xs = padded_xs[rows]
-            row_ys = padded_ys[rows]
-            counts = (row_xs <= x[:, None]).sum(axis=1)
-            idx = np.clip(counts - 1, 0, last_segment[rows])
-            at = np.arange(len(idx))
-            x_lo = row_xs[at, idx]
-            y_lo = row_ys[at, idx]
-            slopes = (row_ys[at, idx + 1] - y_lo) / (row_xs[at, idx + 1] - x_lo)
-            return y_lo + slopes * (x - x_lo)
-
-        return evaluate
 
     def __repr__(self) -> str:
         points = list(zip(self.xs, self.ys))
@@ -689,6 +519,8 @@ class ThresholdLatency(PiecewiseLinearLatency):
     ``threshold = 1/2``): it is zero below the threshold and rises with slope
     ``beta`` above it, so the Wardrop equilibrium has latency exactly zero.
     """
+
+    _stacked_fields = PiecewiseLinearLatency._stacked_fields
 
     def __init__(self, beta: float, threshold: float = 0.5):
         beta = _finite("beta", beta)
@@ -723,19 +555,6 @@ class ScaledLatency(LatencyFunction):
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return self.factor * self.base.max_slope(lo, hi)
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.value_array(x)
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        factors = np.array([f.factor for f in functions])
-        base_stack = LatencyStack([f.base for f in functions])
-
-        def evaluate(x, rows):
-            return factors[rows] * base_stack.values(x, rows)
-
-        return evaluate
-
     def __repr__(self) -> str:
         return f"ScaledLatency({self.base!r}, {self.factor})"
 
@@ -758,9 +577,8 @@ class ModulatedLatency(LatencyFunction):
 
     The identity modulation (``gain = stretch = 1``, ``offset = 0``) is
     float-transparent: ``1.0 * v`` and ``v + 0.0`` reproduce ``v`` bit for bit
-    for the non-negative latency values this library produces, so wrapping
-    unaffected batch rows (to keep a :class:`LatencyStack` homogeneous) never
-    perturbs their trajectories.
+    for the non-negative latency values this library produces, so applying
+    it to unaffected cells of a table never perturbs them.
     """
 
     def __init__(self, base: LatencyFunction, gain: float = 1.0, stretch: float = 1.0, offset: float = 0.0):
@@ -782,36 +600,6 @@ class ModulatedLatency(LatencyFunction):
         return self.gain * self.stretch * self.base.max_slope(
             self.stretch * lo, self.stretch * hi
         )
-
-    def validate(self, samples: int = 32) -> None:
-        # A stretch > 1 evaluates the base beyond [0, 1]; the base classes in
-        # this library are monotone on all of [0, inf), so spot-check the
-        # stretched range directly instead of the unit interval.
-        previous = None
-        for i in range(samples + 1):
-            x = i / samples
-            y = self.value(x)
-            if y < -1e-12:
-                raise ValueError(f"{self!r} is negative at {x}: {y}")
-            if previous is not None and y < previous - 1e-9:
-                raise ValueError(f"{self!r} is decreasing near {x}")
-            previous = y
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.gain * self.base.value_array(self.stretch * np.asarray(x, dtype=float)) + self.offset
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        gains = np.array([f.gain for f in functions])
-        stretches = np.array([f.stretch for f in functions])
-        offsets = np.array([f.offset for f in functions])
-        base_stack = LatencyStack([f.base for f in functions])
-
-        def evaluate(x, rows):
-            x = np.asarray(x, dtype=float)
-            return gains[rows] * base_stack.values(stretches[rows] * x, rows) + offsets[rows]
-
-        return evaluate
 
     def __repr__(self) -> str:
         return (
@@ -840,88 +628,176 @@ class SumLatency(LatencyFunction):
     def max_slope(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return sum(part.max_slope(lo, hi) for part in self.parts)
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        # Same left-to-right accumulation as the scalar sum().
-        total = self.parts[0].value_array(x)
-        for part in self.parts[1:]:
-            total = total + part.value_array(x)
-        return total
-
-    @classmethod
-    def stacked_evaluator(cls, functions):
-        if len({len(f.parts) for f in functions}) != 1:
-            return None
-        part_stacks = [
-            LatencyStack([f.parts[k] for f in functions])
-            for k in range(len(functions[0].parts))
-        ]
-
-        def evaluate(x, rows):
-            total = part_stacks[0].values(x, rows)
-            for stack in part_stacks[1:]:
-                total = total + stack.values(x, rows)
-            return total
-
-        return evaluate
-
     def __repr__(self) -> str:
         return f"SumLatency({self.parts!r})"
 
 
-class LatencyStack:
-    """One edge's latency functions across a family, evaluated in one shot.
+# The latency table ----------------------------------------------------------
 
-    ``functions[b]`` is the edge's latency function in family member ``b``.
-    :meth:`values` evaluates member ``rows[i]``'s function at flow ``x[i]``
-    for a whole batch at once, choosing the fastest correct tier:
 
-    1. a single shared function object uses its vectorised
-       :meth:`~LatencyFunction.value_array`,
-    2. same-type functions use the class's coefficient-stacked evaluator
-       (:meth:`~LatencyFunction.stacked_evaluator`), which performs the same
-       floating-point operations as the scalar path,
-    3. anything else falls back to a per-row scalar loop, which is slow but
-       always correct (mixed function types per edge keep working).
+def ordered_sum(values: np.ndarray) -> float:
+    """Return the sum of ``values`` added left to right (0.0 when empty).
 
-    This is the kernel behind :class:`~repro.wardrop.family.NetworkFamily`:
-    a family sweep stacks every edge's coefficients once at construction and
-    then evaluates heterogeneous latencies with plain array arithmetic.
+    ``np.sum`` adds pairwise and rounds differently; adding in order keeps
+    the result identical to a plain loop over the same terms.
     """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _stackable(function: LatencyFunction) -> bool:
+    return type(function).__dict__.get("_stacked_fields") is not None
+
+
+def _stack(functions: Sequence[LatencyFunction]) -> LatencyFunction:
+    """Return one instance whose coefficient fields are arrays over ``functions``.
+
+    All functions share one class and structure key.  A field holding one
+    float per function becomes an ``(n,)`` array; a list field (polynomial
+    coefficients, breakpoints) becomes ``(K, n)``, so iterating it yields one
+    ``(n,)`` array per coefficient or breakpoint.
+    """
+    stacked = copy.copy(functions[0])
+    for name in type(stacked)._stacked_fields:
+        setattr(stacked, name, np.array([getattr(f, name) for f in functions]).T)
+    return stacked
+
+
+class _CellLoop:
+    """Table cells without a stacked form, evaluated one scalar call each."""
 
     def __init__(self, functions: Sequence[LatencyFunction]):
         self.functions = list(functions)
-        if not self.functions:
-            raise ValueError("a latency stack needs at least one function")
-        first = self.functions[0]
-        self.shared = all(f is first for f in self.functions)
-        self._evaluator: Optional[StackedEvaluator] = None
-        if not self.shared and all(type(f) is type(first) for f in self.functions):
-            self._evaluator = type(first).stacked_evaluator(self.functions)
 
-    def __len__(self) -> int:
-        return len(self.functions)
+    def _each(self, operation: str, x: np.ndarray) -> np.ndarray:
+        rows = x.reshape(-1, len(self.functions))
+        result = [
+            [getattr(f, operation)(float(v)) for f, v in zip(self.functions, row)]
+            for row in rows
+        ]
+        return np.array(result, dtype=float).reshape(x.shape)
 
-    @property
-    def vectorised(self) -> bool:
-        """True if evaluation avoids the per-row Python loop."""
-        return self.shared or self._evaluator is not None
+    def value(self, x):
+        return self._each("value", x)
+
+    def derivative(self, x):
+        return self._each("derivative", x)
+
+    def integral(self, x):
+        return self._each("integral", x)
+
+
+class EdgeLatencyTable:
+    """A grid of latency functions evaluated on arrays, one call per group.
+
+    ``functions`` is either one network's edge latencies, shape ``(E,)``, or
+    ``B`` such rows, shape ``(B, E)`` (member ``b``'s function on edge
+    ``e``).  Cells are grouped by exact class and structure key (integer
+    exponent, coefficient or breakpoint count); each group is one instance
+    of its class whose coefficient fields are arrays over the group's cells,
+    so the class's own ``value`` / ``derivative`` / ``integral`` evaluate the
+    whole group with the floating-point operations of the scalar call.
+    :class:`ModulatedLatency` and :class:`ScaledLatency` cells join their
+    base function's group and keep per-cell ``(gain, stretch, offset)``
+    arrays.  Every other cell -- custom subclasses, :class:`SumLatency`,
+    nested wrappers -- is evaluated by a single per-cell scalar loop.
+
+    :meth:`values`, :meth:`derivatives` and :meth:`integrals` take flows of
+    shape ``(E,)`` or ``(R, E)``.  A one-row table applies its functions to
+    every row.  A ``(B, E)`` table evaluates row ``i`` with member
+    ``rows[i]``; ``rows`` (distinct indices) defaults to ``0..B-1``.
+    """
+
+    def __init__(self, functions):
+        if len(functions) and not isinstance(functions[0], LatencyFunction):
+            grid = [list(row) for row in functions]
+        else:
+            grid = [list(functions)]
+        width = len(grid[0])
+        if any(len(row) != width for row in grid):
+            raise ValueError("every row of a latency table needs one function per edge")
+        self.shape: Tuple[int, int] = (len(grid), width)
+        cells = [function for row in grid for function in row]
+        gain, stretch, offset = np.ones(len(cells)), np.ones(len(cells)), np.zeros(len(cells))
+        wrapped = False
+        groups: Dict[Hashable, List[int]] = {}
+        bases: List[LatencyFunction] = []
+        for index, function in enumerate(cells):
+            base = function
+            if type(function) in (ModulatedLatency, ScaledLatency) and _stackable(function.base):
+                base = function.base
+                wrapped = True
+                if type(function) is ScaledLatency:
+                    gain[index] = function.factor
+                else:
+                    gain[index] = function.gain
+                    stretch[index] = function.stretch
+                    offset[index] = function.offset
+            bases.append(base)
+            key = (type(base), base._structure()) if _stackable(base) else None
+            groups.setdefault(key, []).append(index)
+        self._groups = []
+        for key, members in groups.items():
+            evaluator = (
+                _CellLoop([cells[i] for i in members])
+                if key is None
+                else _stack([bases[i] for i in members])
+            )
+            # None: the group is every cell in order, so no gather/scatter.
+            index = None if len(members) == len(cells) else np.array(members)
+            self._groups.append((index, evaluator))
+        self._modulation = (gain, stretch, offset) if wrapped else None
 
     def values(self, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Return ``functions[rows[i]].value(x[i])`` for every ``i``.
+        """Return every cell's latency at flows ``x``."""
+        return self._evaluate("value", x, rows)
 
-        ``rows`` defaults to ``0..B-1`` (one evaluation per member, in order);
-        the batched engine passes the indices of the currently active rows so
-        frozen rows skip latency work entirely.
-        """
+    def derivatives(self, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Return every cell's latency derivative at flows ``x``."""
+        return self._evaluate("derivative", x, rows)
+
+    def integrals(self, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Return every cell's ``int_0^x l`` at flows ``x``."""
+        return self._evaluate("integral", x, rows)
+
+    def potential(self, x: np.ndarray) -> float:
+        """Return the Beckmann potential ``sum_e int_0^{x_e} l_e`` of ``(E,)`` flows."""
+        return ordered_sum(self.integrals(x))
+
+    def _evaluate(self, operation: str, x, rows) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        members, width = self.shape
+        if x.shape[-1:] != (width,):
+            raise ValueError(f"flows of shape {x.shape} for a table of {width} edges")
+        if members == 1:
+            return self._cells(operation, x)
         if rows is None:
-            rows = np.arange(len(self.functions))
-        if self.shared:
-            return self.functions[0].value_array(x)
-        if self._evaluator is not None:
-            return self._evaluator(x, rows)
-        return np.array([self.functions[r].value(v) for r, v in zip(rows, x)])
+            if x.shape != self.shape:
+                raise ValueError(f"flows of shape {x.shape} for a table of shape {self.shape}")
+            return self._cells(operation, x.reshape(-1)).reshape(self.shape)
+        # Rows outside the subset are evaluated at zero flow and dropped.
+        grid = np.zeros(self.shape)
+        grid[rows] = x
+        return self._cells(operation, grid.reshape(-1)).reshape(self.shape)[rows]
+
+    def _cells(self, operation: str, x: np.ndarray) -> np.ndarray:
+        """Evaluate ``(..., N)`` flows, one per cell along the last axis."""
+        modulation = self._modulation
+        argument = x if modulation is None else modulation[1] * x
+        out = np.empty(x.shape)
+        for index, group in self._groups:
+            if index is None:
+                out[...] = getattr(group, operation)(argument)
+            else:
+                out[..., index] = getattr(group, operation)(argument[..., index])
+        if modulation is None:
+            return out
+        # The ModulatedLatency arithmetic, in the same order.
+        gain, stretch, offset = modulation
+        if operation == "value":
+            return gain * out + offset
+        if operation == "derivative":
+            return gain * stretch * out
+        return gain / stretch * out + offset * x
 
     def __repr__(self) -> str:
-        kinds = {type(f).__name__ for f in self.functions}
-        return f"LatencyStack({len(self.functions)} functions, kinds={sorted(kinds)})"
+        return f"EdgeLatencyTable(shape={self.shape}, groups={len(self._groups)})"

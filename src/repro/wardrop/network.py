@@ -24,7 +24,7 @@ import numpy as np
 
 from ..largescale.incidence import EdgeIncidence, build_incidence
 from .commodity import Commodity, demands_are_normalised, normalise_demands
-from .latency import LatencyFunction
+from .latency import EdgeLatencyTable, LatencyFunction
 from .paths import EdgeKey, Path, PathSet, build_path_set
 
 LATENCY_ATTR = "latency"
@@ -105,6 +105,8 @@ class WardropNetwork:
         # Per-edge latency replacements of lightweight copies made by
         # `with_latencies`; empty on a directly constructed network.
         self._latency_overrides: Dict[EdgeKey, LatencyFunction] = {}
+        # The on-path latency table, built on first use.
+        self._table: Optional[EdgeLatencyTable] = None
 
     # Construction helpers -------------------------------------------------
 
@@ -239,7 +241,14 @@ class WardropNetwork:
             mapping[edge] = function
         clone = copy.copy(self)
         clone._latency_overrides = {**self._latency_overrides, **mapping}
+        clone._table = None
         return clone
+
+    def latency_table(self) -> EdgeLatencyTable:
+        """Return the :class:`EdgeLatencyTable` of :attr:`edges`, built on first use."""
+        if self._table is None:
+            self._table = EdgeLatencyTable([self.latency_function(edge) for edge in self._edges])
+        return self._table
 
     # Network constants used by the theory ----------------------------------
 
@@ -258,10 +267,11 @@ class WardropNetwork:
         latency a path would have if the entire unit demand were routed over
         every one of its edges.
         """
+        full = self.latency_table().values(np.ones(self.num_edges))
         best = 0.0
         for path in self.paths:
-            best = max(best, sum(self.latency_function(edge).value(1.0) for edge in path.edges))
-        return best
+            best = max(best, sum(full[self._edge_index[edge]] for edge in path.edges))
+        return float(best)
 
     # Latency evaluation -----------------------------------------------------
 
@@ -271,18 +281,11 @@ class WardropNetwork:
 
     def edge_latencies(self, edge_flows: np.ndarray) -> np.ndarray:
         """Evaluate every edge latency at the given edge flows."""
-        return np.array(
-            [self.latency_function(edge).value(edge_flows[i]) for i, edge in enumerate(self._edges)]
-        )
+        return self.latency_table().values(edge_flows)
 
     def edge_latency_derivatives(self, edge_flows: np.ndarray) -> np.ndarray:
         """Evaluate every edge latency derivative at the given edge flows."""
-        return np.array(
-            [
-                self.latency_function(edge).derivative(edge_flows[i])
-                for i, edge in enumerate(self._edges)
-            ]
-        )
+        return self.latency_table().derivatives(edge_flows)
 
     def path_latencies(self, path_flows: np.ndarray) -> np.ndarray:
         """Return ``l_P(f)`` for every path, additive along edges."""
@@ -312,11 +315,7 @@ class WardropNetwork:
 
     def edge_latencies_batch(self, edge_flows: np.ndarray) -> np.ndarray:
         """Evaluate every edge latency on a ``(B, E)`` batch of edge flows."""
-        edge_flows = np.asarray(edge_flows, dtype=float)
-        result = np.empty_like(edge_flows)
-        for i, edge in enumerate(self._edges):
-            result[:, i] = self.latency_function(edge).value_array(edge_flows[:, i])
-        return result
+        return self.latency_table().values(edge_flows)
 
     def path_latencies_batch(self, path_flows: np.ndarray) -> np.ndarray:
         """Return ``l_P`` for every row of a ``(B, P)`` batch of path flows."""

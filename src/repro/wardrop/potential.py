@@ -28,29 +28,18 @@ from typing import List
 import numpy as np
 
 from .flow import FlowVector
+from .latency import ordered_sum
 from .network import WardropNetwork
 
 
 def potential(flow: FlowVector) -> float:
     """Return the Beckmann--McGuire--Winsten potential ``Phi(f)``."""
-    network = flow.network
-    edge_flows = flow.edge_flows()
-    return float(
-        sum(
-            network.latency_function(edge).integral(edge_flows[i])
-            for i, edge in enumerate(network.edges)
-        )
-    )
+    return potential_of_edge_flows(flow.network, flow.edge_flows())
 
 
 def potential_of_edge_flows(network: WardropNetwork, edge_flows: np.ndarray) -> float:
     """Return ``Phi`` evaluated directly on an edge-flow vector."""
-    return float(
-        sum(
-            network.latency_function(edge).integral(edge_flows[i])
-            for i, edge in enumerate(network.edges)
-        )
-    )
+    return network.latency_table().potential(edge_flows)
 
 
 def potential_gap(flow: FlowVector, optimum: float) -> float:
@@ -65,11 +54,7 @@ def virtual_potential_gain(stale: FlowVector, current: FlowVector) -> float:
     latencies are posted on the bulletin board) and ``current`` the flow at
     the end of the phase.  For any selfish policy the value is non-positive.
     """
-    if stale.network is not current.network:
-        raise ValueError("flows must live on the same network")
-    stale_latencies = stale.edge_latencies()
-    delta = current.edge_flows() - stale.edge_flows()
-    return float(np.dot(stale_latencies, delta))
+    return decompose_phase(stale, current).virtual_gain
 
 
 def error_terms(stale: FlowVector, current: FlowVector) -> np.ndarray:
@@ -79,22 +64,7 @@ def error_terms(stale: FlowVector, current: FlowVector) -> np.ndarray:
     value while the flow changed during the phase; it is the quantity the
     proof of Lemma 4 charges against the virtual gain.
     """
-    if stale.network is not current.network:
-        raise ValueError("flows must live on the same network")
-    network = stale.network
-    stale_edge = stale.edge_flows()
-    current_edge = current.edge_flows()
-    terms = np.zeros(network.num_edges)
-    for i, edge in enumerate(network.edges):
-        latency = network.latency_function(edge)
-        posted = latency.value(stale_edge[i])
-        # int_{fhat}^{f} (l(u) - posted) du, exact via the antiderivative.
-        terms[i] = (
-            latency.integral(current_edge[i])
-            - latency.integral(stale_edge[i])
-            - posted * (current_edge[i] - stale_edge[i])
-        )
-    return terms
+    return decompose_phase(stale, current).error_terms
 
 
 @dataclass(frozen=True)
@@ -137,10 +107,20 @@ class PotentialDecomposition:
 
 def decompose_phase(stale: FlowVector, current: FlowVector) -> PotentialDecomposition:
     """Compute the full Lemma 3 decomposition for one bulletin-board phase."""
+    if stale.network is not current.network:
+        raise ValueError("flows must live on the same network")
+    table = stale.network.latency_table()
+    stale_edge = stale.edge_flows()
+    current_edge = current.edge_flows()
+    phi_stale = table.integrals(stale_edge)
+    phi_current = table.integrals(current_edge)
+    posted = table.values(stale_edge)
+    delta = current_edge - stale_edge
     return PotentialDecomposition(
-        delta_phi=potential(current) - potential(stale),
-        virtual_gain=virtual_potential_gain(stale, current),
-        error_terms=error_terms(stale, current),
+        delta_phi=ordered_sum(phi_current) - ordered_sum(phi_stale),
+        virtual_gain=float(np.dot(posted, delta)),
+        # int_{fhat}^{f} (l(u) - posted) du, exact via the antiderivative.
+        error_terms=phi_current - phi_stale - posted * delta,
     )
 
 

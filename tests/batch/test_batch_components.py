@@ -1,6 +1,6 @@
 """Unit tests for the batched building blocks underneath the engine:
-vectorised latency evaluation, batched network/flow kernels, batched
-sampling/migration matrices, the batched bulletin board and the steppers.
+batched network/flow kernels, batched sampling/migration matrices, the
+batched bulletin board and the steppers.
 """
 
 from __future__ import annotations
@@ -27,57 +27,6 @@ from repro.core import (
 from repro.core.dynamics import batch_stepper_for
 from repro.instances import braess_network, pigou_network
 from repro.wardrop import FlowVector
-from repro.wardrop.latency import (
-    AffineLatency,
-    BPRLatency,
-    ConstantLatency,
-    LinearLatency,
-    MM1Latency,
-    MonomialLatency,
-    PiecewiseLinearLatency,
-    PolynomialLatency,
-    SumLatency,
-    ThresholdLatency,
-)
-
-SAMPLES = np.array([-0.2, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.3])
-
-LATENCIES = [
-    ConstantLatency(2.5),
-    LinearLatency(1.5),
-    AffineLatency(2.0, 0.5),
-    PolynomialLatency([0.5, 0.0, 2.0]),
-    MonomialLatency(1.5, 3),
-    BPRLatency(1.0, 0.8),
-    MM1Latency(1.5),
-    PiecewiseLinearLatency([(0.0, 0.0), (0.4, 0.1), (1.0, 2.0)]),
-    ThresholdLatency(beta=4.0),
-    LinearLatency(2.0).scaled(0.5),
-    SumLatency([LinearLatency(1.0), ConstantLatency(0.3)]),
-]
-
-
-class TestValueArray:
-    @pytest.mark.parametrize("latency", LATENCIES, ids=lambda l: type(l).__name__)
-    def test_matches_scalar_value(self, latency):
-        batched = latency.value_array(SAMPLES)
-        scalar = np.array([latency.value(float(x)) for x in SAMPLES])
-        assert batched.shape == SAMPLES.shape
-        np.testing.assert_allclose(batched, scalar, rtol=0, atol=0)
-
-    def test_base_class_loop(self):
-        class CubeRoot(ConstantLatency):
-            def value(self, x):
-                return float(x) ** 2
-
-        latency = CubeRoot(0.0)
-        # Remove the Constant override by calling the ABC implementation.
-        from repro.wardrop.latency import LatencyFunction
-
-        batched = LatencyFunction.value_array(latency, SAMPLES)
-        np.testing.assert_allclose(batched, SAMPLES**2)
-
-
 class TestNetworkBatchKernels:
     def test_edge_and_path_latencies_match_scalar_rows(self):
         network = braess_network()

@@ -12,7 +12,7 @@ from repro.scenarios import (
     PiecewiseConstantSchedule,
     Scenario,
 )
-from repro.wardrop.latency import BPRLatency, LinearLatency, ModulatedLatency
+from repro.wardrop.latency import BPRLatency, EdgeLatencyTable, LinearLatency, ModulatedLatency
 
 
 class TestModulatedLatency:
@@ -30,7 +30,7 @@ class TestModulatedLatency:
         base = BPRLatency(free_flow_time=3.7, capacity=0.13)
         wrapped = ModulatedLatency(base)
         xs = np.linspace(0.0, 1.0, 37)
-        np.testing.assert_array_equal(wrapped.value_array(xs), base.value_array(xs))
+        np.testing.assert_array_equal(wrapped.value(xs), base.value(xs))
         for x in xs:
             assert wrapped.value(float(x)) == base.value(float(x))
 
@@ -41,18 +41,16 @@ class TestModulatedLatency:
         for x in np.linspace(0.0, 1.0, 21):
             assert dropped.value(float(x)) == pytest.approx(rescaled.value(float(x)))
 
-    def test_stacked_evaluator_matches_scalar(self):
+    def test_latency_table_matches_scalar(self):
         bases = [LinearLatency(1.0), LinearLatency(2.0), LinearLatency(3.0)]
         functions = [
             ModulatedLatency(bases[0], gain=1.5, stretch=1.0, offset=0.0),
             ModulatedLatency(bases[1], gain=1.0, stretch=2.0, offset=0.5),
             ModulatedLatency(bases[2]),
         ]
-        evaluate = ModulatedLatency.stacked_evaluator(functions)
         x = np.array([0.3, 0.6, 0.9])
-        rows = np.arange(3)
         expected = np.array([f.value(v) for f, v in zip(functions, x)])
-        np.testing.assert_array_equal(evaluate(x, rows), expected)
+        np.testing.assert_array_equal(EdgeLatencyTable(functions).values(x), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,15 +100,13 @@ class TestScenario:
         # unaffected edge still carries the demand stretch
         assert modulation.triple_for(("a", "t", 0)) == (1.0, 1.2, 0.0)
 
-    def test_scope_and_breakpoints(self):
-        network = braess_network()
+    def test_breakpoints(self):
         edge_only = Scenario(
             incidents=[LinkIncident(("a", "b", 0), 1.0, 2.0, capacity_factor=0.5)]
         )
-        assert edge_only.scope(network) == [("a", "b", 0)]
         assert edge_only.breakpoints(0.0, 5.0) == [1.0, 2.0]
-        global_scope = Scenario(demand=PiecewiseConstantSchedule([1.0], [1.0, 2.0]))
-        assert global_scope.scope(network) is None
+        demand = Scenario(demand=PiecewiseConstantSchedule([1.0], [1.0, 2.0]))
+        assert demand.breakpoints(0.0, 5.0) == [1.0]
 
     def test_network_at_caches_by_modulation(self):
         network = pigou_network(degree=1)
@@ -160,7 +156,7 @@ class TestScenario:
         )
         for t in np.arange(0.5, 299.0, 1.0):
             scenario.network_at(network, float(t))
-        assert len(scenario._cache) <= NETWORK_CACHE_LIMIT
+        assert len(scenario._cache[network]) <= NETWORK_CACHE_LIMIT
 
     def test_effective_network_prices_closures(self):
         network = braess_network()

@@ -14,6 +14,13 @@ from repro.batch.engine import BatchConfig
 from repro.core.agents import AgentSimulationConfig
 from repro.core.simulator import SimulationConfig
 from repro.instances import braess_network
+from repro.scenarios import (
+    ConstantSchedule,
+    LinkIncident,
+    PeriodicSchedule,
+    PiecewiseConstantSchedule,
+    PiecewiseLinearSchedule,
+)
 from repro.wardrop import FlowVector
 from repro.wardrop.latency import (
     AffineLatency,
@@ -33,6 +40,7 @@ NAN = float("nan")
 INF = float("inf")
 BASE = LinearLatency(1.0)
 BRAESS = braess_network()
+EDGE = ("a", "b", 0)
 
 ROWS = [
     # Latency constructors.
@@ -46,12 +54,14 @@ ROWS = [
     ("PolynomialLatency([1, -2])", lambda: PolynomialLatency([1.0, -2.0]), r"coefficients\[1\]"),
     ("MonomialLatency(nan, 2)", lambda: MonomialLatency(NAN, 2), "coefficient"),
     ("MonomialLatency(1, 0)", lambda: MonomialLatency(1.0, 0), "degree"),
+    ("MonomialLatency(1, 2.5)", lambda: MonomialLatency(1.0, degree=2.5), "degree"),
     ("BPRLatency(nan, 1)", lambda: BPRLatency(NAN, 1.0), "free_flow_time"),
     ("BPRLatency(1, nan)", lambda: BPRLatency(1.0, NAN), "capacity"),
     ("BPRLatency(1, inf)", lambda: BPRLatency(1.0, INF), "capacity"),
     ("BPRLatency(1, 0)", lambda: BPRLatency(1.0, 0.0), "capacity"),
     ("BPRLatency(alpha=nan)", lambda: BPRLatency(1.0, 1.0, alpha=NAN), "alpha"),
     ("BPRLatency(beta=0)", lambda: BPRLatency(1.0, 1.0, beta=0), "beta"),
+    ("BPRLatency(beta=4.7)", lambda: BPRLatency(1.0, 1.0, 0.15, beta=4.7), "beta"),
     ("MM1Latency(nan)", lambda: MM1Latency(NAN), "capacity"),
     ("MM1Latency(inf)", lambda: MM1Latency(INF), "capacity"),
     (
@@ -64,6 +74,51 @@ ROWS = [
     ("ModulatedLatency(gain=nan)", lambda: ModulatedLatency(BASE, gain=NAN), "gain"),
     ("ModulatedLatency(stretch=0)", lambda: ModulatedLatency(BASE, stretch=0.0), "stretch"),
     ("ModulatedLatency(offset=inf)", lambda: ModulatedLatency(BASE, offset=INF), "offset"),
+    # Scenario inputs.
+    ("LinkIncident(start=nan)", lambda: LinkIncident(EDGE, NAN, 1.0), "start"),
+    ("LinkIncident(end=nan)", lambda: LinkIncident(EDGE, 0.0, NAN), "end"),
+    (
+        "LinkIncident(closure_penalty=nan)",
+        lambda: LinkIncident(EDGE, 0.0, 1.0, capacity_factor=0.0, closure_penalty=NAN),
+        "closure_penalty",
+    ),
+    ("ConstantSchedule(nan)", lambda: ConstantSchedule(NAN), "value"),
+    ("ConstantSchedule(inf)", lambda: ConstantSchedule(INF), "value"),
+    (
+        "PiecewiseConstantSchedule(values=[nan])",
+        lambda: PiecewiseConstantSchedule([], [NAN]),
+        r"values\[0\]",
+    ),
+    (
+        "PiecewiseConstantSchedule([nan], [1, 2])",
+        lambda: PiecewiseConstantSchedule([NAN], [1.0, 2.0]),
+        r"times\[0\]",
+    ),
+    (
+        "PiecewiseConstantSchedule([1], [1, nan])",
+        lambda: PiecewiseConstantSchedule([1.0], [1.0, NAN]),
+        r"values\[1\]",
+    ),
+    (
+        "PiecewiseLinearSchedule([0, 1], [1, nan])",
+        lambda: PiecewiseLinearSchedule([0.0, 1.0], [1.0, NAN]),
+        r"values\[1\]",
+    ),
+    (
+        "PiecewiseLinearSchedule([0, 1], [1, inf])",
+        lambda: PiecewiseLinearSchedule([0.0, 1.0], [1.0, INF]),
+        r"values\[1\]",
+    ),
+    (
+        "PiecewiseLinearSchedule([0, nan], [1, 1])",
+        lambda: PiecewiseLinearSchedule([0.0, NAN], [1.0, 1.0]),
+        r"times\[1\]",
+    ),
+    (
+        "PeriodicSchedule(period=nan)",
+        lambda: PeriodicSchedule(ConstantSchedule(1.0), NAN),
+        "period",
+    ),
     # Flow state.
     ("FlowVector([nan, ...])", lambda: FlowVector(BRAESS, [NAN, 0.5, 0.5]), "component 0"),
     ("FlowVector([..., inf])", lambda: FlowVector(BRAESS, [0.5, 0.5, INF]), "component 2"),

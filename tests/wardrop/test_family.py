@@ -1,5 +1,6 @@
-"""Unit tests for coefficient-stacked latency evaluation (LatencyStack) and
-same-topology network families (NetworkFamily, topology_signature)."""
+"""Unit tests for same-topology network families (NetworkFamily,
+topology_signature); the latency table under them is covered by
+test_latency_table.py."""
 
 from __future__ import annotations
 
@@ -7,128 +8,8 @@ import numpy as np
 import pytest
 
 from repro.instances import braess_network, pigou_network, two_link_network
-from repro.wardrop import FlowVector, LatencyStack, NetworkFamily, topology_signature
-from repro.wardrop.latency import (
-    AffineLatency,
-    BPRLatency,
-    ConstantLatency,
-    LatencyFunction,
-    LinearLatency,
-    MM1Latency,
-    MonomialLatency,
-    PiecewiseLinearLatency,
-    PolynomialLatency,
-    SumLatency,
-    ThresholdLatency,
-)
-
-SAMPLES = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
-
-# One stack of four same-type, different-coefficient functions per class.
-STACKS = [
-    [ConstantLatency(c) for c in (0.5, 1.0, 1.5, 2.5)],
-    [LinearLatency(a) for a in (0.5, 1.0, 2.0, 3.5)],
-    [AffineLatency(a, b) for a, b in ((0.5, 0.1), (1.0, 0.0), (2.0, 0.7), (0.1, 1.3))],
-    [PolynomialLatency(c) for c in ([0.5, 0.0, 2.0], [1.0, 1.0, 1.0], [0.0, 2.0, 0.5], [0.3, 0.1, 0.0])],
-    [MonomialLatency(a, d) for a, d in ((0.5, 1), (1.5, 2), (2.0, 3), (1.0, 2))],
-    [MonomialLatency(a, 2) for a in (0.5, 1.0, 1.5, 2.0)],
-    [BPRLatency(t, c) for t, c in ((1.0, 0.8), (0.5, 1.2), (2.0, 0.9), (1.5, 1.1))],
-    [BPRLatency(1.0, 0.9, beta=b) for b in (1, 2, 4, 3)],
-    [MM1Latency(c) for c in (1.3, 1.5, 2.0, 3.0)],
-    [ThresholdLatency(beta=b) for b in (1.0, 2.0, 4.0, 8.0)],
-    [
-        PiecewiseLinearLatency([(0.0, y0), (0.4, y1), (1.0, y2)])
-        for y0, y1, y2 in ((0.0, 0.1, 2.0), (0.1, 0.1, 1.0), (0.0, 0.5, 0.5), (0.2, 0.3, 0.4))
-    ],
-    [LinearLatency(a).scaled(s) for a, s in ((1.0, 0.5), (2.0, 0.25), (0.5, 2.0), (1.5, 1.0))],
-    [
-        SumLatency([LinearLatency(a), ConstantLatency(b)])
-        for a, b in ((1.0, 0.3), (2.0, 0.0), (0.5, 1.0), (0.1, 0.7))
-    ],
-]
-
-
-def stack_id(functions):
-    return type(functions[0]).__name__
-
-
-class TestLatencyStack:
-    @pytest.mark.parametrize("functions", STACKS, ids=stack_id)
-    def test_stacked_values_match_scalar_exactly(self, functions):
-        stack = LatencyStack(functions)
-        assert stack.vectorised, "built-in families must have a stacked evaluator"
-        for x in SAMPLES:
-            flows = np.full(len(functions), float(x))
-            expected = np.array([f.value(v) for f, v in zip(functions, flows)])
-            np.testing.assert_allclose(stack.values(flows), expected, rtol=0, atol=0)
-        # Distinct per-row flows as well.
-        flows = np.linspace(0.05, 0.95, len(functions))
-        expected = np.array([f.value(v) for f, v in zip(functions, flows)])
-        np.testing.assert_allclose(stack.values(flows), expected, rtol=0, atol=0)
-
-    @pytest.mark.parametrize("functions", STACKS, ids=stack_id)
-    def test_row_subsets_match_full_evaluation(self, functions):
-        stack = LatencyStack(functions)
-        rows = np.array([2, 0, 3])
-        flows = np.array([0.3, 0.8, 0.55])
-        expected = np.array([functions[r].value(v) for r, v in zip(rows, flows)])
-        np.testing.assert_allclose(stack.values(flows, rows), expected, rtol=0, atol=0)
-
-    def test_shared_function_uses_value_array(self):
-        shared = LinearLatency(2.0)
-        stack = LatencyStack([shared, shared, shared])
-        assert stack.shared and stack.vectorised
-        np.testing.assert_allclose(stack.values(SAMPLES[:3]), 2.0 * SAMPLES[:3])
-
-    def test_mixed_types_fall_back_to_row_loop(self):
-        stack = LatencyStack([ConstantLatency(1.0), LinearLatency(2.0)])
-        assert not stack.vectorised
-        np.testing.assert_allclose(stack.values(np.array([0.4, 0.4])), [1.0, 0.8])
-
-    def test_mismatched_breakpoints_vectorise_via_padding(self):
-        # Per-row breakpoint x-coordinates (and even counts) pad to a common
-        # width instead of falling back to the row loop; values stay
-        # bit-identical to the scalar evaluation.
-        stack = LatencyStack(
-            [
-                PiecewiseLinearLatency([(0.0, 0.0), (0.4, 0.1), (1.0, 2.0)]),
-                PiecewiseLinearLatency([(0.0, 0.0), (0.6, 0.1), (1.0, 2.0)]),
-                PiecewiseLinearLatency([(0.0, 0.0), (0.2, 0.05), (0.7, 0.4), (1.0, 2.0)]),
-            ]
-        )
-        assert stack.vectorised
-        for x in (0.0, 0.1, 0.2, 0.4, 0.5, 0.6, 0.65, 0.7, 0.95, 1.0):
-            flows = np.full(3, x)
-            expected = np.array([f.value(x) for f in stack.functions])
-            np.testing.assert_allclose(stack.values(flows), expected, rtol=0, atol=0)
-
-    def test_mismatched_polynomial_lengths_fall_back(self):
-        stack = LatencyStack([PolynomialLatency([1.0, 2.0]), PolynomialLatency([1.0, 2.0, 3.0])])
-        assert not stack.vectorised
-        np.testing.assert_allclose(stack.values(np.array([0.5, 0.5])), [2.0, 2.75])
-
-    def test_custom_subclass_without_stacked_form_falls_back(self):
-        class Quadratic(LatencyFunction):
-            def __init__(self, a):
-                self.a = a
-
-            def value(self, x):
-                return self.a * x * x
-
-            def derivative(self, x):
-                return 2.0 * self.a * x
-
-            def integral(self, x):
-                return self.a * x**3 / 3.0
-
-        stack = LatencyStack([Quadratic(1.0), Quadratic(2.0)])
-        assert not stack.vectorised
-        np.testing.assert_allclose(stack.values(np.array([0.5, 0.5])), [0.25, 0.5])
-
-    def test_rejects_empty_stack(self):
-        with pytest.raises(ValueError):
-            LatencyStack([])
-
+from repro.wardrop import FlowVector, NetworkFamily, topology_signature
+from repro.wardrop.latency import ConstantLatency
 
 class TestTopologySignature:
     def test_same_topology_different_coefficients_share_signature(self):
@@ -158,7 +39,6 @@ class TestNetworkFamily:
             pigou_network, [{"degree": 1, "constant": c} for c in (0.5, 1.0, 1.5)]
         )
         assert family.size == 3
-        assert family.vectorised
         shared = NetworkFamily.replicate(braess_network(), 4)
         assert shared.size == 4 and shared.member(2) is shared.base
         with pytest.raises(ValueError):
@@ -222,10 +102,9 @@ class TestFromCoefficients:
         )
         return built, synthesised, base
 
-    def test_matches_graph_built_family_latency_stack(self):
+    def test_matches_graph_built_family_latency_table(self):
         built, synthesised, base = self.build_pair()
         assert synthesised.size == built.size
-        assert synthesised.vectorised
         rng = np.random.default_rng(11)
         flows = rng.dirichlet(np.ones(base.num_paths), size=built.size)
         np.testing.assert_array_equal(
@@ -236,7 +115,7 @@ class TestFromCoefficients:
             synthesised.edge_latencies_batch(edge_flows),
             built.edge_latencies_batch(edge_flows),
         )
-        # Per-edge stacks agree function by function on a subset of rows too.
+        # The tables agree cell by cell on a subset of rows too.
         rows = np.array([3, 1])
         np.testing.assert_array_equal(
             synthesised.edge_latencies_batch(edge_flows[rows], rows),
