@@ -1,4 +1,4 @@
-"""E8 -- throughput of the batched engine vs. the scalar simulation loop.
+"""E8 -- throughput of one batched integration vs. a loop of one-row runs.
 
 The batched engine integrates a whole ensemble of replicas as one stacked
 ``(B, P)`` array -- including *multi-network* ensembles where every replica
@@ -6,14 +6,15 @@ routes on its own same-topology instance with different latency
 coefficients.  This benchmark builds the acceptance workload of the
 family-batching layer: a 64-case two-link sweep whose slope coefficient
 ``beta`` differs per case, run once as one `NetworkFamily` batched
-integration and once through the per-case scalar loop.  The batched path
-must be at least 10x faster and bit-equivalent to the scalar runs; in
-practice the gap is well over an order of magnitude.
+integration and once through a per-case loop of ``simulate`` calls (each a
+one-row run of the same engine).  The batched path must be at least 10x
+faster and agree with the per-case runs; in practice the gap is well over an
+order of magnitude.
 
-The scalar baseline is timed on an 8-case subsample to keep the benchmark
+The per-case loop is timed on an 8-case subsample to keep the benchmark
 quick: every case has the same horizon, resolution and nearly the same
 period, hence the same per-case cost, so the subsample rate is an unbiased
-estimate of the full scalar rate.
+estimate of the full loop's rate.
 
 Script mode (``python benchmarks/bench_batch_throughput.py [--smoke]``)
 additionally measures the *telemetry overhead guarantee*: the instrumented
@@ -78,8 +79,8 @@ def test_family_batch_vs_scalar_throughput(report_header):
 
     scalar_final = []
     with bench_timer(
-        "bench_batch_throughput", "E8 scalar loop",
-        engine="fluid-scalar", instance="two-links-family", cases=SCALAR_SAMPLE,
+        "bench_batch_throughput", "E8 one-row loop",
+        engine="fluid-batch", instance="two-links-family", cases=SCALAR_SAMPLE,
     ) as scalar_timer:
         for row in range(SCALAR_SAMPLE):
             trajectory = simulate(
@@ -105,7 +106,7 @@ def test_family_batch_vs_scalar_throughput(report_header):
     print_table(
         [
             {
-                "engine": "scalar loop",
+                "engine": "one-row loop",
                 "cases": SCALAR_SAMPLE,
                 "seconds": scalar_seconds,
                 "cases/sec": scalar_rate,
@@ -119,12 +120,12 @@ def test_family_batch_vs_scalar_throughput(report_header):
             {"engine": "speedup", "cases/sec": speedup},
         ],
         title=(
-            f"E8: family-batched vs scalar throughput "
+            f"E8: family-batched vs one-row-loop throughput "
             f"({NUM_CASES}-case two-link beta sweep)"
         ),
     )
 
-    # The batched rows must agree with the scalar runs they replace.
+    # The batched rows must agree with the one-row runs they replace.
     final = result.final_flows()
     for row, scalar_values in enumerate(scalar_final):
         assert np.allclose(final[row], scalar_values, atol=1e-10)

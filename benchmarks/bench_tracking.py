@@ -7,10 +7,10 @@ busiest link) hits at a *different time in every row* -- one
 single :class:`~repro.batch.engine.BatchSimulator` ensemble.  The benchmark
 verifies three things:
 
-* **exactness** -- every batched row is bit-identical to a scalar
+* **exactness** -- every batched row is bit-identical to the one-row
   ``simulate(..., scenario=...)`` run of the same configuration,
 * **throughput** -- the ensemble runs an order of magnitude faster than the
-  equivalent loop of scalar runs (the acceptance bar is 10x),
+  equivalent loop of one-row runs (the acceptance bar is 10x),
 * **tracking** -- per-interval ground-truth equilibria (edge-flow
   Frank--Wolfe through the shortest-path oracle; two solves cover all rows,
   because the distinct environment states are shared) quantify how the
@@ -142,8 +142,8 @@ def run_benchmark(
 
     scalar_flows = []
     with bench_timer(
-        "bench_tracking", "E11 scalar loop",
-        engine="fluid-scalar", instance="sioux-falls-incident", cases=scalar_rows,
+        "bench_tracking", "E11 one-row loop",
+        engine="fluid-batch", instance="sioux-falls-incident", cases=scalar_rows,
     ) as scalar_timer:
         for row in range(scalar_rows):
             trajectory = simulate(
@@ -226,7 +226,7 @@ def run_benchmark(
         "tracking_rows": rows,
     }
     print(
-        f"batched: {batch} scenario rows in {batched_seconds:.2f}s; scalar loop "
+        f"batched: {batch} scenario rows in {batched_seconds:.2f}s; one-row loop "
         f"({scalar_rows} rows measured): {scalar_seconds:.2f}s "
         f"(~{scalar_seconds_full:.2f}s for all {batch}) -> {speedup:.1f}x"
     )
@@ -253,7 +253,7 @@ def test_tracking_smoke():
         # ...within a finite re-equilibration time after the clearance
         assert np.isfinite(row["reequilibrate"])
         assert row["regret"] > 0.0
-    # The batched ensemble must clearly outrun the scalar loop even in the
+    # The batched ensemble must clearly outrun the one-row loop even in the
     # small smoke configuration (the full configuration clears 10x).
     assert summary["speedup"] > 3.0
 

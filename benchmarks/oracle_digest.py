@@ -8,8 +8,12 @@ commodity's returned path, ``all_or_nothing(...).edge_flows``, ``sptt`` and
 ``ScenarioEnsemble.family_at(...).edge_latencies_batch`` on Sioux Falls with
 a capacity-drop incident and a closure; and the Sioux Falls edge-flow
 ``fw``/``cfw``/``bfw`` solves at relative gap 1e-3 as ``iterations``, the
-relative gap bytes and the potential bytes.  Run it against two source trees
-and diff the output; identical lines mean bit-identical answers::
+relative gap bytes and the potential bytes.  The ``fluid`` lines hash the
+times and flow matrix of ``simulate(...)`` on braess, pigou-quadratic,
+two-links-steep and parallel-8-affine under stale/fresh x rk4/euler, plus one
+stale run through a Braess shortcut closure and one run ended by
+``stop_when``.  Run it against two source trees and diff the output;
+identical lines mean bit-identical answers::
 
     PYTHONPATH=src python benchmarks/oracle_digest.py > new.txt
     PYTHONPATH=../other/src python benchmarks/oracle_digest.py > old.txt
@@ -22,14 +26,17 @@ import hashlib
 
 import numpy as np
 
-from repro.instances import get_instance
+from repro.core import replicator_policy, simulate, uniform_policy
+from repro.instances import get_instance, lopsided_flow
 from repro.largescale import ShortestPathOracle
 from repro.scenarios import LinkIncident, Scenario, ScenarioEnsemble
 from repro.solvers import solve_edge_flow_equilibrium
+from repro.wardrop import FlowVector, equilibrium_violation
 
 INSTANCES = ("sioux-falls", "city-grid", "braess", "two-links")
 FW_METHODS = ("fw", "cfw", "bfw")
 FW_GAP = 1e-3
+FLUID_INSTANCES = ("braess", "pigou-quadratic", "two-links-steep", "parallel-8-affine")
 
 
 def cost_vectors(network, oracle):
@@ -93,6 +100,41 @@ def incident_family_digest() -> str:
     return hash_arrays(family.edge_latencies_batch(flows))
 
 
+def trajectory_digest(trajectory) -> str:
+    return f"{len(trajectory):4d} {hash_arrays(trajectory.times, trajectory.flow_matrix())}"
+
+
+def fluid_lines():
+    """``simulate`` runs: 50 phases of T = 0.1 from a random start per instance."""
+    for name in FLUID_INSTANCES:
+        network = get_instance(name)
+        policy = replicator_policy(network)
+        start = FlowVector.random(network, np.random.default_rng(5))
+        for stale in (True, False):
+            for method in ("rk4", "euler"):
+                trajectory = simulate(
+                    network, policy, update_period=0.1, horizon=5.0, initial_flow=start,
+                    stale=stale, steps_per_phase=20, method=method,
+                )
+                label = f"{'stale' if stale else 'fresh'}-{method}"
+                yield name, label, trajectory_digest(trajectory)
+    braess = get_instance("braess")
+    closure = Scenario(
+        incidents=[LinkIncident(("a", "b", 0), 1.0, 2.0, capacity_factor=0.0, closure_penalty=10.0)]
+    )
+    trajectory = simulate(
+        braess, uniform_policy(braess), update_period=0.1, horizon=3.0, scenario=closure
+    )
+    yield "braess", "closure", trajectory_digest(trajectory)
+    steep = get_instance("two-links-steep")
+    trajectory = simulate(
+        steep, replicator_policy(steep), update_period=0.1, horizon=100.0,
+        initial_flow=lopsided_flow(steep, 0.95),
+        stop_when=lambda time, flow: equilibrium_violation(flow) < 1e-3,
+    )
+    yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
+
+
 def main() -> None:
     for name in INSTANCES:
         network = get_instance(name)
@@ -111,6 +153,8 @@ def main() -> None:
         gap = np.float64(result.relative_gap).tobytes().hex()
         potential = np.float64(result.potential_value).tobytes().hex()
         print(f"{'sioux-falls':12s} {method:10s} {result.iterations} {gap} {potential}")
+    for name, label, line in fluid_lines():
+        print(f"{name:17s} fluid {label:11s} {line}")
 
 
 if __name__ == "__main__":

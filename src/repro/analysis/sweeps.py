@@ -11,8 +11,8 @@ networks share a topology (identical network objects, or same-topology
 networks with different latency coefficients, which stack into a
 :class:`~repro.wardrop.family.NetworkFamily`) are fused into one vectorized
 :class:`~repro.batch.BatchSimulator` integration, heterogeneous cases can be
-fanned out over a process pool, and ``engine="serial"`` recovers the
-original one-at-a-time loop.
+fanned out over a process pool, and ``engine="serial"`` runs the cases one
+at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from ..core.policy import ReroutingPolicy
 from ..core.trajectory import Trajectory
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive, require_positive_integer
 from .convergence import ConvergenceSummary, count_bad_phases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -89,6 +90,10 @@ class SweepCase:
     Agent-method cases with a scenario run on the scalar engine (the batched
     agent engine does not take scenarios yet), dispatched serially by the
     runner.
+
+    Settings are validated at construction, naming the field: periods and
+    horizons must be finite and positive, ``steps_per_phase`` and
+    ``num_agents`` whole numbers >= 1.
     """
 
     parameters: Dict[str, object]
@@ -105,6 +110,15 @@ class SweepCase:
     stop_when: Optional["StopCondition"] = None
     column_generation: bool = False
     scenario: Optional["Scenario"] = None
+
+    def __post_init__(self) -> None:
+        require_positive("update_period", self.update_period)
+        require_positive("horizon", self.horizon)
+        require_positive_integer("steps_per_phase", self.steps_per_phase)
+        if self.method not in ("rk4", "euler", "agents"):
+            raise ValueError(f"method must be 'rk4', 'euler' or 'agents', got {self.method!r}")
+        if self.num_agents is not None:
+            require_positive_integer("num_agents", self.num_agents)
 
 
 @dataclass
@@ -190,7 +204,7 @@ def run_sweep(
     :func:`repro.experiments.runner.run_cases`): ``"auto"`` fuses
     same-topology groups (including different-coefficient network families)
     into batched integrations, ``"batch"`` forces batching, ``"serial"``
-    runs the original scalar loop and ``"processes"`` uses a worker pool.
+    runs one case at a time and ``"processes"`` uses a worker pool.
     """
     # Imported lazily: the runner builds on analysis types defined above.
     from ..experiments.runner import run_cases

@@ -1,7 +1,7 @@
 """Batched vectorized simulation: whole ensembles as one stacked integration.
 
 This subpackage is the execution layer behind the parameter sweeps: instead
-of running ``B`` independent scalar simulations through Python loops, a
+of running ``B`` independent simulations through Python loops, a
 :class:`BatchSimulator` evolves all replicas as a single ``(B, P)`` array
 with vectorised right-hand sides, per-row bulletin-board clocks (rows may
 have different update periods ``T``) and per-row horizons.  The replicas
@@ -9,9 +9,10 @@ route on one shared network or on a
 :class:`~repro.wardrop.family.NetworkFamily` (same topology, per-row latency
 coefficients), and a vectorised ``stop_when`` mask (see
 :mod:`repro.batch.stopping`) freezes converged rows early so they skip all
-remaining work.  Row ``r`` reproduces the scalar
-:class:`~repro.core.simulator.ReroutingSimulator` trajectory of the same
-configuration exactly; see ``tests/batch``.
+remaining work.  It is the only fluid engine: :func:`~repro.core.simulate`
+is its one-row case, row ``r`` of a ``B``-row run equals that one-row run
+bit for bit (``tests/batch``), and one-row runs match an independent
+integrator written from Eq. (1)/(3) (``tests/reference_dynamics.py``).
 """
 
 from .agents import (

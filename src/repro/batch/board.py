@@ -1,11 +1,11 @@
 """Batched bulletin boards: one stale-information board per ensemble row.
 
-The scalar :class:`~repro.core.bulletin.BulletinBoard` freezes the network
-state once per phase of length ``T``.  When an ensemble of ``B`` independent
-replicas is integrated as a single ``(B, P)`` array, every row keeps its own
-board: rows may use different update periods, so their phase clocks tick at
-different wall-clock times even though the engine advances them phase by
-phase in lockstep (row ``r`` is always inside *its own* phase ``k``; the
+A bulletin board (:class:`~repro.core.bulletin.BulletinBoard` for one
+replica) freezes the network state once per phase of length ``T``.  When an
+ensemble of ``B`` independent replicas is integrated as a single ``(B, P)``
+array, every row keeps its own board: rows may use different update periods,
+so their phase clocks tick at different wall-clock times even though the
+engine advances them phase by phase in lockstep (row ``r`` is always inside *its own* phase ``k``; the
 rows' absolute times simply differ, which is fine because replicas are
 independent).
 
@@ -74,8 +74,7 @@ class BatchBulletinBoard:
         The scenario layer calls this at every phase boundary: posting then
         prices the rows' live flows in their *current* environments.  Only the
         latency functions may differ -- posted arrays, clocks and phase
-        counters are untouched, exactly as when the scalar simulator points
-        its board at the phase's effective network.
+        counters are untouched.
         """
         if isinstance(network, NetworkFamily):
             if network.size != len(self):
@@ -103,11 +102,9 @@ class BatchBulletinBoard:
 
         ``times`` is the per-row current time (shape ``(B,)`` or a scalar
         broadcast to all rows); ``path_flows`` is the live ``(B, P)`` state.
-        Only the masked rows' snapshots change, exactly like calling the
-        scalar board's ``post`` on those replicas.
+        Only the masked rows' snapshots change.
         """
         network = self.network
-        times = np.broadcast_to(np.asarray(times, dtype=float), (len(self),))
         if mask is None:
             mask = np.ones(len(self), dtype=bool)
         if not mask.any():

@@ -14,15 +14,14 @@ two-link slopes) into one batched run as well.
 
 Correctness contract
 --------------------
-Row ``r`` of a batched run reproduces the scalar
-:class:`~repro.core.simulator.ReroutingSimulator` trajectory for the same
-configuration (and, for families, the same member network) *exactly* (bit
-for bit in practice, and certainly within 1e-10): the engine mirrors the
-scalar phase/step-count arithmetic
-(:func:`~repro.core.dynamics.num_integration_steps`), uses batched kernels
-that perform the same floating-point operations row by row, and applies the
-same clip-and-rescale projection at phase boundaries.  The equivalence is
-enforced by the property tests in ``tests/batch``.
+This is the only fluid engine: :func:`~repro.core.simulator.simulate` runs
+one replica as its one-row case.  Two suites pin it down.  *B-invariance*:
+row ``r`` of a ``B``-row run equals the one-row run of the same
+configuration (and, for families, the same member network) bit for bit --
+every kernel is row-wise, so a row's arithmetic does not depend on which
+other rows share the batch (``tests/batch``, ``tests/scenarios``).
+*Reference*: a one-row run matches an independent integrator written
+directly from Eq. (1)/(3) (``tests/reference_dynamics.py``) to 1e-9.
 
 Because rows are independent, the engine advances all rows through *their
 own* phase ``k`` simultaneously even when their update periods differ — the
@@ -40,13 +39,13 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.dynamics import batch_stepper_for
-from ..core.policy import ReroutingPolicy
+from ..core.policy import ReroutingPolicy, frozen_field, policy_tables
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from ..wardrop.validation import require_positive
+from ..wardrop.validation import require_positive, require_positive_integer
 from .board import BatchBulletinBoard
 
 Policies = Union[ReroutingPolicy, Sequence[ReroutingPolicy]]
@@ -80,9 +79,12 @@ class BatchConfig:
     record_every:
         Optional stride (in integrator sub-steps) for dense trajectory
         recording: every ``record_every``-th sub-step records an additional
-        (projected) sample between the phase boundaries, mirroring the
-        scalar simulator's ``record_every_step`` at stride 1.  ``None``
-        (default) records phase boundaries only.
+        (projected) sample between the phase boundaries; ``1`` records every
+        sub-step.  ``None`` (default) records phase boundaries only.
+
+    Integer settings (``steps_per_phase``, ``record_every``) must be whole
+    numbers >= 1; they are rejected, naming the field, rather than
+    truncated.
     """
 
     update_periods: np.ndarray = field(default_factory=lambda: np.array([0.1]))
@@ -96,7 +98,13 @@ class BatchConfig:
         self.update_periods = np.atleast_1d(np.asarray(self.update_periods, dtype=float))
         require_positive("update_periods", self.update_periods)
         require_positive("horizons", self.horizons)
-        require_positive("steps_per_phase", self.steps_per_phase)
+        require_positive_integer("steps_per_phase", self.steps_per_phase)
+        batch_stepper_for(self.method)  # an unknown method fails here, not in run()
+        if self.record_every is not None:
+            if np.ndim(self.record_every) != 0:
+                raise ValueError("record_every must be a scalar sub-step stride")
+            require_positive_integer("record_every", self.record_every)
+            self.record_every = int(self.record_every)
         batch = len(self.update_periods)
         self.horizons = np.broadcast_to(
             np.asarray(self.horizons, dtype=float), (batch,)
@@ -104,8 +112,6 @@ class BatchConfig:
         self.steps_per_phase = np.broadcast_to(
             np.asarray(self.steps_per_phase, dtype=int), (batch,)
         ).copy()
-        if self.record_every is not None and self.record_every < 1:
-            raise ValueError("record_every must be a positive sub-step stride")
 
     @property
     def batch_size(self) -> int:
@@ -120,8 +126,7 @@ class BatchResult:
     sample (``k = 0`` is the initial state, then one sample per completed
     phase); only the first ``num_points[r]`` slots of row ``r`` are valid.
     ``stop_phases[r]`` is the index of the phase whose end triggered row
-    ``r``'s ``stop_when`` condition (−1 if it never fired), matching the
-    scalar simulator's early-exit phase exactly.
+    ``r``'s ``stop_when`` condition (−1 if it never fired).
 
     Dense (strided) runs additionally fill ``sample_phases[r, k]`` with the
     phase index each sample belongs to, ``boundary_mask[r, k]`` with whether
@@ -188,9 +193,9 @@ class BatchResult:
     def trajectory(self, row: int) -> Trajectory:
         """Materialise one row as a scalar :class:`Trajectory`.
 
-        The result has the same points, phase records and metadata as a
-        scalar simulator run of that configuration (on the row's own family
-        member for heterogeneous batches), so the whole analysis toolkit
+        The result has the same points, phase records and metadata as the
+        one-row run of that configuration (on the row's own family member
+        for heterogeneous batches), so the whole analysis toolkit
         (convergence counting, oscillation detection, sweep row builders)
         applies unchanged.
         """
@@ -330,27 +335,10 @@ class BatchEnsembleBase:
         policies fall back to assembling the matrices row by row, so custom
         sampling/migration rules keep working in both batched engines.
         """
-        network = self.network
-        if self._shared_policy is not None:
-            policy = self._shared_policy
-            sigma = policy.sampling.probabilities_batch(network, posted_flows, posted_latencies)
-            mu = policy.migration.matrix_batch(posted_latencies)
-        else:
-            sigma = np.stack(
-                [
-                    self._policies[row].sampling.probabilities(
-                        network, posted_flows[i], posted_latencies[i]
-                    )
-                    for i, row in enumerate(rows)
-                ]
-            )
-            mu = np.stack(
-                [
-                    self._policies[row].migration.matrix(posted_latencies[i])
-                    for i, row in enumerate(rows)
-                ]
-            )
-        return sigma, mu
+        policies = self._shared_policy
+        if policies is None:
+            policies = [self._policies[row] for row in rows]
+        return policy_tables(self.network, policies, posted_flows, posted_latencies)
 
 
 class BatchSimulator(BatchEnsembleBase):
@@ -379,8 +367,8 @@ class BatchSimulator(BatchEnsembleBase):
         boundary the per-row effective networks are stacked through
         :class:`~repro.scenarios.scenario.ScenarioEnsemble` into a cached
         :class:`NetworkFamily` whose latency evaluation stays vectorised.
-        Row ``r`` remains bit-identical to a scalar
-        :class:`~repro.core.simulator.ReroutingSimulator` run with
+        Row ``r`` remains bit-identical to the one-row
+        :func:`~repro.core.simulator.simulate` run with
         ``scenario=scenarios[r]``.
     """
 
@@ -420,46 +408,23 @@ class BatchSimulator(BatchEnsembleBase):
         Within a phase the sampling and migration matrices depend only on the
         posted snapshot, so they are assembled once per phase (for the active
         sub-batch only — frozen rows skip this work entirely) instead of once
-        per integrator stage; the values, and hence the trajectory, are
-        identical to the scalar simulator's.
+        per integrator stage.
         """
         sigma, mu = self._policy_tables(
             board.posted_flows[rows], board.posted_path_latencies[rows], rows
         )
-        # Same folded form as ReroutingPolicy.growth_rates/frozen_growth_field
-        # (one product + one reduction per stage), keeping scalar and batched
-        # stale phases bit-identical.
-        rates = sigma * mu
-        outflow_rates = rates.sum(axis=2)
-
-        def field(_t, state: np.ndarray) -> np.ndarray:
-            inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
-            return inflow - state * outflow_rates
-
-        return field
+        return frozen_field(sigma, mu)
 
     def _fresh_rates(self, rows: np.ndarray):
-        """Return the up-to-date-information field for the active rows."""
-        network = self.network
-        if self._shared_policy is not None:
-            policy = self._shared_policy
+        """Return the up-to-date-information field for the active rows.
 
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                live_latencies = self._path_latencies_rows(state, rows)
-                return policy.growth_rates_batch(network, state, state, live_latencies)
+        Sampling and migration read the live state, priced in each row's
+        current environment, at every integrator stage.
+        """
 
-        else:
-
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                live_latencies = self._path_latencies_rows(state, rows)
-                return np.stack(
-                    [
-                        self._policies[row].growth_rates(
-                            network, state[i], state[i], live_latencies[i]
-                        )
-                        for i, row in enumerate(rows)
-                    ]
-                )
+        def field(time, state: np.ndarray) -> np.ndarray:
+            live_latencies = self._path_latencies_rows(state, rows)
+            return frozen_field(*self._policy_tables(state, live_latencies, rows))(time, state)
 
         return field
 
@@ -478,12 +443,11 @@ class BatchSimulator(BatchEnsembleBase):
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
         condition (see :data:`BatchStoppingCondition`), evaluated at every
-        phase boundary on the projected flows — exactly where the scalar
-        simulator evaluates its ``stop_when(time, flow)``.  Rows whose
-        condition fires are frozen: the stopping phase is still recorded
-        (matching the scalar behaviour) and the row then drops out of the
-        active sub-batch, skipping all further sampling, migration and
-        latency work; its stop phase is recorded in ``stop_phases``.
+        phase boundary on the projected flows.  Rows whose condition fires
+        are frozen: the stopping phase is still recorded and the row then
+        drops out of the active sub-batch, skipping all further sampling,
+        migration and latency work; its stop phase is recorded in
+        ``stop_phases``.
         """
         config = self.config
         network = self.network
@@ -508,7 +472,7 @@ class BatchSimulator(BatchEnsembleBase):
         frozen_counter = tele.counter("batch.rows_frozen_by_stop_when")
         refresh_counter = tele.counter("batch.bulletin_refreshes")
 
-        # Per-row phase counts, mirroring the scalar ceil(horizon / T).
+        # Per-row phase counts: ceil(horizon / T).
         planned_phases = np.ceil(horizons / periods).astype(int)
         max_phases = int(planned_phases.max())
 
@@ -544,102 +508,117 @@ class BatchSimulator(BatchEnsembleBase):
             board.post_rows(0.0, flows)
 
         max_steps = periods / config.steps_per_phase
-        for phase in range(max_phases):
-            starts = phase * periods
-            # The scalar loop stops as soon as a phase boundary reaches the
-            # horizon (or stop_when fires), so a row is active only while its
-            # phase starts early and it has not been frozen.
-            active = (phase < planned_phases) & (starts < horizons) & (stop_phases < 0)
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            ends = np.minimum((phase + 1) * periods, horizons)
-            durations = ends[rows] - starts[rows]
+        try:
+            for phase in range(max_phases):
+                starts = phase * periods
+                # A row's run ends as soon as one of its phase boundaries reaches
+                # its horizon (or stop_when fires), so a row is active only while
+                # its phase starts early and it has not been frozen.
+                active = (phase < planned_phases) & (starts < horizons) & (stop_phases < 0)
+                if not active.any():
+                    break
+                rows = np.flatnonzero(active)
+                ends = np.minimum((phase + 1) * periods, horizons)
+                durations = ends[rows] - starts[rows]
 
-            if ensemble is not None:
-                # Freeze every row's environment at its own phase start; the
-                # stacked family feeds both board posts and live evaluation.
-                self._phase_family = ensemble.family_at(starts)
-                if board is not None:
-                    board.set_networks(self._phase_family)
+                if ensemble is not None:
+                    # Freeze every row's environment at its own phase start; the
+                    # stacked family feeds both board posts and live evaluation.
+                    self._phase_family = ensemble.family_at(starts)
+                    if board is not None:
+                        board.set_networks(self._phase_family)
 
-            phase_span = tele.span("phase", index=phase, active_rows=len(rows))
-            if config.stale:
-                if phase > 0:
-                    # Mirror the scalar board's maybe_update: floating-point
-                    # effects in floor(t / T) occasionally leave a snapshot in
-                    # place for one more phase, and rows must reproduce that.
-                    due = board.needs_update(starts) & active
-                    if due.any():
-                        board.post_rows(starts, flows, mask=due)
-                        tele.event("bulletin_refresh", rows=int(due.sum()))
-                        refresh_counter.add(int(due.sum()))
-                with tele.span("field_eval", active_rows=len(rows)):
-                    field = self._stale_rates(board, rows)
-            else:
-                field = self._fresh_rates(rows)
+                with tele.span("phase", index=phase, active_rows=len(rows)):
+                    if config.stale:
+                        if phase > 0:
+                            # floor(t / T) occasionally lands one phase short in
+                            # floating point, leaving a snapshot in place for one
+                            # more phase (a known departure from Eq. (3), see
+                            # tests/core/test_reference_dynamics.py); only the rows
+                            # whose refresh is due post.
+                            due = board.needs_update(starts) & active
+                            if due.any():
+                                board.post_rows(starts, flows, mask=due)
+                                tele.event("bulletin_refresh", rows=int(due.sum()))
+                                refresh_counter.add(int(due.sum()))
+                        with tele.span("field_eval", active_rows=len(rows)):
+                            field = self._stale_rates(board, rows)
+                    else:
+                        field = self._fresh_rates(rows)
 
-            # Same sub-step count as the scalar integrate(): ceil(duration/step).
-            num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
-            step_sizes = durations / num_steps
-            state = flows[rows]
-            row_starts = starts[rows]
-            integrate_span = tele.span(
-                "integrate",
-                steps=int(num_steps.max()),
-                state_bytes=state.nbytes,
-            )
-            for k in range(int(num_steps.max())):
-                live = k < num_steps
-                step = np.where(live, step_sizes, 0.0)[:, None]
-                tick = (row_starts + k * step_sizes)[:, None]
-                state = stepper(field, tick, state, step)
-                if record_every is not None:
-                    # Strided intermediate samples, mirroring the scalar
-                    # record_every_step contract: the *projected* state is
-                    # recorded while integration continues from the raw one.
-                    due = live & ((k + 1) % record_every == 0) & (k + 1 < num_steps)
-                    if due.any():
-                        selected = np.flatnonzero(due)
-                        mid_rows = rows[selected]
-                        cursors = num_points[mid_rows]
-                        times[mid_rows, cursors] = (
-                            row_starts[selected] + (k + 1) * step_sizes[selected]
+                    # Equal sub-steps no longer than T / steps_per_phase, the last one
+                    # landing on the phase end.  Step sizes and stage clocks are
+                    # formed once per phase: scalars when every active row shares
+                    # one clock (array broadcasts in every stage cost small one-row
+                    # runs about a quarter of their time), else per-row columns in
+                    # which a row that has taken all its sub-steps idles with step 0
+                    # while longer rows finish.
+                    num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
+                    step_sizes = durations / num_steps
+                    row_starts = starts[rows]
+                    count = int(num_steps.max())
+                    if (
+                        (num_steps == count).all()
+                        and (step_sizes == step_sizes[0]).all()
+                        and (row_starts == row_starts[0]).all()
+                    ):
+                        steps = [step_sizes[0]] * count
+                        ticks = [row_starts[0] + k * step_sizes[0] for k in range(count)]
+                    else:
+                        substeps = np.arange(count)[:, None]
+                        steps = np.where(substeps < num_steps, step_sizes, 0.0)[:, :, None]
+                        ticks = (row_starts + substeps * step_sizes)[:, :, None]
+                    state = flows[rows]
+                    with tele.span("integrate", steps=count, state_bytes=state.nbytes):
+                        for k in range(count):
+                            state = stepper(field, ticks[k], state, steps[k])
+                            if record_every is not None and (k + 1) % record_every == 0:
+                                # Strided intermediate samples: the *projected* state is
+                                # recorded while integration continues from the raw one.
+                                selected = np.flatnonzero(k + 1 < num_steps)
+                                if len(selected):
+                                    mid_rows = rows[selected]
+                                    cursors = num_points[mid_rows]
+                                    times[mid_rows, cursors] = (
+                                        row_starts[selected] + (k + 1) * step_sizes[selected]
+                                    )
+                                    recorded[mid_rows, cursors] = FlowVector.project_batch(
+                                        network, state[selected]
+                                    )
+                                    sample_phases[mid_rows, cursors] = phase
+                                    num_points[mid_rows] += 1
+
+                    projected = FlowVector.project_batch(network, state)
+                    finite = np.isfinite(projected).all(axis=1)
+                    if not finite.all():
+                        raise ValueError(
+                            f"row {int(rows[np.argmin(finite)])} has non-finite flows "
+                            f"at the end of phase {phase}"
                         )
-                        recorded[mid_rows, cursors] = FlowVector.project_batch(
-                            network, state[selected]
-                        )
-                        sample_phases[mid_rows, cursors] = phase
-                        num_points[mid_rows] += 1
+                    flows[rows] = projected
+                    cursors = num_points[rows]
+                    times[rows, cursors] = ends[rows]
+                    recorded[rows, cursors] = projected
+                    sample_phases[rows, cursors] = phase
+                    boundary_mask[rows, cursors] = True
+                    num_points[rows] += 1
+                    phase_counts[rows] += 1
+                    phases_counter.add(len(rows))
 
-            integrate_span.close()
-
-            projected = FlowVector.project_batch(network, state)
-            flows[rows] = projected
-            cursors = num_points[rows]
-            times[rows, cursors] = ends[rows]
-            recorded[rows, cursors] = projected
-            sample_phases[rows, cursors] = phase
-            boundary_mask[rows, cursors] = True
-            num_points[rows] += 1
-            phase_counts[rows] += 1
-            phases_counter.add(len(rows))
-
-            if stop_when is not None:
-                hit = np.asarray(stop_when(ends[rows], projected, rows), dtype=bool)
-                if hit.shape != rows.shape:
-                    raise ValueError(
-                        f"stop_when returned shape {hit.shape}, expected {rows.shape}"
-                    )
-                stop_phases[rows[hit]] = phase
-                if hit.any():
-                    tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
-                    frozen_counter.add(int(hit.sum()))
-            phase_span.close()
-
-        self._phase_family = None
-        run_span.annotate(phases_integrated=int(phase_counts.sum()))
-        run_span.close()
+                    if stop_when is not None:
+                        hit = np.asarray(stop_when(ends[rows], projected, rows), dtype=bool)
+                        if hit.shape != rows.shape:
+                            raise ValueError(
+                                f"stop_when returned shape {hit.shape}, expected {rows.shape}"
+                            )
+                        stop_phases[rows[hit]] = phase
+                        if hit.any():
+                            tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
+                            frozen_counter.add(int(hit.sum()))
+        finally:
+            self._phase_family = None
+            run_span.annotate(phases_integrated=int(phase_counts.sum()))
+            run_span.close()
         tele.counter("batch.runs").add()
         labels = [policy.label() for policy in self._policies]
         dense = record_every is not None
@@ -673,7 +652,11 @@ def simulate_batch(
     record_every: Optional[int] = None,
     scenarios=None,
 ) -> BatchResult:
-    """Convenience wrapper mirroring :func:`repro.core.simulator.simulate`."""
+    """Build a :class:`BatchConfig` from per-row settings and run it once.
+
+    The argument names follow :func:`repro.core.simulator.simulate`, pluralised
+    where a setting may vary per row.
+    """
     config = BatchConfig(
         update_periods=np.asarray(update_periods, dtype=float),
         horizons=horizons,

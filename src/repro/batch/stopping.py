@@ -4,10 +4,10 @@ The batched engine's ``stop_when(times, flows, rows)`` receives the
 phase-end times, the projected ``(R, P)`` phase-end flows and the batch row
 indices of the active sub-batch, and returns a boolean mask — True freezes a
 row.  The helpers here build such predicates *together with* their scalar
-counterparts (:meth:`StopCondition.scalar`), so a batched run and its
-per-row scalar reference stop on exactly the same criterion evaluated with
-exactly the same floating-point operations; the equivalence tests assert the
-recorded stop phases match the scalar simulator's early-exit phases exactly.
+counterparts (:meth:`StopCondition.scalar`), so a batched run and a
+one-replica run (``simulate`` or the agent engine) stop on exactly the same
+criterion evaluated with exactly the same floating-point operations; the
+equivalence tests assert the recorded stop phases match exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class StopCondition:
 
     Calling the condition forwards to the batch predicate, so an instance
     can be passed directly as ``stop_when`` to the batched engine;
-    :meth:`scalar` adapts it to the scalar simulator's
+    :meth:`scalar` adapts it to the one-replica
     ``stop_when(time, flow)`` signature for one specific batch row.
     """
 

@@ -20,15 +20,12 @@ from .bounds import (
     theorem_update_period,
     uniform_convergence_bound,
 )
-from .bulletin import BoardSnapshot, BulletinBoard, FreshInformationBoard
+from .bulletin import BoardSnapshot, BulletinBoard
 from .dynamics import (
     batch_stepper_for,
-    euler_step,
     euler_step_batch,
-    integrate,
     integration_step_for,
     num_integration_steps,
-    rk4_step,
     rk4_step_batch,
 )
 from .migration import (
@@ -47,7 +44,7 @@ from .policy import (
     uniform_policy,
 )
 from .sampling import ProportionalSampling, SamplingRule, SoftmaxSampling, UniformSampling
-from .simulator import ReroutingSimulator, SimulationConfig, simulate
+from .simulator import simulate
 from .smoothness import (
     SmoothnessCheck,
     check_alpha_smoothness,
@@ -64,16 +61,13 @@ __all__ = [
     "BetterResponseMigration",
     "BoardSnapshot",
     "BulletinBoard",
-    "FreshInformationBoard",
     "LinearMigration",
     "MigrationRule",
     "PhaseRecord",
     "ProportionalSampling",
     "ReroutingPolicy",
-    "ReroutingSimulator",
     "SamplingRule",
     "ScaledLinearMigration",
-    "SimulationConfig",
     "SmoothedBetterResponseMigration",
     "SmoothnessCheck",
     "SoftmaxSampling",
@@ -84,9 +78,7 @@ __all__ = [
     "best_reply_target",
     "better_response_policy",
     "check_alpha_smoothness",
-    "euler_step",
     "euler_step_batch",
-    "integrate",
     "integration_step_for",
     "num_integration_steps",
     "rk4_step_batch",
@@ -97,7 +89,6 @@ __all__ = [
     "oscillation_fixed_point",
     "proportional_convergence_bound",
     "replicator_policy",
-    "rk4_step",
     "safe_update_period",
     "safe_update_period_for_rule",
     "scaled_policy",

@@ -4,14 +4,12 @@ All information relevant to rerouting (the edge latencies, and for
 proportional sampling also the flow shares) is posted on a *bulletin board*
 at the beginning of every phase of fixed length ``T``.  Between updates the
 agents see only the posted snapshot, no matter how much the true flow has
-moved in the meantime.  Setting ``T = 0`` (or using
-:class:`FreshInformationBoard`) recovers the up-to-date information model of
-Section 3.1.
+moved in the meantime.  The ``T -> 0`` limit is the up-to-date information
+model of Section 3.1, which the simulators run as ``stale=False``.
 
-The board is deliberately a small, explicit object rather than a flag on the
-simulator: the finite-agent simulator, the fluid-limit integrator and the
-best-response dynamics all share the same board implementation, so "what the
-agents can see" is defined in exactly one place.
+This is the board of the finite-agent simulator; the fluid engine keeps one
+board per ensemble row in :class:`~repro.batch.board.BatchBulletinBoard`,
+which refreshes on the same ``floor(t / T)`` schedule.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class BulletinBoard:
 
     def __init__(self, network: WardropNetwork, update_period: float):
         if update_period <= 0:
-            raise ValueError("update period must be positive; use FreshInformationBoard for T=0")
+            raise ValueError("update period must be positive")
         self.network = network
         self.update_period = float(update_period)
         self._snapshot: Optional[BoardSnapshot] = None
@@ -99,21 +97,3 @@ class BulletinBoard:
             self.post(time, path_flows)
             return True
         return False
-
-
-class FreshInformationBoard(BulletinBoard):
-    """A degenerate board that always shows the live state (the ``T -> 0`` limit).
-
-    Used to run the same simulator code for the up-to-date information
-    results (Theorem 2) without special-casing.
-    """
-
-    def __init__(self, network: WardropNetwork):
-        # The update period is irrelevant; pick 1 to satisfy the base class.
-        super().__init__(network, update_period=1.0)
-
-    def needs_update(self, time: float) -> bool:
-        return True
-
-    def phase_start(self, time: float) -> float:
-        return time

@@ -12,10 +12,13 @@ exists and is unique (Picard--Lindelöf); across phase boundaries it may jump,
 which is why the integrator never steps over a boundary.
 
 The integrators here are deliberately simple, explicit schemes (Euler and the
-classical Runge--Kutta 4) operating on the path-flow vector.  The growth
-rates sum to zero within every commodity by construction, so demand
-feasibility is preserved exactly; tiny negative flows from discretisation are
-clipped by the simulator via ``FlowVector.projected``.
+classical Runge--Kutta 4) operating on a ``(B, P)`` stack of path-flow
+vectors, one row per independent replica; a single run is the one-row case.
+Because every row may have its own bulletin-board period, the step size may
+be a per-row column ``(B, 1)`` (a plain scalar also works).  The growth rates
+sum to zero within every commodity by construction, so demand feasibility is
+preserved exactly; tiny negative flows from discretisation are clipped at
+phase boundaries via ``FlowVector.project_batch``.
 """
 
 from __future__ import annotations
@@ -26,35 +29,6 @@ import numpy as np
 
 RateField = Callable[[float, np.ndarray], np.ndarray]
 
-
-def euler_step(field: RateField, time: float, state: np.ndarray, step: float) -> np.ndarray:
-    """Advance the state one explicit-Euler step of size ``step``."""
-    return state + step * field(time, state)
-
-
-def rk4_step(field: RateField, time: float, state: np.ndarray, step: float) -> np.ndarray:
-    """Advance the state one classical Runge--Kutta 4 step of size ``step``."""
-    k1 = field(time, state)
-    k2 = field(time + 0.5 * step, state + 0.5 * step * k1)
-    k3 = field(time + 0.5 * step, state + 0.5 * step * k2)
-    k4 = field(time + step, state + step * k3)
-    return state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-_STEPPERS = {
-    "euler": euler_step,
-    "rk4": rk4_step,
-}
-
-
-# Batched steppers ----------------------------------------------------------
-#
-# The batched engine of :mod:`repro.batch` integrates a whole ensemble of
-# independent replicas as one (B, P) state array.  Because every row may have
-# its own bulletin-board period, the step size is a per-row column ``(B, 1)``
-# (a plain scalar also works); the arithmetic is exactly that of the scalar
-# steppers applied row by row, so a batched run reproduces the scalar
-# trajectories to the last bit.
 
 def euler_step_batch(field: RateField, time, state: np.ndarray, step) -> np.ndarray:
     """Advance a ``(B, P)`` batch one explicit-Euler step of per-row size ``step``."""
@@ -85,46 +59,32 @@ def batch_stepper_for(method: str):
 
 
 def num_integration_steps(duration: float, max_step: float) -> int:
-    """Return the number of equal sub-steps ``integrate`` uses for one interval.
+    """Return the number of equal sub-steps that resolve one interval.
 
-    Exposed so the batched engine can mirror the scalar step count exactly
-    (floating-point effects can make ``ceil(T / (T / n))`` exceed ``n``).
+    Floating-point effects can make ``ceil(T / (T / n))`` exceed ``n``; every
+    phase loop uses this one rule so their step counts agree.
     """
     return max(1, int(np.ceil(duration / max_step)))
 
 
-def integrate(
-    field: RateField,
-    state: np.ndarray,
-    start_time: float,
-    end_time: float,
-    max_step: float,
-    method: str = "rk4",
+def advance_phase(
+    stepper, field: RateField, state: np.ndarray, start_time: float, end_time: float, max_step: float
 ) -> np.ndarray:
-    """Integrate ``field`` from ``start_time`` to ``end_time``.
+    """Integrate a ``(B, P)`` state over one phase shared by every row.
 
-    The interval is divided into equal steps no longer than ``max_step``;
-    the final sub-step lands exactly on ``end_time`` so phase boundaries are
-    honoured to machine precision.
+    The interval is divided into equal sub-steps no longer than ``max_step``
+    so the final sub-step lands on ``end_time``; a zero-length phase returns
+    a copy of ``state``.
     """
-    if end_time < start_time:
-        raise ValueError("end_time must not precede start_time")
-    if max_step <= 0:
-        raise ValueError("max_step must be positive")
-    try:
-        stepper = _STEPPERS[method]
-    except KeyError as error:
-        raise ValueError(f"unknown integration method {method!r}; use 'euler' or 'rk4'") from error
-    duration = end_time - start_time
-    if duration == 0:
-        return state.copy()
-    num_steps = num_integration_steps(duration, max_step)
-    step = duration / num_steps
-    time = start_time
     current = state.copy()
-    for _ in range(num_steps):
-        current = stepper(field, time, current, step)
-        time += step
+    duration = end_time - start_time
+    if duration > 0:
+        steps = num_integration_steps(duration, max_step)
+        step = duration / steps
+        time = start_time
+        for _ in range(steps):
+            current = stepper(field, time, current, step)
+            time += step
     return current
 
 

@@ -23,7 +23,7 @@ Factory helpers build the named policies of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -103,9 +103,8 @@ class ReroutingPolicy:
         The implementation folds ``sigma * mu`` into one transition-rate
         matrix ``M`` and factors the current flow out of the outflow sum
         (``sum_Q rho_PQ = f_P * sum_Q M_PQ``): one elementwise product and
-        one reduction per evaluation instead of two of each.  The batched
-        kernels and the frozen phase field perform the identical operation
-        sequence, so all engines keep agreeing bit for bit.
+        one reduction per evaluation instead of two of each, the operation
+        sequence :func:`frozen_field` applies to every row of a batch.
         """
         sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
         mu = self.migration.matrix(posted_path_latencies)
@@ -113,72 +112,54 @@ class ReroutingPolicy:
         inflow = np.matmul(current_flows[None, :], rates)[0]
         return inflow - current_flows * rates.sum(axis=1)
 
-    def frozen_growth_field(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ):
-        """Return ``field(t, state)`` with sigma and mu precomputed once.
 
-        Within a stale bulletin-board phase the sampling matrix and migration
-        probabilities depend only on the posted snapshot, so the combined
-        transition-rate matrix (and its outflow row sums) are assembled once
-        per phase instead of once per integrator stage.  The returned closure
-        performs exactly the arithmetic of :meth:`growth_rates` on the
-        precomputed matrices, so trajectories are unchanged bit for bit --
-        this is the scalar port of the batched engine's per-phase
-        precomputation.
-        """
-        sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix(posted_path_latencies)
-        rates = sigma * mu
-        outflow_rates = rates.sum(axis=1)
+def policy_tables(
+    network: WardropNetwork,
+    policies: Union[ReroutingPolicy, Sequence[ReroutingPolicy]],
+    posted_flows: np.ndarray,
+    posted_path_latencies: np.ndarray,
+):
+    """Return the stacked ``(B, P, P)`` sampling and migration matrices of ``B`` rows.
 
-        def field(_time: float, state: np.ndarray) -> np.ndarray:
-            inflow = np.matmul(state[None, :], rates)[0]
-            return inflow - state * outflow_rates
+    ``policies`` is one policy shared by every row, which uses the
+    vectorised batch kernels, or one policy per row, whose matrices are
+    assembled row by row so custom sampling/migration rules work unchanged.
+    """
+    if isinstance(policies, ReroutingPolicy):
+        return (
+            policies.sampling.probabilities_batch(network, posted_flows, posted_path_latencies),
+            policies.migration.matrix_batch(posted_path_latencies),
+        )
+    sigma = np.stack(
+        [
+            policy.sampling.probabilities(network, flows, latencies)
+            for policy, flows, latencies in zip(policies, posted_flows, posted_path_latencies)
+        ]
+    )
+    mu = np.stack(
+        [policy.migration.matrix(latencies) for policy, latencies in zip(policies, posted_path_latencies)]
+    )
+    return sigma, mu
 
-        return field
 
-    def migration_rates_batch(
-        self,
-        network: WardropNetwork,
-        current_flows: np.ndarray,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return ``(B, P, P)`` migration-rate matrices for a batch of replicas.
+def frozen_field(sigma: np.ndarray, mu: np.ndarray):
+    """Return the field ``(t, state) -> df/dt`` of a stale phase of Eq. (3).
 
-        All inputs have shape ``(B, P)``; row ``b`` of the result equals
-        :meth:`migration_rates` applied to row ``b``.  The built-in sampling
-        and migration rules supply vectorised batch kernels; custom rules fall
-        back to a per-row loop inside :meth:`SamplingRule.probabilities_batch`
-        and :meth:`MigrationRule.matrix_batch`, so any policy works here.
-        """
-        sigma = self.sampling.probabilities_batch(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix_batch(posted_path_latencies)
-        # Same association order as the scalar path: (f * sigma) * mu.
-        return (current_flows[:, :, None] * sigma) * mu
+    Within a phase the ``(B, P, P)`` sampling and migration matrices depend
+    only on the posted snapshot, so their product and its outflow row sums
+    are formed once per phase; each stage then costs one ``matmul`` and one
+    product, in the folded form of :meth:`ReroutingPolicy.growth_rates`.
+    Fresh-information fields rebuild the tables from the live state and
+    apply the same fold.
+    """
+    rates = sigma * mu
+    outflow_rates = rates.sum(axis=2)
 
-    def growth_rates_batch(
-        self,
-        network: WardropNetwork,
-        current_flows: np.ndarray,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return ``(B, P)`` growth rates ``df/dt``, one row per batch replica.
+    def field(_time, state: np.ndarray) -> np.ndarray:
+        inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
+        return inflow - state * outflow_rates
 
-        Row ``b`` performs exactly the operation sequence of
-        :meth:`growth_rates` (folded ``sigma * mu``, factored outflow), so
-        batched and scalar evaluations agree bit for bit.
-        """
-        sigma = self.sampling.probabilities_batch(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix_batch(posted_path_latencies)
-        rates = sigma * mu
-        inflow = np.matmul(current_flows[:, None, :], rates)[:, 0, :]
-        return inflow - current_flows * rates.sum(axis=2)
+    return field
 
 
 def uniform_policy(network: WardropNetwork, max_latency: Optional[float] = None) -> ReroutingPolicy:

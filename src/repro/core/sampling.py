@@ -25,11 +25,13 @@ bulletin board*, not the live ones; the simulator passes the stale values in.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from ..wardrop.network import WardropNetwork
+from ..wardrop.paths import PathSet
 
 
 class SamplingRule(ABC):
@@ -105,10 +107,14 @@ class UniformSampling(SamplingRule):
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            sigma[np.ix_(indices, indices)] = 1.0 / len(indices)
+        # Flow-independent: built once per path set and shared read-only.
+        sigma = _UNIFORM_TEMPLATES.get(network.paths)
+        if sigma is None:
+            sigma = np.zeros((network.num_paths, network.num_paths))
+            for start, stop in network.paths.commodity_slices():
+                sigma[start:stop, start:stop] = 1.0 / (stop - start)
+            sigma.setflags(write=False)
+            _UNIFORM_TEMPLATES[network.paths] = sigma
         return sigma
 
     def probabilities_batch(
@@ -117,9 +123,11 @@ class UniformSampling(SamplingRule):
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        # Flow-independent: one template broadcast over the batch (read-only).
         template = self.probabilities(network, posted_flows[0], posted_path_latencies[0])
         return np.broadcast_to(template, (posted_flows.shape[0],) + template.shape)
+
+
+_UNIFORM_TEMPLATES: "weakref.WeakKeyDictionary[PathSet, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
 class ProportionalSampling(SamplingRule):
@@ -143,22 +151,9 @@ class ProportionalSampling(SamplingRule):
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i, commodity in enumerate(network.commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            shares = np.clip(posted_flows[indices], 0.0, None)
-            total = shares.sum()
-            if total <= 0:
-                distribution = np.full(len(indices), 1.0 / len(indices))
-            else:
-                distribution = shares / total
-            if self.exploration > 0:
-                distribution = (
-                    (1.0 - self.exploration) * distribution
-                    + self.exploration / len(indices)
-                )
-            sigma[np.ix_(indices, indices)] = np.tile(distribution, (len(indices), 1))
-        return sigma
+        return self.probabilities_batch(
+            network, posted_flows[None, :], posted_path_latencies[None, :]
+        )[0]
 
     def probabilities_batch(
         self,
@@ -168,21 +163,16 @@ class ProportionalSampling(SamplingRule):
     ) -> np.ndarray:
         batch = posted_flows.shape[0]
         sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        rows = np.arange(batch)
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            shares = np.clip(posted_flows[:, indices], 0.0, None)
+        for start, stop in network.paths.commodity_slices():
+            count = stop - start
+            shares = np.maximum(posted_flows[:, start:stop], 0.0)
             totals = shares.sum(axis=1)
             starved = totals <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                distribution = shares / totals[:, None]
-            distribution[starved] = 1.0 / len(indices)
+            distribution = shares / np.where(starved, 1.0, totals)[:, None]
+            distribution[starved] = 1.0 / count
             if self.exploration > 0:
-                distribution = (
-                    (1.0 - self.exploration) * distribution
-                    + self.exploration / len(indices)
-                )
-            sigma[np.ix_(rows, indices, indices)] = distribution[:, None, :]
+                distribution = (1.0 - self.exploration) * distribution + self.exploration / count
+            sigma[:, start:stop, start:stop] = distribution[:, None, :]
         return sigma
 
 
@@ -207,15 +197,9 @@ class SoftmaxSampling(SamplingRule):
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            latencies = posted_path_latencies[indices]
-            # Subtract the minimum before exponentiating for numerical safety.
-            scores = np.exp(-self.concentration * (latencies - latencies.min()))
-            distribution = scores / scores.sum()
-            sigma[np.ix_(indices, indices)] = np.tile(distribution, (len(indices), 1))
-        return sigma
+        return self.probabilities_batch(
+            network, posted_flows[None, :], posted_path_latencies[None, :]
+        )[0]
 
     def probabilities_batch(
         self,
@@ -225,13 +209,12 @@ class SoftmaxSampling(SamplingRule):
     ) -> np.ndarray:
         batch = posted_flows.shape[0]
         sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        rows = np.arange(batch)
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            latencies = posted_path_latencies[:, indices]
+        for start, stop in network.paths.commodity_slices():
+            latencies = posted_path_latencies[:, start:stop]
+            # Subtract the minimum before exponentiating for numerical safety.
             scores = np.exp(
                 -self.concentration * (latencies - latencies.min(axis=1, keepdims=True))
             )
             distribution = scores / scores.sum(axis=1, keepdims=True)
-            sigma[np.ix_(rows, indices, indices)] = distribution[:, None, :]
+            sigma[:, start:stop, start:stop] = distribution[:, None, :]
         return sigma

@@ -17,13 +17,14 @@ cases, the cheapest execution backend:
   (Linux/macOS default here) workers build the result *rows* in-process and
   return plain dicts, so big sweeps never pickle whole trajectories back to
   the parent; without fork the runner falls back to shipping trajectories;
-* **serial** — the original one-case-at-a-time loop, always available as the
-  reference backend.
+* **serial** — one case at a time: fluid cases as one-row runs of the same
+  batched engine (``simulate``), agent cases on the scalar agent engine and
+  column-generation cases on ``simulate_with_column_generation``.
 
 ``engine="auto"`` batches every multi-case group and runs the remainder
 serially (or on a pool when ``processes > 1`` is requested).  Whatever the
 backend, rows are emitted in the original case order and each case's
-trajectory is identical to a scalar run, so results never depend on the
+trajectory is identical to its one-case run, so results never depend on the
 dispatch decision — with one documented exception: *open-mode*
 column-generation cases fused onto the batched CG driver grow a shared
 (union) restricted path set, so a fused row can route over columns another
@@ -105,16 +106,12 @@ def group_key(case: SweepCase) -> GroupKey:
 
 
 def _case_num_agents(case: SweepCase) -> int:
-    """Return a case's population size, defaulting only a missing value.
-
-    An explicit (invalid) 0 must reach the config validator rather than be
-    silently replaced by the default.
-    """
+    """Return a case's population size, defaulting only a missing value."""
     return case.num_agents if case.num_agents is not None else DEFAULT_NUM_AGENTS
 
 
 def _simulate_case(case: SweepCase) -> Trajectory:
-    """Run one case through the scalar simulator (also the pool worker)."""
+    """Run one case on its own (also the pool worker)."""
     scalar_stop = case.stop_when.scalar(0) if case.stop_when is not None else None
     if case.column_generation:
         # Lazy import: the large-network layer is optional machinery for the

@@ -46,18 +46,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..batch.board import BatchBulletinBoard
-from ..core.dynamics import (
-    batch_stepper_for,
-    integration_step_for,
-    num_integration_steps,
-)
-from ..core.policy import ReroutingPolicy
+from ..core.dynamics import advance_phase, batch_stepper_for, integration_step_for
+from ..core.policy import frozen_field, policy_tables
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path
-from ..wardrop.validation import require_positive
+from ..wardrop.validation import require_positive, require_positive_integer
 from .columns import (
     ActivePathSet,
     PolicyOrBuilder,
@@ -252,7 +248,8 @@ def simulate_with_column_generation_batch(
     """
     require_positive("update_period", update_period)
     require_positive("horizon", horizon)
-    require_positive("steps_per_phase", steps_per_phase)
+    require_positive_integer("steps_per_phase", steps_per_phase)
+    batch_stepper_for(method)
 
     if scenarios is not None:
         scenarios = list(scenarios)
@@ -287,11 +284,11 @@ def simulate_with_column_generation_batch(
     periods = np.full(size, update_period)
 
     def resolve_policies(net: WardropNetwork):
+        """Return every row's policy and the ``policy_tables`` argument: the
+        one shared policy (vectorised kernels) or the per-row list."""
         resolved = [_resolve_policy(spec, net) for spec in policy_specs]
-        shared = resolved[0]
-        if any(p is not shared for p in resolved[1:]):
-            shared = None
-        return resolved, shared
+        shared = all(p is resolved[0] for p in resolved)
+        return resolved, resolved[0] if shared else resolved
 
     def build_environment(net: WardropNetwork):
         if scenarios is None:
@@ -300,7 +297,7 @@ def simulate_with_column_generation_batch(
 
         return ScenarioEnsemble(net, scenarios)
 
-    resolved, shared = resolve_policies(network)
+    resolved, policies_now = resolve_policies(network)
     ensemble = build_environment(network)
     board = BatchBulletinBoard(network, periods)
     positions = oracle.network_edge_positions(network)
@@ -415,7 +412,7 @@ def simulate_with_column_generation_batch(
                 board = BatchBulletinBoard(network, periods)
                 positions = oracle.network_edge_positions(network)
                 cost_cache = _PostedCostCache(oracle)
-                resolved, shared = resolve_policies(network)
+                resolved, policies_now = resolve_policies(network)
                 ensemble = build_environment(network)
                 family = None
                 if ensemble is not None:
@@ -457,87 +454,27 @@ def simulate_with_column_generation_batch(
         start_flows[phase] = state
         if stale:
             with tele.span("field_eval", rows=size):
-                if shared is not None:
-                    sigma = shared.sampling.probabilities_batch(
-                        network,
-                        board.posted_flows,
-                        board.posted_path_latencies,
+                field_fn = frozen_field(
+                    *policy_tables(
+                        network, policies_now, board.posted_flows, board.posted_path_latencies
                     )
-                    mu = shared.migration.matrix_batch(board.posted_path_latencies)
-                else:
-                    sigma = np.stack(
-                        [
-                            resolved[row].sampling.probabilities(
-                                network,
-                                board.posted_flows[row],
-                                board.posted_path_latencies[row],
-                            )
-                            for row in range(size)
-                        ]
-                    )
-                    mu = np.stack(
-                        [
-                            resolved[row].migration.matrix(
-                                board.posted_path_latencies[row]
-                            )
-                            for row in range(size)
-                        ]
-                    )
-            # Same folded form as the scalar frozen_growth_field and the
-            # batch engine's _stale_rates -- closed-mode rows stay
-            # bit-identical to the scalar driver.
-            rates = sigma * mu
-            outflow_rates = rates.sum(axis=2)
-
-            def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                inflow = np.matmul(flows[:, None, :], rates)[:, 0, :]
-                return inflow - flows * outflow_rates
-
+                )
         else:
-            network_ref = network
-            family_ref = family
+            network_ref, family_ref, policies_ref = network, family, policies_now
 
-            def live_latencies(flows: np.ndarray) -> np.ndarray:
+            def field_fn(time, flows: np.ndarray) -> np.ndarray:
                 if family_ref is not None:
-                    return family_ref.path_latencies_batch(
-                        flows, np.arange(size)
-                    )
-                return network_ref.path_latencies_batch(flows)
+                    live = family_ref.path_latencies_batch(flows, np.arange(size))
+                else:
+                    live = network_ref.path_latencies_batch(flows)
+                return frozen_field(*policy_tables(network_ref, policies_ref, flows, live))(
+                    time, flows
+                )
 
-            if shared is not None:
-                shared_ref = shared
-
-                def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                    return shared_ref.growth_rates_batch(
-                        network_ref, flows, flows, live_latencies(flows)
-                    )
-
-            else:
-                resolved_ref = resolved
-
-                def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                    live = live_latencies(flows)
-                    return np.stack(
-                        [
-                            resolved_ref[row].growth_rates(
-                                network_ref, flows[row], flows[row], live[row]
-                            )
-                            for row in range(size)
-                        ]
-                    )
-
-        duration = phase_end - phase_start
         with tele.span("integrate", state_bytes=state[:, :width].nbytes):
-            if duration > 0:
-                steps = num_integration_steps(duration, step)
-                step_size = duration / steps
-                current = state[:, :width].copy()
-                time = phase_start
-                for _ in range(steps):
-                    current = stepper(field_fn, time, current, step_size)
-                    time += step_size
-            else:
-                current = state[:, :width].copy()
+            current = advance_phase(
+                stepper, field_fn, state[:, :width], phase_start, phase_end, step
+            )
         state[:, :width] = FlowVector.project_batch(network, current)
         recorded[phase + 1] = state
         times[phase + 1] = phase_end

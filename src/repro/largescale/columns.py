@@ -35,15 +35,15 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import networkx as nx
 import numpy as np
 
-from ..core.dynamics import integrate, integration_step_for
-from ..core.policy import ReroutingPolicy
+from ..core.dynamics import advance_phase, batch_stepper_for, integration_step_for
+from ..core.policy import ReroutingPolicy, frozen_field, policy_tables
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.commodity import Commodity, normalise_demands
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path, PathSet
-from ..wardrop.validation import require_positive
+from ..wardrop.validation import require_positive, require_positive_integer
 from .shortest import ShortestPathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -354,8 +354,9 @@ def simulate_with_column_generation(
 ) -> ColumnGenerationResult:
     """Run the rerouting dynamics with column generation at every refresh.
 
-    The loop mirrors the scalar
-    :class:`~repro.core.simulator.ReroutingSimulator` phase for phase.  At
+    The loop follows :func:`~repro.core.simulator.simulate` phase for
+    phase, integrating each phase with the batched stepper and field on a
+    one-row state.  At
     each bulletin refresh the oracle is queried against the *posted* edge
     latencies (stale mode) or the live ones (fresh mode); newly discovered
     routes join the restricted set with zero flow before the phase
@@ -366,7 +367,7 @@ def simulate_with_column_generation(
     growth, e.g. one whose migration constant covers the full network) or a
     builder ``network -> policy`` re-invoked after every growth event.
     ``stop_when(time, flow)`` is evaluated at phase boundaries, exactly like
-    the scalar simulator's.
+    :func:`~repro.core.simulator.simulate`'s.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
     starts, like the engines).  A scenario state *change* is treated as an
@@ -379,7 +380,8 @@ def simulate_with_column_generation(
     """
     require_positive("update_period", update_period)
     require_positive("horizon", horizon)
-    require_positive("steps_per_phase", steps_per_phase)
+    require_positive_integer("steps_per_phase", steps_per_phase)
+    stepper = batch_stepper_for(method)
     network = active.network
     if scenario is not None:
         scenario.require_edges(network)
@@ -436,11 +438,11 @@ def simulate_with_column_generation(
             closed_now = frozenset()
 
         if stale:
-            # The board refreshes on exactly the scalar BulletinBoard's
-            # schedule, including the floating-point floor(t/T) quirk that
-            # occasionally leaves a snapshot in place for one more phase --
-            # closed-mode runs stay bit-identical to the scalar simulator.
-            # A scenario state change forces a refresh regardless.
+            # The board refreshes on the fluid engine's schedule, including
+            # the floating-point floor(t/T) quirk that occasionally leaves a
+            # snapshot in place for one more phase -- closed-mode runs stay
+            # bit-identical to simulate().  A scenario state change forces a
+            # refresh regardless.
             refresh_time = float(
                 np.floor(phase_start / update_period) * update_period
             )
@@ -497,20 +499,24 @@ def simulate_with_column_generation(
         start_values = values.copy()
         if stale:
             with tele.span("field_eval"):
-                field_fn = current_policy.frozen_growth_field(
-                    network, posted_values, posted_latencies
+                field_fn = frozen_field(
+                    *policy_tables(
+                        network, current_policy, posted_values[None, :], posted_latencies[None, :]
+                    )
                 )
         else:
-            policy_ref = current_policy
-            network_ref = network
-            effective_ref = effective
+            policy_ref, network_ref, effective_ref = current_policy, network, effective
 
-            def field_fn(_t: float, state: np.ndarray) -> np.ndarray:
-                live = effective_ref.path_latencies(state)
-                return policy_ref.growth_rates(network_ref, state, state, live)
+            def field_fn(time, state: np.ndarray) -> np.ndarray:
+                live = effective_ref.path_latencies_batch(state)
+                return frozen_field(*policy_tables(network_ref, policy_ref, state, live))(
+                    time, state
+                )
 
         with tele.span("integrate", state_bytes=values.nbytes):
-            raw = integrate(field_fn, values, phase_start, phase_end, step, method)
+            raw = advance_phase(
+                stepper, field_fn, values[None, :], phase_start, phase_end, step
+            )[0]
         values = FlowVector(network, raw, validate=False).projected().values()
         boundaries.append(
             (phase, phase_start, phase_end, start_values, values.copy(), network)

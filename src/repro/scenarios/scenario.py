@@ -11,9 +11,10 @@ incidents -- and compiles them, at any sample time, into per-edge
 the modulation *at phase boundaries*: the environment a phase runs in is
 frozen at the phase's start, which matches the paper's information model (the
 world, like the bulletin board, is sampled at discrete instants) and keeps
-batched and scalar runs bit-identical.
+a row's bits independent of the batch it runs in.
 
-The scalar engines use :meth:`Scenario.network_at`, which materialises the
+The one-replica engines (finite agents, scalar column generation) use
+:meth:`Scenario.network_at`, which materialises the
 effective network at a sample time as a lightweight
 :meth:`~repro.wardrop.network.WardropNetwork.with_latencies` copy with
 ``ModulatedLatency`` wrappers -- cached per distinct modulation, so

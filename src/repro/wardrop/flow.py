@@ -129,15 +129,16 @@ class FlowVector:
         to project arbitrary vectors.
         """
         flows = np.clip(self._flows, 0.0, None)
-        for i, commodity in enumerate(self.network.commodities):
-            indices = list(self.network.paths.commodity_indices(i))
-            routed = flows[indices].sum()
+        for (start, stop), commodity in zip(
+            self.network.paths.commodity_slices(), self.network.commodities
+        ):
+            routed = flows[start:stop].sum()
             # Subnormal totals would overflow demand / routed to inf (and
             # 0 * inf to NaN), so they count as starved too.
             if routed <= np.finfo(float).tiny:
-                flows[indices] = commodity.demand / len(indices)
+                flows[start:stop] = commodity.demand / (stop - start)
             else:
-                flows[indices] *= commodity.demand / routed
+                flows[start:stop] *= commodity.demand / routed
         return FlowVector(self.network, flows)
 
     @staticmethod
@@ -166,19 +167,18 @@ class FlowVector:
         phase boundaries.
         """
         flows = np.clip(np.asarray(path_flows, dtype=float), 0.0, None)
-        for i, commodity in enumerate(network.commodities):
-            indices = list(network.paths.commodity_indices(i))
-            block = flows[:, indices]
+        tiny = np.finfo(float).tiny
+        for (start, stop), commodity in zip(network.paths.commodity_slices(), network.commodities):
+            block = flows[:, start:stop]
             # Each row's routed mass must use the same 1-D pairwise reduction
             # as :meth:`projected` -- ``block.sum(axis=1)`` can accumulate in
-            # a different order and land one ulp away, breaking the row-wise
-            # bit-identity contract of the batched engines.
+            # a different order and land one ulp away, so a row's bits would
+            # depend on the batch it runs in.
             routed = np.array([row.sum() for row in block])
-            starved = routed <= np.finfo(float).tiny
-            safe = np.where(starved, 1.0, routed)
-            flows[:, indices] *= (commodity.demand / safe)[:, None]
+            starved = routed <= tiny
+            block *= (commodity.demand / np.where(starved, 1.0, routed))[:, None]
             if starved.any():
-                flows[np.ix_(np.flatnonzero(starved), indices)] = commodity.demand / len(indices)
+                block[starved] = commodity.demand / (stop - start)
         return flows
 
     # Raw access ---------------------------------------------------------------

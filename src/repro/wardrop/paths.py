@@ -156,11 +156,12 @@ class PathSet:
         self._index: Dict[Path, int] = {path: i for i, path in enumerate(self._all)}
         if len(self._index) != len(self._all):
             raise ValueError("duplicate paths in path set")
-        self._commodity_slices: List[Tuple[int, int]] = []
+        slices: List[Tuple[int, int]] = []
         start = 0
         for paths in self._by_commodity:
-            self._commodity_slices.append((start, start + len(paths)))
+            slices.append((start, start + len(paths)))
             start += len(paths)
+        self._commodity_slices: Tuple[Tuple[int, int], ...] = tuple(slices)
         self._membership: Optional[Dict[EdgeKey, np.ndarray]] = None
 
     # Basic container protocol -------------------------------------------
@@ -194,6 +195,10 @@ class PathSet:
     def commodity_slice(self, commodity_index: int) -> Tuple[int, int]:
         """Return the ``(start, stop)`` range of a commodity in the global order."""
         return self._commodity_slices[commodity_index]
+
+    def commodity_slices(self) -> Tuple[Tuple[int, int], ...]:
+        """Return every commodity's contiguous ``(start, stop)`` range, in order."""
+        return self._commodity_slices
 
     def commodity_indices(self, commodity_index: int) -> range:
         start, stop = self._commodity_slices[commodity_index]

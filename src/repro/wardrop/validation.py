@@ -57,6 +57,21 @@ def require_positive(name: str, values) -> None:
         raise ValueError(f"{label} must be finite and positive, got {array.flat[index]}")
 
 
+def require_positive_integer(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is an integer >= 1.
+
+    Step counts and strides are used as integers, so a fractional value is
+    rejected rather than truncated (``0.5`` would otherwise become zero).
+    """
+    require_positive(name, values)
+    array = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(array != np.floor(array))
+    if len(bad):
+        index = int(bad[0])
+        label = name if array.ndim == 0 else f"{name}[{index}]"
+        raise ValueError(f"{label} must be an integer, got {array.flat[index]}")
+
+
 def validate_network(network: WardropNetwork, samples: int = 32) -> ValidationReport:
     """Check the model assumptions of Section 2.1 on a network.
 

@@ -17,14 +17,13 @@ from repro.core import (
     SmoothedBetterResponseMigration,
     SoftmaxSampling,
     UniformSampling,
-    euler_step,
     euler_step_batch,
     num_integration_steps,
     replicator_policy,
-    rk4_step,
     rk4_step_batch,
 )
 from repro.core.dynamics import batch_stepper_for
+from repro.core.policy import frozen_field, policy_tables
 from repro.instances import braess_network, pigou_network
 from repro.wardrop import FlowVector
 class TestNetworkBatchKernels:
@@ -108,19 +107,23 @@ class TestPolicyBatchKernels:
         for row in range(5):
             np.testing.assert_allclose(batched[row], rule.matrix(latencies[row]), atol=1e-15)
 
-    def test_growth_rates_batch_matches_scalar(self):
+    def test_frozen_field_matches_scalar_growth_rates(self):
         network = braess_network()
         policy = replicator_policy(network)
         rng = np.random.default_rng(9)
         current = np.stack([FlowVector.random(network, rng).values() for _ in range(3)])
         posted = np.stack([FlowVector.random(network, rng).values() for _ in range(3)])
         latencies = network.path_latencies_batch(posted)
-        batched = policy.growth_rates_batch(network, current, posted, latencies)
-        for row in range(3):
-            expected = policy.growth_rates(network, current[row], posted[row], latencies[row])
-            np.testing.assert_allclose(batched[row], expected, atol=1e-15)
-        # Growth rates conserve the demand of every commodity.
-        np.testing.assert_allclose(batched.sum(axis=1), 0.0, atol=1e-12)
+        # One shared policy (vectorised tables) and per-row policies (row loop).
+        for policies in (policy, [policy, replicator_policy(network), policy]):
+            batched = frozen_field(*policy_tables(network, policies, posted, latencies))(
+                0.0, current
+            )
+            for row in range(3):
+                expected = policy.growth_rates(network, current[row], posted[row], latencies[row])
+                np.testing.assert_allclose(batched[row], expected, atol=1e-15)
+            # Growth rates conserve the demand of every commodity.
+            np.testing.assert_allclose(batched.sum(axis=1), 0.0, atol=1e-12)
 
 
 class TestBatchBoard:
@@ -145,23 +148,17 @@ class TestBatchBoard:
 
 
 class TestBatchSteppers:
-    def test_match_scalar_steppers_rowwise(self):
+    def test_rows_advance_independently_of_the_batch(self):
         def rates(_t, state):
             return -0.5 * state
 
         state = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, 0.1]])
         steps = np.array([[0.1], [0.2], [0.05]])
-        for batch_step, scalar_step in [
-            (euler_step_batch, euler_step),
-            (rk4_step_batch, rk4_step),
-        ]:
+        for batch_step in (euler_step_batch, rk4_step_batch):
             advanced = batch_step(rates, np.zeros((3, 1)), state, steps)
             for row in range(3):
-                def row_rates(_t, values):
-                    return -0.5 * values
-
-                expected = scalar_step(row_rates, 0.0, state[row], float(steps[row, 0]))
-                np.testing.assert_allclose(advanced[row], expected, atol=1e-15)
+                alone = batch_step(rates, 0.0, state[row : row + 1], float(steps[row, 0]))
+                np.testing.assert_array_equal(advanced[row], alone[0])
 
     def test_batch_stepper_for_rejects_unknown(self):
         with pytest.raises(ValueError):

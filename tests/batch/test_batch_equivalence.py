@@ -1,12 +1,12 @@
-"""Batch-vs-scalar equivalence: the batched engine must reproduce the scalar
-simulator trajectory for every row of the ensemble.
+"""B-invariance: row ``r`` of a ``B``-row run equals the one-row run.
 
-These tests are the correctness contract of :mod:`repro.batch`: for Pigou and
-Braess, under stale and fresh information, for both integration methods, for
-mixed per-row update periods, and through the row-loop fallback for custom
-policy components, every recorded sample of every row must match the scalar
-:class:`~repro.core.simulator.ReroutingSimulator` within 1e-10 (in practice
-the runs are bit-identical).
+``simulate`` is the one-row case of the batched engine, so these tests pin
+down that a row's arithmetic does not depend on the batch it runs in: for
+Pigou and Braess, under stale and fresh information, for both integration
+methods, for mixed per-row update periods, and through the row-loop fallback
+for custom policy components, every recorded sample of every row must equal
+the one-row ``simulate`` run bit for bit.  ``tests/core/test_reference_dynamics.py``
+checks the one-row runs themselves against an independent integrator.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ from repro.core.sampling import SamplingRule
 from repro.instances import braess_network, pigou_network
 from repro.wardrop import FlowVector
 
-TOLERANCE = 1e-10
 
-
-def assert_rows_match_scalar(network, policies, periods, horizon, starts, stale,
-                             steps_per_phase=10, method="rk4"):
-    """Run the batch and every scalar counterpart and compare trajectories."""
+def assert_rows_match_one_row_runs(network, policies, periods, horizon, starts, stale,
+                                   steps_per_phase=10, method="rk4"):
+    """Run the batch and every row alone, and compare trajectories."""
     policy_list = policies if isinstance(policies, list) else [policies] * len(periods)
     result = simulate_batch(
         network, policies, periods, horizon,
@@ -42,22 +40,21 @@ def assert_rows_match_scalar(network, policies, periods, horizon, starts, stale,
         steps_per_phase=steps_per_phase, method=method,
     )
     for row, (policy, period, start) in enumerate(zip(policy_list, periods, starts)):
-        scalar = simulate(
+        alone = simulate(
             network, policy, update_period=period, horizon=horizon,
             initial_flow=start, stale=stale,
             steps_per_phase=steps_per_phase, method=method,
         )
         batched = result.trajectory(row)
-        assert len(batched.points) == len(scalar.points)
-        assert len(batched.phases) == len(scalar.phases)
-        assert np.allclose(batched.times, scalar.times, atol=TOLERANCE)
-        assert np.allclose(batched.flow_matrix(), scalar.flow_matrix(), atol=TOLERANCE)
-        for got, expected in zip(batched.phases, scalar.phases):
+        assert len(batched.points) == len(alone.points)
+        assert len(batched.phases) == len(alone.phases)
+        np.testing.assert_array_equal(batched.times, alone.times)
+        np.testing.assert_array_equal(batched.flow_matrix(), alone.flow_matrix())
+        for got, expected in zip(batched.phases, alone.phases):
             assert got.index == expected.index
-            assert abs(got.start_time - expected.start_time) <= TOLERANCE
-            assert abs(got.end_time - expected.end_time) <= TOLERANCE
-            assert got.start_flow.distance_to(expected.start_flow) <= TOLERANCE
-            assert got.end_flow.distance_to(expected.end_flow) <= TOLERANCE
+            assert (got.start_time, got.end_time) == (expected.start_time, expected.end_time)
+            np.testing.assert_array_equal(got.start_flow.values(), expected.start_flow.values())
+            np.testing.assert_array_equal(got.end_flow.values(), expected.end_flow.values())
 
 
 class TestPigouProperty:
@@ -67,31 +64,31 @@ class TestPigouProperty:
         seed=st.integers(min_value=0, max_value=2**31),
         stale=st.booleans(),
     )
-    def test_single_row_matches_scalar(self, period, seed, stale):
+    def test_single_row_is_batch_invariant(self, period, seed, stale):
         network = pigou_network(degree=2)
         policy = replicator_policy(network)
         rng = np.random.default_rng(seed)
         starts = [FlowVector.random(network, rng) for _ in range(3)]
         periods = [period, 0.11, 0.17]
-        assert_rows_match_scalar(network, policy, periods, 1.0, starts, stale)
+        assert_rows_match_one_row_runs(network, policy, periods, 1.0, starts, stale)
 
 
 class TestBraess:
     @pytest.mark.parametrize("stale", [True, False])
-    def test_uniform_policy_matches_scalar(self, stale):
+    def test_uniform_policy_is_batch_invariant(self, stale):
         network = braess_network()
         policy = uniform_policy(network)
         rng = np.random.default_rng(7)
         starts = [FlowVector.random(network, rng) for _ in range(4)]
         periods = [0.05, 0.07, 0.1, 0.25]
-        assert_rows_match_scalar(network, policy, periods, 1.3, starts, stale)
+        assert_rows_match_one_row_runs(network, policy, periods, 1.3, starts, stale)
 
-    def test_replicator_euler_matches_scalar(self):
+    def test_replicator_euler_is_batch_invariant(self):
         network = braess_network()
         policy = replicator_policy(network)
         starts = [FlowVector.uniform(network)] * 3
         periods = [0.06, 0.1, 0.15]
-        assert_rows_match_scalar(
+        assert_rows_match_one_row_runs(
             network, policy, periods, 0.9, starts, stale=True, method="euler"
         )
 
@@ -104,13 +101,13 @@ class TestMixedPeriods:
         rng = np.random.default_rng(3)
         starts = [FlowVector.random(network, rng) for _ in range(5)]
         periods = [0.03, 0.09, 0.13, 0.4, 1.7]
-        assert_rows_match_scalar(network, policy, periods, 1.1, starts, stale=True)
+        assert_rows_match_one_row_runs(network, policy, periods, 1.1, starts, stale=True)
 
     def test_mixed_periods_fresh_information(self):
         network = braess_network()
         policy = uniform_policy(network)
         starts = [FlowVector.uniform(network)] * 3
-        assert_rows_match_scalar(
+        assert_rows_match_one_row_runs(
             network, policy, [0.04, 0.11, 0.35], 0.8, starts, stale=False
         )
 
@@ -137,21 +134,21 @@ class EveryOtherSampling(SamplingRule):
 
 class TestFallbacks:
     def test_custom_policy_row_loop_fallback(self):
-        """Policies without batch kernels must still match the scalar runs."""
+        """Policies without batch kernels must still match their one-row runs."""
         network = braess_network()
         policy = ReroutingPolicy(
             sampling=EveryOtherSampling(), migration=SquaredGapMigration(), name="custom"
         )
         starts = [FlowVector.uniform(network)] * 2
-        assert_rows_match_scalar(network, policy, [0.1, 0.22], 0.9, starts, stale=True)
+        assert_rows_match_one_row_runs(network, policy, [0.1, 0.22], 0.9, starts, stale=True)
 
     def test_per_row_policies(self):
-        """A list of per-row policies (different smoothness) matches scalars."""
+        """A list of per-row policies (different smoothness) matches one-row runs."""
         network = pigou_network(degree=1)
         policies = [scaled_policy(alpha) for alpha in (0.5, 1.0, 2.0)]
         starts = [FlowVector.uniform(network)] * 3
         periods = [0.1, 0.1, 0.15]
-        assert_rows_match_scalar(network, policies, periods, 1.0, starts, stale=True)
+        assert_rows_match_one_row_runs(network, policies, periods, 1.0, starts, stale=True)
 
 
 class TestConfigValidation:

@@ -1,13 +1,12 @@
-"""Family-batch-vs-scalar equivalence: a multi-network batched run must
-reproduce, row by row, the scalar simulator trajectory on each family member.
+"""Family B-invariance: row ``r`` of a multi-network batched run equals the
+one-row run on family member ``r``.
 
 This is the correctness contract of heterogeneous-coefficient batching: for
 Pigou and Braess coefficient families, under stale and fresh information,
 for both integration methods, with shared and per-row policies, and with and
 without vectorised early stopping, every recorded sample of every row must
-match a scalar :class:`~repro.core.simulator.ReroutingSimulator` run on that
-row's own network — and the recorded stop phases must equal the scalar
-runs' early-exit phases exactly.
+equal the one-row ``simulate`` run on that row's own network bit for bit --
+and the recorded stop phases must equal the one-row runs' early-exit phases.
 """
 
 from __future__ import annotations
@@ -23,14 +22,12 @@ from repro.instances import braess_network, pigou_network, two_link_network
 from repro.instances.pigou import pigou_equilibrium
 from repro.wardrop import FlowVector, NetworkFamily
 
-TOLERANCE = 1e-10
 
-
-def assert_family_rows_match_scalar(
+def assert_family_rows_match_one_row_runs(
     family, policies, periods, horizon, starts, stale,
     steps_per_phase=10, method="rk4", stop_condition=None,
 ):
-    """Run the family batch and every scalar counterpart and compare."""
+    """Run the family batch and every row alone on its member, and compare."""
     policy_list = policies if isinstance(policies, list) else [policies] * family.size
     result = simulate_batch(
         family, policies, periods, horizon,
@@ -39,7 +36,7 @@ def assert_family_rows_match_scalar(
         stop_when=stop_condition,
     )
     for row in range(family.size):
-        scalar = simulate(
+        alone = simulate(
             family.member(row), policy_list[row],
             update_period=periods[row], horizon=horizon,
             initial_flow=starts[row], stale=stale,
@@ -48,26 +45,21 @@ def assert_family_rows_match_scalar(
         )
         batched = result.trajectory(row)
         assert batched.network is family.member(row)
-        assert len(batched.points) == len(scalar.points)
-        assert len(batched.phases) == len(scalar.phases)
-        assert np.allclose(batched.times, scalar.times, atol=TOLERANCE)
-        assert np.allclose(batched.flow_matrix(), scalar.flow_matrix(), atol=TOLERANCE)
-        for got, expected in zip(batched.phases, scalar.phases):
+        assert len(batched.points) == len(alone.points)
+        assert len(batched.phases) == len(alone.phases)
+        np.testing.assert_array_equal(batched.times, alone.times)
+        np.testing.assert_array_equal(batched.flow_matrix(), alone.flow_matrix())
+        for got, expected in zip(batched.phases, alone.phases):
             assert got.index == expected.index
-            assert abs(got.start_time - expected.start_time) <= TOLERANCE
-            assert abs(got.end_time - expected.end_time) <= TOLERANCE
-            assert np.allclose(
-                got.start_flow.values(), expected.start_flow.values(), atol=TOLERANCE
-            )
-            assert np.allclose(
-                got.end_flow.values(), expected.end_flow.values(), atol=TOLERANCE
-            )
+            assert (got.start_time, got.end_time) == (expected.start_time, expected.end_time)
+            np.testing.assert_array_equal(got.start_flow.values(), expected.start_flow.values())
+            np.testing.assert_array_equal(got.end_flow.values(), expected.end_flow.values())
         if stop_condition is not None:
-            # The scalar run completes the phase that fires stop_when and
+            # The one-row run completes the phase that fires stop_when and
             # then exits; the batched stop phase must point at that phase.
             if result.stop_phases[row] >= 0:
-                assert result.stop_phases[row] == len(scalar.phases) - 1
-                last = scalar.phases[-1]
+                assert result.stop_phases[row] == len(alone.phases) - 1
+                last = alone.phases[-1]
                 assert stop_condition.scalar(row)(last.end_time, last.end_flow)
     return result
 
@@ -84,7 +76,7 @@ class TestPigouFamilyProperty:
         stale=st.booleans(),
         method=st.sampled_from(["euler", "rk4"]),
     )
-    def test_heterogeneous_constants_and_degrees_match_scalar(self, seed, stale, method):
+    def test_heterogeneous_constants_and_degrees_are_batch_invariant(self, seed, stale, method):
         rng = np.random.default_rng(seed)
         constants = rng.uniform(0.5, 1.5, size=3)
         degrees = [1, 2, 1]
@@ -94,7 +86,7 @@ class TestPigouFamilyProperty:
         policies = [replicator_policy(network) for network in family.networks]
         starts = random_family_starts(family, seed)
         periods = [float(rng.uniform(0.05, 0.3)), 0.11, 0.17]
-        assert_family_rows_match_scalar(
+        assert_family_rows_match_one_row_runs(
             family, policies, periods, 1.0, starts, stale, method=method
         )
 
@@ -105,7 +97,7 @@ class TestPigouFamilyProperty:
         method=st.sampled_from(["euler", "rk4"]),
         tolerance=st.floats(min_value=0.02, max_value=0.4),
     )
-    def test_early_stopping_matches_scalar_stop_steps(self, seed, stale, method, tolerance):
+    def test_early_stopping_is_batch_invariant(self, seed, stale, method, tolerance):
         rng = np.random.default_rng(seed)
         constants = rng.uniform(0.5, 1.4, size=3)
         family = NetworkFamily(
@@ -115,7 +107,7 @@ class TestPigouFamilyProperty:
         starts = random_family_starts(family, seed)
         targets = [pigou_equilibrium(network) for network in family.networks]
         condition = distance_stop(targets, tolerance)
-        result = assert_family_rows_match_scalar(
+        result = assert_family_rows_match_one_row_runs(
             family, policies, [0.15, 0.2, 0.25], 12.0, starts, stale,
             method=method, stop_condition=condition,
         )
@@ -127,7 +119,7 @@ class TestPigouFamilyProperty:
 
 class TestBraessFamily:
     @pytest.mark.parametrize("stale", [True, False])
-    def test_shortcut_latency_sweep_matches_scalar(self, stale):
+    def test_shortcut_latency_sweep_is_batch_invariant(self, stale):
         shortcuts = [0.0, 0.1, 0.25, 0.5]
         family = NetworkFamily(
             [braess_network(shortcut_latency=s) for s in shortcuts]
@@ -135,9 +127,9 @@ class TestBraessFamily:
         policies = [uniform_policy(network) for network in family.networks]
         starts = random_family_starts(family, 7)
         periods = [0.05, 0.07, 0.1, 0.25]
-        assert_family_rows_match_scalar(family, policies, periods, 1.3, starts, stale)
+        assert_family_rows_match_one_row_runs(family, policies, periods, 1.3, starts, stale)
 
-    def test_shared_policy_euler_matches_scalar(self):
+    def test_shared_policy_euler_is_batch_invariant(self):
         """A network-independent shared policy takes the fully vectorised path."""
         shortcuts = [0.0, 0.2, 0.4]
         family = NetworkFamily(
@@ -145,20 +137,20 @@ class TestBraessFamily:
         )
         policy = scaled_policy(0.8)
         starts = [FlowVector.uniform(network) for network in family.networks]
-        assert_family_rows_match_scalar(
+        assert_family_rows_match_one_row_runs(
             family, policy, [0.06, 0.1, 0.15], 0.9, starts, stale=True, method="euler"
         )
 
 
 class TestTwoLinkFamilyStopping:
-    def test_equilibrium_gap_stop_matches_scalar(self):
+    def test_equilibrium_gap_stop_is_batch_invariant(self):
         """Acceptance: long-horizon convergence sweep, stop steps exact."""
         betas = [2.0, 4.0, 6.0, 8.0]
         family = NetworkFamily([two_link_network(beta=b) for b in betas])
         policies = [uniform_policy(network) for network in family.networks]
         starts = [FlowVector(network, [0.9, 0.1]) for network in family.networks]
         condition = equilibrium_gap_stop(family, delta=0.05)
-        result = assert_family_rows_match_scalar(
+        result = assert_family_rows_match_one_row_runs(
             family, policies, [0.1] * 4, 40.0, starts, stale=True,
             steps_per_phase=10, stop_condition=condition,
         )

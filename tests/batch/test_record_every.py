@@ -1,9 +1,10 @@
 """Strided batched recording (`BatchConfig.record_every`).
 
-`record_every=1` must reproduce the scalar simulator's dense
-``record_every_step`` trajectory; larger strides must sample a subset of
-those points; and phase-boundary samples must be untouched by the recording
-mode (dense recording never changes the integration itself).
+`record_every=1` must record the projected state after every integrator
+sub-step, as the reference integrator of Eq. (1)/(3) computes it; larger
+strides must sample a subset of those points; and phase-boundary samples
+must be untouched by the recording mode (dense recording never changes the
+integration itself).
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from repro.batch import BatchConfig, BatchSimulator, simulate_batch
 from repro.batch.stopping import distance_stop
+from reference_dynamics import reference_run
 from repro.core import uniform_policy
-from repro.core.simulator import ReroutingSimulator, SimulationConfig
 from repro.instances import braess_network, two_link_network
 from repro.wardrop import FlowVector
 
@@ -22,16 +23,15 @@ def network(request):
     return request.param()
 
 
-def scalar_dense(network, policy, start, period, horizon, steps):
-    config = SimulationConfig(
-        update_period=period, horizon=horizon, steps_per_phase=steps,
-        record_every_step=True,
+def reference_dense(network, policy, start, period, horizon, steps):
+    return reference_run(
+        network, "uniform", policy.migration.max_latency, 0.0, period, horizon, steps,
+        "rk4", start.values(), dense=True,
     )
-    return ReroutingSimulator(network, policy, config).run(start)
 
 
 class TestDenseEquivalence:
-    def test_stride_one_matches_scalar_record_every_step(self, network):
+    def test_stride_one_records_every_sub_step(self, network):
         policy = uniform_policy(network)
         start = FlowVector.random(network, np.random.default_rng(5))
         result = simulate_batch(
@@ -39,20 +39,17 @@ class TestDenseEquivalence:
             steps_per_phase=7, record_every=1,
         )
         for row, period in enumerate([0.1, 0.25]):
-            reference = scalar_dense(network, policy, start, period, 1.05, 7)
+            times, flows = reference_dense(network, policy, start, period, 1.05, 7)
             trajectory = result.trajectory(row)
-            assert len(trajectory) == len(reference)
-            for ours, theirs in zip(trajectory.points, reference.points):
-                assert ours.time == pytest.approx(theirs.time, abs=1e-12)
-                assert ours.phase_index == theirs.phase_index
-                assert np.allclose(
-                    ours.flow.values(), theirs.flow.values(), atol=1e-12
-                )
-            assert len(trajectory.phases) == len(reference.phases)
-            for ours, theirs in zip(trajectory.phases, reference.phases):
-                assert np.allclose(
-                    ours.end_flow.values(), theirs.end_flow.values(), atol=1e-12
-                )
+            np.testing.assert_allclose(trajectory.times, times, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trajectory.flow_matrix(), flows, rtol=0, atol=1e-9)
+            ends = [min((k + 1) * period, 1.05) for k in range(int(np.ceil(1.05 / period)))]
+            assert [phase.end_time for phase in trajectory.phases] == pytest.approx(ends)
+            # The start carries index 0; phase k's intermediates and boundary carry k.
+            expected = [0]
+            for k, end in enumerate(ends):
+                expected += [k] * int(np.ceil((end - k * period) / (period / 7)))
+            assert [point.phase_index for point in trajectory.points] == expected
 
     def test_strided_samples_are_a_subset_of_the_dense_run(self, network):
         policy = uniform_policy(network)

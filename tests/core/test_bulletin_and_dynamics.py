@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    BulletinBoard,
-    FreshInformationBoard,
-    euler_step,
-    integrate,
-    integration_step_for,
-    rk4_step,
-)
+from repro.core import BulletinBoard, euler_step_batch, integration_step_for, rk4_step_batch
+from repro.core.dynamics import advance_phase, batch_stepper_for
 from repro.wardrop import FlowVector
 
 
@@ -58,11 +52,10 @@ class TestBulletinBoard:
         expected = braess.path_latencies(flow.values())
         assert np.allclose(snapshot.path_latencies, expected)
 
-    def test_fresh_board_always_updates(self, two_links):
-        board = FreshInformationBoard(two_links)
-        board.post(0.0, np.array([0.9, 0.1]))
-        assert board.needs_update(1e-9)
-        assert board.phase_start(0.123) == pytest.approx(0.123)
+
+def integrate(field, state, start, end, max_step, method="rk4"):
+    """Integrate a 1-D state as the one-row batch every engine uses."""
+    return advance_phase(batch_stepper_for(method), field, state[None, :], start, end, max_step)[0]
 
 
 class TestIntegrators:
@@ -88,30 +81,31 @@ class TestIntegrators:
         assert abs(rk4 - exact) < abs(euler - exact)
 
     def test_single_steps(self):
-        field = lambda t, x: np.array([2.0])
-        assert euler_step(field, 0.0, np.array([0.0]), 0.5)[0] == pytest.approx(1.0)
-        assert rk4_step(field, 0.0, np.array([0.0]), 0.5)[0] == pytest.approx(1.0)
+        field = lambda t, x: np.full_like(x, 2.0)
+        assert euler_step_batch(field, 0.0, np.array([[0.0]]), 0.5)[0, 0] == pytest.approx(1.0)
+        assert rk4_step_batch(field, 0.0, np.array([[0.0]]), 0.5)[0, 0] == pytest.approx(1.0)
+
+    def test_per_row_step_sizes(self):
+        field = lambda t, x: np.full_like(x, 2.0)
+        steps = np.array([[0.5], [0.25]])
+        advanced = rk4_step_batch(field, np.zeros((2, 1)), np.zeros((2, 1)), steps)
+        assert advanced[:, 0] == pytest.approx([1.0, 0.5])
 
     def test_time_dependent_field(self):
         # dx/dt = t  ->  x(1) = 1/2.
-        field = lambda t, x: np.array([t])
+        field = lambda t, x: np.full_like(x, t)
         result = integrate(field, np.array([0.0]), 0.0, 1.0, max_step=0.01, method="rk4")
         assert result[0] == pytest.approx(0.5, rel=1e-6)
 
     def test_zero_duration_returns_copy(self):
-        state = np.array([1.0, 2.0])
-        result = integrate(lambda t, x: -x, state, 1.0, 1.0, max_step=0.1)
+        state = np.array([[1.0, 2.0]])
+        result = advance_phase(rk4_step_batch, lambda t, x: -x, state, 1.0, 1.0, 0.1)
         assert np.allclose(result, state)
         assert result is not state
 
-    def test_invalid_arguments(self):
-        field = lambda t, x: -x
-        with pytest.raises(ValueError):
-            integrate(field, np.array([1.0]), 1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            integrate(field, np.array([1.0]), 0.0, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            integrate(field, np.array([1.0]), 0.0, 1.0, 0.1, method="leapfrog")
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method"):
+            batch_stepper_for("leapfrog")
 
     def test_integration_step_for(self):
         assert integration_step_for(0.5, 50) == pytest.approx(0.01)

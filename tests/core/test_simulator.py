@@ -5,27 +5,40 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_dynamics import reference_run
 from repro.core import (
-    ReroutingSimulator,
-    SimulationConfig,
+    MigrationRule,
+    ReroutingPolicy,
+    UniformSampling,
     replicator_policy,
     simulate,
     uniform_policy,
 )
-from repro.core.bulletin import BulletinBoard
-from repro.core.dynamics import integrate, integration_step_for
 from repro.instances import braess_network, lopsided_flow, pigou_network, two_link_network
+from repro.telemetry.runtime import telemetry_session
 from repro.wardrop import FlowVector, equilibrium_violation, potential
 
 
-class TestConfig:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(update_period=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(horizon=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(steps_per_phase=0)
+class TestArguments:
+    def test_rejects_bad_parameters(self, two_links):
+        policy = uniform_policy(two_links)
+        with pytest.raises(ValueError, match="update_period"):
+            simulate(two_links, policy, update_period=0.0, horizon=1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(two_links, policy, update_period=0.1, horizon=0.0)
+        with pytest.raises(ValueError, match="steps_per_phase"):
+            simulate(two_links, policy, update_period=0.1, horizon=1.0, steps_per_phase=0)
+
+    def test_rejects_array_settings(self, two_links):
+        policy = uniform_policy(two_links)
+        with pytest.raises(ValueError, match="update_period must be a scalar"):
+            simulate(two_links, policy, update_period=[0.1, 0.2], horizon=1.0)
+
+    def test_runs_as_one_row_of_the_fluid_engine(self, two_links):
+        with telemetry_session() as tele:
+            simulate(two_links, uniform_policy(two_links), update_period=0.1, horizon=0.3)
+        runs = [r for r in tele.tracer.records() if r["name"] == "engine_run"]
+        assert [(r["attrs"]["engine"], r["attrs"]["rows"]) for r in runs] == [("fluid-batch", 1)]
 
 
 class TestBasicRuns:
@@ -67,9 +80,11 @@ class TestBasicRuns:
 
     def test_wrong_network_initial_flow_rejected(self, two_links, braess):
         policy = uniform_policy(two_links)
-        simulator = ReroutingSimulator(two_links, policy, SimulationConfig())
-        with pytest.raises(ValueError):
-            simulator.run(FlowVector.uniform(braess))
+        with pytest.raises(ValueError, match="different network"):
+            simulate(
+                two_links, policy, update_period=0.1, horizon=1.0,
+                initial_flow=FlowVector.uniform(braess),
+            )
 
 
 class TestConvergenceBehaviour:
@@ -110,18 +125,6 @@ class TestConvergenceBehaviour:
         values = [potential(phase.end_flow) for phase in trajectory.phases]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_record_every_step_gives_denser_samples(self, two_links):
-        policy = uniform_policy(two_links)
-        coarse = ReroutingSimulator(
-            two_links, policy, SimulationConfig(update_period=0.2, horizon=1.0)
-        ).run()
-        dense = ReroutingSimulator(
-            two_links,
-            policy,
-            SimulationConfig(update_period=0.2, horizon=1.0, record_every_step=True),
-        ).run()
-        assert len(dense) > len(coarse)
-
     def test_euler_and_rk4_agree_for_small_steps(self, two_links):
         policy = uniform_policy(two_links)
         start = lopsided_flow(two_links, 0.8)
@@ -131,58 +134,51 @@ class TestConvergenceBehaviour:
         assert np.allclose(euler.final_flow.values(), rk4.final_flow.values(), atol=1e-4)
 
 
-def reference_stale_run(network, policy, update_period, horizon, steps_per_phase, method, start):
-    """The pre-precomputation stale loop: sigma/mu recomputed every stage.
-
-    This replicates the simulator's original per-stage field --
-    ``policy.growth_rates`` evaluated afresh at every integrator call -- so
-    the regression test below can assert the per-phase sigma/mu
-    precomputation left trajectories bit-identical.
-    """
-    board = BulletinBoard(network, update_period)
-    step = integration_step_for(update_period, steps_per_phase)
-    flow = start
-    board.post(0.0, flow.values())
-    boundary_flows = [flow.values()]
-    num_phases = int(np.ceil(horizon / update_period))
-    for phase in range(num_phases):
-        phase_start = phase * update_period
-        phase_end = min((phase + 1) * update_period, horizon)
-        board.maybe_update(phase_start, flow.values())
-        snapshot = board.snapshot
-
-        def field(_t, state):
-            return policy.growth_rates(
-                network, state, snapshot.path_flows, snapshot.path_latencies
-            )
-
-        new_values = integrate(field, flow.values(), phase_start, phase_end, step, method)
-        flow = FlowVector(network, new_values, validate=False).projected()
-        boundary_flows.append(flow.values())
-        if phase_end >= horizon:
-            break
-    return np.stack(boundary_flows)
-
-
-class TestStalePhasePrecompute:
-    """Regression for the sigma/mu per-phase precomputation port (ROADMAP item)."""
+class TestStalePhases:
+    """Stale phases freeze sigma and mu once per phase; the reference
+    integrator recomputes them from the posted board at every stage."""
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_trajectories_identical_to_per_stage_recomputation(self, method):
+    def test_trajectories_match_the_reference(self, method):
         cases = [
-            (pigou_network(degree=2), "replicator"),
+            (pigou_network(degree=2), "proportional"),
             (braess_network(), "uniform"),
             (two_link_network(beta=4.0), "uniform"),
         ]
-        for network, kind in cases:
-            policy = (replicator_policy if kind == "replicator" else uniform_policy)(network)
+        for network, sampling in cases:
+            make = replicator_policy if sampling == "proportional" else uniform_policy
+            policy = make(network)
             rng = np.random.default_rng(13)
             start = FlowVector.random(network, rng)
             trajectory = simulate(
                 network, policy, update_period=0.15, horizon=1.0,
                 initial_flow=start, steps_per_phase=7, method=method,
             )
-            expected = reference_stale_run(
-                network, policy, 0.15, 1.0, 7, method, start
+            _, expected = reference_run(
+                network, sampling, policy.migration.max_latency,
+                getattr(policy.sampling, "exploration", 0.0),
+                0.15, 1.0, 7, method, start.values(),
             )
-            np.testing.assert_array_equal(trajectory.flow_matrix(), expected)
+            np.testing.assert_allclose(trajectory.flow_matrix(), expected, rtol=0, atol=1e-9)
+
+
+class TestNonFiniteState:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_phase_that_produces_non_finite_flows_raises(self, two_links):
+        class Exploding(MigrationRule):
+            def probability(self, latency_from, latency_to):
+                return np.inf if latency_from > latency_to else 0.0
+
+        policy = ReroutingPolicy(UniformSampling(), Exploding())
+        with telemetry_session() as tele:
+            with pytest.raises(ValueError, match="row 0 has non-finite flows at the end of phase 0"):
+                simulate(
+                    two_links, policy, update_period=0.1, horizon=1.0,
+                    initial_flow=lopsided_flow(two_links, 0.9),
+                )
+            # The failed run's spans are closed, so later spans start at the root.
+            with tele.span("after"):
+                pass
+        records = {r["name"]: r for r in tele.tracer.records()}
+        assert {"engine_run", "phase", "integrate"} <= set(records)
+        assert records["after"]["parent"] is None

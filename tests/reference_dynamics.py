@@ -1,0 +1,59 @@
+"""A fluid-limit integrator written from Eq. (1)/(3), sharing no engine code.
+
+Flow leaves path P for Q at ``rho_PQ = f_P sigma_PQ mu(l_P, l_Q)``; stale runs
+read sigma and mu off the board posted at each phase start ``kT``.
+"""
+
+import numpy as np
+
+
+def transition_rates(network, sampling, l_max, exploration, posted):
+    """Return ``sigma_PQ * mu(l_P, l_Q)`` for every path pair of a posted state."""
+    latencies = network.path_latencies(posted)
+    rates = np.zeros((len(posted), len(posted)))
+    for i in range(network.num_commodities):
+        a, b = network.paths.commodity_slice(i)
+        # sigma_PQ = f_Q / r_i (proportional) or 1 / |P_i| (uniform), plus exploration.
+        shares = np.ones(b - a) if sampling == "uniform" else np.clip(posted[a:b], 0.0, None)
+        sigma = (1.0 - exploration) * shares / shares.sum() + exploration / (b - a)
+        mu = np.clip((latencies[a:b, None] - latencies[None, a:b]) / l_max, 0.0, 1.0)  # linear
+        rates[a:b, a:b] = sigma[None, :] * mu
+    return rates
+
+
+def project(network, flow):  # clip, then rescale every commodity to its demand
+    flow = np.clip(flow, 0.0, None)
+    for i, commodity in enumerate(network.commodities):
+        a, b = network.paths.commodity_slice(i)
+        flow[a:b] *= commodity.demand / flow[a:b].sum()
+    return flow
+
+
+def reference_run(network, sampling, l_max, exploration, period, horizon, steps,
+                  method, start, stale=True, dense=False):
+    """Return ``(times, flows)`` at phase ends (and after every sub-step if ``dense``)."""
+    flow = np.array(start, dtype=float)
+    samples = [(0.0, flow)]
+    for k in range(int(np.ceil(horizon / period))):
+        begin, end = k * period, min((k + 1) * period, horizon)
+        count = int(np.ceil((end - begin) / (period / steps)))  # sub-steps <= T / steps
+        h = (end - begin) / count
+        board = transition_rates(network, sampling, l_max, exploration, flow)
+
+        def field(x):
+            rates = board if stale else transition_rates(network, sampling, l_max, exploration, x)
+            return x @ rates - x * rates.sum(axis=1)  # inflow minus outflow
+
+        for j in range(count):
+            if method == "euler":
+                flow = flow + h * field(flow)
+            else:
+                k1 = field(flow)
+                k2 = field(flow + 0.5 * h * k1)
+                k3 = field(flow + 0.5 * h * k2)
+                flow = flow + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + field(flow + h * k3))
+            if dense and j + 1 < count:
+                samples.append((begin + (j + 1) * h, project(network, flow)))
+        flow = project(network, flow)
+        samples.append((end, flow))
+    return np.array([t for t, _ in samples]), np.array([f for _, f in samples])

@@ -1,13 +1,13 @@
-"""Scenario equivalence: manual-restart bit-identity and batch/scalar bit-identity.
+"""Scenario equivalence: manual-restart bit-identity and B-invariance.
 
 Two contracts anchor the scenario layer:
 
 1. A piecewise-constant schedule applied through the scenario layer is
-   *bit-identical* to manually restarting the stationary scalar simulator
+   *bit-identical* to manually restarting a stationary ``simulate`` run
    with the rescaled environment at every breakpoint (breakpoints aligned to
    phase boundaries; the restart carries the end flow over).
 2. A batched run whose rows carry (different) scenarios reproduces each
-   row's scalar ``simulate(..., scenario=...)`` trajectory bit for bit, in
+   row's one-row ``simulate(..., scenario=...)`` trajectory bit for bit, in
    both information models.
 """
 
@@ -96,7 +96,7 @@ SCENARIO_BUILDERS = {
 }
 
 
-class TestBatchScalarEquivalence:
+class TestBatchInvariance:
     @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_mixed_scenario_rows_bit_identical(self, stale, method):
@@ -115,10 +115,10 @@ class TestBatchScalarEquivalence:
                 network, policy, update_period=float(periods[row]), horizon=3.0,
                 scenario=scenario, stale=stale, steps_per_phase=10, method=method,
             )
-            scalar = phase_end_flows(trajectory)
+            alone = phase_end_flows(trajectory)
             batched = result.flow_matrix(row)
-            assert scalar.shape == batched.shape
-            np.testing.assert_array_equal(scalar, batched, err_msg=f"row {row}")
+            assert alone.shape == batched.shape
+            np.testing.assert_array_equal(alone, batched, err_msg=f"row {row}")
 
     def test_shared_scenario_broadcasts(self):
         network = two_link_network(beta=2.0)

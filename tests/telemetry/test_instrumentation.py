@@ -44,7 +44,7 @@ def engine_runs(tele):
     ]
 
 
-class TestFluidScalar:
+class TestFluidOneRow:
     def test_spans_counters_and_bit_identity(self, workload):
         network, policy, start = workload
         kwargs = dict(update_period=0.2, horizon=2.0, initial_flow=start, steps_per_phase=10)
@@ -54,10 +54,10 @@ class TestFluidScalar:
         assert np.array_equal(plain.flow_matrix(), traced.flow_matrix())
         assert {"engine_run", "phase", "field_eval", "integrate"} <= span_names(tele)
         (run,) = engine_runs(tele)
-        assert run["attrs"]["engine"] == "fluid-scalar"
+        assert (run["attrs"]["engine"], run["attrs"]["rows"]) == ("fluid-batch", 1)
         flat = tele.metrics.flatten()
-        assert flat["fluid.phases_integrated"] == 10
-        assert flat["fluid.bulletin_refreshes"] >= 1
+        assert flat["batch.phases_integrated"] == 10
+        assert flat["batch.bulletin_refreshes"] >= 1
 
 
 class TestAgents:

@@ -79,7 +79,7 @@ class TestSessionEmission:
         (entry,) = entries
         assert entry["schema"] == LEDGER_SCHEMA
         assert entry["kind"] == "engine_run"
-        assert entry["engine"] == "fluid-scalar"
+        assert entry["engine"] == "fluid-batch"
         assert entry["phases"] == 10
         assert entry["wall_seconds"] > 0
         assert len(entry["fingerprint"]) == 12

@@ -161,7 +161,7 @@ class TestTelemetryFlags:
             line["attrs"]["engine"] for line in lines
             if line.get("name") == "engine_run"
         ]
-        assert engines == ["fluid-scalar"]
+        assert engines == ["fluid-batch"]
         assert get_telemetry() is NULL_TELEMETRY
 
     def test_simulate_metrics_prints_table(self, capsys):
@@ -171,7 +171,7 @@ class TestTelemetryFlags:
         ]) == 0
         output = capsys.readouterr().out
         assert "telemetry metrics" in output
-        assert "fluid.phases_integrated" in output
+        assert "batch.phases_integrated" in output
 
     def test_sweep_trace_metrics_and_progress(self, capsys, tmp_path):
         trace = tmp_path / "sweep.jsonl"
@@ -201,7 +201,7 @@ class TestTelemetryFlags:
         assert main(["report", str(path)]) == 0
         output = capsys.readouterr().out
         assert "engine runs" in output
-        assert "fluid-scalar" in output
+        assert "fluid-batch" in output
         assert "span breakdown" in output
 
     def test_report_bench_renders_throughput_matrix(self, capsys, tmp_path):
@@ -314,7 +314,7 @@ class TestObservabilityCli:
         assert "ledgered run" in capsys.readouterr().out
         entries = load_ledger(ledger_dir)
         assert len(entries) == 1
-        assert entries[0]["engine"] == "fluid-scalar"
+        assert entries[0]["engine"] == "fluid-batch"
         assert entries[0]["instance"] == "two-links"
 
     def test_sweep_ledger_records_cases(self, capsys, tmp_path):

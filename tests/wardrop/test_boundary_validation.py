@@ -9,11 +9,15 @@ message names that field.
 import numpy as np
 import pytest
 
+from repro.analysis.sweeps import SweepCase
 from repro.batch.agents import BatchAgentConfig
-from repro.batch.engine import BatchConfig
+from repro.batch.engine import BatchConfig, simulate_batch
+from repro.core import uniform_policy
 from repro.core.agents import AgentSimulationConfig
-from repro.core.simulator import SimulationConfig
+from repro.core.simulator import simulate
 from repro.instances import braess_network
+from repro.largescale.batch_columns import simulate_with_column_generation_batch
+from repro.largescale.columns import ActivePathSet, simulate_with_column_generation
 from repro.scenarios import (
     ConstantSchedule,
     LinkIncident,
@@ -40,7 +44,25 @@ NAN = float("nan")
 INF = float("inf")
 BASE = LinearLatency(1.0)
 BRAESS = braess_network()
+POLICY = uniform_policy(BRAESS)
 EDGE = ("a", "b", 0)
+
+
+def run_simulate(**overrides):
+    settings = {"update_period": 0.1, "horizon": 0.2, "steps_per_phase": 2, **overrides}
+    return simulate(BRAESS, POLICY, **settings)
+
+
+def run_cg(simulate_cg, **overrides):
+    settings = {"update_period": 0.1, "horizon": 0.2, "steps_per_phase": 2, **overrides}
+    if simulate_cg is simulate_with_column_generation_batch:
+        settings["batch"] = 1
+    return simulate_cg(ActivePathSet.from_network(BRAESS), POLICY, **settings)
+
+
+def sweep_case(**overrides):
+    settings = {"update_period": 0.1, "horizon": 1.0, **overrides}
+    return SweepCase({}, BRAESS, POLICY, **settings)
 
 ROWS = [
     # Latency constructors.
@@ -123,12 +145,63 @@ ROWS = [
     ("FlowVector([nan, ...])", lambda: FlowVector(BRAESS, [NAN, 0.5, 0.5]), "component 0"),
     ("FlowVector([..., inf])", lambda: FlowVector(BRAESS, [0.5, 0.5, INF]), "component 2"),
     # Engine configs.
-    ("SimulationConfig(update_period=nan)", lambda: SimulationConfig(update_period=NAN), "update_period"),
-    ("SimulationConfig(horizon=inf)", lambda: SimulationConfig(horizon=INF), "horizon"),
-    ("SimulationConfig(steps_per_phase=nan)", lambda: SimulationConfig(steps_per_phase=NAN), "steps_per_phase"),
+    ("simulate(update_period=nan)", lambda: run_simulate(update_period=NAN), "update_period"),
+    ("simulate(horizon=inf)", lambda: run_simulate(horizon=INF), "horizon"),
+    ("simulate(steps_per_phase=nan)", lambda: run_simulate(steps_per_phase=NAN), "steps_per_phase"),
+    ("simulate(steps_per_phase=0.5)", lambda: run_simulate(steps_per_phase=0.5), "steps_per_phase"),
+    ("simulate(steps_per_phase=2.5)", lambda: run_simulate(steps_per_phase=2.5), "steps_per_phase"),
+    ("simulate(update_period=[.1, .2])", lambda: run_simulate(update_period=[0.1, 0.2]), "update_period"),
+    ("simulate(method=rk5)", lambda: run_simulate(method="rk5"), "method"),
     ("BatchConfig(update_periods=[.1, nan])", lambda: BatchConfig(update_periods=[0.1, NAN]), r"update_periods\[1\]"),
     ("BatchConfig(horizons=nan)", lambda: BatchConfig(horizons=NAN), "horizons"),
     ("BatchConfig(steps_per_phase=nan)", lambda: BatchConfig(steps_per_phase=NAN), "steps_per_phase"),
+    ("BatchConfig(steps_per_phase=0.5)", lambda: BatchConfig(steps_per_phase=0.5), "steps_per_phase"),
+    ("BatchConfig(steps_per_phase=2.5)", lambda: BatchConfig(steps_per_phase=2.5), "steps_per_phase"),
+    (
+        "BatchConfig(steps_per_phase=[2, 2.5])",
+        lambda: BatchConfig(update_periods=[0.1, 0.1], steps_per_phase=[2, 2.5]),
+        r"steps_per_phase\[1\]",
+    ),
+    ("BatchConfig(record_every=1.5)", lambda: BatchConfig(record_every=1.5), "record_every"),
+    ("BatchConfig(record_every=nan)", lambda: BatchConfig(record_every=NAN), "record_every"),
+    ("BatchConfig(method=rk5)", lambda: BatchConfig(method="rk5"), "method"),
+    (
+        "simulate_batch(steps_per_phase=2.5)",
+        lambda: simulate_batch(BRAESS, POLICY, [0.1], 0.2, steps_per_phase=2.5),
+        "steps_per_phase",
+    ),
+    (
+        "simulate_batch(record_every=1.5)",
+        lambda: simulate_batch(BRAESS, POLICY, [0.1], 0.2, record_every=1.5),
+        "record_every",
+    ),
+    (
+        "simulate_with_column_generation(steps_per_phase=2.5)",
+        lambda: run_cg(simulate_with_column_generation, steps_per_phase=2.5),
+        "steps_per_phase",
+    ),
+    (
+        "simulate_with_column_generation(method=rk5)",
+        lambda: run_cg(simulate_with_column_generation, method="rk5"),
+        "method",
+    ),
+    (
+        "simulate_with_column_generation_batch(steps_per_phase=0.5)",
+        lambda: run_cg(simulate_with_column_generation_batch, steps_per_phase=0.5),
+        "steps_per_phase",
+    ),
+    (
+        "simulate_with_column_generation_batch(method=rk5)",
+        lambda: run_cg(simulate_with_column_generation_batch, method="rk5"),
+        "method",
+    ),
+    # Sweep cases.
+    ("SweepCase(update_period=nan)", lambda: sweep_case(update_period=NAN), "update_period"),
+    ("SweepCase(horizon=-1)", lambda: sweep_case(horizon=-1.0), "horizon"),
+    ("SweepCase(steps_per_phase=0)", lambda: sweep_case(steps_per_phase=0), "steps_per_phase"),
+    ("SweepCase(steps_per_phase=2.5)", lambda: sweep_case(steps_per_phase=2.5), "steps_per_phase"),
+    ("SweepCase(method=rk5)", lambda: sweep_case(method="rk5"), "method"),
+    ("SweepCase(num_agents=0)", lambda: sweep_case(method="agents", num_agents=0), "num_agents"),
     ("AgentSimulationConfig(update_period=nan)", lambda: AgentSimulationConfig(update_period=NAN), "update_period"),
     ("AgentSimulationConfig(horizon=nan)", lambda: AgentSimulationConfig(horizon=NAN), "horizon"),
     ("BatchAgentConfig(update_periods=nan)", lambda: BatchAgentConfig(update_periods=NAN), "update_periods"),
@@ -156,3 +229,6 @@ def test_valid_boundary_values_still_accepted():
     assert BPRLatency(1.0, 0.5, alpha=0.0).value(1.0) == 1.0
     assert ModulatedLatency(BASE, gain=0.0, offset=1e3).value(0.5) == 1e3
     assert BatchConfig(update_periods=np.array([0.1, 0.2])).batch_size == 2
+    # Whole numbers stored as floats are still whole numbers.
+    assert BatchConfig(steps_per_phase=4.0, record_every=2.0).record_every == 2
+    assert sweep_case(steps_per_phase=np.int64(3), num_agents=10).steps_per_phase == 3
