@@ -15,10 +15,10 @@ benchmark verifies three things:
   driver does not merely run, it documents per row that it settled at a
   Wardrop equilibrium of the full 960-link network,
 * **exactness** -- on the grown-and-frozen (closed) path set, batched CG
-  rows are bit-identical to the scalar
-  :func:`~repro.largescale.columns.simulate_with_column_generation` driver,
+  rows are bit-identical to their one-row
+  :func:`~repro.largescale.columns.simulate_with_column_generation` runs,
 * **throughput** -- the single batched call clearly outruns the equivalent
-  loop of scalar column-generation runs.
+  loop of one-row column-generation runs.
 
 Each row's final gap is emitted as a ``repro-bench/1`` record carrying
 ``method="cg-rowNN"`` and ``gap``, so ``repro report --bench`` renders the
@@ -140,10 +140,10 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
             }
         )
 
-    # --- scalar counterpart loop (open mode, per-row independent growth) ---
+    # --- one-row counterpart loop (open mode, per-row independent growth) ---
     with bench_timer(
-        "bench_batch_cg", "E12 scalar CG loop",
-        engine="cg-scalar", instance=instance_label, cases=scalar_rows,
+        "bench_batch_cg", "E12 one-row CG loop",
+        engine="cg-one-row", instance=instance_label, cases=scalar_rows,
     ) as scalar_timer:
         scalar_gaps = []
         for row in range(scalar_rows):
@@ -241,7 +241,7 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
         f"closed-mode bit-identical rows: {'yes' if exact else 'NO'}"
     )
     print(
-        f"scalar CG loop ({scalar_rows} rows measured): {scalar_seconds:.2f}s "
+        f"one-row CG loop ({scalar_rows} rows measured): {scalar_seconds:.2f}s "
         f"(~{scalar_seconds_full:.2f}s for all {batch}) -> {speedup:.1f}x"
     )
     return summary
@@ -267,7 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--scalar-rows",
         type=int,
         default=None,
-        help="measure only this many scalar counterpart rows (extrapolated)",
+        help="measure only this many one-row counterpart rows (extrapolated)",
     )
     parser.add_argument(
         "--trace",

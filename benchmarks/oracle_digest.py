@@ -12,7 +12,13 @@ relative gap bytes and the potential bytes.  The ``fluid`` lines hash the
 times and flow matrix of ``simulate(...)`` on braess, pigou-quadratic,
 two-links-steep and parallel-8-affine under stale/fresh x rk4/euler, plus one
 stale run through a Braess shortcut closure and one run ended by
-``stop_when``.  Run it against two source trees and diff the output;
+``stop_when``.  The ``agents`` lines do the same for ``simulate_agents`` on
+braess, parallel-8-affine and sioux-falls-mini (n = 2000, 12 phases, stale
+and fresh), a capacity-drop scenario run and a ``stop_when`` run; the ``cg``
+lines hash ``simulate_with_column_generation``'s trajectory and eviction
+events on braess (open and closed), sioux-falls-mini (open), a braess
+closure scenario and a two-links-steep ``stop_when`` run.  Run it against two source trees and diff
+the output;
 identical lines mean bit-identical answers::
 
     PYTHONPATH=src python benchmarks/oracle_digest.py > new.txt
@@ -26,9 +32,13 @@ import hashlib
 
 import numpy as np
 
-from repro.core import replicator_policy, simulate, uniform_policy
+from repro.core import replicator_policy, simulate, simulate_agents, uniform_policy
 from repro.instances import get_instance, lopsided_flow
-from repro.largescale import ShortestPathOracle
+from repro.largescale import (
+    ActivePathSet,
+    ShortestPathOracle,
+    simulate_with_column_generation,
+)
 from repro.scenarios import LinkIncident, Scenario, ScenarioEnsemble
 from repro.solvers import solve_edge_flow_equilibrium
 from repro.wardrop import FlowVector, equilibrium_violation
@@ -37,6 +47,7 @@ INSTANCES = ("sioux-falls", "city-grid", "braess", "two-links")
 FW_METHODS = ("fw", "cfw", "bfw")
 FW_GAP = 1e-3
 FLUID_INSTANCES = ("braess", "pigou-quadratic", "two-links-steep", "parallel-8-affine")
+AGENT_INSTANCES = ("braess", "parallel-8-affine", "sioux-falls-mini")
 
 
 def cost_vectors(network, oracle):
@@ -135,6 +146,73 @@ def fluid_lines():
     yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
 
 
+def agent_lines():
+    """``simulate_agents`` runs: n = 2000, 12 phases of T = 0.1, random start."""
+    for name in AGENT_INSTANCES:
+        network = get_instance(name)
+        policy = replicator_policy(network, exploration=0.05)
+        start = FlowVector.random(network, np.random.default_rng(5))
+        for stale in (True, False):
+            trajectory = simulate_agents(
+                network, policy, num_agents=2000, update_period=0.1, horizon=1.2,
+                initial_flow=start, seed=3, stale=stale,
+            )
+            yield name, "stale" if stale else "fresh", trajectory_digest(trajectory)
+    braess = get_instance("braess")
+    drop = Scenario(incidents=[LinkIncident(("s", "a", 0), 0.3, 0.9, capacity_factor=0.3)])
+    for stale in (True, False):
+        trajectory = simulate_agents(
+            braess, uniform_policy(braess), num_agents=2000, update_period=0.1,
+            horizon=1.2, seed=4, stale=stale, scenario=drop,
+        )
+        yield "braess", f"drop-{'stale' if stale else 'fresh'}", trajectory_digest(trajectory)
+    steep = get_instance("two-links-steep")
+    trajectory = simulate_agents(
+        steep, replicator_policy(steep, exploration=0.05), num_agents=2000,
+        update_period=0.1, horizon=20.0, initial_flow=lopsided_flow(steep, 0.95), seed=5,
+        stop_when=lambda time, flow: equilibrium_violation(flow) < 0.05,
+    )
+    yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
+
+
+def cg_digest(result) -> str:
+    evictions = np.array([[phase, volume] for phase, volume in result.eviction_events])
+    return f"{trajectory_digest(result.trajectory)} {hash_arrays(evictions, result.path_counts)}"
+
+
+def cg_lines():
+    """``simulate_with_column_generation`` runs: T = 0.1, 10 sub-steps per phase."""
+    braess = get_instance("braess")
+    for closed in (False, True):
+        result = simulate_with_column_generation(
+            ActivePathSet.from_network(braess, closed=closed), uniform_policy(braess),
+            update_period=0.1, horizon=2.0, steps_per_phase=10,
+        )
+        yield "braess", "closed" if closed else "open", cg_digest(result)
+    mini = get_instance("sioux-falls-mini")
+    result = simulate_with_column_generation(
+        ActivePathSet.from_network(mini), replicator_policy(mini, exploration=0.05),
+        update_period=0.1, horizon=1.0, steps_per_phase=10,
+    )
+    yield "sioux-falls-mini", "open", cg_digest(result)
+    closure = Scenario(
+        incidents=[LinkIncident(("a", "b", 0), 0.5, 1.5, capacity_factor=0.0, closure_penalty=10.0)]
+    )
+    result = simulate_with_column_generation(
+        ActivePathSet.from_network(braess), uniform_policy(braess),
+        update_period=0.1, horizon=2.0, steps_per_phase=10, scenario=closure,
+    )
+    yield "braess", "closure", cg_digest(result)
+    steep = get_instance("two-links-steep")
+    result = simulate_with_column_generation(
+        ActivePathSet.from_network(steep), replicator_policy(steep, exploration=0.05),
+        update_period=0.1, horizon=100.0, steps_per_phase=10,
+        stop_when=lambda time, flow: flow.network.num_paths > 1
+        and equilibrium_violation(flow) < 1e-2,
+    )
+    yield "two-links-steep", "stop-when", cg_digest(result)
+
+
 def main() -> None:
     for name in INSTANCES:
         network = get_instance(name)
@@ -155,6 +233,10 @@ def main() -> None:
         print(f"{'sioux-falls':12s} {method:10s} {result.iterations} {gap} {potential}")
     for name, label, line in fluid_lines():
         print(f"{name:17s} fluid {label:11s} {line}")
+    for name, label, line in agent_lines():
+        print(f"{name:17s} agents {label:11s} {line}")
+    for name, label, line in cg_lines():
+        print(f"{name:17s} cg {label:11s} {line}")
 
 
 if __name__ == "__main__":

@@ -58,15 +58,14 @@ class SweepCase:
     discrete-event simulator (``num_agents`` agents, seeded with ``seed``;
     ``steps_per_phase`` is then ignored).  ``stop_when`` is an optional
     :class:`~repro.batch.stopping.StopCondition` evaluated at every phase
-    boundary (fluid and agent methods); the runner threads it through both
-    the scalar and the batched backend, where the case is always evaluated
-    as batch row 0, so the stop phase never depends on the dispatch
-    decision.  A per-case condition must therefore be authored for the
-    case's *own* network -- e.g. ``equilibrium_gap_stop(case.network,
-    delta)`` or ``distance_stop(target_of_this_case[None, :], tol)`` --
-    never for a whole family indexed by batch row (family-wide conditions
-    belong to a direct ``BatchSimulator.run(stop_when=...)`` call, which
-    passes true row indices).
+    boundary (fluid and agent methods); the case is always evaluated as
+    batch row 0, so the stop phase never depends on the dispatch decision.
+    A per-case condition must therefore be authored for the case's *own*
+    network -- e.g. ``equilibrium_gap_stop(case.network, delta)`` or
+    ``distance_stop(target_of_this_case[None, :], tol)`` -- never for a
+    whole family indexed by batch row (family-wide conditions belong to a
+    direct ``BatchSimulator.run(stop_when=...)`` call, which passes true row
+    indices).
 
     ``column_generation`` runs the case through the large-network
     column-generation simulator instead (fluid methods only): the network's
@@ -77,23 +76,22 @@ class SweepCase:
     padded path dimension, one shared oracle); note that fused *open-mode*
     rows grow a shared union path set, so pass ``engine="serial"`` when
     per-row discovery sets must stay independent (closed-mode fusions stay
-    bit-identical per row).  CG cases reject ``initial_flow`` and
-    ``stop_when`` (both are authored for the case network's fixed path
-    dimension; pass a scalar ``stop_when`` to
+    bit-identical per row).  A CG case cannot combine with
+    ``method="agents"``, ``initial_flow`` or ``stop_when`` (the last two are
+    authored for the case network's fixed path dimension; pass a scalar
+    ``stop_when`` to
     :func:`~repro.largescale.columns.simulate_with_column_generation`
-    directly instead) and run serially so those errors surface.
+    directly instead); such a case is rejected at construction.
 
     ``scenario`` makes the case's environment nonstationary (see
     :mod:`repro.scenarios`).  Scenarios ride along per row: same-topology
-    fluid cases with *different* scenarios still fuse into one batched
-    integration (the engine stacks their per-phase effective networks).
-    Agent-method cases with a scenario run on the scalar engine (the batched
-    agent engine does not take scenarios yet), dispatched serially by the
-    runner.
+    cases with *different* scenarios still fuse into one batched run (the
+    fluid and agent engines stack their per-phase effective networks).
 
     Settings are validated at construction, naming the field: periods and
     horizons must be finite and positive, ``steps_per_phase`` and
-    ``num_agents`` whole numbers >= 1.
+    ``num_agents`` whole numbers >= 1, and column generation must not meet
+    the fields above.
     """
 
     parameters: Dict[str, object]
@@ -119,6 +117,17 @@ class SweepCase:
             raise ValueError(f"method must be 'rk4', 'euler' or 'agents', got {self.method!r}")
         if self.num_agents is not None:
             require_positive_integer("num_agents", self.num_agents)
+        if self.column_generation:
+            for name, conflict in (
+                ("method", self.method == "agents"),
+                ("initial_flow", self.initial_flow is not None),
+                ("stop_when", self.stop_when is not None),
+            ):
+                if conflict:
+                    raise ValueError(
+                        f"{name} does not combine with column_generation: the "
+                        "fluid-only restricted path set is re-seeded and grows mid-run"
+                    )
 
 
 @dataclass

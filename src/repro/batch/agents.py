@@ -1,32 +1,40 @@
-"""The batched finite-population agent engine.
+"""The finite-population agent engine.
 
 :class:`BatchAgentSimulator` runs ``B`` independent finite-``n`` replicas of
-the discrete-event agent simulation (:mod:`repro.core.agents`) as one
-vectorised ensemble.  Replicas may differ in population size, update period,
-horizon and seed, and may route on one shared network or on the members of a
-:class:`~repro.wardrop.family.NetworkFamily`; the agent populations of all
+the discrete-event agent model (:mod:`repro.core.agents`) as one vectorised
+ensemble.  Replicas may differ in population size, update period, horizon,
+seed and scenario, and may route on one shared network or on the members of
+a :class:`~repro.wardrop.family.NetworkFamily`; the agent populations of all
 rows live in one flat array (row ``r`` owns the slice
 ``offsets[r]:offsets[r+1]``), so a whole ``n``-sweep -- the paper's
 finite-``n`` versus fluid-limit comparison, benchmark E9 -- becomes a single
-batched call.
+batched call.  It is the only agent engine:
+:func:`~repro.core.agents.simulate_agents` runs one replica as its one-row
+case.
 
 Correctness contract
 --------------------
-Row ``r`` is **bit-identical** to a standalone
-:class:`~repro.core.agents.AgentBasedSimulator` run with the same network
-(family member), policy, population size, update period, horizon and seed:
-every row owns its own ``numpy`` generator seeded with its own seed and the
-engine issues exactly the scalar simulator's per-phase block draws (Poisson
-activation count, activated agents, sampling uniforms, migration coins) in
-the same order, then applies the shared kernels of
-:mod:`repro.core.agents` as stacked array operations.  Under stale
-information, activations inside a phase are replayed grouped by their
-*occurrence rank* per agent: an agent's own activations stay in clock order
-while different agents -- which cannot interact within a frozen phase -- are
-processed together.  Under up-to-date information rows advance event by
-event in lockstep (row ``r``'s ``j``-th activation sees exactly the live
-state its scalar run would see).  The equivalence is enforced by
-``tests/batch/test_agent_equivalence.py``.
+Two suites pin the engine down.  *B-invariance*: row ``r`` of a ``B``-row
+run equals the one-row run of the same configuration bit for bit
+(assignments, trajectory, stop phase).  Every row owns its own ``numpy``
+generator seeded with its own seed and issues the per-phase block draws of
+the seeding contract (Poisson activation count, activated agents, sampling
+uniforms, migration coins) whatever the other rows do, and every kernel is
+row-wise (``tests/batch/test_agent_equivalence.py``,
+``tests/batch/test_agent_stopping.py``).  *Reference*: a one-row run matches
+an event-by-event simulator written directly from the model
+(``tests/reference_agents.py``) in its assignments exactly.
+
+Under stale information, activations inside a phase are replayed grouped by
+their *occurrence rank* per agent: an agent's own activations stay in clock
+order while different agents -- which cannot interact within a frozen phase
+-- are processed together.  Under up-to-date information each row is
+advanced in windows of its next :data:`FRESH_WINDOW` activations decided
+against its cached live tables; only the first migrating activation of the
+window is applied (every earlier one is a no-op, so it saw exactly the live
+state an event-by-event run would), the row's cursor moves past it and its
+tables are refreshed.  The outcome equals the event-by-event order by
+construction.
 """
 
 from __future__ import annotations
@@ -48,9 +56,13 @@ from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from ..wardrop.validation import require_positive
+from ..wardrop.validation import require_positive, require_positive_integer
 from .board import BatchBulletinBoard
 from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policies
+
+# Up-to-date information: activations decided per row per round against the
+# row's cached live tables (see :meth:`BatchAgentSimulator._apply_fresh_phase`).
+FRESH_WINDOW = 32
 
 
 @dataclass
@@ -67,14 +79,16 @@ class BatchAgentConfig:
         Scalar or shape ``(B,)`` -- total simulated time per row.
     seeds:
         Scalar or shape ``(B,)`` -- the per-row generator seeds (row ``r``
-        reproduces a standalone scalar run with seed ``seeds[r]``).
+        reproduces the one-row run with seed ``seeds[r]``).
     stale:
         Shared information model: ``True`` for bulletin-board snapshots,
         ``False`` for live information at every activation.
 
     The batch size ``B`` is the broadcast length of the four per-row fields,
     so e.g. ``num_agents=10_000, seeds=range(32)`` runs 32 equally sized
-    replicas with distinct seeds.
+    replicas with distinct seeds.  Population sizes must be whole numbers
+    >= 1 and seeds whole numbers >= 0; both are rejected, naming the field,
+    rather than truncated.
     """
 
     num_agents: Union[int, np.ndarray] = DEFAULT_NUM_AGENTS
@@ -84,8 +98,19 @@ class BatchAgentConfig:
     stale: bool = True
 
     def __post_init__(self) -> None:
-        num_agents = np.atleast_1d(np.asarray(self.num_agents, dtype=np.int64))
+        require_positive_integer("num_agents", self.num_agents)
+        require_positive("update_periods", self.update_periods)
+        require_positive("horizons", self.horizons)
         seeds = np.asarray(self.seeds)
+        as_float = seeds.astype(float)
+        bad = np.flatnonzero(
+            ~(np.isfinite(as_float) & (as_float >= 0) & (as_float == np.floor(as_float)))
+        )
+        if len(bad):
+            index = int(bad[0])
+            label = "seeds" if seeds.ndim == 0 else f"seeds[{index}]"
+            raise ValueError(f"{label} must be a non-negative integer, got {seeds.flat[index]}")
+        num_agents = np.atleast_1d(np.asarray(self.num_agents, dtype=np.int64))
         shape = np.broadcast_shapes(
             num_agents.shape,
             np.shape(self.update_periods),
@@ -98,10 +123,6 @@ class BatchAgentConfig:
         ).copy()
         self.horizons = np.broadcast_to(np.asarray(self.horizons, dtype=float), shape).copy()
         self.seeds = np.broadcast_to(seeds.astype(np.int64), shape).copy()
-        if np.any(self.num_agents < 1):
-            raise ValueError("every row needs at least one agent")
-        require_positive("update_periods", self.update_periods)
-        require_positive("horizons", self.horizons)
 
     @property
     def batch_size(self) -> int:
@@ -115,10 +136,9 @@ class BatchAgentResult:
     ``times[r, k]`` / ``flows[r, k]`` hold row ``r``'s ``k``-th sample
     (``k = 0`` is the initial realised flow, then one sample per phase);
     only the first ``num_points[r]`` slots are valid.  ``assignments[r]``
-    is row ``r``'s final agent-to-path assignment, bit-identical to the
-    scalar simulator's ``final_assignment``.  ``stop_phases[r]`` is the
-    phase whose boundary fired row ``r``'s ``stop_when`` condition (−1 if
-    it never fired), matching the scalar early-exit phase exactly.
+    is row ``r``'s final agent-to-path assignment.  ``stop_phases[r]`` is
+    the phase whose boundary fired row ``r``'s ``stop_when`` condition (−1
+    if it never fired).
     """
 
     network: WardropNetwork
@@ -179,8 +199,8 @@ class BatchAgentResult:
         """Materialise one row as a scalar :class:`Trajectory`.
 
         The result has the same points, phase records and metadata as the
-        standalone scalar agent run of that row's configuration, so the
-        analysis toolkit applies unchanged.
+        one-row run of that row's configuration, so the analysis toolkit
+        applies unchanged.
         """
         network = self.row_network(row)
         count = int(self.num_points[row])
@@ -247,11 +267,28 @@ class BatchAgentSimulator(BatchEnsembleBase):
     config:
         The :class:`BatchAgentConfig` with per-row populations, periods,
         horizons and seeds.
+    scenarios:
+        Optional nonstationary environments, as for
+        :class:`~repro.batch.engine.BatchSimulator`: one
+        :class:`~repro.scenarios.scenario.Scenario` shared by every row or a
+        sequence of ``B`` scenarios (``None`` keeps a row stationary).  Each
+        row's environment is sampled at its phase start and frozen for the
+        phase: the board posts the current environment's latencies, and in
+        fresh mode every activation prices the live flow in it.  The
+        randomness schedule is untouched, so a stationary scenario
+        reproduces the scenario-free run bit for bit.
     """
 
-    def __init__(self, network: Networks, policies: Policies, config: BatchAgentConfig):
+    def __init__(
+        self,
+        network: Networks,
+        policies: Policies,
+        config: BatchAgentConfig,
+        scenarios=None,
+    ):
         super().__init__(network, policies, config.batch_size)
         self.config = config
+        self._scenarios = self._normalise_scenarios(scenarios, config.batch_size)
 
     # Main loop --------------------------------------------------------------
 
@@ -265,15 +302,13 @@ class BatchAgentSimulator(BatchEnsembleBase):
         ``initial_flows`` may be ``None`` (uniform split for every row), a
         single :class:`FlowVector` (shared start), a sequence of ``B`` flow
         vectors or a raw ``(B, P)`` array; each row's agent population is
-        built from its target flow with the scalar simulator's
-        largest-remainder rounding.
+        built from its target flow with largest-remainder rounding.
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
         mask, evaluated at every phase boundary on the realised flows --
         mirroring the fluid engine's freezing semantics: a row whose
         condition fires records the triggering phase and then drops out of
-        the active sub-batch, issuing no further generator draws (exactly
-        like a scalar run that breaks out of its phase loop).
+        the active sub-batch, issuing no further generator draws.
         """
         config = self.config
         network = self.network
@@ -302,15 +337,6 @@ class BatchAgentSimulator(BatchEnsembleBase):
         row_key_base = agent_row * num_paths
         rngs = [np.random.default_rng(int(seed)) for seed in config.seeds]
         tele = get_telemetry()
-        run_span = tele.span(
-            "engine_run",
-            engine="agents-batch",
-            instance=network.graph.graph.get("name") or "-",
-            stale=config.stale,
-            rows=batch,
-            agents=total_agents,
-            paths=num_paths,
-        )
         events_counter = tele.counter("agents_batch.events")
         phases_counter = tele.counter("agents_batch.phases_integrated")
         frozen_counter = tele.counter("agents_batch.rows_frozen_by_stop_when")
@@ -335,8 +361,6 @@ class BatchAgentSimulator(BatchEnsembleBase):
                 keys, weights=weights[span], minlength=batch * num_paths
             ).reshape(batch, num_paths)
 
-        # The scalar simulator's phase grid, row by row (shared helper: part
-        # of the bit-equivalence contract).
         planned_phases = planned_phase_counts(horizons, periods)
         max_phases = int(planned_phases.max())
         times = np.zeros((batch, max_phases + 1))
@@ -346,106 +370,130 @@ class BatchAgentSimulator(BatchEnsembleBase):
         num_points = np.ones(batch, dtype=int)
         stop_phases = np.full(batch, -1, dtype=int)
 
+        ensemble = None
+        if self._scenarios is not None:
+            from ..scenarios.scenario import ScenarioEnsemble
+
+            ensemble = ScenarioEnsemble(self.family or network, self._scenarios)
+
         board: Optional[BatchBulletinBoard] = None
         flows_live = np.empty(0)
         if config.stale:
             board = BatchBulletinBoard(self.family or network, periods)
+            if ensemble is not None:
+                board.set_networks(ensemble.family_at(np.zeros(batch)))
             board.post_rows(0.0, flows)
         else:
             # Only the fresh-information kernel reads the live flows.
             flows_live = flows.copy()
 
-        for phase in range(max_phases):
-            starts = phase * periods
-            active = (phase < planned_phases) & (stop_phases < 0)
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            ends = np.minimum((phase + 1) * periods, horizons)
-            durations = ends - starts
+        run_span = tele.span(
+            "engine_run",
+            engine="agents-batch",
+            instance=network.graph.graph.get("name") or "-",
+            stale=config.stale,
+            rows=batch,
+            agents=total_agents,
+            paths=num_paths,
+        )
+        try:
+            for phase in range(max_phases):
+                starts = phase * periods
+                active = (phase < planned_phases) & (stop_phases < 0)
+                if not active.any():
+                    break
+                rows = np.flatnonzero(active)
+                ends = np.minimum((phase + 1) * periods, horizons)
+                durations = ends - starts
 
-            if config.stale and phase > 0:
-                board.post_rows(starts, flows, mask=active)
-                tele.event("bulletin_refresh", rows=len(rows))
-                refresh_counter.add(len(rows))
+                if ensemble is not None:
+                    # Every row's environment frozen at its own phase start
+                    # feeds both the board post and live pricing.
+                    self._phase_family = ensemble.family_at(starts)
+                    if board is not None:
+                        board.set_networks(self._phase_family)
+                if config.stale and phase > 0:
+                    board.post_rows(starts, flows, mask=active)
+                    tele.event("bulletin_refresh", rows=len(rows))
+                    refresh_counter.add(len(rows))
 
-            # Per-row block draws, exactly the scalar simulator's schedule.
-            counts = np.empty(len(rows), dtype=np.int64)
-            agent_chunks: List[np.ndarray] = []
-            sample_chunks: List[np.ndarray] = []
-            migrate_chunks: List[np.ndarray] = []
-            for i, row in enumerate(rows):
-                rng = rngs[row]
-                population = int(populations[row])
-                count = int(rng.poisson(population * durations[row]))
-                counts[i] = count
-                agent_chunks.append(rng.integers(population, size=count))
-                sample_chunks.append(rng.random(count))
-                migrate_chunks.append(rng.random(count))
-            phase_span = tele.span(
-                "phase",
-                index=phase,
-                active_rows=len(rows),
-                activations=int(counts.sum()),
-            )
-            events_counter.add(int(counts.sum()))
+                # Per-row block draws, the seeding contract's schedule.
+                counts = np.empty(len(rows), dtype=np.int64)
+                agent_chunks: List[np.ndarray] = []
+                sample_chunks: List[np.ndarray] = []
+                migrate_chunks: List[np.ndarray] = []
+                for i, row in enumerate(rows):
+                    rng = rngs[row]
+                    population = int(populations[row])
+                    count = int(rng.poisson(population * durations[row]))
+                    counts[i] = count
+                    agent_chunks.append(rng.integers(population, size=count))
+                    sample_chunks.append(rng.random(count))
+                    migrate_chunks.append(rng.random(count))
+                events_counter.add(int(counts.sum()))
 
-            if config.stale:
-                with tele.span("field_eval", active_rows=len(rows)):
-                    sigma, mu = self._policy_tables(
-                        board.posted_flows[rows], board.posted_path_latencies[rows], rows
-                    )
-                    cdf, valid = sampling_tables(sigma, layout)
-                self._apply_stale_phase(
-                    assignment,
-                    offsets,
-                    rows,
-                    counts,
-                    agent_chunks,
-                    sample_chunks,
-                    migrate_chunks,
-                    cdf,
-                    valid,
-                    mu,
-                    member_paths,
-                )
-            else:
-                self._apply_fresh_phase(
-                    assignment,
-                    weights,
-                    flows_live,
-                    offsets,
-                    rows,
-                    counts,
-                    agent_chunks,
-                    sample_chunks,
-                    migrate_chunks,
-                    layout,
-                )
+                with tele.span(
+                    "phase",
+                    index=phase,
+                    active_rows=len(rows),
+                    activations=int(counts.sum()),
+                ):
+                    if config.stale:
+                        with tele.span("field_eval", active_rows=len(rows)):
+                            sigma, mu = self._policy_tables(
+                                board.posted_flows[rows], board.posted_path_latencies[rows], rows
+                            )
+                            cdf, valid = sampling_tables(sigma, layout)
+                        self._apply_stale_phase(
+                            assignment,
+                            offsets,
+                            rows,
+                            counts,
+                            agent_chunks,
+                            sample_chunks,
+                            migrate_chunks,
+                            cdf,
+                            valid,
+                            mu,
+                            member_paths,
+                        )
+                    else:
+                        self._apply_fresh_phase(
+                            assignment,
+                            weights,
+                            flows_live,
+                            offsets,
+                            rows,
+                            counts,
+                            agent_chunks,
+                            sample_chunks,
+                            migrate_chunks,
+                            layout,
+                        )
 
-            partial = realised_flows(rows)
-            flows[rows] = partial[rows]
-            if not config.stale:
-                flows_live[rows] = flows[rows]
-            times[rows, phase + 1] = ends[rows]
-            recorded[rows, phase + 1] = flows[rows]
-            num_points[rows] += 1
-            phases_counter.add(len(rows))
+                    partial = realised_flows(rows)
+                    flows[rows] = partial[rows]
+                    if not config.stale:
+                        flows_live[rows] = flows[rows]
+                    times[rows, phase + 1] = ends[rows]
+                    recorded[rows, phase + 1] = flows[rows]
+                    num_points[rows] += 1
+                    phases_counter.add(len(rows))
 
-            if stop_when is not None:
-                hit = np.asarray(stop_when(ends[rows], flows[rows], rows), dtype=bool)
-                if hit.shape != rows.shape:
-                    raise ValueError(
-                        f"stop_when returned shape {hit.shape}, expected {rows.shape}"
-                    )
-                stop_phases[rows[hit]] = phase
-                if hit.any():
-                    tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
-                    frozen_counter.add(int(hit.sum()))
-            phase_span.close()
-
-        run_span.annotate(phases_integrated=int((num_points - 1).sum()))
-        run_span.close()
+                    if stop_when is not None:
+                        hit = np.asarray(stop_when(ends[rows], flows[rows], rows), dtype=bool)
+                        if hit.shape != rows.shape:
+                            raise ValueError(
+                                f"stop_when returned shape {hit.shape}, expected {rows.shape}"
+                            )
+                        stop_phases[rows[hit]] = phase
+                        if hit.any():
+                            tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
+                            frozen_counter.add(int(hit.sum()))
+        finally:
+            self._phase_family = None
+            run_span.annotate(phases_integrated=int((num_points - 1).sum()))
+            run_span.close()
         tele.counter("agents_batch.runs").add()
         labels = [
             f"{policy.label()} (n={int(populations[row])})"
@@ -529,68 +577,82 @@ class BatchAgentSimulator(BatchEnsembleBase):
         migrate_chunks: List[np.ndarray],
         layout,
     ) -> None:
-        """Advance one up-to-date-information phase event by event, in lockstep.
+        """Advance one up-to-date-information phase in per-row activation windows.
 
-        Round ``j`` processes the ``j``-th activation of every row that still
-        has one: each row's activation sees exactly the live flow its scalar
-        run would see (``flows_live`` is updated migration by migration with
-        the scalar simulator's subtract-then-add order).  A row's live tables
-        depend only on its flow, so they are cached and recomputed only for
-        rows whose previous activation migrated -- bit-neutral, and near
-        equilibrium most activations are no-ops.
+        A row's live tables depend only on its flow, which changes only when
+        an activation migrates.  Each round therefore decides the next
+        :data:`FRESH_WINDOW` activations of every row that still has some
+        against the row's cached tables, applies only the first migrating
+        one (with the subtract-then-add order of ``flows_live``) and moves
+        the row's cursor past it; a row whose window holds no migration
+        moves on by the whole window.  Every decision before the applied
+        migration is a no-op that saw the live state exactly, so the outcome
+        equals the event-by-event order.
         """
         if len(rows) == 0 or counts.max(initial=0) == 0:
             return
-        max_count = int(counts.max())
-        agent_matrix = np.zeros((len(rows), max_count), dtype=np.int64)
-        sample_matrix = np.zeros((len(rows), max_count))
-        migrate_matrix = np.zeros((len(rows), max_count))
-        for i in range(len(rows)):
+        # Per-row activation matrices, padded by one window so every window
+        # gathers in bounds; padded activations carry an infinite coin, so
+        # they never migrate.
+        width = int(counts.max()) + FRESH_WINDOW
+        agent_matrix = np.zeros((len(rows), width), dtype=np.int64)
+        sample_matrix = np.zeros((len(rows), width))
+        migrate_matrix = np.full((len(rows), width), np.inf)
+        for i, row in enumerate(rows):
             count = int(counts[i])
-            agent_matrix[i, :count] = agent_chunks[i]
+            agent_matrix[i, :count] = offsets[row] + agent_chunks[i]
             sample_matrix[i, :count] = sample_chunks[i]
             migrate_matrix[i, :count] = migrate_chunks[i]
         member_paths = layout.member_paths
-        num_paths = flows_live.shape[1]
-        batch = flows_live.shape[0]
-        width = member_paths.shape[1]
-        cdf_cache = np.zeros((batch, num_paths, width))
-        valid_cache = np.zeros((batch, num_paths), dtype=bool)
+        batch, num_paths = flows_live.shape
+        diagonal = np.arange(num_paths)
+        cdf_cache = np.zeros((batch, num_paths, member_paths.shape[1]))
+        # mu with the diagonal and the rows of zero sampling mass zeroed: a
+        # coin in [0, 1) is below it iff the sampled path differs from the
+        # current one, the row is valid and the coin clears mu.
         mu_cache = np.zeros((batch, num_paths, num_paths))
         stale_tables = np.ones(batch, dtype=bool)
-        for event in range(max_count):
-            live = counts > event
-            event_slots = np.flatnonzero(live)
-            event_rows = rows[event_slots]
-            refresh = event_rows[stale_tables[event_rows]]
+        cursors = np.zeros(len(rows), dtype=np.int64)
+        window = np.arange(FRESH_WINDOW)
+        while True:
+            slots = (cursors < counts).nonzero()[0]
+            if not len(slots):
+                break
+            live_rows = rows[slots]
+            refresh = live_rows[stale_tables[live_rows]]
             if len(refresh):
                 state = flows_live[refresh]
                 latencies = self._path_latencies_rows(state, refresh)
                 sigma, mu = self._policy_tables(state, latencies, refresh)
                 cdf, valid = sampling_tables(sigma, layout)
+                mu = mu * valid[:, :, None]
+                mu[:, diagonal, diagonal] = 0.0
                 cdf_cache[refresh] = cdf
-                valid_cache[refresh] = valid
                 mu_cache[refresh] = mu
                 stale_tables[refresh] = False
-            agents = offsets[event_rows] + agent_matrix[event_slots, event]
+            slot_index = slots[:, None]
+            table_rows = live_rows[:, None]
+            columns = cursors[slot_index] + window
+            agents = agent_matrix[slot_index, columns]
             current = assignment[agents]
             local = (
-                cdf_cache[event_rows, current]
-                <= sample_matrix[event_slots, event][:, None]
-            ).sum(axis=1)
+                cdf_cache[table_rows, current] <= sample_matrix[slot_index, columns][..., None]
+            ).sum(axis=2)
             sampled = member_paths[current, local]
-            migrate = (
-                valid_cache[event_rows, current]
-                & (sampled != current)
-                & (migrate_matrix[event_slots, event] < mu_cache[event_rows, current, sampled])
-            )
-            moved_agents = agents[migrate]
-            moved_rows = event_rows[migrate]
-            moved_weights = weights[moved_agents]
-            flows_live[moved_rows, current[migrate]] -= moved_weights
-            flows_live[moved_rows, sampled[migrate]] += moved_weights
-            assignment[moved_agents] = sampled[migrate]
-            stale_tables[moved_rows] = True
+            migrate = migrate_matrix[slot_index, columns] < mu_cache[table_rows, current, sampled]
+            first = migrate.argmax(axis=1)
+            cursors[slots] += FRESH_WINDOW
+            # Rows migrate one agent each per round: scalar updates beat the
+            # dozen fancy-index calls a vectorised update costs at small B.
+            for i in migrate.any(axis=1).nonzero()[0]:
+                at = first[i]
+                agent, source, target = agents[i, at], current[i, at], sampled[i, at]
+                row = live_rows[i]
+                flows_live[row, source] -= weights[agent]
+                flows_live[row, target] += weights[agent]
+                assignment[agent] = target
+                stale_tables[row] = True
+                cursors[slots[i]] += at + 1 - FRESH_WINDOW
 
 
 def simulate_agent_batch(
@@ -603,15 +665,20 @@ def simulate_agent_batch(
     seeds=0,
     stale: bool = True,
     stop_when: Optional[BatchStoppingCondition] = None,
+    scenarios=None,
 ) -> BatchAgentResult:
-    """Convenience wrapper mirroring :func:`repro.core.agents.simulate_agents`."""
+    """Build a :class:`BatchAgentConfig` from per-row settings and run it once.
+
+    The argument names follow :func:`repro.core.agents.simulate_agents`,
+    pluralised where a setting may vary per row.
+    """
     config = BatchAgentConfig(
-        num_agents=np.asarray(num_agents),
+        num_agents=num_agents,
         update_periods=update_periods,
         horizons=horizons,
         seeds=seeds,
         stale=stale,
     )
-    return BatchAgentSimulator(network, policies, config).run(
+    return BatchAgentSimulator(network, policies, config, scenarios=scenarios).run(
         initial_flows, stop_when=stop_when
     )

@@ -1,18 +1,21 @@
-"""Batched bulletin boards: one stale-information board per ensemble row.
+"""The bulletin board: Mitzenmacher's model of stale information, one per row.
 
-A bulletin board (:class:`~repro.core.bulletin.BulletinBoard` for one
-replica) freezes the network state once per phase of length ``T``.  When an
-ensemble of ``B`` independent replicas is integrated as a single ``(B, P)``
-array, every row keeps its own board: rows may use different update periods,
-so their phase clocks tick at different wall-clock times even though the
-engine advances them phase by phase in lockstep (row ``r`` is always inside *its own* phase ``k``; the
-rows' absolute times simply differ, which is fine because replicas are
-independent).
+All information relevant to rerouting (the edge latencies, and for
+proportional sampling also the flow shares) is posted on a *bulletin board*
+at the beginning of every phase of fixed length ``T``.  Between updates the
+agents see only the posted snapshot, no matter how much the true flow has
+moved in the meantime.  The ``T -> 0`` limit is the up-to-date information
+model of Section 3.1, which the engines run as ``stale=False``.
 
-:class:`BatchBulletinBoard` stores the posted flows, posted edge latencies
-and posted path latencies of all rows as stacked arrays, and refreshes any
-subset of rows in one vectorised network evaluation.  The rows may route on
-a single shared network or on the members of a
+Every engine -- fluid, finite agents and column generation -- keeps one board
+per ensemble row in :class:`BatchBulletinBoard` (a single run is its one-row
+case).  Rows may use different update periods, so their phase clocks tick at
+different absolute times even though the engines advance them phase by phase
+in lockstep (row ``r`` is always inside *its own* phase ``k``), which is fine
+because replicas are independent.  The posted flows, edge latencies and path
+latencies of all rows are stored as stacked arrays, and any subset of rows
+refreshes in one vectorised network evaluation.  The rows may route on a
+single shared network or on the members of a
 :class:`~repro.wardrop.family.NetworkFamily` (same topology, per-row latency
 coefficients); in the family case row ``r``'s snapshot is evaluated with
 member ``r``'s latency functions.
@@ -37,7 +40,8 @@ class BatchBulletinBoard:
         Array of shape ``(B,)`` with each row's refresh interval ``T_r``.
     phase_index:
         Array of shape ``(B,)`` counting completed refreshes per row (−1
-        before the first post, matching the scalar board).
+        before the first post); the convergence-time analyses use it as the
+        round counter ("number of update periods").
     posted_flows / posted_edge_latencies / posted_path_latencies:
         The stacked snapshots, shapes ``(B, P)``, ``(B, E)``, ``(B, P)``.
     posted_times:

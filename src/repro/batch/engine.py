@@ -282,6 +282,25 @@ class BatchEnsembleBase:
             self._shared_policy = policies[0] if len(set(map(id, policies))) == 1 else None
             self._policies = policies
 
+    @staticmethod
+    def _normalise_scenarios(scenarios, batch: int):
+        if scenarios is None:
+            return None
+        from ..scenarios.scenario import Scenario
+
+        if isinstance(scenarios, Scenario):
+            scenarios = [scenarios] * batch
+        scenarios = list(scenarios)
+        if len(scenarios) != batch:
+            raise ValueError(
+                f"got {len(scenarios)} scenarios for a batch of {batch}"
+            )
+        if any(s is not None and not isinstance(s, Scenario) for s in scenarios):
+            raise ValueError("scenarios must be Scenario instances or None")
+        if all(s is None for s in scenarios):
+            return None
+        return scenarios
+
     # Initial states ---------------------------------------------------------
 
     def _is_row_network(self, candidate: WardropNetwork, row: int) -> bool:
@@ -382,25 +401,6 @@ class BatchSimulator(BatchEnsembleBase):
         super().__init__(network, policies, config.batch_size)
         self.config = config
         self._scenarios = self._normalise_scenarios(scenarios, config.batch_size)
-
-    @staticmethod
-    def _normalise_scenarios(scenarios, batch: int):
-        if scenarios is None:
-            return None
-        from ..scenarios.scenario import Scenario
-
-        if isinstance(scenarios, Scenario):
-            scenarios = [scenarios] * batch
-        scenarios = list(scenarios)
-        if len(scenarios) != batch:
-            raise ValueError(
-                f"got {len(scenarios)} scenarios for a batch of {batch}"
-            )
-        if any(s is not None and not isinstance(s, Scenario) for s in scenarios):
-            raise ValueError("scenarios must be Scenario instances or None")
-        if all(s is None for s in scenarios):
-            return None
-        return scenarios
 
     def _stale_rates(self, board: BatchBulletinBoard, rows: np.ndarray):
         """Return a field closure for one stale phase of the active rows.

@@ -13,7 +13,7 @@ equivalence tests assert the recorded stop phases match exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +55,22 @@ class StopCondition:
             return bool(np.asarray(mask)[0])
 
         return predicate
+
+
+def one_row_stop(network: WardropNetwork, stop_when) -> Optional[BatchPredicate]:
+    """Adapt a one-replica ``stop_when(time, flow)`` to a one-row batch predicate.
+
+    The inverse of :meth:`StopCondition.scalar`: the one-replica entry
+    points (``simulate``, ``simulate_agents``) run as one-row batches.
+    """
+    if stop_when is None:
+        return None
+
+    def predicate(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        flow = FlowVector(network, flows[0], validate=False)
+        return np.array([bool(stop_when(float(times[0]), flow))])
+
+    return predicate
 
 
 def _stack_targets(targets) -> np.ndarray:

@@ -6,7 +6,7 @@ the fluid-limit and finite-agent simulators, the best-response baseline and
 the closed-form bounds of the theorems.
 """
 
-from .agents import AgentBasedSimulator, AgentSimulationConfig, simulate_agents
+from .agents import simulate_agents
 from .best_response import (
     best_reply_target,
     simulate_best_response,
@@ -20,7 +20,6 @@ from .bounds import (
     theorem_update_period,
     uniform_convergence_bound,
 )
-from .bulletin import BoardSnapshot, BulletinBoard
 from .dynamics import (
     batch_stepper_for,
     euler_step_batch,
@@ -56,11 +55,7 @@ from .smoothness import (
 from .trajectory import PhaseRecord, Trajectory, TrajectoryPoint
 
 __all__ = [
-    "AgentBasedSimulator",
-    "AgentSimulationConfig",
     "BetterResponseMigration",
-    "BoardSnapshot",
-    "BulletinBoard",
     "LinearMigration",
     "MigrationRule",
     "PhaseRecord",

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from ..batch.engine import BatchConfig, BatchSimulator
+from ..batch.stopping import one_row_stop
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from .policy import ReroutingPolicy
@@ -72,12 +73,5 @@ def simulate(
         method=method,
         stale=stale,
     )
-    batch_stop = None
-    if stop_when is not None:
-
-        def batch_stop(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            flow = FlowVector(network, flows[0], validate=False)
-            return np.array([bool(stop_when(float(times[0]), flow))])
-
     simulator = BatchSimulator(network, policy, config, scenarios=scenario)
-    return simulator.run(initial_flow, stop_when=batch_stop).trajectory(0)
+    return simulator.run(initial_flow, stop_when=one_row_stop(network, stop_when)).trajectory(0)

@@ -17,9 +17,8 @@ cases, the cheapest execution backend:
   (Linux/macOS default here) workers build the result *rows* in-process and
   return plain dicts, so big sweeps never pickle whole trajectories back to
   the parent; without fork the runner falls back to shipping trajectories;
-* **serial** — one case at a time: fluid cases as one-row runs of the same
-  batched engine (``simulate``), agent cases on the scalar agent engine and
-  column-generation cases on ``simulate_with_column_generation``.
+* **serial** — one case at a time, as a one-case group on the same batched
+  engine its model always runs on (fluid, agents or column generation).
 
 ``engine="auto"`` batches every multi-case group and runs the remainder
 serially (or on a pool when ``processes > 1`` is requested).  Whatever the
@@ -46,14 +45,13 @@ from ..analysis.sweeps import RowBuilder, SweepCase, SweepResult
 from ..telemetry.runtime import get_telemetry
 from ..batch.agents import BatchAgentConfig, BatchAgentSimulator
 from ..batch.engine import BatchConfig, BatchSimulator, Policies
-from ..core.agents import DEFAULT_NUM_AGENTS, AgentBasedSimulator, AgentSimulationConfig
-from ..core.simulator import simulate
+from ..core.agents import DEFAULT_NUM_AGENTS
 from ..core.trajectory import Trajectory
 from ..wardrop.family import NetworkFamily, topology_signature
 from ..wardrop.flow import FlowVector
 from .plan import ExperimentPlan
 
-GroupKey = Tuple[Tuple, bool, str, bool, Optional[Tuple]]
+GroupKey = Tuple[Tuple, bool, str, Optional[Tuple]]
 
 Rows = List[Dict[str, object]]
 
@@ -74,35 +72,17 @@ def group_key(case: SweepCase) -> GroupKey:
     element): they must share the *same network object* (the rows grow one
     shared restricted path set) and the same update period, horizon and
     steps-per-phase (the batched driver runs one global phase grid).  Only
-    policies and scenarios vary per fused CG row.  The ``serial_only`` flag
-    (element 3) marks the cases that still run on the scalar path: CG cases
-    with an initial flow, a stop condition or the agents method (so the
-    scalar driver's informative errors surface), and agent-method cases
-    carrying a scenario (they need the scalar agent engine).
+    policies and scenarios vary per fused CG row.
     """
     cg_signature: Optional[Tuple] = None
     if case.column_generation:
-        serial_only = (
-            case.method == "agents"
-            or case.initial_flow is not None
-            or case.stop_when is not None
+        cg_signature = (
+            id(case.network),
+            case.update_period,
+            case.horizon,
+            case.steps_per_phase,
         )
-        if not serial_only:
-            cg_signature = (
-                id(case.network),
-                case.update_period,
-                case.horizon,
-                case.steps_per_phase,
-            )
-    else:
-        serial_only = case.method == "agents" and case.scenario is not None
-    return (
-        topology_signature(case.network),
-        case.stale,
-        case.method,
-        serial_only,
-        cg_signature,
-    )
+    return (topology_signature(case.network), case.stale, case.method, cg_signature)
 
 
 def _case_num_agents(case: SweepCase) -> int:
@@ -111,62 +91,8 @@ def _case_num_agents(case: SweepCase) -> int:
 
 
 def _simulate_case(case: SweepCase) -> Trajectory:
-    """Run one case on its own (also the pool worker)."""
-    scalar_stop = case.stop_when.scalar(0) if case.stop_when is not None else None
-    if case.column_generation:
-        # Lazy import: the large-network layer is optional machinery for the
-        # runner and pulls in the shortest-path oracle stack.
-        from ..largescale.columns import ActivePathSet, simulate_with_column_generation
-
-        if case.method == "agents":
-            raise ValueError("column generation supports fluid methods only")
-        if case.initial_flow is not None:
-            raise ValueError(
-                "column-generation cases start from the uniform split on their "
-                "seed paths; initial_flow cannot be mapped onto the grown set"
-            )
-        if case.stop_when is not None:
-            raise ValueError(
-                "SweepCase.stop_when conditions are authored for the case "
-                "network's fixed path dimension; a column-generation run's "
-                "restricted path set grows mid-run, so pass a scalar "
-                "stop_when to simulate_with_column_generation directly "
-                "(it receives the flow on the current restricted network)"
-            )
-        result = simulate_with_column_generation(
-            ActivePathSet.from_network(case.network),
-            case.policy,
-            update_period=case.update_period,
-            horizon=case.horizon,
-            stale=case.stale,
-            steps_per_phase=case.steps_per_phase,
-            method=case.method,
-            scenario=case.scenario,
-        )
-        return result.trajectory
-    if case.method == "agents":
-        config = AgentSimulationConfig(
-            num_agents=_case_num_agents(case),
-            update_period=case.update_period,
-            horizon=case.horizon,
-            seed=case.seed,
-            stale=case.stale,
-        )
-        return AgentBasedSimulator(
-            case.network, case.policy, config, scenario=case.scenario
-        ).run(case.initial_flow, stop_when=scalar_stop)
-    return simulate(
-        case.network,
-        case.policy,
-        update_period=case.update_period,
-        horizon=case.horizon,
-        initial_flow=case.initial_flow,
-        stale=case.stale,
-        steps_per_phase=case.steps_per_phase,
-        method=case.method,
-        stop_when=scalar_stop,
-        scenario=case.scenario,
-    )
+    """Run one case on its own (also the pool worker): a one-case group."""
+    return _run_batch_group([case])[0]
 
 
 def _case_event_attrs(case: SweepCase) -> Dict[str, object]:
@@ -224,9 +150,8 @@ def _group_stop_when(cases: Sequence[SweepCase]):
     """Build the combined batch stopping condition of one fused group.
 
     Each case's :class:`~repro.batch.stopping.StopCondition` is evaluated on
-    its own single-row slice with row index 0 -- exactly what the serial
-    backend's ``condition.scalar(0)`` adapter evaluates -- so a case stops in
-    the same phase whichever backend runs it.
+    its own single-row slice with row index 0, so a case stops in the same
+    phase whichever group (a one-case group when serial) runs it.
     """
     conditions = [case.stop_when for case in cases]
     if all(condition is None for condition in conditions):
@@ -251,9 +176,9 @@ def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
 
     The group key guarantees the cases share one network object, update
     period, horizon, steps-per-phase, information model and method; policies
-    and scenarios ride along per row.  Closed-mode rows are bit-identical to
-    the scalar driver.  **Open-mode rows are not**: fused rows grow one
-    shared (union) restricted path set, so a row can discover columns
+    and scenarios ride along per row.  Closed-mode rows equal their
+    one-case runs bit for bit.  **Open-mode rows do not**: fused rows grow
+    one shared (union) restricted path set, so a row can discover columns
     another row's snapshot surfaced — this is the one documented departure
     from "results never depend on the dispatch decision" (force
     ``engine="serial"`` to keep per-row discovery sets independent).
@@ -284,7 +209,8 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     cases with different networks are stacked into a
     :class:`NetworkFamily` so heterogeneous latency coefficients integrate
     in the same pass.  Groups with ``method="agents"`` run on the batched
-    finite-population engine instead of the fluid integrator.
+    finite-population engine instead of the fluid integrator.  A one-case
+    group is how every case runs serially.
     """
     first = cases[0]
     if first.column_generation:
@@ -296,6 +222,9 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
         case.initial_flow if case.initial_flow is not None else FlowVector.uniform(case.network)
         for case in cases
     ]
+    scenarios = [case.scenario for case in cases]
+    if all(scenario is None for scenario in scenarios):
+        scenarios = None
     if first.method == "agents":
         agent_config = BatchAgentConfig(
             num_agents=np.array(
@@ -306,9 +235,9 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
             seeds=np.array([case.seed for case in cases], dtype=np.int64),
             stale=first.stale,
         )
-        agent_result = BatchAgentSimulator(target, policies, agent_config).run(
-            initial_flows, stop_when=_group_stop_when(cases)
-        )
+        agent_result = BatchAgentSimulator(
+            target, policies, agent_config, scenarios=scenarios
+        ).run(initial_flows, stop_when=_group_stop_when(cases))
         return [agent_result.trajectory(row) for row in range(len(cases))]
     config = BatchConfig(
         update_periods=np.array([case.update_period for case in cases], dtype=float),
@@ -317,13 +246,9 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
         method=first.method,
         stale=first.stale,
     )
-    scenarios = [case.scenario for case in cases]
-    result = BatchSimulator(
-        target,
-        policies,
-        config,
-        scenarios=scenarios if any(s is not None for s in scenarios) else None,
-    ).run(initial_flows, stop_when=_group_stop_when(cases))
+    result = BatchSimulator(target, policies, config, scenarios=scenarios).run(
+        initial_flows, stop_when=_group_stop_when(cases)
+    )
     return [result.trajectory(row) for row in range(len(cases))]
 
 
@@ -418,13 +343,7 @@ def _dispatch_rows(
     rows_per_case: List[Optional[Rows]] = [None] * len(cases)
     leftovers: List[int] = []
     for key, indices in groups.items():
-        if key[3]:
-            # Serial-only cases: CG cases whose configuration the batched CG
-            # driver rejects (initial flow, stop condition, agents method)
-            # run scalar so the scalar driver's informative errors surface,
-            # and scenario-carrying agent cases need the scalar agent engine.
-            leftovers.extend(indices)
-        elif engine == "batch" or len(indices) > 1:
+        if engine == "batch" or len(indices) > 1:
             tele.event(
                 "batch_fused",
                 cases=len(indices),

@@ -1,47 +1,44 @@
-"""Batched column generation: B same-topology replicas, one shared oracle.
+"""Column generation for B same-topology replicas with one shared oracle.
 
-The scalar driver in :mod:`repro.largescale.columns` grows its restricted
-path set mid-run, which is why the experiment runner historically marked
-column-generation cases ``serial_only`` -- a ``(B, P)`` ensemble cannot be
-stacked when ``P`` changes under it.  This module fixes that structurally:
+This is the only column-generation driver:
+:func:`~repro.largescale.columns.simulate_with_column_generation` runs one
+replica as its one-row case.  The restricted path set grows mid-run, so the
 path-flow state is padded to a capacity and *grown in place*.  One shared
 :class:`~repro.largescale.columns.ActivePathSet` (and therefore one shared
 :class:`~repro.largescale.shortest.ShortestPathOracle`) serves all ``B``
 rows; at a bulletin refresh every refreshing row queries the oracle against
 its own posted snapshot (priced in its own scenario's effective network via
-the PR-5 :class:`~repro.scenarios.scenario.ScenarioEnsemble` stacks), and
-the restricted set grows by the **union** of the per-row discoveries.  A new
-column enters with zero flow on every row -- including the rows that did not
-discover it -- and growth counts as a shared information event: the bulletin
-board re-posts every row the moment the set grows, so no row integrates over
-columns its snapshot has never priced.
+:class:`~repro.scenarios.scenario.ScenarioEnsemble`), and the restricted set
+grows by the **union** of the per-row discoveries.  A new column enters with
+zero flow on every row -- including the rows that did not discover it -- and
+growth counts as a shared information event: the bulletin board re-posts
+every row the moment the set grows, so no row integrates over columns its
+snapshot has never priced.
 
 Row semantics:
 
-* **Closed mode** (``active.closed``): the set never grows, and every row is
-  **bit-identical** to the scalar :func:`simulate_with_column_generation`
-  run of the same configuration -- the per-phase field assembly, stepper
-  arithmetic and boundary projection reuse exactly the batched kernels whose
-  per-row scalar equivalence the batch engine's property suite pins down.
+* **Closed mode** (``active.closed``): the set never grows, and every row
+  equals its one-row run bit for bit; a closed-mode row is exactly the fluid
+  dynamics of :func:`~repro.core.simulator.simulate` on the same path set
+  (same field assembly, stepper arithmetic and boundary projection), which
+  ``tests/largescale/test_batch_columns.py`` checks bit for bit.
 * **Open mode**: rows share the union restricted set, which is a deliberate
-  departure from per-row scalar runs (a scalar row only ever sees its own
+  departure from one-row runs (a one-row run only ever sees its own
   discoveries).  Column generation is documented as a heuristic away from
-  equilibrium, and sharing discoveries only ever *adds* zero-flow options; a
-  single-row batch (``B=1``) has nothing to union and reproduces the scalar
-  driver exactly.
+  equilibrium, and sharing discoveries only ever *adds* zero-flow options.
 
 Scenario closures evict per row: a row whose scenario closes an edge moves
-the flow of its crossing columns onto its best open column, exactly like the
-scalar driver, while other rows keep routing over those columns.  At the end
-of the run every row receives the oracle's relative-duality-gap certificate
-(the same one Frank--Wolfe uses), so a batched run documents per row how far
-from Wardrop equilibrium it settled.
+the flow of its crossing columns onto its best open column, while other rows
+keep routing over those columns.  At the end of the run every row receives
+the oracle's relative-duality-gap certificate (the same one Frank--Wolfe
+uses), so a batched run documents per row how far from Wardrop equilibrium
+it settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,11 +93,10 @@ class BatchColumnGenerationResult:
 
     All per-sample arrays are expressed on the **final** restricted network
     (``flows`` has shape ``(B, S, P_final)``); earlier samples carry zero
-    flow on later-discovered columns, exactly like the scalar result's
-    embedded trajectory.  ``duality_gaps`` holds the per-row relative
-    duality gap of the final flows in each row's final effective network --
-    the oracle certificate that the row settled (close) to a Wardrop
-    equilibrium of the *full* network.
+    flow on later-discovered columns.  ``duality_gaps`` holds the per-row
+    relative duality gap of the final flows in each row's final effective
+    network -- the oracle certificate that the row settled (close) to a
+    Wardrop equilibrium of the *full* network.
     """
 
     network: WardropNetwork
@@ -138,7 +134,7 @@ class BatchColumnGenerationResult:
         """Materialise row ``row`` as a scalar :class:`Trajectory`."""
         trajectory = Trajectory(
             network=self.network,
-            policy_name=self.policy_labels[row] + " +column-generation(batch)",
+            policy_name=self.policy_labels[row] + " +column-generation",
             update_period=self.update_period if self.stale else 0.0,
         )
         for index, time in enumerate(self.times):
@@ -233,6 +229,7 @@ def simulate_with_column_generation_batch(
     steps_per_phase: int = 50,
     method: str = "rk4",
     capacity: Optional[int] = None,
+    stop_when: Optional[Callable[[float, np.ndarray], bool]] = None,
 ) -> BatchColumnGenerationResult:
     """Run ``B`` column-generation replicas as one padded ``(B, P)`` ensemble.
 
@@ -243,8 +240,12 @@ def simulate_with_column_generation_batch(
     pre-pads the path dimension (default twice the seed width) so early
     growth events scatter in place instead of reallocating.
 
-    See the module docstring for the union-growth semantics; closed-mode
-    rows are bit-identical to :func:`simulate_with_column_generation`.
+    ``stop_when(time, flows)`` is an ensemble-level condition evaluated at
+    every phase boundary on the projected ``(B, P_current)`` flows of the
+    current restricted network (``active.network``); the run ends when it
+    returns ``True``.
+
+    See the module docstring for the union-growth semantics.
     """
     require_positive("update_period", update_period)
     require_positive("horizon", horizon)
@@ -317,15 +318,6 @@ def simulate_with_column_generation_batch(
     previously_closed: List[frozenset] = [frozenset()] * size
 
     tele = get_telemetry()
-    run_span = tele.span(
-        "engine_run",
-        engine="column-generation-batch",
-        instance=network.graph.graph.get("name") or "-",
-        stale=stale,
-        method=method,
-        batch=size,
-        initial_paths=width,
-    )
     added_counter = tele.counter("cg_batch.columns_added")
     invalidated_counter = tele.counter("cg_batch.columns_invalidated")
     refresh_counter = tele.counter("cg_batch.bulletin_refreshes")
@@ -336,176 +328,198 @@ def simulate_with_column_generation_batch(
         return network if scenario is None else scenario.network_at(network, t)
 
     completed = 0
-    for phase in range(num_phases):
-        phase_start = phase * update_period
-        phase_end = min((phase + 1) * update_period, horizon)
-        row_times = np.full(size, phase_start)
-
-        family = None
-        if ensemble is not None:
-            family = ensemble.family_at(row_times)
-            board.set_networks(family)
-        if scenarios is not None:
-            modulations = [
-                s.modulation_at(phase_start) if s is not None else None
-                for s in scenarios
-            ]
-            closed_now = [
-                s.closed_edges(phase_start) if s is not None else frozenset()
-                for s in scenarios
-            ]
-        else:
-            modulations = [None] * size
-            closed_now = [frozenset()] * size
-
-        if stale:
-            # The per-row refresh rule of the scalar driver: the board's own
-            # floor(t/T) schedule (including its floating-point quirk, for
-            # closed-mode bit-identity) plus modulation-change forcing.
-            refresh = board.needs_update(row_times)
-            refresh = refresh | np.array(
-                [modulations[b] != posted_modulations[b] for b in range(size)]
-            )
-        else:
-            refresh = np.ones(size, dtype=bool)
-
-        phase_span = tele.span("phase", index=phase, start=phase_start)
-        if refresh.any():
-            cg_span = tele.span(
-                "column_generation_round", phase=phase, rows=int(refresh.sum())
-            )
-            refresh_counter.add(int(refresh.sum()))
-            added: List[Path] = []
-            if not active.closed:
-                rows = np.flatnonzero(refresh)
-                edge_flows = network.edge_flows_batch(state[rows, :width])
-                if family is not None:
-                    edge_latencies = family.edge_latencies_batch(edge_flows, rows)
-                else:
-                    edge_latencies = network.edge_latencies_batch(edge_flows)
-                candidates: List[Path] = []
-                for i, row in enumerate(rows):
-                    base = cost_cache.base_costs(
-                        network,
-                        member_at(int(row), phase_start),
-                        modulations[int(row)],
-                        positions,
-                    )
-                    costs = base.copy()
-                    costs[positions] = edge_latencies[i]
-                    candidates.extend(oracle.shortest_commodity_paths(costs))
-                added = active.add_paths(candidates)
-            if added:
-                growth_events.append((phase, added))
-                added_counter.add(len(added))
-                perm = active.last_permutation
-                old_width = width
-                network = active.network
-                width = network.num_paths
-                state = _grow_buffer(state, perm, old_width, width)
-                recorded = _grow_buffer(recorded, perm, old_width, width)
-                start_flows = _grow_buffer(start_flows, perm, old_width, width)
-                # Growth is a shared information event: the board re-posts
-                # every row on the grown set, so no row integrates over
-                # columns its snapshot has never priced.
-                refresh = np.ones(size, dtype=bool)
-                board = BatchBulletinBoard(network, periods)
-                positions = oracle.network_edge_positions(network)
-                cost_cache = _PostedCostCache(oracle)
-                resolved, policies_now = resolve_policies(network)
-                ensemble = build_environment(network)
-                family = None
-                if ensemble is not None:
-                    family = ensemble.family_at(row_times)
-                    board.set_networks(family)
-                tele.event(
-                    "columns_grown", phase=phase, added=len(added), paths=width
-                )
-            for row in range(size):
-                if not refresh[row]:
-                    continue
-                newly_closed = closed_now[row] - previously_closed[row]
-                if not newly_closed:
-                    continue
-                crossing = active.invalidate_columns(network, closed_now[row])
-                invalidated_counter.add(len(crossing))
-                values = state[row, :width]
-                repaired, moved = _evict_closed_columns(
-                    network,
-                    values,
-                    crossing,
-                    member_at(row, phase_start).path_latencies(values),
-                )
-                state[row, :width] = repaired
-                if moved > 0.0:
-                    eviction_events.append((phase, row, moved))
-                    tele.event(
-                        "columns_evicted", phase=phase, row=row, volume=moved
-                    )
-                    tele.histogram("cg_batch.evicted_volume").observe(moved)
-            board.post_rows(row_times, state[:, :width], mask=refresh)
-            for row in np.flatnonzero(refresh):
-                posted_modulations[int(row)] = modulations[int(row)]
-            cg_span.annotate(columns_added=len(added), paths=width)
-            cg_span.close()
-        previously_closed = closed_now
-        path_counts.append(width)
-
-        start_flows[phase] = state
-        if stale:
-            with tele.span("field_eval", rows=size):
-                field_fn = frozen_field(
-                    *policy_tables(
-                        network, policies_now, board.posted_flows, board.posted_path_latencies
-                    )
-                )
-        else:
-            network_ref, family_ref, policies_ref = network, family, policies_now
-
-            def field_fn(time, flows: np.ndarray) -> np.ndarray:
-                if family_ref is not None:
-                    live = family_ref.path_latencies_batch(flows, np.arange(size))
-                else:
-                    live = network_ref.path_latencies_batch(flows)
-                return frozen_field(*policy_tables(network_ref, policies_ref, flows, live))(
-                    time, flows
-                )
-
-        with tele.span("integrate", state_bytes=state[:, :width].nbytes):
-            current = advance_phase(
-                stepper, field_fn, state[:, :width], phase_start, phase_end, step
-            )
-        state[:, :width] = FlowVector.project_batch(network, current)
-        recorded[phase + 1] = state
-        times[phase + 1] = phase_end
-        phase_spans.append((phase_start, phase_end))
-        phases_counter.add()
-        phase_span.close()
-        completed = phase + 1
-        if phase_end >= horizon:
-            break
-
-    # The per-row duality-gap certificate: price each row's final flows in
-    # its final effective environment through the shared oracle.
-    from ..solvers.edge_frank_wolfe import relative_duality_gap
-
-    final_time = float(times[completed])
     gaps = np.empty(size)
-    for row in range(size):
-        full_flows = oracle.expand_edge_values(
-            network, network.edge_flows(state[row, :width])
-        )
-        gaps[row] = relative_duality_gap(
-            member_at(row, final_time), oracle, full_flows
-        )
-        tele.histogram("cg_batch.duality_gap").observe(float(gaps[row]))
-
-    run_span.annotate(
-        final_paths=width,
-        columns_added=sum(len(paths) for _, paths in growth_events),
-        max_duality_gap=float(gaps.max()),
+    run_span = tele.span(
+        "engine_run",
+        engine="column-generation-batch",
+        instance=network.graph.graph.get("name") or "-",
+        stale=stale,
+        method=method,
+        batch=size,
+        initial_paths=width,
     )
-    run_span.close()
+    try:
+        for phase in range(num_phases):
+            phase_start = phase * update_period
+            phase_end = min((phase + 1) * update_period, horizon)
+            row_times = np.full(size, phase_start)
+
+            family = None
+            if ensemble is not None:
+                family = ensemble.family_at(row_times)
+                board.set_networks(family)
+            if scenarios is not None:
+                modulations = [
+                    s.modulation_at(phase_start) if s is not None else None
+                    for s in scenarios
+                ]
+                closed_now = [
+                    s.closed_edges(phase_start) if s is not None else frozenset()
+                    for s in scenarios
+                ]
+            else:
+                modulations = [None] * size
+                closed_now = [frozenset()] * size
+
+            if stale:
+                # The per-row refresh rule: the board's own floor(t/T)
+                # schedule (including its floating-point quirk, shared with
+                # the fluid engine) plus modulation-change forcing.
+                refresh = board.needs_update(row_times)
+                refresh = refresh | np.array(
+                    [modulations[b] != posted_modulations[b] for b in range(size)]
+                )
+            else:
+                refresh = np.ones(size, dtype=bool)
+
+            with tele.span("phase", index=phase, start=phase_start):
+                if refresh.any():
+                    with tele.span(
+                        "column_generation_round", phase=phase, rows=int(refresh.sum())
+                    ) as cg_span:
+                        refresh_counter.add(int(refresh.sum()))
+                        added: List[Path] = []
+                        if not active.closed:
+                            rows = np.flatnonzero(refresh)
+                            edge_flows = network.edge_flows_batch(state[rows, :width])
+                            if family is not None:
+                                edge_latencies = family.edge_latencies_batch(edge_flows, rows)
+                            else:
+                                edge_latencies = network.edge_latencies_batch(edge_flows)
+                            candidates: List[Path] = []
+                            for i, row in enumerate(rows):
+                                base = cost_cache.base_costs(
+                                    network,
+                                    member_at(int(row), phase_start),
+                                    modulations[int(row)],
+                                    positions,
+                                )
+                                costs = base.copy()
+                                costs[positions] = edge_latencies[i]
+                                candidates.extend(oracle.shortest_commodity_paths(costs))
+                            added = active.add_paths(candidates)
+                        if added:
+                            growth_events.append((phase, added))
+                            added_counter.add(len(added))
+                            perm = active.last_permutation
+                            old_width = width
+                            network = active.network
+                            width = network.num_paths
+                            state = _grow_buffer(state, perm, old_width, width)
+                            recorded = _grow_buffer(recorded, perm, old_width, width)
+                            start_flows = _grow_buffer(start_flows, perm, old_width, width)
+                            # Growth is a shared information event: the board
+                            # re-posts every row on the grown set, so no row
+                            # integrates over columns its snapshot has never
+                            # priced.
+                            refresh = np.ones(size, dtype=bool)
+                            board = BatchBulletinBoard(network, periods)
+                            positions = oracle.network_edge_positions(network)
+                            cost_cache = _PostedCostCache(oracle)
+                            resolved, policies_now = resolve_policies(network)
+                            ensemble = build_environment(network)
+                            family = None
+                            if ensemble is not None:
+                                family = ensemble.family_at(row_times)
+                                board.set_networks(family)
+                            tele.event(
+                                "columns_grown", phase=phase, added=len(added), paths=width
+                            )
+                        for row in range(size):
+                            if not refresh[row]:
+                                continue
+                            newly_closed = closed_now[row] - previously_closed[row]
+                            if not newly_closed:
+                                continue
+                            crossing = active.invalidate_columns(network, closed_now[row])
+                            invalidated_counter.add(len(crossing))
+                            values = state[row, :width]
+                            repaired, moved = _evict_closed_columns(
+                                network,
+                                values,
+                                crossing,
+                                member_at(row, phase_start).path_latencies(values),
+                            )
+                            state[row, :width] = repaired
+                            if moved > 0.0:
+                                eviction_events.append((phase, row, moved))
+                                tele.event(
+                                    "columns_evicted", phase=phase, row=row, volume=moved
+                                )
+                                tele.histogram("cg_batch.evicted_volume").observe(moved)
+                        board.post_rows(row_times, state[:, :width], mask=refresh)
+                        for row in np.flatnonzero(refresh):
+                            posted_modulations[int(row)] = modulations[int(row)]
+                        cg_span.annotate(columns_added=len(added), paths=width)
+                previously_closed = closed_now
+                path_counts.append(width)
+
+                start_flows[phase] = state
+                if stale:
+                    with tele.span("field_eval", rows=size):
+                        field_fn = frozen_field(
+                            *policy_tables(
+                                network,
+                                policies_now,
+                                board.posted_flows,
+                                board.posted_path_latencies,
+                            )
+                        )
+                else:
+                    network_ref, family_ref, policies_ref = network, family, policies_now
+
+                    def field_fn(time, flows: np.ndarray) -> np.ndarray:
+                        if family_ref is not None:
+                            live = family_ref.path_latencies_batch(flows, np.arange(size))
+                        else:
+                            live = network_ref.path_latencies_batch(flows)
+                        return frozen_field(
+                            *policy_tables(network_ref, policies_ref, flows, live)
+                        )(time, flows)
+
+                with tele.span("integrate", state_bytes=state[:, :width].nbytes):
+                    current = advance_phase(
+                        stepper, field_fn, state[:, :width], phase_start, phase_end, step
+                    )
+                projected = FlowVector.project_batch(network, current)
+                finite = np.isfinite(projected).all(axis=1)
+                if not finite.all():
+                    raise ValueError(
+                        f"row {int(np.argmin(finite))} has non-finite flows "
+                        f"at the end of phase {phase}"
+                    )
+                state[:, :width] = projected
+                recorded[phase + 1] = state
+                times[phase + 1] = phase_end
+                phase_spans.append((phase_start, phase_end))
+                phases_counter.add()
+                completed = phase + 1
+            if stop_when is not None and stop_when(phase_end, state[:, :width]):
+                tele.event("stop_when_fired", time=phase_end, phase=phase)
+                break
+            if phase_end >= horizon:
+                break
+
+        # The per-row duality-gap certificate: price each row's final flows
+        # in its final effective environment through the shared oracle.
+        from ..solvers.edge_frank_wolfe import relative_duality_gap
+
+        final_time = float(times[completed])
+        for row in range(size):
+            full_flows = oracle.expand_edge_values(
+                network, network.edge_flows(state[row, :width])
+            )
+            gaps[row] = relative_duality_gap(
+                member_at(row, final_time), oracle, full_flows
+            )
+            tele.histogram("cg_batch.duality_gap").observe(float(gaps[row]))
+        run_span.annotate(max_duality_gap=float(gaps.max()))
+    finally:
+        run_span.annotate(
+            final_paths=width,
+            columns_added=sum(len(paths) for _, paths in growth_events),
+        )
+        run_span.close()
     tele.counter("cg_batch.runs").add()
 
     samples = completed + 1

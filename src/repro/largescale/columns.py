@@ -13,9 +13,10 @@ restricted :class:`~repro.wardrop.network.WardropNetwork`.
 :class:`ActivePathSet` manages the restricted set (the classic
 :class:`~repro.wardrop.paths.PathSet` is recovered as the *closed* special
 case where augmentation is disabled), and
-:func:`simulate_with_column_generation` drives the rerouting dynamics on it,
-phase by phase, rebuilding the restricted network whenever a refresh
-discovers new routes.
+:func:`simulate_with_column_generation` drives the rerouting dynamics of one
+replica on it, phase by phase, rebuilding the restricted network whenever a
+refresh discovers new routes.  It is the one-row case of the batched driver
+in :mod:`repro.largescale.batch_columns`, which owns the phase loop.
 
 Column generation is **exact at equilibrium** for the Beckmann problem: if
 the restricted dynamics settle at a flow whose shortest path (under live
@@ -35,15 +36,12 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import networkx as nx
 import numpy as np
 
-from ..core.dynamics import advance_phase, batch_stepper_for, integration_step_for
-from ..core.policy import ReroutingPolicy, frozen_field, policy_tables
-from ..core.trajectory import PhaseRecord, Trajectory
-from ..telemetry.runtime import get_telemetry
+from ..core.policy import ReroutingPolicy
+from ..core.trajectory import Trajectory
 from ..wardrop.commodity import Commodity, normalise_demands
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path, PathSet
-from ..wardrop.validation import require_positive, require_positive_integer
 from .shortest import ShortestPathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -354,19 +352,20 @@ def simulate_with_column_generation(
 ) -> ColumnGenerationResult:
     """Run the rerouting dynamics with column generation at every refresh.
 
-    The loop follows :func:`~repro.core.simulator.simulate` phase for
-    phase, integrating each phase with the batched stepper and field on a
-    one-row state.  At
-    each bulletin refresh the oracle is queried against the *posted* edge
-    latencies (stale mode) or the live ones (fresh mode); newly discovered
-    routes join the restricted set with zero flow before the phase
-    integrates, so agents can sample them for the rest of the run -- route
-    discovery is tied to information arrival, as in the paper's model.
+    The dynamics follow :func:`~repro.core.simulator.simulate` phase for
+    phase.  At each bulletin refresh the oracle is queried against the
+    *posted* edge latencies (stale mode) or the live ones (fresh mode);
+    newly discovered routes join the restricted set with zero flow before
+    the phase integrates, so agents can sample them for the rest of the run
+    -- route discovery is tied to information arrival, as in the paper's
+    model.  This is the one-row case of
+    :func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`.
 
     ``policy`` may be a fixed :class:`ReroutingPolicy` (reused across
     growth, e.g. one whose migration constant covers the full network) or a
     builder ``network -> policy`` re-invoked after every growth event.
-    ``stop_when(time, flow)`` is evaluated at phase boundaries, exactly like
+    ``stop_when(time, flow)`` is evaluated at phase boundaries on the flow
+    over the current restricted network, exactly like
     :func:`~repro.core.simulator.simulate`'s.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
@@ -378,199 +377,32 @@ def simulate_with_column_generation(
     volume) -- and the forced refresh seeds detour routes around the closed
     link in the same instant.
     """
-    require_positive("update_period", update_period)
-    require_positive("horizon", horizon)
-    require_positive_integer("steps_per_phase", steps_per_phase)
-    stepper = batch_stepper_for(method)
-    network = active.network
-    if scenario is not None:
-        scenario.require_edges(network)
-    # ``is None``, not truthiness: FlowVector defines __len__, so ``or``
-    # would silently replace a zero-length flow instead of rejecting it.
-    flow = FlowVector.uniform(network) if initial_flow is None else initial_flow
-    if flow.network is not network:
-        raise ValueError("initial flow belongs to a different network")
-    values = flow.values()
-    current_policy = _resolve_policy(policy, network)
-    step = integration_step_for(update_period, steps_per_phase)
+    from .batch_columns import simulate_with_column_generation_batch
 
-    # Samples are stored as raw arrays tagged with the path-set version; the
-    # final trajectory embeds them all on the last restricted network.
-    samples: List[Tuple[float, WardropNetwork, np.ndarray, int]] = [
-        (0.0, network, values.copy(), 0)
-    ]
-    boundaries: List[Tuple[int, float, float, np.ndarray, np.ndarray, WardropNetwork]] = []
-    growth_events: List[Tuple[int, List[Path]]] = []
-    path_counts: List[int] = []
-    eviction_events: List[Tuple[int, float]] = []
+    batch_stop = None
+    if stop_when is not None:
 
-    tele = get_telemetry()
-    run_span = tele.span(
-        "engine_run",
-        engine="column-generation",
-        instance=network.graph.graph.get("name") or "-",
+        def batch_stop(time: float, flows: np.ndarray) -> bool:
+            return bool(stop_when(time, FlowVector(active.network, flows[0], validate=False)))
+
+    result = simulate_with_column_generation_batch(
+        active,
+        policy,
+        update_period=update_period,
+        horizon=horizon,
+        batch=1,
+        scenarios=None if scenario is None else [scenario],
+        initial_flows=initial_flow,
         stale=stale,
+        steps_per_phase=steps_per_phase,
         method=method,
-        initial_paths=network.num_paths,
+        stop_when=batch_stop,
     )
-    added_counter = tele.counter("cg.columns_added")
-    invalidated_counter = tele.counter("cg.columns_invalidated")
-    refresh_counter = tele.counter("cg.bulletin_refreshes")
-    phases_counter = tele.counter("cg.phases_integrated")
-
-    num_phases = int(np.ceil(horizon / update_period))
-    posted_time = -np.inf
-    posted_values: Optional[np.ndarray] = None
-    posted_latencies: Optional[np.ndarray] = None
-    posted_modulation = None
-    previously_closed: frozenset = frozenset()
-    for phase in range(num_phases):
-        phase_start = phase * update_period
-        phase_end = min((phase + 1) * update_period, horizon)
-
-        if scenario is not None:
-            effective = scenario.network_at(network, phase_start)
-            modulation = scenario.modulation_at(phase_start)
-            closed_now = scenario.closed_edges(phase_start)
-        else:
-            effective = network
-            modulation = None
-            closed_now = frozenset()
-
-        if stale:
-            # The board refreshes on the fluid engine's schedule, including
-            # the floating-point floor(t/T) quirk that occasionally leaves a
-            # snapshot in place for one more phase -- closed-mode runs stay
-            # bit-identical to simulate().  A scenario state change forces a
-            # refresh regardless.
-            refresh_time = float(
-                np.floor(phase_start / update_period) * update_period
-            )
-            refresh = (
-                posted_values is None
-                or refresh_time > posted_time + 1e-12
-                or modulation != posted_modulation
-            )
-        else:
-            refresh_time = phase_start
-            refresh = True
-        phase_span = tele.span("phase", index=phase, start=phase_start)
-        if refresh:
-            # Refresh instant: the board posts the live flow, and the oracle
-            # is consulted on exactly what the board shows (priced in the
-            # phase's effective environment).
-            cg_span = tele.span("column_generation_round", phase=phase)
-            tele.event("bulletin_refresh", time=refresh_time, phase=phase)
-            refresh_counter.add()
-            costs = active.posted_costs(effective, values)
-            added = active.augment(costs)
-            if added:
-                growth_events.append((phase, added))
-                added_counter.add(len(added))
-                new_network = active.network
-                values = active.embed(values, network, new_network)
-                network = new_network
-                effective = (
-                    scenario.network_at(network, phase_start)
-                    if scenario is not None
-                    else network
-                )
-                current_policy = _resolve_policy(policy, network)
-            newly_closed = closed_now - previously_closed
-            if newly_closed:
-                crossing = active.invalidate_columns(network, closed_now)
-                invalidated_counter.add(len(crossing))
-                values, moved = _evict_closed_columns(
-                    network, values, crossing, effective.path_latencies(values)
-                )
-                if moved > 0.0:
-                    eviction_events.append((phase, moved))
-                    tele.event("columns_evicted", phase=phase, volume=moved)
-                    tele.histogram("cg.evicted_volume").observe(moved)
-            posted_values = values.copy()
-            posted_latencies = effective.path_latencies(posted_values)
-            posted_time = refresh_time
-            posted_modulation = modulation
-            cg_span.annotate(columns_added=len(added), paths=network.num_paths)
-            cg_span.close()
-        previously_closed = closed_now
-        path_counts.append(network.num_paths)
-
-        start_values = values.copy()
-        if stale:
-            with tele.span("field_eval"):
-                field_fn = frozen_field(
-                    *policy_tables(
-                        network, current_policy, posted_values[None, :], posted_latencies[None, :]
-                    )
-                )
-        else:
-            policy_ref, network_ref, effective_ref = current_policy, network, effective
-
-            def field_fn(time, state: np.ndarray) -> np.ndarray:
-                live = effective_ref.path_latencies_batch(state)
-                return frozen_field(*policy_tables(network_ref, policy_ref, state, live))(
-                    time, state
-                )
-
-        with tele.span("integrate", state_bytes=values.nbytes):
-            raw = advance_phase(
-                stepper, field_fn, values[None, :], phase_start, phase_end, step
-            )[0]
-        values = FlowVector(network, raw, validate=False).projected().values()
-        boundaries.append(
-            (phase, phase_start, phase_end, start_values, values.copy(), network)
-        )
-        samples.append((phase_end, network, values.copy(), phase))
-        phases_counter.add()
-        phase_span.close()
-        if stop_when is not None and stop_when(
-            phase_end, FlowVector(network, values, validate=False)
-        ):
-            tele.event("stop_when_fired", time=phase_end, phase=phase)
-            break
-        if phase_end >= horizon:
-            break
-
-    run_span.annotate(
-        final_paths=network.num_paths,
-        columns_added=sum(len(paths) for _, paths in growth_events),
-    )
-    run_span.close()
-    tele.counter("cg.runs").add()
-    final_network = network
-    trajectory = Trajectory(
-        network=final_network,
-        policy_name=current_policy.label() + " +column-generation",
-        update_period=update_period if stale else 0.0,
-    )
-    for time, sample_network, sample_values, phase_index in samples:
-        embedded = (
-            sample_values
-            if sample_network is final_network
-            else active.embed(sample_values, sample_network, final_network)
-        )
-        trajectory.record(
-            time, FlowVector(final_network, embedded, validate=False), phase_index
-        )
-    for phase, start_time, end_time, start_values, end_values, sample_network in boundaries:
-        if sample_network is not final_network:
-            start_values = active.embed(start_values, sample_network, final_network)
-            end_values = active.embed(end_values, sample_network, final_network)
-        trajectory.record_phase(
-            PhaseRecord(
-                index=phase,
-                start_time=start_time,
-                end_time=end_time,
-                start_flow=FlowVector(final_network, start_values, validate=False),
-                end_flow=FlowVector(final_network, end_values, validate=False),
-            )
-        )
     return ColumnGenerationResult(
-        trajectory=trajectory,
-        network=final_network,
+        trajectory=result.trajectory(0),
+        network=result.network,
         active=active,
-        growth_events=growth_events,
-        path_counts=path_counts,
-        eviction_events=eviction_events,
+        growth_events=result.growth_events,
+        path_counts=result.path_counts,
+        eviction_events=[(phase, volume) for phase, _, volume in result.eviction_events],
     )

@@ -13,9 +13,9 @@ frozen at the phase's start, which matches the paper's information model (the
 world, like the bulletin board, is sampled at discrete instants) and keeps
 a row's bits independent of the batch it runs in.
 
-The one-replica engines (finite agents, scalar column generation) use
-:meth:`Scenario.network_at`, which materialises the
-effective network at a sample time as a lightweight
+Code that needs one row's environment as a network -- column generation's
+eviction and oracle costs -- uses :meth:`Scenario.network_at`, which
+materialises the effective network at a sample time as a lightweight
 :meth:`~repro.wardrop.network.WardropNetwork.with_latencies` copy with
 ``ModulatedLatency`` wrappers -- cached per distinct modulation, so
 piecewise-constant scenarios build a handful of networks no matter how many
@@ -25,8 +25,8 @@ stretch and offset arrays from every row's :meth:`Scenario.modulation_at` and
 applies them around the base family's
 :class:`~repro.wardrop.latency.EdgeLatencyTable` with the ``ModulatedLatency``
 arithmetic (``gain = stretch = 1``, ``offset = 0`` on unaffected cells, which
-is float-transparent).  The two constructions are independent, which is what
-the scalar-versus-batched suites compare.
+is float-transparent).  The two constructions are independent, and the
+scenario suites compare them.
 """
 
 from __future__ import annotations

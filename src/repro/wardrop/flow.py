@@ -167,18 +167,22 @@ class FlowVector:
         phase boundaries.
         """
         flows = np.clip(np.asarray(path_flows, dtype=float), 0.0, None)
-        tiny = np.finfo(float).tiny
-        for (start, stop), commodity in zip(network.paths.commodity_slices(), network.commodities):
-            block = flows[:, start:stop]
-            # Each row's routed mass must use the same 1-D pairwise reduction
-            # as :meth:`projected` -- ``block.sum(axis=1)`` can accumulate in
-            # a different order and land one ulp away, so a row's bits would
-            # depend on the batch it runs in.
-            routed = np.array([row.sum() for row in block])
-            starved = routed <= tiny
-            block *= (commodity.demand / np.where(starved, 1.0, routed))[:, None]
-            if starved.any():
-                block[starved] = commodity.demand / (stop - start)
+        slices = network.paths.commodity_slices()
+        demands = np.array([commodity.demand for commodity in network.commodities])
+        # Each row's routed mass must use the same 1-D pairwise reduction as
+        # :meth:`projected` -- ``block.sum(axis=1)`` can accumulate in a
+        # different order and land one ulp away, so a row's bits would depend
+        # on the batch it runs in.
+        routed = np.array(
+            [[row.sum() for row in flows[:, start:stop]] for start, stop in slices]
+        ).T
+        starved = routed <= np.finfo(float).tiny
+        scale = demands / np.where(starved, 1.0, routed)
+        for column, (start, stop) in enumerate(slices):
+            flows[:, start:stop] *= scale[:, column, None]
+        for row, column in zip(*np.nonzero(starved)):
+            start, stop = slices[column]
+            flows[row, start:stop] = demands[column] / (stop - start)
         return flows
 
     # Raw access ---------------------------------------------------------------

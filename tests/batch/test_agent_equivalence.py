@@ -1,11 +1,13 @@
-"""Bit-equivalence of the batched agent engine and the scalar simulator.
+"""B-invariance of the agent engine.
 
-Every batched replica row must reproduce a standalone
-:class:`~repro.core.agents.AgentBasedSimulator` run with the same seed *bit
-for bit*: the final agent-to-path assignments, every recorded trajectory
-point (times, flows, phase indices), the phase records and the final flows.
-The grid covers two instances, stale and fresh information, heterogeneous
-populations/periods/horizons per row, network families and per-row policies.
+Every row of a ``B``-row run must reproduce the one-row run of the same
+configuration and seed *bit for bit*: the final agent-to-path assignments,
+every recorded trajectory point (times, flows, phase indices), the phase
+records and the final flows.  The grid covers two instances, stale and fresh
+information, heterogeneous populations/periods/horizons per row, network
+families, per-row policies and per-row scenarios.  The one-row run itself is
+checked against ``tests/reference_agents.py``
+(``tests/core/test_reference_agents.py``).
 """
 
 from __future__ import annotations
@@ -14,14 +16,9 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch
-from repro.core import (
-    AgentBasedSimulator,
-    AgentSimulationConfig,
-    replicator_policy,
-    scaled_policy,
-    uniform_policy,
-)
-from repro.instances import lopsided_flow, pigou_network, two_link_network
+from repro.core import replicator_policy, scaled_policy, simulate_agents, uniform_policy
+from repro.instances import get_instance, lopsided_flow, pigou_network, two_link_network
+from repro.scenarios import LinkIncident, Scenario
 from repro.wardrop import FlowVector, NetworkFamily
 
 ROWS = [
@@ -31,18 +28,33 @@ ROWS = [
 ]
 
 
-def scalar_run(network, policy, row, initial_flow, stale):
-    config = AgentSimulationConfig(stale=stale, **row)
-    simulator = AgentBasedSimulator(network, policy, config)
-    trajectory = simulator.run(initial_flow)
-    return trajectory, simulator.final_assignment
+def one_row_run(network, policy, row, initial_flow, stale, scenario=None):
+    result = simulate_agent_batch(
+        network,
+        policy,
+        num_agents=row["num_agents"],
+        update_periods=row["update_period"],
+        horizons=row["horizon"],
+        initial_flows=initial_flow,
+        seeds=row["seed"],
+        stale=stale,
+        scenarios=scenario,
+    )
+    return result.trajectory(0), result.assignments[0]
 
 
-def assert_rows_bit_identical(result, network_of_row, policy_of_row, rows, starts, stale):
+def assert_rows_bit_identical(
+    result, network_of_row, policy_of_row, rows, starts, stale, scenarios=None
+):
     for index, row in enumerate(rows):
         network = network_of_row(index)
-        trajectory, assignment = scalar_run(
-            network, policy_of_row(index), row, starts[index], stale
+        trajectory, assignment = one_row_run(
+            network,
+            policy_of_row(index),
+            row,
+            starts[index],
+            stale,
+            None if scenarios is None else scenarios[index],
         )
         batched = result.trajectory(index)
         # Assignments: the exact agent-to-path map after the last phase.
@@ -54,15 +66,15 @@ def assert_rows_bit_identical(result, network_of_row, policy_of_row, rows, start
             p.phase_index for p in batched.points
         ]
         assert len(trajectory.phases) == len(batched.phases)
-        for scalar_phase, batch_phase in zip(trajectory.phases, batched.phases):
-            assert scalar_phase.index == batch_phase.index
-            assert scalar_phase.start_time == batch_phase.start_time
-            assert scalar_phase.end_time == batch_phase.end_time
+        for single_phase, batch_phase in zip(trajectory.phases, batched.phases):
+            assert single_phase.index == batch_phase.index
+            assert single_phase.start_time == batch_phase.start_time
+            assert single_phase.end_time == batch_phase.end_time
             assert np.array_equal(
-                scalar_phase.start_flow.values(), batch_phase.start_flow.values()
+                single_phase.start_flow.values(), batch_phase.start_flow.values()
             )
             assert np.array_equal(
-                scalar_phase.end_flow.values(), batch_phase.end_flow.values()
+                single_phase.end_flow.values(), batch_phase.end_flow.values()
             )
         # Final flows, both as arrays and through the FlowVector accessor.
         assert np.array_equal(
@@ -75,11 +87,70 @@ def assert_rows_bit_identical(result, network_of_row, policy_of_row, rows, start
 
 @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
 @pytest.mark.parametrize(
+    "name,closure",
+    [
+        ("braess", False),
+        ("braess", True),
+        ("parallel-8-affine", False),
+        ("parallel-8-affine", True),
+        ("sioux-falls-mini", False),
+        ("sioux-falls-mini", True),
+    ],
+)
+def test_scenario_rows_match_their_one_row_runs(name, closure, stale):
+    """A scenario row next to a stationary row: both equal their one-row runs."""
+    network = get_instance(name)
+    policy = replicator_policy(network, exploration=0.05)
+    edge = network.edges[0]
+    incident = (
+        LinkIncident(edge, 0.4, 1.2, capacity_factor=0.0, closure_penalty=10.0)
+        if closure
+        else LinkIncident(edge, 0.4, 1.2, capacity_factor=0.3)
+    )
+    scenarios = [Scenario(incidents=[incident]), None]
+    rows = ROWS[:2]
+    start = FlowVector.random(network, np.random.default_rng(2))
+    result = simulate_agent_batch(
+        network,
+        policy,
+        num_agents=[row["num_agents"] for row in rows],
+        update_periods=[row["update_period"] for row in rows],
+        horizons=[row["horizon"] for row in rows],
+        initial_flows=start,
+        seeds=[row["seed"] for row in rows],
+        stale=stale,
+        scenarios=scenarios,
+    )
+    assert_rows_bit_identical(
+        result, lambda i: network, lambda i: policy, rows, [start] * 2, stale, scenarios
+    )
+    # The wrapper is the one-row run too.
+    trajectory = simulate_agents(
+        network, policy, rows[0]["num_agents"], rows[0]["update_period"],
+        rows[0]["horizon"], initial_flow=start, seed=rows[0]["seed"], stale=stale,
+        scenario=scenarios[0],
+    )
+    assert np.array_equal(trajectory.flow_matrix(), result.trajectory(0).flow_matrix())
+
+
+def test_stationary_scenario_reproduces_the_scenario_free_run():
+    network = get_instance("braess")
+    policy = uniform_policy(network)
+    row = ROWS[0]
+    plain, plain_assignment = one_row_run(network, policy, row, None, True)
+    idle = Scenario(incidents=[LinkIncident(network.edges[0], 50.0, 60.0, capacity_factor=0.5)])
+    modulated, assignment = one_row_run(network, policy, row, None, True, idle)
+    assert np.array_equal(plain.flow_matrix(), modulated.flow_matrix())
+    assert np.array_equal(plain_assignment, assignment)
+
+
+@pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+@pytest.mark.parametrize(
     "make_network",
     [lambda: two_link_network(beta=4.0), lambda: pigou_network(degree=2)],
     ids=["two-links", "pigou-quadratic"],
 )
-def test_rows_bit_identical_to_scalar_runs(make_network, stale):
+def test_rows_bit_identical_to_one_row_runs(make_network, stale):
     network = make_network()
     policy = replicator_policy(network, exploration=1e-3)
     start = lopsided_flow(network, 0.85) if network.num_paths == 2 else None
@@ -145,7 +216,7 @@ def test_batch_size_broadcasts_from_any_per_row_field(two_links):
     assert result.batch_size == 3
     assert list(result.num_agents) == [40, 40, 40]
     for row in range(3):
-        trajectory, assignment = scalar_run(
+        trajectory, assignment = one_row_run(
             two_links,
             policy,
             {"num_agents": 40, "update_period": 0.25, "horizon": 1.0, "seed": row},
@@ -169,7 +240,7 @@ def test_uniform_default_start_and_shared_seed_broadcast(two_links):
     # Identical configuration and seed: the rows are exact clones.
     assert np.array_equal(result.assignments[0], result.assignments[1])
     assert np.array_equal(result.flows[0], result.flows[1])
-    trajectory, assignment = scalar_run(
+    trajectory, assignment = one_row_run(
         two_links,
         policy,
         {"num_agents": 30, "update_period": 0.25, "horizon": 1.5, "seed": 7},
@@ -180,16 +251,17 @@ def test_uniform_default_start_and_shared_seed_broadcast(two_links):
     assert np.array_equal(trajectory.flow_matrix(), result.trajectory(0).flow_matrix())
 
 
-def test_horizon_rounding_edge_keeps_engines_identical(two_links):
+def test_horizon_rounding_edge_keeps_rows_identical(two_links):
     """horizon = k * T computed in floating point can land just above k*T
-    (e.g. 48 * 0.2); ceil then plans one empty trailing phase, which both
-    engines must skip identically (code-review regression)."""
+    (e.g. 48 * 0.2); ceil then plans one empty trailing phase, which every
+    row must skip identically (code-review regression)."""
     policy = uniform_policy(two_links)
     horizon = 48 * 0.2  # = 9.600000000000001 > 9.6
     result = simulate_agent_batch(
-        two_links, policy, num_agents=[60], update_periods=0.2, horizons=horizon, seeds=13
+        two_links, policy, num_agents=[60, 60], update_periods=0.2,
+        horizons=[horizon, 3.0], seeds=[13, 14],
     )
-    trajectory, assignment = scalar_run(
+    trajectory, assignment = one_row_run(
         two_links,
         policy,
         {"num_agents": 60, "update_period": 0.2, "horizon": horizon, "seed": 13},
@@ -216,3 +288,32 @@ def test_family_size_must_match_batch(two_links):
     config = BatchAgentConfig(num_agents=np.array([10, 10, 10]))
     with pytest.raises(ValueError):
         BatchAgentSimulator(family, uniform_policy(two_links), config)
+
+
+@pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+def test_migration_probabilities_above_one_act_like_one(stale):
+    """Coins lie in [0, 1), so mu = 2 migrates exactly when mu = 1 does;
+    the fresh kernel's window padding must not migrate on either."""
+    from repro.core import BetterResponseMigration, ReroutingPolicy, UniformSampling
+
+    class Doubled(BetterResponseMigration):
+        def probability(self, latency_from, latency_to):
+            return 2.0 * super().probability(latency_from, latency_to)
+
+        def matrix_batch(self, path_latencies):
+            return 2.0 * super().matrix_batch(path_latencies)
+
+    network = get_instance("braess")
+    # Agent 0 starts off the empty (cheapest) path 0, which padded window
+    # entries would sample: a padding coin below 2 would move it.
+    start = FlowVector(network, [0.0, 0.5, 0.5])
+    runs = [
+        simulate_agent_batch(
+            network, ReroutingPolicy(UniformSampling(), rule), [50, 80], 0.25, 1.5,
+            initial_flows=start, seeds=[1, 2], stale=stale,
+        )
+        for rule in (BetterResponseMigration(), Doubled())
+    ]
+    for row in range(2):
+        assert np.array_equal(runs[0].assignments[row], runs[1].assignments[row])
+        assert np.array_equal(runs[0].flow_matrix(row), runs[1].flow_matrix(row))

@@ -1,11 +1,10 @@
-"""Early stopping for the finite-population agent engines.
+"""Early stopping for the finite-population agent engine.
 
-The scalar `AgentBasedSimulator` and the batched `BatchAgentSimulator` now
-accept `stop_when`, evaluated at phase boundaries on the realised flows and
-mirroring the fluid engine's freezing semantics: a stopping row records the
-triggering phase, then issues no further generator draws -- so a batched
-stopped row remains bit-identical to a scalar run that breaks at the same
-phase.
+`simulate_agents` and `BatchAgentSimulator` accept `stop_when`, evaluated at
+phase boundaries on the realised flows and mirroring the fluid engine's
+freezing semantics: a stopping row records the triggering phase, then issues
+no further generator draws -- so a stopped row of a batch remains
+bit-identical to the one-row run that stops at the same phase.
 """
 
 import numpy as np
@@ -13,22 +12,27 @@ import pytest
 
 from repro.batch.agents import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch
 from repro.batch.stopping import distance_stop
-from repro.core import replicator_policy, uniform_policy
-from repro.core.agents import AgentBasedSimulator, AgentSimulationConfig
+from repro.core import replicator_policy, simulate_agents, uniform_policy
 from repro.instances import pigou_network, two_link_network
+from repro.telemetry import telemetry_session
 from repro.wardrop import FlowVector
 
 
-def scalar_run(network, policy, n, period, horizon, seed, stop_when=None, stale=True):
-    config = AgentSimulationConfig(
-        num_agents=n, update_period=period, horizon=horizon, seed=seed, stale=stale
+def one_row_run(network, policy, n, period, horizon, seed, stop_when=None, stale=True):
+    """A one-row run with a scalar ``stop_when(time, flow)``, plus its assignment."""
+    batch_stop = None
+    if stop_when is not None:
+
+        def batch_stop(times, flows, rows):
+            return np.array([stop_when(times[0], FlowVector(network, flows[0]))])
+
+    result = simulate_agent_batch(
+        network, policy, n, period, horizon, seeds=seed, stale=stale, stop_when=batch_stop
     )
-    simulator = AgentBasedSimulator(network, policy, config)
-    trajectory = simulator.run(stop_when=stop_when)
-    return trajectory, simulator.final_assignment
+    return result.trajectory(0), result.assignments[0]
 
 
-class TestScalarStopping:
+class TestOneRowStopping:
     def test_stop_ends_the_run_at_the_firing_phase(self):
         network = two_link_network(beta=4.0)
         policy = uniform_policy(network)
@@ -38,31 +42,29 @@ class TestScalarStopping:
             fired.append(time)
             return len(fired) == 4
 
-        trajectory, _ = scalar_run(network, policy, 50, 0.2, 5.0, 3, stop_when=stop)
+        trajectory, _ = one_row_run(network, policy, 50, 0.2, 5.0, 3, stop_when=stop)
         assert len(trajectory.phases) == 4
         assert trajectory.points[-1].time == pytest.approx(0.8)
 
-    def test_final_state_recorded_even_between_record_interval_samples(self):
+    def test_simulate_agents_passes_the_condition_through(self):
         network = two_link_network(beta=4.0)
         policy = uniform_policy(network)
-        config = AgentSimulationConfig(
-            num_agents=40, update_period=0.1, horizon=5.0, seed=1,
-            record_interval=1.0,
-        )
-        trajectory = AgentBasedSimulator(network, policy, config).run(
-            stop_when=lambda time, flow: time >= 0.3
+        trajectory = simulate_agents(
+            network, policy, 40, 0.1, 5.0, seed=1,
+            stop_when=lambda time, flow: time >= 0.3,
         )
         assert trajectory.points[-1].time == pytest.approx(0.3)
+        assert len(trajectory.phases) == 3
 
     def test_prefix_of_a_non_stopping_run(self):
         """Stopping only truncates: the prefix matches the unstopped run."""
         network = pigou_network(degree=1)
         policy = replicator_policy(network, exploration=1e-3)
-        stopped, _ = scalar_run(
+        stopped, _ = one_row_run(
             network, policy, 80, 0.2, 4.0, 7,
             stop_when=lambda time, flow: time >= 1.0,
         )
-        full, _ = scalar_run(network, policy, 80, 0.2, 4.0, 7)
+        full, _ = one_row_run(network, policy, 80, 0.2, 4.0, 7)
         for ours, theirs in zip(stopped.points, full.points):
             assert ours.time == theirs.time
             assert np.array_equal(ours.flow.values(), theirs.flow.values())
@@ -70,7 +72,7 @@ class TestScalarStopping:
 
 class TestBatchStopping:
     @pytest.mark.parametrize("stale", [True, False])
-    def test_batch_rows_are_bit_identical_to_stopping_scalar_runs(self, stale):
+    def test_batch_rows_are_bit_identical_to_stopping_one_row_runs(self, stale):
         network = pigou_network(degree=1)
         policy = uniform_policy(network)
         target = np.array([[0.6, 0.4]] * 3)
@@ -80,7 +82,7 @@ class TestBatchStopping:
             seeds=np.array([11, 12, 13]), stale=stale, stop_when=stop,
         )
         for row, (n, seed) in enumerate([(60, 11), (90, 12), (120, 13)]):
-            trajectory, assignment = scalar_run(
+            trajectory, assignment = one_row_run(
                 network, policy, n, 0.2, 4.0, seed,
                 stop_when=stop.scalar(row), stale=stale,
             )
@@ -125,15 +127,23 @@ class TestBatchStopping:
             stopped.flow_matrix(1), free.flow_matrix(1)
         )
 
-    def test_bad_mask_shape_raises(self):
+    @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+    def test_bad_mask_shape_raises_and_closes_the_spans(self, stale):
         network = two_link_network(beta=2.0)
         config = BatchAgentConfig(
             num_agents=np.array([20, 20]), update_periods=0.2, horizons=1.0,
-            seeds=np.array([0, 1]),
+            seeds=np.array([0, 1]), stale=stale,
         )
         simulator = BatchAgentSimulator(network, uniform_policy(network), config)
-        with pytest.raises(ValueError, match="stop_when returned shape"):
-            simulator.run(stop_when=lambda times, flows, rows: np.zeros(5, dtype=bool))
+        with telemetry_session() as tele:
+            with pytest.raises(ValueError, match="stop_when returned shape"):
+                simulator.run(stop_when=lambda times, flows, rows: np.zeros(5, dtype=bool))
+            # The failed run's spans are closed, so later spans start at the root.
+            with tele.span("after"):
+                pass
+        records = {r["name"]: r for r in tele.tracer.records()}
+        assert {"engine_run", "phase"} <= set(records)
+        assert records["after"]["parent"] is None
 
     def test_initial_flows_still_respected_with_stopping(self):
         network = two_link_network(beta=2.0)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.batch import simulate_agent_batch
 from repro.core import (
-    AgentBasedSimulator,
-    AgentSimulationConfig,
     Trajectory,
     replicator_policy,
     simulate,
@@ -33,13 +32,14 @@ class TestLargestRemainder:
 
 
 class TestAgentSimulation:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AgentSimulationConfig(num_agents=0)
-        with pytest.raises(ValueError):
-            AgentSimulationConfig(update_period=0.0)
-        with pytest.raises(ValueError, match="record_interval"):
-            AgentSimulationConfig(update_period=0.1, record_interval=0.01)
+    def test_config_validation(self, two_links):
+        policy = uniform_policy(two_links)
+        with pytest.raises(ValueError, match="num_agents"):
+            simulate_agents(two_links, policy, num_agents=0, update_period=0.1, horizon=1.0)
+        with pytest.raises(ValueError, match="update_period"):
+            simulate_agents(two_links, policy, num_agents=10, update_period=0.0, horizon=1.0)
+        with pytest.raises(ValueError, match="num_agents must be a scalar"):
+            simulate_agents(two_links, policy, num_agents=[10, 20], update_period=0.1, horizon=1.0)
 
     def test_flow_conservation(self, two_links):
         policy = uniform_policy(two_links)
@@ -87,9 +87,10 @@ class TestAgentSimulation:
 
     def test_initial_assignment_matches_flow(self, two_links):
         policy = uniform_policy(two_links)
-        config = AgentSimulationConfig(num_agents=10, update_period=0.5, horizon=0.1, seed=0)
-        simulator = AgentBasedSimulator(two_links, policy, config)
-        trajectory = simulator.run(FlowVector(two_links, [0.7, 0.3]))
+        trajectory = simulate_agents(
+            two_links, policy, num_agents=10, update_period=0.5, horizon=0.1, seed=0,
+            initial_flow=FlowVector(two_links, [0.7, 0.3]),
+        )
         assert trajectory.initial_flow.values() == pytest.approx([0.7, 0.3], abs=1e-9)
 
     def test_fresh_information_mode_conserves_flow(self, two_links):
@@ -104,26 +105,13 @@ class TestAgentSimulation:
 
     def test_final_assignment_reproduces_final_flow(self, two_links):
         policy = uniform_policy(two_links)
-        config = AgentSimulationConfig(num_agents=50, update_period=0.2, horizon=2.0, seed=9)
-        simulator = AgentBasedSimulator(two_links, policy, config)
-        trajectory = simulator.run()
-        assignment = simulator.final_assignment
-        assert assignment is not None and len(assignment) == 50
+        result = simulate_agent_batch(two_links, policy, 50, 0.2, 2.0, seeds=9)
+        assignment = result.assignments[0]
+        assert len(assignment) == 50
         counts = np.bincount(assignment, minlength=two_links.num_paths)
         np.testing.assert_allclose(
-            counts / 50, trajectory.final_flow.values(), atol=1e-12
+            counts / 50, result.trajectory(0).final_flow.values(), atol=1e-12
         )
-
-    def test_record_interval_thins_points_but_not_phases(self, two_links):
-        policy = uniform_policy(two_links)
-        config = AgentSimulationConfig(
-            num_agents=40, update_period=0.1, horizon=1.0, seed=1, record_interval=0.5
-        )
-        trajectory = AgentBasedSimulator(two_links, policy, config).run()
-        # Initial point + one point per fifth phase (phases 5 and 10).
-        assert len(trajectory.points) == 3
-        assert len(trajectory.phases) == 10
-        assert trajectory.points[-1].time == pytest.approx(1.0)
 
 
 class TestTrajectory:

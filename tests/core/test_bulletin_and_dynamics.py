@@ -5,52 +5,47 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BulletinBoard, euler_step_batch, integration_step_for, rk4_step_batch
+from repro.batch import BatchBulletinBoard
+from repro.core import euler_step_batch, integration_step_for, rk4_step_batch
 from repro.core.dynamics import advance_phase, batch_stepper_for
 from repro.wardrop import FlowVector
 
 
 class TestBulletinBoard:
-    def test_requires_positive_period(self, two_links):
-        with pytest.raises(ValueError):
-            BulletinBoard(two_links, 0.0)
-
-    def test_snapshot_before_post_raises(self, two_links):
-        board = BulletinBoard(two_links, 0.5)
-        with pytest.raises(RuntimeError):
-            _ = board.snapshot
+    """One bulletin board: the one-row case of :class:`BatchBulletinBoard`."""
 
     def test_phase_start_floor(self, two_links):
-        board = BulletinBoard(two_links, 0.5)
-        assert board.phase_start(0.74) == pytest.approx(0.5)
-        assert board.phase_start(1.0) == pytest.approx(1.0)
+        board = BatchBulletinBoard(two_links, np.array([0.5]))
+        assert board.phase_starts(np.array([0.74]))[0] == pytest.approx(0.5)
+        assert board.phase_starts(np.array([1.0]))[0] == pytest.approx(1.0)
 
     def test_posted_latencies_are_frozen(self, two_links):
-        board = BulletinBoard(two_links, 1.0)
-        lopsided = FlowVector(two_links, [0.9, 0.1])
-        board.post(0.0, lopsided.values())
-        posted = board.snapshot.path_latencies.copy()
-        # The flow changes, but within the phase the board must not.
-        assert not board.maybe_update(0.5, np.array([0.5, 0.5]))
-        assert np.allclose(board.snapshot.path_latencies, posted)
+        board = BatchBulletinBoard(two_links, np.array([1.0]))
+        board.post_rows(0.0, np.array([[0.9, 0.1]]))
+        posted = board.posted_path_latencies.copy()
+        # The flow changes, but within the phase no refresh is due.
+        assert not board.needs_update(np.array([0.5]))[0]
+        assert np.array_equal(board.posted_path_latencies, posted)
 
     def test_update_at_phase_boundary(self, two_links):
-        board = BulletinBoard(two_links, 1.0)
-        board.post(0.0, np.array([0.9, 0.1]))
-        assert board.maybe_update(1.0, np.array([0.5, 0.5]))
-        assert board.phase_index == 1
-        assert np.allclose(board.snapshot.path_flows, [0.5, 0.5])
+        board = BatchBulletinBoard(two_links, np.array([1.0]))
+        board.post_rows(0.0, np.array([[0.9, 0.1]]))
+        assert board.needs_update(np.array([1.0]))[0]
+        board.post_rows(np.array([1.0]), np.array([[0.5, 0.5]]))
+        assert board.phase_index[0] == 1
+        assert np.allclose(board.posted_flows[0], [0.5, 0.5])
 
     def test_needs_update_initially(self, two_links):
-        board = BulletinBoard(two_links, 1.0)
-        assert board.needs_update(0.0)
+        board = BatchBulletinBoard(two_links, np.array([1.0]))
+        assert board.needs_update(np.array([0.0]))[0]
+        assert board.phase_index[0] == -1
 
     def test_path_latencies_consistent_with_edge_latencies(self, braess):
-        board = BulletinBoard(braess, 0.5)
+        board = BatchBulletinBoard(braess, np.array([0.5]))
         flow = FlowVector.uniform(braess)
-        snapshot = board.post(0.0, flow.values())
+        board.post_rows(0.0, flow.values()[None, :])
         expected = braess.path_latencies(flow.values())
-        assert np.allclose(snapshot.path_latencies, expected)
+        assert np.allclose(board.posted_path_latencies[0], expected)
 
 
 def integrate(field, state, start, end, max_step, method="rk4"):

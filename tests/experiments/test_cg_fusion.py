@@ -1,10 +1,10 @@
 """Runner fusion of column-generation cases.
 
 Same-network CG cases sharing a phase grid fuse into one batched CG call
-under ``engine="batch"``/``"auto"``; rows with an initial flow or a stop
-condition stay on the scalar path so the scalar driver's informative
-errors surface.  Open-mode fused rows grow one shared (union) restricted
-path set, so scalar equality is asserted where it is guaranteed: B=1
+under ``engine="batch"``/``"auto"``; cases with an initial flow, a stop
+condition or the agents method are rejected when the case is built.
+Open-mode fused rows grow one shared (union) restricted path set, so
+equality with the one-case run is asserted where it is guaranteed: B=1
 groups, and multi-row groups whose rows are identical (union growth then
 coincides with each row's own discovery).
 """
@@ -60,7 +60,7 @@ class TestGroupKeys:
         a = cg_case(network, uniform_policy(network))
         b = cg_case(network, replicator_policy(network), scenario=incident(network, 0))
         assert group_key(a) == group_key(b)
-        assert not group_key(a)[3]  # not serial-only
+        assert group_key(a)[3] is not None  # the CG fusion signature
 
     def test_different_phase_grids_split_the_group(self):
         network = braess_network()
@@ -80,20 +80,17 @@ class TestGroupKeys:
         b = cg_case(braess_network(), uniform_policy(braess_network()))
         assert group_key(a) != group_key(b)
 
-    def test_initial_flow_and_stop_when_mark_serial_only(self):
+    def test_initial_flow_stop_when_and_agents_are_rejected_at_construction(self):
         network = braess_network()
-        flowed = cg_case(
-            network,
-            uniform_policy(network),
-            initial_flow=FlowVector.uniform(network),
-        )
-        stopped = cg_case(
-            network,
-            uniform_policy(network),
-            stop_when=distance_stop(np.zeros(network.num_paths), 1e-9),
-        )
-        assert group_key(flowed)[3]
-        assert group_key(stopped)[3]
+        policy = uniform_policy(network)
+        with pytest.raises(ValueError, match="initial_flow"):
+            cg_case(network, policy, initial_flow=FlowVector.uniform(network))
+        with pytest.raises(ValueError, match="stop_when"):
+            cg_case(
+                network, policy, stop_when=distance_stop(np.zeros(network.num_paths), 1e-9)
+            )
+        with pytest.raises(ValueError, match="method"):
+            cg_case(network, policy, method="agents")
 
 
 class TestFusedExecution:
@@ -105,9 +102,9 @@ class TestFusedExecution:
         batch = run_cases(make(), flows_row_builder, engine="batch").rows
         assert serial == batch
 
-    def test_identical_rows_fuse_and_match_the_scalar_driver(self):
+    def test_identical_rows_fuse_and_match_the_one_row_driver(self):
         # Identical rows make union growth coincide with each row's own
-        # discovery, so every fused row must replay the scalar CG run.
+        # discovery, so every fused row must replay the one-row CG run.
         network = braess_network()
         scenario = incident(network, 0)
         cases = [
@@ -115,7 +112,7 @@ class TestFusedExecution:
             for _ in range(3)
         ]
         rows = run_cases(cases, flows_row_builder, engine="batch").rows
-        scalar = simulate_with_column_generation(
+        single = simulate_with_column_generation(
             ActivePathSet.from_network(network),
             uniform_policy(network),
             update_period=0.25,
@@ -123,7 +120,7 @@ class TestFusedExecution:
             steps_per_phase=5,
             scenario=scenario,
         )
-        expected = flows_row_builder(scalar.trajectory)
+        expected = flows_row_builder(single.trajectory)
         assert len(rows) == 3
         for row in rows:
             assert row == expected
@@ -143,13 +140,3 @@ class TestFusedExecution:
         # All rows share one union path set, hence one flow dimension.
         widths = {len(row["flows"][0]) for row in rows}
         assert len(widths) == 1
-
-    def test_serial_only_cg_cases_surface_the_scalar_errors(self):
-        network = braess_network()
-        flowed = cg_case(
-            network,
-            uniform_policy(network),
-            initial_flow=FlowVector.uniform(network),
-        )
-        with pytest.raises(ValueError, match="column-generation"):
-            run_cases([flowed], flows_row_builder, engine="batch")

@@ -318,6 +318,27 @@ class TestAgentsMethod:
         fluid = SweepCase({}, cases[0].network, cases[0].policy, 0.2, 2.0)
         assert group_key(fluid) != group_key(cases[0])
 
+    def test_scenario_cases_fuse_and_match_serial(self):
+        """Agent cases with (different) scenarios fuse like any other case."""
+        from repro.scenarios import LinkIncident, Scenario
+        from repro.telemetry import telemetry_session
+
+        def cases():
+            edge = pigou_network(degree=1).edges[1]
+            built = self.agent_cases()
+            for i, case in enumerate(built[:2]):
+                case.scenario = Scenario(
+                    incidents=[LinkIncident(edge, 0.4 * (i + 1), 1.6, capacity_factor=0.3)]
+                )
+            return built
+
+        assert len({group_key(case) for case in cases()}) == 1
+        with telemetry_session() as tele:
+            fused = run_cases(cases(), self.builder, engine="auto").rows
+        assert tele.metrics.flatten()["runner.batch_groups"] == 1
+        assert fused == run_cases(cases(), self.builder, engine="serial").rows
+        assert fused[0] != run_cases(self.agent_cases(), self.builder, engine="serial").rows[0]
+
     @pytest.mark.parametrize("engine", ["auto", "batch", "processes"])
     def test_engines_agree_with_serial(self, engine):
         rows = run_cases(self.agent_cases(), self.builder, engine=engine, processes=2).rows
@@ -339,9 +360,9 @@ class TestAgentsMethod:
     def test_explicit_zero_num_agents_reaches_the_validator(self):
         case = self.agent_cases()[0]
         case.num_agents = 0
-        with pytest.raises(ValueError, match="at least one agent"):
+        with pytest.raises(ValueError, match="num_agents"):
             run_cases([case], self.builder, engine="serial")
-        with pytest.raises(ValueError, match="at least one agent"):
+        with pytest.raises(ValueError, match=r"num_agents\[0\]"):
             run_cases([case, self.agent_cases()[1]], self.builder, engine="batch")
 
     def test_agent_cases_thread_stop_when_through_all_backends(self):

@@ -1,11 +1,24 @@
 """Batched column generation: closed-mode bit-identity, union growth,
-in-place buffer growth, per-row eviction and the certificate surface."""
+in-place buffer growth, per-row eviction, stopping, state checks and the
+certificate surface.
+
+There is one CG driver (``simulate_with_column_generation`` is its one-row
+case).  Closed-mode rows are checked bit for bit against ``simulate``, the
+fluid engine on the same fixed path set, which ``tests/reference_dynamics.py``
+checks in turn; B-invariance covers the rest."""
 
 import numpy as np
 import pytest
 
-from repro.core import replicator_policy, uniform_policy
-from repro.instances import braess_network, grid_network
+from repro.core import (
+    MigrationRule,
+    ReroutingPolicy,
+    UniformSampling,
+    replicator_policy,
+    simulate,
+    uniform_policy,
+)
+from repro.instances import braess_network, get_instance, grid_network
 from repro.largescale import (
     ActivePathSet,
     simulate_with_column_generation,
@@ -13,14 +26,16 @@ from repro.largescale import (
 )
 from repro.largescale.columns import _evict_closed_columns
 from repro.scenarios import LinkIncident, Scenario, get_scenario
+from repro.telemetry import telemetry_session
+from repro.wardrop import FlowVector
 
 
 def trajectory_matrix(trajectory):
-    """Stack a scalar trajectory's samples into an ``(S, P)`` array."""
+    """Stack a trajectory's samples into an ``(S, P)`` array."""
     return np.array([point.flow.values() for point in trajectory.points])
 
 
-def scalar_run(network, policy, closed=True, scenario=None, **kwargs):
+def one_row_run(network, policy, closed=True, scenario=None, **kwargs):
     return simulate_with_column_generation(
         ActivePathSet.from_network(network, closed=closed),
         policy,
@@ -30,16 +45,41 @@ def scalar_run(network, policy, closed=True, scenario=None, **kwargs):
 
 
 class TestClosedModeBitIdentity:
-    """Closed-mode batched rows reproduce the scalar driver bit for bit."""
+    """Closed-mode rows reproduce ``simulate`` and their one-row runs bit for bit."""
 
     SETTINGS = dict(update_period=0.125, horizon=2.0, steps_per_phase=7)
+
+    @pytest.mark.parametrize("incident", [False, True], ids=["calm", "incident"])
+    @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+    @pytest.mark.parametrize(
+        "name", ["braess", "pigou-linear", "parallel-8-affine", "sioux-falls-mini"]
+    )
+    def test_rows_equal_simulate_on_the_fixed_path_set(self, name, stale, incident):
+        network = get_instance(name)
+        policy = replicator_policy(network, exploration=0.05)
+        scenario = None
+        if incident:
+            scenario = Scenario(
+                incidents=[LinkIncident(network.edges[0], 0.5, 1.25, capacity_factor=0.4)]
+            )
+        batched = simulate_with_column_generation_batch(
+            ActivePathSet.from_network(network, closed=True),
+            policy,
+            scenarios=[scenario, scenario],
+            stale=stale,
+            **self.SETTINGS,
+        )
+        reference = simulate(network, policy, stale=stale, scenario=scenario, **self.SETTINGS)
+        assert np.array_equal(batched.times, reference.times)
+        for row in range(2):
+            assert np.array_equal(batched.flow_matrix(row), reference.flow_matrix())
 
     @pytest.mark.parametrize("policy_builder", [uniform_policy, replicator_policy])
     @pytest.mark.parametrize(
         "factory",
         [braess_network, lambda: grid_network(2, 3, num_commodities=2, seed=3)],
     )
-    def test_rows_match_scalar_closed_runs(self, policy_builder, factory):
+    def test_rows_match_one_row_closed_runs(self, policy_builder, factory):
         network = factory()
         policy = policy_builder(network)
         batched = simulate_with_column_generation_batch(
@@ -48,16 +88,16 @@ class TestClosedModeBitIdentity:
             batch=3,
             **self.SETTINGS,
         )
-        scalar = scalar_run(network, policy, **self.SETTINGS)
-        reference = trajectory_matrix(scalar.trajectory)
+        single = one_row_run(network, policy, **self.SETTINGS)
+        reference = trajectory_matrix(single.trajectory)
         assert batched.growth_events == []
-        assert np.array_equal(batched.times, [p.time for p in scalar.trajectory.points])
+        assert np.array_equal(batched.times, [p.time for p in single.trajectory.points])
         for row in range(3):
             assert np.array_equal(reference, batched.flow_matrix(row))
 
-    def test_rows_with_distinct_scenarios_match_scalar(self):
+    def test_rows_with_distinct_scenarios_match_one_row_runs(self):
         """Per-row incidents (capacity drops at different times) must leave
-        every closed-mode row bit-identical to its own scalar run."""
+        every closed-mode row bit-identical to its own one-row run."""
         network = grid_network(2, 3, num_commodities=2, seed=3)
         policy = uniform_policy(network)
         edge = network.edges[0]
@@ -73,14 +113,14 @@ class TestClosedModeBitIdentity:
             **self.SETTINGS,
         )
         for row, scenario in enumerate(scenarios):
-            scalar = scalar_run(network, policy, scenario=scenario, **self.SETTINGS)
+            single = one_row_run(network, policy, scenario=scenario, **self.SETTINGS)
             assert np.array_equal(
-                trajectory_matrix(scalar.trajectory), batched.flow_matrix(row)
+                trajectory_matrix(single.trajectory), batched.flow_matrix(row)
             )
 
-    def test_closure_scenario_rows_match_scalar_including_eviction(self):
+    def test_closure_scenario_rows_match_one_row_runs_including_eviction(self):
         """A closure evicts crossing columns per row at the onset phase; the
-        repaired states must still replay the scalar driver exactly."""
+        repaired states must still replay the one-row runs exactly."""
         network = braess_network()
         policy = uniform_policy(network)
         scenarios = [get_scenario("braess-closure", network), None]
@@ -94,12 +134,12 @@ class TestClosedModeBitIdentity:
         assert batched.eviction_events, "the closure must evict crossing columns"
         assert all(row == 0 for _, row, _ in batched.eviction_events)
         for row, scenario in enumerate(scenarios):
-            scalar = scalar_run(network, policy, scenario=scenario, **settings)
+            single = one_row_run(network, policy, scenario=scenario, **settings)
             assert np.array_equal(
-                trajectory_matrix(scalar.trajectory), batched.flow_matrix(row)
+                trajectory_matrix(single.trajectory), batched.flow_matrix(row)
             )
 
-    def test_closed_rows_on_a_grown_network_match_scalar(self):
+    def test_closed_rows_on_a_grown_network_match_one_row_runs(self):
         """The regression behind the 1-ulp projection bug: freeze a set that
         *grew* (commodity blocks at shifted offsets) and require closed-mode
         rows to stay bit-identical on the grown geometry."""
@@ -120,8 +160,8 @@ class TestClosedModeBitIdentity:
             batch=4,
             **self.SETTINGS,
         )
-        scalar = scalar_run(grown, policy, **self.SETTINGS)
-        reference = trajectory_matrix(scalar.trajectory)
+        single = one_row_run(grown, policy, **self.SETTINGS)
+        reference = trajectory_matrix(single.trajectory)
         for row in range(4):
             assert np.array_equal(reference, batched.flow_matrix(row))
 
@@ -129,26 +169,28 @@ class TestClosedModeBitIdentity:
 class TestOpenModeGrowth:
     SETTINGS = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
 
-    def test_single_row_batch_reproduces_scalar_driver(self):
-        """B=1 has nothing to union: growth events, final path set and every
-        sample must match the scalar open-mode driver bit for bit."""
+    def test_one_row_wrapper_reports_the_row(self):
+        """``simulate_with_column_generation`` is the one-row run: growth
+        events, final path set, path counts and every sample carry over."""
         network = grid_network(3, 3, num_commodities=2, seed=3)
         policy = uniform_policy(network)
         batched = simulate_with_column_generation_batch(
             ActivePathSet.from_network(network), policy, batch=1, **self.SETTINGS
         )
-        scalar = simulate_with_column_generation(
+        single = simulate_with_column_generation(
             ActivePathSet.from_network(network), policy, **self.SETTINGS
         )
-        assert scalar.total_columns_added > 0
-        assert batched.network.num_paths == scalar.network.num_paths
+        assert single.total_columns_added > 0
+        assert batched.network.num_paths == single.network.num_paths
         assert [phase for phase, _ in batched.growth_events] == [
-            phase for phase, _ in scalar.growth_events
+            phase for phase, _ in single.growth_events
         ]
-        assert list(batched.network.paths) == list(scalar.network.paths)
+        assert single.path_counts == batched.path_counts
+        assert list(batched.network.paths) == list(single.network.paths)
         assert np.array_equal(
-            trajectory_matrix(scalar.trajectory), batched.flow_matrix(0)
+            trajectory_matrix(single.trajectory), batched.flow_matrix(0)
         )
+        assert single.trajectory.policy_name == batched.trajectory(0).policy_name
 
     def test_new_columns_enter_with_zero_flow_on_every_row(self):
         """Union growth: a column discovered by one row joins all rows with
@@ -405,3 +447,53 @@ class TestBatchApiSurface:
                 batch=2,
                 initial_flows=FlowVector.uniform(other),
             )
+
+
+class TestStoppingAndState:
+    def test_stop_when_ends_the_run_at_a_phase_boundary(self):
+        network = grid_network(3, 3, num_commodities=2, seed=3)
+        policy = uniform_policy(network)
+        seen = []
+
+        def stop(time, flows):
+            seen.append((time, flows.shape))
+            return len(seen) == 3
+
+        result = simulate_with_column_generation_batch(
+            ActivePathSet.from_network(network), policy, update_period=0.25,
+            horizon=5.0, steps_per_phase=5, batch=2, stop_when=stop,
+        )
+        assert len(result.phase_spans) == 3
+        assert result.times[-1] == pytest.approx(0.75)
+        # The condition sees every row on the current restricted network.
+        assert all(shape[0] == 2 for _, shape in seen)
+        assert seen[-1][1][1] == result.network.num_paths
+        full = simulate_with_column_generation_batch(
+            ActivePathSet.from_network(network), policy, update_period=0.25,
+            horizon=5.0, steps_per_phase=5, batch=2,
+        )
+        # Stopping only truncates: the prefix matches the unstopped run.
+        columns = [full.network.paths.index_of(path) for path in result.network.paths]
+        for row in range(2):
+            assert np.array_equal(result.flow_matrix(row), full.flow_matrix(row)[:4, columns])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_fails_at_the_phase_that_produced_it(self):
+        class Exploding(MigrationRule):
+            def probability(self, latency_from, latency_to):
+                return np.inf if latency_from > latency_to else 0.0
+
+        active = ActivePathSet.from_network(braess_network(), closed=True)
+        policy = ReroutingPolicy(UniformSampling(), Exploding())
+        with telemetry_session() as tele:
+            with pytest.raises(ValueError, match="row 0 has non-finite flows at the end of phase 0"):
+                simulate_with_column_generation_batch(
+                    active, policy, update_period=0.1, horizon=1.0, batch=2,
+                    initial_flows=FlowVector(active.network, [0.8, 0.1, 0.1]),
+                )
+            # The failed run's spans are closed, so later spans start at the root.
+            with tele.span("after"):
+                pass
+        records = {r["name"]: r for r in tele.tracer.records()}
+        assert {"engine_run", "phase", "integrate"} <= set(records)
+        assert records["after"]["parent"] is None

@@ -145,27 +145,23 @@ class TestFullEnumerationEquivalence:
 
     def test_runner_rejects_fixed_dimension_arguments_for_cg_cases(self):
         """SweepCase stop_when/initial_flow are sized for the fixed path set;
-        the runner refuses them for column-generation cases with a clear
+        a column-generation case refuses them when it is built, with a clear
         error instead of a downstream broadcast crash."""
         from repro.analysis.sweeps import SweepCase
         from repro.batch.stopping import distance_stop
-        from repro.experiments.runner import run_cases
 
         network = braess_network()
         policy = uniform_policy(network)
-        builder = lambda trajectory: {"phases": len(trajectory.phases)}  # noqa: E731
-        stoppy = SweepCase(
-            {}, network, policy, 0.1, 1.0, column_generation=True,
-            stop_when=distance_stop(np.full((1, network.num_paths), 1 / 3), 0.05),
-        )
-        with pytest.raises(ValueError, match="column-generation"):
-            run_cases([stoppy], builder, engine="serial")
-        seeded = SweepCase(
-            {}, network, policy, 0.1, 1.0, column_generation=True,
-            initial_flow=FlowVector.uniform(network),
-        )
-        with pytest.raises(ValueError, match="column-generation"):
-            run_cases([seeded], builder, engine="serial")
+        with pytest.raises(ValueError, match="stop_when does not combine with column_generation"):
+            SweepCase(
+                {}, network, policy, 0.1, 1.0, column_generation=True,
+                stop_when=distance_stop(np.full((1, network.num_paths), 1 / 3), 0.05),
+            )
+        with pytest.raises(ValueError, match="initial_flow does not combine"):
+            SweepCase(
+                {}, network, policy, 0.1, 1.0, column_generation=True,
+                initial_flow=FlowVector.uniform(network),
+            )
 
     def test_stop_when_fires_at_phase_boundaries(self):
         network = two_link_network(beta=4.0)

@@ -1,0 +1,52 @@
+"""A finite-agent simulator written event by event from the model, sharing no engine code.
+
+Each phase of length ``d`` draws, in order, ``K ~ Poisson(n d)``, the ``K``
+activated agents, ``K`` sampling uniforms and ``K`` migration coins (the
+seeding contract of ``repro.core.agents``).  An activated agent on path P
+samples Q from ``sigma_P`` and moves iff its coin is below ``mu_PQ``, both
+taken from ``reference_dynamics``: stale agents read the board posted at the
+phase start, fresh agents price the live flow at their own activation.
+"""
+
+import numpy as np
+
+from reference_dynamics import tables
+from repro.core.agents import build_population
+
+
+def reference_agents(network, sampling, l_max, exploration, n, period, horizon, seed,
+                     start=None, stale=True, scenario=None):
+    """Return ``(times, flows, assignment)`` at the phase ends of one replica."""
+    assignment, weights = build_population(network, n, start)
+    owner = [path.commodity_index for path in network.paths]
+    rng = np.random.default_rng(seed)
+    flow = np.bincount(assignment, weights=weights, minlength=network.num_paths)
+    times, flows = [0.0], [flow]
+    phase = 0
+    while phase == 0 or phase * period < horizon:
+        begin, end = phase * period, min((phase + 1) * period, horizon)
+        # The environment of the phase, frozen at its start.
+        env = network if scenario is None else scenario.network_at(network, begin)
+        count = rng.poisson(n * (end - begin))
+        agents = rng.integers(n, size=count)
+        u_sample, u_migrate = rng.random(count), rng.random(count)
+        sigma, mu = tables(env, sampling, l_max, exploration, flow)  # the posted board
+        flow = flow.copy()  # the live flow; ``flows`` keeps the phase-start sample
+        for agent, u, coin in zip(agents, u_sample, u_migrate):
+            if not stale:
+                sigma, mu = tables(env, sampling, l_max, exploration, flow)
+            p = assignment[agent]
+            a, b = network.paths.commodity_slice(owner[p])
+            weights_q = sigma[p, a:b]
+            if weights_q.sum() <= 0:
+                continue
+            q = a + int(np.searchsorted(np.cumsum(weights_q) / weights_q.sum(), u, side="right"))
+            if q != p and coin < mu[p, q]:
+                assignment[agent] = q
+                flow[p] -= weights[agent]
+                flow[q] += weights[agent]
+        flow = np.bincount(assignment, weights=weights, minlength=network.num_paths)
+        times.append(end)
+        flows.append(flow)
+        phase += 1
+    return np.array(times), np.array(flows), assignment

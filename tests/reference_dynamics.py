@@ -7,18 +7,23 @@ read sigma and mu off the board posted at each phase start ``kT``.
 import numpy as np
 
 
-def transition_rates(network, sampling, l_max, exploration, posted):
-    """Return ``sigma_PQ * mu(l_P, l_Q)`` for every path pair of a posted state."""
+def tables(network, sampling, l_max, exploration, posted):
+    """Return ``(sigma, mu)`` for every path pair of a posted state (0 across commodities)."""
     latencies = network.path_latencies(posted)
-    rates = np.zeros((len(posted), len(posted)))
+    sigma, mu = np.zeros((2, len(posted), len(posted)))
     for i in range(network.num_commodities):
         a, b = network.paths.commodity_slice(i)
         # sigma_PQ = f_Q / r_i (proportional) or 1 / |P_i| (uniform), plus exploration.
         shares = np.ones(b - a) if sampling == "uniform" else np.clip(posted[a:b], 0.0, None)
-        sigma = (1.0 - exploration) * shares / shares.sum() + exploration / (b - a)
-        mu = np.clip((latencies[a:b, None] - latencies[None, a:b]) / l_max, 0.0, 1.0)  # linear
-        rates[a:b, a:b] = sigma[None, :] * mu
-    return rates
+        sigma[a:b, a:b] = (1.0 - exploration) * shares / shares.sum() + exploration / (b - a)
+        mu[a:b, a:b] = np.clip((latencies[a:b, None] - latencies[None, a:b]) / l_max, 0.0, 1.0)
+    return sigma, mu
+
+
+def transition_rates(network, sampling, l_max, exploration, posted):
+    """Return ``sigma_PQ * mu(l_P, l_Q)`` for every path pair of a posted state."""
+    sigma, mu = tables(network, sampling, l_max, exploration, posted)
+    return sigma * mu
 
 
 def project(network, flow):  # clip, then rescale every commodity to its demand

@@ -117,3 +117,16 @@ def test_edge_solver_rejects_path_space_methods():
         solve_edge_flow_equilibrium(network, method="pg")
     with pytest.raises(ValueError, match="newton"):
         solve_edge_flow_equilibrium(network, method="newton")
+
+
+def test_duality_gap_with_free_shortest_paths():
+    """Threshold latencies are zero below their threshold, so SPTT can be 0:
+    the gap is 0 when the flow pays nothing either, infinite otherwise."""
+    from repro.instances import get_instance
+
+    network = get_instance("two-links-steep")
+    oracle = ShortestPathOracle.for_network(network)
+    balanced = oracle.expand_edge_values(network, network.edge_flows(np.array([0.5, 0.5])))
+    lopsided = oracle.expand_edge_values(network, network.edge_flows(np.array([1.0, 0.0])))
+    assert relative_duality_gap(network, oracle, balanced) == 0.0
+    assert relative_duality_gap(network, oracle, lopsided) == np.inf

@@ -70,11 +70,11 @@ class TestAgents:
             traced = simulate_agents(network, policy, **kwargs)
         assert np.array_equal(plain.flow_matrix(), traced.flow_matrix())
         (run,) = engine_runs(tele)
-        assert run["attrs"]["engine"] == "agents"
+        assert (run["attrs"]["engine"], run["attrs"]["rows"]) == ("agents-batch", 1)
         assert run["attrs"]["agents"] == 200
         flat = tele.metrics.flatten()
-        assert flat["agents.events"] > 0
-        assert flat["agents.phases_integrated"] > 0
+        assert flat["agents_batch.events"] > 0
+        assert flat["agents_batch.phases_integrated"] > 0
 
 
 class TestFluidBatch:
@@ -132,12 +132,12 @@ class TestColumnGeneration:
         )
         assert plain.total_columns_added == traced.total_columns_added
         (run,) = engine_runs(tele)
-        assert run["attrs"]["engine"] == "column-generation"
+        assert (run["attrs"]["engine"], run["attrs"]["batch"]) == ("column-generation-batch", 1)
         assert run["attrs"]["final_paths"] == traced.network.num_paths
         assert "column_generation_round" in span_names(tele)
         flat = tele.metrics.flatten()
-        assert flat["cg.phases_integrated"] > 0
-        assert flat["cg.columns_added"] == traced.total_columns_added
+        assert flat["cg_batch.phases_integrated"] > 0
+        assert flat["cg_batch.columns_added"] == traced.total_columns_added
 
 
 class TestEdgeFrankWolfe:

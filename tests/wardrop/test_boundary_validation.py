@@ -11,9 +11,10 @@ import pytest
 
 from repro.analysis.sweeps import SweepCase
 from repro.batch.agents import BatchAgentConfig
+from repro.batch.stopping import distance_stop
 from repro.batch.engine import BatchConfig, simulate_batch
 from repro.core import uniform_policy
-from repro.core.agents import AgentSimulationConfig
+from repro.core.agents import simulate_agents
 from repro.core.simulator import simulate
 from repro.instances import braess_network
 from repro.largescale.batch_columns import simulate_with_column_generation_batch
@@ -58,6 +59,11 @@ def run_cg(simulate_cg, **overrides):
     if simulate_cg is simulate_with_column_generation_batch:
         settings["batch"] = 1
     return simulate_cg(ActivePathSet.from_network(BRAESS), POLICY, **settings)
+
+
+def run_agents(**overrides):
+    settings = {"num_agents": 10, "update_period": 0.1, "horizon": 0.2, **overrides}
+    return simulate_agents(BRAESS, POLICY, **settings)
 
 
 def sweep_case(**overrides):
@@ -202,8 +208,42 @@ ROWS = [
     ("SweepCase(steps_per_phase=2.5)", lambda: sweep_case(steps_per_phase=2.5), "steps_per_phase"),
     ("SweepCase(method=rk5)", lambda: sweep_case(method="rk5"), "method"),
     ("SweepCase(num_agents=0)", lambda: sweep_case(method="agents", num_agents=0), "num_agents"),
-    ("AgentSimulationConfig(update_period=nan)", lambda: AgentSimulationConfig(update_period=NAN), "update_period"),
-    ("AgentSimulationConfig(horizon=nan)", lambda: AgentSimulationConfig(horizon=NAN), "horizon"),
+    (
+        "SweepCase(column_generation, method=agents)",
+        lambda: sweep_case(column_generation=True, method="agents"),
+        "method",
+    ),
+    (
+        "SweepCase(column_generation, initial_flow)",
+        lambda: sweep_case(column_generation=True, initial_flow=FlowVector.uniform(BRAESS)),
+        "initial_flow",
+    ),
+    (
+        "SweepCase(column_generation, stop_when)",
+        lambda: sweep_case(
+            column_generation=True, stop_when=distance_stop(np.zeros((1, 3)), 0.1)
+        ),
+        "stop_when",
+    ),
+    ("simulate_agents(update_period=nan)", lambda: run_agents(update_period=NAN), "update_period"),
+    ("simulate_agents(horizon=nan)", lambda: run_agents(horizon=NAN), "horizon"),
+    ("simulate_agents(num_agents=2.5)", lambda: run_agents(num_agents=2.5), "num_agents"),
+    ("simulate_agents(seed=1.5)", lambda: run_agents(seed=1.5), "seed"),
+    ("BatchAgentConfig(num_agents=2.5)", lambda: BatchAgentConfig(num_agents=2.5), "num_agents"),
+    ("BatchAgentConfig(num_agents=nan)", lambda: BatchAgentConfig(num_agents=NAN), "num_agents"),
+    ("BatchAgentConfig(num_agents=0.5)", lambda: BatchAgentConfig(num_agents=0.5), "num_agents"),
+    (
+        "BatchAgentConfig(num_agents=[10, 0])",
+        lambda: BatchAgentConfig(num_agents=[10, 0]),
+        r"num_agents\[1\]",
+    ),
+    ("BatchAgentConfig(seeds=1.5)", lambda: BatchAgentConfig(seeds=1.5), "seeds"),
+    ("BatchAgentConfig(seeds=-1)", lambda: BatchAgentConfig(seeds=-1), "seeds"),
+    (
+        "BatchAgentConfig(seeds=[1, nan])",
+        lambda: BatchAgentConfig(num_agents=[10, 10], seeds=[1.0, NAN]),
+        r"seeds\[1\]",
+    ),
     ("BatchAgentConfig(update_periods=nan)", lambda: BatchAgentConfig(update_periods=NAN), "update_periods"),
     (
         "BatchAgentConfig(horizons=[1, nan])",
@@ -232,3 +272,6 @@ def test_valid_boundary_values_still_accepted():
     # Whole numbers stored as floats are still whole numbers.
     assert BatchConfig(steps_per_phase=4.0, record_every=2.0).record_every == 2
     assert sweep_case(steps_per_phase=np.int64(3), num_agents=10).steps_per_phase == 3
+    config = BatchAgentConfig(num_agents=[10.0, 20.0], seeds=[0, 2**62])
+    assert config.num_agents.tolist() == [10, 20]
+    assert config.seeds.tolist() == [0, 2**62]
