@@ -380,9 +380,6 @@ class BatchAgentSimulator(BatchEnsembleBase):
         flows_live = np.empty(0)
         if config.stale:
             board = BatchBulletinBoard(self.family or network, periods)
-            if ensemble is not None:
-                board.set_networks(ensemble.family_at(np.zeros(batch)))
-            board.post_rows(0.0, flows)
         else:
             # Only the fresh-information kernel reads the live flows.
             flows_live = flows.copy()
@@ -412,7 +409,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
                     self._phase_family = ensemble.family_at(starts)
                     if board is not None:
                         board.set_networks(self._phase_family)
-                if config.stale and phase > 0:
+                if config.stale:
                     board.post_rows(starts, flows, mask=active)
                     tele.event("bulletin_refresh", rows=len(rows))
                     refresh_counter.add(len(rows))

@@ -9,7 +9,8 @@ model of Section 3.1, which the engines run as ``stale=False``.
 
 Every engine -- fluid, finite agents and column generation -- keeps one board
 per ensemble row in :class:`BatchBulletinBoard` (a single run is its one-row
-case).  Rows may use different update periods, so their phase clocks tick at
+case) and posts every active row at the start of each of its phases, Eq. (3)
+exactly: the board keeps no refresh schedule of its own.  Rows may use different update periods, so their phase clocks tick at
 different absolute times even though the engines advance them phase by phase
 in lockstep (row ``r`` is always inside *its own* phase ``k``), which is fine
 because replicas are independent.  The posted flows, edge latencies and path
@@ -39,9 +40,8 @@ class BatchBulletinBoard:
     update_periods:
         Array of shape ``(B,)`` with each row's refresh interval ``T_r``.
     phase_index:
-        Array of shape ``(B,)`` counting completed refreshes per row (−1
-        before the first post); the convergence-time analyses use it as the
-        round counter ("number of update periods").
+        Array of shape ``(B,)`` counting posts per row (−1 before the first
+        post), i.e. the index of the phase each row's snapshot belongs to.
     posted_flows / posted_edge_latencies / posted_path_latencies:
         The stacked snapshots, shapes ``(B, P)``, ``(B, E)``, ``(B, P)``.
     posted_times:
@@ -67,7 +67,6 @@ class BatchBulletinBoard:
         self.posted_path_latencies = np.zeros((batch, self.network.num_paths))
         self.posted_times = np.full(batch, -np.inf)
         self.phase_index = np.full(batch, -1, dtype=int)
-        self._ever_posted = np.zeros(batch, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.update_periods)
@@ -90,11 +89,6 @@ class BatchBulletinBoard:
         else:
             self.family = None
             self.network = network
-
-    def phase_starts(self, times: np.ndarray) -> np.ndarray:
-        """Return ``t_hat_r = floor(t_r / T_r) * T_r`` for every row."""
-        times = np.asarray(times, dtype=float)
-        return np.floor(times / self.update_periods) * self.update_periods
 
     def post_rows(
         self,
@@ -126,11 +120,5 @@ class BatchBulletinBoard:
         self.posted_path_latencies[mask] = network.path_latencies_from_edge_latencies_batch(
             edge_latencies
         )
-        self.posted_times[mask] = self.phase_starts(times)[mask]
+        self.posted_times[mask] = np.broadcast_to(times, mask.shape)[mask]
         self.phase_index[mask] += 1
-        self._ever_posted |= mask
-
-    def needs_update(self, times: np.ndarray) -> np.ndarray:
-        """Return the boolean mask of rows whose refresh is due at ``times``."""
-        due = self.phase_starts(times) > self.posted_times + 1e-12
-        return due | ~self._ever_posted

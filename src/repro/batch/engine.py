@@ -503,9 +503,6 @@ class BatchSimulator(BatchEnsembleBase):
         board: Optional[BatchBulletinBoard] = None
         if config.stale:
             board = BatchBulletinBoard(self.family or network, periods)
-            if ensemble is not None:
-                board.set_networks(ensemble.family_at(np.zeros(batch)))
-            board.post_rows(0.0, flows)
 
         max_steps = periods / config.steps_per_phase
         try:
@@ -530,17 +527,11 @@ class BatchSimulator(BatchEnsembleBase):
 
                 with tele.span("phase", index=phase, active_rows=len(rows)):
                     if config.stale:
-                        if phase > 0:
-                            # floor(t / T) occasionally lands one phase short in
-                            # floating point, leaving a snapshot in place for one
-                            # more phase (a known departure from Eq. (3), see
-                            # tests/core/test_reference_dynamics.py); only the rows
-                            # whose refresh is due post.
-                            due = board.needs_update(starts) & active
-                            if due.any():
-                                board.post_rows(starts, flows, mask=due)
-                                tele.event("bulletin_refresh", rows=int(due.sum()))
-                                refresh_counter.add(int(due.sum()))
+                        # Eq. (3): every active row posts at the start of each of
+                        # its phases.
+                        board.post_rows(starts, flows, mask=active)
+                        tele.event("bulletin_refresh", rows=len(rows))
+                        refresh_counter.add(len(rows))
                         with tele.span("field_eval", active_rows=len(rows)):
                             field = self._stale_rates(board, rows)
                     else:

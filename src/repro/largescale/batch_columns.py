@@ -314,7 +314,6 @@ def simulate_with_column_generation_batch(
     growth_events: List[Tuple[int, List[Path]]] = []
     path_counts: List[int] = []
     eviction_events: List[Tuple[int, int, float]] = []
-    posted_modulations: List[object] = [None] * size
     previously_closed: List[frozenset] = [frozenset()] * size
 
     tele = get_telemetry()
@@ -361,96 +360,75 @@ def simulate_with_column_generation_batch(
                 modulations = [None] * size
                 closed_now = [frozenset()] * size
 
-            if stale:
-                # The per-row refresh rule: the board's own floor(t/T)
-                # schedule (including its floating-point quirk, shared with
-                # the fluid engine) plus modulation-change forcing.
-                refresh = board.needs_update(row_times)
-                refresh = refresh | np.array(
-                    [modulations[b] != posted_modulations[b] for b in range(size)]
-                )
-            else:
-                refresh = np.ones(size, dtype=bool)
-
             with tele.span("phase", index=phase, start=phase_start):
-                if refresh.any():
-                    with tele.span(
-                        "column_generation_round", phase=phase, rows=int(refresh.sum())
-                    ) as cg_span:
-                        refresh_counter.add(int(refresh.sum()))
-                        added: List[Path] = []
-                        if not active.closed:
-                            rows = np.flatnonzero(refresh)
-                            edge_flows = network.edge_flows_batch(state[rows, :width])
-                            if family is not None:
-                                edge_latencies = family.edge_latencies_batch(edge_flows, rows)
-                            else:
-                                edge_latencies = network.edge_latencies_batch(edge_flows)
-                            candidates: List[Path] = []
-                            for i, row in enumerate(rows):
-                                base = cost_cache.base_costs(
-                                    network,
-                                    member_at(int(row), phase_start),
-                                    modulations[int(row)],
-                                    positions,
-                                )
-                                costs = base.copy()
-                                costs[positions] = edge_latencies[i]
-                                candidates.extend(oracle.shortest_commodity_paths(costs))
-                            added = active.add_paths(candidates)
-                        if added:
-                            growth_events.append((phase, added))
-                            added_counter.add(len(added))
-                            perm = active.last_permutation
-                            old_width = width
-                            network = active.network
-                            width = network.num_paths
-                            state = _grow_buffer(state, perm, old_width, width)
-                            recorded = _grow_buffer(recorded, perm, old_width, width)
-                            start_flows = _grow_buffer(start_flows, perm, old_width, width)
-                            # Growth is a shared information event: the board
-                            # re-posts every row on the grown set, so no row
-                            # integrates over columns its snapshot has never
-                            # priced.
-                            refresh = np.ones(size, dtype=bool)
-                            board = BatchBulletinBoard(network, periods)
-                            positions = oracle.network_edge_positions(network)
-                            cost_cache = _PostedCostCache(oracle)
-                            resolved, policies_now = resolve_policies(network)
-                            ensemble = build_environment(network)
-                            family = None
-                            if ensemble is not None:
-                                family = ensemble.family_at(row_times)
-                                board.set_networks(family)
-                            tele.event(
-                                "columns_grown", phase=phase, added=len(added), paths=width
-                            )
-                        for row in range(size):
-                            if not refresh[row]:
-                                continue
-                            newly_closed = closed_now[row] - previously_closed[row]
-                            if not newly_closed:
-                                continue
-                            crossing = active.invalidate_columns(network, closed_now[row])
-                            invalidated_counter.add(len(crossing))
-                            values = state[row, :width]
-                            repaired, moved = _evict_closed_columns(
+                with tele.span(
+                    "column_generation_round", phase=phase, rows=size
+                ) as cg_span:
+                    refresh_counter.add(size)
+                    added: List[Path] = []
+                    if not active.closed:
+                        rows = np.arange(size)
+                        edge_flows = network.edge_flows_batch(state[:, :width])
+                        if family is not None:
+                            edge_latencies = family.edge_latencies_batch(edge_flows, rows)
+                        else:
+                            edge_latencies = network.edge_latencies_batch(edge_flows)
+                        candidates: List[Path] = []
+                        for i, row in enumerate(rows):
+                            base = cost_cache.base_costs(
                                 network,
-                                values,
-                                crossing,
-                                member_at(row, phase_start).path_latencies(values),
+                                member_at(int(row), phase_start),
+                                modulations[int(row)],
+                                positions,
                             )
-                            state[row, :width] = repaired
-                            if moved > 0.0:
-                                eviction_events.append((phase, row, moved))
-                                tele.event(
-                                    "columns_evicted", phase=phase, row=row, volume=moved
-                                )
-                                tele.histogram("cg_batch.evicted_volume").observe(moved)
-                        board.post_rows(row_times, state[:, :width], mask=refresh)
-                        for row in np.flatnonzero(refresh):
-                            posted_modulations[int(row)] = modulations[int(row)]
-                        cg_span.annotate(columns_added=len(added), paths=width)
+                            costs = base.copy()
+                            costs[positions] = edge_latencies[i]
+                            candidates.extend(oracle.shortest_commodity_paths(costs))
+                        added = active.add_paths(candidates)
+                    if added:
+                        growth_events.append((phase, added))
+                        added_counter.add(len(added))
+                        perm = active.last_permutation
+                        old_width = width
+                        network = active.network
+                        width = network.num_paths
+                        state = _grow_buffer(state, perm, old_width, width)
+                        recorded = _grow_buffer(recorded, perm, old_width, width)
+                        start_flows = _grow_buffer(start_flows, perm, old_width, width)
+                        board = BatchBulletinBoard(network, periods)
+                        positions = oracle.network_edge_positions(network)
+                        cost_cache = _PostedCostCache(oracle)
+                        resolved, policies_now = resolve_policies(network)
+                        ensemble = build_environment(network)
+                        family = None
+                        if ensemble is not None:
+                            family = ensemble.family_at(row_times)
+                            board.set_networks(family)
+                        tele.event(
+                            "columns_grown", phase=phase, added=len(added), paths=width
+                        )
+                    for row in range(size):
+                        newly_closed = closed_now[row] - previously_closed[row]
+                        if not newly_closed:
+                            continue
+                        crossing = active.invalidate_columns(network, closed_now[row])
+                        invalidated_counter.add(len(crossing))
+                        values = state[row, :width]
+                        repaired, moved = _evict_closed_columns(
+                            network,
+                            values,
+                            crossing,
+                            member_at(row, phase_start).path_latencies(values),
+                        )
+                        state[row, :width] = repaired
+                        if moved > 0.0:
+                            eviction_events.append((phase, row, moved))
+                            tele.event(
+                                "columns_evicted", phase=phase, row=row, volume=moved
+                            )
+                            tele.histogram("cg_batch.evicted_volume").observe(moved)
+                    board.post_rows(row_times, state[:, :width])
+                    cg_span.annotate(columns_added=len(added), paths=width)
                 previously_closed = closed_now
                 path_counts.append(width)
 

@@ -131,15 +131,12 @@ class TestBatchBoard:
         network = pigou_network(degree=1)
         board = BatchBulletinBoard(network, np.array([0.1, 0.4]))
         flows = np.tile(FlowVector.uniform(network).values(), (2, 1))
-        assert board.needs_update(np.zeros(2)).all()
         board.post_rows(0.0, flows)
         assert list(board.phase_index) == [0, 0]
-        # At t = 0.2 only the fast row is due.
-        due = board.needs_update(np.array([0.2, 0.2]))
-        assert due.tolist() == [True, False]
-        board.post_rows(np.array([0.2, 0.2]), flows, mask=due)
+        # Only the masked (fast) row posts at its next phase start.
+        board.post_rows(np.array([0.1, 0.4]), flows, mask=np.array([True, False]))
         assert list(board.phase_index) == [1, 0]
-        np.testing.assert_allclose(board.posted_times, [0.2, 0.0])
+        np.testing.assert_allclose(board.posted_times, [0.1, 0.0])
 
     def test_rejects_nonpositive_period(self):
         network = pigou_network(degree=1)

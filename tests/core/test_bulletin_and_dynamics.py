@@ -14,31 +14,16 @@ from repro.wardrop import FlowVector
 class TestBulletinBoard:
     """One bulletin board: the one-row case of :class:`BatchBulletinBoard`."""
 
-    def test_phase_start_floor(self, two_links):
-        board = BatchBulletinBoard(two_links, np.array([0.5]))
-        assert board.phase_starts(np.array([0.74]))[0] == pytest.approx(0.5)
-        assert board.phase_starts(np.array([1.0]))[0] == pytest.approx(1.0)
-
-    def test_posted_latencies_are_frozen(self, two_links):
+    def test_posts_freeze_the_snapshot_until_the_next_post(self, two_links):
         board = BatchBulletinBoard(two_links, np.array([1.0]))
+        assert board.phase_index[0] == -1
         board.post_rows(0.0, np.array([[0.9, 0.1]]))
         posted = board.posted_path_latencies.copy()
-        # The flow changes, but within the phase no refresh is due.
-        assert not board.needs_update(np.array([0.5]))[0]
-        assert np.array_equal(board.posted_path_latencies, posted)
-
-    def test_update_at_phase_boundary(self, two_links):
-        board = BatchBulletinBoard(two_links, np.array([1.0]))
-        board.post_rows(0.0, np.array([[0.9, 0.1]]))
-        assert board.needs_update(np.array([1.0]))[0]
+        assert board.phase_index[0] == 0 and board.posted_times[0] == 0.0
         board.post_rows(np.array([1.0]), np.array([[0.5, 0.5]]))
-        assert board.phase_index[0] == 1
+        assert board.phase_index[0] == 1 and board.posted_times[0] == 1.0
         assert np.allclose(board.posted_flows[0], [0.5, 0.5])
-
-    def test_needs_update_initially(self, two_links):
-        board = BatchBulletinBoard(two_links, np.array([1.0]))
-        assert board.needs_update(np.array([0.0]))[0]
-        assert board.phase_index[0] == -1
+        assert not np.array_equal(board.posted_path_latencies, posted)
 
     def test_path_latencies_consistent_with_edge_latencies(self, braess):
         board = BatchBulletinBoard(braess, np.array([0.5]))

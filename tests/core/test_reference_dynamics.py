@@ -80,18 +80,9 @@ def long_braess_runs():
     return trajectory.flow_matrix(), flows
 
 
-def test_long_stale_run_matches_the_reference_up_to_the_first_skipped_refresh():
-    # With T = 0.1 the board's floor(43 T / T) rounds down to 42, so phase 43
-    # keeps phase 42's snapshot instead of posting at t = 4.3.
-    ours, theirs = long_braess_runs()
-    np.testing.assert_allclose(ours[:44], theirs[:44], rtol=0, atol=1e-9)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: floor(t / T) rounding skips the board refresh at some phase "
-    "starts (phase 43 for T = 0.1), so that phase runs on a snapshot 2T old",
-)
 def test_stale_board_posts_at_every_phase_start():
+    # With T = 0.1, floor(43 T / T) rounds down to 42: a board that refreshed
+    # only when floor(t / T) advanced would keep phase 42's snapshot through
+    # phase 43.  Eq. (3) posts at every phase start, over the whole run.
     ours, theirs = long_braess_runs()
     np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-9)

@@ -166,6 +166,45 @@ class TestClosedModeBitIdentity:
             assert np.array_equal(reference, batched.flow_matrix(row))
 
 
+class TestTrajectoryPhaseRecords:
+    def test_closure_phase_starts_post_eviction_and_samples_pre_eviction(self):
+        """Under a closure, phase k's ``start_flow`` is the repaired state
+        (zero on crossing columns) the phase integrated from, while sample k
+        stays the unrepaired end of phase k - 1."""
+        network = braess_network()
+        scenario = get_scenario("braess-closure", network)
+        result = simulate_with_column_generation_batch(
+            ActivePathSet.from_network(network, closed=True),
+            uniform_policy(network),
+            scenarios=[None, scenario],
+            update_period=0.5,
+            horizon=14.0,
+            steps_per_phase=5,
+        )
+        ((phase, row, moved),) = result.eviction_events
+        assert (row, phase) == (1, 20) and moved > 0.0
+        crossing = [
+            index
+            for index, path in enumerate(result.network.paths)
+            if any(edge in scenario.closed_edges(10.0) for edge in path.edges)
+        ]
+        assert crossing
+        trajectory = result.trajectory(row)
+        record = trajectory.phases[phase]
+        sample = trajectory.points[phase].flow.values()
+        start = record.start_flow.values()
+        assert np.array_equal(start[crossing], np.zeros(len(crossing)))
+        assert sample[crossing].sum() == pytest.approx(moved)
+        assert np.array_equal(sample, trajectory.phases[phase - 1].end_flow.values())
+        assert start.sum() == pytest.approx(sample.sum())
+        # Without a closure, every phase starts where the previous one ended.
+        calm = result.trajectory(0)
+        for k in range(1, len(calm.phases)):
+            assert np.array_equal(
+                calm.phases[k].start_flow.values(), calm.points[k].flow.values()
+            )
+
+
 class TestOpenModeGrowth:
     SETTINGS = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
 
