@@ -69,11 +69,12 @@ class SweepCase:
 
     ``column_generation`` runs the case through the large-network
     column-generation simulator instead (fluid methods only): the network's
-    path set is re-seeded with free-flow shortest paths and grows at
-    bulletin refreshes.  CG cases sharing the same network object, update
-    period, horizon and steps-per-phase fuse onto the batched CG driver
+    path set is re-seeded with free-flow shortest paths and grows at every
+    phase start.  CG cases sharing the same network object fuse onto the
+    batched CG driver
     (:func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`,
-    padded path dimension, one shared oracle); note that fused *open-mode*
+    one shared oracle; update periods, horizons and steps-per-phase vary per
+    row as in fluid groups); note that fused *open-mode*
     rows grow a shared union path set, so pass ``engine="serial"`` when
     per-row discovery sets must stay independent (closed-mode fusions stay
     bit-identical per row).  A CG case cannot combine with

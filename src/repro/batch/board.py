@@ -10,10 +10,11 @@ model of Section 3.1, which the engines run as ``stale=False``.
 Every engine -- fluid, finite agents and column generation -- keeps one board
 per ensemble row in :class:`BatchBulletinBoard` (a single run is its one-row
 case) and posts every active row at the start of each of its phases, Eq. (3)
-exactly: the board keeps no refresh schedule of its own.  Rows may use different update periods, so their phase clocks tick at
-different absolute times even though the engines advance them phase by phase
-in lockstep (row ``r`` is always inside *its own* phase ``k``), which is fine
-because replicas are independent.  The posted flows, edge latencies and path
+exactly: the board keeps no refresh schedule of its own.  Rows may use
+different update periods, so their phase clocks tick at different absolute
+times even though the engines advance them phase by phase in lockstep (row
+``r`` is always inside *its own* phase ``k``), which is fine because
+replicas are independent.  The posted flows, edge latencies and path
 latencies of all rows are stored as stacked arrays, and any subset of rows
 refreshes in one vectorised network evaluation.  The rows may route on a
 single shared network or on the members of a

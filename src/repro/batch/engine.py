@@ -29,18 +29,27 @@ rows' absolute clocks simply diverge, which is harmless.  Rows whose horizon
 is exhausted — or whose ``stop_when`` condition has fired — are *frozen*:
 each phase integrates only the still-active sub-batch, so converged rows
 skip all sampling, migration and latency work for the rest of the sweep.
+
+One phase of the active rows runs in a fixed order: freeze each row's
+environment at its phase start, run the phase-start step
+(:meth:`BatchSimulator._phase_start`, a no-op here; column generation
+grows its path set in it), post every active row's board (Eq. 3), assemble
+the field, integrate, project, check finiteness, record, and evaluate
+``stop_when``.  This is the only phase loop of the fluid dynamics: column
+generation (:mod:`repro.largescale.batch_columns`) runs on it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.dynamics import batch_stepper_for
 from ..core.policy import ReroutingPolicy, frozen_field, policy_tables
 from ..core.trajectory import PhaseRecord, Trajectory
+from ..scenarios.scenario import ScenarioEnsemble
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
@@ -56,6 +65,16 @@ Networks = Union[WardropNetwork, NetworkFamily]
 # the batch row indices ``(R,)`` of the currently active rows, and returns a
 # boolean mask of shape ``(R,)`` — True freezes the row after this phase.
 BatchStoppingCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _grow_buffer(buffer: np.ndarray, perm: np.ndarray, width: int) -> np.ndarray:
+    """Widen the path axis of ``buffer`` to ``width`` after a path set grew.
+
+    Old column ``j`` moves to ``perm[j]``; the new columns are zero.
+    """
+    grown = np.zeros(buffer.shape[:-1] + (width,))
+    grown[..., perm] = buffer
+    return grown
 
 
 @dataclass
@@ -117,6 +136,11 @@ class BatchConfig:
     def batch_size(self) -> int:
         return len(self.update_periods)
 
+    @property
+    def planned_phases(self) -> np.ndarray:
+        """Per-row phase counts ``ceil(horizon / T)``."""
+        return np.ceil(self.horizons / self.update_periods).astype(int)
+
 
 @dataclass
 class BatchResult:
@@ -132,6 +156,11 @@ class BatchResult:
     phase index each sample belongs to, ``boundary_mask[r, k]`` with whether
     it is a phase boundary, and ``phase_counts[r]`` with the number of
     completed phases (which no longer equals ``num_points - 1``).
+
+    ``phase_start_flows[r, k]``, when set, is the state row ``r``'s phase
+    ``k`` integrated from.  Only a phase-start step that moves flow (column
+    generation evicting closed columns) makes it differ from the sample
+    closing phase ``k - 1``; without it, phase records start there.
     """
 
     network: WardropNetwork
@@ -147,6 +176,7 @@ class BatchResult:
     sample_phases: Optional[np.ndarray] = None
     boundary_mask: Optional[np.ndarray] = None
     phase_counts: Optional[np.ndarray] = None
+    phase_start_flows: Optional[np.ndarray] = None
 
     @property
     def batch_size(self) -> int:
@@ -225,12 +255,15 @@ class BatchResult:
             ]
         for p in range(len(boundary_indices) - 1):
             start, end = boundary_indices[p], boundary_indices[p + 1]
+            start_flow = vectors[start]
+            if self.phase_start_flows is not None:
+                start_flow = FlowVector(network, self.phase_start_flows[row, p], validate=False)
             trajectory.record_phase(
                 PhaseRecord(
                     index=p,
                     start_time=float(self.times[row, start]),
                     end_time=float(self.times[row, end]),
-                    start_flow=vectors[start],
+                    start_flow=start_flow,
                     end_flow=vectors[end],
                 )
             )
@@ -270,6 +303,10 @@ class BatchEnsembleBase:
         # live (fresh-information) latency evaluation then prices flows in
         # each row's current environment.
         self._phase_family: Optional[NetworkFamily] = None
+        self._set_policies(policies)
+
+    def _set_policies(self, policies: Policies) -> None:
+        batch_size = self._batch_size
         if isinstance(policies, ReroutingPolicy):
             self._shared_policy: Optional[ReroutingPolicy] = policies
             self._policies: List[ReroutingPolicy] = [policies] * batch_size
@@ -391,6 +428,8 @@ class BatchSimulator(BatchEnsembleBase):
         ``scenario=scenarios[r]``.
     """
 
+    engine_name = "fluid-batch"
+
     def __init__(
         self,
         network: Networks,
@@ -401,6 +440,21 @@ class BatchSimulator(BatchEnsembleBase):
         super().__init__(network, policies, config.batch_size)
         self.config = config
         self._scenarios = self._normalise_scenarios(scenarios, config.batch_size)
+
+    def _phase_start(
+        self, phase: int, starts: np.ndarray, rows: np.ndarray, flows: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The step run at every phase start, before the board posts.
+
+        Receives the phase index, every row's phase-start time, the active
+        rows and the live ``(B, P)`` state, and returns the state to post and
+        integrate from together with ``None``, or -- when the path set grew
+        -- the old-to-new column permutation, with :attr:`network` and the
+        policies already moved to the grown network.  The fluid dynamics
+        have nothing to do here; column generation grows and repairs its
+        restricted path set (:mod:`repro.largescale.batch_columns`).
+        """
+        return flows, None
 
     def _stale_rates(self, board: BatchBulletinBoard, rows: np.ndarray):
         """Return a field closure for one stale phase of the active rows.
@@ -460,7 +514,7 @@ class BatchSimulator(BatchEnsembleBase):
         tele = get_telemetry()
         run_span = tele.span(
             "engine_run",
-            engine="fluid-batch",
+            engine=self.engine_name,
             instance=network.graph.graph.get("name") or "-",
             method=config.method,
             stale=config.stale,
@@ -472,8 +526,7 @@ class BatchSimulator(BatchEnsembleBase):
         frozen_counter = tele.counter("batch.rows_frozen_by_stop_when")
         refresh_counter = tele.counter("batch.bulletin_refreshes")
 
-        # Per-row phase counts: ceil(horizon / T).
-        planned_phases = np.ceil(horizons / periods).astype(int)
+        planned_phases = config.planned_phases
         max_phases = int(planned_phases.max())
 
         if record_every is None:
@@ -496,8 +549,6 @@ class BatchSimulator(BatchEnsembleBase):
 
         ensemble = None
         if self._scenarios is not None:
-            from ..scenarios.scenario import ScenarioEnsemble
-
             ensemble = ScenarioEnsemble(self.family or network, self._scenarios)
 
         board: Optional[BatchBulletinBoard] = None
@@ -522,13 +573,24 @@ class BatchSimulator(BatchEnsembleBase):
                     # Freeze every row's environment at its own phase start; the
                     # stacked family feeds both board posts and live evaluation.
                     self._phase_family = ensemble.family_at(starts)
-                    if board is not None:
-                        board.set_networks(self._phase_family)
 
                 with tele.span("phase", index=phase, active_rows=len(rows)):
+                    flows, perm = self._phase_start(phase, starts, rows, flows)
+                    if perm is not None:
+                        # The path set grew: re-express the recorded samples on
+                        # the grown network and rebuild what is sized by it.
+                        network = self.network
+                        recorded = _grow_buffer(recorded, perm, network.num_paths)
+                        if ensemble is not None:
+                            ensemble = ScenarioEnsemble(network, self._scenarios)
+                            self._phase_family = ensemble.family_at(starts)
+                        if board is not None:
+                            board = BatchBulletinBoard(network, periods)
                     if config.stale:
                         # Eq. (3): every active row posts at the start of each of
                         # its phases.
+                        if ensemble is not None:
+                            board.set_networks(self._phase_family)
                         board.post_rows(starts, flows, mask=active)
                         tele.event("bulletin_refresh", rows=len(rows))
                         refresh_counter.add(len(rows))
@@ -608,7 +670,9 @@ class BatchSimulator(BatchEnsembleBase):
                             frozen_counter.add(int(hit.sum()))
         finally:
             self._phase_family = None
-            run_span.annotate(phases_integrated=int(phase_counts.sum()))
+            run_span.annotate(
+                phases_integrated=int(phase_counts.sum()), paths=network.num_paths
+            )
             run_span.close()
         tele.counter("batch.runs").add()
         labels = [policy.label() for policy in self._policies]

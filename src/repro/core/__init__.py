@@ -23,8 +23,6 @@ from .bounds import (
 from .dynamics import (
     batch_stepper_for,
     euler_step_batch,
-    integration_step_for,
-    num_integration_steps,
     rk4_step_batch,
 )
 from .migration import (
@@ -74,8 +72,6 @@ __all__ = [
     "better_response_policy",
     "check_alpha_smoothness",
     "euler_step_batch",
-    "integration_step_for",
-    "num_integration_steps",
     "rk4_step_batch",
     "max_safe_alpha",
     "max_update_period_for_latency",

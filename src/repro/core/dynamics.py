@@ -56,40 +56,3 @@ def batch_stepper_for(method: str):
         return _BATCH_STEPPERS[method]
     except KeyError as error:
         raise ValueError(f"unknown integration method {method!r}; use 'euler' or 'rk4'") from error
-
-
-def num_integration_steps(duration: float, max_step: float) -> int:
-    """Return the number of equal sub-steps that resolve one interval.
-
-    Floating-point effects can make ``ceil(T / (T / n))`` exceed ``n``; every
-    phase loop uses this one rule so their step counts agree.
-    """
-    return max(1, int(np.ceil(duration / max_step)))
-
-
-def advance_phase(
-    stepper, field: RateField, state: np.ndarray, start_time: float, end_time: float, max_step: float
-) -> np.ndarray:
-    """Integrate a ``(B, P)`` state over one phase shared by every row.
-
-    The interval is divided into equal sub-steps no longer than ``max_step``
-    so the final sub-step lands on ``end_time``; a zero-length phase returns
-    a copy of ``state``.
-    """
-    current = state.copy()
-    duration = end_time - start_time
-    if duration > 0:
-        steps = num_integration_steps(duration, max_step)
-        step = duration / steps
-        time = start_time
-        for _ in range(steps):
-            current = stepper(field, time, current, step)
-            time += step
-    return current
-
-
-def integration_step_for(update_period: float, steps_per_phase: int = 50) -> float:
-    """Return a step size resolving each bulletin-board phase into ``steps_per_phase`` steps."""
-    if update_period <= 0 or steps_per_phase <= 0:
-        raise ValueError("update period and steps per phase must be positive")
-    return update_period / steps_per_phase

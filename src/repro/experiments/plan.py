@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -23,6 +24,10 @@ from ..analysis.sweeps import SweepCase, cartesian
 # A case builder receives one parameter combination plus a per-case RNG and
 # returns the fully specified simulation case.
 CaseBuilder = Callable[[Dict[str, object], np.random.Generator], SweepCase]
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def case_seed(base_seed: int, index: int, parameters: Mapping[str, object]) -> int:
@@ -56,6 +61,10 @@ class ExperimentPlan:
         One deterministic seed per case (same length as ``cases``).
     base_seed:
         The seed the per-case seeds were derived from.
+
+    ``base_seed`` must be an integer and every seed a non-negative integer
+    (they seed :func:`numpy.random.default_rng`); anything else is
+    rejected, naming the field, rather than truncated.
     """
 
     name: str
@@ -64,6 +73,11 @@ class ExperimentPlan:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.base_seed):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        for index, seed in enumerate(self.seeds):
+            if not _is_integer(seed) or seed < 0:
+                raise ValueError(f"seeds[{index}] must be a non-negative integer, got {seed!r}")
         if not self.seeds:
             self.seeds = [
                 case_seed(self.base_seed, i, case.parameters)

@@ -51,7 +51,7 @@ from ..wardrop.family import NetworkFamily, topology_signature
 from ..wardrop.flow import FlowVector
 from .plan import ExperimentPlan
 
-GroupKey = Tuple[Tuple, bool, str, Optional[Tuple]]
+GroupKey = Tuple[Tuple, bool, str, Optional[int]]
 
 Rows = List[Dict[str, object]]
 
@@ -68,21 +68,13 @@ def group_key(case: SweepCase) -> GroupKey:
     *scenario* may vary per row (the batched engine stacks per-row
     nonstationary environments).
 
-    Column-generation cases fuse under a stricter signature (the final key
-    element): they must share the *same network object* (the rows grow one
-    shared restricted path set) and the same update period, horizon and
-    steps-per-phase (the batched driver runs one global phase grid).  Only
-    policies and scenarios vary per fused CG row.
+    Column-generation cases additionally share the *same network object*
+    (the final key element): the rows grow one shared restricted path set.
+    Their policies, scenarios, update periods, horizons and steps-per-phase
+    vary per row like any fluid case's.
     """
-    cg_signature: Optional[Tuple] = None
-    if case.column_generation:
-        cg_signature = (
-            id(case.network),
-            case.update_period,
-            case.horizon,
-            case.steps_per_phase,
-        )
-    return (topology_signature(case.network), case.stale, case.method, cg_signature)
+    network_id = id(case.network) if case.column_generation else None
+    return (topology_signature(case.network), case.stale, case.method, network_id)
 
 
 def _case_num_agents(case: SweepCase) -> int:
@@ -174,9 +166,9 @@ def _group_stop_when(cases: Sequence[SweepCase]):
 def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     """Run one fused column-generation group on the batched CG driver.
 
-    The group key guarantees the cases share one network object, update
-    period, horizon, steps-per-phase, information model and method; policies
-    and scenarios ride along per row.  Closed-mode rows equal their
+    The group key guarantees the cases share one network object, information
+    model and method; policies, scenarios, update periods, horizons and
+    steps-per-phase ride along per row.  Closed-mode rows equal their
     one-case runs bit for bit.  **Open-mode rows do not**: fused rows grow
     one shared (union) restricted path set, so a row can discover columns
     another row's snapshot surfaced — this is the one documented departure
@@ -187,16 +179,14 @@ def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     from ..largescale.columns import ActivePathSet
 
     first = cases[0]
-    scenarios = [case.scenario for case in cases]
     result = simulate_with_column_generation_batch(
         ActivePathSet.from_network(first.network),
         [case.policy for case in cases],
-        update_period=first.update_period,
-        horizon=first.horizon,
-        scenarios=scenarios if any(s is not None for s in scenarios) else None,
-        batch=len(cases),
+        update_period=[case.update_period for case in cases],
+        horizon=[case.horizon for case in cases],
+        scenarios=[case.scenario for case in cases],
         stale=first.stale,
-        steps_per_phase=first.steps_per_phase,
+        steps_per_phase=[case.steps_per_phase for case in cases],
         method=first.method,
     )
     return [result.trajectory(row) for row in range(len(cases))]

@@ -26,6 +26,7 @@ enumeration ever runs -- growing the route set is the job of
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -115,11 +116,18 @@ def _metadata_number(metadata: Dict[str, str], key: str) -> Optional[float]:
         raise ValueError(f"TNTP metadata <{key}> is not a number: {value!r}") from error
 
 
+# BPR fields checked at parse time: (field, must be strictly positive).
+_BPR_FIELDS = (("capacity", True), ("free_flow_time", False), ("b", False), ("power", False))
+
+
 def parse_tntp_network(text: str) -> Tuple[Dict[str, str], List[TntpLink]]:
     """Parse a ``_net.tntp`` file into metadata and link rows.
 
-    Raises ``ValueError`` on malformed metadata, malformed link rows, or a
-    link count that contradicts the ``<NUMBER OF LINKS>`` header.
+    Raises ``ValueError`` on malformed metadata, malformed link rows, a
+    link count that contradicts the ``<NUMBER OF LINKS>`` header, or BPR
+    parameters outside their domain (capacity finite and positive; free-flow
+    time, ``b`` and power finite and non-negative), naming the row and the
+    field.
     """
     lines = _strip_tntp(text)
     metadata, offset = _parse_metadata(lines)
@@ -130,20 +138,26 @@ def parse_tntp_network(text: str) -> Tuple[Dict[str, str], List[TntpLink]]:
         fields = line.replace(";", " ").split()
         if len(fields) < 10:
             raise ValueError(f"malformed TNTP link row ({len(fields)} fields): {line!r}")
-        links.append(
-            TntpLink(
-                init_node=int(fields[0]),
-                term_node=int(fields[1]),
-                capacity=float(fields[2]),
-                length=float(fields[3]),
-                free_flow_time=float(fields[4]),
-                b=float(fields[5]),
-                power=float(fields[6]),
-                speed=float(fields[7]),
-                toll=float(fields[8]),
-                link_type=int(float(fields[9])),
-            )
+        link = TntpLink(
+            init_node=int(fields[0]),
+            term_node=int(fields[1]),
+            capacity=float(fields[2]),
+            length=float(fields[3]),
+            free_flow_time=float(fields[4]),
+            b=float(fields[5]),
+            power=float(fields[6]),
+            speed=float(fields[7]),
+            toll=float(fields[8]),
+            link_type=int(float(fields[9])),
         )
+        for name, positive in _BPR_FIELDS:
+            value = getattr(link, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                domain = "finite and positive" if positive else "finite and non-negative"
+                raise ValueError(
+                    f"TNTP link row {line!r}: {name} must be {domain}, got {value}"
+                )
+        links.append(link)
     declared = _metadata_number(metadata, "NUMBER OF LINKS")
     if declared is not None and int(declared) != len(links):
         raise ValueError(
@@ -182,8 +196,11 @@ def parse_tntp_trips(text: str) -> Tuple[Dict[str, str], Dict[Tuple[int, int], f
             destination_text, demand_text = entry.split(":", 1)
             destination = int(destination_text)
             demand = float(demand_text)
-            if demand < 0:
-                raise ValueError(f"negative TNTP demand: {entry!r}")
+            if not (math.isfinite(demand) and demand >= 0):
+                raise ValueError(
+                    f"TNTP demand of OD ({origin}, {destination}) must be finite "
+                    f"and non-negative: {entry!r}"
+                )
             total += demand
             if demand > 0 and destination != origin:
                 demands[(origin, destination)] = demands.get(

@@ -16,9 +16,9 @@ networks where exhaustively enumerating the path sets is impossible:
   discover routes when the board updates), and the column-generation
   simulator driving the rerouting dynamics on it,
 * :mod:`~repro.largescale.batch_columns` -- the batched driver running B
-  same-topology column-generation replicas as one padded ``(B, P)``
-  ensemble against a shared oracle (union growth, per-row eviction and
-  per-row duality-gap certificates).
+  same-topology column-generation replicas as one ``(B, P)`` ensemble on
+  the fluid engine against a shared oracle (union growth at every phase
+  start, per-row eviction and per-row duality-gap certificates).
 
 The TNTP instance loader lives in :mod:`repro.instances.tntp` and the
 edge-flow Frank--Wolfe solver in :mod:`repro.solvers.edge_frank_wolfe`;
@@ -36,6 +36,7 @@ _EXPORTS = {
     "ColumnGenerationResult": "columns",
     "simulate_with_column_generation": "columns",
     "BatchColumnGenerationResult": "batch_columns",
+    "ColumnGenerationSimulator": "batch_columns",
     "simulate_with_column_generation_batch": "batch_columns",
     "DenseIncidence": "incidence",
     "EdgeIncidence": "incidence",

@@ -3,20 +3,21 @@
 On real road networks the strategy sets ``P_i`` are astronomically large, so
 the reproduction cannot hand every agent the full path list.  What it *can*
 do -- and what matches the paper's information model -- is let the set of
-*known* routes grow exactly when new information arrives: at every bulletin
-board refresh a shortest-path oracle is queried against the freshly posted
-edge latencies, and any cheapest route not yet in the restricted set becomes
-a new column (a new path with zero flow that agents may now sample and
-migrate onto).  Between refreshes the dynamics run unchanged on the current
-restricted :class:`~repro.wardrop.network.WardropNetwork`.
+*known* routes grow exactly when new information arrives: at every phase
+start, when the bulletin board posts, a shortest-path oracle is queried
+against the current edge latencies, and any cheapest route not yet in the
+restricted set becomes a new column (a new path with zero flow that agents
+may now sample and migrate onto).  Within a phase the dynamics run
+unchanged on the current restricted
+:class:`~repro.wardrop.network.WardropNetwork`.
 
 :class:`ActivePathSet` manages the restricted set (the classic
 :class:`~repro.wardrop.paths.PathSet` is recovered as the *closed* special
 case where augmentation is disabled), and
-:func:`simulate_with_column_generation` drives the rerouting dynamics of one
-replica on it, phase by phase, rebuilding the restricted network whenever a
-refresh discovers new routes.  It is the one-row case of the batched driver
-in :mod:`repro.largescale.batch_columns`, which owns the phase loop.
+:func:`simulate_with_column_generation` runs the rerouting dynamics of one
+replica on it.  It is the one-row case of the batched driver in
+:mod:`repro.largescale.batch_columns`, whose simulator is the fluid engine
+plus the growth step.
 
 Column generation is **exact at equilibrium** for the Beckmann problem: if
 the restricted dynamics settle at a flow whose shortest path (under live
@@ -216,18 +217,6 @@ class ActivePathSet:
             self._network = None
         return added
 
-    def posted_costs(self, network: WardropNetwork, path_flows: np.ndarray) -> np.ndarray:
-        """Full-graph edge latencies induced by restricted path flows.
-
-        Edges off every known path carry zero flow, so their posted latency
-        is the free-flow value -- exactly what a bulletin board covering the
-        whole network would display.
-        """
-        full_flows = self.oracle.expand_edge_values(
-            network, network.edge_flows(path_flows)
-        )
-        return self.oracle.latency_costs(network, full_flows)
-
     def invalidate_columns(self, network: WardropNetwork, closed_edges) -> List[int]:
         """Return the indices of columns crossing any of ``closed_edges``.
 
@@ -245,22 +234,6 @@ class ActivePathSet:
             for index, path in enumerate(network.paths)
             if any(edge in closed for edge in path.edges)
         ]
-
-    def embed(
-        self,
-        values: np.ndarray,
-        old_network: WardropNetwork,
-        new_network: WardropNetwork,
-    ) -> np.ndarray:
-        """Re-express a flow vector of ``old_network`` on ``new_network``.
-
-        Newly generated columns start with zero flow; every old path keeps
-        its value (the restricted set only ever grows).
-        """
-        embedded = np.zeros(new_network.num_paths)
-        for index, path in enumerate(old_network.paths):
-            embedded[new_network.paths.index_of(path)] = values[index]
-        return embedded
 
     def __repr__(self) -> str:
         return (
@@ -353,12 +326,12 @@ def simulate_with_column_generation(
     """Run the rerouting dynamics with column generation at every refresh.
 
     The dynamics follow :func:`~repro.core.simulator.simulate` phase for
-    phase.  At each bulletin refresh the oracle is queried against the
-    *posted* edge latencies (stale mode) or the live ones (fresh mode);
-    newly discovered routes join the restricted set with zero flow before
-    the phase integrates, so agents can sample them for the rest of the run
-    -- route discovery is tied to information arrival, as in the paper's
-    model.  This is the one-row case of
+    phase.  At every phase start the oracle is queried against the edge
+    latencies the board is about to post; newly discovered routes join the
+    restricted set with zero flow before the phase integrates, so agents can
+    sample them for the rest of the run -- route discovery is tied to
+    information arrival, as in the paper's model.  This is the one-row case
+    of
     :func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`.
 
     ``policy`` may be a fixed :class:`ReroutingPolicy` (reused across
@@ -369,21 +342,20 @@ def simulate_with_column_generation(
     :func:`~repro.core.simulator.simulate`'s.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
-    starts, like the engines).  A scenario state *change* is treated as an
-    information event: it forces a bulletin refresh, so the oracle is
-    immediately consulted against the changed environment.  When a closure
-    starts, the crossing columns are invalidated -- their flow moves onto
-    each commodity's best open column (``eviction_events`` records the
-    volume) -- and the forced refresh seeds detour routes around the closed
-    link in the same instant.
+    starts, like the engines), so every query prices the environment of its
+    phase.  When a closure starts, the crossing columns are invalidated --
+    their flow moves onto each commodity's best open column
+    (``eviction_events`` records the volume) -- and the same phase start's
+    query seeds detour routes around the closed link.
     """
     from .batch_columns import simulate_with_column_generation_batch
 
     batch_stop = None
     if stop_when is not None:
 
-        def batch_stop(time: float, flows: np.ndarray) -> bool:
-            return bool(stop_when(time, FlowVector(active.network, flows[0], validate=False)))
+        def batch_stop(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            flow = FlowVector(active.network, flows[0], validate=False)
+            return np.array([bool(stop_when(float(times[0]), flow))])
 
     result = simulate_with_column_generation_batch(
         active,

@@ -11,8 +11,7 @@ only needs to answer two questions:
 * ``breakpoints(start, end)`` -- the instants inside ``[start, end)`` where
   the profile changes non-smoothly.  The equilibrium-tracking toolkit
   (:mod:`repro.scenarios.tracking`) solves one ground-truth equilibrium per
-  breakpoint interval, and the column-generation driver forces a bulletin
-  refresh at every breakpoint so route discovery reacts to the change.
+  breakpoint interval.
 
 ``at`` delegates to ``at_batch`` on a length-one array, so the scalar and the
 batched engines see the exact same floating-point values -- part of the

@@ -18,7 +18,6 @@ from repro.core import (
     SoftmaxSampling,
     UniformSampling,
     euler_step_batch,
-    num_integration_steps,
     replicator_policy,
     rk4_step_batch,
 )
@@ -160,11 +159,6 @@ class TestBatchSteppers:
     def test_batch_stepper_for_rejects_unknown(self):
         with pytest.raises(ValueError):
             batch_stepper_for("verlet")
-
-    def test_num_integration_steps_matches_scalar_rule(self):
-        assert num_integration_steps(1.0, 0.1) == 10
-        assert num_integration_steps(0.0600000000000001, 0.006) == 11
-        assert num_integration_steps(0.0, 0.1) == 1
 
 
 class TestBatchResultShape:

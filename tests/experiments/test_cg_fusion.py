@@ -1,7 +1,8 @@
 """Runner fusion of column-generation cases.
 
-Same-network CG cases sharing a phase grid fuse into one batched CG call
-under ``engine="batch"``/``"auto"``; cases with an initial flow, a stop
+Same-network CG cases fuse into one batched CG call under
+``engine="batch"``/``"auto"``, whatever their update periods, horizons and
+steps-per-phase; cases with an initial flow, a stop
 condition or the agents method are rejected when the case is built.
 Open-mode fused rows grow one shared (union) restricted path set, so
 equality with the one-case run is asserted where it is guaranteed: B=1
@@ -18,9 +19,10 @@ from repro.analysis import SweepCase
 from repro.batch import distance_stop
 from repro.core import replicator_policy, uniform_policy
 from repro.experiments import group_key, run_cases
-from repro.instances import braess_network, grid_network
+from repro.instances import braess_network, get_instance, grid_network
 from repro.largescale import ActivePathSet, simulate_with_column_generation
 from repro.scenarios import LinkIncident, Scenario
+from repro.telemetry import telemetry_session
 from repro.wardrop import FlowVector
 
 
@@ -62,7 +64,7 @@ class TestGroupKeys:
         assert group_key(a) == group_key(b)
         assert group_key(a)[3] is not None  # the CG fusion signature
 
-    def test_different_phase_grids_split_the_group(self):
+    def test_different_phase_grids_share_a_key(self):
         network = braess_network()
         base = cg_case(network, uniform_policy(network))
         for overrides in (
@@ -71,7 +73,7 @@ class TestGroupKeys:
             dict(steps_per_phase=9),
         ):
             other = cg_case(network, uniform_policy(network), **overrides)
-            assert group_key(base) != group_key(other)
+            assert group_key(base) == group_key(other)
 
     def test_equal_but_distinct_network_objects_split_the_group(self):
         # Fused rows grow ONE shared ActivePathSet, so object identity (not
@@ -124,6 +126,25 @@ class TestFusedExecution:
         assert len(rows) == 3
         for row in rows:
             assert row == expected
+
+    def test_rows_with_different_periods_run_as_one_batch_and_match_serial(self):
+        # On two-links-steep every row discovers the second link at phase 0,
+        # after which the set is complete: the fused rows then run closed,
+        # so union growth cannot make them differ from serial runs.
+        network = get_instance("two-links-steep")
+        policy = uniform_policy(network)
+        make = lambda: [
+            cg_case(network, policy, update_period=0.25, horizon=2.0, steps_per_phase=5),
+            cg_case(network, policy, update_period=0.5, horizon=3.0, steps_per_phase=4),
+        ]
+        with telemetry_session() as tele:
+            fused = run_cases(make(), flows_row_builder, engine="batch").rows
+        runs = [r for r in tele.tracer.records() if r["name"] == "engine_run"]
+        assert [r["attrs"]["rows"] for r in runs] == [2]
+        serial = run_cases(make(), flows_row_builder, engine="serial").rows
+        assert fused == serial
+        assert [len(row["times"]) for row in fused] == [9, 7]
+        assert all(len(row["flows"][0]) == network.num_paths for row in fused)
 
     def test_heterogeneous_scenarios_ride_along_per_row(self):
         network = grid_network(2, 3, num_commodities=2, seed=3)

@@ -71,6 +71,20 @@ class TestPlan:
         for a, b in zip(first.cases, second.cases):
             np.testing.assert_array_equal(a.initial_flow.values(), b.initial_flow.values())
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(base_seed=-1.5), "base_seed must be an integer, got -1.5"),
+            (dict(base_seed=float("nan")), "base_seed must be an integer"),
+            (dict(seeds=[3, 1.5]), r"seeds\[1\] must be a non-negative integer, got 1.5"),
+            (dict(seeds=[-2, 3]), r"seeds\[0\] must be a non-negative integer, got -2"),
+        ],
+    )
+    def test_non_integer_seeds_are_rejected_naming_the_field(self, overrides, message):
+        cases = pigou_plan(periods=(0.1, 0.2)).cases
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(name="bad", cases=cases, **overrides)
+
     def test_subset_preserves_seeds(self):
         plan = pigou_plan(periods=(0.1, 0.2, 0.4))
         subset = plan.subset([2, 0])

@@ -79,6 +79,22 @@ class TestNetworkParser:
         with pytest.raises(ValueError, match="malformed TNTP link row"):
             parse_tntp_network(broken)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("1 2 nan 10 10 0.15 4 0 0 1 ;", "capacity must be finite and positive"),
+            ("1 2 0 10 10 0.15 4 0 0 1 ;", "capacity must be finite and positive"),
+            ("1 2 1000 10 -3 0.15 4 0 0 1 ;", "free_flow_time must be finite and non-negative"),
+            ("1 2 1000 10 10 inf 4 0 0 1 ;", "b must be finite and non-negative"),
+            ("1 2 1000 10 10 0.15 nan 0 0 1 ;", "power must be finite and non-negative"),
+        ],
+    )
+    def test_bpr_fields_outside_their_domain_raise_naming_row_and_field(self, row, field):
+        broken = GOOD_NET.replace("1 2 1000 10 10 0.15 4 0 0 1 ;", row)
+        with pytest.raises(ValueError, match=field) as error:
+            parse_tntp_network(broken)
+        assert row.rstrip(" ;") in str(error.value)
+
 
 class TestTripsParser:
     def test_zero_demand_and_diagonal_pairs_are_dropped(self):
@@ -104,7 +120,12 @@ class TestTripsParser:
         broken = GOOD_TRIPS.replace("2 : 100.0;", "2 : -5.0;").replace(
             "<TOTAL OD FLOW> 100.0", "<TOTAL OD FLOW> -5.0"
         )
-        with pytest.raises(ValueError, match="negative TNTP demand"):
+        with pytest.raises(ValueError, match=r"OD \(1, 2\) must be finite and non-negative"):
+            parse_tntp_trips(broken)
+
+    def test_nan_demand_raises_naming_the_od_entry(self):
+        broken = GOOD_TRIPS.replace("2 : 100.0;", "2 : nan;")
+        with pytest.raises(ValueError, match=r"OD \(1, 2\) must be finite and non-negative: '2 : nan'"):
             parse_tntp_trips(broken)
 
 

@@ -70,8 +70,8 @@ class TestClosedModeBitIdentity:
             **self.SETTINGS,
         )
         reference = simulate(network, policy, stale=stale, scenario=scenario, **self.SETTINGS)
-        assert np.array_equal(batched.times, reference.times)
         for row in range(2):
+            assert np.array_equal(batched.times[row], reference.times)
             assert np.array_equal(batched.flow_matrix(row), reference.flow_matrix())
 
     @pytest.mark.parametrize("policy_builder", [uniform_policy, replicator_policy])
@@ -91,8 +91,8 @@ class TestClosedModeBitIdentity:
         single = one_row_run(network, policy, **self.SETTINGS)
         reference = trajectory_matrix(single.trajectory)
         assert batched.growth_events == []
-        assert np.array_equal(batched.times, [p.time for p in single.trajectory.points])
         for row in range(3):
+            assert np.array_equal(batched.times[row], single.trajectory.times)
             assert np.array_equal(reference, batched.flow_matrix(row))
 
     def test_rows_with_distinct_scenarios_match_one_row_runs(self):
@@ -266,10 +266,14 @@ class TestOpenModeGrowth:
         values = np.zeros((2, active.num_paths))
         values[0, 0] = 1.0  # row 0 congests commodity 0's seed...
         values[1, -1] = 1.0  # ...row 1 congests commodity 1's
+        oracle, seed_network = active.oracle, active.network
         candidates = []
         for row in range(2):
-            costs = active.posted_costs(active.network, values[row])
-            candidates.extend(active.oracle.shortest_commodity_paths(costs))
+            edge_flows = oracle.expand_edge_values(
+                seed_network, seed_network.edge_flows(values[row])
+            )
+            costs = oracle.latency_costs(seed_network, edge_flows)
+            candidates.extend(oracle.shortest_commodity_paths(costs))
         added = active.add_paths(candidates)
         assert added
         perm = active.last_permutation
@@ -281,10 +285,9 @@ class TestOpenModeGrowth:
         # Re-adding the same candidates is a no-op.
         assert active.add_paths(candidates) == []
 
-    def test_growth_reposts_every_row(self):
-        """Growth is a shared information event: the sample right after a
-        growth phase is defined (and feasible) for every row, including rows
-        that did not refresh on their own schedule."""
+    def test_growth_keeps_every_row_feasible(self):
+        """Growth re-expresses every row on the grown set: every sample of
+        every row stays feasible across growth phases."""
         network = grid_network(3, 3, num_commodities=2, seed=3)
         result = simulate_with_column_generation_batch(
             ActivePathSet.from_network(network),
@@ -296,30 +299,6 @@ class TestOpenModeGrowth:
         demand = sum(c.demand for c in result.network.commodities)
         totals = result.flows.sum(axis=2)
         assert np.allclose(totals, demand, atol=1e-9)
-
-
-class TestBufferCapacity:
-    def test_tight_capacity_reallocates_and_matches_default(self):
-        """``capacity=width`` forces the doubling reallocation on the first
-        growth event; the run must stay bitwise equal to the default-padded
-        one (growth placement is index arithmetic, not arithmetic on flows)."""
-        network = grid_network(3, 3, num_commodities=2, seed=3)
-        policy = uniform_policy(network)
-        settings = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
-        width = ActivePathSet.from_network(network).num_paths
-        tight = simulate_with_column_generation_batch(
-            ActivePathSet.from_network(network),
-            policy,
-            batch=2,
-            capacity=width,
-            **settings,
-        )
-        padded = simulate_with_column_generation_batch(
-            ActivePathSet.from_network(network), policy, batch=2, **settings
-        )
-        assert tight.network.num_paths > width
-        assert np.array_equal(tight.flows, padded.flows)
-        assert np.array_equal(tight.phase_start_flows, padded.phase_start_flows)
 
 
 class TestEvictionHelpers:
@@ -381,7 +360,9 @@ class TestEvictionHelpers:
         seed_network = active.network
         values = np.zeros(active.num_paths)
         values[0] = network.commodities[0].demand
-        added = active.augment(active.posted_costs(seed_network, values))
+        oracle = active.oracle
+        edge_flows = oracle.expand_edge_values(seed_network, seed_network.edge_flows(values))
+        added = active.augment(oracle.latency_costs(seed_network, edge_flows))
         assert added
         grown = active.network
         target_edge = added[0].edges[0]
@@ -423,7 +404,7 @@ class TestBatchApiSurface:
             batch=2,
         )
         trajectory = result.trajectory(1)
-        assert len(trajectory) == len(result.times)
+        assert len(trajectory) == result.num_points[1]
         assert np.array_equal(trajectory_matrix(trajectory), result.flow_matrix(1))
         assert len(trajectory.phases) == len(result.phase_spans)
 
@@ -489,32 +470,35 @@ class TestBatchApiSurface:
 
 
 class TestStoppingAndState:
-    def test_stop_when_ends_the_run_at_a_phase_boundary(self):
+    def test_stop_when_freezes_rows_at_phase_boundaries(self):
         network = grid_network(3, 3, num_commodities=2, seed=3)
         policy = uniform_policy(network)
-        seen = []
+        calls = []
 
-        def stop(time, flows):
-            seen.append((time, flows.shape))
-            return len(seen) == 3
+        def stop(times, flows, rows):
+            calls.append((times.copy(), flows.shape, rows.copy()))
+            return np.isin(rows, [0]) & (len(calls) == 3)
 
+        settings = dict(update_period=0.25, horizon=5.0, steps_per_phase=5, batch=2)
         result = simulate_with_column_generation_batch(
-            ActivePathSet.from_network(network), policy, update_period=0.25,
-            horizon=5.0, steps_per_phase=5, batch=2, stop_when=stop,
+            ActivePathSet.from_network(network), policy, stop_when=stop, **settings
         )
-        assert len(result.phase_spans) == 3
-        assert result.times[-1] == pytest.approx(0.75)
-        # The condition sees every row on the current restricted network.
-        assert all(shape[0] == 2 for _, shape in seen)
-        assert seen[-1][1][1] == result.network.num_paths
+        assert list(result.stop_phases) == [2, -1]
+        assert list(result.num_points) == [4, 21]
+        assert result.times[0, 3] == pytest.approx(0.75)
+        # The condition sees the active rows on the current restricted network.
+        assert [list(rows) for _, _, rows in calls[:4]] == [[0, 1]] * 3 + [[1]]
+        assert calls[-1][1] == (1, result.network.num_paths)
+        with pytest.raises(ValueError, match="different clocks"):
+            result.phase_spans
         full = simulate_with_column_generation_batch(
-            ActivePathSet.from_network(network), policy, update_period=0.25,
-            horizon=5.0, steps_per_phase=5, batch=2,
+            ActivePathSet.from_network(network), policy, **settings
         )
-        # Stopping only truncates: the prefix matches the unstopped run.
-        columns = [full.network.paths.index_of(path) for path in result.network.paths]
-        for row in range(2):
-            assert np.array_equal(result.flow_matrix(row), full.flow_matrix(row)[:4, columns])
+        # Identical rows discover identical columns, so freezing one row only
+        # truncates it: both rows match the unstopped run.
+        assert list(result.network.paths) == list(full.network.paths)
+        assert np.array_equal(result.flow_matrix(0), full.flow_matrix(0)[:4])
+        assert np.array_equal(result.flow_matrix(1), full.flow_matrix(1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_fails_at_the_phase_that_produced_it(self):

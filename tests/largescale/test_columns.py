@@ -95,23 +95,6 @@ class TestGrowthSemantics:
             for path in paths:
                 assert path in network.paths
 
-    def test_embedding_preserves_old_flows_and_zeroes_new_columns(self):
-        network = grid_network(2, 3, num_commodities=1, seed=3)
-        active = ActivePathSet.from_network(network)
-        old_network = active.network
-        values = FlowVector.uniform(old_network).values()
-        # Posting the seed congestion makes an unknown route cheapest.
-        added = active.augment(active.posted_costs(old_network, values))
-        assert added, "seed congestion should reveal a new cheapest route"
-        grown = active.network
-        assert grown.num_paths == old_network.num_paths + len(added)
-        embedded = active.embed(values, old_network, grown)
-        assert embedded.sum() == pytest.approx(values.sum())
-        for i, path in enumerate(old_network.paths):
-            assert embedded[grown.paths.index_of(path)] == values[i]
-        for path in added:
-            assert embedded[grown.paths.index_of(path)] == 0.0
-
 
 class TestFullEnumerationEquivalence:
     """On instances small enough to enumerate, the column-generation dynamics

@@ -132,11 +132,14 @@ class TestColumnGeneration:
         )
         assert plain.total_columns_added == traced.total_columns_added
         (run,) = engine_runs(tele)
-        assert (run["attrs"]["engine"], run["attrs"]["batch"]) == ("column-generation-batch", 1)
-        assert run["attrs"]["final_paths"] == traced.network.num_paths
+        assert (run["attrs"]["engine"], run["attrs"]["rows"]) == ("column-generation-batch", 1)
+        assert run["attrs"]["paths"] == traced.network.num_paths
         assert "column_generation_round" in span_names(tele)
         flat = tele.metrics.flatten()
-        assert flat["cg_batch.phases_integrated"] > 0
+        # Column generation integrates on the fluid engine, so its phases
+        # and board posts count under the engine's own counters.
+        assert flat["batch.phases_integrated"] == len(traced.trajectory.phases)
+        assert flat["batch.bulletin_refreshes"] == len(traced.trajectory.phases)
         assert flat["cg_batch.columns_added"] == traced.total_columns_added
 
 
