@@ -11,10 +11,14 @@ a capacity-drop incident and a closure; and the Sioux Falls edge-flow
 relative gap bytes and the potential bytes.  The ``fluid`` lines hash the
 times and flow matrix of ``simulate(...)`` on braess, pigou-quadratic,
 two-links-steep and parallel-8-affine under stale/fresh x rk4/euler, plus one
-stale run through a Braess shortcut closure and one run ended by
-``stop_when``.  The ``agents`` lines do the same for ``simulate_agents`` on
-braess, parallel-8-affine and sioux-falls-mini (n = 2000, 12 phases, stale
-and fresh), a capacity-drop scenario run and a ``stop_when`` run; the ``cg``
+stale run through a Braess shortcut closure, one run ended by ``stop_when``
+and stale/fresh rk4 runs on ``sioux-mini-ragged`` -- sioux-falls-mini's
+free-flow shortest paths after one ``ActivePathSet.augment`` at the
+all-or-nothing load, so its 40 commodities have one or two paths and the
+commodity blocks are padded.  The ``agents`` lines do the same for
+``simulate_agents`` on braess, parallel-8-affine, sioux-falls-mini and
+sioux-mini-ragged (n = 2000, 12 phases, stale and fresh), a capacity-drop
+scenario run and a ``stop_when`` run; the ``cg``
 lines hash ``simulate_with_column_generation``'s trajectory and eviction
 events on braess (open and closed), sioux-falls-mini (open), a braess
 closure scenario and a two-links-steep ``stop_when`` run.  Run it against two source trees and diff
@@ -46,6 +50,7 @@ from repro.wardrop import FlowVector, equilibrium_violation
 INSTANCES = ("sioux-falls", "city-grid", "braess", "two-links")
 FW_METHODS = ("fw", "cfw", "bfw")
 FW_GAP = 1e-3
+RAGGED = "sioux-mini-ragged"
 FLUID_INSTANCES = ("braess", "pigou-quadratic", "two-links-steep", "parallel-8-affine")
 AGENT_INSTANCES = ("braess", "parallel-8-affine", "sioux-falls-mini")
 
@@ -115,6 +120,22 @@ def trajectory_digest(trajectory) -> str:
     return f"{len(trajectory):4d} {hash_arrays(trajectory.times, trajectory.flow_matrix())}"
 
 
+def ragged_network():
+    """sioux-falls-mini restricted to its free-flow shortest paths plus one
+    augmentation at the all-or-nothing load: one or two paths per commodity."""
+    mini = get_instance("sioux-falls-mini")
+    active = ActivePathSet.from_network(mini)
+    loaded = active.oracle.all_or_nothing(active.oracle.free_flow_costs(mini)).edge_flows
+    active.augment(active.oracle.latency_costs(mini, loaded))
+    return active.network
+
+
+def ragged_policy(network):
+    """Replicator dynamics with l_max near the ragged instance's path latencies
+    (its network-wide l_max is ~10^4 times larger, so almost nothing would move)."""
+    return replicator_policy(network, max_latency=40.0, exploration=0.05)
+
+
 def fluid_lines():
     """``simulate`` runs: 50 phases of T = 0.1 from a random start per instance."""
     for name in FLUID_INSTANCES:
@@ -144,6 +165,14 @@ def fluid_lines():
         stop_when=lambda time, flow: equilibrium_violation(flow) < 1e-3,
     )
     yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
+    ragged = ragged_network()
+    start = FlowVector.random(ragged, np.random.default_rng(5))
+    for stale in (True, False):
+        trajectory = simulate(
+            ragged, ragged_policy(ragged), update_period=0.1, horizon=2.0,
+            initial_flow=start, stale=stale, steps_per_phase=10,
+        )
+        yield RAGGED, f"{'stale' if stale else 'fresh'}-rk4", trajectory_digest(trajectory)
 
 
 def agent_lines():
@@ -158,6 +187,14 @@ def agent_lines():
                 initial_flow=start, seed=3, stale=stale,
             )
             yield name, "stale" if stale else "fresh", trajectory_digest(trajectory)
+    ragged = ragged_network()
+    start = FlowVector.random(ragged, np.random.default_rng(5))
+    for stale in (True, False):
+        trajectory = simulate_agents(
+            ragged, ragged_policy(ragged), num_agents=2000, update_period=0.1, horizon=1.2,
+            initial_flow=start, seed=3, stale=stale,
+        )
+        yield RAGGED, "stale" if stale else "fresh", trajectory_digest(trajectory)
     braess = get_instance("braess")
     drop = Scenario(incidents=[LinkIncident(("s", "a", 0), 0.3, 0.9, capacity_factor=0.3)])
     for stale in (True, False):

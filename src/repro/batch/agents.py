@@ -35,6 +35,12 @@ window is applied (every earlier one is a no-op, so it saw exactly the live
 state an event-by-event run would), the row's cursor moves past it and its
 tables are refreshed.  The outcome equals the event-by-event order by
 construction.
+
+Both kernels read the tables on commodity blocks
+(:class:`~repro.wardrop.paths.CommodityBlocks`): an agent in slot ``j`` of
+commodity ``c`` draws slot ``k`` from the cumulative sum of its sampling
+block row and moves when its coin clears ``mu[r, c, j, k]``.  Every phase
+must keep each row's per-commodity totals (a relative 1e-9).
 """
 
 from __future__ import annotations
@@ -44,18 +50,13 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..core.agents import (
-    DEFAULT_NUM_AGENTS,
-    build_population,
-    planned_phase_counts,
-    sampling_layout,
-    sampling_tables,
-)
+from ..core.agents import DEFAULT_NUM_AGENTS, build_population, planned_phase_counts
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.paths import CommodityBlocks
 from ..wardrop.validation import require_positive, require_positive_integer
 from .board import BatchBulletinBoard
 from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policies
@@ -231,6 +232,26 @@ class BatchAgentResult:
         return [self.trajectory(row) for row in range(self.batch_size)]
 
 
+def _sampling_cdf(sigma: np.ndarray, blocks: CommodityBlocks, rows: int):
+    """Turn the sampling blocks of ``rows`` rows into within-commodity cdf blocks.
+
+    ``sigma`` broadcasts to ``(rows, C, 1 or K, K)``.  Returns ``(cdf, valid)``:
+    ``cdf[r, c, j, k]`` is the normalised cumulative probability that an
+    agent in slot ``j`` of commodity ``c`` samples one of its first ``k + 1``
+    slots, and ``valid[r, c, j]`` flags block rows with positive total mass.
+    The sampled slot of an activation with uniform ``u`` is
+    ``(cdf[r, c, j] <= u).sum()``: padded and final slots are exactly 1.0 and
+    ``u < 1``, so it always lands on a real slot.
+    """
+    cdf = np.cumsum(sigma * blocks.valid[:, None, :], axis=-1)
+    cdf = np.broadcast_to(cdf, (rows,) + cdf.shape[1:]).copy()
+    totals = cdf[..., -1].copy()
+    valid = totals > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf /= totals[..., None]
+    return cdf, valid
+
+
 def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     """Return, per element, its rank among equal keys (original order kept).
 
@@ -260,10 +281,9 @@ class BatchAgentSimulator(BatchEnsembleBase):
         :class:`~repro.wardrop.family.NetworkFamily` whose size equals the
         batch size (row ``r`` routes on member ``r``).
     policies:
-        One :class:`ReroutingPolicy` for every row (fully vectorised sigma/mu
-        kernels) or a sequence of ``B`` policies (sampling and migration
-        matrices are then assembled row by row -- the fallback that keeps
-        custom policies working).
+        One :class:`ReroutingPolicy` for every row or a sequence of ``B``
+        policies; rows whose rules share a class are evaluated together with
+        their parameters stacked.
     config:
         The :class:`BatchAgentConfig` with per-row populations, periods,
         horizons and seeds.
@@ -278,6 +298,8 @@ class BatchAgentSimulator(BatchEnsembleBase):
         randomness schedule is untouched, so a stationary scenario
         reproduces the scenario-free run bit for bit.
     """
+
+    engine_name = "agents-batch"
 
     def __init__(
         self,
@@ -317,8 +339,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
         periods = config.update_periods
         horizons = config.horizons
         populations = config.num_agents
-        layout = sampling_layout(network)
-        member_paths = layout.member_paths
+        blocks = network.paths.blocks
 
         # Flat agent layout: row r owns agents offsets[r]:offsets[r+1].
         offsets = np.zeros(batch + 1, dtype=np.int64)
@@ -367,6 +388,9 @@ class BatchAgentSimulator(BatchEnsembleBase):
         recorded = np.zeros((batch, max_phases + 1, num_paths))
         flows = realised_flows()
         recorded[:, 0] = flows
+        # Each row's agents represent each commodity's demand (a commodity
+        # apportioned no agent represents none); migrations must keep it.
+        represented = blocks.gather(flows).sum(axis=-1)
         num_points = np.ones(batch, dtype=int)
         stop_phases = np.full(batch, -1, dtype=int)
 
@@ -386,7 +410,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
 
         run_span = tele.span(
             "engine_run",
-            engine="agents-batch",
+            engine=self.engine_name,
             instance=network.graph.graph.get("name") or "-",
             stale=config.stale,
             rows=batch,
@@ -437,10 +461,10 @@ class BatchAgentSimulator(BatchEnsembleBase):
                 ):
                     if config.stale:
                         with tele.span("field_eval", active_rows=len(rows)):
-                            sigma, mu = self._policy_tables(
-                                board.posted_flows[rows], board.posted_path_latencies[rows], rows
+                            sigma, mu = self._stack.select(rows).tables(
+                                blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
                             )
-                            cdf, valid = sampling_tables(sigma, layout)
+                            cdf, valid = _sampling_cdf(sigma, blocks, len(rows))
                         self._apply_stale_phase(
                             assignment,
                             offsets,
@@ -452,7 +476,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
                             cdf,
                             valid,
                             mu,
-                            member_paths,
+                            blocks,
                         )
                     else:
                         self._apply_fresh_phase(
@@ -465,10 +489,11 @@ class BatchAgentSimulator(BatchEnsembleBase):
                             agent_chunks,
                             sample_chunks,
                             migrate_chunks,
-                            layout,
+                            blocks,
                         )
 
                     partial = realised_flows(rows)
+                    self._check_conservation(partial[rows], rows, phase, represented[rows])
                     flows[rows] = partial[rows]
                     if not config.stale:
                         flows_live[rows] = flows[rows]
@@ -529,9 +554,16 @@ class BatchAgentSimulator(BatchEnsembleBase):
         cdf: np.ndarray,
         valid: np.ndarray,
         mu: np.ndarray,
-        member_paths: np.ndarray,
+        blocks: CommodityBlocks,
     ) -> None:
-        """Replay one frozen phase's activations as occurrence-rank rounds."""
+        """Replay one frozen phase's activations as occurrence-rank rounds.
+
+        An agent on global path ``p`` reads its commodity ``c`` and slot
+        ``j`` from ``blocks``, samples a slot ``k`` from ``cdf[r, c, j]``
+        (block row 0 when the sampling rule ignores the current path) and
+        migrates to ``blocks.index[c, k]`` when its coin clears
+        ``mu[r, c, j, k]``.
+        """
         total = int(counts.sum())
         if total == 0:
             return
@@ -552,14 +584,18 @@ class BatchAgentSimulator(BatchEnsembleBase):
             event_agents = agents[mask]
             event_slots = slots[mask]
             current = assignment[event_agents]
-            local = (cdf[event_slots, current] <= u_sample[mask][:, None]).sum(axis=1)
-            sampled = member_paths[current, local]
+            commodity = blocks.commodity[current]
+            own = blocks.slot[current]
+            sampling_row = own if cdf.shape[2] > 1 else 0
+            local = (
+                cdf[event_slots, commodity, sampling_row] <= u_sample[mask][:, None]
+            ).sum(axis=1)
             migrate = (
-                valid[event_slots, current]
-                & (sampled != current)
-                & (u_migrate[mask] < mu[event_slots, current, sampled])
+                valid[event_slots, commodity, sampling_row]
+                & (local != own)
+                & (u_migrate[mask] < mu[event_slots, commodity, own, local])
             )
-            assignment[event_agents[migrate]] = sampled[migrate]
+            assignment[event_agents[migrate]] = blocks.index[commodity, local][migrate]
 
     def _apply_fresh_phase(
         self,
@@ -572,7 +608,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
         agent_chunks: List[np.ndarray],
         sample_chunks: List[np.ndarray],
         migrate_chunks: List[np.ndarray],
-        layout,
+        blocks: CommodityBlocks,
     ) -> None:
         """Advance one up-to-date-information phase in per-row activation windows.
 
@@ -600,14 +636,12 @@ class BatchAgentSimulator(BatchEnsembleBase):
             agent_matrix[i, :count] = offsets[row] + agent_chunks[i]
             sample_matrix[i, :count] = sample_chunks[i]
             migrate_matrix[i, :count] = migrate_chunks[i]
-        member_paths = layout.member_paths
-        batch, num_paths = flows_live.shape
-        diagonal = np.arange(num_paths)
-        cdf_cache = np.zeros((batch, num_paths, member_paths.shape[1]))
-        # mu with the diagonal and the rows of zero sampling mass zeroed: a
-        # coin in [0, 1) is below it iff the sampled path differs from the
-        # current one, the row is valid and the coin clears mu.
-        mu_cache = np.zeros((batch, num_paths, num_paths))
+        batch = len(flows_live)
+        cdf_cache: Optional[np.ndarray] = None
+        # mu blocks (zero on the diagonal) with the rows of zero sampling mass
+        # zeroed: a coin in [0, 1) is below it iff the sampled path differs
+        # from the current one, the row is valid and the coin clears mu.
+        mu_cache = np.zeros((batch,) + blocks.pairs.shape)
         stale_tables = np.ones(batch, dtype=bool)
         cursors = np.zeros(len(rows), dtype=np.int64)
         window = np.arange(FRESH_WINDOW)
@@ -620,23 +654,28 @@ class BatchAgentSimulator(BatchEnsembleBase):
             if len(refresh):
                 state = flows_live[refresh]
                 latencies = self._path_latencies_rows(state, refresh)
-                sigma, mu = self._policy_tables(state, latencies, refresh)
-                cdf, valid = sampling_tables(sigma, layout)
-                mu = mu * valid[:, :, None]
-                mu[:, diagonal, diagonal] = 0.0
+                sigma, mu = self._stack.select(refresh).tables(blocks, state, latencies)
+                cdf, valid = _sampling_cdf(sigma, blocks, len(refresh))
+                if cdf_cache is None:
+                    cdf_cache = np.zeros((batch,) + cdf.shape[1:])
                 cdf_cache[refresh] = cdf
-                mu_cache[refresh] = mu
+                mu_cache[refresh] = mu * valid[..., None]
                 stale_tables[refresh] = False
             slot_index = slots[:, None]
             table_rows = live_rows[:, None]
             columns = cursors[slot_index] + window
             agents = agent_matrix[slot_index, columns]
             current = assignment[agents]
+            commodity = blocks.commodity[current]
+            own = blocks.slot[current]
+            sampling_row = own if cdf_cache.shape[2] > 1 else 0
             local = (
-                cdf_cache[table_rows, current] <= sample_matrix[slot_index, columns][..., None]
+                cdf_cache[table_rows, commodity, sampling_row]
+                <= sample_matrix[slot_index, columns][..., None]
             ).sum(axis=2)
-            sampled = member_paths[current, local]
-            migrate = migrate_matrix[slot_index, columns] < mu_cache[table_rows, current, sampled]
+            sampled = blocks.index[commodity, local]
+            chance = mu_cache[table_rows, commodity, own, local]
+            migrate = migrate_matrix[slot_index, columns] < chance
             first = migrate.argmax(axis=1)
             cursors[slots] += FRESH_WINDOW
             # Rows migrate one agent each per round: scalar updates beat the

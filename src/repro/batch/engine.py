@@ -23,6 +23,12 @@ other rows share the batch (``tests/batch``, ``tests/scenarios``).
 *Reference*: a one-row run matches an independent integrator written
 directly from Eq. (1)/(3) (``tests/reference_dynamics.py``) to 1e-9.
 
+Per-row policies are stacked once per engine (a
+:class:`~repro.core.policy.PolicyStack`), and the tables and the field live
+on the padded commodity blocks of :class:`~repro.wardrop.paths.CommodityBlocks`:
+each stage is one batched ``(R, C, 1, K) @ (R, C, K, K)`` product between a
+gather and a scatter of the ``(R, P)`` state; no table is ``(B, P, P)``.
+
 Because rows are independent, the engine advances all rows through *their
 own* phase ``k`` simultaneously even when their update periods differ — the
 rows' absolute clocks simply diverge, which is harmless.  Rows whose horizon
@@ -34,9 +40,11 @@ One phase of the active rows runs in a fixed order: freeze each row's
 environment at its phase start, run the phase-start step
 (:meth:`BatchSimulator._phase_start`, a no-op here; column generation
 grows its path set in it), post every active row's board (Eq. 3), assemble
-the field, integrate, project, check finiteness, record, and evaluate
-``stop_when``.  This is the only phase loop of the fluid dynamics: column
-generation (:mod:`repro.largescale.batch_columns`) runs on it too.
+the field, integrate, project, check finiteness and conservation (every
+commodity's demand to a relative 1e-9, naming engine, row, phase and
+commodity on failure), record, and evaluate ``stop_when``.  This is the
+only phase loop of the fluid dynamics: column generation
+(:mod:`repro.largescale.batch_columns`) runs on it too.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.dynamics import batch_stepper_for
-from ..core.policy import ReroutingPolicy, frozen_field, policy_tables
+from ..core.policy import PolicyStack, ReroutingPolicy, frozen_field
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..scenarios.scenario import ScenarioEnsemble
 from ..telemetry.runtime import get_telemetry
@@ -65,6 +73,10 @@ Networks = Union[WardropNetwork, NetworkFamily]
 # the batch row indices ``(R,)`` of the currently active rows, and returns a
 # boolean mask of shape ``(R,)`` — True freezes the row after this phase.
 BatchStoppingCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+# Every engine checks at every phase boundary that each active row routes
+# every commodity's demand to this relative tolerance.
+CONSERVATION_RTOL = 1e-9
 
 
 def _grow_buffer(buffer: np.ndarray, perm: np.ndarray, width: int) -> np.ndarray:
@@ -279,10 +291,11 @@ class BatchEnsembleBase:
 
     Normalises the ``network`` argument (shared network vs
     :class:`~repro.wardrop.family.NetworkFamily` of the batch size), the
-    ``policies`` argument (one shared policy for the fully vectorised kernels
-    vs a per-row list using the row-loop fallback) and the ``initial_flows``
-    argument, and provides family-aware live latency evaluation.  Both the
-    fluid :class:`BatchSimulator` and the finite-population
+    ``policies`` argument (one policy for every row, or one per row; either
+    way stacked once into a :class:`~repro.core.policy.PolicyStack`) and the
+    ``initial_flows`` argument, and provides family-aware live latency
+    evaluation and the per-phase conservation check.  Both the fluid
+    :class:`BatchSimulator` and the finite-population
     :class:`~repro.batch.agents.BatchAgentSimulator` build on it, so
     validation fixes apply to both engines at once.
     """
@@ -308,16 +321,12 @@ class BatchEnsembleBase:
     def _set_policies(self, policies: Policies) -> None:
         batch_size = self._batch_size
         if isinstance(policies, ReroutingPolicy):
-            self._shared_policy: Optional[ReroutingPolicy] = policies
-            self._policies: List[ReroutingPolicy] = [policies] * batch_size
-        else:
-            policies = list(policies)
-            if len(policies) != batch_size:
-                raise ValueError(
-                    f"got {len(policies)} policies for a batch of {batch_size}"
-                )
-            self._shared_policy = policies[0] if len(set(map(id, policies))) == 1 else None
-            self._policies = policies
+            policies = [policies] * batch_size
+        policies = list(policies)
+        if len(policies) != batch_size:
+            raise ValueError(f"got {len(policies)} policies for a batch of {batch_size}")
+        self._policies: List[ReroutingPolicy] = policies
+        self._stack = PolicyStack.of(policies)
 
     @staticmethod
     def _normalise_scenarios(scenarios, batch: int):
@@ -382,19 +391,29 @@ class BatchEnsembleBase:
             return self.network.path_latencies_batch(state)
         return self.family.path_latencies_batch(state, rows)
 
-    # Policy tables -----------------------------------------------------------
+    # Conservation ------------------------------------------------------------
 
-    def _policy_tables(self, posted_flows: np.ndarray, posted_latencies: np.ndarray, rows: np.ndarray):
-        """Return the stacked ``(sigma, mu)`` matrices of the given rows.
+    def _check_conservation(
+        self, flows: np.ndarray, rows: np.ndarray, phase: int, demands: np.ndarray
+    ) -> None:
+        """Raise unless every row of ``flows`` routes each commodity's demand.
 
-        A shared policy uses the fully vectorised batch kernels; per-row
-        policies fall back to assembling the matrices row by row, so custom
-        sampling/migration rules keep working in both batched engines.
+        ``flows`` holds the phase-end ``(R, P)`` state of the active ``rows``
+        and ``demands`` broadcasts to their ``(R, C)`` commodity demands;
+        each commodity block total must match its demand to a relative
+        :data:`CONSERVATION_RTOL`.  The error names the engine, row, phase and
+        commodity, so lost mass fails at the phase that lost it.
         """
-        policies = self._shared_policy
-        if policies is None:
-            policies = [self._policies[row] for row in rows]
-        return policy_tables(self.network, policies, posted_flows, posted_latencies)
+        totals = self.network.paths.blocks.gather(flows).sum(axis=-1)
+        demands = np.broadcast_to(demands, totals.shape)
+        kept = np.abs(totals - demands) <= CONSERVATION_RTOL * demands
+        if not kept.all():
+            row, commodity = np.argwhere(~kept)[0]
+            raise ValueError(
+                f"{self.engine_name}: row {int(rows[row])} routes "
+                f"{float(totals[row, commodity])!r} on commodity {int(commodity)} at the "
+                f"end of phase {phase}, demand is {float(demands[row, commodity])!r}"
+            )
 
 
 class BatchSimulator(BatchEnsembleBase):
@@ -408,10 +427,9 @@ class BatchSimulator(BatchEnsembleBase):
         batch size (row ``r`` routes on member ``r``, enabling heterogeneous
         latency coefficients within one integration).
     policies:
-        Either one :class:`ReroutingPolicy` applied to every row (the fast,
-        fully vectorised path) or a sequence of ``B`` policies, one per row
-        (sampling/migration matrices are then assembled row by row, which
-        still amortises the integration loop across the batch).
+        Either one :class:`ReroutingPolicy` applied to every row or a
+        sequence of ``B`` policies, one per row; rows whose rules share a
+        class are evaluated together with their parameters stacked.
     config:
         The :class:`BatchConfig` with per-row periods/horizons/resolutions.
     scenarios:
@@ -459,15 +477,16 @@ class BatchSimulator(BatchEnsembleBase):
     def _stale_rates(self, board: BatchBulletinBoard, rows: np.ndarray):
         """Return a field closure for one stale phase of the active rows.
 
-        Within a phase the sampling and migration matrices depend only on the
+        Within a phase the sampling and migration blocks depend only on the
         posted snapshot, so they are assembled once per phase (for the active
         sub-batch only — frozen rows skip this work entirely) instead of once
         per integrator stage.
         """
-        sigma, mu = self._policy_tables(
-            board.posted_flows[rows], board.posted_path_latencies[rows], rows
+        blocks = self.network.paths.blocks
+        tables = self._stack.select(rows).tables(
+            blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
         )
-        return frozen_field(sigma, mu)
+        return frozen_field(blocks, *tables)
 
     def _fresh_rates(self, rows: np.ndarray):
         """Return the up-to-date-information field for the active rows.
@@ -475,10 +494,12 @@ class BatchSimulator(BatchEnsembleBase):
         Sampling and migration read the live state, priced in each row's
         current environment, at every integrator stage.
         """
+        blocks = self.network.paths.blocks
+        stack = self._stack.select(rows)
 
         def field(time, state: np.ndarray) -> np.ndarray:
             live_latencies = self._path_latencies_rows(state, rows)
-            return frozen_field(*self._policy_tables(state, live_latencies, rows))(time, state)
+            return frozen_field(blocks, *stack.tables(blocks, state, live_latencies))(time, state)
 
         return field
 
@@ -648,6 +669,7 @@ class BatchSimulator(BatchEnsembleBase):
                             f"row {int(rows[np.argmin(finite)])} has non-finite flows "
                             f"at the end of phase {phase}"
                         )
+                    self._check_conservation(projected, rows, phase, network.commodity_demands)
                     flows[rows] = projected
                     cursors = num_points[rows]
                     times[rows, cursors] = ends[rows]

@@ -118,23 +118,16 @@ def equilibrium_gap_stop(
     family = network if isinstance(network, NetworkFamily) else None
     base = family.base if family is not None else network
     delta = float(delta)
-    commodity_indices = [
-        np.fromiter(base.paths.commodity_indices(i), dtype=int)
-        for i in range(base.num_commodities)
-    ]
+    blocks = base.paths.blocks
 
     def batch(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if family is not None:
             latencies = family.path_latencies_batch(flows, rows)
         else:
             latencies = base.path_latencies_batch(flows)
-        settled = np.ones(len(rows), dtype=bool)
-        for indices in commodity_indices:
-            block_latencies = latencies[:, indices]
-            used = flows[:, indices] > threshold
-            worst = np.where(used, block_latencies, -np.inf).max(axis=1)
-            best = block_latencies.min(axis=1)
-            settled &= worst - best <= delta
-        return settled
+        latencies = blocks.gather(latencies)
+        worst = np.where(blocks.gather(flows) > threshold, latencies, -np.inf).max(axis=-1)
+        best = np.where(blocks.valid, latencies, np.inf).min(axis=-1)
+        return (worst - best <= delta).all(axis=-1)
 
     return StopCondition(batch=batch)

@@ -17,8 +17,8 @@ discrete-event simulation.  It serves two purposes in the reproduction:
 
 There is one agent engine: a single run is the one-row case of
 :class:`~repro.batch.agents.BatchAgentSimulator`.  This module holds the
-model's building blocks that engine uses -- the initial population, the
-phase grid and the within-commodity sampling tables.
+model's building blocks that engine uses -- the initial population and
+the phase grid.
 
 Randomness schedule (the seeding contract)
 ------------------------------------------
@@ -43,7 +43,6 @@ in, and what ``tests/reference_agents.py`` replays event by event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
@@ -124,57 +123,6 @@ def planned_phase_counts(horizons, periods) -> np.ndarray:
         if not np.any(overshoot):
             return counts
         counts = np.where(overshoot, counts - 1, counts)
-
-
-@dataclass(frozen=True)
-class SamplingLayout:
-    """Topology-level index tables behind the sampling kernel.
-
-    ``member_paths[p, j]`` is the ``j``-th global path index of the commodity
-    that path ``p`` belongs to (padded by repeating index 0, which is never
-    selected because the padded cdf columns equal 1).  ``valid_cols[p, j]``
-    is 1.0 on the real columns and 0.0 on the padding.
-    """
-
-    member_paths: np.ndarray
-    valid_cols: np.ndarray
-
-
-def sampling_layout(network: WardropNetwork) -> SamplingLayout:
-    """Build the per-path commodity index tables of one topology."""
-    num_paths = network.num_paths
-    widest = max(
-        len(network.paths.commodity_indices(i)) for i in range(network.num_commodities)
-    )
-    member_paths = np.zeros((num_paths, widest), dtype=np.int64)
-    valid_cols = np.zeros((num_paths, widest), dtype=float)
-    for i in range(network.num_commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=np.int64)
-        member_paths[indices, : len(indices)] = indices
-        valid_cols[indices, : len(indices)] = 1.0
-    return SamplingLayout(member_paths=member_paths, valid_cols=valid_cols)
-
-
-def sampling_tables(sigma: np.ndarray, layout: SamplingLayout) -> Tuple[np.ndarray, np.ndarray]:
-    """Turn sampling matrices into within-commodity cdf tables.
-
-    ``sigma`` has shape ``(..., P, P)`` (any leading batch dimensions).
-    Returns ``(cdf, valid)`` where ``cdf[..., p, j]`` is the normalised
-    cumulative probability that an agent on path ``p`` samples the ``j``-th
-    path of its commodity, and ``valid[..., p]`` flags rows with positive
-    total mass.  The sampled local index of an activation with uniform ``u``
-    is ``(cdf[..., p, :] <= u).sum()``: padded and final columns are exactly
-    1.0 and ``u < 1``, so the index always lands on a real column.
-    """
-    member_paths = layout.member_paths
-    own_rows = np.arange(len(member_paths))[:, None]
-    raw = sigma[..., own_rows, member_paths] * layout.valid_cols
-    cdf = np.cumsum(raw, axis=-1)
-    totals = cdf[..., -1].copy()
-    valid = totals > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cdf /= totals[..., None]
-    return cdf, valid
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:

@@ -39,14 +39,11 @@ def best_reply_target(network: WardropNetwork, path_latencies: np.ndarray, tie_t
     Every commodity puts its demand on its minimum-latency paths, split
     evenly among ties.
     """
-    target = np.zeros(network.num_paths)
-    for i, commodity in enumerate(network.commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-        latencies = path_latencies[indices]
-        minimum = latencies.min()
-        winners = indices[latencies <= minimum + tie_tolerance]
-        target[winners] = commodity.demand / len(winners)
-    return target
+    blocks = network.paths.blocks
+    latencies = np.where(blocks.valid, blocks.gather(path_latencies), np.inf)
+    winners = latencies <= latencies.min(axis=-1, keepdims=True) + tie_tolerance
+    share = network.commodity_demands[:, None] / winners.sum(axis=-1, keepdims=True)
+    return blocks.scatter(np.where(winners, share, 0.0))
 
 
 def simulate_best_response(

@@ -22,49 +22,47 @@ The rules implemented here:
 * :class:`SmoothedBetterResponseMigration` -- a steep but Lipschitz ramp that
   approximates better response while technically remaining alpha-smooth with
   a large alpha.
+
+Each rule writes its formula once, in :meth:`MigrationRule.probability`,
+elementwise on broadcastable arrays (plain floats work too, which is how
+:func:`~repro.core.smoothness.check_alpha_smoothness` probes it).
+:meth:`MigrationRule.matrix` evaluates it on every ordered pair of a
+commodity block of posted latencies, ``(..., C, K) -> (..., C, K, K)``,
+and zeroes the diagonal and the padding.  Float parameters (listed in
+``parameters``) may be ``(R, 1, 1, 1)`` arrays, so rows whose policies
+differ only in them are evaluated as one stacked instance (see
+:class:`~repro.core.policy.PolicyStack`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..wardrop.paths import CommodityBlocks
+from ..wardrop.validation import require_positive
+
 
 class MigrationRule(ABC):
-    """A migration-probability function ``mu(l_P, l_Q) in [0, 1]``."""
+    """A migration-probability function ``mu(l_P, l_Q) in [0, 1]``.
+
+    ``parameters`` names the float attributes that may differ per row; the
+    default ``None`` marks a rule whose state is opaque, so only rows
+    sharing the very same instance are evaluated together.
+    """
+
+    parameters: Optional[Tuple[str, ...]] = None
 
     @abstractmethod
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        """Return the probability of migrating from latency ``l_P`` to ``l_Q``."""
+    def probability(self, latency_from, latency_to):
+        """Return ``mu(l_P, l_Q)``, elementwise on broadcastable arrays or floats."""
 
-    def matrix(self, path_latencies: np.ndarray) -> np.ndarray:
-        """Return the matrix ``mu[p, q] = mu(l_p, l_q)`` for posted latencies."""
-        size = len(path_latencies)
-        result = np.zeros((size, size))
-        for p in range(size):
-            for q in range(size):
-                if p != q:
-                    result[p, q] = self.probability(
-                        float(path_latencies[p]), float(path_latencies[q])
-                    )
-        return result
-
-    def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
-        """Return a ``(B, P, P)`` stack of migration matrices for ``(B, P)`` latencies.
-
-        The default loops over the batch rows and calls :meth:`matrix`, so
-        custom migration rules work in the batched engine unchanged; the
-        built-in linear/better-response family overrides this with a
-        vectorised implementation matching the scalar arithmetic exactly.
-        """
-        return np.stack([self.matrix(row) for row in path_latencies])
-
-    @staticmethod
-    def _pairwise_improvements(path_latencies: np.ndarray) -> np.ndarray:
-        """Return ``diff[b, p, q] = l_p - l_q`` for a ``(B, P)`` latency batch."""
-        return path_latencies[:, :, None] - path_latencies[:, None, :]
+    def matrix(self, blocks: CommodityBlocks, path_latencies: np.ndarray) -> np.ndarray:
+        """Return ``mu[..., c, j, k] = mu(l_j, l_k)`` for ``(..., C, K)`` posted latency blocks."""
+        mu = self.probability(path_latencies[..., :, None], path_latencies[..., None, :])
+        return np.where(blocks.pairs, mu, 0.0)
 
     @property
     def smoothness(self) -> Optional[float]:
@@ -74,10 +72,6 @@ class MigrationRule(ABC):
         (e.g. better response).
         """
         return None
-
-    def is_selfish(self) -> bool:
-        """Return True if the rule never migrates towards a worse path."""
-        return True
 
     @property
     def name(self) -> str:
@@ -93,16 +87,15 @@ class BetterResponseMigration(MigrationRule):
     two-link instance to show this analytically for best response.
     """
 
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        return 1.0 if latency_from > latency_to else 0.0
+    parameters = ()
 
-    def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
-        diff = self._pairwise_improvements(path_latencies)
-        return (diff > 0.0).astype(float)
+    def probability(self, latency_from, latency_to):
+        return np.where(np.subtract(latency_from, latency_to) > 0.0, 1.0, 0.0)
 
-    @property
-    def smoothness(self) -> Optional[float]:
-        return None
+
+def _capped_ramp(scaled):
+    """Clip a ramp ``scaled`` (same sign as the latency gap) to ``[0, 1]``."""
+    return np.minimum(1.0, np.maximum(scaled, 0.0))
 
 
 class LinearMigration(MigrationRule):
@@ -112,21 +105,14 @@ class LinearMigration(MigrationRule):
     probability always lie in ``[0, 1]`` and the rule ``1/l_max``-smooth.
     """
 
+    parameters = ("max_latency",)
+
     def __init__(self, max_latency: float):
-        if max_latency <= 0:
-            raise ValueError("l_max must be positive")
+        require_positive("max_latency", max_latency)
         self.max_latency = float(max_latency)
 
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        if latency_from <= latency_to:
-            return 0.0
-        return min(1.0, (latency_from - latency_to) / self.max_latency)
-
-    def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
-        diff = self._pairwise_improvements(path_latencies)
-        mu = np.minimum(1.0, diff / self.max_latency)
-        mu[diff <= 0.0] = 0.0
-        return mu
+    def probability(self, latency_from, latency_to):
+        return _capped_ramp(np.subtract(latency_from, latency_to) / self.max_latency)
 
     @property
     def smoothness(self) -> Optional[float]:
@@ -148,21 +134,14 @@ class ScaledLinearMigration(MigrationRule):
     only makes it *smoother*.
     """
 
+    parameters = ("alpha",)
+
     def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        require_positive("alpha", alpha)
         self.alpha = float(alpha)
 
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        if latency_from <= latency_to:
-            return 0.0
-        return min(1.0, self.alpha * (latency_from - latency_to))
-
-    def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
-        diff = self._pairwise_improvements(path_latencies)
-        mu = np.minimum(1.0, self.alpha * diff)
-        mu[diff <= 0.0] = 0.0
-        return mu
+    def probability(self, latency_from, latency_to):
+        return _capped_ramp(self.alpha * np.subtract(latency_from, latency_to))
 
     @property
     def smoothness(self) -> Optional[float]:
@@ -182,21 +161,14 @@ class SmoothedBetterResponseMigration(MigrationRule):
     response.
     """
 
+    parameters = ("width",)
+
     def __init__(self, width: float):
-        if width <= 0:
-            raise ValueError("width must be positive")
+        require_positive("width", width)
         self.width = float(width)
 
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        if latency_from <= latency_to:
-            return 0.0
-        return min(1.0, (latency_from - latency_to) / self.width)
-
-    def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
-        diff = self._pairwise_improvements(path_latencies)
-        mu = np.minimum(1.0, diff / self.width)
-        mu[diff <= 0.0] = 0.0
-        return mu
+    def probability(self, latency_from, latency_to):
+        return _capped_ramp(np.subtract(latency_from, latency_to) / self.width)
 
     @property
     def smoothness(self) -> Optional[float]:

@@ -11,6 +11,11 @@ through the factor ``f_P`` (how many agents are available to leave ``P``),
 while sampling and migration probabilities are evaluated on the *posted*
 bulletin-board state.
 
+:class:`PolicyStack` evaluates the policies of ``R`` rows, grouped by rule
+class with per-row parameters stacked, on commodity blocks
+(:class:`~repro.wardrop.paths.CommodityBlocks`); :func:`frozen_field` turns
+the tables into the right-hand side of Eq. (1)/(3).
+
 Factory helpers build the named policies of the paper:
 
 * :func:`replicator_policy` -- proportional sampling + linear migration
@@ -22,12 +27,14 @@ Factory helpers build the named policies of the paper:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..wardrop.network import WardropNetwork
+from ..wardrop.paths import CommodityBlocks
 from .migration import (
     BetterResponseMigration,
     LinearMigration,
@@ -37,6 +44,8 @@ from .migration import (
 )
 from .sampling import ProportionalSampling, SamplingRule, SoftmaxSampling, UniformSampling
 from .smoothness import safe_update_period_for_rule
+
+Rule = Union[SamplingRule, MigrationRule]
 
 
 @dataclass
@@ -69,95 +78,143 @@ class ReroutingPolicy:
         """Return the Lemma 4 safe bulletin-board period for this policy."""
         return safe_update_period_for_rule(network, self.migration)
 
-    def migration_rates(
-        self,
-        network: WardropNetwork,
-        current_flows: np.ndarray,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return the matrix ``rho[p, q]`` of migration rates from p to q.
 
-        ``current_flows`` is the live flow (supplies the factor ``f_P``);
-        ``posted_flows`` and ``posted_path_latencies`` are the bulletin-board
-        snapshot used for the sampling and migration probabilities.  Under
-        up-to-date information callers simply pass the live state for both.
-        """
-        sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix(posted_path_latencies)
-        return current_flows[:, None] * sigma * mu
-
-    def growth_rates(
-        self,
-        network: WardropNetwork,
-        current_flows: np.ndarray,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return ``df_P/dt = sum_Q (rho_QP - rho_PQ)`` for every path.
-
-        This is Eq. (1) of the paper (Eq. (3) when the posted state is stale).
-        The result sums to zero within every commodity, so demands are
-        conserved exactly.
-
-        The implementation folds ``sigma * mu`` into one transition-rate
-        matrix ``M`` and factors the current flow out of the outflow sum
-        (``sum_Q rho_PQ = f_P * sum_Q M_PQ``): one elementwise product and
-        one reduction per evaluation instead of two of each, the operation
-        sequence :func:`frozen_field` applies to every row of a batch.
-        """
-        sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix(posted_path_latencies)
-        rates = sigma * mu
-        inflow = np.matmul(current_flows[None, :], rates)[0]
-        return inflow - current_flows * rates.sum(axis=1)
+Group = Tuple[np.ndarray, Rule]
 
 
-def policy_tables(
-    network: WardropNetwork,
-    policies: Union[ReroutingPolicy, Sequence[ReroutingPolicy]],
-    posted_flows: np.ndarray,
-    posted_path_latencies: np.ndarray,
-):
-    """Return the stacked ``(B, P, P)`` sampling and migration matrices of ``B`` rows.
+def _stack(rules: Sequence[Rule], shape: Tuple[int, ...]) -> Tuple[Group, ...]:
+    """Group rows by rule class; return ``(rows, rule)`` pairs, one per group.
 
-    ``policies`` is one policy shared by every row, which uses the
-    vectorised batch kernels, or one policy per row, whose matrices are
-    assembled row by row so custom sampling/migration rules work unchanged.
+    Each group's ``rule`` evaluates all its rows at once: parameters that
+    differ between the group's members become arrays of ``shape`` (one entry
+    per group row).  Rules with opaque state (``parameters is None``) group
+    by instance.
     """
-    if isinstance(policies, ReroutingPolicy):
-        return (
-            policies.sampling.probabilities_batch(network, posted_flows, posted_path_latencies),
-            policies.migration.matrix_batch(posted_path_latencies),
+    grouped = {}
+    for row, rule in enumerate(rules):
+        grouped.setdefault(id(rule) if rule.parameters is None else type(rule), []).append(row)
+    groups = []
+    for rows in grouped.values():
+        members = [rules[row] for row in rows]
+        rule = members[0]
+        if any(member is not rule for member in members):
+            rule = copy.copy(rule)
+            for name in rule.parameters:
+                values = np.array([getattr(member, name) for member in members], dtype=float)
+                if (values != values[0]).any():
+                    setattr(rule, name, values.reshape(shape))
+        groups.append((np.array(rows), rule))
+    return tuple(groups)
+
+
+def _select(groups: Tuple[Group, ...], rows: np.ndarray) -> Tuple[Group, ...]:
+    """Restrict every group to the sorted ``rows``, indexing its stacked parameters."""
+    selected = []
+    for members, rule in groups:
+        positions = np.flatnonzero(np.isin(rows, members))
+        stacked = [n for n in rule.parameters or () if isinstance(getattr(rule, n), np.ndarray)]
+        if stacked:
+            index = np.searchsorted(members, rows[positions])
+            rule = copy.copy(rule)
+            for name in stacked:
+                setattr(rule, name, getattr(rule, name)[index])
+        if len(positions):
+            selected.append((positions, rule))
+    return tuple(selected)
+
+
+def _combine(groups: Tuple[Group, ...], size: int, evaluate) -> np.ndarray:
+    """Evaluate every group on its rows and assemble one ``(size, ...)`` array.
+
+    A lone group holds every row and returns its result as is, so it may
+    keep a leading axis of 1 that broadcasts over the rows.
+    """
+    if len(groups) == 1:
+        return evaluate(groups[0][1], slice(None))
+    parts = [(rows, evaluate(rule, rows)) for rows, rule in groups]
+    combined = np.zeros((size,) + np.broadcast_shapes(*(part.shape[1:] for _, part in parts)))
+    for rows, part in parts:
+        combined[rows] = part
+    return combined
+
+
+@dataclass(frozen=True)
+class PolicyStack:
+    """The policies of ``R`` rows, grouped by rule class with parameters stacked.
+
+    Rows whose sampling (or migration) rules share a class form one group,
+    evaluated as one rule instance whose differing float ``parameters`` are
+    per-row arrays -- the way
+    :class:`~repro.wardrop.latency.EdgeLatencyTable` stacks latency
+    coefficients -- so a batch with per-row policies costs one kernel call
+    per rule class, not one per row.  Build it once per engine with
+    :meth:`of` (and again when a column-generation path set grows), restrict
+    it to a phase's active rows with :meth:`select`, and evaluate the tables
+    of a posted state with :meth:`tables`.
+    """
+
+    size: int
+    sampling: Tuple[Group, ...]
+    migration: Tuple[Group, ...]
+
+    @classmethod
+    def of(cls, policies: Sequence[ReroutingPolicy]) -> "PolicyStack":
+        return cls(
+            len(policies),
+            _stack([policy.sampling for policy in policies], (-1, 1, 1)),
+            _stack([policy.migration for policy in policies], (-1, 1, 1, 1)),
         )
-    sigma = np.stack(
-        [
-            policy.sampling.probabilities(network, flows, latencies)
-            for policy, flows, latencies in zip(policies, posted_flows, posted_path_latencies)
-        ]
-    )
-    mu = np.stack(
-        [policy.migration.matrix(latencies) for policy, latencies in zip(policies, posted_path_latencies)]
-    )
-    return sigma, mu
+
+    def select(self, rows: np.ndarray) -> "PolicyStack":
+        """Return the stack of the rows ``rows`` (sorted), in that order."""
+        if len(rows) == self.size:
+            return self
+        return PolicyStack(len(rows), _select(self.sampling, rows), _select(self.migration, rows))
+
+    def tables(
+        self,
+        blocks: CommodityBlocks,
+        posted_flows: np.ndarray,
+        posted_path_latencies: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the sampling and migration blocks of the ``(R, P)`` posted state.
+
+        ``sigma`` broadcasts to ``(R, C, K, K)`` (the built-in rules return
+        ``(R or 1, C, 1, K)``) and ``mu`` is ``(R, C, K, K)``.
+        """
+        flows = blocks.gather(posted_flows)
+        latencies = blocks.gather(posted_path_latencies)
+        sigma = _combine(
+            self.sampling,
+            self.size,
+            lambda rule, rows: rule.probabilities(blocks, flows[rows], latencies[rows]),
+        )
+        mu = _combine(
+            self.migration, self.size, lambda rule, rows: rule.matrix(blocks, latencies[rows])
+        )
+        return sigma, mu
 
 
-def frozen_field(sigma: np.ndarray, mu: np.ndarray):
-    """Return the field ``(t, state) -> df/dt`` of a stale phase of Eq. (3).
+def frozen_field(blocks: CommodityBlocks, sigma: np.ndarray, mu: np.ndarray):
+    """Return the field ``(t, state) -> df/dt`` of Eq. (1)/(3) for fixed tables.
 
-    Within a phase the ``(B, P, P)`` sampling and migration matrices depend
-    only on the posted snapshot, so their product and its outflow row sums
-    are formed once per phase; each stage then costs one ``matmul`` and one
-    product, in the folded form of :meth:`ReroutingPolicy.growth_rates`.
-    Fresh-information fields rebuild the tables from the live state and
-    apply the same fold.
+    ``df_P/dt = sum_Q (rho_QP - rho_PQ)`` with ``rho_PQ = f_P sigma_PQ
+    mu_PQ``.  Within a stale phase the sampling and migration blocks depend
+    only on the posted snapshot, so the rate blocks ``sigma * mu`` and their
+    outflow sums are formed once per phase; each stage then gathers the
+    ``(R, P)`` state into ``(R, C, K)`` blocks, forms the inflow as one
+    batched ``(R, C, 1, K) @ (R, C, K, K)`` product, subtracts the outflow
+    and scatters back.  The result sums to zero within every commodity, so
+    demands are conserved.  Fresh-information fields rebuild the tables from
+    the live state and apply the same product.
     """
     rates = sigma * mu
-    outflow_rates = rates.sum(axis=2)
+    outflow_rates = rates.sum(axis=-1)
 
     def field(_time, state: np.ndarray) -> np.ndarray:
-        inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
-        return inflow - state * outflow_rates
+        flows = blocks.gather(state)
+        inflow = np.matmul(flows[..., None, :], rates)[..., 0, :]
+        return blocks.scatter(inflow - flows * outflow_rates)
 
     return field
 
@@ -166,7 +223,7 @@ def uniform_policy(network: WardropNetwork, max_latency: Optional[float] = None)
     """Uniform sampling + linear migration (the Theorem 6 policy)."""
     return ReroutingPolicy(
         sampling=UniformSampling(),
-        migration=LinearMigration(max_latency or network.max_latency()),
+        migration=LinearMigration(network.max_latency() if max_latency is None else max_latency),
         name="uniform+linear",
     )
 
@@ -179,7 +236,7 @@ def replicator_policy(
     """Proportional sampling + linear migration (replicator dynamics, Theorem 7)."""
     return ReroutingPolicy(
         sampling=ProportionalSampling(exploration=exploration),
-        migration=LinearMigration(max_latency or network.max_latency()),
+        migration=LinearMigration(network.max_latency() if max_latency is None else max_latency),
         name="replicator",
     )
 

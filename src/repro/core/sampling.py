@@ -19,75 +19,58 @@ the smoothed-best-response rule it discusses:
 * :class:`SoftmaxSampling` -- ``sigma_PQ ∝ exp(-c * l_Q)``, which approaches
   best response as ``c`` grows (Section 2.2, Eq. before (2)).
 
+Sampling only ever picks a path of the agent's own commodity, so sigma is
+block-diagonal.  Each rule writes its formula once, on the padded commodity
+blocks of :class:`~repro.wardrop.paths.CommodityBlocks`: it receives the
+posted flows and path latencies of ``R`` rows as ``(R, C, K)`` arrays and
+returns blocks that broadcast to ``(R, C, K, K)`` (entry ``[r, c, j, k]``
+is the probability that an agent in slot ``j`` of commodity ``c`` samples
+slot ``k``).  The three rules here do not depend on the current path, so
+they return ``(R, C, 1, K)``.  A rule's float parameters (listed in
+``parameters``) may be ``(R, 1, 1)`` arrays: rows whose policies differ only
+in those parameters are evaluated as one stacked instance (see
+:class:`~repro.core.policy.PolicyStack`).
+
 Sampling rules evaluate against the flow and latencies *posted on the
-bulletin board*, not the live ones; the simulator passes the stale values in.
+bulletin board*, not the live ones; the engines pass the stale values in.
 """
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..wardrop.network import WardropNetwork
-from ..wardrop.paths import PathSet
+from ..wardrop.paths import CommodityBlocks
+from ..wardrop.validation import require_positive
 
 
 class SamplingRule(ABC):
     """A rule producing, per commodity, a distribution over sampled paths.
 
-    Implementations return a matrix ``sigma`` of shape ``(|P|, |P|)`` whose
-    entry ``sigma[p, q]`` is the probability that an agent on (global) path
-    ``p`` samples path ``q``.  Rows corresponding to paths of commodity ``i``
-    place probability only on paths of the same commodity and sum to one.
+    ``parameters`` names the float attributes that may differ per row.
+    Rows whose rules share a class are stacked into one instance with those
+    attributes as ``(R, 1, 1)`` arrays; the default ``None`` marks a rule
+    whose state is opaque, so only rows sharing the very same instance are
+    evaluated together.
     """
+
+    parameters: Optional[Tuple[str, ...]] = None
 
     @abstractmethod
     def probabilities(
         self,
-        network: WardropNetwork,
+        blocks: CommodityBlocks,
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        """Return the sampling matrix for the posted (bulletin-board) state."""
+        """Return sampling blocks broadcasting to ``(R, C, K, K)``.
 
-    def probabilities_batch(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return a ``(B, P, P)`` stack of sampling matrices, one per batch row.
-
-        ``posted_flows`` and ``posted_path_latencies`` have shape ``(B, P)``.
-        The default loops over the rows and calls :meth:`probabilities`, so
-        custom sampling rules work in the batched engine unchanged; the
-        built-in rules override this with a vectorised implementation that
-        performs the same floating-point operations row by row.
+        ``posted_flows`` and ``posted_path_latencies`` are the bulletin-board
+        snapshot of ``R`` rows as zero-padded ``(R, C, K)`` blocks.  Real
+        slots of every block row must sum to one; padded slots must be zero.
         """
-        return np.stack(
-            [
-                self.probabilities(network, posted_flows[b], posted_path_latencies[b])
-                for b in range(posted_flows.shape[0])
-            ]
-        )
-
-    def validate(self, sigma: np.ndarray, network: WardropNetwork, tolerance: float = 1e-9) -> None:
-        """Check that ``sigma`` is a proper within-commodity stochastic matrix."""
-        if sigma.shape != (network.num_paths, network.num_paths):
-            raise ValueError("sampling matrix has the wrong shape")
-        if np.any(sigma < -tolerance):
-            raise ValueError("sampling probabilities must be non-negative")
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            block = sigma[np.ix_(indices, indices)]
-            row_sums = block.sum(axis=1)
-            if np.any(np.abs(row_sums - 1.0) > 1e-6):
-                raise ValueError(f"sampling rows of commodity {i} do not sum to one")
-            outside = sigma[np.ix_(indices, np.setdiff1d(np.arange(network.num_paths), indices))]
-            if outside.size and np.any(np.abs(outside) > tolerance):
-                raise ValueError("sampling leaks probability across commodities")
 
     @property
     def name(self) -> str:
@@ -101,33 +84,10 @@ class UniformSampling(SamplingRule):
     hence trivially Lipschitz continuous and everywhere positive.
     """
 
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        # Flow-independent: built once per path set and shared read-only.
-        sigma = _UNIFORM_TEMPLATES.get(network.paths)
-        if sigma is None:
-            sigma = np.zeros((network.num_paths, network.num_paths))
-            for start, stop in network.paths.commodity_slices():
-                sigma[start:stop, start:stop] = 1.0 / (stop - start)
-            sigma.setflags(write=False)
-            _UNIFORM_TEMPLATES[network.paths] = sigma
-        return sigma
+    parameters = ()
 
-    def probabilities_batch(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        template = self.probabilities(network, posted_flows[0], posted_path_latencies[0])
-        return np.broadcast_to(template, (posted_flows.shape[0],) + template.shape)
-
-
-_UNIFORM_TEMPLATES: "weakref.WeakKeyDictionary[PathSet, np.ndarray]" = weakref.WeakKeyDictionary()
+    def probabilities(self, blocks, posted_flows, posted_path_latencies):
+        return (blocks.valid / blocks.sizes[:, None])[None, :, None, :]
 
 
 class ProportionalSampling(SamplingRule):
@@ -137,43 +97,27 @@ class ProportionalSampling(SamplingRule):
     at random and consider its path.  To keep the rule strictly positive on
     all paths -- a requirement for convergence to equilibria whose support may
     include currently unused paths -- an ``exploration`` mass is mixed in
-    uniformly (the paper's positivity requirement ``sigma_PQ > 0``).
+    uniformly (the paper's positivity requirement ``sigma_PQ > 0``).  A
+    commodity whose posted flow is zero samples uniformly.
     """
+
+    parameters = ("exploration",)
 
     def __init__(self, exploration: float = 1e-6):
         if not 0.0 <= exploration < 1.0:
             raise ValueError("exploration must lie in [0, 1)")
         self.exploration = float(exploration)
 
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        return self.probabilities_batch(
-            network, posted_flows[None, :], posted_path_latencies[None, :]
-        )[0]
-
-    def probabilities_batch(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        batch = posted_flows.shape[0]
-        sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        for start, stop in network.paths.commodity_slices():
-            count = stop - start
-            shares = np.maximum(posted_flows[:, start:stop], 0.0)
-            totals = shares.sum(axis=1)
-            starved = totals <= 0
-            distribution = shares / np.where(starved, 1.0, totals)[:, None]
-            distribution[starved] = 1.0 / count
-            if self.exploration > 0:
-                distribution = (1.0 - self.exploration) * distribution + self.exploration / count
-            sigma[:, start:stop, start:stop] = distribution[:, None, :]
-        return sigma
+    def probabilities(self, blocks, posted_flows, posted_path_latencies):
+        shares = np.maximum(posted_flows, 0.0)
+        totals = shares.sum(axis=-1, keepdims=True)
+        starved = totals <= 0
+        if starved.any():
+            shares = np.where(starved, blocks.valid, shares)
+            totals = np.where(starved, blocks.sizes[:, None], totals)
+        sizes = blocks.sizes[:, None]
+        distribution = (1.0 - self.exploration) * (shares / totals) + self.exploration / sizes
+        return (distribution * blocks.valid)[..., None, :]
 
 
 class SoftmaxSampling(SamplingRule):
@@ -186,35 +130,15 @@ class SoftmaxSampling(SamplingRule):
     convergent and oscillating behaviour.
     """
 
+    parameters = ("concentration",)
+
     def __init__(self, concentration: float = 1.0):
-        if concentration <= 0:
-            raise ValueError("concentration parameter c must be positive")
+        require_positive("concentration", concentration)
         self.concentration = float(concentration)
 
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        return self.probabilities_batch(
-            network, posted_flows[None, :], posted_path_latencies[None, :]
-        )[0]
-
-    def probabilities_batch(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        batch = posted_flows.shape[0]
-        sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        for start, stop in network.paths.commodity_slices():
-            latencies = posted_path_latencies[:, start:stop]
-            # Subtract the minimum before exponentiating for numerical safety.
-            scores = np.exp(
-                -self.concentration * (latencies - latencies.min(axis=1, keepdims=True))
-            )
-            distribution = scores / scores.sum(axis=1, keepdims=True)
-            sigma[:, start:stop, start:stop] = distribution[:, None, :]
-        return sigma
+    def probabilities(self, blocks, posted_flows, posted_path_latencies):
+        latencies = np.where(blocks.valid, posted_path_latencies, np.inf)
+        # Subtract the minimum before exponentiating for numerical safety;
+        # padded slots score exp(-inf) = 0.
+        scores = np.exp(-self.concentration * (latencies - latencies.min(axis=-1, keepdims=True)))
+        return (scores / scores.sum(axis=-1, keepdims=True))[..., None, :]

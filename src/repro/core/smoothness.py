@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .migration import MigrationRule, ScaledLinearMigration
 
 
@@ -68,7 +69,7 @@ def check_alpha_smoothness(
         gap = float(rng.uniform(0.0, max_latency - low)) * float(rng.uniform(0.0, 1.0) ** 3)
         gap = max(gap, 1e-12)
         high = min(max_latency, low + gap)
-        probability = rule.probability(high, low)
+        probability = float(rule.probability(high, low))
         if probability < 0.0:
             violations += 1
             continue
@@ -91,8 +92,7 @@ def safe_update_period(network: WardropNetwork, alpha: float) -> float:
     Networks whose latency functions are all constant have ``beta = 0``; then
     any update period is safe and the function returns ``inf``.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    require_positive("alpha", alpha)
     depth = network.max_path_length()
     beta = network.max_slope()
     if beta <= 0:
@@ -120,8 +120,7 @@ def max_safe_alpha(network: WardropNetwork, update_period: float) -> float:
     migration rule may be -- the "slow down by a factor depending on T and
     beta" message of the paper.
     """
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
+    require_positive("update_period", update_period)
     depth = network.max_path_length()
     beta = network.max_slope()
     if beta <= 0:

@@ -73,12 +73,11 @@ def all_or_nothing_flow(network: WardropNetwork, path_latencies: np.ndarray) -> 
     paths.  Ties are broken by the first index, which keeps the solver
     deterministic.
     """
-    target = np.zeros(network.num_paths)
-    for i, commodity in enumerate(network.commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-        best_local = int(np.argmin(path_latencies[indices]))
-        target[indices[best_local]] = commodity.demand
-    return target
+    blocks = network.paths.blocks
+    latencies = np.where(blocks.valid, blocks.gather(path_latencies), np.inf)
+    target = np.zeros(blocks.shape)
+    target[np.arange(blocks.shape[0]), latencies.argmin(axis=-1)] = network.commodity_demands
+    return blocks.scatter(target)
 
 
 def duality_gap(network: WardropNetwork, flows: np.ndarray) -> float:

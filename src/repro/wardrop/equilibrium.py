@@ -45,18 +45,11 @@ def equilibrium_violation(flow: FlowVector) -> float:
     Zero exactly at Wardrop equilibria; continuous in the flow, which makes
     it a convenient convergence measure for tests.
     """
-    network = flow.network
-    latencies = flow.path_latencies()
-    flows = flow.values()
-    worst = 0.0
-    for i in range(network.num_commodities):
-        indices = list(network.paths.commodity_indices(i))
-        commodity_latencies = latencies[indices]
-        minimum = commodity_latencies.min()
-        used = flows[indices] > 1e-9
-        if used.any():
-            worst = max(worst, float((commodity_latencies[used] - minimum).max()))
-    return worst
+    blocks = flow.network.paths.blocks
+    latencies = blocks.gather(flow.path_latencies())
+    minimum = np.where(blocks.valid, latencies, np.inf).min(axis=-1, keepdims=True)
+    used = blocks.gather(flow.values()) > 1e-9
+    return float(np.where(used, latencies - minimum, 0.0).max())
 
 
 def unsatisfied_volume(flow: FlowVector, delta: float) -> float:
@@ -66,17 +59,12 @@ def unsatisfied_volume(flow: FlowVector, delta: float) -> float:
     ``l_P(f) > l^i_min + delta``; the function sums the flow on all such
     paths.
     """
-    network = flow.network
-    latencies = flow.path_latencies()
-    flows = flow.values()
-    volume = 0.0
-    for i in range(network.num_commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-        commodity_latencies = latencies[indices]
-        minimum = commodity_latencies.min()
-        unsatisfied = commodity_latencies > minimum + delta
-        volume += float(flows[indices][unsatisfied].sum())
-    return volume
+    blocks = flow.network.paths.blocks
+    latencies = blocks.gather(flow.path_latencies())
+    minimum = np.where(blocks.valid, latencies, np.inf).min(axis=-1, keepdims=True)
+    unsatisfied = np.where(latencies > minimum + delta, blocks.gather(flow.values()), 0.0)
+    # A Python sum adds the commodities' volumes one by one, in order.
+    return float(sum(unsatisfied.sum(axis=-1).tolist()))
 
 
 def weakly_unsatisfied_volume(flow: FlowVector, delta: float) -> float:

@@ -49,11 +49,8 @@ class FlowVector:
     @classmethod
     def uniform(cls, network: WardropNetwork) -> "FlowVector":
         """Split every commodity's demand equally over its paths."""
-        flows = np.zeros(network.num_paths)
-        for i, commodity in enumerate(network.commodities):
-            indices = list(network.paths.commodity_indices(i))
-            flows[indices] = commodity.demand / len(indices)
-        return cls(network, flows)
+        blocks = network.paths.blocks
+        return cls(network, network.path_demands / blocks.sizes[blocks.commodity])
 
     @classmethod
     def single_path(cls, network: WardropNetwork, path_indices: Dict[int, int]) -> "FlowVector":
@@ -105,13 +102,12 @@ class FlowVector:
         if np.any(self._flows < -tolerance):
             worst = float(self._flows.min())
             raise ValueError(f"flow vector has negative component {worst}")
-        for i, commodity in enumerate(self.network.commodities):
-            indices = list(self.network.paths.commodity_indices(i))
-            routed = float(self._flows[indices].sum())
-            if abs(routed - commodity.demand) > tolerance:
-                raise ValueError(
-                    f"commodity {i} routes {routed}, demand is {commodity.demand}"
-                )
+        routed = self.network.paths.blocks.gather(self._flows).sum(axis=-1)
+        demands = self.network.commodity_demands
+        off = np.flatnonzero(np.abs(routed - demands) > tolerance)
+        if len(off):
+            i = int(off[0])
+            raise ValueError(f"commodity {i} routes {routed[i]}, demand is {demands[i]}")
 
     def is_feasible(self, tolerance: float = 1e-7) -> bool:
         """Return ``True`` if the flow satisfies non-negativity and demands."""
@@ -125,21 +121,12 @@ class FlowVector:
         """Return the closest simple repair of small numerical infeasibility.
 
         Negative components are clipped to zero and each commodity block is
-        rescaled to its demand.  Intended to absorb integrator round-off, not
-        to project arbitrary vectors.
+        rescaled to its demand (the one-row case of :meth:`project_batch`).
+        Intended to absorb integrator round-off, not to project arbitrary
+        vectors.
         """
-        flows = np.clip(self._flows, 0.0, None)
-        for (start, stop), commodity in zip(
-            self.network.paths.commodity_slices(), self.network.commodities
-        ):
-            routed = flows[start:stop].sum()
-            # Subnormal totals would overflow demand / routed to inf (and
-            # 0 * inf to NaN), so they count as starved too.
-            if routed <= np.finfo(float).tiny:
-                flows[start:stop] = commodity.demand / (stop - start)
-            else:
-                flows[start:stop] *= commodity.demand / routed
-        return FlowVector(self.network, flows)
+        repaired = FlowVector.project_batch(self.network, self._flows[None])[0]
+        return FlowVector(self.network, repaired)
 
     @staticmethod
     def stack(vectors: Sequence["FlowVector"]) -> np.ndarray:
@@ -160,30 +147,24 @@ class FlowVector:
 
     @staticmethod
     def project_batch(network: WardropNetwork, path_flows: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`projected` on a ``(B, P)`` batch of raw flow arrays.
+        """Clip-and-rescale a ``(B, P)`` batch of raw flow arrays, row by row.
 
-        Applies exactly the clip-and-rescale repair of :meth:`projected` to
-        every row and returns a new array; used by the batched simulator at
-        phase boundaries.
+        Negative components are clipped to zero and every commodity block is
+        rescaled to its demand; a commodity whose routed mass is at most the
+        smallest normal float (subnormal totals would overflow
+        ``demand / routed`` to inf, and ``0 * inf`` to NaN) is split
+        uniformly instead.  Works on the padded commodity blocks, so each
+        block total is one reduction over ``K`` that does not depend on the
+        batch; returns a new array.
         """
-        flows = np.clip(np.asarray(path_flows, dtype=float), 0.0, None)
-        slices = network.paths.commodity_slices()
-        demands = np.array([commodity.demand for commodity in network.commodities])
-        # Each row's routed mass must use the same 1-D pairwise reduction as
-        # :meth:`projected` -- ``block.sum(axis=1)`` can accumulate in a
-        # different order and land one ulp away, so a row's bits would depend
-        # on the batch it runs in.
-        routed = np.array(
-            [[row.sum() for row in flows[:, start:stop]] for start, stop in slices]
-        ).T
+        blocks = network.paths.blocks
+        flows = blocks.gather(np.clip(np.asarray(path_flows, dtype=float), 0.0, None))
+        routed = flows.sum(axis=-1)
+        demands = network.commodity_demands
         starved = routed <= np.finfo(float).tiny
         scale = demands / np.where(starved, 1.0, routed)
-        for column, (start, stop) in enumerate(slices):
-            flows[:, start:stop] *= scale[:, column, None]
-        for row, column in zip(*np.nonzero(starved)):
-            start, stop = slices[column]
-            flows[row, start:stop] = demands[column] / (stop - start)
-        return flows
+        split = np.where(blocks.valid, (demands / blocks.sizes)[:, None], 0.0)
+        return blocks.scatter(np.where(starved[..., None], split, flows * scale[..., None]))
 
     # Raw access ---------------------------------------------------------------
 

@@ -99,9 +99,8 @@ class WardropNetwork:
         self._inc: EdgeIncidence = build_incidence(
             self.paths, self._edges, mode=incidence_mode
         )
-        self._demands = np.array(
-            [self.commodities[self.paths.commodity_of(p)].demand for p in range(len(self.paths))]
-        )
+        self._commodity_demands = np.array([commodity.demand for commodity in self.commodities])
+        self._demands = self._commodity_demands[self.paths.blocks.commodity]
         # Per-edge latency replacements of lightweight copies made by
         # `with_latencies`; empty on a directly constructed network.
         self._latency_overrides: Dict[EdgeKey, LatencyFunction] = {}
@@ -197,6 +196,11 @@ class WardropNetwork:
     def path_demands(self) -> np.ndarray:
         """Vector giving, per path, the demand of its commodity."""
         return self._demands
+
+    @property
+    def commodity_demands(self) -> np.ndarray:
+        """Vector giving, per commodity, its demand ``r_i``."""
+        return self._commodity_demands
 
     def edge_index(self, edge: EdgeKey) -> int:
         return self._edge_index[edge]

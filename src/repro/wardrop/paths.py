@@ -7,7 +7,10 @@ agents using path ``P``, and the strategy space of commodity ``i`` is the set
 * :class:`Path` -- an immutable sequence of edge keys with pretty printing,
 * enumeration of all simple paths of a commodity on a ``networkx`` multigraph,
 * :class:`PathSet` -- the indexed union ``P = union_i P_i`` used by flow
-  vectors, with fast lookup from path to commodity and to array positions.
+  vectors, with fast lookup from path to commodity and to array positions,
+* :class:`CommodityBlocks` -- the padded ``(C, K)`` commodity-block layout
+  every per-commodity kernel (sampling, migration, the rate field,
+  projection, the agent tables) computes on.
 
 Enumeration is exponential in general; the instances used by the paper and by
 the reproduction are small enough (parallel links, Braess, grids) that
@@ -142,6 +145,68 @@ def _product_of(hops: List[List[EdgeKey]]) -> Iterator[List[EdgeKey]]:
             yield [edge] + rest
 
 
+@dataclass(frozen=True)
+class CommodityBlocks:
+    """The padded commodity-block layout of a path set.
+
+    Agents only sample paths of their own commodity, so every per-commodity
+    quantity lives on ``C`` blocks of at most ``K`` paths.  ``index[c, j]``
+    is the global path in slot ``j`` of commodity ``c`` (0 on padding),
+    ``valid[c, j]`` marks the real slots, ``pairs[c, j, k]`` the ordered
+    pairs of distinct real slots (where a path-to-path rate can be nonzero),
+    ``commodity[p]``/``slot[p]`` locate global path ``p`` (``flat[p]`` in
+    the flattened ``(C * K,)`` blocks), ``sizes[c]`` is ``|P_c|``, and
+    ``uniform`` says every commodity has ``K`` paths (no padding).  Paths are contiguous per
+    commodity, so the valid slots in row-major order are the global paths
+    in order: :meth:`gather` and :meth:`scatter` are an indexed copy, and
+    plain reshapes (views, no copy) when there is no padding.
+    """
+
+    index: np.ndarray
+    valid: np.ndarray
+    pairs: np.ndarray
+    commodity: np.ndarray
+    slot: np.ndarray
+    flat: np.ndarray
+    sizes: np.ndarray
+    uniform: bool
+
+    @classmethod
+    def from_slices(cls, slices: Sequence[Tuple[int, int]]) -> "CommodityBlocks":
+        sizes = np.array([stop - start for start, stop in slices], dtype=np.int64)
+        starts = np.array([start for start, _ in slices], dtype=np.int64)
+        width = int(sizes.max())
+        slots = np.arange(width)
+        valid = slots < sizes[:, None]
+        commodity = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.arange(len(commodity)) - starts[commodity]
+        index = np.where(valid, starts[:, None] + slots, 0)
+        pairs = valid[:, :, None] & valid[:, None, :] & ~np.eye(width, dtype=bool)
+        flat = commodity * width + slot
+        for array in (index, valid, pairs, commodity, slot, flat, sizes):
+            array.setflags(write=False)
+        return cls(index, valid, pairs, commodity, slot, flat, sizes, bool(valid.all()))
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """``(C, K)``: the number of commodities and the widest block."""
+        return self.valid.shape
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Return ``(..., P)`` path values as zero-padded ``(..., C, K)`` blocks."""
+        if self.uniform:
+            return values.reshape(values.shape[:-1] + self.shape)
+        blocks = np.zeros(values.shape[:-1] + (self.valid.size,), dtype=values.dtype)
+        blocks[..., self.flat] = values
+        return blocks.reshape(values.shape[:-1] + self.shape)
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Return ``(..., C, K)`` blocks as ``(..., P)`` path values (the inverse)."""
+        if self.uniform:
+            return blocks.reshape(blocks.shape[:-2] + (len(self.commodity),))
+        return np.take(blocks.reshape(blocks.shape[:-2] + (-1,)), self.flat, axis=-1)
+
+
 class PathSet:
     """The indexed set of all paths ``P = union_i P_i`` of an instance.
 
@@ -163,6 +228,7 @@ class PathSet:
             start += len(paths)
         self._commodity_slices: Tuple[Tuple[int, int], ...] = tuple(slices)
         self._membership: Optional[Dict[EdgeKey, np.ndarray]] = None
+        self._blocks: Optional[CommodityBlocks] = None
 
     # Basic container protocol -------------------------------------------
 
@@ -204,9 +270,12 @@ class PathSet:
         start, stop = self._commodity_slices[commodity_index]
         return range(start, stop)
 
-    def commodity_of(self, path_index: int) -> int:
-        """Return the commodity a global path index belongs to."""
-        return self._all[path_index].commodity_index
+    @property
+    def blocks(self) -> CommodityBlocks:
+        """The padded commodity-block layout of this set, built once."""
+        if self._blocks is None:
+            self._blocks = CommodityBlocks.from_slices(self._commodity_slices)
+        return self._blocks
 
     # Derived structure ---------------------------------------------------
 

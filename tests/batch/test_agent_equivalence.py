@@ -17,6 +17,7 @@ import pytest
 
 from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch
 from repro.core import replicator_policy, scaled_policy, simulate_agents, uniform_policy
+from repro.core.agents import build_population
 from repro.instances import get_instance, lopsided_flow, pigou_network, two_link_network
 from repro.scenarios import LinkIncident, Scenario
 from repro.wardrop import FlowVector, NetworkFamily
@@ -190,7 +191,7 @@ def test_family_rows_match_their_member_networks(stale):
     )
 
 
-def test_per_row_policies_use_the_row_loop_fallback():
+def test_per_row_policies_stack_and_match_one_row_runs():
     network = two_link_network(beta=4.0)
     policies = [scaled_policy(0.3), scaled_policy(0.6), scaled_policy(0.9)]
     start = lopsided_flow(network, 0.8)
@@ -300,9 +301,6 @@ def test_migration_probabilities_above_one_act_like_one(stale):
         def probability(self, latency_from, latency_to):
             return 2.0 * super().probability(latency_from, latency_to)
 
-        def matrix_batch(self, path_latencies):
-            return 2.0 * super().matrix_batch(path_latencies)
-
     network = get_instance("braess")
     # Agent 0 starts off the empty (cheapest) path 0, which padded window
     # entries would sample: a padding coin below 2 would move it.
@@ -317,3 +315,42 @@ def test_migration_probabilities_above_one_act_like_one(stale):
     for row in range(2):
         assert np.array_equal(runs[0].assignments[row], runs[1].assignments[row])
         assert np.array_equal(runs[0].flow_matrix(row), runs[1].flow_matrix(row))
+
+
+@pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, stale):
+    """A sampling rule returning full ``(R, C, K, K)`` blocks: an agent in slot
+    ``j`` always samples slot ``j + 1`` of its commodity (cyclically) and
+    always migrates, so every activation advances its agent by one slot."""
+    from repro.core import MigrationRule, ReroutingPolicy, SamplingRule
+
+    class NextSlot(SamplingRule):
+        def probabilities(self, blocks, posted_flows, posted_path_latencies):
+            slots = np.arange(blocks.shape[1])
+            following = (slots + 1) % blocks.sizes[:, None]
+            return (slots == following[..., None]).astype(float)[None]
+
+    class Always(MigrationRule):
+        def probability(self, latency_from, latency_to):
+            return np.ones(np.broadcast(latency_from, latency_to).shape)
+
+    populations, seeds, period, horizon = [30, 55], [7, 8], 0.25, 1.0
+    result = simulate_agent_batch(
+        ragged, ReroutingPolicy(NextSlot(), Always()), populations, period, horizon,
+        seeds=seeds, stale=stale,
+    )
+    blocks = ragged.paths.blocks
+    starts = blocks.index[:, 0]
+    for row, (population, seed) in enumerate(zip(populations, seeds)):
+        expected, _ = build_population(ragged, population)
+        rng = np.random.default_rng(seed)
+        for phase in range(4):
+            count = rng.poisson(population * ((phase + 1) * period - phase * period))
+            agents = rng.integers(population, size=count)
+            rng.random(count), rng.random(count)
+            for agent in agents:
+                path = expected[agent]
+                commodity = blocks.commodity[path]
+                following = (blocks.slot[path] + 1) % blocks.sizes[commodity]
+                expected[agent] = starts[commodity] + following
+        assert np.array_equal(result.assignments[row], expected)

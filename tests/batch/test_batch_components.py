@@ -1,6 +1,6 @@
 """Unit tests for the batched building blocks underneath the engine:
-batched network/flow kernels, batched sampling/migration matrices, the
-batched bulletin board and the steppers.
+batched network/flow kernels, the policy tables and rate field on commodity
+blocks, the batched bulletin board and the steppers.
 """
 
 from __future__ import annotations
@@ -8,23 +8,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_dynamics import tables
 from repro.batch import BatchBulletinBoard, simulate_batch
 from repro.core import (
     BetterResponseMigration,
     LinearMigration,
-    ProportionalSampling,
-    ScaledLinearMigration,
-    SmoothedBetterResponseMigration,
+    ReroutingPolicy,
     SoftmaxSampling,
     UniformSampling,
     euler_step_batch,
     replicator_policy,
     rk4_step_batch,
+    smoothed_best_response_policy,
+    uniform_policy,
 )
 from repro.core.dynamics import batch_stepper_for
-from repro.core.policy import frozen_field, policy_tables
+from repro.core.policy import PolicyStack, frozen_field
 from repro.instances import braess_network, pigou_network
 from repro.wardrop import FlowVector
+
+
 class TestNetworkBatchKernels:
     def test_edge_and_path_latencies_match_scalar_rows(self):
         network = braess_network()
@@ -75,54 +78,97 @@ class TestNetworkBatchKernels:
         np.testing.assert_allclose(scalar.values(), [0.5, 0.5])
 
 
-SAMPLING_RULES = [UniformSampling(), ProportionalSampling(1e-3), SoftmaxSampling(2.0)]
-MIGRATION_RULES = [
-    BetterResponseMigration(),
-    LinearMigration(3.0),
-    ScaledLinearMigration(1.7),
-    SmoothedBetterResponseMigration(0.2),
-]
+class TestPolicyBlockKernels:
+    """The tables and field of a :class:`PolicyStack`, on a ragged two-commodity
+    network, against ``tests/reference_dynamics.py`` and against one-row stacks."""
 
-
-class TestPolicyBatchKernels:
-    @pytest.mark.parametrize("rule", SAMPLING_RULES, ids=lambda r: type(r).__name__)
-    def test_probabilities_batch_matches_scalar(self, rule):
-        network = braess_network()
-        rng = np.random.default_rng(2)
-        flows = np.stack([FlowVector.random(network, rng).values() for _ in range(5)])
-        latencies = network.path_latencies_batch(flows)
-        batched = rule.probabilities_batch(network, flows, latencies)
-        for row in range(5):
-            expected = rule.probabilities(network, flows[row], latencies[row])
-            np.testing.assert_allclose(batched[row], expected, atol=1e-15)
-
-    @pytest.mark.parametrize("rule", MIGRATION_RULES, ids=lambda r: type(r).__name__)
-    def test_matrix_batch_matches_scalar(self, rule):
-        network = braess_network()
-        rng = np.random.default_rng(4)
-        flows = np.stack([FlowVector.random(network, rng).values() for _ in range(5)])
-        latencies = network.path_latencies_batch(flows)
-        batched = rule.matrix_batch(latencies)
-        for row in range(5):
-            np.testing.assert_allclose(batched[row], rule.matrix(latencies[row]), atol=1e-15)
-
-    def test_frozen_field_matches_scalar_growth_rates(self):
-        network = braess_network()
-        policy = replicator_policy(network)
+    @pytest.mark.parametrize("sampling", ["uniform", "proportional"])
+    def test_tables_and_field_match_the_reference(self, ragged, sampling):
+        exploration = 0.05 if sampling == "proportional" else 0.0
+        policy = (
+            uniform_policy(ragged, max_latency=2.5)
+            if sampling == "uniform"
+            else replicator_policy(ragged, max_latency=2.5, exploration=exploration)
+        )
+        blocks = ragged.paths.blocks
         rng = np.random.default_rng(9)
-        current = np.stack([FlowVector.random(network, rng).values() for _ in range(3)])
-        posted = np.stack([FlowVector.random(network, rng).values() for _ in range(3)])
-        latencies = network.path_latencies_batch(posted)
-        # One shared policy (vectorised tables) and per-row policies (row loop).
-        for policies in (policy, [policy, replicator_policy(network), policy]):
-            batched = frozen_field(*policy_tables(network, policies, posted, latencies))(
-                0.0, current
+        posted = np.stack([FlowVector.random(ragged, rng).values() for _ in range(3)])
+        current = np.stack([FlowVector.random(ragged, rng).values() for _ in range(3)])
+        latencies = ragged.path_latencies_batch(posted)
+        sigma, mu = PolicyStack.of([policy] * 3).tables(blocks, posted, latencies)
+        field = frozen_field(blocks, sigma, mu)(0.0, current)
+        for row in range(3):
+            ref_sigma, ref_mu = tables(ragged, sampling, 2.5, exploration, posted[row])
+            dense_sigma, dense_mu = (
+                densify(blocks, np.broadcast_to(table, (3,) + blocks.pairs.shape)[row])
+                for table in (sigma, mu)
             )
-            for row in range(3):
-                expected = policy.growth_rates(network, current[row], posted[row], latencies[row])
-                np.testing.assert_allclose(batched[row], expected, atol=1e-15)
-            # Growth rates conserve the demand of every commodity.
-            np.testing.assert_allclose(batched.sum(axis=1), 0.0, atol=1e-12)
+            # sigma is only read where mu can be nonzero (distinct paths of a commodity).
+            mask = densify(blocks, blocks.pairs) > 0
+            np.testing.assert_allclose(dense_sigma[mask], ref_sigma[mask], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dense_mu, ref_mu * mask, rtol=0, atol=1e-15)
+            rates = ref_sigma * ref_mu * mask
+            expected = current[row] @ rates - current[row] * rates.sum(axis=1)
+            np.testing.assert_allclose(field[row], expected, rtol=0, atol=1e-15)
+            for start, stop in ragged.paths.commodity_slices():
+                assert abs(field[row, start:stop].sum()) < 1e-15
+
+    def test_per_row_and_mixed_class_policies_equal_their_one_row_stacks(self, ragged):
+        """Rows of one class stack their parameters; classes form one group
+        each; every row equals its own one-row evaluation bit for bit."""
+        policies = [
+            uniform_policy(ragged, max_latency=2.0),
+            replicator_policy(ragged, max_latency=3.0, exploration=0.1),
+            uniform_policy(ragged, max_latency=5.0),
+            smoothed_best_response_policy(concentration=4.0, width=0.3),
+            replicator_policy(ragged, max_latency=3.0, exploration=0.0),
+            ReroutingPolicy(SoftmaxSampling(2.0), BetterResponseMigration()),
+        ]
+        stack = PolicyStack.of(policies)
+        assert len(stack.sampling) == 3 and len(stack.migration) == 3
+        blocks = ragged.paths.blocks
+        rng = np.random.default_rng(4)
+        posted = np.stack([FlowVector.random(ragged, rng).values() for _ in policies])
+        current = np.stack([FlowVector.random(ragged, rng).values() for _ in policies])
+        latencies = ragged.path_latencies_batch(posted)
+        for rows in (np.arange(len(policies)), np.array([1, 3, 4])):
+            tables_ = stack.select(rows).tables(blocks, posted[rows], latencies[rows])
+            field = frozen_field(blocks, *tables_)(0.0, current[rows])
+            for i, row in enumerate(rows):
+                alone = PolicyStack.of([policies[row]]).tables(
+                    blocks, posted[row : row + 1], latencies[row : row + 1]
+                )
+                alone_field = frozen_field(blocks, *alone)(0.0, current[row : row + 1])
+                assert np.array_equal(tables_[1][i], alone[1][0])
+                assert np.array_equal(
+                    np.broadcast_to(tables_[0][i], blocks.pairs.shape),
+                    np.broadcast_to(alone[0][0], blocks.pairs.shape),
+                )
+                assert np.array_equal(field[i], alone_field[0])
+
+    def test_opaque_rules_group_by_instance(self):
+        class Opaque(UniformSampling):
+            parameters = None
+
+        policies = [
+            ReroutingPolicy(Opaque(), LinearMigration(1.0)),
+            ReroutingPolicy(Opaque(), LinearMigration(1.0)),
+        ]
+        stack = PolicyStack.of(policies)
+        assert len(stack.sampling) == 2 and len(stack.migration) == 1
+        # Equal parameters stay floats: nothing to index per phase.
+        assert isinstance(stack.migration[0][1].max_latency, float)
+
+
+def densify(blocks, table):
+    """Scatter ``(C, K, K)`` blocks into the dense ``(P, P)`` matrix they encode."""
+    size = len(blocks.commodity)
+    dense = np.zeros((size, size))
+    for c in range(blocks.shape[0]):
+        real = blocks.index[c][blocks.valid[c]]
+        count = len(real)
+        dense[np.ix_(real, real)] = table[c, :count, :count]
+    return dense
 
 
 class TestBatchBoard:

@@ -3,9 +3,9 @@
 ``simulate`` is the one-row case of the batched engine, so these tests pin
 down that a row's arithmetic does not depend on the batch it runs in: for
 Pigou and Braess, under stale and fresh information, for both integration
-methods, for mixed per-row update periods, and through the row-loop fallback
-for custom policy components, every recorded sample of every row must equal
-the one-row ``simulate`` run bit for bit.  ``tests/core/test_reference_dynamics.py``
+methods, for mixed per-row update periods, for custom policy components and
+for per-row policies, every recorded sample of every row must equal the
+one-row ``simulate`` run bit for bit.  ``tests/core/test_reference_dynamics.py``
 checks the one-row runs themselves against an independent integrator.
 """
 
@@ -113,28 +113,26 @@ class TestMixedPeriods:
 
 
 class SquaredGapMigration(MigrationRule):
-    """A custom rule with no vectorised kernel: exercises the row-loop fallback."""
+    """A custom migration rule: one array formula, no declared parameters."""
 
-    def probability(self, latency_from: float, latency_to: float) -> float:
-        if latency_from <= latency_to:
-            return 0.0
-        return min(1.0, (latency_from - latency_to) ** 2)
+    def probability(self, latency_from, latency_to):
+        gap = np.subtract(latency_from, latency_to)
+        return np.where(gap > 0, np.minimum(1.0, gap**2), 0.0)
 
 
 class EveryOtherSampling(SamplingRule):
-    """A custom sampling rule with no vectorised kernel (uniform probabilities)."""
+    """A custom sampling rule that depends on the current path: an agent
+    samples every slot of its commodity but its own with equal probability
+    (its own slot too when the commodity has one path)."""
 
-    def probabilities(self, network, posted_flows, posted_path_latencies):
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            sigma[np.ix_(indices, indices)] = 1.0 / len(indices)
-        return sigma
+    def probabilities(self, blocks, posted_flows, posted_path_latencies):
+        others = blocks.pairs | ~blocks.pairs.any(axis=-1, keepdims=True) & blocks.valid[:, None]
+        return (others / others.sum(axis=-1, keepdims=True))[None]
 
 
-class TestFallbacks:
-    def test_custom_policy_row_loop_fallback(self):
-        """Policies without batch kernels must still match their one-row runs."""
+class TestCustomRules:
+    def test_custom_policy_matches_one_row_runs(self):
+        """Custom rules written as array formulas run batched and match their one-row runs."""
         network = braess_network()
         policy = ReroutingPolicy(
             sampling=EveryOtherSampling(), migration=SquaredGapMigration(), name="custom"

@@ -12,7 +12,7 @@ from repro.instances import (
     random_layered_network,
     two_link_network,
 )
-from repro.wardrop import FlowVector
+from repro.wardrop import AffineLatency, Commodity, FlowVector, WardropNetwork
 
 
 @pytest.fixture
@@ -55,6 +55,19 @@ def small_grid():
 def layered():
     """A small random layered DAG with two commodities."""
     return random_layered_network(num_layers=2, width=2, num_commodities=2, seed=5)
+
+
+@pytest.fixture
+def ragged():
+    """Two commodities of three and two parallel links: unequal block sizes."""
+    edges = [
+        ("s", "t", AffineLatency(1.0, 0.5)),
+        ("s", "t", AffineLatency(2.0, 0.1)),
+        ("s", "t", AffineLatency(0.5, 1.0)),
+        ("u", "v", AffineLatency(1.5, 0.2)),
+        ("u", "v", AffineLatency(0.8, 0.6)),
+    ]
+    return WardropNetwork.from_edges(edges, [Commodity("s", "t", 0.6), Commodity("u", "v", 0.4)])
 
 
 @pytest.fixture

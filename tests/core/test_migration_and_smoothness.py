@@ -17,6 +17,7 @@ from repro.core import (
     safe_update_period_for_rule,
 )
 from repro.instances import braess_network, two_link_network
+from repro.wardrop.paths import CommodityBlocks
 
 
 class TestBetterResponse:
@@ -59,7 +60,7 @@ class TestLinearMigration:
     def test_matrix_is_zero_diagonal_and_selfish(self):
         rule = LinearMigration(max_latency=1.0)
         latencies = np.array([0.2, 0.8, 0.5])
-        matrix = rule.matrix(latencies)
+        matrix = rule.matrix(CommodityBlocks.from_slices([(0, 3)]), latencies[None, None])[0, 0]
         assert np.allclose(np.diag(matrix), 0.0)
         for p in range(3):
             for q in range(3):
@@ -86,6 +87,59 @@ class TestScaledAndSmoothed:
             ScaledLinearMigration(0.0)
         with pytest.raises(ValueError):
             SmoothedBetterResponseMigration(0.0)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (LinearMigration, "max_latency"),
+        (ScaledLinearMigration, "alpha"),
+        (SmoothedBetterResponseMigration, "width"),
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_constructors_reject_non_finite_or_non_positive_parameters(make, name, value):
+    with pytest.raises(ValueError, match=name):
+        make(value)
+
+
+RAGGED = CommodityBlocks.from_slices([(0, 3), (3, 5)])
+FORMULAS = [
+    (BetterResponseMigration(), lambda gap: 1.0),
+    (LinearMigration(2.5), lambda gap: min(1.0, gap / 2.5)),
+    (ScaledLinearMigration(3.0), lambda gap: min(1.0, 3.0 * gap)),
+    (SmoothedBetterResponseMigration(0.2), lambda gap: min(1.0, gap / 0.2)),
+]
+
+
+@pytest.mark.parametrize("rule, formula", FORMULAS, ids=lambda x: type(x).__name__)
+def test_matrix_blocks_match_the_formula_on_a_ragged_layout(rule, formula):
+    """``mu[r, c, j, k] = mu(l_j, l_k)`` within each commodity, zero on the
+    diagonal, on equal or worse targets and on the padded slot."""
+    latencies = np.array([[0.9, 0.2, 0.5, 1.4, 0.3], [0.1, 0.1, 0.7, 0.2, 0.25]])
+    mu = rule.matrix(RAGGED, RAGGED.gather(latencies))
+    assert mu.shape == (2, 2, 3, 3)
+    for row in range(2):
+        for c, (start, stop) in enumerate([(0, 3), (3, 5)]):
+            for j in range(3):
+                for k in range(3):
+                    expected = 0.0
+                    if j < stop - start and k < stop - start:
+                        gap = latencies[row, start + j] - latencies[row, start + k]
+                        expected = formula(gap) if gap > 0 else 0.0
+                    assert mu[row, c, j, k] == pytest.approx(expected, abs=1e-15)
+
+
+def test_stacked_parameters_equal_their_rows():
+    """A rule with an ``(R, 1, 1, 1)`` parameter equals its one-row matrices bit for bit."""
+    latencies = RAGGED.gather(np.random.default_rng(2).random((3, 5)))
+    alphas = [0.5, 2.0, 7.0]
+    stacked = ScaledLinearMigration(1.0)
+    stacked.alpha = np.array(alphas).reshape(-1, 1, 1, 1)
+    together = stacked.matrix(RAGGED, latencies)
+    for row, alpha in enumerate(alphas):
+        alone = ScaledLinearMigration(alpha).matrix(RAGGED, latencies[row : row + 1])
+        assert np.array_equal(together[row], alone[0])
 
 
 class TestSafeUpdatePeriod:
@@ -126,3 +180,10 @@ class TestSafeUpdatePeriod:
             safe_update_period(network, 0.0)
         with pytest.raises(ValueError):
             max_safe_alpha(network, 0.0)
+
+    def test_nan_arguments_are_rejected_naming_the_field(self):
+        network = two_link_network()
+        with pytest.raises(ValueError, match="alpha"):
+            safe_update_period(network, float("nan"))
+        with pytest.raises(ValueError, match="update_period"):
+            max_safe_alpha(network, float("nan"))

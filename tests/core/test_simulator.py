@@ -167,7 +167,7 @@ class TestNonFiniteState:
     def test_a_phase_that_produces_non_finite_flows_raises(self, two_links):
         class Exploding(MigrationRule):
             def probability(self, latency_from, latency_to):
-                return np.inf if latency_from > latency_to else 0.0
+                return np.where(np.greater(latency_from, latency_to), np.inf, 0.0)
 
         policy = ReroutingPolicy(UniformSampling(), Exploding())
         with telemetry_session() as tele:

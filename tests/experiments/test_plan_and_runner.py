@@ -157,6 +157,48 @@ class TestRunner:
         serial = run_cases(cases, convergence_row_builder(0.2, 0.1), engine="serial").rows
         assert batched == serial
 
+    @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+    def test_paper_sweep_family_with_two_policies_runs_stacked(self, stale, monkeypatch):
+        """two-links-steep (alpha = 4) and pigou-quadratic (alpha = 2) fuse into
+        one family with two policy objects: the rows evaluate one stacked
+        migration rule per table build (no per-row loop) and equal their
+        one-row runs bit for bit."""
+        from repro.core.migration import MigrationRule
+        from repro.instances import get_instance
+
+        cases = []
+        for name, alpha in (("two-links-steep", 4.0), ("pigou-quadratic", 2.0)):
+            network = get_instance(name)
+            policy = scaled_policy(alpha)
+            period = policy.safe_update_period(network)
+            for seed in (1, 2):
+                start = FlowVector.random(network, np.random.default_rng(seed))
+                cases.append(
+                    SweepCase(
+                        {"instance": name}, network, policy, period, 6 * period,
+                        initial_flow=start, stale=stale, steps_per_phase=5,
+                    )
+                )
+        assert len({group_key(case) for case in cases}) == 1
+        calls = []
+        original = MigrationRule.matrix
+
+        def counted(self, blocks, latencies):
+            calls.append(len(latencies))
+            return original(self, blocks, latencies)
+
+        monkeypatch.setattr(MigrationRule, "matrix", counted)
+        batched = run_cases(cases, lambda t: {"flows": t.flow_matrix()}, engine="batch")
+        # Every table build covers all four rows at once.
+        assert calls and set(calls) == {4}
+        for case, row in zip(cases, batched.rows):
+            alone = simulate(
+                case.network, case.policy, update_period=case.update_period,
+                horizon=case.horizon, initial_flow=case.initial_flow, stale=stale,
+                steps_per_phase=5,
+            )
+            assert np.array_equal(row["flows"], alone.flow_matrix())
+
     def test_family_rows_use_member_networks(self):
         """Row builders must see each case's own network on the family path."""
         networks = [pigou_network(degree=1, constant=c) for c in (0.7, 1.2)]

@@ -504,7 +504,7 @@ class TestStoppingAndState:
     def test_non_finite_state_fails_at_the_phase_that_produced_it(self):
         class Exploding(MigrationRule):
             def probability(self, latency_from, latency_to):
-                return np.inf if latency_from > latency_to else 0.0
+                return np.where(np.greater(latency_from, latency_to), np.inf, 0.0)
 
         active = ActivePathSet.from_network(braess_network(), closed=True)
         policy = ReroutingPolicy(UniformSampling(), Exploding())

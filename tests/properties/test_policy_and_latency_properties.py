@@ -22,6 +22,7 @@ from repro.core import (
     uniform_policy,
     replicator_policy,
 )
+from repro.core.policy import PolicyStack, frozen_field
 from repro.instances import identical_linear_links, two_link_network
 from repro.wardrop import (
     AffineLatency,
@@ -76,14 +77,16 @@ class TestLatencyProperties:
 class TestSamplingProperties:
     @given(shares=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_sampling_matrices_are_stochastic(self, shares):
+    def test_sampling_blocks_are_stochastic(self, shares):
         array = np.asarray(shares, dtype=float)
         total = array.sum()
         flow = FlowVector(PARALLEL, array / total if total > 0 else np.full(4, 0.25))
-        latencies = flow.path_latencies()
+        blocks = PARALLEL.paths.blocks
+        posted = blocks.gather(flow.values()[None]), blocks.gather(flow.path_latencies()[None])
         for rule in [UniformSampling(), ProportionalSampling(), SoftmaxSampling(2.0)]:
-            sigma = rule.probabilities(PARALLEL, flow.values(), latencies)
-            rule.validate(sigma, PARALLEL)
+            sigma = rule.probabilities(blocks, *posted)
+            assert (sigma >= 0).all()
+            np.testing.assert_allclose(sigma.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestMigrationProperties:
@@ -116,8 +119,10 @@ class TestPolicyProperties:
         total = array.sum()
         flow = FlowVector(PARALLEL, array / total if total > 0 else np.full(4, 0.25))
         latencies = flow.path_latencies()
+        blocks = PARALLEL.paths.blocks
         for policy in [uniform_policy(PARALLEL), replicator_policy(PARALLEL)]:
-            rates = policy.growth_rates(PARALLEL, flow.values(), flow.values(), latencies)
+            tables = PolicyStack.of([policy]).tables(blocks, flow.values()[None], latencies[None])
+            rates = frozen_field(blocks, *tables)(0.0, flow.values()[None])[0]
             assert np.sum(rates) == pytest.approx(0.0, abs=1e-10)
             # The instantaneous potential change sum_P l_P * df_P must be <= 0
             # (Theorem 2's selfishness argument).

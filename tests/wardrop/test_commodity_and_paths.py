@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.wardrop.commodity import (
@@ -13,7 +14,14 @@ from repro.wardrop.commodity import (
 )
 from repro.wardrop.latency import LinearLatency
 from repro.wardrop.network import LATENCY_ATTR
-from repro.wardrop.paths import Path, PathSet, build_path_set, enumerate_commodity_paths
+from repro.instances import braess_network
+from repro.wardrop.paths import (
+    CommodityBlocks,
+    Path,
+    PathSet,
+    build_path_set,
+    enumerate_commodity_paths,
+)
 
 
 class TestPathSetExtended:
@@ -174,7 +182,9 @@ class TestPathSet:
         path_set = self._path_set()
         for index, path in enumerate(path_set):
             assert path_set.index_of(path) == index
-            assert path_set.commodity_of(index) == path.commodity_index
+            blocks = path_set.blocks
+            assert blocks.commodity[index] == path.commodity_index
+            assert blocks.index[path.commodity_index, blocks.slot[index]] == index
 
     def test_commodity_slices_partition(self):
         path_set = self._path_set()
@@ -201,3 +211,31 @@ class TestPathSet:
     def test_contains(self):
         path_set = self._path_set()
         assert path_set[0] in path_set
+
+
+class TestCommodityBlocks:
+    def test_ragged_layout_round_trips_with_zero_padding(self):
+        blocks = CommodityBlocks.from_slices([(0, 3), (3, 4), (4, 6)])
+        assert blocks.shape == (3, 3) and not blocks.uniform
+        np.testing.assert_array_equal(blocks.index, [[0, 1, 2], [3, 0, 0], [4, 5, 0]])
+        np.testing.assert_array_equal(blocks.commodity, [0, 0, 0, 1, 2, 2])
+        np.testing.assert_array_equal(blocks.slot, [0, 1, 2, 0, 0, 1])
+        assert [int(pairs.sum()) for pairs in blocks.pairs] == [6, 0, 2]
+        values = np.arange(12.0).reshape(2, 6) + 1.0
+        gathered = blocks.gather(values)
+        assert gathered.shape == (2, 3, 3)
+        np.testing.assert_array_equal(gathered[1], [[7, 8, 9], [10, 0, 0], [11, 12, 0]])
+        np.testing.assert_array_equal(blocks.scatter(gathered), values)
+
+    def test_equal_sizes_gather_and_scatter_as_views(self):
+        blocks = CommodityBlocks.from_slices([(0, 2), (2, 4)])
+        assert blocks.uniform
+        values = np.arange(8.0).reshape(2, 4)
+        gathered = blocks.gather(values)
+        assert np.shares_memory(gathered, values)
+        assert np.shares_memory(blocks.scatter(gathered), values)
+
+    def test_a_path_set_caches_its_layout(self):
+        network = braess_network()
+        assert network.paths.blocks is network.paths.blocks
+        assert network.paths.blocks.shape == (1, network.num_paths)
