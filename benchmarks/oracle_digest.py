@@ -3,8 +3,11 @@
 For sioux-falls, city-grid, braess and two-links, under free-flow costs and
 three congested cost vectors, this hashes the exact bytes of every
 commodity's returned path, ``all_or_nothing(...).edge_flows``, ``sptt`` and
-``commodity_costs``.  It also hashes, per instance, ``edge_latencies`` and
-``edge_latencies_batch`` at three edge-flow vectors; one
+``commodity_costs``.  It also hashes, per instance, ``edge_latencies`` at
+three edge-flow vectors, one at a time and as one ``(3, E)`` batch; one
+``incidence`` line for the 2-commodity 3x3 grid (``edge_flows`` and
+``path_latencies`` of three ``(P,)`` path flows, so a change of the
+incidence products' summation order shows up); one
 ``ScenarioEnsemble.family_at(...).edge_latencies_batch`` on Sioux Falls with
 a capacity-drop incident and a closure; and the Sioux Falls edge-flow
 ``fw``/``cfw``/``bfw`` solves at relative gap 1e-3 as ``iterations``, the
@@ -37,7 +40,7 @@ import hashlib
 import numpy as np
 
 from repro.core import replicator_policy, simulate, simulate_agents, uniform_policy
-from repro.instances import get_instance, lopsided_flow
+from repro.instances import get_instance, grid_network, lopsided_flow
 from repro.largescale import (
     ActivePathSet,
     ShortestPathOracle,
@@ -97,7 +100,18 @@ def edge_flow_vectors(network) -> np.ndarray:
 def latency_digest(network) -> str:
     flows = edge_flow_vectors(network)
     singles = [network.edge_latencies(row) for row in flows]
-    return hash_arrays(*singles, network.edge_latencies_batch(flows))
+    return hash_arrays(*singles, network.edge_latencies(flows))
+
+
+def incidence_digest(network) -> str:
+    """``edge_flows`` and ``path_latencies`` of three ``(P,)`` path flows."""
+    rng = np.random.default_rng(5)
+    random_flows = rng.dirichlet(np.ones(network.num_paths))
+    flows = [np.full(network.num_paths, 1.0 / network.num_paths), random_flows, 3.0 * random_flows]
+    return hash_arrays(
+        *(network.edge_flows(row) for row in flows),
+        *(network.path_latencies(row) for row in flows),
+    )
 
 
 def incident_family_digest() -> str:
@@ -258,6 +272,8 @@ def main() -> None:
             print(f"{name:12s} {label:10s} {digest(network, oracle, costs)}")
     for name in INSTANCES:
         print(f"{name:12s} {'latencies':10s} {latency_digest(get_instance(name))}")
+    grid = grid_network(3, 3, num_commodities=2, seed=3)
+    print(f"{'grid-3x3-c2':12s} {'incidence':10s} {incidence_digest(grid)}")
     print(f"{'sioux-falls':12s} {'family-at':10s} {incident_family_digest()}")
     network = get_instance("sioux-falls")
     oracle = ShortestPathOracle.for_network(network)

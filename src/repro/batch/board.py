@@ -109,16 +109,16 @@ class BatchBulletinBoard:
         if not mask.any():
             return
         flows = np.asarray(path_flows, dtype=float)[mask]
-        edge_flows = network.edge_flows_batch(flows)
+        edge_flows = network.edge_flows(flows)
         if self.family is None:
-            edge_latencies = network.edge_latencies_batch(edge_flows)
+            edge_latencies = network.edge_latencies(edge_flows)
         else:
             edge_latencies = self.family.edge_latencies_batch(
                 edge_flows, np.flatnonzero(mask)
             )
         self.posted_flows[mask] = flows
         self.posted_edge_latencies[mask] = edge_latencies
-        self.posted_path_latencies[mask] = network.path_latencies_from_edge_latencies_batch(
+        self.posted_path_latencies[mask] = network.path_latencies_from_edge_latencies(
             edge_latencies
         )
         self.posted_times[mask] = np.broadcast_to(times, mask.shape)[mask]

@@ -388,7 +388,7 @@ class BatchEnsembleBase:
         if self._phase_family is not None:
             return self._phase_family.path_latencies_batch(state, rows)
         if self.family is None:
-            return self.network.path_latencies_batch(state)
+            return self.network.path_latencies(state)
         return self.family.path_latencies_batch(state, rows)
 
     # Conservation ------------------------------------------------------------

@@ -124,7 +124,7 @@ def equilibrium_gap_stop(
         if family is not None:
             latencies = family.path_latencies_batch(flows, rows)
         else:
-            latencies = base.path_latencies_batch(flows)
+            latencies = base.path_latencies(flows)
         latencies = blocks.gather(latencies)
         worst = np.where(blocks.gather(flows) > threshold, latencies, -np.inf).max(axis=-1)
         best = np.where(blocks.valid, latencies, np.inf).min(axis=-1)

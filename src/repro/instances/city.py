@@ -179,14 +179,13 @@ def synthetic_city_network(
     seed: int = 17,
     name: Optional[str] = None,
     max_od_pairs: Optional[int] = None,
-    incidence_mode: Optional[str] = None,
 ) -> WardropNetwork:
     """Build the synthetic city as a restricted :class:`WardropNetwork`.
 
     Generates TNTP text with :func:`city_tntp_text` and loads it through the
     standard TNTP loader, so the result behaves exactly like a loaded
     Anaheim-class instance: one free-flow shortest path per commodity,
-    CSR incidence by default, ``total_demand`` recorded in ``graph.graph``.
+    ``total_demand`` recorded in ``graph.graph``.
     """
     net_text, trips_text = city_tntp_text(
         blocks=blocks,
@@ -202,5 +201,4 @@ def synthetic_city_network(
         trips_text,
         name=name,
         max_od_pairs=max_od_pairs,
-        incidence_mode=incidence_mode,
     )

@@ -219,7 +219,6 @@ def load_tntp_instance(
     trips_path: Union[str, FilePath],
     name: str = "",
     max_od_pairs: Optional[int] = None,
-    incidence_mode: Optional[str] = None,
 ) -> WardropNetwork:
     """Build a restricted :class:`WardropNetwork` from a TNTP file pair.
 
@@ -232,10 +231,6 @@ def load_tntp_instance(
     max_od_pairs:
         Optionally keep only the ``K`` highest-demand OD pairs (ties broken
         by OD ids) -- the down-scaled variants used by fast tests.
-    incidence_mode:
-        Incidence backend; ``None`` (the default) means ``"sparse"``, since
-        road networks are the CSR layer's home turf.  Pass ``"dense"`` or
-        ``"auto"`` to override.
 
     The returned network carries ``first_thru_node``, ``total_demand`` (the
     raw trips before normalisation, *after* any ``max_od_pairs`` filter) and
@@ -249,7 +244,6 @@ def load_tntp_instance(
         trips_text,
         name=name,
         max_od_pairs=max_od_pairs,
-        incidence_mode=incidence_mode,
     )
 
 
@@ -258,7 +252,6 @@ def load_tntp_from_text(
     trips_text: str,
     name: str = "",
     max_od_pairs: Optional[int] = None,
-    incidence_mode: Optional[str] = None,
 ) -> WardropNetwork:
     """Build a restricted :class:`WardropNetwork` from TNTP file *contents*.
 
@@ -323,19 +316,14 @@ def load_tntp_from_text(
         commodities,
         normalise=True,
         paths=PathSet([[seed] for seed in seeds]),
-        incidence_mode="sparse" if incidence_mode is None else incidence_mode,
     )
 
 
-def sioux_falls_network(
-    max_od_pairs: Optional[int] = None,
-    incidence_mode: Optional[str] = None,
-) -> WardropNetwork:
+def sioux_falls_network(max_od_pairs: Optional[int] = None) -> WardropNetwork:
     """Load the bundled Sioux Falls instance (24 nodes / 76 links / 528 OD pairs)."""
     return load_tntp_instance(
         SIOUX_FALLS_NET,
         SIOUX_FALLS_TRIPS,
         name="sioux-falls",
         max_od_pairs=max_od_pairs,
-        incidence_mode=incidence_mode,
     )

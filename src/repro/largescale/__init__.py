@@ -4,9 +4,9 @@ The modules in this package let the stale-information dynamics run on
 networks where exhaustively enumerating the path sets is impossible:
 
 * :mod:`~repro.largescale.incidence` -- the edge--path incidence matrix as a
-  first-class object with interchangeable dense and sparse (CSR) backends,
-  so latency evaluation, the Beckmann potential and duality gaps cost
-  ``O(nnz)`` instead of ``O(E * P)`` on big instances,
+  first-class CSR operator with one product per direction, so latency
+  evaluation, the Beckmann potential and duality gaps cost ``O(nnz)``
+  instead of ``O(E * P)`` on every instance,
 * :mod:`~repro.largescale.shortest` -- a Dijkstra shortest-path oracle over
   the *full* graph (first-thru-node aware) plus the all-or-nothing loader
   that classical traffic assignment is built on,
@@ -25,7 +25,7 @@ edge-flow Frank--Wolfe solver in :mod:`repro.solvers.edge_frank_wolfe`;
 both build on the oracle and incidence layers here.
 
 Attribute access is lazy (PEP 562): ``repro.wardrop.network`` imports the
-incidence backends from here, and resolving the column-generation names
+incidence operator from here, and resolving the column-generation names
 eagerly would close an import cycle back through ``repro.wardrop``.
 """
 
@@ -38,9 +38,7 @@ _EXPORTS = {
     "BatchColumnGenerationResult": "batch_columns",
     "ColumnGenerationSimulator": "batch_columns",
     "simulate_with_column_generation_batch": "batch_columns",
-    "DenseIncidence": "incidence",
     "EdgeIncidence": "incidence",
-    "SparseIncidence": "incidence",
     "build_incidence": "incidence",
     "ShortestPathOracle": "shortest",
     "AllOrNothingLoad": "shortest",

@@ -189,11 +189,11 @@ class ColumnGenerationSimulator(BatchSimulator):
             added: List[Path] = []
             if not active.closed:
                 network = self.network
-                edge_flows = network.edge_flows_batch(flows[rows])
+                edge_flows = network.edge_flows(flows[rows])
                 if self._phase_family is not None:
                     latencies = self._phase_family.edge_latencies_batch(edge_flows, rows)
                 else:
-                    latencies = network.edge_latencies_batch(edge_flows)
+                    latencies = network.edge_latencies(edge_flows)
                 candidates: List[Path] = []
                 for i, row in enumerate(rows):
                     costs = self._query_costs(int(row), float(starts[row]), latencies[i])

@@ -71,8 +71,6 @@ class ActivePathSet:
         the classic fixed :class:`PathSet` (the closed special case).
     first_thru_node:
         TNTP centroid bound forwarded to the oracle.
-    incidence_mode:
-        Incidence backend for the restricted networks (``"auto"`` default).
     """
 
     def __init__(
@@ -82,12 +80,10 @@ class ActivePathSet:
         initial_paths: Optional[Sequence[Sequence[Path]]] = None,
         closed: bool = False,
         first_thru_node: Optional[int] = None,
-        incidence_mode: str = "auto",
     ):
         self.graph = graph
         self.commodities: List[Commodity] = list(normalise_demands(list(commodities)))
         self.closed = closed
-        self.incidence_mode = incidence_mode
         self.oracle = ShortestPathOracle(
             graph, self.commodities, first_thru_node=first_thru_node
         )
@@ -125,31 +121,19 @@ class ActivePathSet:
         the classic fixed-path-set dynamics.  ``closed=False`` starts from
         free-flow shortest paths and grows from there (the network's own
         path set is used only when it was itself built restricted).
-
-        An explicitly sparse source network keeps the sparse backend for
-        every rebuilt restricted network; dense sources stay on ``"auto"``
-        so growth past the size threshold can still upgrade to CSR.
         """
-        from .incidence import SparseIncidence
-
         initial: Optional[Sequence[Sequence[Path]]] = None
         if closed:
             initial = [
                 network.paths.commodity_paths(i)
                 for i in range(network.num_commodities)
             ]
-        mode = (
-            "sparse"
-            if isinstance(network.incidence_operator, SparseIncidence)
-            else "auto"
-        )
         return cls(
             network.graph,
             network.commodities,
             initial_paths=initial,
             closed=closed,
             first_thru_node=network.graph.graph.get("first_thru_node"),
-            incidence_mode=mode,
         )
 
     # Structure --------------------------------------------------------------
@@ -171,7 +155,6 @@ class ActivePathSet:
                 self.commodities,
                 normalise=False,
                 paths=self._path_set,
-                incidence_mode=self.incidence_mode,
                 validate_paths=not self._validated,
             )
             self._validated = True

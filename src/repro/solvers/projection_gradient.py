@@ -15,6 +15,10 @@ diagonal-Newton step in the per-commodity simplex.  Shifts are clipped at
 the available path flow (the projection), and a backtracking guard halves
 the step scale whenever a full sweep would increase the Beckmann potential
 (curvature grows with congestion, so the unit Newton step can overshoot).
+Near convergence the true decrease falls below the rounding of the
+potential, so a sweep is also accepted when the potential's slope along the
+step, taken at the candidate, is not positive -- by convexity the potential
+then did not rise.
 
 The solver needs the enumerated path set (the state is one number per path),
 so it complements -- not replaces -- the oracle-driven edge-space methods of
@@ -122,6 +126,8 @@ def solve_path_projection_gradient(
             candidate = _sweep(network, flow, costs, derivatives, scale)
             candidate_value = potential_of_edge_flows(network, network.edge_flows(candidate))
             if candidate_value <= value:
+                break
+            if np.dot(network.path_latencies(candidate), candidate - flow) <= 0.0:
                 break
             scale *= 0.5
         flow = candidate

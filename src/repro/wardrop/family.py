@@ -53,8 +53,9 @@ class NetworkFamily:
     ----------
     networks:
         The family members.  All must share the topology of the first
-        (validated via :func:`topology_signature` and the incidence matrix);
-        latency functions may differ per member.
+        (validated via :func:`topology_signature`, whose path descriptions
+        and edge order determine the incidence matrix); latency functions
+        may differ per member.
     validate:
         Set to ``False`` to skip the ``O(paths)`` topology check when the
         members are same-structure by construction -- e.g. the
@@ -62,12 +63,13 @@ class NetworkFamily:
         which share the base network's path-set and incidence objects
         outright.
 
-    The family exposes the same batched evaluation methods as a single
-    :class:`WardropNetwork` (``edge_flows_batch``, ``edge_latencies_batch``,
-    ``path_latencies_batch``, ...), with row ``b`` evaluated against member
-    ``b``'s latency functions.  The optional ``rows`` argument evaluates a
-    subset of members -- the batched engine passes the rows still running
-    (not converged or horizon-exhausted).
+    The family prices batches like a single :class:`WardropNetwork`
+    (:meth:`edge_latencies_batch`, :meth:`path_latencies_batch`), with row
+    ``b`` evaluated against member ``b``'s latency functions; the
+    topology-only products (edge flows, path totals of posted latencies) are
+    the base network's.  The optional ``rows`` argument evaluates a subset
+    of members -- the batched engine passes the rows still running (not
+    converged or horizon-exhausted).
     """
 
     def __init__(self, networks: Sequence[WardropNetwork], validate: bool = True):
@@ -83,10 +85,6 @@ class NetworkFamily:
                 if topology_signature(network) != signature:
                     raise ValueError(
                         f"family member {index} has a different topology than member 0"
-                    )
-                if not np.array_equal(network.incidence, base.incidence):
-                    raise ValueError(
-                        f"family member {index} has a different incidence matrix than member 0"
                     )
         self._networks: Union[List[WardropNetwork], Callable[[], List[WardropNetwork]]] = networks
         self._size = len(networks)
@@ -194,10 +192,6 @@ class NetworkFamily:
     def num_commodities(self) -> int:
         return self.base.num_commodities
 
-    @property
-    def incidence(self) -> np.ndarray:
-        return self.base.incidence
-
     def latency_table(self) -> EdgeLatencyTable:
         """Return the members' latency table, built on first use.
 
@@ -229,10 +223,6 @@ class NetworkFamily:
 
     # Batched evaluation ----------------------------------------------------
 
-    def edge_flows_batch(self, path_flows: np.ndarray) -> np.ndarray:
-        """Aggregate ``(R, P)`` path flows to ``(R, E)`` edge flows (shared topology)."""
-        return self.base.edge_flows_batch(path_flows)
-
     def edge_latencies_batch(
         self, edge_flows: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -253,12 +243,8 @@ class NetworkFamily:
         self, path_flows: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Return ``(R, P)`` path latencies of ``(R, P)`` flows, per member row."""
-        edge_latencies = self.edge_latencies_batch(self.edge_flows_batch(path_flows), rows)
-        return self.base.path_latencies_from_edge_latencies_batch(edge_latencies)
-
-    def path_latencies_from_edge_latencies_batch(self, edge_latencies: np.ndarray) -> np.ndarray:
-        """Return ``(R, P)`` path latencies from posted ``(R, E)`` edge latencies."""
-        return self.base.path_latencies_from_edge_latencies_batch(edge_latencies)
+        edge_latencies = self.edge_latencies_batch(self.base.edge_flows(path_flows), rows)
+        return self.base.path_latencies_from_edge_latencies(edge_latencies)
 
     def __repr__(self) -> str:
         return (

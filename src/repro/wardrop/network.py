@@ -10,6 +10,10 @@ routing game of Section 2.1 of the paper:
   theory: the maximum path length ``D``, the maximum latency-slope ``beta``
   and the maximum path latency ``l_max``.
 
+Edge flows and path latencies are the two products with the CSR edge--path
+incidence operator of :mod:`repro.largescale.incidence`; every evaluator
+takes one ``(P,)``/``(E,)`` row or a ``(B, ...)`` batch of rows.
+
 The network object is immutable after construction and is shared by flow
 vectors, the potential, the equilibrium solvers and the rerouting simulator.
 """
@@ -53,12 +57,6 @@ class WardropNetwork:
         on graphs whose full path sets are astronomically large.  The paths
         must be valid simple paths of ``graph`` connecting each commodity's
         endpoints, in commodity order.
-    incidence_mode:
-        ``"auto"`` (default), ``"dense"`` or ``"sparse"`` -- the backend of
-        the edge--path incidence matrix (see
-        :func:`repro.largescale.incidence.build_incidence`).  Auto keeps the
-        historical dense arithmetic on small instances and switches to CSR
-        products at road-network sizes.
     validate_paths:
         When a prebuilt ``paths`` set is supplied, ``False`` skips the
         per-path endpoint/edge validation scan.  Column generation uses this
@@ -75,7 +73,6 @@ class WardropNetwork:
         normalise: bool = True,
         max_paths: int = 10_000,
         paths: Optional[PathSet] = None,
-        incidence_mode: str = "auto",
         validate_paths: bool = True,
     ):
         if not commodities:
@@ -94,11 +91,8 @@ class WardropNetwork:
         self.paths: PathSet = paths
         self._edges: List[EdgeKey] = self.paths.edges()
         self._edge_index: Dict[EdgeKey, int] = {edge: i for i, edge in enumerate(self._edges)}
-        # Incidence matrix A[e, p] = 1 if edge e lies on path p, behind the
-        # dense/sparse backend abstraction of repro.largescale.incidence.
-        self._inc: EdgeIncidence = build_incidence(
-            self.paths, self._edges, mode=incidence_mode
-        )
+        # Incidence matrix A[e, p] = 1 if edge e lies on path p, in CSR form.
+        self._inc: EdgeIncidence = build_incidence(self.paths, self._edges)
         self._commodity_demands = np.array([commodity.demand for commodity in self.commodities])
         self._demands = self._commodity_demands[self.paths.blocks.commodity]
         # Per-edge latency replacements of lightweight copies made by
@@ -180,16 +174,16 @@ class WardropNetwork:
 
     @property
     def incidence(self) -> np.ndarray:
-        """The dense edge-path incidence matrix (edges x paths).
+        """The dense edge-path incidence matrix (edges x paths), read-only.
 
-        Materialised (and cached) on demand for the sparse backend; use
-        :attr:`incidence_operator` to stay in ``O(nnz)``.
+        Materialised (and cached) on demand; use :attr:`incidence_operator`
+        to stay in ``O(nnz)``.
         """
         return self._inc.dense()
 
     @property
     def incidence_operator(self) -> EdgeIncidence:
-        """The incidence backend (dense or CSR) behind all evaluations."""
+        """The CSR incidence operator behind all evaluations."""
         return self._inc
 
     @property
@@ -278,13 +272,16 @@ class WardropNetwork:
         return float(best)
 
     # Latency evaluation -----------------------------------------------------
+    #
+    # Row b of a batched result equals the one-row evaluation of row b bit
+    # for bit: the batched engines (:mod:`repro.batch`) rely on it.
 
     def edge_flows(self, path_flows: np.ndarray) -> np.ndarray:
-        """Aggregate a path-flow vector to edge flows ``f_e = sum_{P ∋ e} f_P``."""
+        """Aggregate path flows ``(P,)``/``(B, P)`` to edge flows ``f_e = sum_{P ∋ e} f_P``."""
         return self._inc.edge_flows(path_flows)
 
     def edge_latencies(self, edge_flows: np.ndarray) -> np.ndarray:
-        """Evaluate every edge latency at the given edge flows."""
+        """Evaluate every edge latency at edge flows ``(E,)`` or ``(B, E)``."""
         return self.latency_table().values(edge_flows)
 
     def edge_latency_derivatives(self, edge_flows: np.ndarray) -> np.ndarray:
@@ -292,43 +289,18 @@ class WardropNetwork:
         return self.latency_table().derivatives(edge_flows)
 
     def path_latencies(self, path_flows: np.ndarray) -> np.ndarray:
-        """Return ``l_P(f)`` for every path, additive along edges."""
-        edge_flows = self.edge_flows(path_flows)
-        edge_latencies = self.edge_latencies(edge_flows)
+        """Return ``l_P(f)`` for every path of ``(P,)`` or ``(B, P)`` flows."""
+        edge_latencies = self.edge_latencies(self.edge_flows(path_flows))
         return self._inc.path_totals(edge_latencies)
 
     def path_latencies_from_edge_latencies(self, edge_latencies: np.ndarray) -> np.ndarray:
-        """Return path latencies given precomputed edge latencies.
+        """Return path latencies given precomputed ``(E,)``/``(B, E)`` edge latencies.
 
         Used by the bulletin-board model, where path latencies must be
         computed from the *posted* (stale) edge latencies rather than the
         live ones.
         """
         return self._inc.path_totals(edge_latencies)
-
-    # Batched evaluation -----------------------------------------------------
-    #
-    # The batched simulation engine (:mod:`repro.batch`) evolves an ensemble
-    # of B independent flows on the same network as one (B, P) array.  The
-    # methods below are the row-wise counterparts of the scalar evaluators
-    # above: row b of the result equals the scalar method applied to row b.
-
-    def edge_flows_batch(self, path_flows: np.ndarray) -> np.ndarray:
-        """Aggregate a ``(B, P)`` batch of path flows to ``(B, E)`` edge flows."""
-        return self._inc.edge_flows_batch(path_flows)
-
-    def edge_latencies_batch(self, edge_flows: np.ndarray) -> np.ndarray:
-        """Evaluate every edge latency on a ``(B, E)`` batch of edge flows."""
-        return self.latency_table().values(edge_flows)
-
-    def path_latencies_batch(self, path_flows: np.ndarray) -> np.ndarray:
-        """Return ``l_P`` for every row of a ``(B, P)`` batch of path flows."""
-        edge_latencies = self.edge_latencies_batch(self.edge_flows_batch(path_flows))
-        return self.path_latencies_from_edge_latencies_batch(edge_latencies)
-
-    def path_latencies_from_edge_latencies_batch(self, edge_latencies: np.ndarray) -> np.ndarray:
-        """Return ``(B, P)`` path latencies from ``(B, E)`` posted edge latencies."""
-        return self._inc.path_totals_batch(edge_latencies)
 
     # Descriptions ----------------------------------------------------------
 

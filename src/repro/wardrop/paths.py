@@ -292,8 +292,8 @@ class PathSet:
 
         One pass over all paths yields, per edge, the sorted array of global
         indices of the paths that traverse it.  This single structure backs
-        :meth:`paths_through`, :meth:`edges` and the (sparse or dense)
-        edge--path incidence matrix of the network, so the membership is
+        :meth:`paths_through`, :meth:`edges` and the CSR edge--path
+        incidence operator of the network, so the membership is
         computed exactly once per path set instead of once per query.
         """
         if self._membership is None:

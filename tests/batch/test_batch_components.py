@@ -33,20 +33,17 @@ class TestNetworkBatchKernels:
         network = braess_network()
         rng = np.random.default_rng(11)
         flows = np.stack([FlowVector.random(network, rng).values() for _ in range(6)])
-        edge_flows = network.edge_flows_batch(flows)
-        edge_latencies = network.edge_latencies_batch(edge_flows)
-        path_latencies = network.path_latencies_batch(flows)
+        edge_flows = network.edge_flows(flows)
+        edge_latencies = network.edge_latencies(edge_flows)
+        path_latencies = network.path_latencies(flows)
+        assert path_latencies.flags.c_contiguous
         for row in range(6):
-            np.testing.assert_allclose(
-                edge_flows[row], network.edge_flows(flows[row]), atol=1e-15
+            np.testing.assert_array_equal(edge_flows[row], network.edge_flows(flows[row]))
+            np.testing.assert_array_equal(
+                edge_latencies[row], network.edge_latencies(network.edge_flows(flows[row]))
             )
-            np.testing.assert_allclose(
-                edge_latencies[row],
-                network.edge_latencies(network.edge_flows(flows[row])),
-                atol=1e-15,
-            )
-            np.testing.assert_allclose(
-                path_latencies[row], network.path_latencies(flows[row]), atol=1e-15
+            np.testing.assert_array_equal(
+                path_latencies[row], network.path_latencies(flows[row])
             )
 
     def test_project_batch_matches_projected(self):
@@ -94,7 +91,7 @@ class TestPolicyBlockKernels:
         rng = np.random.default_rng(9)
         posted = np.stack([FlowVector.random(ragged, rng).values() for _ in range(3)])
         current = np.stack([FlowVector.random(ragged, rng).values() for _ in range(3)])
-        latencies = ragged.path_latencies_batch(posted)
+        latencies = ragged.path_latencies(posted)
         sigma, mu = PolicyStack.of([policy] * 3).tables(blocks, posted, latencies)
         field = frozen_field(blocks, sigma, mu)(0.0, current)
         for row in range(3):
@@ -130,7 +127,7 @@ class TestPolicyBlockKernels:
         rng = np.random.default_rng(4)
         posted = np.stack([FlowVector.random(ragged, rng).values() for _ in policies])
         current = np.stack([FlowVector.random(ragged, rng).values() for _ in policies])
-        latencies = ragged.path_latencies_batch(posted)
+        latencies = ragged.path_latencies(posted)
         for rows in (np.arange(len(policies)), np.array([1, 3, 4])):
             tables_ = stack.select(rows).tables(blocks, posted[rows], latencies[rows])
             field = frozen_field(blocks, *tables_)(0.0, current[rows])

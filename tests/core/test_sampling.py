@@ -138,7 +138,7 @@ def test_stacked_parameters_equal_their_rows(ragged, make, name, values):
     rows = [FlowVector.random(ragged, rng).values() for _ in values]
     blocks = ragged.paths.blocks
     flows = blocks.gather(np.stack(rows))
-    latencies = blocks.gather(ragged.path_latencies_batch(np.stack(rows)))
+    latencies = blocks.gather(ragged.path_latencies(np.stack(rows)))
     stacked = make(values[0])
     setattr(stacked, name, np.array(values).reshape(-1, 1, 1))
     together = stacked.probabilities(blocks, flows, latencies)

@@ -133,11 +133,11 @@ class TestRegistryIntegration:
 
 
 class TestCityBackendTier:
-    def test_city_uses_sparse_incidence(self):
-        from repro.largescale import SparseIncidence
-
+    def test_city_incidence_holds_one_entry_per_path_edge(self):
         network = synthetic_city_network(blocks=8, arterial_every=4, od_pairs=6)
-        assert isinstance(network.incidence_operator, SparseIncidence)
+        operator = network.incidence_operator
+        assert operator.shape == (network.num_edges, network.num_paths)
+        assert operator.nnz == sum(len(path.edges) for path in network.paths)
 
     def test_default_city_keeps_mild_equilibrium_congestion(self):
         from repro.solvers import solve_edge_flow_equilibrium

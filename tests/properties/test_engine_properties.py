@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_dynamics import reference_run
@@ -131,6 +131,22 @@ def assert_feasible(network, flows):
         )
 
 
+# horizon / period rounds to 3.0000000000000004 while 3 * period == horizon:
+# the engine runs three phases (a phase runs iff it starts before the
+# horizon), and the reference must not add a zero-length fourth one.
+@example(
+    network=parallel_links_network([AffineLatency(1.0, 0.5), AffineLatency(2.0, 0.0)]),
+    run=dict(
+        periods=[0.08894275364773499],
+        horizons=[0.266828260943205],
+        steps=[4],
+        stale=True,
+        method="rk4",
+        specs=[dict(sampling="proportional", l_max_scale=1.0, exploration=EXPLORATION)],
+        shared=True,
+        seed=0,
+    ),
+)
 @given(network=instances(), run=ensembles())
 @settings(max_examples=50, deadline=None)
 def test_fluid_rows_match_the_reference_and_their_one_row_runs(network, run):

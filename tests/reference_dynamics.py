@@ -41,6 +41,8 @@ def reference_run(network, sampling, l_max, exploration, period, horizon, steps,
     samples = [(0.0, flow)]
     for k in range(int(np.ceil(horizon / period))):
         begin, end = k * period, min((k + 1) * period, horizon)
+        if begin >= horizon:  # ceil(horizon / period) can overshoot by one ulp
+            break
         count = int(np.ceil((end - begin) / (period / steps)))  # sub-steps <= T / steps
         h = (end - begin) / count
         board = transition_rates(network, sampling, l_max, exploration, flow)

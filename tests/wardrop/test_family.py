@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.instances import braess_network, pigou_network, two_link_network
-from repro.wardrop import FlowVector, NetworkFamily, topology_signature
+from repro.wardrop import FlowVector, NetworkFamily, WardropNetwork, topology_signature
+from repro.wardrop.paths import PathSet
 from repro.wardrop.latency import ConstantLatency
 
 class TestTopologySignature:
@@ -34,6 +35,17 @@ class TestNetworkFamily:
         with pytest.raises(ValueError):
             NetworkFamily([])
 
+    @pytest.mark.parametrize("change", ["reordered", "subset"])
+    def test_rejects_a_member_with_a_different_path_set(self, change):
+        # Same graph and commodities, different incidence columns: the
+        # signature's path descriptions tell them apart.
+        base = braess_network()
+        paths = list(base.paths.commodity_paths(0))
+        paths = paths[::-1] if change == "reordered" else paths[:-1]
+        other = WardropNetwork(base.graph, base.commodities, paths=PathSet([paths]))
+        with pytest.raises(ValueError, match="different topology"):
+            NetworkFamily([base, other])
+
     def test_from_builder_and_replicate(self):
         family = NetworkFamily.from_builder(
             pigou_network, [{"degree": 1, "constant": c} for c in (0.5, 1.0, 1.5)]
@@ -50,7 +62,7 @@ class TestNetworkFamily:
         family = NetworkFamily(networks)
         rng = np.random.default_rng(3)
         flows = np.stack([FlowVector.random(net, rng).values() for net in networks])
-        edge_flows = family.edge_flows_batch(flows)
+        edge_flows = family.base.edge_flows(flows)
         edge_latencies = family.edge_latencies_batch(edge_flows)
         path_latencies = family.path_latencies_batch(flows)
         for row, network in enumerate(networks):
@@ -110,7 +122,7 @@ class TestFromCoefficients:
         np.testing.assert_array_equal(
             synthesised.path_latencies_batch(flows), built.path_latencies_batch(flows)
         )
-        edge_flows = built.edge_flows_batch(flows)
+        edge_flows = built.base.edge_flows(flows)
         np.testing.assert_array_equal(
             synthesised.edge_latencies_batch(edge_flows),
             built.edge_latencies_batch(edge_flows),

@@ -205,7 +205,7 @@ class TestNetworks:
         family = NetworkFamily(members)
         rng = np.random.default_rng(3)
         flows = np.stack([FlowVector.random(net, rng).values() for net in members])
-        edge_flows = family.edge_flows_batch(flows)
+        edge_flows = family.base.edge_flows(flows)
         latencies = family.edge_latencies_batch(edge_flows)
         for row, network in enumerate(members):
             np.testing.assert_array_equal(latencies[row], network.edge_latencies(edge_flows[row]))
@@ -220,7 +220,7 @@ class TestNetworks:
         assert family.latency_table() is network.latency_table()
         edge_flows = random_flows((3, network.num_edges))
         np.testing.assert_array_equal(
-            family.edge_latencies_batch(edge_flows), network.edge_latencies_batch(edge_flows)
+            family.edge_latencies_batch(edge_flows), network.edge_latencies(edge_flows)
         )
 
     def test_network_tables_match_scalar(self):
@@ -228,7 +228,7 @@ class TestNetworks:
         functions = [network.latency_function(edge) for edge in network.edges]
         edge_flows = random_flows((2, network.num_edges))
         np.testing.assert_array_equal(
-            network.edge_latencies_batch(edge_flows), scalar(functions, "value", edge_flows)
+            network.edge_latencies(edge_flows), scalar(functions, "value", edge_flows)
         )
         np.testing.assert_allclose(
             network.edge_latency_derivatives(edge_flows[0]),
