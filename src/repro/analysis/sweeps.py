@@ -55,7 +55,7 @@ class SweepCase:
     ``parameters`` are echoed into the result row; the remaining fields
     define the run.  ``method`` selects the engine: ``"rk4"`` / ``"euler"``
     run the fluid-limit integrator, ``"agents"`` runs the finite-population
-    discrete-event simulator (``num_agents`` agents, seeded with ``seed``;
+    agent simulator (``num_agents`` agents, seeded with ``seed``;
     ``steps_per_phase`` is then ignored).  ``stop_when`` is an optional
     :class:`~repro.batch.stopping.StopCondition` evaluated at every phase
     boundary (fluid and agent methods); the case is always evaluated as

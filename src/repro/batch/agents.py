@@ -4,11 +4,9 @@
 the discrete-event agent model (:mod:`repro.core.agents`) as one vectorised
 ensemble.  Replicas may differ in population size, update period, horizon,
 seed and scenario, and may route on one shared network or on the members of
-a :class:`~repro.wardrop.family.NetworkFamily`; the agent populations of all
-rows live in one flat array (row ``r`` owns the slice
-``offsets[r]:offsets[r+1]``), so a whole ``n``-sweep -- the paper's
-finite-``n`` versus fluid-limit comparison, benchmark E9 -- becomes a single
-batched call.  It is the only agent engine:
+a :class:`~repro.wardrop.family.NetworkFamily`, so a whole ``n``-sweep --
+the paper's finite-``n`` versus fluid-limit comparison, benchmark E9 --
+becomes a single batched call.  It is the only agent engine:
 :func:`~repro.core.agents.simulate_agents` runs one replica as its one-row
 case.
 
@@ -17,40 +15,50 @@ Correctness contract
 Two suites pin the engine down.  *B-invariance*: row ``r`` of a ``B``-row
 run equals the one-row run of the same configuration bit for bit
 (assignments, trajectory, stop phase).  Every row owns its own ``numpy``
-generator seeded with its own seed and issues the per-phase block draws of
-the seeding contract (Poisson activation count, activated agents, sampling
-uniforms, migration coins) whatever the other rows do, and every kernel is
-row-wise (``tests/batch/test_agent_equivalence.py``,
-``tests/batch/test_agent_stopping.py``).  *Reference*: a one-row run matches
-an event-by-event simulator written directly from the model
-(``tests/reference_agents.py``) in its assignments exactly.
+generator seeded with its own seed and issues the draws of the seeding
+contract (:mod:`repro.core.agents`) whatever the other rows do, and every
+kernel is row-wise (``tests/batch/test_agent_equivalence.py``,
+``tests/batch/test_agent_stopping.py``).  *Reference*: a one-row
+up-to-date-information run matches an event-by-event simulator written
+directly from the model (``tests/reference_agents.py``) in its assignments
+exactly; a stale run matches the model in distribution, checked by a
+chi-square test against ``scipy.linalg.expm``
+(``tests/core/test_reference_agents.py``).
 
-Under stale information, activations inside a phase are replayed grouped by
-their *occurrence rank* per agent: an agent's own activations stay in clock
-order while different agents -- which cannot interact within a frozen phase
--- are processed together.  Under up-to-date information each row is
-advanced in windows of its next :data:`FRESH_WINDOW` activations decided
-against its cached live tables; only the first migrating activation of the
-window is applied (every earlier one is a no-op, so it saw exactly the live
-state an event-by-event run would), the row's cursor moves past it and its
-tables are refreshed.  The outcome equals the event-by-event order by
-construction.
+Under stale information every agent reads the same frozen board, so within
+a phase of length ``d`` each agent moves on its own, as a continuous-time
+Markov chain whose generator ``Lambda`` (rate-1 clocks times the sampling
+and migration blocks) the board fixes.  A stale row's state is therefore
+its path counts, and a phase moves the ``n_P`` agents of path ``P`` by one
+multinomial over row ``P`` of ``expm(d * Lambda)``: no per-agent array
+exists and a phase costs O(paths) at any ``n``.  Under up-to-date
+information each row is advanced in windows of its next
+:data:`FRESH_WINDOW` activations decided against its cached live tables;
+only the first migrating activation of the window is applied (every earlier
+one is a no-op, so it saw exactly the live state an event-by-event run
+would), the row's cursor moves past it and its tables are refreshed.  The
+outcome equals the event-by-event order by construction.
 
 Both kernels read the tables on commodity blocks
 (:class:`~repro.wardrop.paths.CommodityBlocks`): an agent in slot ``j`` of
-commodity ``c`` draws slot ``k`` from the cumulative sum of its sampling
-block row and moves when its coin clears ``mu[r, c, j, k]``.  Every phase
-must keep each row's per-commodity totals (a relative 1e-9).
+commodity ``c`` samples slot ``k`` from its sampling block row and moves
+when its coin clears ``mu[r, c, j, k]``.  Every phase must keep each row's
+per-commodity totals (a relative 1e-9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.agents import DEFAULT_NUM_AGENTS, build_population, planned_phase_counts
+from ..core.agents import (
+    DEFAULT_NUM_AGENTS,
+    build_population,
+    planned_phase_counts,
+    population_counts,
+)
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
@@ -64,6 +72,9 @@ from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policie
 # Up-to-date information: activations decided per row per round against the
 # row's cached live tables (see :meth:`BatchAgentSimulator._apply_fresh_phase`).
 FRESH_WINDOW = 32
+# Stale information: Poisson(x <= 1/2) terms of the uniformized exponential
+# (see :func:`_transition_blocks`); the tail beyond them is below 1e-16.
+SERIES_TERMS = 14
 
 
 @dataclass
@@ -130,16 +141,31 @@ class BatchAgentConfig:
         return len(self.num_agents)
 
 
+class _CountAssignments(Sequence):
+    """Per-row agent assignments spelled out from ``(B, P)`` path counts on access."""
+
+    def __init__(self, counts: np.ndarray):
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return np.repeat(np.arange(self._counts.shape[1]), self._counts[row])
+
+
 @dataclass
 class BatchAgentResult:
     """The recorded phase-boundary states of a batched agent run.
 
     ``times[r, k]`` / ``flows[r, k]`` hold row ``r``'s ``k``-th sample
     (``k = 0`` is the initial realised flow, then one sample per phase);
-    only the first ``num_points[r]`` slots are valid.  ``assignments[r]``
-    is row ``r``'s final agent-to-path assignment.  ``stop_phases[r]`` is
-    the phase whose boundary fired row ``r``'s ``stop_when`` condition (−1
-    if it never fired).
+    only the first ``num_points[r]`` slots are valid.  ``final_counts[r, p]``
+    is the number of row ``r``'s agents on path ``p`` at the end, and
+    ``agent_paths`` the per-agent assignment of up-to-date-information runs
+    (``None`` for stale runs, which keep only counts).  ``stop_phases[r]``
+    is the phase whose boundary fired row ``r``'s ``stop_when`` condition
+    (−1 if it never fired).
     """
 
     network: WardropNetwork
@@ -152,9 +178,22 @@ class BatchAgentResult:
     times: np.ndarray
     flows: np.ndarray
     num_points: np.ndarray
-    assignments: List[np.ndarray]
+    final_counts: np.ndarray
+    agent_paths: Optional[List[np.ndarray]] = None
     family: Optional[NetworkFamily] = None
     stop_phases: Optional[np.ndarray] = None
+
+    @property
+    def assignments(self) -> Sequence[np.ndarray]:
+        """Each row's final agent-to-path assignment, indexed by row.
+
+        Agents of a commodity are exchangeable, so a stale row's assignment
+        is materialised from its final counts when indexed, agents in
+        commodity-major path order.
+        """
+        if self.agent_paths is not None:
+            return self.agent_paths
+        return _CountAssignments(self.final_counts)
 
     def stopped_rows(self) -> np.ndarray:
         """Return the boolean mask of rows frozen by ``stop_when``."""
@@ -252,23 +291,60 @@ def _sampling_cdf(sigma: np.ndarray, blocks: CommodityBlocks, rows: int):
     return cdf, valid
 
 
-def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
-    """Return, per element, its rank among equal keys (original order kept).
+def _stale_generator(sigma: np.ndarray, mu: np.ndarray, blocks: CommodityBlocks) -> np.ndarray:
+    """Return the ``(R, C, K, K)`` generator blocks of one frozen phase.
 
-    Used to split one phase's activations into conflict-free rounds: rank
-    ``r`` holds each agent's ``r``-th activation, so every round touches
-    each agent at most once while preserving the agent's own clock order.
+    An agent in slot ``j`` of commodity ``c`` is activated at rate 1, samples
+    slot ``k`` with its normalised sampling weight (block row 0 of ``sigma``
+    when the rule ignores the current path) and moves when its coin in
+    ``[0, 1)`` clears ``mu[r, c, j, k]``.  So it jumps to ``k != j`` at rate
+    ``sigma_hat[j, k] * clip(mu[j, k], 0, 1)`` -- zero for a block row of
+    zero sampling mass -- and the diagonal is minus the row's exit rate.
     """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    positions = np.arange(len(keys))
-    new_group = np.empty(len(keys), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_starts = np.maximum.accumulate(np.where(new_group, positions, 0))
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[order] = positions - group_starts
-    return ranks
+    mass = sigma * blocks.valid[:, None, :]
+    totals = mass.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sampled = np.where(totals > 0, mass / totals, 0.0)
+    generator = sampled * np.clip(mu, 0.0, 1.0) * blocks.pairs
+    slots = np.arange(generator.shape[-1])
+    generator[..., slots, slots] = -generator.sum(axis=-1)
+    return generator
+
+
+def _transition_blocks(generator: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Return ``expm(d_r * generator_r)`` for every row ``r``, row-stochastic.
+
+    Uniformization with scaling and squaring: with ``q`` the row's largest
+    exit rate (at most 1, since the sampling weights sum to 1 and ``mu`` is
+    clipped at 1), ``S = I + generator / q`` is stochastic and
+    ``expm(h * generator)`` is the ``Poisson(q h)`` mixture of the powers of
+    ``S``.  Each row halves its phase ``s_r`` times until ``q h <= 1/2``,
+    where :data:`SERIES_TERMS` terms leave a tail below 1e-16, and squares
+    the sum back ``s_r`` times.  ``s_r`` comes from the row's own ``q d``,
+    so a row's matrix does not depend on the rows batched with it.  Every
+    entry is a sum of non-negative terms; the rows are renormalised to 1.
+    """
+    rows, width = len(generator), generator.shape[-1]
+    slots = np.arange(width)
+    exit_rates = -generator[..., slots, slots].reshape(rows, -1)
+    rate = exit_rates.max(axis=1, initial=0.0)
+    scale = rate * durations
+    _, exponent = np.frexp(scale)
+    squarings = np.where(scale > 0, np.maximum(exponent + 1, 0), 0)
+    mean = np.ldexp(scale, -squarings)[:, None, None, None]
+    stochastic = generator / np.where(rate > 0, rate, 1.0)[:, None, None, None]
+    stochastic[..., slots, slots] += 1.0
+    weight = np.exp(-mean)
+    power = np.broadcast_to(np.eye(width), generator.shape).copy()
+    transitions = weight * power
+    for term in range(1, SERIES_TERMS + 1):
+        power = power @ stochastic
+        weight = weight * mean / term
+        transitions += weight * power
+    for step in range(int(squarings.max(initial=0))):
+        due = squarings > step
+        transitions[due] = transitions[due] @ transitions[due]
+    return transitions / transitions.sum(axis=-1, keepdims=True)
 
 
 class BatchAgentSimulator(BatchEnsembleBase):
@@ -341,52 +417,67 @@ class BatchAgentSimulator(BatchEnsembleBase):
         populations = config.num_agents
         blocks = network.paths.blocks
 
-        # Flat agent layout: row r owns agents offsets[r]:offsets[r+1].
-        offsets = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(populations, out=offsets[1:])
-        total_agents = int(offsets[-1])
-        assignment = np.empty(total_agents, dtype=np.int64)
-        weights = np.empty(total_agents, dtype=float)
         initial_values = self._initial_flows(initial_flows)
-        for row in range(batch):
-            row_assignment, row_weights = build_population(
-                network, int(populations[row]), initial_values[row]
-            )
-            assignment[offsets[row] : offsets[row + 1]] = row_assignment
-            weights[offsets[row] : offsets[row + 1]] = row_weights
-        agent_row = np.repeat(np.arange(batch), populations)
-        row_key_base = agent_row * num_paths
         rngs = [np.random.default_rng(int(seed)) for seed in config.seeds]
+        if config.stale:
+            # Under a frozen board the agents of a commodity are exchangeable,
+            # so a row's state is its per-path agent counts.
+            counts = np.empty((batch, num_paths), dtype=np.int64)
+            weights = np.empty((batch, num_paths))
+            for row in range(batch):
+                counts[row], weights[row] = population_counts(
+                    network, int(populations[row]), initial_values[row]
+                )
+
+            def realised_flows(rows: np.ndarray) -> np.ndarray:
+                """The ``(R, P)`` realised flows of ``rows``."""
+                return counts[rows] * weights[rows]
+
+        else:
+            # Flat agent layout: row r owns agents offsets[r]:offsets[r+1].
+            offsets = np.zeros(batch + 1, dtype=np.int64)
+            np.cumsum(populations, out=offsets[1:])
+            assignment = np.empty(int(offsets[-1]), dtype=np.int64)
+            agent_weights = np.empty(int(offsets[-1]))
+            for row in range(batch):
+                span = slice(offsets[row], offsets[row + 1])
+                assignment[span], agent_weights[span] = build_population(
+                    network, int(populations[row]), initial_values[row]
+                )
+            row_key_base = np.repeat(np.arange(batch) * num_paths, populations)
+
+            def realised_flows(rows: np.ndarray) -> np.ndarray:
+                """The ``(R, P)`` realised flows of ``rows``, from their agents.
+
+                Restricting the bincount to the rows' agent slices keeps
+                heterogeneous-horizon sweeps from re-counting frozen
+                populations; each row's buckets are summed in the same agent
+                order either way, so the restriction is bit-neutral.
+                """
+                if len(rows) == batch:
+                    span = slice(None)
+                else:
+                    span = np.concatenate(
+                        [np.arange(offsets[row], offsets[row + 1]) for row in rows]
+                    )
+                keys = row_key_base[span] + assignment[span]
+                flows = np.bincount(
+                    keys, weights=agent_weights[span], minlength=batch * num_paths
+                )
+                return flows.reshape(batch, num_paths)[rows]
+
         tele = get_telemetry()
         events_counter = tele.counter("agents_batch.events")
+        migrations_counter = tele.counter("agents_batch.migrations")
         phases_counter = tele.counter("agents_batch.phases_integrated")
         frozen_counter = tele.counter("agents_batch.rows_frozen_by_stop_when")
         refresh_counter = tele.counter("agents_batch.bulletin_refreshes")
-
-        def realised_flows(rows: Optional[np.ndarray] = None) -> np.ndarray:
-            """Realised flows from the assignment, restricted to ``rows``.
-
-            Restricting the bincount to the active rows' agent slices keeps
-            heterogeneous-horizon sweeps from re-counting frozen populations;
-            each row's buckets are summed in the same agent order either way,
-            so the restriction is bit-neutral.
-            """
-            if rows is None or len(rows) == batch:
-                span = slice(None)
-            else:
-                span = np.concatenate(
-                    [np.arange(offsets[row], offsets[row + 1]) for row in rows]
-                )
-            keys = row_key_base[span] + assignment[span]
-            return np.bincount(
-                keys, weights=weights[span], minlength=batch * num_paths
-            ).reshape(batch, num_paths)
 
         planned_phases = planned_phase_counts(horizons, periods)
         max_phases = int(planned_phases.max())
         times = np.zeros((batch, max_phases + 1))
         recorded = np.zeros((batch, max_phases + 1, num_paths))
-        flows = realised_flows()
+        flows = realised_flows(np.arange(batch))
         recorded[:, 0] = flows
         # Each row's agents represent each commodity's demand (a commodity
         # apportioned no agent represents none); migrations must keep it.
@@ -414,7 +505,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
             instance=network.graph.graph.get("name") or "-",
             stale=config.stale,
             rows=batch,
-            agents=total_agents,
+            agents=int(populations.sum()),
             paths=num_paths,
         )
         try:
@@ -433,77 +524,50 @@ class BatchAgentSimulator(BatchEnsembleBase):
                     self._phase_family = ensemble.family_at(starts)
                     if board is not None:
                         board.set_networks(self._phase_family)
+
                 if config.stale:
                     board.post_rows(starts, flows, mask=active)
                     tele.event("bulletin_refresh", rows=len(rows))
                     refresh_counter.add(len(rows))
 
-                # Per-row block draws, the seeding contract's schedule.
-                counts = np.empty(len(rows), dtype=np.int64)
-                agent_chunks: List[np.ndarray] = []
-                sample_chunks: List[np.ndarray] = []
-                migrate_chunks: List[np.ndarray] = []
-                for i, row in enumerate(rows):
-                    rng = rngs[row]
-                    population = int(populations[row])
-                    count = int(rng.poisson(population * durations[row]))
-                    counts[i] = count
-                    agent_chunks.append(rng.integers(population, size=count))
-                    sample_chunks.append(rng.random(count))
-                    migrate_chunks.append(rng.random(count))
-                events_counter.add(int(counts.sum()))
-
-                with tele.span(
-                    "phase",
-                    index=phase,
-                    active_rows=len(rows),
-                    activations=int(counts.sum()),
-                ):
+                with tele.span("phase", index=phase, active_rows=len(rows)):
                     if config.stale:
                         with tele.span("field_eval", active_rows=len(rows)):
                             sigma, mu = self._stack.select(rows).tables(
                                 blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
                             )
-                            cdf, valid = _sampling_cdf(sigma, blocks, len(rows))
-                        self._apply_stale_phase(
-                            assignment,
-                            offsets,
-                            rows,
-                            counts,
-                            agent_chunks,
-                            sample_chunks,
-                            migrate_chunks,
-                            cdf,
-                            valid,
-                            mu,
-                            blocks,
+                            transitions = _transition_blocks(
+                                _stale_generator(sigma, mu, blocks), durations[rows]
+                            )
+                        migrations_counter.add(
+                            self._advance_counts(counts, rows, rngs, transitions, blocks)
                         )
                     else:
-                        self._apply_fresh_phase(
-                            assignment,
-                            weights,
-                            flows_live,
-                            offsets,
-                            rows,
-                            counts,
-                            agent_chunks,
-                            sample_chunks,
-                            migrate_chunks,
-                            blocks,
+                        events_counter.add(
+                            self._apply_fresh_phase(
+                                assignment,
+                                agent_weights,
+                                flows_live,
+                                offsets,
+                                rows,
+                                rngs,
+                                populations[rows] * durations[rows],
+                                blocks,
+                            )
                         )
 
                     partial = realised_flows(rows)
-                    self._check_conservation(partial[rows], rows, phase, represented[rows])
-                    flows[rows] = partial[rows]
+                    self._check_conservation(partial, rows, phase, represented[rows])
+                    flows[rows] = partial
                     if not config.stale:
-                        flows_live[rows] = flows[rows]
+                        flows_live[rows] = partial
                     times[rows, phase + 1] = ends[rows]
-                    recorded[rows, phase + 1] = flows[rows]
+                    recorded[rows, phase + 1] = partial
                     num_points[rows] += 1
                     phases_counter.add(len(rows))
 
                     if stop_when is not None:
-                        hit = np.asarray(stop_when(ends[rows], flows[rows], rows), dtype=bool)
+                        hit = np.asarray(stop_when(ends[rows], partial, rows), dtype=bool)
                         if hit.shape != rows.shape:
                             raise ValueError(
                                 f"stop_when returned shape {hit.shape}, expected {rows.shape}"
@@ -521,9 +585,10 @@ class BatchAgentSimulator(BatchEnsembleBase):
             f"{policy.label()} (n={int(populations[row])})"
             for row, policy in enumerate(self._policies)
         ]
-        assignments = [
-            assignment[offsets[row] : offsets[row + 1]].copy() for row in range(batch)
-        ]
+        agents = None
+        if not config.stale:
+            agents = [assignment[offsets[row] : offsets[row + 1]].copy() for row in range(batch)]
+            counts = np.stack([np.bincount(row, minlength=num_paths) for row in agents])
         return BatchAgentResult(
             network=network,
             policy_names=labels,
@@ -535,67 +600,37 @@ class BatchAgentSimulator(BatchEnsembleBase):
             times=times,
             flows=recorded,
             num_points=num_points,
-            assignments=assignments,
+            final_counts=counts,
+            agent_paths=agents,
             family=self.family,
             stop_phases=stop_phases,
         )
 
     # Phase kernels ----------------------------------------------------------
 
-    def _apply_stale_phase(
+    def _advance_counts(
         self,
-        assignment: np.ndarray,
-        offsets: np.ndarray,
-        rows: np.ndarray,
         counts: np.ndarray,
-        agent_chunks: List[np.ndarray],
-        sample_chunks: List[np.ndarray],
-        migrate_chunks: List[np.ndarray],
-        cdf: np.ndarray,
-        valid: np.ndarray,
-        mu: np.ndarray,
+        rows: np.ndarray,
+        rngs: List[np.random.Generator],
+        transitions: np.ndarray,
         blocks: CommodityBlocks,
-    ) -> None:
-        """Replay one frozen phase's activations as occurrence-rank rounds.
+    ) -> int:
+        """Advance the path counts of ``rows`` through one frozen phase.
 
-        An agent on global path ``p`` reads its commodity ``c`` and slot
-        ``j`` from ``blocks``, samples a slot ``k`` from ``cdf[r, c, j]``
-        (block row 0 when the sampling rule ignores the current path) and
-        migrates to ``blocks.index[c, k]`` when its coin clears
-        ``mu[r, c, j, k]``.
+        Each of the ``n[c, j]`` agents in slot ``j`` of commodity ``c`` ends
+        the phase in slot ``k`` with probability ``transitions[i, c, j, k]``,
+        independently of every other agent.  So a row's end counts are one
+        ``rng.multinomial`` draw summed over the source slot.  Returns how
+        many agents ended the phase off their starting path.
         """
-        total = int(counts.sum())
-        if total == 0:
-            return
-        slots = np.repeat(np.arange(len(rows)), counts)
-        agents = offsets[rows][slots] + np.concatenate(agent_chunks)
-        u_sample = np.concatenate(sample_chunks)
-        u_migrate = np.concatenate(migrate_chunks)
-        # Ranks are non-zero only for agents activated more than once in the
-        # phase; restricting the sort to that (small) subset keeps the rank
-        # computation cheap when activations are sparse in the population.
-        activations = np.bincount(agents)
-        repeated = activations[agents] > 1
-        ranks = np.zeros(total, dtype=np.int64)
-        if repeated.any():
-            ranks[repeated] = _occurrence_ranks(agents[repeated])
-        for rank in range(int(ranks.max()) + 1):
-            mask = ranks == rank
-            event_agents = agents[mask]
-            event_slots = slots[mask]
-            current = assignment[event_agents]
-            commodity = blocks.commodity[current]
-            own = blocks.slot[current]
-            sampling_row = own if cdf.shape[2] > 1 else 0
-            local = (
-                cdf[event_slots, commodity, sampling_row] <= u_sample[mask][:, None]
-            ).sum(axis=1)
-            migrate = (
-                valid[event_slots, commodity, sampling_row]
-                & (local != own)
-                & (u_migrate[mask] < mu[event_slots, commodity, own, local])
-            )
-            assignment[event_agents[migrate]] = blocks.index[commodity, local][migrate]
+        migrations = 0
+        slots = np.arange(transitions.shape[-1])
+        for i, row in enumerate(rows):
+            moves = rngs[row].multinomial(blocks.gather(counts[row]), transitions[i])
+            migrations += int(counts[row].sum() - moves[..., slots, slots].sum())
+            counts[row] = blocks.scatter(moves.sum(axis=-2))
+        return migrations
 
     def _apply_fresh_phase(
         self,
@@ -604,15 +639,15 @@ class BatchAgentSimulator(BatchEnsembleBase):
         flows_live: np.ndarray,
         offsets: np.ndarray,
         rows: np.ndarray,
-        counts: np.ndarray,
-        agent_chunks: List[np.ndarray],
-        sample_chunks: List[np.ndarray],
-        migrate_chunks: List[np.ndarray],
+        rngs: List[np.random.Generator],
+        expected_activations: np.ndarray,
         blocks: CommodityBlocks,
-    ) -> None:
+    ) -> int:
         """Advance one up-to-date-information phase in per-row activation windows.
 
-        A row's live tables depend only on its flow, which changes only when
+        Each row first issues the seeding contract's block draws (activation
+        count, activated agents, sampling uniforms, migration coins).  A
+        row's live tables depend only on its flow, which changes only when
         an activation migrates.  Each round therefore decides the next
         :data:`FRESH_WINDOW` activations of every row that still has some
         against the row's cached tables, applies only the first migrating
@@ -620,10 +655,17 @@ class BatchAgentSimulator(BatchEnsembleBase):
         the row's cursor past it; a row whose window holds no migration
         moves on by the whole window.  Every decision before the applied
         migration is a no-op that saw the live state exactly, so the outcome
-        equals the event-by-event order.
+        equals the event-by-event order.  Returns the number of activations.
         """
-        if len(rows) == 0 or counts.max(initial=0) == 0:
-            return
+        draws = []
+        for row, mean in zip(rows, expected_activations):
+            rng = rngs[row]
+            count = int(rng.poisson(mean))
+            agents = rng.integers(offsets[row + 1] - offsets[row], size=count)
+            draws.append((agents, rng.random(count), rng.random(count)))
+        counts = np.array([len(agents) for agents, _, _ in draws], dtype=np.int64)
+        if counts.max(initial=0) == 0:
+            return 0
         # Per-row activation matrices, padded by one window so every window
         # gathers in bounds; padded activations carry an infinite coin, so
         # they never migrate.
@@ -631,11 +673,10 @@ class BatchAgentSimulator(BatchEnsembleBase):
         agent_matrix = np.zeros((len(rows), width), dtype=np.int64)
         sample_matrix = np.zeros((len(rows), width))
         migrate_matrix = np.full((len(rows), width), np.inf)
-        for i, row in enumerate(rows):
-            count = int(counts[i])
-            agent_matrix[i, :count] = offsets[row] + agent_chunks[i]
-            sample_matrix[i, :count] = sample_chunks[i]
-            migrate_matrix[i, :count] = migrate_chunks[i]
+        for i, (row, (agents, samples, coins)) in enumerate(zip(rows, draws)):
+            agent_matrix[i, : len(agents)] = offsets[row] + agents
+            sample_matrix[i, : len(agents)] = samples
+            migrate_matrix[i, : len(agents)] = coins
         batch = len(flows_live)
         cdf_cache: Optional[np.ndarray] = None
         # mu blocks (zero on the diagonal) with the rows of zero sampling mass
@@ -689,6 +730,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
                 assignment[agent] = target
                 stale_tables[row] = True
                 cursors[slots[i]] += at + 1 - FRESH_WINDOW
+        return int(counts.sum())
 
 
 def simulate_agent_batch(

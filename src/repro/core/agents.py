@@ -6,8 +6,8 @@ infinitesimal agents), but its motivation is a finite distributed system:
 the jumps of its own unit-rate Poisson process, each applying the two-step
 sample-and-migrate policy against the bulletin board.
 
-:func:`simulate_agents` simulates that finite system exactly, as a
-discrete-event simulation.  It serves two purposes in the reproduction:
+:func:`simulate_agents` simulates that finite system exactly, with no time
+discretisation.  It serves two purposes in the reproduction:
 
 * it validates that the fluid-limit ODE is the right abstraction -- as ``n``
   grows the empirical population shares converge to the ODE trajectory
@@ -22,23 +22,35 @@ the phase grid.
 
 Randomness schedule (the seeding contract)
 ------------------------------------------
-The union of all agents' Poisson clocks is a Poisson process of rate ``n``,
-so the number of activations inside one bulletin-board phase of length ``d``
-is ``Poisson(n * d)`` and the activated agents are i.i.d. uniform.  Each
-replica therefore draws its randomness *per phase, in blocks*, from its own
-generator seeded with its own seed:
+Each replica draws its randomness *per phase* from its own generator seeded
+with its own seed, so its outcome does not depend on the batch it runs in.
+
+*Stale information.*  Inside a phase of length ``d`` every agent reads the
+same frozen board, so agents move independently: each follows the
+continuous-time Markov chain on its commodity's paths with generator
+``Lambda[P, Q] = sigma_PQ * min(mu_PQ, 1)`` (its rate-1 clock, the sampled
+path, a coin in ``[0, 1)`` that must clear ``mu``) and diagonal minus the
+row sum.  The ``n_P`` agents on path ``P`` therefore end the phase spread
+over the commodity's paths as ``Multinomial(n_P, expm(d * Lambda)[P, :])``.
+The phase is one ``rng.multinomial(counts, expm(d * Lambda))`` call over the
+row's commodity blocks, summed over the source path.  This is exact in
+distribution, not event for event; agents of a commodity are exchangeable,
+so a replica's state is its path counts.
+
+*Up-to-date information.*  The union of all agents' Poisson clocks is a
+Poisson process of rate ``n``, so the number of activations inside one
+phase of length ``d`` is ``Poisson(n * d)`` and the activated agents are
+i.i.d. uniform.  The phase draws, in blocks:
 
 1. ``K = rng.poisson(n * d)``        -- the activation count of the phase,
 2. ``rng.integers(n, size=K)``       -- the activated agents, in clock order,
 3. ``rng.random(K)``                 -- one sampling uniform per activation,
 4. ``rng.random(K)``                 -- one migration coin per activation.
 
-Under stale information the decisions inside a phase depend only on the
-frozen snapshot, and under up-to-date information only on the *order* of
-activations (which is exchangeable with their i.i.d. draw order), so this
-block schedule is still an exact simulation, not a time-discretised one.
-It is also what makes a replica's outcome independent of the batch it runs
-in, and what ``tests/reference_agents.py`` replays event by event.
+Decisions depend only on the *order* of activations (which is exchangeable
+with their i.i.d. draw order), so this block schedule is an exact
+simulation, not a time-discretised one, and it is what
+``tests/reference_agents.py`` replays event by event.
 """
 
 from __future__ import annotations
@@ -63,6 +75,40 @@ DEFAULT_NUM_AGENTS = 1000
 # Model building blocks ---------------------------------------------------
 
 
+def population_counts(
+    network: WardropNetwork,
+    num_agents: int,
+    initial_values: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return the initial ``(counts, weights)`` of one replica, per path.
+
+    Agents are partitioned over commodities proportionally to the demands
+    and, within a commodity, over paths proportionally to the initial flow
+    (largest-remainder rounding keeps the counts exact).  ``counts[p]`` is
+    the number of agents starting on path ``p`` and ``weights[p]`` the
+    demand each of them carries, ``demand / count`` of its commodity.
+    ``initial_values`` is the target path-flow vector (uniform split when
+    ``None``).
+    """
+    if initial_values is None:
+        initial_values = FlowVector.uniform(network).values()
+    initial_values = np.asarray(initial_values, dtype=float)
+    demands = np.array([c.demand for c in network.commodities])
+    commodity_agents = _largest_remainder(demands, num_agents)
+    counts = np.zeros(network.num_paths, dtype=np.int64)
+    weights = np.zeros(network.num_paths)
+    for i, (start, stop) in enumerate(network.paths.commodity_slices()):
+        shares = initial_values[start:stop]
+        total = shares.sum()
+        if total > 0:
+            path_weights = shares / total
+        else:
+            path_weights = np.full(stop - start, 1.0 / (stop - start))
+        counts[start:stop] = _largest_remainder(path_weights, commodity_agents[i])
+        weights[start:stop] = demands[i] / max(commodity_agents[i], 1)
+    return counts, weights
+
+
 def build_population(
     network: WardropNetwork,
     num_agents: int,
@@ -70,38 +116,11 @@ def build_population(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return the initial ``(assignment, weights)`` arrays of one replica.
 
-    Agents are partitioned over commodities proportionally to the demands
-    and, within a commodity, over paths proportionally to the initial flow
-    (largest-remainder rounding keeps the counts exact); each agent carries
-    ``demand / count`` of its commodity's demand.  ``initial_values`` is the
-    target path-flow vector (uniform split when ``None``).
+    The agents of :func:`population_counts`, one entry each, in
+    commodity-major path order.
     """
-    if initial_values is None:
-        initial_values = FlowVector.uniform(network).values()
-    initial_values = np.asarray(initial_values, dtype=float)
-    assignment = np.empty(num_agents, dtype=np.int64)
-    weights = np.empty(num_agents, dtype=float)
-    counts = _largest_remainder(
-        np.array([c.demand for c in network.commodities]), num_agents
-    )
-    cursor = 0
-    for i, commodity in enumerate(network.commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-        commodity_agents = counts[i]
-        shares = initial_values[indices]
-        total = shares.sum()
-        if total > 0:
-            path_weights = shares / total
-        else:
-            path_weights = np.full(len(indices), 1.0 / len(indices))
-        per_path = _largest_remainder(path_weights, commodity_agents)
-        for local, count in enumerate(per_path):
-            assignment[cursor : cursor + count] = indices[local]
-            cursor += count
-        weights[cursor - commodity_agents : cursor] = commodity.demand / max(
-            commodity_agents, 1
-        )
-    return assignment, weights
+    counts, weights = population_counts(network, num_agents, initial_values)
+    return np.repeat(np.arange(network.num_paths), counts), np.repeat(weights, counts)
 
 
 def planned_phase_counts(horizons, periods) -> np.ndarray:

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch
+from repro.batch.agents import _stale_generator, _transition_blocks
 from repro.core import replicator_policy, scaled_policy, simulate_agents, uniform_policy
-from repro.core.agents import build_population
+from repro.core.agents import build_population, population_counts
+from repro.core.policy import PolicyStack
 from repro.instances import get_instance, lopsided_flow, pigou_network, two_link_network
 from repro.scenarios import LinkIncident, Scenario
 from repro.wardrop import FlowVector, NetworkFamily
@@ -321,7 +324,9 @@ def test_migration_probabilities_above_one_act_like_one(stale):
 def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, stale):
     """A sampling rule returning full ``(R, C, K, K)`` blocks: an agent in slot
     ``j`` always samples slot ``j + 1`` of its commodity (cyclically) and
-    always migrates, so every activation advances its agent by one slot."""
+    always migrates, so every activation advances its agent by one slot.
+    Stale agents then follow the cyclic-shift generator; fresh ones are
+    replayed activation by activation."""
     from repro.core import MigrationRule, ReroutingPolicy, SamplingRule
 
     class NextSlot(SamplingRule):
@@ -335,11 +340,36 @@ def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, 
             return np.ones(np.broadcast(latency_from, latency_to).shape)
 
     populations, seeds, period, horizon = [30, 55], [7, 8], 0.25, 1.0
-    result = simulate_agent_batch(
-        ragged, ReroutingPolicy(NextSlot(), Always()), populations, period, horizon,
-        seeds=seeds, stale=stale,
-    )
+    policy = ReroutingPolicy(NextSlot(), Always())
     blocks = ragged.paths.blocks
+    if stale:
+        # Every agent leaves its slot at rate 1 for the next one: the
+        # generator is the cyclic shift minus the identity on each block.
+        sigma, mu = PolicyStack.of([policy]).tables(
+            blocks, np.zeros((1, ragged.num_paths)), np.zeros((1, ragged.num_paths))
+        )
+        generator = _stale_generator(sigma, mu, blocks)[0]
+        for commodity, size in enumerate(blocks.sizes):
+            shift = np.roll(np.eye(size), 1, axis=1) - np.eye(size)
+            assert np.array_equal(generator[commodity, :size, :size], shift)
+        # One phase's mean end counts over many seeds follow its exponential.
+        replicas = 400
+        result = simulate_agent_batch(
+            ragged, policy, populations[1], period, period, seeds=np.arange(replicas)
+        )
+        start, _ = population_counts(ragged, populations[1])
+        ends = result.final_counts
+        for commodity, size in enumerate(blocks.sizes):
+            paths = blocks.index[commodity, :size]
+            step = expm(period * generator[commodity, :size, :size])
+            mean = start[paths] @ step
+            spread = np.sqrt(np.diag(np.diag(mean) - step.T @ (start[paths][:, None] * step)))
+            error = np.abs(ends[:, paths].mean(axis=0) - mean)
+            assert np.all(error <= 4 * spread / np.sqrt(replicas))
+        return
+    result = simulate_agent_batch(
+        ragged, policy, populations, period, horizon, seeds=seeds, stale=stale,
+    )
     starts = blocks.index[:, 0]
     for row, (population, seed) in enumerate(zip(populations, seeds)):
         expected, _ = build_population(ragged, population)
@@ -354,3 +384,42 @@ def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, 
                 following = (blocks.slot[path] + 1) % blocks.sizes[commodity]
                 expected[agent] = starts[commodity] + following
         assert np.array_equal(result.assignments[row], expected)
+
+
+def test_stale_rows_of_any_size_and_squaring_count_match_one_row_runs(ragged):
+    """Rows whose phases need no squaring (T = 0.05) next to rows that need
+    several (T = 8), with n from 10^2 to 10^9, each equal their one-row runs:
+    flows, stop phases and end counts (so assignments) bit for bit."""
+    policy = replicator_policy(ragged, exploration=0.05)
+    start = FlowVector.random(ragged, np.random.default_rng(4))
+    populations = [100, 10**9, 10**5, 10**9, 10**7, 100]
+    periods = [0.05, 0.05, 8.0, 8.0, 1.0, 8.0]
+    seeds = [1, 2, 3, 4, 5, 6]
+
+    def stop_when(times, flows, rows):
+        return times >= 2.0
+
+    result = simulate_agent_batch(
+        ragged, policy, populations, periods, 24.0, initial_flows=start, seeds=seeds,
+        stop_when=stop_when,
+    )
+    assert list(result.stop_phases) == [39, 39, 0, 0, 1, 0]
+    # Each row's phase exponential does not depend on its batch neighbours.
+    sigma, mu = PolicyStack.of([policy]).tables(
+        ragged.paths.blocks, start.values()[None], ragged.path_latencies(start.values())[None]
+    )
+    generator = _stale_generator(sigma, mu, ragged.paths.blocks)
+    batched = _transition_blocks(np.repeat(generator, len(periods), axis=0), np.array(periods))
+    for row, period in enumerate(periods):
+        assert np.array_equal(batched[row], _transition_blocks(generator, np.array([period]))[0])
+    for row, (population, period, seed) in enumerate(zip(populations, periods, seeds)):
+        single = simulate_agent_batch(
+            ragged, policy, population, period, 24.0, initial_flows=start, seeds=seed,
+            stop_when=stop_when,
+        )
+        assert np.array_equal(single.flow_matrix(0), result.flow_matrix(row))
+        assert np.array_equal(single.trajectory(0).times, result.trajectory(row).times)
+        assert single.stop_phases[0] == result.stop_phases[row]
+        assert np.array_equal(single.final_counts[0], result.final_counts[row])
+        if population <= 10**5:
+            assert np.array_equal(single.assignments[0], result.assignments[row])

@@ -46,15 +46,17 @@ def test_column_generation_engine_names_the_row_phase_and_commodity(ragged, drop
 
 def test_agent_engine_names_the_row_phase_and_commodity(ragged, monkeypatch):
     """An agent moved to another commodity's path changes both totals."""
-    original = BatchAgentSimulator._apply_stale_phase
+    original = BatchAgentSimulator._advance_counts
 
-    def leaky(self, assignment, offsets, rows, *args):
-        original(self, assignment, offsets, rows, *args)
+    def leaky(self, counts, rows, *args):
+        migrations = original(self, counts, rows, *args)
         if 1 in rows:
-            agent = offsets[1]
-            assignment[agent] = 3 if assignment[agent] < 3 else 0
+            source = int(np.flatnonzero(counts[1, :3])[0])
+            counts[1, source] -= 1
+            counts[1, 3] += 1
+        return migrations
 
-    monkeypatch.setattr(BatchAgentSimulator, "_apply_stale_phase", leaky)
+    monkeypatch.setattr(BatchAgentSimulator, "_advance_counts", leaky)
     with pytest.raises(ValueError, match=r"agents-batch: row 1 routes .* on commodity 0 at the end of phase 0"):
         simulate_agent_batch(ragged, uniform_policy(ragged), [50, 60], 0.1, 1.0, seeds=[1, 2])
 

@@ -2,10 +2,12 @@
 
 Each phase of length ``d`` draws, in order, ``K ~ Poisson(n d)``, the ``K``
 activated agents, ``K`` sampling uniforms and ``K`` migration coins (the
-seeding contract of ``repro.core.agents``).  An activated agent on path P
-samples Q from ``sigma_P`` and moves iff its coin is below ``mu_PQ``, both
-taken from ``reference_dynamics``: stale agents read the board posted at the
-phase start, fresh agents price the live flow at their own activation.
+up-to-date-information seeding contract of ``repro.core.agents``).  An
+activated agent on path P samples Q from ``sigma_P`` and moves iff its coin
+is below ``mu_PQ``, both taken from ``reference_dynamics``: stale agents
+read the board posted at the phase start, fresh agents price the live flow
+at their own activation.  The engine draws a stale phase as multinomials
+instead, so only fresh runs match this replay event for event.
 """
 
 import numpy as np

@@ -73,8 +73,16 @@ class TestAgents:
         assert (run["attrs"]["engine"], run["attrs"]["rows"]) == ("agents-batch", 1)
         assert run["attrs"]["agents"] == 200
         flat = tele.metrics.flatten()
-        assert flat["agents_batch.events"] > 0
+        # Stale phases draw no activations: they count the agents that moved.
+        assert flat["agents_batch.migrations"] > 0
         assert flat["agents_batch.phases_integrated"] > 0
+
+    def test_fresh_runs_count_activations(self, workload):
+        network, policy, start = workload
+        with telemetry_session() as tele:
+            simulate_agents(network, policy, num_agents=200, update_period=0.2, horizon=2.0,
+                            initial_flow=start, seed=7, stale=False)
+        assert tele.metrics.flatten()["agents_batch.events"] > 0
 
 
 class TestFluidBatch:
@@ -111,7 +119,7 @@ class TestAgentsBatch:
         assert run["attrs"]["rows"] == 2
         assert run["attrs"]["agents"] == 250
         flat = tele.metrics.flatten()
-        assert flat["agents_batch.events"] > 0
+        assert flat["agents_batch.migrations"] > 0
         assert flat["agents_batch.runs"] == 1
 
 
