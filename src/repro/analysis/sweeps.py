@@ -198,8 +198,10 @@ class SweepResult:
     @classmethod
     def from_jsonl(cls, path) -> "SweepResult":
         """Load rows written by :meth:`to_jsonl` (JSON types preserved)."""
-        with open(path) as handle:
-            return cls(rows=[json.loads(line) for line in handle if line.strip()])
+        # Imported here: the telemetry package imports the analysis package.
+        from ..telemetry.jsonl import read_jsonl
+
+        return cls(rows=read_jsonl(path))
 
 
 def run_sweep(

@@ -42,8 +42,16 @@ outcome equals the event-by-event order by construction.
 Both kernels read the tables on commodity blocks
 (:class:`~repro.wardrop.paths.CommodityBlocks`): an agent in slot ``j`` of
 commodity ``c`` samples slot ``k`` from its sampling block row and moves
-when its coin clears ``mu[r, c, j, k]``.  Every phase must keep each row's
-per-commodity totals (a relative 1e-9).
+when its coin clears ``mu[r, c, j, k]``.
+
+The phases run on the fluid engine's phase loop
+(:meth:`~repro.batch.engine.BatchEnsembleBase._phase_loop`): phase grid,
+scenario freezing, the board post at every phase start (Eq. 3), the
+conservation check (each row's per-commodity totals to a relative 1e-9),
+recording and ``stop_when`` freezing are the fluid engine's own.  This
+engine supplies the population built from the initial flows, the stale
+phase's transition blocks and its advance step, and the result is a
+:class:`~repro.batch.engine.BatchResult` (:class:`BatchAgentResult`).
 """
 
 from __future__ import annotations
@@ -53,21 +61,12 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.agents import (
-    DEFAULT_NUM_AGENTS,
-    build_population,
-    planned_phase_counts,
-    population_counts,
-)
-from ..core.trajectory import PhaseRecord, Trajectory
+from ..core.agents import DEFAULT_NUM_AGENTS, build_population, population_counts
 from ..telemetry.runtime import get_telemetry
-from ..wardrop.family import NetworkFamily
-from ..wardrop.flow import FlowVector
-from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import CommodityBlocks
 from ..wardrop.validation import require_positive, require_positive_integer
 from .board import BatchBulletinBoard
-from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policies
+from .engine import BatchEnsembleBase, BatchResult, BatchStoppingCondition, Networks, Policies
 
 # Up-to-date information: activations decided per row per round against the
 # row's cached live tables (see :meth:`BatchAgentSimulator._apply_fresh_phase`).
@@ -150,38 +149,29 @@ class _CountAssignments(Sequence):
     def __len__(self) -> int:
         return len(self._counts)
 
-    def __getitem__(self, row: int) -> np.ndarray:
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[index] for index in range(len(self))[row]]
         return np.repeat(np.arange(self._counts.shape[1]), self._counts[row])
 
 
-@dataclass
-class BatchAgentResult:
+@dataclass(kw_only=True)
+class BatchAgentResult(BatchResult):
     """The recorded phase-boundary states of a batched agent run.
 
-    ``times[r, k]`` / ``flows[r, k]`` hold row ``r``'s ``k``-th sample
-    (``k = 0`` is the initial realised flow, then one sample per phase);
-    only the first ``num_points[r]`` slots are valid.  ``final_counts[r, p]``
-    is the number of row ``r``'s agents on path ``p`` at the end, and
-    ``agent_paths`` the per-agent assignment of up-to-date-information runs
-    (``None`` for stale runs, which keep only counts).  ``stop_phases[r]``
-    is the phase whose boundary fired row ``r``'s ``stop_when`` condition
-    (−1 if it never fired).
+    A :class:`~repro.batch.engine.BatchResult` whose ``flows`` are the
+    realised flows (``k = 0`` is the initial population, then one sample per
+    phase), plus each row's population size and seed.
+    ``final_counts[r, p]`` is the number of row ``r``'s agents on path ``p``
+    at the end, and ``agent_paths`` the per-agent assignment of
+    up-to-date-information runs (``None`` for stale runs, which keep only
+    counts).
     """
 
-    network: WardropNetwork
-    policy_names: List[str]
     num_agents: np.ndarray
-    update_periods: np.ndarray
-    horizons: np.ndarray
     seeds: np.ndarray
-    stale: bool
-    times: np.ndarray
-    flows: np.ndarray
-    num_points: np.ndarray
     final_counts: np.ndarray
     agent_paths: Optional[List[np.ndarray]] = None
-    family: Optional[NetworkFamily] = None
-    stop_phases: Optional[np.ndarray] = None
 
     @property
     def assignments(self) -> Sequence[np.ndarray]:
@@ -189,86 +179,12 @@ class BatchAgentResult:
 
         Agents of a commodity are exchangeable, so a stale row's assignment
         is materialised from its final counts when indexed, agents in
-        commodity-major path order.
+        commodity-major path order.  A slice gives a list of rows for both
+        kinds of run.
         """
         if self.agent_paths is not None:
             return self.agent_paths
         return _CountAssignments(self.final_counts)
-
-    def stopped_rows(self) -> np.ndarray:
-        """Return the boolean mask of rows frozen by ``stop_when``."""
-        if self.stop_phases is None:
-            return np.zeros(self.batch_size, dtype=bool)
-        return self.stop_phases >= 0
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.num_agents)
-
-    def __len__(self) -> int:
-        return self.batch_size
-
-    def row_network(self, row: int) -> WardropNetwork:
-        """Return the network row ``row`` routed on (its family member)."""
-        if self.family is not None:
-            return self.family.member(row)
-        return self.network
-
-    def num_phases(self, row: int) -> int:
-        """Return the number of completed bulletin-board phases of one row."""
-        return int(self.num_points[row]) - 1
-
-    def final_flows(self) -> np.ndarray:
-        """Return the ``(B, P)`` array of final realised flows."""
-        rows = np.arange(self.batch_size)
-        return self.flows[rows, self.num_points - 1].copy()
-
-    def final_flow(self, row: int) -> FlowVector:
-        """Return one row's final realised flow as a :class:`FlowVector`."""
-        return FlowVector(
-            self.row_network(row),
-            self.flows[row, self.num_points[row] - 1],
-            validate=False,
-        )
-
-    def flow_matrix(self, row: int) -> np.ndarray:
-        """Return one row's ``(samples, P)`` matrix of recorded flows."""
-        return self.flows[row, : self.num_points[row]].copy()
-
-    def trajectory(self, row: int) -> Trajectory:
-        """Materialise one row as a scalar :class:`Trajectory`.
-
-        The result has the same points, phase records and metadata as the
-        one-row run of that row's configuration, so the analysis toolkit
-        applies unchanged.
-        """
-        network = self.row_network(row)
-        count = int(self.num_points[row])
-        trajectory = Trajectory(
-            network=network,
-            policy_name=self.policy_names[row],
-            update_period=float(self.update_periods[row]) if self.stale else 0.0,
-        )
-        vectors = [
-            FlowVector(network, self.flows[row, k], validate=False) for k in range(count)
-        ]
-        for k in range(count):
-            trajectory.record(float(self.times[row, k]), vectors[k], max(k - 1, 0))
-        for p in range(count - 1):
-            trajectory.record_phase(
-                PhaseRecord(
-                    index=p,
-                    start_time=float(self.times[row, p]),
-                    end_time=float(self.times[row, p + 1]),
-                    start_flow=vectors[p],
-                    end_flow=vectors[p + 1],
-                )
-            )
-        return trajectory
-
-    def trajectories(self) -> List[Trajectory]:
-        """Materialise every row (convenience for small batches)."""
-        return [self.trajectory(row) for row in range(self.batch_size)]
 
 
 def _sampling_cdf(sigma: np.ndarray, blocks: CommodityBlocks, rows: int):
@@ -376,19 +292,16 @@ class BatchAgentSimulator(BatchEnsembleBase):
     """
 
     engine_name = "agents-batch"
+    counter_prefix = "agents_batch"
+    config: BatchAgentConfig
 
-    def __init__(
-        self,
-        network: Networks,
-        policies: Policies,
-        config: BatchAgentConfig,
-        scenarios=None,
-    ):
-        super().__init__(network, policies, config.batch_size)
-        self.config = config
-        self._scenarios = self._normalise_scenarios(scenarios, config.batch_size)
-
-    # Main loop --------------------------------------------------------------
+    def _frozen_phase(self, board: BatchBulletinBoard, rows: np.ndarray, durations: np.ndarray):
+        """Return the ``(R, C, K, K)`` blocks of ``expm(d_r * Lambda_r)`` of one stale phase."""
+        blocks = self.network.paths.blocks
+        sigma, mu = self._stack.select(rows).tables(
+            blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
+        )
+        return _transition_blocks(_stale_generator(sigma, mu, blocks), durations)
 
     def run(
         self,
@@ -404,21 +317,22 @@ class BatchAgentSimulator(BatchEnsembleBase):
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
         mask, evaluated at every phase boundary on the realised flows --
-        mirroring the fluid engine's freezing semantics: a row whose
-        condition fires records the triggering phase and then drops out of
-        the active sub-batch, issuing no further generator draws.
+        the fluid engine's freezing semantics: a row whose condition fires
+        records the triggering phase and then drops out of the active
+        sub-batch, issuing no further generator draws.
         """
         config = self.config
         network = self.network
         batch = config.batch_size
         num_paths = network.num_paths
-        periods = config.update_periods
-        horizons = config.horizons
         populations = config.num_agents
         blocks = network.paths.blocks
 
         initial_values = self._initial_flows(initial_flows)
         rngs = [np.random.default_rng(int(seed)) for seed in config.seeds]
+        tele = get_telemetry()
+        events_counter = tele.counter("agents_batch.events")
+        migrations_counter = tele.counter("agents_batch.migrations")
         if config.stale:
             # Under a frozen board the agents of a commodity are exchangeable,
             # so a row's state is its per-path agent counts.
@@ -428,9 +342,13 @@ class BatchAgentSimulator(BatchEnsembleBase):
                 counts[row], weights[row] = population_counts(
                     network, int(populations[row]), initial_values[row]
                 )
+            flows = counts * weights
 
-            def realised_flows(rows: np.ndarray) -> np.ndarray:
-                """The ``(R, P)`` realised flows of ``rows``."""
+            def advance(phase, rows, starts, durations, transitions, flows, recording):
+                """One multinomial per row over its phase's transition blocks."""
+                migrations_counter.add(
+                    self._advance_counts(counts, rows, rngs, transitions, blocks)
+                )
                 return counts[rows] * weights[rows]
 
         else:
@@ -466,144 +384,53 @@ class BatchAgentSimulator(BatchEnsembleBase):
                 )
                 return flows.reshape(batch, num_paths)[rows]
 
-        tele = get_telemetry()
-        events_counter = tele.counter("agents_batch.events")
-        migrations_counter = tele.counter("agents_batch.migrations")
-        phases_counter = tele.counter("agents_batch.phases_integrated")
-        frozen_counter = tele.counter("agents_batch.rows_frozen_by_stop_when")
-        refresh_counter = tele.counter("agents_batch.bulletin_refreshes")
+            flows = realised_flows(np.arange(batch))
 
-        planned_phases = planned_phase_counts(horizons, periods)
-        max_phases = int(planned_phases.max())
-        times = np.zeros((batch, max_phases + 1))
-        recorded = np.zeros((batch, max_phases + 1, num_paths))
-        flows = realised_flows(np.arange(batch))
-        recorded[:, 0] = flows
+            def advance(phase, rows, starts, durations, frozen, flows, recording):
+                """Event-exact activations against live tables; moves ``flows`` in place."""
+                events_counter.add(
+                    self._apply_fresh_phase(
+                        assignment,
+                        agent_weights,
+                        flows,
+                        offsets,
+                        rows,
+                        rngs,
+                        populations[rows] * durations,
+                        blocks,
+                    )
+                )
+                return realised_flows(rows)
+
         # Each row's agents represent each commodity's demand (a commodity
         # apportioned no agent represents none); migrations must keep it.
         represented = blocks.gather(flows).sum(axis=-1)
-        num_points = np.ones(batch, dtype=int)
-        stop_phases = np.full(batch, -1, dtype=int)
-
-        ensemble = None
-        if self._scenarios is not None:
-            from ..scenarios.scenario import ScenarioEnsemble
-
-            ensemble = ScenarioEnsemble(self.family or network, self._scenarios)
-
-        board: Optional[BatchBulletinBoard] = None
-        flows_live = np.empty(0)
-        if config.stale:
-            board = BatchBulletinBoard(self.family or network, periods)
-        else:
-            # Only the fresh-information kernel reads the live flows.
-            flows_live = flows.copy()
-
-        run_span = tele.span(
-            "engine_run",
-            engine=self.engine_name,
-            instance=network.graph.graph.get("name") or "-",
+        fields = self._phase_loop(
+            flows,
+            stop_when,
+            advance,
+            represented,
             stale=config.stale,
             rows=batch,
             agents=int(populations.sum()),
             paths=num_paths,
         )
-        try:
-            for phase in range(max_phases):
-                starts = phase * periods
-                active = (phase < planned_phases) & (stop_phases < 0)
-                if not active.any():
-                    break
-                rows = np.flatnonzero(active)
-                ends = np.minimum((phase + 1) * periods, horizons)
-                durations = ends - starts
-
-                if ensemble is not None:
-                    # Every row's environment frozen at its own phase start
-                    # feeds both the board post and live pricing.
-                    self._phase_family = ensemble.family_at(starts)
-                    if board is not None:
-                        board.set_networks(self._phase_family)
-
-                if config.stale:
-                    board.post_rows(starts, flows, mask=active)
-                    tele.event("bulletin_refresh", rows=len(rows))
-                    refresh_counter.add(len(rows))
-
-                with tele.span("phase", index=phase, active_rows=len(rows)):
-                    if config.stale:
-                        with tele.span("field_eval", active_rows=len(rows)):
-                            sigma, mu = self._stack.select(rows).tables(
-                                blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
-                            )
-                            transitions = _transition_blocks(
-                                _stale_generator(sigma, mu, blocks), durations[rows]
-                            )
-                        migrations_counter.add(
-                            self._advance_counts(counts, rows, rngs, transitions, blocks)
-                        )
-                    else:
-                        events_counter.add(
-                            self._apply_fresh_phase(
-                                assignment,
-                                agent_weights,
-                                flows_live,
-                                offsets,
-                                rows,
-                                rngs,
-                                populations[rows] * durations[rows],
-                                blocks,
-                            )
-                        )
-
-                    partial = realised_flows(rows)
-                    self._check_conservation(partial, rows, phase, represented[rows])
-                    flows[rows] = partial
-                    if not config.stale:
-                        flows_live[rows] = partial
-                    times[rows, phase + 1] = ends[rows]
-                    recorded[rows, phase + 1] = partial
-                    num_points[rows] += 1
-                    phases_counter.add(len(rows))
-
-                    if stop_when is not None:
-                        hit = np.asarray(stop_when(ends[rows], partial, rows), dtype=bool)
-                        if hit.shape != rows.shape:
-                            raise ValueError(
-                                f"stop_when returned shape {hit.shape}, expected {rows.shape}"
-                            )
-                        stop_phases[rows[hit]] = phase
-                        if hit.any():
-                            tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
-                            frozen_counter.add(int(hit.sum()))
-        finally:
-            self._phase_family = None
-            run_span.annotate(phases_integrated=int((num_points - 1).sum()))
-            run_span.close()
-        tele.counter("agents_batch.runs").add()
-        labels = [
-            f"{policy.label()} (n={int(populations[row])})"
-            for row, policy in enumerate(self._policies)
-        ]
-        agents = None
+        agent_paths = None
         if not config.stale:
-            agents = [assignment[offsets[row] : offsets[row + 1]].copy() for row in range(batch)]
-            counts = np.stack([np.bincount(row, minlength=num_paths) for row in agents])
+            agent_paths = [
+                assignment[offsets[row] : offsets[row + 1]].copy() for row in range(batch)
+            ]
+            counts = np.stack([np.bincount(row, minlength=num_paths) for row in agent_paths])
         return BatchAgentResult(
-            network=network,
-            policy_names=labels,
+            policy_names=[
+                f"{policy.label()} (n={int(populations[row])})"
+                for row, policy in enumerate(self._policies)
+            ],
             num_agents=populations.copy(),
-            update_periods=periods.copy(),
-            horizons=horizons.copy(),
             seeds=config.seeds.copy(),
-            stale=config.stale,
-            times=times,
-            flows=recorded,
-            num_points=num_points,
             final_counts=counts,
-            agent_paths=agents,
-            family=self.family,
-            stop_phases=stop_phases,
+            agent_paths=agent_paths,
+            **fields,
         )
 
     # Phase kernels ----------------------------------------------------------

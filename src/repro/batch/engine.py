@@ -36,15 +36,19 @@ is exhausted — or whose ``stop_when`` condition has fired — are *frozen*:
 each phase integrates only the still-active sub-batch, so converged rows
 skip all sampling, migration and latency work for the rest of the sweep.
 
-One phase of the active rows runs in a fixed order: freeze each row's
-environment at its phase start, run the phase-start step
-(:meth:`BatchSimulator._phase_start`, a no-op here; column generation
-grows its path set in it), post every active row's board (Eq. 3), assemble
-the field, integrate, project, check finiteness and conservation (every
-commodity's demand to a relative 1e-9, naming engine, row, phase and
-commodity on failure), record, and evaluate ``stop_when``.  This is the
-only phase loop of the fluid dynamics: column generation
-(:mod:`repro.largescale.batch_columns`) runs on it too.
+:meth:`BatchEnsembleBase._phase_loop` is the only phase loop of the
+package, shared by every engine.  One phase of the active rows runs in a
+fixed order: freeze each row's environment at its phase start, run the
+phase-start step (:meth:`BatchEnsembleBase._phase_start`, a no-op here;
+column generation grows its path set in it), post every active row's board
+(Eq. 3), advance, check conservation (every commodity's demand to a
+relative 1e-9, naming engine, row, phase and commodity on failure), record,
+and evaluate ``stop_when``.  The fluid engine's advance step assembles the
+field, integrates, records the ``record_every`` samples, projects and
+checks finiteness; column generation
+(:mod:`repro.largescale.batch_columns`) is this engine plus its
+phase-start step, and the finite-population engine
+(:mod:`repro.batch.agents`) supplies its own advance step.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 
 from ..core.dynamics import batch_stepper_for
 from ..core.policy import PolicyStack, ReroutingPolicy, frozen_field
-from ..core.trajectory import PhaseRecord, Trajectory
+from ..core.trajectory import PhaseRecord, Trajectory, planned_phase_counts
 from ..scenarios.scenario import ScenarioEnsemble
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
@@ -147,11 +151,6 @@ class BatchConfig:
     @property
     def batch_size(self) -> int:
         return len(self.update_periods)
-
-    @property
-    def planned_phases(self) -> np.ndarray:
-        """Per-row phase counts ``ceil(horizon / T)``."""
-        return np.ceil(self.horizons / self.update_periods).astype(int)
 
 
 @dataclass
@@ -286,21 +285,82 @@ class BatchResult:
         return [self.trajectory(row) for row in range(self.batch_size)]
 
 
+class _Recording:
+    """The samples of a run: row ``r``'s first ``num_points[r]`` slots are valid.
+
+    Slot 0 holds the initial state; :meth:`sample` appends one sample to
+    each given row.  ``phase_counts`` counts each row's completed phases.
+    """
+
+    def __init__(self, flows: np.ndarray, capacity: int):
+        batch, paths = flows.shape
+        self.times = np.zeros((batch, capacity))
+        self.flows = np.zeros((batch, capacity, paths))
+        self.flows[:, 0] = flows
+        self.num_points = np.ones(batch, dtype=int)
+        self.sample_phases = np.zeros((batch, capacity), dtype=int)
+        self.boundary_mask = np.zeros((batch, capacity), dtype=bool)
+        self.boundary_mask[:, 0] = True
+        self.phase_counts = np.zeros(batch, dtype=int)
+
+    def sample(
+        self,
+        rows: np.ndarray,
+        times: np.ndarray,
+        flows: np.ndarray,
+        phase: int,
+        boundary: bool = False,
+    ) -> None:
+        cursors = self.num_points[rows]
+        self.times[rows, cursors] = times
+        self.flows[rows, cursors] = flows
+        self.sample_phases[rows, cursors] = phase
+        self.boundary_mask[rows, cursors] = boundary
+        self.num_points[rows] += 1
+
+
+# An engine's phase step: ``advance(phase, rows, starts, durations, frozen,
+# flows, recording)`` moves the active ``rows`` through ``phase`` (their
+# phase starts and durations are ``(R,)``; ``frozen`` is what
+# :meth:`BatchEnsembleBase._frozen_phase` built from the posted board, or
+# ``None`` under up-to-date information; ``flows`` is the live ``(B, P)``
+# state; dense runs append intermediate samples to the :class:`_Recording`)
+# and returns their ``(R, P)`` phase-end flows.
+PhaseStep = Callable[..., np.ndarray]
+
+
 class BatchEnsembleBase:
-    """Shared network/policy/initial-state plumbing of the batched engines.
+    """The phase loop every batched engine runs, and its shared plumbing.
 
     Normalises the ``network`` argument (shared network vs
     :class:`~repro.wardrop.family.NetworkFamily` of the batch size), the
     ``policies`` argument (one policy for every row, or one per row; either
-    way stacked once into a :class:`~repro.core.policy.PolicyStack`) and the
-    ``initial_flows`` argument, and provides family-aware live latency
-    evaluation and the per-phase conservation check.  Both the fluid
-    :class:`BatchSimulator` and the finite-population
-    :class:`~repro.batch.agents.BatchAgentSimulator` build on it, so
-    validation fixes apply to both engines at once.
+    way stacked once into a :class:`~repro.core.policy.PolicyStack`), the
+    ``scenarios`` argument and the ``initial_flows`` argument, and provides
+    family-aware live latency evaluation and the per-phase conservation
+    check.
+
+    :meth:`_phase_loop` is the one phase loop of the fluid
+    :class:`BatchSimulator`, of column generation (a ``BatchSimulator``) and
+    of the finite-population
+    :class:`~repro.batch.agents.BatchAgentSimulator`: it owns the phase
+    grid, the active mask, scenario freezing, the phase-start step, the
+    board post (Eq. 3), the conservation check, recording, ``stop_when``
+    freezing and the run's telemetry.  An engine supplies what differs --
+    what a phase reads from the posted board (:meth:`_frozen_phase`) and how
+    its population moves through a phase (a :data:`PhaseStep`) -- so a fix
+    to the loop applies to every engine at once.  ``config`` is the
+    engine's configuration; the loop reads its ``update_periods``,
+    ``horizons`` and ``stale``.
     """
 
-    def __init__(self, network: Networks, policies: Policies, batch_size: int):
+    # Each engine names itself (``engine_name``, in errors and the run span)
+    # and its telemetry counters (``<counter_prefix>.<name>``).
+    engine_name: str
+    counter_prefix: str
+
+    def __init__(self, network: Networks, policies: Policies, config, scenarios=None):
+        batch_size = config.batch_size
         if isinstance(network, NetworkFamily):
             if network.size != batch_size:
                 raise ValueError(
@@ -312,11 +372,13 @@ class BatchEnsembleBase:
             self.family = None
             self.network = network
         self._batch_size = batch_size
+        self.config = config
         # Scenario runs point this at the current phase's effective family;
         # live (fresh-information) latency evaluation then prices flows in
         # each row's current environment.
         self._phase_family: Optional[NetworkFamily] = None
         self._set_policies(policies)
+        self._scenarios = self._normalise_scenarios(scenarios, batch_size)
 
     def _set_policies(self, policies: Policies) -> None:
         batch_size = self._batch_size
@@ -415,6 +477,165 @@ class BatchEnsembleBase:
                 f"end of phase {phase}, demand is {float(demands[row, commodity])!r}"
             )
 
+    # The phase loop ------------------------------------------------------------
+
+    def _phase_start(
+        self, phase: int, starts: np.ndarray, rows: np.ndarray, flows: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The step run at every phase start, before the board posts.
+
+        Receives the phase index, every row's phase-start time, the active
+        rows and the live ``(B, P)`` state, and returns the state to post and
+        advance from together with ``None``, or -- when the path set grew
+        -- the old-to-new column permutation, with :attr:`network` and the
+        policies already moved to the grown network.  The fluid and agent
+        dynamics have nothing to do here; column generation grows and
+        repairs its restricted path set (:mod:`repro.largescale.batch_columns`).
+        """
+        return flows, None
+
+    def _frozen_phase(self, board: BatchBulletinBoard, rows: np.ndarray, durations: np.ndarray):
+        """Build what a stale phase of ``rows`` reads from the board they just posted."""
+        raise NotImplementedError
+
+    def _phase_loop(
+        self,
+        flows: np.ndarray,
+        stop_when: Optional[BatchStoppingCondition],
+        advance: PhaseStep,
+        demands: np.ndarray,
+        samples_per_phase: Optional[int] = None,
+        **attributes,
+    ) -> dict:
+        """Run every row through its phases and return the recorded result fields.
+
+        ``flows`` is the initial ``(B, P)`` state, ``advance`` the engine's
+        :data:`PhaseStep` and ``demands`` the ``(B, C)`` per-commodity mass
+        each row must keep at every phase end.  ``samples_per_phase`` sizes
+        dense recording (``advance`` appends the intermediate samples);
+        ``None`` records phase boundaries only.  ``attributes`` annotate the
+        ``engine_run`` span.
+
+        Row ``r`` runs phases ``0 .. planned_phase_counts(h_r, T_r) - 1``;
+        phase ``k`` starts at ``k * T_r`` and ends at ``min((k + 1) T_r,
+        h_r)``.  Rows advance through their own phase ``k`` together even
+        when their periods differ.  A row whose horizon is exhausted or
+        whose ``stop_when`` fired is frozen: it drops out of the active
+        sub-batch and skips all further work.  One phase of the active rows
+        freezes each row's environment at its phase start, runs
+        :meth:`_phase_start`, posts every active row's board (Eq. 3; stale
+        runs) and builds :meth:`_frozen_phase` from it, advances, checks
+        conservation, records the phase end and evaluates ``stop_when``.
+        """
+        config = self.config
+        periods = config.update_periods
+        horizons = config.horizons
+        batch = self._batch_size
+        tele = get_telemetry()
+        run_span = tele.span(
+            "engine_run",
+            engine=self.engine_name,
+            instance=self.network.graph.graph.get("name") or "-",
+            **attributes,
+        )
+        prefix = self.counter_prefix
+        phases_counter = tele.counter(f"{prefix}.phases_integrated")
+        frozen_counter = tele.counter(f"{prefix}.rows_frozen_by_stop_when")
+        refresh_counter = tele.counter(f"{prefix}.bulletin_refreshes")
+
+        planned_phases = planned_phase_counts(horizons, periods)
+        max_phases = int(planned_phases.max())
+        recording = _Recording(flows, max_phases * (samples_per_phase or 1) + 1)
+        stop_phases = np.full(batch, -1, dtype=int)
+
+        ensemble = None
+        if self._scenarios is not None:
+            ensemble = ScenarioEnsemble(self.family or self.network, self._scenarios)
+
+        board: Optional[BatchBulletinBoard] = None
+        if config.stale:
+            board = BatchBulletinBoard(self.family or self.network, periods)
+
+        try:
+            for phase in range(max_phases):
+                active = (phase < planned_phases) & (stop_phases < 0)
+                if not active.any():
+                    break
+                rows = np.flatnonzero(active)
+                starts = phase * periods
+                ends = np.minimum((phase + 1) * periods, horizons)
+                durations = ends[rows] - starts[rows]
+
+                if ensemble is not None:
+                    # Freeze every row's environment at its own phase start; the
+                    # stacked family feeds both board posts and live evaluation.
+                    self._phase_family = ensemble.family_at(starts)
+
+                with tele.span("phase", index=phase, active_rows=len(rows)):
+                    flows, perm = self._phase_start(phase, starts, rows, flows)
+                    if perm is not None:
+                        # The path set grew: re-express the recorded samples on
+                        # the grown network and rebuild what is sized by it.
+                        network = self.network
+                        recording.flows = _grow_buffer(recording.flows, perm, network.num_paths)
+                        if ensemble is not None:
+                            ensemble = ScenarioEnsemble(network, self._scenarios)
+                            self._phase_family = ensemble.family_at(starts)
+                        if board is not None:
+                            board = BatchBulletinBoard(network, periods)
+                    frozen = None
+                    if config.stale:
+                        # Eq. (3): every active row posts at the start of each of
+                        # its phases.
+                        if ensemble is not None:
+                            board.set_networks(self._phase_family)
+                        board.post_rows(starts, flows, mask=active)
+                        tele.event("bulletin_refresh", rows=len(rows))
+                        refresh_counter.add(len(rows))
+                        with tele.span("field_eval", active_rows=len(rows)):
+                            frozen = self._frozen_phase(board, rows, durations)
+
+                    ended = advance(phase, rows, starts[rows], durations, frozen, flows, recording)
+                    self._check_conservation(ended, rows, phase, demands[rows])
+                    flows[rows] = ended
+                    recording.sample(rows, ends[rows], ended, phase, boundary=True)
+                    recording.phase_counts[rows] += 1
+                    phases_counter.add(len(rows))
+
+                    if stop_when is not None:
+                        hit = np.asarray(stop_when(ends[rows], ended, rows), dtype=bool)
+                        if hit.shape != rows.shape:
+                            raise ValueError(
+                                f"stop_when returned shape {hit.shape}, expected {rows.shape}"
+                            )
+                        stop_phases[rows[hit]] = phase
+                        if hit.any():
+                            tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
+                            frozen_counter.add(int(hit.sum()))
+        finally:
+            self._phase_family = None
+            run_span.annotate(
+                phases_integrated=int(recording.phase_counts.sum()),
+                paths=self.network.num_paths,
+            )
+            run_span.close()
+        tele.counter(f"{prefix}.runs").add()
+        dense = samples_per_phase is not None
+        return dict(
+            network=self.network,
+            update_periods=periods.copy(),
+            horizons=horizons.copy(),
+            stale=config.stale,
+            times=recording.times,
+            flows=recording.flows,
+            num_points=recording.num_points,
+            stop_phases=stop_phases,
+            family=self.family,
+            sample_phases=recording.sample_phases if dense else None,
+            boundary_mask=recording.boundary_mask if dense else None,
+            phase_counts=recording.phase_counts if dense else None,
+        )
+
 
 class BatchSimulator(BatchEnsembleBase):
     """Simulates ``B`` independent replicas of the rerouting dynamics at once.
@@ -447,35 +668,11 @@ class BatchSimulator(BatchEnsembleBase):
     """
 
     engine_name = "fluid-batch"
+    counter_prefix = "batch"
+    config: BatchConfig
 
-    def __init__(
-        self,
-        network: Networks,
-        policies: Policies,
-        config: BatchConfig,
-        scenarios=None,
-    ):
-        super().__init__(network, policies, config.batch_size)
-        self.config = config
-        self._scenarios = self._normalise_scenarios(scenarios, config.batch_size)
-
-    def _phase_start(
-        self, phase: int, starts: np.ndarray, rows: np.ndarray, flows: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The step run at every phase start, before the board posts.
-
-        Receives the phase index, every row's phase-start time, the active
-        rows and the live ``(B, P)`` state, and returns the state to post and
-        integrate from together with ``None``, or -- when the path set grew
-        -- the old-to-new column permutation, with :attr:`network` and the
-        policies already moved to the grown network.  The fluid dynamics
-        have nothing to do here; column generation grows and repairs its
-        restricted path set (:mod:`repro.largescale.batch_columns`).
-        """
-        return flows, None
-
-    def _stale_rates(self, board: BatchBulletinBoard, rows: np.ndarray):
-        """Return a field closure for one stale phase of the active rows.
+    def _frozen_phase(self, board: BatchBulletinBoard, rows: np.ndarray, durations: np.ndarray):
+        """Return the field closure of one stale phase of the active rows.
 
         Within a phase the sampling and migration blocks depend only on the
         posted snapshot, so they are assembled once per phase (for the active
@@ -503,8 +700,6 @@ class BatchSimulator(BatchEnsembleBase):
 
         return field
 
-    # Main loop --------------------------------------------------------------
-
     def run(
         self,
         initial_flows=None,
@@ -525,196 +720,83 @@ class BatchSimulator(BatchEnsembleBase):
         ``stop_phases``.
         """
         config = self.config
-        network = self.network
-        batch = config.batch_size
-        periods = config.update_periods
-        horizons = config.horizons
         flows = self._initial_flows(initial_flows)
         stepper = batch_stepper_for(config.method)
         record_every = config.record_every
+        max_steps = config.update_periods / config.steps_per_phase
         tele = get_telemetry()
-        run_span = tele.span(
-            "engine_run",
-            engine=self.engine_name,
-            instance=network.graph.graph.get("name") or "-",
-            method=config.method,
-            stale=config.stale,
-            rows=batch,
-            paths=network.num_paths,
-            state_bytes=flows.nbytes,
-        )
-        phases_counter = tele.counter("batch.phases_integrated")
-        frozen_counter = tele.counter("batch.rows_frozen_by_stop_when")
-        refresh_counter = tele.counter("batch.bulletin_refreshes")
 
-        planned_phases = config.planned_phases
-        max_phases = int(planned_phases.max())
+        def advance(phase, rows, row_starts, durations, field, flows, recording):
+            """Integrate one phase of the active rows; return the projected end state."""
+            network = self.network
+            if field is None:
+                field = self._fresh_rates(rows)
+            # Equal sub-steps no longer than T / steps_per_phase, the last one
+            # landing on the phase end.  Step sizes and stage clocks are
+            # formed once per phase: scalars when every active row shares
+            # one clock (array broadcasts in every stage cost small one-row
+            # runs about a quarter of their time), else per-row columns in
+            # which a row that has taken all its sub-steps idles with step 0
+            # while longer rows finish.
+            num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
+            step_sizes = durations / num_steps
+            count = int(num_steps.max())
+            if (
+                (num_steps == count).all()
+                and (step_sizes == step_sizes[0]).all()
+                and (row_starts == row_starts[0]).all()
+            ):
+                steps = [step_sizes[0]] * count
+                ticks = [row_starts[0] + k * step_sizes[0] for k in range(count)]
+            else:
+                substeps = np.arange(count)[:, None]
+                steps = np.where(substeps < num_steps, step_sizes, 0.0)[:, :, None]
+                ticks = (row_starts + substeps * step_sizes)[:, :, None]
+            state = flows[rows]
+            with tele.span("integrate", steps=count, state_bytes=state.nbytes):
+                for k in range(count):
+                    state = stepper(field, ticks[k], state, steps[k])
+                    if record_every is not None and (k + 1) % record_every == 0:
+                        # Strided intermediate samples: the *projected* state is
+                        # recorded while integration continues from the raw one.
+                        selected = np.flatnonzero(k + 1 < num_steps)
+                        if len(selected):
+                            recording.sample(
+                                rows[selected],
+                                row_starts[selected] + (k + 1) * step_sizes[selected],
+                                FlowVector.project_batch(network, state[selected]),
+                                phase,
+                            )
 
-        if record_every is None:
-            capacity = max_phases + 1
-        else:
+            projected = FlowVector.project_batch(network, state)
+            finite = np.isfinite(projected).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"row {int(rows[np.argmin(finite)])} has non-finite flows "
+                    f"at the end of phase {phase}"
+                )
+            return projected
+
+        samples_per_phase = None
+        if record_every is not None:
             # ceil(duration / max_step) can land on steps_per_phase + 1 when
             # the phase-boundary subtraction rounds up by an ulp, so size for
             # s + 1 sub-steps: floor(s / stride) intermediates + 1 boundary.
-            per_phase = int(np.max(config.steps_per_phase)) // record_every + 1
-            capacity = max_phases * per_phase + 1
-        times = np.zeros((batch, capacity))
-        recorded = np.zeros((batch, capacity, network.num_paths))
-        recorded[:, 0] = flows
-        num_points = np.ones(batch, dtype=int)
-        sample_phases = np.zeros((batch, capacity), dtype=int)
-        boundary_mask = np.zeros((batch, capacity), dtype=bool)
-        boundary_mask[:, 0] = True
-        phase_counts = np.zeros(batch, dtype=int)
-        stop_phases = np.full(batch, -1, dtype=int)
-
-        ensemble = None
-        if self._scenarios is not None:
-            ensemble = ScenarioEnsemble(self.family or network, self._scenarios)
-
-        board: Optional[BatchBulletinBoard] = None
-        if config.stale:
-            board = BatchBulletinBoard(self.family or network, periods)
-
-        max_steps = periods / config.steps_per_phase
-        try:
-            for phase in range(max_phases):
-                starts = phase * periods
-                # A row's run ends as soon as one of its phase boundaries reaches
-                # its horizon (or stop_when fires), so a row is active only while
-                # its phase starts early and it has not been frozen.
-                active = (phase < planned_phases) & (starts < horizons) & (stop_phases < 0)
-                if not active.any():
-                    break
-                rows = np.flatnonzero(active)
-                ends = np.minimum((phase + 1) * periods, horizons)
-                durations = ends[rows] - starts[rows]
-
-                if ensemble is not None:
-                    # Freeze every row's environment at its own phase start; the
-                    # stacked family feeds both board posts and live evaluation.
-                    self._phase_family = ensemble.family_at(starts)
-
-                with tele.span("phase", index=phase, active_rows=len(rows)):
-                    flows, perm = self._phase_start(phase, starts, rows, flows)
-                    if perm is not None:
-                        # The path set grew: re-express the recorded samples on
-                        # the grown network and rebuild what is sized by it.
-                        network = self.network
-                        recorded = _grow_buffer(recorded, perm, network.num_paths)
-                        if ensemble is not None:
-                            ensemble = ScenarioEnsemble(network, self._scenarios)
-                            self._phase_family = ensemble.family_at(starts)
-                        if board is not None:
-                            board = BatchBulletinBoard(network, periods)
-                    if config.stale:
-                        # Eq. (3): every active row posts at the start of each of
-                        # its phases.
-                        if ensemble is not None:
-                            board.set_networks(self._phase_family)
-                        board.post_rows(starts, flows, mask=active)
-                        tele.event("bulletin_refresh", rows=len(rows))
-                        refresh_counter.add(len(rows))
-                        with tele.span("field_eval", active_rows=len(rows)):
-                            field = self._stale_rates(board, rows)
-                    else:
-                        field = self._fresh_rates(rows)
-
-                    # Equal sub-steps no longer than T / steps_per_phase, the last one
-                    # landing on the phase end.  Step sizes and stage clocks are
-                    # formed once per phase: scalars when every active row shares
-                    # one clock (array broadcasts in every stage cost small one-row
-                    # runs about a quarter of their time), else per-row columns in
-                    # which a row that has taken all its sub-steps idles with step 0
-                    # while longer rows finish.
-                    num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
-                    step_sizes = durations / num_steps
-                    row_starts = starts[rows]
-                    count = int(num_steps.max())
-                    if (
-                        (num_steps == count).all()
-                        and (step_sizes == step_sizes[0]).all()
-                        and (row_starts == row_starts[0]).all()
-                    ):
-                        steps = [step_sizes[0]] * count
-                        ticks = [row_starts[0] + k * step_sizes[0] for k in range(count)]
-                    else:
-                        substeps = np.arange(count)[:, None]
-                        steps = np.where(substeps < num_steps, step_sizes, 0.0)[:, :, None]
-                        ticks = (row_starts + substeps * step_sizes)[:, :, None]
-                    state = flows[rows]
-                    with tele.span("integrate", steps=count, state_bytes=state.nbytes):
-                        for k in range(count):
-                            state = stepper(field, ticks[k], state, steps[k])
-                            if record_every is not None and (k + 1) % record_every == 0:
-                                # Strided intermediate samples: the *projected* state is
-                                # recorded while integration continues from the raw one.
-                                selected = np.flatnonzero(k + 1 < num_steps)
-                                if len(selected):
-                                    mid_rows = rows[selected]
-                                    cursors = num_points[mid_rows]
-                                    times[mid_rows, cursors] = (
-                                        row_starts[selected] + (k + 1) * step_sizes[selected]
-                                    )
-                                    recorded[mid_rows, cursors] = FlowVector.project_batch(
-                                        network, state[selected]
-                                    )
-                                    sample_phases[mid_rows, cursors] = phase
-                                    num_points[mid_rows] += 1
-
-                    projected = FlowVector.project_batch(network, state)
-                    finite = np.isfinite(projected).all(axis=1)
-                    if not finite.all():
-                        raise ValueError(
-                            f"row {int(rows[np.argmin(finite)])} has non-finite flows "
-                            f"at the end of phase {phase}"
-                        )
-                    self._check_conservation(projected, rows, phase, network.commodity_demands)
-                    flows[rows] = projected
-                    cursors = num_points[rows]
-                    times[rows, cursors] = ends[rows]
-                    recorded[rows, cursors] = projected
-                    sample_phases[rows, cursors] = phase
-                    boundary_mask[rows, cursors] = True
-                    num_points[rows] += 1
-                    phase_counts[rows] += 1
-                    phases_counter.add(len(rows))
-
-                    if stop_when is not None:
-                        hit = np.asarray(stop_when(ends[rows], projected, rows), dtype=bool)
-                        if hit.shape != rows.shape:
-                            raise ValueError(
-                                f"stop_when returned shape {hit.shape}, expected {rows.shape}"
-                            )
-                        stop_phases[rows[hit]] = phase
-                        if hit.any():
-                            tele.event("stop_when_fired", phase=phase, rows=int(hit.sum()))
-                            frozen_counter.add(int(hit.sum()))
-        finally:
-            self._phase_family = None
-            run_span.annotate(
-                phases_integrated=int(phase_counts.sum()), paths=network.num_paths
-            )
-            run_span.close()
-        tele.counter("batch.runs").add()
-        labels = [policy.label() for policy in self._policies]
-        dense = record_every is not None
-        return BatchResult(
-            network=network,
-            policy_names=labels,
-            update_periods=periods.copy(),
-            horizons=horizons.copy(),
+            samples_per_phase = int(np.max(config.steps_per_phase)) // record_every + 1
+        network = self.network
+        fields = self._phase_loop(
+            flows,
+            stop_when,
+            advance,
+            np.broadcast_to(network.commodity_demands, (len(flows), network.num_commodities)),
+            samples_per_phase,
+            method=config.method,
             stale=config.stale,
-            times=times,
-            flows=recorded,
-            num_points=num_points,
-            stop_phases=stop_phases,
-            family=self.family,
-            sample_phases=sample_phases if dense else None,
-            boundary_mask=boundary_mask if dense else None,
-            phase_counts=phase_counts if dense else None,
+            rows=config.batch_size,
+            paths=network.num_paths,
+            state_bytes=flows.nbytes,
         )
-
+        return BatchResult(policy_names=[policy.label() for policy in self._policies], **fields)
 
 def simulate_batch(
     network: Networks,

@@ -749,8 +749,7 @@ def _cmd_report(path: str, bench: bool, network: bool = False) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         except ValueError as error:
-            print(f"error: {path} is not a valid JSONL records file ({error})",
-                  file=sys.stderr)
+            print(f"error: {error}", file=sys.stderr)
             return 2
         if not records:
             print(f"error: no repro-bench/1 records in {path}", file=sys.stderr)

@@ -16,9 +16,12 @@ discretisation.  It serves two purposes in the reproduction:
   (real routers/agents are finite), not just the analysis tool.
 
 There is one agent engine: a single run is the one-row case of
-:class:`~repro.batch.agents.BatchAgentSimulator`.  This module holds the
-model's building blocks that engine uses -- the initial population and
-the phase grid.
+:class:`~repro.batch.agents.BatchAgentSimulator`, whose phases run on the
+same phase loop as the fluid engine (board posted at every phase start,
+Eq. 3).  This module holds the model's building block that engine uses --
+the initial population -- and the seeding contract its phases follow; the
+phase grid is :func:`~repro.core.trajectory.planned_phase_counts`, shared
+with every other engine.
 
 Randomness schedule (the seeding contract)
 ------------------------------------------
@@ -121,27 +124,6 @@ def build_population(
     """
     counts, weights = population_counts(network, num_agents, initial_values)
     return np.repeat(np.arange(network.num_paths), counts), np.repeat(weights, counts)
-
-
-def planned_phase_counts(horizons, periods) -> np.ndarray:
-    """Return the number of executed bulletin-board phases per row.
-
-    ``ceil(horizon / period)`` plans one phase too many when
-    ``horizon / period`` lands just above an integer (e.g. a horizon computed
-    as ``48 * 0.2``); trailing phases whose start would already reach the
-    horizon are dropped.  Both the scalar and the batched agent engine derive
-    their phase grids from this one helper, so they execute exactly the same
-    phases for the same configuration -- part of the bit-equivalence
-    contract.  Accepts scalars or arrays (broadcast together).
-    """
-    horizons = np.asarray(horizons, dtype=float)
-    periods = np.asarray(periods, dtype=float)
-    counts = np.maximum(np.ceil(horizons / periods).astype(int), 1)
-    while True:
-        overshoot = (counts > 1) & ((counts - 1) * periods >= horizons)
-        if not np.any(overshoot):
-            return counts
-        counts = np.where(overshoot, counts - 1, counts)
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:

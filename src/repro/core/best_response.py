@@ -30,7 +30,8 @@ import numpy as np
 
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from .trajectory import PhaseRecord, Trajectory
+from ..wardrop.validation import require_positive, require_positive_integer
+from .trajectory import PhaseRecord, Trajectory, planned_phase_counts
 
 
 def best_reply_target(network: WardropNetwork, path_latencies: np.ndarray, tie_tolerance: float = 1e-12) -> np.ndarray:
@@ -61,8 +62,9 @@ def simulate_best_response(
     dynamics so the run approximates the up-to-date inclusion (Eq. 2).  The
     exponential-approach closed form is exact within each phase either way.
     """
-    if update_period <= 0 or horizon <= 0:
-        raise ValueError("update period and horizon must be positive")
+    require_positive("update_period", update_period)
+    require_positive("horizon", horizon)
+    require_positive_integer("samples_per_phase", samples_per_phase)
     # ``is None``, not truthiness: FlowVector defines __len__, so ``or``
     # would silently replace a zero-length flow instead of rejecting it.
     flow = FlowVector.uniform(network) if initial_flow is None else initial_flow
@@ -73,8 +75,7 @@ def simulate_best_response(
     )
     time = 0.0
     trajectory.record(time, flow, -1)
-    num_phases = int(np.ceil(horizon / update_period))
-    for phase in range(num_phases):
+    for phase in range(int(planned_phase_counts(horizon, update_period))):
         phase_start = phase * update_period
         phase_end = min((phase + 1) * update_period, horizon)
         start_flow = flow
@@ -99,8 +100,6 @@ def simulate_best_response(
             )
         )
         trajectory.record(phase_end, flow, phase)
-        if phase_end >= horizon:
-            break
     return trajectory
 
 
@@ -115,12 +114,11 @@ def two_link_best_response_flow(
     with threshold 1/2 (the best reply flips exactly when the posted flow
     crosses 1/2).
     """
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
+    require_positive("update_period", update_period)
     if not 0.0 <= initial_first_link <= 1.0:
-        raise ValueError("flow share must lie in [0, 1]")
-    if time < 0:
-        raise ValueError("time must be non-negative")
+        raise ValueError(f"initial_first_link must lie in [0, 1], got {initial_first_link}")
+    if not (math.isfinite(time) and time >= 0):
+        raise ValueError(f"time must be finite and non-negative, got {time}")
     current = initial_first_link
     remaining = time
     while remaining > 1e-15:

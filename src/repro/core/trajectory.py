@@ -20,6 +20,27 @@ from ..wardrop.network import WardropNetwork
 from ..wardrop.potential import potential
 
 
+def planned_phase_counts(horizons, periods) -> np.ndarray:
+    """Return the number of bulletin-board phases a run executes, per row.
+
+    Phase ``k`` starts at ``k * period`` and runs while its start lies below
+    the horizon.  ``ceil(horizon / period)`` plans one phase too many when
+    ``horizon / period`` lands just above an integer (e.g. a horizon computed
+    as ``48 * 0.2``), so trailing phases whose start already reaches the
+    horizon are dropped; a run always executes at least one phase.  Every
+    engine and best response derive their phase grid from this one rule.
+    Accepts scalars or arrays (broadcast together).
+    """
+    horizons = np.asarray(horizons, dtype=float)
+    periods = np.asarray(periods, dtype=float)
+    counts = np.maximum(np.ceil(horizons / periods).astype(int), 1)
+    while True:
+        overshoot = (counts > 1) & ((counts - 1) * periods >= horizons)
+        if not np.any(overshoot):
+            return counts
+        counts = np.where(overshoot, counts - 1, counts)
+
+
 @dataclass
 class TrajectoryPoint:
     """One recorded sample of a dynamics run."""

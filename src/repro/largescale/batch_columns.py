@@ -57,6 +57,7 @@ from ..batch.engine import (
     BatchStoppingCondition,
     _grow_buffer,
 )
+from ..core.trajectory import planned_phase_counts
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path
@@ -144,9 +145,8 @@ class ColumnGenerationSimulator(BatchSimulator):
         self._positions = active.oracle.network_edge_positions(self.network)
         self._off_path: Dict[object, np.ndarray] = {}
         self._closed: List[frozenset] = [frozenset()] * batch
-        self._start_flows = np.zeros(
-            (batch, int(config.planned_phases.max()), self.network.num_paths)
-        )
+        phases = int(planned_phase_counts(config.horizons, config.update_periods).max())
+        self._start_flows = np.zeros((batch, phases, self.network.num_paths))
         self.growth_events: List[Tuple[int, List[Path]]] = []
         self.path_counts: List[int] = []
         self.eviction_events: List[Tuple[int, int, float]] = []

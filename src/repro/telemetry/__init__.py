@@ -21,7 +21,9 @@ numerical results either way.
 * :mod:`~repro.telemetry.compare` -- cross-run regression comparison over
   traces, bench records and ledgers (the ``repro compare`` command);
 * :mod:`~repro.telemetry.profiler` -- the opt-in wall-clock sampling
-  profiler attributing time to span stacks and code locations.
+  profiler attributing time to span stacks and code locations;
+* :mod:`~repro.telemetry.jsonl` -- the one JSONL line reader behind every
+  loader, naming the file and line of a bad record.
 """
 
 from .bench import BenchTimer, bench_timer, emit_record, load_records, render_throughput_matrix

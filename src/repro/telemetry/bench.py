@@ -33,6 +33,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.reporting import render_table
+from .jsonl import read_jsonl
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -147,16 +148,12 @@ def clear_records() -> None:
 
 
 def load_records(path) -> List[Dict[str, Any]]:
-    """Load a JSONL bench-records file, skipping non-bench lines."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record.get("schema") == BENCH_SCHEMA:
-                records.append(record)
-    return records
+    """Load a JSONL bench-records file, skipping records of other schemas.
+
+    A line that is not a JSON object raises ``ValueError`` naming the file
+    and line.
+    """
+    return [record for record in read_jsonl(path) if record.get("schema") == BENCH_SCHEMA]
 
 
 def throughput_matrix_rows(

@@ -27,10 +27,10 @@ local gating.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from .jsonl import read_jsonl
 from .ledger import LEDGER_SCHEMA, config_fingerprint
 
 __all__ = [
@@ -58,20 +58,8 @@ class CompareError(ValueError):
 
 
 def _load_jsonl(path: Union[str, Path]) -> List[Record]:
-    records: List[Record] = []
     try:
-        with open(path) as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise CompareError(
-                        f"{path}: line {number} is not valid JSON ({error.msg})"
-                    ) from error
-                if isinstance(record, dict):
-                    records.append(record)
+        records = read_jsonl(path, CompareError)
     except OSError as error:
         raise CompareError(f"cannot read {path}: {error.strerror or error}") from error
     if not records:

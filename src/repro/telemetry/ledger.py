@@ -40,6 +40,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from .jsonl import read_jsonl
+
 __all__ = [
     "LEDGER_ENV",
     "LEDGER_SCHEMA",
@@ -239,21 +241,12 @@ def record_session(telemetry) -> int:
 def load_ledger(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load ledger entries from a runs file or a ledger directory.
 
-    Skips blank lines and records of other schemas, so a ledger file can be
-    concatenated with other JSONL artifacts without confusing the loader.
+    Skips blank lines, lines that are not JSON objects and records of other
+    schemas, so a ledger file can be concatenated with other JSONL artifacts
+    (or end in a torn line) without confusing the loader.
     """
     target = Path(path)
     if target.is_dir():
         target = target / RUNS_FILENAME
-    entries: List[Dict[str, Any]] = []
-    with open(target) as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record.get("schema") == LEDGER_SCHEMA:
-                entries.append(record)
-    return entries
+    records = read_jsonl(target, skip_invalid=True)
+    return [record for record in records if record.get("schema") == LEDGER_SCHEMA]

@@ -17,10 +17,10 @@ matches the benchmark harness's table style.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.reporting import render_table
+from .jsonl import read_jsonl
 from .profiler import profile_rows
 
 __all__ = [
@@ -50,22 +50,7 @@ def load_trace(path) -> List[Record]:
     empty file, malformed JSON, or a ``meta`` header declaring a different
     trace schema version -- the CLI turns these into one-line errors.
     """
-    records: List[Record] = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceFormatError(
-                    f"{path}: line {number} is not valid JSON ({error.msg})"
-                ) from error
-            if not isinstance(record, dict):
-                raise TraceFormatError(
-                    f"{path}: line {number} is not a JSON object"
-                )
-            records.append(record)
+    records = read_jsonl(path, TraceFormatError)
     if not records:
         raise TraceFormatError(f"{path}: empty trace file")
     first = records[0]

@@ -16,12 +16,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch
+from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch, simulate_batch
 from repro.batch.agents import _stale_generator, _transition_blocks
 from repro.core import replicator_policy, scaled_policy, simulate_agents, uniform_policy
 from repro.core.agents import build_population, population_counts
+from repro.core.best_response import simulate_best_response
+from repro.core.simulator import simulate
 from repro.core.policy import PolicyStack
 from repro.instances import get_instance, lopsided_flow, pigou_network, two_link_network
+from repro.largescale.batch_columns import simulate_with_column_generation_batch
+from repro.largescale.columns import ActivePathSet
 from repro.scenarios import LinkIncident, Scenario
 from repro.wardrop import FlowVector, NetworkFamily
 
@@ -255,27 +259,58 @@ def test_uniform_default_start_and_shared_seed_broadcast(two_links):
     assert np.array_equal(trajectory.flow_matrix(), result.trajectory(0).flow_matrix())
 
 
-def test_horizon_rounding_edge_keeps_rows_identical(two_links):
-    """horizon = k * T computed in floating point can land just above k*T
-    (e.g. 48 * 0.2); ceil then plans one empty trailing phase, which every
-    row must skip identically (code-review regression)."""
-    policy = uniform_policy(two_links)
-    horizon = 48 * 0.2  # = 9.600000000000001 > 9.6
+HORIZON_EDGE = 48 * 0.2  # = 9.600000000000001 > 9.6
+
+
+def rounding_edge_agents(network, policy):
     result = simulate_agent_batch(
-        two_links, policy, num_agents=[60, 60], update_periods=0.2,
-        horizons=[horizon, 3.0], seeds=[13, 14],
+        network, policy, num_agents=[60, 60], update_periods=0.2,
+        horizons=[HORIZON_EDGE, 3.0], seeds=[13, 14],
     )
     trajectory, assignment = one_row_run(
-        two_links,
+        network,
         policy,
-        {"num_agents": 60, "update_period": 0.2, "horizon": horizon, "seed": 13},
+        {"num_agents": 60, "update_period": 0.2, "horizon": HORIZON_EDGE, "seed": 13},
         None,
         True,
     )
-    assert len(trajectory.phases) == result.num_phases(0) == 48
-    assert np.array_equal(trajectory.times, result.trajectory(0).times)
-    assert np.array_equal(trajectory.flow_matrix(), result.trajectory(0).flow_matrix())
     assert np.array_equal(assignment, result.assignments[0])
+    return result.trajectory(0), trajectory
+
+
+def rounding_edge_fluid(network, policy):
+    result = simulate_batch(network, policy, [0.2, 0.2], [HORIZON_EDGE, 3.0], steps_per_phase=4)
+    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE, steps_per_phase=4)
+
+
+def rounding_edge_cg(network, policy):
+    result = simulate_with_column_generation_batch(
+        ActivePathSet.from_network(network, closed=True), policy, 0.2,
+        [HORIZON_EDGE, 3.0], steps_per_phase=4,
+    )
+    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE, steps_per_phase=4)
+
+
+def rounding_edge_best_response(network, policy):
+    # Best response has no batch; it only has to run the same phase grid.
+    trajectory = simulate_best_response(network, 0.2, HORIZON_EDGE)
+    return trajectory, trajectory
+
+
+@pytest.mark.parametrize(
+    "run",
+    [rounding_edge_agents, rounding_edge_fluid, rounding_edge_cg, rounding_edge_best_response],
+    ids=["agents", "fluid", "cg", "best-response"],
+)
+def test_horizon_rounding_edge_keeps_rows_identical(two_links, run):
+    """horizon = k * T computed in floating point can land just above k*T
+    (e.g. 48 * 0.2); ceil then plans one empty trailing phase, which every
+    engine's row must skip identically (code-review regression)."""
+    batch_row, one_row = run(two_links, uniform_policy(two_links))
+    assert len(one_row.phases) == len(batch_row.phases) == 48
+    assert one_row.phases[-1].end_time == HORIZON_EDGE
+    assert np.array_equal(one_row.times, batch_row.times)
+    assert np.array_equal(one_row.flow_matrix(), batch_row.flow_matrix())
 
 
 def test_config_validation():

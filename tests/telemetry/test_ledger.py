@@ -137,6 +137,7 @@ class TestLoader:
         with open(path, "w") as handle:
             handle.write(json.dumps({"schema": LEDGER_SCHEMA, "kind": "bench"}) + "\n")
             handle.write("not json\n")
+            handle.write("[1, 2]\n")
             handle.write(json.dumps({"schema": "other/1"}) + "\n")
             handle.write("\n")
         assert len(load_ledger(path)) == 1

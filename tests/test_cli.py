@@ -267,6 +267,25 @@ class TestReportErrorPaths:
         path.write_text("not json at all\n")
         self._assert_clean_error(capsys, main(["report", str(path), "--bench"]))
 
+    @pytest.mark.parametrize("bench", [False, True], ids=["trace", "bench"])
+    @pytest.mark.parametrize(
+        "second_line, problem",
+        [("[1, 2]", "is not a JSON object"), ("{oops", "is not valid JSON")],
+        ids=["non-object", "malformed"],
+    )
+    def test_bad_second_line_is_named(self, capsys, tmp_path, bench, second_line, problem):
+        path = tmp_path / "records.jsonl"
+        header = {"kind": "meta", "schema": "repro-trace/1", "spans": 1}
+        if bench:
+            header = {"schema": "repro-bench/1", "bench": "b", "section": "s",
+                      "engine": "fluid-batch", "instance": "pigou", "rate": 10.0}
+        path.write_text(json.dumps(header) + "\n" + second_line + "\n")
+        rc = main(["report", str(path)] + (["--bench"] if bench else []))
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert rc == 2
+        assert line.startswith(f"error: {path}: line 2 {problem}")
+
     def test_bench_and_network_are_mutually_exclusive(self, capsys, tmp_path):
         rc = main(["report", "sioux-falls", "--bench", "--network"])
         assert rc == 2

@@ -15,6 +15,7 @@ from repro.batch.stopping import distance_stop
 from repro.batch.engine import BatchConfig, simulate_batch
 from repro.core import uniform_policy
 from repro.core.agents import simulate_agents
+from repro.core.best_response import simulate_best_response, two_link_best_response_flow
 from repro.core.simulator import simulate
 from repro.instances import braess_network
 from repro.largescale.batch_columns import simulate_with_column_generation_batch
@@ -64,6 +65,11 @@ def run_cg(simulate_cg, **overrides):
 def run_agents(**overrides):
     settings = {"num_agents": 10, "update_period": 0.1, "horizon": 0.2, **overrides}
     return simulate_agents(BRAESS, POLICY, **settings)
+
+
+def run_best_response(**overrides):
+    settings = {"update_period": 0.1, "horizon": 0.2, **overrides}
+    return simulate_best_response(BRAESS, **settings)
 
 
 def sweep_case(**overrides):
@@ -249,6 +255,28 @@ ROWS = [
         "BatchAgentConfig(horizons=[1, nan])",
         lambda: BatchAgentConfig(num_agents=[10, 10], horizons=[1.0, NAN]),
         r"horizons\[1\]",
+    ),
+    # Best response.
+    ("simulate_best_response(T=nan)", lambda: run_best_response(update_period=NAN), "update_period"),
+    ("simulate_best_response(T=inf)", lambda: run_best_response(update_period=INF), "update_period"),
+    ("simulate_best_response(horizon=inf)", lambda: run_best_response(horizon=INF), "horizon"),
+    (
+        "simulate_best_response(samples_per_phase=0)",
+        lambda: run_best_response(samples_per_phase=0),
+        "samples_per_phase",
+    ),
+    (
+        "simulate_best_response(samples_per_phase=2.5)",
+        lambda: run_best_response(samples_per_phase=2.5),
+        "samples_per_phase",
+    ),
+    ("two_link_best_response_flow(T=nan)", lambda: two_link_best_response_flow(0.3, NAN, 1.0), "update_period"),
+    ("two_link_best_response_flow(time=nan)", lambda: two_link_best_response_flow(0.3, 0.1, NAN), "time"),
+    ("two_link_best_response_flow(time=inf)", lambda: two_link_best_response_flow(0.3, 0.1, INF), "time"),
+    (
+        "two_link_best_response_flow(share=nan)",
+        lambda: two_link_best_response_flow(NAN, 0.1, 1.0),
+        "initial_first_link",
     ),
 ]
 
