@@ -30,9 +30,10 @@ a phase of length ``d`` each agent moves on its own, as a continuous-time
 Markov chain whose generator ``Lambda`` (rate-1 clocks times the sampling
 and migration blocks) the board fixes.  A stale row's state is therefore
 its path counts, and a phase moves the ``n_P`` agents of path ``P`` by one
-multinomial over row ``P`` of ``expm(d * Lambda)``: no per-agent array
-exists and a phase costs O(paths) at any ``n``.  Under up-to-date
-information each row is advanced in windows of its next
+multinomial over row ``P`` of ``expm(d * Lambda)`` (the stale-phase kernel
+of :mod:`repro.core.dynamics`, which the fluid engine applies to the flow):
+no per-agent array exists and a phase costs O(paths) at any ``n``.  Under
+up-to-date information each row is advanced in windows of its next
 :data:`FRESH_WINDOW` activations decided against its cached live tables;
 only the first migrating activation of the window is applied (every earlier
 one is a no-op, so it saw exactly the live state an event-by-event run
@@ -47,10 +48,10 @@ when its coin clears ``mu[r, c, j, k]``.
 The phases run on the fluid engine's phase loop
 (:meth:`~repro.batch.engine.BatchEnsembleBase._phase_loop`): phase grid,
 scenario freezing, the board post at every phase start (Eq. 3), the
-conservation check (each row's per-commodity totals to a relative 1e-9),
-recording and ``stop_when`` freezing are the fluid engine's own.  This
-engine supplies the population built from the initial flows, the stale
-phase's transition blocks and its advance step, and the result is a
+finiteness and conservation checks (each row's per-commodity totals to a
+relative 1e-9), recording and ``stop_when`` freezing are the fluid engine's
+own.  This engine supplies the population built from the initial flows, the
+stale phase's transition blocks and its advance step, and the result is a
 :class:`~repro.batch.engine.BatchResult` (:class:`BatchAgentResult`).
 """
 
@@ -62,6 +63,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.agents import DEFAULT_NUM_AGENTS, build_population, population_counts
+from ..core.dynamics import rate_generator, transition_blocks
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.paths import CommodityBlocks
 from ..wardrop.validation import require_positive, require_positive_integer
@@ -71,9 +73,6 @@ from .engine import BatchEnsembleBase, BatchResult, BatchStoppingCondition, Netw
 # Up-to-date information: activations decided per row per round against the
 # row's cached live tables (see :meth:`BatchAgentSimulator._apply_fresh_phase`).
 FRESH_WINDOW = 32
-# Stale information: Poisson(x <= 1/2) terms of the uniformized exponential
-# (see :func:`_transition_blocks`); the tail beyond them is below 1e-16.
-SERIES_TERMS = 14
 
 
 @dataclass
@@ -221,46 +220,7 @@ def _stale_generator(sigma: np.ndarray, mu: np.ndarray, blocks: CommodityBlocks)
     totals = mass.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         sampled = np.where(totals > 0, mass / totals, 0.0)
-    generator = sampled * np.clip(mu, 0.0, 1.0) * blocks.pairs
-    slots = np.arange(generator.shape[-1])
-    generator[..., slots, slots] = -generator.sum(axis=-1)
-    return generator
-
-
-def _transition_blocks(generator: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Return ``expm(d_r * generator_r)`` for every row ``r``, row-stochastic.
-
-    Uniformization with scaling and squaring: with ``q`` the row's largest
-    exit rate (at most 1, since the sampling weights sum to 1 and ``mu`` is
-    clipped at 1), ``S = I + generator / q`` is stochastic and
-    ``expm(h * generator)`` is the ``Poisson(q h)`` mixture of the powers of
-    ``S``.  Each row halves its phase ``s_r`` times until ``q h <= 1/2``,
-    where :data:`SERIES_TERMS` terms leave a tail below 1e-16, and squares
-    the sum back ``s_r`` times.  ``s_r`` comes from the row's own ``q d``,
-    so a row's matrix does not depend on the rows batched with it.  Every
-    entry is a sum of non-negative terms; the rows are renormalised to 1.
-    """
-    rows, width = len(generator), generator.shape[-1]
-    slots = np.arange(width)
-    exit_rates = -generator[..., slots, slots].reshape(rows, -1)
-    rate = exit_rates.max(axis=1, initial=0.0)
-    scale = rate * durations
-    _, exponent = np.frexp(scale)
-    squarings = np.where(scale > 0, np.maximum(exponent + 1, 0), 0)
-    mean = np.ldexp(scale, -squarings)[:, None, None, None]
-    stochastic = generator / np.where(rate > 0, rate, 1.0)[:, None, None, None]
-    stochastic[..., slots, slots] += 1.0
-    weight = np.exp(-mean)
-    power = np.broadcast_to(np.eye(width), generator.shape).copy()
-    transitions = weight * power
-    for term in range(1, SERIES_TERMS + 1):
-        power = power @ stochastic
-        weight = weight * mean / term
-        transitions += weight * power
-    for step in range(int(squarings.max(initial=0))):
-        due = squarings > step
-        transitions[due] = transitions[due] @ transitions[due]
-    return transitions / transitions.sum(axis=-1, keepdims=True)
+    return rate_generator(sampled * np.clip(mu, 0.0, 1.0) * blocks.pairs)
 
 
 class BatchAgentSimulator(BatchEnsembleBase):
@@ -301,7 +261,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
         sigma, mu = self._stack.select(rows).tables(
             blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
         )
-        return _transition_blocks(_stale_generator(sigma, mu, blocks), durations)
+        return transition_blocks(_stale_generator(sigma, mu, blocks), durations)
 
     def run(
         self,

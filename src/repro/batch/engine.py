@@ -1,11 +1,11 @@
 """The batched fluid-limit simulation engine.
 
 :class:`BatchSimulator` evolves ``B`` independent replicas of the rerouting
-dynamics as one stacked ``(B, P)`` array: one vectorised right-hand side per
-integration step instead of one Python-level simulation per replica.  Rows
+dynamics as one stacked ``(B, P)`` array: one vectorised product per phase
+or integration step instead of one Python-level simulation per replica.  Rows
 may differ in initial flow, bulletin-board update period, horizon,
 steps-per-phase resolution and (via a list of policies) policy parameters,
-so a whole parameter sweep becomes a single integration.  The replicas route
+so a whole parameter sweep becomes a single run.  The replicas route
 either on one shared :class:`~repro.wardrop.network.WardropNetwork` or on
 the members of a :class:`~repro.wardrop.family.NetworkFamily` -- networks
 with identical topology but per-row latency coefficients -- which turns the
@@ -20,8 +20,9 @@ row ``r`` of a ``B``-row run equals the one-row run of the same
 configuration (and, for families, the same member network) bit for bit --
 every kernel is row-wise, so a row's arithmetic does not depend on which
 other rows share the batch (``tests/batch``, ``tests/scenarios``).
-*Reference*: a one-row run matches an independent integrator written
-directly from Eq. (1)/(3) (``tests/reference_dynamics.py``) to 1e-9.
+*Reference*: a one-row run matches an independent solver written directly
+from Eq. (1)/(3) (``tests/reference_dynamics.py``): stale phases through
+``scipy.linalg.expm`` to 1e-12, fresh ones step for step to 1e-9.
 
 Per-row policies are stacked once per engine (a
 :class:`~repro.core.policy.PolicyStack`), and the tables and the field live
@@ -29,11 +30,17 @@ on the padded commodity blocks of :class:`~repro.wardrop.paths.CommodityBlocks`:
 each stage is one batched ``(R, C, 1, K) @ (R, C, K, K)`` product between a
 gather and a scatter of the ``(R, P)`` state; no table is ``(B, P, P)``.
 
+A stale phase is not integrated: the posted board fixes its rates, so it
+ends exactly at ``f(t_hat) expm(d Lambda)``, one product with the transition
+blocks of :mod:`repro.core.dynamics`.  ``method`` and ``steps_per_phase``
+integrate up-to-date rows only; for stale rows the sub-step grid only places
+the ``record_every`` samples.
+
 Because rows are independent, the engine advances all rows through *their
 own* phase ``k`` simultaneously even when their update periods differ — the
 rows' absolute clocks simply diverge, which is harmless.  Rows whose horizon
 is exhausted — or whose ``stop_when`` condition has fired — are *frozen*:
-each phase integrates only the still-active sub-batch, so converged rows
+each phase advances only the still-active sub-batch, so converged rows
 skip all sampling, migration and latency work for the rest of the sweep.
 
 :meth:`BatchEnsembleBase._phase_loop` is the only phase loop of the
@@ -41,13 +48,14 @@ package, shared by every engine.  One phase of the active rows runs in a
 fixed order: freeze each row's environment at its phase start, run the
 phase-start step (:meth:`BatchEnsembleBase._phase_start`, a no-op here;
 column generation grows its path set in it), post every active row's board
-(Eq. 3), advance, check conservation (every commodity's demand to a
-relative 1e-9, naming engine, row, phase and commodity on failure), record,
-and evaluate ``stop_when``.  The fluid engine's advance step assembles the
-field, integrates, records the ``record_every`` samples, projects and
-checks finiteness; column generation
-(:mod:`repro.largescale.batch_columns`) is this engine plus its
-phase-start step, and the finite-population engine
+(Eq. 3), advance, check finiteness and conservation (every commodity's
+demand to a relative 1e-9, naming engine, row, phase and commodity on
+failure), project, record, and evaluate ``stop_when``.  The fluid engine's
+advance step solves or integrates the phase and records the ``record_every``
+samples; column generation (:mod:`repro.largescale.batch_columns`) is this
+engine plus its phase-start step, best response
+(:func:`~repro.core.best_response.simulate_best_response`) is this engine
+with the best-response rules, and the finite-population engine
 (:mod:`repro.batch.agents`) supplies its own advance step.
 """
 
@@ -58,7 +66,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.dynamics import batch_stepper_for
+from ..core.dynamics import batch_stepper_for, rate_generator, transition_blocks
 from ..core.policy import PolicyStack, ReroutingPolicy, frozen_field
 from ..core.trajectory import PhaseRecord, Trajectory, planned_phase_counts
 from ..scenarios.scenario import ScenarioEnsemble
@@ -81,6 +89,10 @@ BatchStoppingCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarr
 # Every engine checks at every phase boundary that each active row routes
 # every commodity's demand to this relative tolerance.
 CONSERVATION_RTOL = 1e-9
+# A phase of duration d takes ceil(d * steps_per_phase / T) sub-steps; a ratio
+# this close (relatively) to an integer is that integer, so the rounding of a
+# phase boundary never adds a sub-step.
+GRID_TOLERANCE = 1e-9
 
 
 def _grow_buffer(buffer: np.ndarray, perm: np.ndarray, width: int) -> np.ndarray:
@@ -105,9 +117,10 @@ class BatchConfig:
     horizons:
         Scalar or shape ``(B,)`` — total simulated time per row.
     steps_per_phase:
-        Scalar or shape ``(B,)`` — integrator sub-steps per phase.
+        Scalar or shape ``(B,)`` — sub-steps per phase: the integration grid
+        of fresh rows and the ``record_every`` grid of every row.
     method:
-        Integration scheme shared by the batch, ``"rk4"`` or ``"euler"``.
+        The integrator of fresh rows, ``"rk4"`` or ``"euler"``.
     stale:
         If ``True`` (default) boards refresh only at phase boundaries
         (Eq. 3); if ``False`` the live state is used at every stage (Eq. 1).
@@ -325,7 +338,7 @@ class _Recording:
 # :meth:`BatchEnsembleBase._frozen_phase` built from the posted board, or
 # ``None`` under up-to-date information; ``flows`` is the live ``(B, P)``
 # state; dense runs append intermediate samples to the :class:`_Recording`)
-# and returns their ``(R, P)`` phase-end flows.
+# and returns their ``(R, P)`` phase-end state before :meth:`_project`.
 PhaseStep = Callable[..., np.ndarray]
 
 
@@ -345,13 +358,14 @@ class BatchEnsembleBase:
     of the finite-population
     :class:`~repro.batch.agents.BatchAgentSimulator`: it owns the phase
     grid, the active mask, scenario freezing, the phase-start step, the
-    board post (Eq. 3), the conservation check, recording, ``stop_when``
-    freezing and the run's telemetry.  An engine supplies what differs --
-    what a phase reads from the posted board (:meth:`_frozen_phase`) and how
-    its population moves through a phase (a :data:`PhaseStep`) -- so a fix
-    to the loop applies to every engine at once.  ``config`` is the
-    engine's configuration; the loop reads its ``update_periods``,
-    ``horizons`` and ``stale``.
+    board post (Eq. 3), the finiteness and conservation checks, recording,
+    ``stop_when`` freezing and the run's telemetry.  An engine supplies what
+    differs -- what a phase reads from the posted board
+    (:meth:`_frozen_phase`), how its population moves through a phase (a
+    :data:`PhaseStep`) and how the checked phase end is repaired
+    (:meth:`_project`) -- so a fix to the loop applies to every engine at
+    once.  ``config`` is the engine's configuration; the loop reads its
+    ``update_periods``, ``horizons`` and ``stale``.
     """
 
     # Each engine names itself (``engine_name``, in errors and the run span)
@@ -498,6 +512,10 @@ class BatchEnsembleBase:
         """Build what a stale phase of ``rows`` reads from the board they just posted."""
         raise NotImplementedError
 
+    def _project(self, flows: np.ndarray) -> np.ndarray:
+        """Return the ``(R, P)`` phase-end state to record, once it has passed the checks."""
+        return flows
+
     def _phase_loop(
         self,
         flows: np.ndarray,
@@ -525,7 +543,10 @@ class BatchEnsembleBase:
         freezes each row's environment at its phase start, runs
         :meth:`_phase_start`, posts every active row's board (Eq. 3; stale
         runs) and builds :meth:`_frozen_phase` from it, advances, checks
-        conservation, records the phase end and evaluates ``stop_when``.
+        finiteness and conservation, projects (:meth:`_project`), records
+        the phase end and evaluates ``stop_when``.  The checks see the
+        advance step's phase end before projection, so a kernel that loses
+        mass fails even when clip-and-rescale would hide it.
         """
         config = self.config
         periods = config.update_periods
@@ -596,7 +617,12 @@ class BatchEnsembleBase:
                             frozen = self._frozen_phase(board, rows, durations)
 
                     ended = advance(phase, rows, starts[rows], durations, frozen, flows, recording)
+                    finite = np.isfinite(ended).all(axis=1)
+                    if not finite.all():
+                        row = int(rows[np.argmin(finite)])
+                        raise ValueError(f"row {row} has non-finite flows at the end of phase {phase}")
                     self._check_conservation(ended, rows, phase, demands[rows])
+                    ended = self._project(ended)
                     flows[rows] = ended
                     recording.sample(rows, ends[rows], ended, phase, boundary=True)
                     recording.phase_counts[rows] += 1
@@ -672,40 +698,29 @@ class BatchSimulator(BatchEnsembleBase):
     config: BatchConfig
 
     def _frozen_phase(self, board: BatchBulletinBoard, rows: np.ndarray, durations: np.ndarray):
-        """Return the field closure of one stale phase of the active rows.
+        """Return the ``(R, C, K, K)`` generator blocks of one stale phase of the active rows.
 
         Within a phase the sampling and migration blocks depend only on the
         posted snapshot, so they are assembled once per phase (for the active
-        sub-batch only — frozen rows skip this work entirely) instead of once
-        per integrator stage.
+        sub-batch only — frozen rows skip this work entirely) into the
+        generator of the linear system ``df/dt = f Lambda``.
         """
         blocks = self.network.paths.blocks
-        tables = self._stack.select(rows).tables(
+        sigma, mu = self._stack.select(rows).tables(
             blocks, board.posted_flows[rows], board.posted_path_latencies[rows]
         )
-        return frozen_field(blocks, *tables)
+        return rate_generator(sigma * mu)
 
-    def _fresh_rates(self, rows: np.ndarray):
-        """Return the up-to-date-information field for the active rows.
-
-        Sampling and migration read the live state, priced in each row's
-        current environment, at every integrator stage.
-        """
-        blocks = self.network.paths.blocks
-        stack = self._stack.select(rows)
-
-        def field(time, state: np.ndarray) -> np.ndarray:
-            live_latencies = self._path_latencies_rows(state, rows)
-            return frozen_field(blocks, *stack.tables(blocks, state, live_latencies))(time, state)
-
-        return field
+    def _project(self, flows: np.ndarray) -> np.ndarray:
+        """Clip-and-rescale the phase-end state (a guard: exact phases need no repair)."""
+        return FlowVector.project_batch(self.network, flows)
 
     def run(
         self,
         initial_flows=None,
         stop_when: Optional[BatchStoppingCondition] = None,
     ) -> BatchResult:
-        """Integrate every replica to its horizon and return the batch result.
+        """Advance every replica to its horizon and return the batch result.
 
         ``initial_flows`` may be ``None`` (uniform split for every row), a
         single :class:`FlowVector` (shared start), a sequence of ``B`` flow
@@ -726,21 +741,57 @@ class BatchSimulator(BatchEnsembleBase):
         max_steps = config.update_periods / config.steps_per_phase
         tele = get_telemetry()
 
-        def advance(phase, rows, row_starts, durations, field, flows, recording):
-            """Integrate one phase of the active rows; return the projected end state."""
+        def advance(phase, rows, row_starts, durations, generator, flows, recording):
+            """Move the active rows through one phase; return their raw end state."""
             network = self.network
-            if field is None:
-                field = self._fresh_rates(rows)
+            blocks = network.paths.blocks
             # Equal sub-steps no longer than T / steps_per_phase, the last one
-            # landing on the phase end.  Step sizes and stage clocks are
-            # formed once per phase: scalars when every active row shares
-            # one clock (array broadcasts in every stage cost small one-row
-            # runs about a quarter of their time), else per-row columns in
-            # which a row that has taken all its sub-steps idles with step 0
-            # while longer rows finish.
-            num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
+            # landing on the phase end: the integration grid of fresh rows and
+            # the dense-recording grid of every row (see GRID_TOLERANCE).
+            ratios = durations / max_steps[rows]
+            nearest = np.rint(ratios)
+            ratios = np.where(np.abs(ratios - nearest) <= GRID_TOLERANCE * nearest, nearest, ratios)
+            num_steps = np.maximum(1, np.ceil(ratios)).astype(int)
             step_sizes = durations / num_steps
             count = int(num_steps.max())
+            state = flows[rows]
+
+            def sample(k, state):
+                """Record the projected sub-step ``k + 1`` state of the rows still inside."""
+                if record_every is not None and (k + 1) % record_every == 0:
+                    selected = np.flatnonzero(k + 1 < num_steps)
+                    if len(selected):
+                        times = row_starts[selected] + (k + 1) * step_sizes[selected]
+                        projected = FlowVector.project_batch(network, state[selected])
+                        recording.sample(rows[selected], times, projected, phase)
+
+            if generator is not None:
+                # A stale phase is exact: f(t_hat) expm(d Lambda) per commodity
+                # block.  Dense samples are side outputs f(t_hat) expm(k h Lambda)
+                # on the sub-step grid; the phase end never depends on them.
+                start = blocks.gather(state)[..., None, :]
+                with tele.span("integrate", steps=1, state_bytes=state.nbytes):
+                    if record_every is not None:
+                        step = transition_blocks(generator, step_sizes)
+                        inside = start
+                        for k in range(count - 1):
+                            inside = inside @ step
+                            sample(k, blocks.scatter(inside[..., 0, :]))
+                    end = start @ transition_blocks(generator, durations)
+                return blocks.scatter(end[..., 0, :])
+
+            stack = self._stack.select(rows)
+
+            def field(time, state: np.ndarray) -> np.ndarray:
+                """Eq. (1): the tables read the live state, priced in each row's environment."""
+                live = self._path_latencies_rows(state, rows)
+                return frozen_field(blocks, *stack.tables(blocks, state, live))(time, state)
+
+            # Step sizes and stage clocks are formed once per phase: scalars
+            # when every active row shares one clock (array broadcasts in every
+            # stage cost small one-row runs about a quarter of their time),
+            # else per-row columns in which a row that has taken all its
+            # sub-steps idles with step 0 while longer rows finish.
             if (
                 (num_steps == count).all()
                 and (step_sizes == step_sizes[0]).all()
@@ -752,36 +803,16 @@ class BatchSimulator(BatchEnsembleBase):
                 substeps = np.arange(count)[:, None]
                 steps = np.where(substeps < num_steps, step_sizes, 0.0)[:, :, None]
                 ticks = (row_starts + substeps * step_sizes)[:, :, None]
-            state = flows[rows]
             with tele.span("integrate", steps=count, state_bytes=state.nbytes):
                 for k in range(count):
                     state = stepper(field, ticks[k], state, steps[k])
-                    if record_every is not None and (k + 1) % record_every == 0:
-                        # Strided intermediate samples: the *projected* state is
-                        # recorded while integration continues from the raw one.
-                        selected = np.flatnonzero(k + 1 < num_steps)
-                        if len(selected):
-                            recording.sample(
-                                rows[selected],
-                                row_starts[selected] + (k + 1) * step_sizes[selected],
-                                FlowVector.project_batch(network, state[selected]),
-                                phase,
-                            )
-
-            projected = FlowVector.project_batch(network, state)
-            finite = np.isfinite(projected).all(axis=1)
-            if not finite.all():
-                raise ValueError(
-                    f"row {int(rows[np.argmin(finite)])} has non-finite flows "
-                    f"at the end of phase {phase}"
-                )
-            return projected
+                    # Samples are projected; integration continues from the raw state.
+                    sample(k, state)
+            return state
 
         samples_per_phase = None
         if record_every is not None:
-            # ceil(duration / max_step) can land on steps_per_phase + 1 when
-            # the phase-boundary subtraction rounds up by an ulp, so size for
-            # s + 1 sub-steps: floor(s / stride) intermediates + 1 boundary.
+            # At most s sub-steps: floor((s - 1) / stride) intermediates + 1 boundary.
             samples_per_phase = int(np.max(config.steps_per_phase)) // record_every + 1
         network = self.network
         fields = self._phase_loop(

@@ -34,6 +34,7 @@ from .migration import (
 )
 from .policy import (
     ReroutingPolicy,
+    best_response_policy,
     better_response_policy,
     replicator_policy,
     scaled_policy,
@@ -69,6 +70,7 @@ __all__ = [
     "UniformSampling",
     "batch_stepper_for",
     "best_reply_target",
+    "best_response_policy",
     "better_response_policy",
     "check_alpha_smoothness",
     "euler_step_batch",

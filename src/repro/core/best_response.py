@@ -8,14 +8,14 @@ in the fluid limit the flow moves straight towards the set of best replies,
 
 a differential inclusion because the shortest path need not be unique.  Under
 stale information (Eq. 4) the best reply is computed against the flow at the
-start of the phase, ``f(t_hat)``.
+start of the phase, ``f(t_hat)``; ties split the demand evenly.
 
-Within one phase the posted best reply is fixed, so the dynamics has the
-explicit solution ``f(t_hat + s) = target + (f(t_hat) - target) * exp(-s)``;
-the simulator exploits that closed form (no numerical integration needed,
-and it reproduces the paper's Section 3.2 calculation exactly).  Ties are
-broken by splitting the demand equally over all minimum-latency paths, the
-standard selection that keeps the solution well defined.
+Best response is one more policy on the one fluid engine
+(:func:`~repro.core.policy.best_response_policy`: best-reply sampling and a
+migration rule that always moves).  Its phase generator is ``1 sigma - I``,
+so the engine's exact phase ``f expm(d Lambda)`` is the closed form
+``target + (f(t_hat) - target) * exp(-d)`` of Section 3.2; batching,
+scenarios and finite populations (the agent engine) come with the engine.
 
 :func:`two_link_best_response_flow` gives the fully explicit trajectory of
 the two-link oscillation instance, used to validate the generic simulator.
@@ -28,23 +28,24 @@ from typing import Optional
 
 import numpy as np
 
+from ..batch.engine import BatchConfig, BatchSimulator
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.validation import require_positive, require_positive_integer
-from .trajectory import PhaseRecord, Trajectory, planned_phase_counts
+from .policy import best_response_policy
+from .sampling import BestReplySampling
+from .trajectory import Trajectory
 
 
-def best_reply_target(network: WardropNetwork, path_latencies: np.ndarray, tie_tolerance: float = 1e-12) -> np.ndarray:
+def best_reply_target(network: WardropNetwork, path_latencies: np.ndarray) -> np.ndarray:
     """Return the best-reply flow for the given (posted) path latencies.
 
     Every commodity puts its demand on its minimum-latency paths, split
-    evenly among ties.
+    evenly among ties: the demand-scaled :class:`BestReplySampling` row.
     """
     blocks = network.paths.blocks
-    latencies = np.where(blocks.valid, blocks.gather(path_latencies), np.inf)
-    winners = latencies <= latencies.min(axis=-1, keepdims=True) + tie_tolerance
-    share = network.commodity_demands[:, None] / winners.sum(axis=-1, keepdims=True)
-    return blocks.scatter(np.where(winners, share, 0.0))
+    shares = BestReplySampling().probabilities(blocks, None, blocks.gather(path_latencies))
+    return blocks.scatter(network.commodity_demands[:, None] * shares[..., 0, :])
 
 
 def simulate_best_response(
@@ -55,51 +56,29 @@ def simulate_best_response(
     stale: bool = True,
     samples_per_phase: int = 10,
 ) -> Trajectory:
-    """Simulate (stale) best-response dynamics using the per-phase closed form.
+    """Simulate (stale) best-response dynamics: a one-row run of the fluid engine.
 
     With ``stale=True`` the best reply is recomputed only at phase starts
-    (Eq. 4); with ``stale=False`` phases are made very short relative to the
-    dynamics so the run approximates the up-to-date inclusion (Eq. 2).  The
-    exponential-approach closed form is exact within each phase either way.
+    (Eq. 4).  ``stale=False`` runs the same exact phases and labels the
+    trajectory fresh: phases short relative to the dynamics approximate the
+    up-to-date inclusion (Eq. 2).  Every full phase records
+    ``samples_per_phase`` evenly spaced points, its end included, so
+    oscillations are visible; a shorter last phase of duration ``d`` keeps
+    the spacing at most ``T / samples_per_phase`` and records
+    ``ceil(samples_per_phase * d / T)``.
     """
     require_positive("update_period", update_period)
     require_positive("horizon", horizon)
     require_positive_integer("samples_per_phase", samples_per_phase)
-    # ``is None``, not truthiness: FlowVector defines __len__, so ``or``
-    # would silently replace a zero-length flow instead of rejecting it.
-    flow = FlowVector.uniform(network) if initial_flow is None else initial_flow
-    trajectory = Trajectory(
-        network=network,
-        policy_name="best-response" + ("" if stale else " (fresh)"),
-        update_period=update_period if stale else 0.0,
+    config = BatchConfig(
+        update_periods=[update_period], horizons=horizon,
+        steps_per_phase=samples_per_phase, record_every=1,
     )
-    time = 0.0
-    trajectory.record(time, flow, -1)
-    for phase in range(int(planned_phase_counts(horizon, update_period))):
-        phase_start = phase * update_period
-        phase_end = min((phase + 1) * update_period, horizon)
-        start_flow = flow
-        posted_latencies = network.path_latencies(flow.values())
-        target = best_reply_target(network, posted_latencies)
-        duration = phase_end - phase_start
-        # Record a few intermediate samples so oscillations are visible.
-        for k in range(1, samples_per_phase + 1):
-            elapsed = duration * k / samples_per_phase
-            decay = math.exp(-elapsed)
-            values = target + (start_flow.values() - target) * decay
-            flow = FlowVector(network, values, validate=False).projected()
-            if k < samples_per_phase:
-                trajectory.record(phase_start + elapsed, flow, phase)
-        trajectory.record_phase(
-            PhaseRecord(
-                index=phase,
-                start_time=phase_start,
-                end_time=phase_end,
-                start_flow=start_flow,
-                end_flow=flow,
-            )
-        )
-        trajectory.record(phase_end, flow, phase)
+    result = BatchSimulator(network, best_response_policy(), config).run(initial_flow)
+    trajectory = result.trajectory(0)
+    if not stale:
+        trajectory.policy_name += " (fresh)"
+        trajectory.update_period = 0.0
     return trajectory
 
 

@@ -30,13 +30,21 @@ from ..wardrop.network import WardropNetwork
 from .smoothness import safe_update_period  # noqa: F401  (re-exported on purpose)
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise naming ``name`` unless ``value > 0``.
+
+    NaN fails; ``inf`` passes, since every closed form here has that limit.
+    """
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 # --- Section 3.2: the two-link oscillation -----------------------------------
 
 
 def oscillation_fixed_point(update_period: float) -> float:
     """Return the first-link share ``f_1(0) = 1/(e^{-T} + 1)`` of the 2T-cycle."""
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
+    _require_positive("update_period", update_period)
     return 1.0 / (math.exp(-update_period) + 1.0)
 
 
@@ -47,10 +55,9 @@ def oscillation_amplitude(beta: float, update_period: float) -> float:
     oscillating best-response trajectory; the paper notes it is sustained by
     more than half of the agents.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
+    if not beta >= 0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    _require_positive("update_period", update_period)
     decayed = math.exp(-update_period)
     return beta * (1.0 - decayed) / (2.0 * decayed + 2.0)
 
@@ -60,8 +67,12 @@ def max_update_period_for_latency(beta: float, epsilon: float) -> float:
 
     Inverting ``X(T) <= eps`` gives ``T <= ln((1 + 2 eps / beta) / (1 - 2 eps / beta))``,
     the paper's ``T = O(eps / beta)`` requirement.  Returns ``inf`` when
-    ``2 eps >= beta`` (the latency can never exceed ``eps``).
+    ``2 eps >= beta`` (the latency can never exceed ``eps``) and 0 when
+    ``eps <= 0``; NaN is rejected.
     """
+    for name, value in (("beta", beta), ("epsilon", epsilon)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value}")
     if beta <= 0:
         return float("inf")
     if epsilon <= 0:
@@ -119,9 +130,7 @@ def theorem_update_period(network: WardropNetwork, alpha: float) -> float:
 
 
 def _validate_bound_args(update_period: float, delta: float, epsilon: float) -> None:
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _require_positive("update_period", update_period)
+    _require_positive("delta", delta)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")

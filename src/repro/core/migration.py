@@ -22,6 +22,7 @@ The rules implemented here:
 * :class:`SmoothedBetterResponseMigration` -- a steep but Lipschitz ramp that
   approximates better response while technically remaining alpha-smooth with
   a large alpha.
+* :class:`UnitMigration` -- always move; with best-reply sampling, best response.
 
 Each rule writes its formula once, in :meth:`MigrationRule.probability`,
 elementwise on broadcastable arrays (plain floats work too, which is how
@@ -176,3 +177,12 @@ class SmoothedBetterResponseMigration(MigrationRule):
 
     def __repr__(self) -> str:
         return f"SmoothedBetterResponseMigration(width={self.width})"
+
+
+class UnitMigration(MigrationRule):
+    """Always migrate to the sampled path (``mu = 1``): best response's second step."""
+
+    parameters = ()
+
+    def probability(self, latency_from, latency_to):
+        return np.ones(np.broadcast(latency_from, latency_to).shape)

@@ -13,8 +13,10 @@ bulletin-board state.
 
 :class:`PolicyStack` evaluates the policies of ``R`` rows, grouped by rule
 class with per-row parameters stacked, on commodity blocks
-(:class:`~repro.wardrop.paths.CommodityBlocks`); :func:`frozen_field` turns
-the tables into the right-hand side of Eq. (1)/(3).
+(:class:`~repro.wardrop.paths.CommodityBlocks`).  Within a stale phase the
+rates ``sigma * mu`` are fixed, and the phase is solved exactly
+(:mod:`repro.core.dynamics`); :func:`frozen_field` turns live tables into
+the right-hand side of Eq. (1) that up-to-date rows integrate.
 
 Factory helpers build the named policies of the paper:
 
@@ -22,6 +24,8 @@ Factory helpers build the named policies of the paper:
   (the replicator dynamics, Theorem 7),
 * :func:`uniform_policy` -- uniform sampling + linear migration (Theorem 6),
 * :func:`better_response_policy` -- the non-smooth negative example,
+* :func:`best_response_policy` -- best-reply sampling + unit migration
+  (best response, Eq. 2/4),
 * :func:`smoothed_best_response_policy` -- softmax sampling + steep ramp.
 """
 
@@ -41,8 +45,11 @@ from .migration import (
     MigrationRule,
     ScaledLinearMigration,
     SmoothedBetterResponseMigration,
+    UnitMigration,
 )
-from .sampling import ProportionalSampling, SamplingRule, SoftmaxSampling, UniformSampling
+from .sampling import (
+    BestReplySampling, ProportionalSampling, SamplingRule, SoftmaxSampling, UniformSampling
+)
 from .smoothness import safe_update_period_for_rule
 
 Rule = Union[SamplingRule, MigrationRule]
@@ -196,17 +203,15 @@ class PolicyStack:
 
 
 def frozen_field(blocks: CommodityBlocks, sigma: np.ndarray, mu: np.ndarray):
-    """Return the field ``(t, state) -> df/dt`` of Eq. (1)/(3) for fixed tables.
+    """Return the field ``(t, state) -> df/dt`` of Eq. (1) for the tables ``sigma``, ``mu``.
 
     ``df_P/dt = sum_Q (rho_QP - rho_PQ)`` with ``rho_PQ = f_P sigma_PQ
-    mu_PQ``.  Within a stale phase the sampling and migration blocks depend
-    only on the posted snapshot, so the rate blocks ``sigma * mu`` and their
-    outflow sums are formed once per phase; each stage then gathers the
-    ``(R, P)`` state into ``(R, C, K)`` blocks, forms the inflow as one
-    batched ``(R, C, 1, K) @ (R, C, K, K)`` product, subtracts the outflow
-    and scatters back.  The result sums to zero within every commodity, so
-    demands are conserved.  Fresh-information fields rebuild the tables from
-    the live state and apply the same product.
+    mu_PQ``: the inflow of the gathered ``(R, C, K)`` state is one batched
+    ``(R, C, 1, K) @ (R, C, K, K)`` product, the outflow is subtracted and
+    the result, which sums to zero within every commodity, is scattered
+    back.  It serves up-to-date rows, which rebuild the tables from the live
+    state at every integrator stage; a stale phase is not integrated but
+    solved exactly (:func:`~repro.core.dynamics.transition_blocks`).
     """
     rates = sigma * mu
     outflow_rates = rates.sum(axis=-1)
@@ -248,6 +253,11 @@ def better_response_policy(sampling: Optional[SamplingRule] = None) -> Rerouting
         migration=BetterResponseMigration(),
         name="better-response",
     )
+
+
+def best_response_policy() -> ReroutingPolicy:
+    """Best-reply sampling + unit migration: best response (Eq. 2, Eq. 4 when stale)."""
+    return ReroutingPolicy(BestReplySampling(), UnitMigration(), name="best-response")
 
 
 def smoothed_best_response_policy(concentration: float, width: float) -> ReroutingPolicy:

@@ -17,7 +17,9 @@ the smoothed-best-response rule it discusses:
   another agent of the same commodity and look at its path; combined with the
   linear migration rule this is the replicator dynamics (Theorem 7),
 * :class:`SoftmaxSampling` -- ``sigma_PQ ∝ exp(-c * l_Q)``, which approaches
-  best response as ``c`` grows (Section 2.2, Eq. before (2)).
+  best response as ``c`` grows (Section 2.2, Eq. before (2)),
+* :class:`BestReplySampling` -- all mass on the posted minimum-latency paths
+  (best response, Eq. 2/4; not continuous, so outside the smooth class).
 
 Sampling only ever picks a path of the agent's own commodity, so sigma is
 block-diagonal.  Each rule writes its formula once, on the padded commodity
@@ -25,7 +27,7 @@ blocks of :class:`~repro.wardrop.paths.CommodityBlocks`: it receives the
 posted flows and path latencies of ``R`` rows as ``(R, C, K)`` arrays and
 returns blocks that broadcast to ``(R, C, K, K)`` (entry ``[r, c, j, k]``
 is the probability that an agent in slot ``j`` of commodity ``c`` samples
-slot ``k``).  The three rules here do not depend on the current path, so
+slot ``k``).  The rules here do not depend on the current path, so
 they return ``(R, C, 1, K)``.  A rule's float parameters (listed in
 ``parameters``) may be ``(R, 1, 1)`` arrays: rows whose policies differ only
 in those parameters are evaluated as one stacked instance (see
@@ -44,6 +46,9 @@ import numpy as np
 
 from ..wardrop.paths import CommodityBlocks
 from ..wardrop.validation import require_positive
+
+# Posted latencies this close to a commodity's minimum tie for best reply.
+TIE_TOLERANCE = 1e-12
 
 
 class SamplingRule(ABC):
@@ -142,3 +147,19 @@ class SoftmaxSampling(SamplingRule):
         # padded slots score exp(-inf) = 0.
         scores = np.exp(-self.concentration * (latencies - latencies.min(axis=-1, keepdims=True)))
         return (scores / scores.sum(axis=-1, keepdims=True))[..., None, :]
+
+
+class BestReplySampling(SamplingRule):
+    """Sample a posted minimum-latency path of the own commodity, ties split evenly.
+
+    ``sigma_PQ = 1 / |B_i|`` on the paths ``B_i`` whose posted latency is
+    within :data:`TIE_TOLERANCE` of the commodity's minimum.  With
+    :class:`~repro.core.migration.UnitMigration` this is best response.
+    """
+
+    parameters = ()
+
+    def probabilities(self, blocks, posted_flows, posted_path_latencies):
+        latencies = np.where(blocks.valid, posted_path_latencies, np.inf)
+        winners = latencies <= latencies.min(axis=-1, keepdims=True) + TIE_TOLERANCE
+        return (winners / winners.sum(axis=-1, keepdims=True))[..., None, :]

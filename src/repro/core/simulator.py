@@ -3,10 +3,10 @@
 :func:`simulate` integrates the dynamics of Eq. (3): at the start of every
 phase of length ``T`` the bulletin board is refreshed with the live edge
 latencies (and flow shares), and for the duration of the phase the
-migration-rate field is computed against that frozen snapshot while the true
-flow keeps moving.  Setting ``stale=False`` runs the up-to-date information
-dynamics of Eq. (1) instead (the field reads the live state at every
-integrator stage), which is the setting of Theorem 2.
+migration rates are read off that frozen snapshot while the true flow keeps
+moving: a linear system, solved exactly per phase.  Setting ``stale=False``
+runs the up-to-date information dynamics of Eq. (1) instead (the field reads
+the live state at every integrator stage), which is the setting of Theorem 2.
 
 There is one fluid engine: a single run is the one-row case of
 :class:`~repro.batch.engine.BatchSimulator`, so a replica behaves the same
@@ -51,9 +51,10 @@ def simulate(
     """Simulate ``policy`` on ``network`` in the fluid limit and return the trajectory.
 
     ``steps_per_phase`` integrator sub-steps (``method`` ``"rk4"`` or
-    ``"euler"``) resolve each phase.  ``stop_when(time, flow)`` is evaluated
-    on the projected flow at every phase boundary; when it returns ``True``
-    the run ends early (the final state is still recorded).  ``scenario``
+    ``"euler"``) resolve each up-to-date phase; stale phases are exact.
+    ``stop_when(time, flow)`` is evaluated on the projected flow at every
+    phase boundary; when it returns ``True`` the run ends early (the final
+    state is still recorded).  ``scenario``
     optionally makes the environment nonstationary: its modulation is
     sampled at every phase start and frozen for the phase, so the board
     posts (and, in fresh mode, the live field prices flows in) the current

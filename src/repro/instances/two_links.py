@@ -22,8 +22,7 @@ instance and its special starting flows.
 
 from __future__ import annotations
 
-import math
-
+from ..core.bounds import oscillation_fixed_point
 from ..wardrop.commodity import Commodity
 from ..wardrop.flow import FlowVector
 from ..wardrop.latency import ThresholdLatency
@@ -51,10 +50,7 @@ def oscillation_initial_flow(network: WardropNetwork, update_period: float) -> F
     second.  Starting best response from this flow produces a cycle of period
     exactly ``2T``.
     """
-    if update_period <= 0:
-        raise ValueError("update period must be positive")
-    decayed = math.exp(-update_period)
-    first = 1.0 / (decayed + 1.0)
+    first = oscillation_fixed_point(update_period)
     return FlowVector(network, [first, 1.0 - first])
 
 

@@ -17,8 +17,15 @@ import pytest
 from scipy.linalg import expm
 
 from repro.batch import BatchAgentConfig, BatchAgentSimulator, simulate_agent_batch, simulate_batch
-from repro.batch.agents import _stale_generator, _transition_blocks
-from repro.core import replicator_policy, scaled_policy, simulate_agents, uniform_policy
+from repro.batch.agents import _stale_generator
+from repro.core.dynamics import transition_blocks
+from repro.core import (
+    best_response_policy,
+    replicator_policy,
+    scaled_policy,
+    simulate_agents,
+    uniform_policy,
+)
 from repro.core.agents import build_population, population_counts
 from repro.core.best_response import simulate_best_response
 from repro.core.simulator import simulate
@@ -292,9 +299,11 @@ def rounding_edge_cg(network, policy):
 
 
 def rounding_edge_best_response(network, policy):
-    # Best response has no batch; it only has to run the same phase grid.
-    trajectory = simulate_best_response(network, 0.2, HORIZON_EDGE)
-    return trajectory, trajectory
+    result = simulate_batch(
+        network, best_response_policy(), [0.2, 0.2], [HORIZON_EDGE, 3.0],
+        steps_per_phase=10, record_every=1,
+    )
+    return result.trajectory(0), simulate_best_response(network, 0.2, HORIZON_EDGE)
 
 
 @pytest.mark.parametrize(
@@ -444,9 +453,9 @@ def test_stale_rows_of_any_size_and_squaring_count_match_one_row_runs(ragged):
         ragged.paths.blocks, start.values()[None], ragged.path_latencies(start.values())[None]
     )
     generator = _stale_generator(sigma, mu, ragged.paths.blocks)
-    batched = _transition_blocks(np.repeat(generator, len(periods), axis=0), np.array(periods))
+    batched = transition_blocks(np.repeat(generator, len(periods), axis=0), np.array(periods))
     for row, period in enumerate(periods):
-        assert np.array_equal(batched[row], _transition_blocks(generator, np.array([period]))[0])
+        assert np.array_equal(batched[row], transition_blocks(generator, np.array([period]))[0])
     for row, (population, period, seed) in enumerate(zip(populations, periods, seeds)):
         single = simulate_agent_batch(
             ragged, policy, population, period, 24.0, initial_flows=start, seeds=seed,

@@ -45,10 +45,13 @@ class TestDenseEquivalence:
             np.testing.assert_allclose(trajectory.flow_matrix(), flows, rtol=0, atol=1e-9)
             ends = [min((k + 1) * period, 1.05) for k in range(int(np.ceil(1.05 / period)))]
             assert [phase.end_time for phase in trajectory.phases] == pytest.approx(ends)
-            # The start carries index 0; phase k's intermediates and boundary carry k.
+            # The start carries index 0; phase k's intermediates and boundary carry
+            # k.  A full phase takes exactly 7 sub-steps, even where (k + 1) T - k T
+            # rounds above T; the short last phase keeps steps <= T / 7.
             expected = [0]
             for k, end in enumerate(ends):
-                expected += [k] * int(np.ceil((end - k * period) / (period / 7)))
+                full = end == (k + 1) * period
+                expected += [k] * (7 if full else int(np.ceil((end - k * period) / (period / 7))))
             assert [point.phase_index for point in trajectory.points] == expected
 
     def test_strided_samples_are_a_subset_of_the_dense_run(self, network):

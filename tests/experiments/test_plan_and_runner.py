@@ -226,17 +226,18 @@ class TestRunner:
             run_cases(cases, lambda t: {}, engine="batch")
 
     def test_method_field_threads_through_sweep(self):
-        """SweepCase.method must reach the integrator (satellite regression)."""
+        """SweepCase.method must reach the integrator of fresh rows (satellite
+        regression); stale rows are exact and integrate nothing."""
         network = pigou_network(degree=1)
         policy = scaled_policy(1.0)
         start = FlowVector(network, [0.9, 0.1])
         builder = lambda t: {"final": t.final_flow.values().tolist()}
         euler_case = SweepCase(
-            {}, network, policy, 0.25, 0.5, initial_flow=start,
+            {}, network, policy, 0.25, 0.5, initial_flow=start, stale=False,
             steps_per_phase=2, method="euler",
         )
         rk4_case = SweepCase(
-            {}, network, policy, 0.25, 0.5, initial_flow=start,
+            {}, network, policy, 0.25, 0.5, initial_flow=start, stale=False,
             steps_per_phase=2, method="rk4",
         )
         euler_row = run_cases([euler_case], builder, engine="serial").rows[0]
@@ -244,7 +245,7 @@ class TestRunner:
         assert euler_row["final"] != rk4_row["final"]
         expected = simulate(
             network, policy, update_period=0.25, horizon=0.5, initial_flow=start,
-            steps_per_phase=2, method="euler",
+            stale=False, steps_per_phase=2, method="euler",
         )
         assert euler_row["final"] == expected.final_flow.values().tolist()
 

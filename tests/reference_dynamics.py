@@ -1,10 +1,13 @@
-"""A fluid-limit integrator written from Eq. (1)/(3), sharing no engine code.
+"""A fluid-limit solver written from Eq. (1)/(3), sharing no engine code.
 
 Flow leaves path P for Q at ``rho_PQ = f_P sigma_PQ mu(l_P, l_Q)``; stale runs
-read sigma and mu off the board posted at each phase start ``kT``.
+read sigma and mu off the board posted at each phase start ``kT``, so each
+stale phase is the linear system ``df/dt = f Lambda`` and is solved with
+``scipy.linalg.expm``.  Fresh runs are integrated with Euler or RK4.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 
 def tables(network, sampling, l_max, exploration, posted):
@@ -43,12 +46,23 @@ def reference_run(network, sampling, l_max, exploration, period, horizon, steps,
         begin, end = k * period, min((k + 1) * period, horizon)
         if begin >= horizon:  # ceil(horizon / period) can overshoot by one ulp
             break
-        count = int(np.ceil((end - begin) / (period / steps)))  # sub-steps <= T / steps
+        ratio = (end - begin) / (period / steps)  # sub-steps <= T / steps, where a
+        if abs(ratio - round(ratio)) <= 1e-9 * round(ratio):  # rounded full phase is T
+            ratio = round(ratio)
+        count = int(np.ceil(ratio))
         h = (end - begin) / count
         board = transition_rates(network, sampling, l_max, exploration, flow)
+        if stale:  # Lambda = rates - diag(outflow rates); f(t) = f(kT) expm((t - kT) Lambda)
+            generator = board - np.diag(board.sum(axis=1))
+            if dense:
+                for j in range(1, count):
+                    samples.append((begin + j * h, project(network, flow @ expm(j * h * generator))))
+            flow = project(network, flow @ expm((end - begin) * generator))
+            samples.append((end, flow))
+            continue
 
         def field(x):
-            rates = board if stale else transition_rates(network, sampling, l_max, exploration, x)
+            rates = transition_rates(network, sampling, l_max, exploration, x)
             return x @ rates - x * rates.sum(axis=1)  # inflow minus outflow
 
         for j in range(count):

@@ -16,8 +16,14 @@ from repro.batch.engine import BatchConfig, simulate_batch
 from repro.core import uniform_policy
 from repro.core.agents import simulate_agents
 from repro.core.best_response import simulate_best_response, two_link_best_response_flow
+from repro.core.bounds import (
+    max_update_period_for_latency,
+    oscillation_amplitude,
+    oscillation_fixed_point,
+    uniform_convergence_bound,
+)
 from repro.core.simulator import simulate
-from repro.instances import braess_network
+from repro.instances import braess_network, get_instance, oscillation_initial_flow, two_link_network
 from repro.largescale.batch_columns import simulate_with_column_generation_batch
 from repro.largescale.columns import ActivePathSet, simulate_with_column_generation
 from repro.scenarios import (
@@ -270,6 +276,19 @@ ROWS = [
         lambda: run_best_response(samples_per_phase=2.5),
         "samples_per_phase",
     ),
+    (
+        "simulate_best_response(foreign initial flow)",
+        lambda: run_best_response(initial_flow=FlowVector.uniform(two_link_network())),
+        "initial flow belongs to a different network",
+    ),
+    (
+        "simulate_best_response(same-topology foreign initial flow)",
+        lambda: simulate_best_response(
+            get_instance("two-links-steep"), 0.1, 0.2,
+            initial_flow=FlowVector.uniform(get_instance("pigou-quadratic")),
+        ),
+        "initial flow belongs to a different network",
+    ),
     ("two_link_best_response_flow(T=nan)", lambda: two_link_best_response_flow(0.3, NAN, 1.0), "update_period"),
     ("two_link_best_response_flow(time=nan)", lambda: two_link_best_response_flow(0.3, 0.1, NAN), "time"),
     ("two_link_best_response_flow(time=inf)", lambda: two_link_best_response_flow(0.3, 0.1, INF), "time"),
@@ -277,6 +296,31 @@ ROWS = [
         "two_link_best_response_flow(share=nan)",
         lambda: two_link_best_response_flow(NAN, 0.1, 1.0),
         "initial_first_link",
+    ),
+    # Closed-form bounds and the oscillation instance.
+    ("oscillation_fixed_point(nan)", lambda: oscillation_fixed_point(NAN), "update_period"),
+    ("oscillation_amplitude(1, nan)", lambda: oscillation_amplitude(1.0, NAN), "update_period"),
+    ("oscillation_amplitude(nan, 1)", lambda: oscillation_amplitude(NAN, 1.0), "beta"),
+    ("max_update_period_for_latency(nan, 1)", lambda: max_update_period_for_latency(NAN, 1.0), "beta"),
+    (
+        "max_update_period_for_latency(1, nan)",
+        lambda: max_update_period_for_latency(1.0, NAN),
+        "epsilon",
+    ),
+    (
+        "uniform_convergence_bound(T=nan)",
+        lambda: uniform_convergence_bound(BRAESS, NAN, 0.1, 0.1),
+        "update_period",
+    ),
+    (
+        "uniform_convergence_bound(delta=nan)",
+        lambda: uniform_convergence_bound(BRAESS, 0.1, NAN, 0.1),
+        "delta",
+    ),
+    (
+        "oscillation_initial_flow(T=nan)",
+        lambda: oscillation_initial_flow(two_link_network(), NAN),
+        "update_period",
     ),
 ]
 
@@ -297,6 +341,17 @@ def test_valid_boundary_values_still_accepted():
     assert BPRLatency(1.0, 0.5, alpha=0.0).value(1.0) == 1.0
     assert ModulatedLatency(BASE, gain=0.0, offset=1e3).value(0.5) == 1e3
     assert BatchConfig(update_periods=np.array([0.1, 0.2])).batch_size == 2
+    # The bounds keep their documented limits for finite arguments.
+    assert max_update_period_for_latency(0.0, 0.1) == INF
+    assert max_update_period_for_latency(1.0, 0.0) == 0.0
+    assert oscillation_amplitude(0.0, 1.0) == 0.0
+    # An infinite period is a limit of the closed forms, not an error: for
+    # beta < 2 eps no period makes the amplitude exceed eps.
+    assert oscillation_fixed_point(INF) == 1.0
+    assert oscillation_initial_flow(two_link_network(), INF).values().tolist() == [1.0, 0.0]
+    for beta in (0.05, 0.1, 0.19):
+        assert oscillation_amplitude(beta, max_update_period_for_latency(beta, 0.1)) == beta / 2
+    assert uniform_convergence_bound(BRAESS, INF, 0.1, 0.1) == 0.0
     # Whole numbers stored as floats are still whole numbers.
     assert BatchConfig(steps_per_phase=4.0, record_every=2.0).record_every == 2
     assert sweep_case(steps_per_phase=np.int64(3), num_agents=10).steps_per_phase == 3
