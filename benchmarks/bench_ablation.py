@@ -3,11 +3,12 @@
 Three checks that the results reported in EXPERIMENTS.md are not artefacts of
 simulation choices:
 
-* **Integrator**: a stale phase is solved exactly (``f expm(d Lambda)``), so
-  every method and step size must give bit-identical phase ends.  Fresh rows
-  are still integrated: Euler vs RK4 and coarse vs fine step sizes must agree
-  on the trajectory (the dynamics is smooth within a phase), and the Lemma 3
-  identity residual must not grow as the step shrinks.
+* **Dense recording**: a stale phase is solved exactly (``f expm(d Lambda)``)
+  and a fresh one by error-controlled Dormand--Prince steps, so recording
+  samples inside the phases (``record_every``) must leave stale phase ends
+  bit-identical and move fresh ones by at most 1e-9; the fresh final flow
+  must match scipy's DOP853 at rtol 1e-12 to 1e-9, and the Lemma 3 identity
+  residual must stay at round-off (<= 1e-12).
 * **Migration cap**: the paper's alpha-smooth condition is an upper bound;
   capping the migration probability at 1 must not change the trajectory as
   long as ``alpha * l_max <= 1`` (the cap never binds).
@@ -21,56 +22,70 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from repro.analysis import phase_potential_stats, print_table
+from repro.batch import simulate_batch
 from repro.core import scaled_policy, simulate, uniform_policy
 from repro.instances import braess_network, lopsided_flow, two_link_network
 from repro.solvers import optimal_potential
 from repro.wardrop import FlowVector, potential
 
 
+def fresh_reference(network, policy, start, horizon):
+    """Eq. (1) for uniform sampling and linear migration, solved by DOP853 at rtol 1e-12."""
+    l_max = policy.migration.max_latency
+
+    def field(_t, flow):
+        latencies = network.path_latencies(flow)
+        rates = np.clip((latencies[:, None] - latencies[None, :]) / l_max, 0.0, 1.0) / len(flow)
+        return flow @ rates - flow * rates.sum(axis=1)
+
+    solution = solve_ivp(field, (0.0, horizon), start, method="DOP853", rtol=1e-12, atol=1e-15)
+    return solution.y[:, -1]
+
+
 @pytest.mark.experiment("ablation")
 @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
-def test_integrator_choice_does_not_change_results(report_header, stale):
+def test_dense_recording_does_not_change_phase_ends(report_header, stale):
     network = braess_network()
     policy = uniform_policy(network)
     period = policy.safe_update_period(network)
+    horizon = 100 * period
     start = FlowVector.single_path(network, {0: 0})
+    plain = simulate(
+        network, policy, update_period=period, horizon=horizon, initial_flow=start, stale=stale
+    )
+    runs = {"boundaries": plain}
+    for steps in [5, 20]:
+        runs[f"every 1/{steps} of T"] = simulate_batch(
+            network, policy, [period], horizon, initial_flows=[start], stale=stale,
+            steps_per_phase=steps, record_every=1,
+        ).trajectory(0)
+    plain_ends = np.array([p.end_flow.values() for p in plain.phases])
     rows = []
-    finals = {}
-    ends = {}
-    for method in ["euler", "rk4"]:
-        for steps in [10, 50, 200]:
-            trajectory = simulate(
-                network, policy, update_period=period, horizon=100 * period,
-                initial_flow=start, stale=stale, steps_per_phase=steps, method=method,
-            )
-            stats = phase_potential_stats(trajectory)
-            finals[(method, steps)] = trajectory.final_flow.values()
-            ends[(method, steps)] = np.array([p.end_flow.values() for p in trajectory.phases])
-            rows.append(
-                {
-                    "method": method,
-                    "steps/phase": steps,
-                    "final_potential": potential(trajectory.final_flow),
-                    "identity_residual": stats.max_identity_residual,
-                    "lemma4_violations": stats.lemma4_violations,
-                }
-            )
+    for recording, trajectory in runs.items():
+        ends = np.array([p.end_flow.values() for p in trajectory.phases])
+        rows.append(
+            {
+                "recording": recording,
+                "points": len(trajectory.points),
+                "max_end_shift": float(np.abs(ends - plain_ends).max()),
+                "final_potential": potential(trajectory.final_flow),
+                "identity_residual": phase_potential_stats(trajectory).max_identity_residual,
+            }
+        )
     mode = "stale" if stale else "fresh"
-    print_table(rows, title=f"Ablation: integrator method and step size ({mode} rows)")
-    if stale:
-        # No integrator touches a stale phase.
-        for key, values in ends.items():
-            assert np.array_equal(values, ends[("rk4", 200)]), key
-        return
-    reference = finals[("rk4", 200)]
-    for key, values in finals.items():
-        assert np.allclose(values, reference, atol=5e-3), key
-    # Finer steps must not make the Lemma 3 residual worse.
-    euler_coarse = next(r for r in rows if r["method"] == "euler" and r["steps/phase"] == 10)
-    euler_fine = next(r for r in rows if r["method"] == "euler" and r["steps/phase"] == 200)
-    assert euler_fine["identity_residual"] <= euler_coarse["identity_residual"] + 1e-12
+    print_table(rows, title=f"Ablation: dense recording vs phase boundaries ({mode} rows)")
+    assert [row["points"] for row in rows] == [101, 501, 2001]
+    # A stale phase end never depends on its dense samples; a fresh row also
+    # ends its steps at every sample, which moves its phase ends by no more
+    # than the step control's tolerance.
+    assert max(row["max_end_shift"] for row in rows) <= (0.0 if stale else 1e-9)
+    assert max(row["identity_residual"] for row in rows) <= 1e-12
+    if not stale:
+        reference = fresh_reference(network, policy, start.values(), horizon)
+        np.testing.assert_allclose(plain_ends[-1], reference, rtol=0, atol=1e-9)
 
 
 @pytest.mark.experiment("ablation")
@@ -133,7 +148,7 @@ def test_benchmark_integration_cost(benchmark, report_header):
     def run():
         return simulate(
             network, policy, update_period=period, horizon=30 * period,
-            initial_flow=FlowVector.single_path(network, {0: 0}), steps_per_phase=50,
+            initial_flow=FlowVector.single_path(network, {0: 0}),
         )
 
     trajectory = benchmark(run)

@@ -151,7 +151,6 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
                 ActivePathSet.from_network(network), policy,
                 update_period=period, horizon=horizon,
                 scenario=scenarios[row], stale=True,
-                steps_per_phase=steps,
             )
             final_net = scalar_result.network
             full_flows = oracle.expand_edge_values(
@@ -185,7 +184,6 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
                 ActivePathSet.from_network(result.network, closed=True), policy,
                 update_period=period, horizon=horizon,
                 scenario=scenarios[row], stale=True,
-                steps_per_phase=steps,
             )
             scalar_matrix = np.array(
                 [point.flow.values() for point in scalar_closed.trajectory.points]

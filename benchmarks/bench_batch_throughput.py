@@ -85,7 +85,7 @@ def test_family_batch_vs_scalar_throughput(report_header):
         for row in range(SCALAR_SAMPLE):
             trajectory = simulate(
                 family.member(row), policy, update_period=periods[row], horizon=HORIZON,
-                initial_flow=starts[row], steps_per_phase=STEPS_PER_PHASE,
+                initial_flow=starts[row],
             )
             scalar_final.append(trajectory.final_flow.values())
     scalar_seconds = scalar_timer.seconds

@@ -40,7 +40,7 @@ def run_fresh(network, make_policy, horizon=60.0):
     start = lopsided.blend(FlowVector.uniform(network), 0.05)
     return simulate(
         network, policy, update_period=0.05, horizon=horizon,
-        initial_flow=start, stale=False, steps_per_phase=10,
+        initial_flow=start, stale=False,
     )
 
 

@@ -127,7 +127,6 @@ def run_benchmark(smoke: bool = False) -> List[dict]:
                     build_policy,
                     update_period=period,
                     horizon=horizon,
-                    steps_per_phase=steps_per_phase,
                     stop_when=gap_reached,
                 )
             seconds = cg_timer.seconds

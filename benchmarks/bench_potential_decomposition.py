@@ -31,7 +31,7 @@ def run_and_decompose(network, phases=100):
     start = FlowVector.single_path(network, {i: 0 for i in range(network.num_commodities)})
     trajectory = simulate(
         network, policy, update_period=period, horizon=phases * period,
-        initial_flow=start, steps_per_phase=40,
+        initial_flow=start,
     )
     return [decompose_phase(p.start_flow, p.end_flow) for p in trajectory.phases]
 

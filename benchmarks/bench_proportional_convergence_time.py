@@ -31,7 +31,7 @@ def run_replicator(network, horizon=120.0):
     start = FlowVector(network, values)
     trajectory = simulate(
         network, policy, update_period=period, horizon=horizon,
-        initial_flow=start, steps_per_phase=20,
+        initial_flow=start,
     )
     return trajectory, period
 

@@ -31,7 +31,7 @@ def run_policy(network, make_policy, horizon=150.0):
     start = FlowVector(network, values)
     trajectory = simulate(
         network, policy, update_period=period, horizon=horizon,
-        initial_flow=start, steps_per_phase=15,
+        initial_flow=start,
     )
     return count_bad_phases(trajectory, DELTA, EPSILON)
 

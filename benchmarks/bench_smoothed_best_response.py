@@ -30,7 +30,7 @@ def run_smoothed(concentration, width, phases=120):
     policy = smoothed_best_response_policy(concentration, width)
     return simulate(
         network, policy, update_period=UPDATE_PERIOD, horizon=phases * UPDATE_PERIOD,
-        initial_flow=lopsided_flow(network, 0.9), steps_per_phase=30,
+        initial_flow=lopsided_flow(network, 0.9),
     )
 
 

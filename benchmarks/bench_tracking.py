@@ -148,7 +148,7 @@ def run_benchmark(
         for row in range(scalar_rows):
             trajectory = simulate(
                 network, policy, update_period=period, horizon=horizon,
-                steps_per_phase=steps, scenario=scenarios[row],
+                scenario=scenarios[row],
             )
             scalar_flows.append(np.array([p.flow.values() for p in trajectory.points]))
     scalar_seconds = scalar_timer.seconds

@@ -13,9 +13,9 @@ a capacity-drop incident and a closure; and the Sioux Falls edge-flow
 ``fw``/``cfw``/``bfw`` solves at relative gap 1e-3 as ``iterations``, the
 relative gap bytes and the potential bytes.  The ``fluid`` lines hash the
 times and flow matrix of ``simulate(...)`` on braess, pigou-quadratic,
-two-links-steep and parallel-8-affine under stale/fresh x rk4/euler, plus one
-stale run through a Braess shortcut closure, one run ended by ``stop_when``
-and stale/fresh rk4 runs on ``sioux-mini-ragged`` -- sioux-falls-mini's
+two-links-steep and parallel-8-affine under stale and fresh information, plus
+one stale run through a Braess shortcut closure, one run ended by
+``stop_when`` and stale/fresh runs on ``sioux-mini-ragged`` -- sioux-falls-mini's
 free-flow shortest paths after one ``ActivePathSet.augment`` at the
 all-or-nothing load, so its 40 commodities have one or two paths and the
 commodity blocks are padded.  The ``agents`` lines do the same for
@@ -157,13 +157,11 @@ def fluid_lines():
         policy = replicator_policy(network)
         start = FlowVector.random(network, np.random.default_rng(5))
         for stale in (True, False):
-            for method in ("rk4", "euler"):
-                trajectory = simulate(
-                    network, policy, update_period=0.1, horizon=5.0, initial_flow=start,
-                    stale=stale, steps_per_phase=20, method=method,
-                )
-                label = f"{'stale' if stale else 'fresh'}-{method}"
-                yield name, label, trajectory_digest(trajectory)
+            trajectory = simulate(
+                network, policy, update_period=0.1, horizon=5.0, initial_flow=start,
+                stale=stale,
+            )
+            yield name, "stale" if stale else "fresh", trajectory_digest(trajectory)
     braess = get_instance("braess")
     closure = Scenario(
         incidents=[LinkIncident(("a", "b", 0), 1.0, 2.0, capacity_factor=0.0, closure_penalty=10.0)]
@@ -184,9 +182,9 @@ def fluid_lines():
     for stale in (True, False):
         trajectory = simulate(
             ragged, ragged_policy(ragged), update_period=0.1, horizon=2.0,
-            initial_flow=start, stale=stale, steps_per_phase=10,
+            initial_flow=start, stale=stale,
         )
-        yield RAGGED, f"{'stale' if stale else 'fresh'}-rk4", trajectory_digest(trajectory)
+        yield RAGGED, "stale" if stale else "fresh", trajectory_digest(trajectory)
 
 
 def agent_lines():
@@ -237,13 +235,13 @@ def cg_lines():
     for closed in (False, True):
         result = simulate_with_column_generation(
             ActivePathSet.from_network(braess, closed=closed), uniform_policy(braess),
-            update_period=0.1, horizon=2.0, steps_per_phase=10,
+            update_period=0.1, horizon=2.0,
         )
         yield "braess", "closed" if closed else "open", cg_digest(result)
     mini = get_instance("sioux-falls-mini")
     result = simulate_with_column_generation(
         ActivePathSet.from_network(mini), replicator_policy(mini, exploration=0.05),
-        update_period=0.1, horizon=1.0, steps_per_phase=10,
+        update_period=0.1, horizon=1.0,
     )
     yield "sioux-falls-mini", "open", cg_digest(result)
     closure = Scenario(
@@ -251,13 +249,13 @@ def cg_lines():
     )
     result = simulate_with_column_generation(
         ActivePathSet.from_network(braess), uniform_policy(braess),
-        update_period=0.1, horizon=2.0, steps_per_phase=10, scenario=closure,
+        update_period=0.1, horizon=2.0, scenario=closure,
     )
     yield "braess", "closure", cg_digest(result)
     steep = get_instance("two-links-steep")
     result = simulate_with_column_generation(
         ActivePathSet.from_network(steep), replicator_policy(steep, exploration=0.05),
-        update_period=0.1, horizon=100.0, steps_per_phase=10,
+        update_period=0.1, horizon=100.0,
         stop_when=lambda time, flow: flow.network.num_paths > 1
         and equilibrium_violation(flow) < 1e-2,
     )

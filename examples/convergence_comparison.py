@@ -44,7 +44,6 @@ def run(network, policy, horizon=120.0):
         update_period=period,
         horizon=horizon,
         initial_flow=populated_start(network),
-        steps_per_phase=15,
     )
     return trajectory, period
 

@@ -37,7 +37,7 @@ def run_operating_point(network, update_period, aggressiveness):
     start = FlowVector.uniform(network)
     trajectory = simulate(
         network, policy, update_period=update_period, horizon=horizon,
-        initial_flow=start, steps_per_phase=20,
+        initial_flow=start,
     )
     # "Unstable" means the allocation keeps moving by more than 1% of the total
     # demand from phase to phase at the end of the run.

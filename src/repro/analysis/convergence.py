@@ -48,12 +48,17 @@ class ConvergenceSummary:
     epsilon: float
 
 
+def check_slacks(delta: float, epsilon: float) -> None:
+    """Reject a (delta, eps) pair outside delta > 0, 0 < eps <= 1 (NaN included)."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+
+
 def count_bad_phases(trajectory: Trajectory, delta: float, epsilon: float) -> ConvergenceSummary:
     """Count update periods not starting at a (weak) (delta, eps)-equilibrium."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+    check_slacks(delta, epsilon)
     bad = 0
     weak_bad = 0
     last_bad = -1
@@ -81,8 +86,8 @@ def time_to_potential_gap(
 
     ``None`` if the gap is never reached within the recorded horizon.
     """
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
+    if not gap >= 0:
+        raise ValueError(f"gap must be non-negative, got {gap}")
     for point in trajectory.points:
         if potential(point.flow) - optimal_potential <= gap:
             return point.time
@@ -97,6 +102,7 @@ def time_to_approximate_equilibrium(
     Measured at phase starts to match the theorem statements.  ``None`` if no
     recorded phase start qualifies.
     """
+    check_slacks(delta, epsilon)
     measure = weakly_unsatisfied_volume if weak else unsatisfied_volume
     for phase in trajectory.phases:
         if measure(phase.start_flow, delta) <= epsilon:

@@ -37,7 +37,7 @@ from ..core.trajectory import Trajectory
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.validation import require_positive, require_positive_integer
-from .convergence import ConvergenceSummary, count_bad_phases
+from .convergence import ConvergenceSummary, check_slacks, count_bad_phases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from ..batch.stopping import StopCondition
@@ -53,10 +53,11 @@ class SweepCase:
     """One parameter setting of a sweep.
 
     ``parameters`` are echoed into the result row; the remaining fields
-    define the run.  ``method`` selects the engine: ``"rk4"`` / ``"euler"``
-    run the fluid-limit integrator, ``"agents"`` runs the finite-population
-    agent simulator (``num_agents`` agents, seeded with ``seed``;
-    ``steps_per_phase`` is then ignored).  ``stop_when`` is an optional
+    define the run.  ``method`` selects the model: ``"fluid"`` (the default)
+    runs the fluid-limit engine, ``"agents"`` the finite-population agent
+    simulator (``num_agents`` agents, seeded with ``seed``).
+    ``steps_per_phase`` changes no result (sweeps record phase boundaries,
+    and no step size reaches a phase).  ``stop_when`` is an optional
     :class:`~repro.batch.stopping.StopCondition` evaluated at every phase
     boundary (fluid and agent methods); the case is always evaluated as
     batch row 0, so the stop phase never depends on the dispatch decision.
@@ -91,8 +92,8 @@ class SweepCase:
 
     Settings are validated at construction, naming the field: periods and
     horizons must be finite and positive, ``steps_per_phase`` and
-    ``num_agents`` whole numbers >= 1, and column generation must not meet
-    the fields above.
+    ``num_agents`` whole numbers >= 1, a fresh fluid case's policy
+    alpha-smooth, and column generation must not meet the fields above.
     """
 
     parameters: Dict[str, object]
@@ -103,7 +104,7 @@ class SweepCase:
     initial_flow: Optional[FlowVector] = None
     stale: bool = True
     steps_per_phase: int = 50
-    method: str = "rk4"
+    method: str = "fluid"
     num_agents: Optional[int] = None
     seed: int = 0
     stop_when: Optional["StopCondition"] = None
@@ -114,10 +115,12 @@ class SweepCase:
         require_positive("update_period", self.update_period)
         require_positive("horizon", self.horizon)
         require_positive_integer("steps_per_phase", self.steps_per_phase)
-        if self.method not in ("rk4", "euler", "agents"):
-            raise ValueError(f"method must be 'rk4', 'euler' or 'agents', got {self.method!r}")
+        if self.method not in ("fluid", "agents"):
+            raise ValueError(f"method must be 'fluid' or 'agents', got {self.method!r}")
         if self.num_agents is not None:
             require_positive_integer("num_agents", self.num_agents)
+        if self.method == "fluid" and not self.stale and isinstance(self.policy, ReroutingPolicy):
+            self.policy.check_fresh_fluid()
         if self.column_generation:
             for name, conflict in (
                 ("method", self.method == "agents"),
@@ -226,6 +229,7 @@ def run_sweep(
 
 def convergence_row_builder(delta: float, epsilon: float) -> RowBuilder:
     """Return a row builder reporting the Theorem 6/7 bad-phase counts."""
+    check_slacks(delta, epsilon)
 
     def build(trajectory: Trajectory) -> Mapping[str, object]:
         summary: ConvergenceSummary = count_bad_phases(trajectory, delta, epsilon)

@@ -4,7 +4,7 @@
 dynamics as one stacked ``(B, P)`` array: one vectorised product per phase
 or integration step instead of one Python-level simulation per replica.  Rows
 may differ in initial flow, bulletin-board update period, horizon,
-steps-per-phase resolution and (via a list of policies) policy parameters,
+recording grid and (via a list of policies) policy parameters,
 so a whole parameter sweep becomes a single run.  The replicas route
 either on one shared :class:`~repro.wardrop.network.WardropNetwork` or on
 the members of a :class:`~repro.wardrop.family.NetworkFamily` -- networks
@@ -22,7 +22,8 @@ every kernel is row-wise, so a row's arithmetic does not depend on which
 other rows share the batch (``tests/batch``, ``tests/scenarios``).
 *Reference*: a one-row run matches an independent solver written directly
 from Eq. (1)/(3) (``tests/reference_dynamics.py``): stale phases through
-``scipy.linalg.expm`` to 1e-12, fresh ones step for step to 1e-9.
+``scipy.linalg.expm`` to 1e-12, fresh ones through ``scipy.integrate.solve_ivp``
+(DOP853 at rtol 1e-12) to 1e-9.
 
 Per-row policies are stacked once per engine (a
 :class:`~repro.core.policy.PolicyStack`), and the tables and the field live
@@ -32,9 +33,15 @@ gather and a scatter of the ``(R, P)`` state; no table is ``(B, P, P)``.
 
 A stale phase is not integrated: the posted board fixes its rates, so it
 ends exactly at ``f(t_hat) expm(d Lambda)``, one product with the transition
-blocks of :mod:`repro.core.dynamics`.  ``method`` and ``steps_per_phase``
-integrate up-to-date rows only; for stale rows the sub-step grid only places
-the ``record_every`` samples.
+blocks of :mod:`repro.core.dynamics`.  An up-to-date phase takes
+error-controlled Dormand--Prince steps: each row carries its step size from
+phase to phase, accepts or rejects its own steps and stops at its phase end
+and its next sample, so its steps depend on its own state only.  Where two
+latencies cross inside a step the field has a kink that the embedded error
+estimate can miss, so a step's kink error is estimated from the crossed
+pairs as well, and a row whose kink error is too large steps onto the
+crossing instead.  ``steps_per_phase`` only places the ``record_every``
+samples.
 
 Because rows are independent, the engine advances all rows through *their
 own* phase ``k`` simultaneously even when their update periods differ — the
@@ -66,7 +73,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.dynamics import batch_stepper_for, rate_generator, transition_blocks
+from ..core.dynamics import (
+    batch_stepper_for,
+    error_norms,
+    rate_generator,
+    step_factors,
+    transition_blocks,
+)
 from ..core.policy import PolicyStack, ReroutingPolicy, frozen_field
 from ..core.trajectory import PhaseRecord, Trajectory, planned_phase_counts
 from ..scenarios.scenario import ScenarioEnsemble
@@ -89,10 +102,16 @@ BatchStoppingCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarr
 # Every engine checks at every phase boundary that each active row routes
 # every commodity's demand to this relative tolerance.
 CONSERVATION_RTOL = 1e-9
-# A phase of duration d takes ceil(d * steps_per_phase / T) sub-steps; a ratio
-# this close (relatively) to an integer is that integer, so the rounding of a
-# phase boundary never adds a sub-step.
+# A phase of duration d has ceil(d * steps_per_phase / T) sub-steps on the
+# recording grid; a ratio this close (relatively) to an integer is that
+# integer, so the rounding of a phase boundary never adds a sub-step.
 GRID_TOLERANCE = 1e-9
+# The shortest step a fresh row may propose.  The model's rates are at most
+# one per unit time, and even onto a kink of its field (two latencies
+# crossing) a Lipschitz field takes steps near 1e-7 or longer; a row that
+# needs shorter ones has a field that is not finite or not Lipschitz (a rule
+# claiming a smoothness it lacks), and raises.
+MIN_STEP = 1e-9
 
 
 def _grow_buffer(buffer: np.ndarray, perm: np.ndarray, width: int) -> np.ndarray:
@@ -117,15 +136,14 @@ class BatchConfig:
     horizons:
         Scalar or shape ``(B,)`` — total simulated time per row.
     steps_per_phase:
-        Scalar or shape ``(B,)`` — sub-steps per phase: the integration grid
-        of fresh rows and the ``record_every`` grid of every row.
-    method:
-        The integrator of fresh rows, ``"rk4"`` or ``"euler"``.
+        Scalar or shape ``(B,)`` — sub-steps per phase of the grid on which
+        ``record_every`` places samples.  It does not change the dynamics:
+        stale phases are exact and fresh ones error-controlled.
     stale:
         If ``True`` (default) boards refresh only at phase boundaries
         (Eq. 3); if ``False`` the live state is used at every stage (Eq. 1).
     record_every:
-        Optional stride (in integrator sub-steps) for dense trajectory
+        Optional stride (in grid sub-steps) for dense trajectory
         recording: every ``record_every``-th sub-step records an additional
         (projected) sample between the phase boundaries; ``1`` records every
         sub-step.  ``None`` (default) records phase boundaries only.
@@ -138,7 +156,6 @@ class BatchConfig:
     update_periods: np.ndarray = field(default_factory=lambda: np.array([0.1]))
     horizons: Union[float, np.ndarray] = 50.0
     steps_per_phase: Union[int, np.ndarray] = 50
-    method: str = "rk4"
     stale: bool = True
     record_every: Optional[int] = None
 
@@ -147,7 +164,6 @@ class BatchConfig:
         require_positive("update_periods", self.update_periods)
         require_positive("horizons", self.horizons)
         require_positive_integer("steps_per_phase", self.steps_per_phase)
-        batch_stepper_for(self.method)  # an unknown method fails here, not in run()
         if self.record_every is not None:
             if np.ndim(self.record_every) != 0:
                 raise ValueError("record_every must be a scalar sub-step stride")
@@ -679,6 +695,8 @@ class BatchSimulator(BatchEnsembleBase):
         class are evaluated together with their parameters stacked.
     config:
         The :class:`BatchConfig` with per-row periods/horizons/resolutions.
+        A fresh run (``stale=False``) needs alpha-smooth policies
+        (:meth:`~repro.core.policy.ReroutingPolicy.check_fresh_fluid`).
     scenarios:
         Optional nonstationary environments: one
         :class:`~repro.scenarios.scenario.Scenario` shared by every row, or a
@@ -696,6 +714,12 @@ class BatchSimulator(BatchEnsembleBase):
     engine_name = "fluid-batch"
     counter_prefix = "batch"
     config: BatchConfig
+
+    def __init__(self, network: Networks, policies: Policies, config: BatchConfig, scenarios=None):
+        super().__init__(network, policies, config, scenarios)
+        if not config.stale:
+            for policy in self._policies:
+                policy.check_fresh_fluid()
 
     def _frozen_phase(self, board: BatchBulletinBoard, rows: np.ndarray, durations: np.ndarray):
         """Return the ``(R, C, K, K)`` generator blocks of one stale phase of the active rows.
@@ -736,34 +760,31 @@ class BatchSimulator(BatchEnsembleBase):
         """
         config = self.config
         flows = self._initial_flows(initial_flows)
-        stepper = batch_stepper_for(config.method)
+        stepper = batch_stepper_for("dopri5")
         record_every = config.record_every
         max_steps = config.update_periods / config.steps_per_phase
+        # Each row's next trial step of a fresh phase: its period at first,
+        # then what the error control proposed at the end of its last phase.
+        trial_steps = config.update_periods.copy()
         tele = get_telemetry()
 
         def advance(phase, rows, row_starts, durations, generator, flows, recording):
             """Move the active rows through one phase; return their raw end state."""
             network = self.network
             blocks = network.paths.blocks
-            # Equal sub-steps no longer than T / steps_per_phase, the last one
-            # landing on the phase end: the integration grid of fresh rows and
-            # the dense-recording grid of every row (see GRID_TOLERANCE).
+            # The recording grid: equal sub-steps no longer than T / steps_per_phase,
+            # the last one landing on the phase end (see GRID_TOLERANCE).
             ratios = durations / max_steps[rows]
             nearest = np.rint(ratios)
             ratios = np.where(np.abs(ratios - nearest) <= GRID_TOLERANCE * nearest, nearest, ratios)
             num_steps = np.maximum(1, np.ceil(ratios)).astype(int)
             step_sizes = durations / num_steps
-            count = int(num_steps.max())
             state = flows[rows]
 
-            def sample(k, state):
-                """Record the projected sub-step ``k + 1`` state of the rows still inside."""
-                if record_every is not None and (k + 1) % record_every == 0:
-                    selected = np.flatnonzero(k + 1 < num_steps)
-                    if len(selected):
-                        times = row_starts[selected] + (k + 1) * step_sizes[selected]
-                        projected = FlowVector.project_batch(network, state[selected])
-                        recording.sample(rows[selected], times, projected, phase)
+            def sample(selected, offsets, states):
+                """Record the projected ``states`` of rows ``selected`` at phase ``offsets``."""
+                projected = FlowVector.project_batch(network, states)
+                recording.sample(rows[selected], row_starts[selected] + offsets, projected, phase)
 
             if generator is not None:
                 # A stale phase is exact: f(t_hat) expm(d Lambda) per commodity
@@ -774,40 +795,92 @@ class BatchSimulator(BatchEnsembleBase):
                     if record_every is not None:
                         step = transition_blocks(generator, step_sizes)
                         inside = start
-                        for k in range(count - 1):
+                        for k in range(1, int(num_steps.max())):
                             inside = inside @ step
-                            sample(k, blocks.scatter(inside[..., 0, :]))
+                            if k % record_every == 0:
+                                selected = np.flatnonzero(k < num_steps)
+                                ends = blocks.scatter(inside[selected, ..., 0, :])
+                                sample(selected, k * step_sizes[selected], ends)
                     end = start @ transition_blocks(generator, durations)
                 return blocks.scatter(end[..., 0, :])
 
-            stack = self._stack.select(rows)
+            def live_field(live_rows):
+                """Eq. (1) on ``live_rows`` (tables of the live state, in each row's
+                environment), and the ``(sigma, mu)`` tables of its last evaluation."""
+                stack = self._stack.select(live_rows)
+                tables = []
 
-            def field(time, state: np.ndarray) -> np.ndarray:
-                """Eq. (1): the tables read the live state, priced in each row's environment."""
-                live = self._path_latencies_rows(state, rows)
-                return frozen_field(blocks, *stack.tables(blocks, state, live))(time, state)
+                def field(state):
+                    latencies = self._path_latencies_rows(state, live_rows)
+                    tables[:] = stack.tables(blocks, state, latencies)
+                    return frozen_field(blocks, *tables)(state)
 
-            # Step sizes and stage clocks are formed once per phase: scalars
-            # when every active row shares one clock (array broadcasts in every
-            # stage cost small one-row runs about a quarter of their time),
-            # else per-row columns in which a row that has taken all its
-            # sub-steps idles with step 0 while longer rows finish.
-            if (
-                (num_steps == count).all()
-                and (step_sizes == step_sizes[0]).all()
-                and (row_starts == row_starts[0]).all()
-            ):
-                steps = [step_sizes[0]] * count
-                ticks = [row_starts[0] + k * step_sizes[0] for k in range(count)]
-            else:
-                substeps = np.arange(count)[:, None]
-                steps = np.where(substeps < num_steps, step_sizes, 0.0)[:, :, None]
-                ticks = (row_starts + substeps * step_sizes)[:, :, None]
-            with tele.span("integrate", steps=count, state_bytes=state.nbytes):
-                for k in range(count):
-                    state = stepper(field, ticks[k], state, steps[k])
-                    # Samples are projected; integration continues from the raw state.
-                    sample(k, state)
+                return field, tables
+
+            # A fresh phase: error-controlled steps on per-row clocks ``elapsed``,
+            # each stopping at the row's next sample (grid sub-step ``marks``) and
+            # at its phase end.  Rows that reach the end leave the sub-batch
+            # ``live``, and only then is the field rebuilt.
+            demands = network.path_demands
+            marks = num_steps.copy() if record_every is None else np.full(len(rows), record_every)
+            live, elapsed, trial = np.arange(len(rows)), np.zeros(len(rows)), trial_steps[rows]
+            with tele.span("integrate", state_bytes=state.nbytes):
+                field, tables = live_field(rows)
+                current, slope = state, field(state)
+                start_mu = tables[1]
+                while len(live):
+                    inside = marks[live] < num_steps[live]
+                    targets = np.where(inside, marks[live] * step_sizes[live], durations[live])
+                    landed = trial >= targets - elapsed
+                    step = np.where(landed, targets - elapsed, trial)
+                    stuck = np.flatnonzero(~landed & (step < MIN_STEP))
+                    if len(stuck):
+                        raise ValueError(
+                            f"row {int(rows[live[stuck[0]]])} needs steps below {MIN_STEP:g} in "
+                            f"phase {phase}: its up-to-date field is not finite or not Lipschitz"
+                        )
+                    proposal, ahead, norms = stepper(field, current, slope, step[:, None], demands)
+                    grown = step * step_factors(norms)
+                    sigma, mu = tables
+                    # A kink: P -> Q migrates at the step's end and Q -> P did at its
+                    # start, so the two latencies crossed inside the step.  The embedded
+                    # estimate can miss it; the step's error is about the step times the
+                    # field of the crossed pairs at its end.  A row whose kink error is
+                    # too large retries up to the secant root of the first crossing and
+                    # past it by the overshoot whose kink error is half the tolerance.
+                    before = np.swapaxes(start_mu, -1, -2)
+                    crossed = (mu > 0) & (start_mu == 0) & (before > 0)
+                    if crossed.any():
+                        kink = frozen_field(blocks, sigma, np.where(crossed, mu, 0.0))(proposal)
+                        kinks = error_norms(step[:, None] * kink, current, proposal, demands)
+                        share = np.divide(before, before + mu, out=np.ones_like(mu), where=crossed)
+                        root = step * share.min(axis=(1, 2, 3))
+                        spare = (step - root) * step / (2.0 * np.maximum(kinks, 1.0))
+                        retry = (root + np.sqrt(root**2 + 4.0 * spare)) / 2.0
+                        grown = np.where(kinks > 1.0, np.minimum(grown, retry), grown)
+                        norms = np.maximum(norms, kinks)
+                    accepted = norms <= 1.0
+                    reached = accepted & landed
+                    # A step clamped to a target says little about the step the
+                    # row can take, so the longer proposal survives it.
+                    trial = np.where(reached, np.maximum(trial, grown), grown)
+                    current = np.where(accepted[:, None], proposal, current)
+                    slope = np.where(accepted[:, None], ahead, slope)
+                    start_mu = np.where(accepted[:, None, None, None], mu, start_mu)
+                    elapsed = np.where(reached, targets, elapsed + np.where(accepted, step, 0.0))
+                    sampled = reached & inside
+                    if sampled.any():
+                        sample(live[sampled], targets[sampled], current[sampled])
+                        marks[live[sampled]] += record_every
+                    done = reached & ~inside
+                    if done.any():
+                        state[live[done]] = current[done]
+                        trial_steps[rows[live[done]]] = trial[done]
+                        live, elapsed, trial, current, slope, start_mu = (
+                            kept[~done] for kept in (live, elapsed, trial, current, slope, start_mu)
+                        )
+                        if len(live):
+                            field, tables = live_field(rows[live])
             return state
 
         samples_per_phase = None
@@ -821,13 +894,13 @@ class BatchSimulator(BatchEnsembleBase):
             advance,
             np.broadcast_to(network.commodity_demands, (len(flows), network.num_commodities)),
             samples_per_phase,
-            method=config.method,
             stale=config.stale,
             rows=config.batch_size,
             paths=network.num_paths,
             state_bytes=flows.nbytes,
         )
         return BatchResult(policy_names=[policy.label() for policy in self._policies], **fields)
+
 
 def simulate_batch(
     network: Networks,
@@ -837,7 +910,6 @@ def simulate_batch(
     initial_flows=None,
     stale: bool = True,
     steps_per_phase=50,
-    method: str = "rk4",
     stop_when: Optional[BatchStoppingCondition] = None,
     record_every: Optional[int] = None,
     scenarios=None,
@@ -851,7 +923,6 @@ def simulate_batch(
         update_periods=np.asarray(update_periods, dtype=float),
         horizons=horizons,
         steps_per_phase=steps_per_phase,
-        method=method,
         stale=stale,
         record_every=record_every,
     )

@@ -95,6 +95,8 @@ def distance_stop(
     """
     stacked = _stack_targets(targets)
     tolerance = float(tolerance)
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
 
     def batch(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.abs(flows - stacked[rows]).sum(axis=1) <= tolerance
@@ -118,6 +120,9 @@ def equilibrium_gap_stop(
     family = network if isinstance(network, NetworkFamily) else None
     base = family.base if family is not None else network
     delta = float(delta)
+    for name, value in (("delta", delta), ("threshold", threshold)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     blocks = base.paths.blocks
 
     def batch(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:

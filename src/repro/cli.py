@@ -144,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fresh", action="store_true", help="use up-to-date information instead")
     run.add_argument(
         "--method",
-        choices=["rk4", "euler", "agents"],
-        default="rk4",
-        help="integration scheme, or 'agents' for the finite-population simulator",
+        choices=["fluid", "agents"],
+        default="fluid",
+        help="the fluid-limit engine, or 'agents' for the finite-population simulator",
     )
     run.add_argument(
         "--agents", type=int, default=1000, help="population size n for --method agents"
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="grow the route set by shortest-path column generation at every "
         "bulletin refresh instead of using the instance's enumerated paths "
-        "(fluid methods only)",
+        "(--method fluid only)",
     )
     run.add_argument(
         "--scenario",
@@ -220,20 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--processes", type=int, default=None, help="worker pool size")
     sweep.add_argument(
         "--method",
-        choices=["rk4", "euler", "agents"],
-        default="rk4",
-        help="integration scheme, or 'agents' for the finite-population simulator",
+        choices=["fluid", "agents"],
+        default="fluid",
+        help="the fluid-limit engine, or 'agents' for the finite-population simulator",
     )
     sweep.add_argument(
         "--agents", type=int, default=1000, help="population size n for --method agents"
     )
-    sweep.add_argument("--steps-per-phase", type=int, default=50, help="sub-steps per phase")
     sweep.add_argument("--fresh", action="store_true", help="use up-to-date information instead")
     sweep.add_argument(
         "--column-generation",
         action="store_true",
-        help="run every case with shortest-path column generation (fluid "
-        "methods only; same-network cases with equal periods fuse onto the "
+        help="run every case with shortest-path column generation (--method "
+        "fluid only; same-network cases with equal periods fuse onto the "
         "batched CG driver, which unions open-mode discoveries -- use "
         "--engine serial for independent per-row route sets)",
     )
@@ -469,7 +468,7 @@ def _cmd_simulate(
     period: str,
     horizon: float,
     fresh: bool,
-    method: str = "rk4",
+    method: str = "fluid",
     num_agents: int = 1000,
     seed: int = 0,
     column_generation: bool = False,
@@ -501,8 +500,14 @@ def _cmd_simulate(
             print("error: --period must be finite and positive", file=sys.stderr)
             return 2
     if column_generation and method == "agents":
-        print("error: --column-generation supports fluid methods only", file=sys.stderr)
+        print("error: --column-generation supports --method fluid only", file=sys.stderr)
         return 2
+    if fresh and method == "fluid":
+        try:
+            policy.check_fresh_fluid()
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
     from contextlib import ExitStack
 
@@ -530,7 +535,6 @@ def _cmd_simulate(
                 update_period=update_period,
                 horizon=horizon,
                 stale=not fresh,
-                method=method,
                 scenario=scenario,
             )
             trajectory = result.trajectory
@@ -557,7 +561,7 @@ def _cmd_simulate(
             else:
                 trajectory = simulate(
                     network, policy, update_period=update_period, horizon=horizon,
-                    initial_flow=start, stale=not fresh, method=method, scenario=scenario,
+                    initial_flow=start, stale=not fresh, scenario=scenario,
                 )
     if metrics and tele is not None:
         print_table(tele.metrics.rows(), title="telemetry metrics")
@@ -601,10 +605,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --periods must contain finite positive numbers", file=sys.stderr)
         return 2
 
-    if args.column_generation and args.method == "agents":
-        print("error: --column-generation supports fluid methods only", file=sys.stderr)
-        return 2
-
     scenarios = {name: None for name in names}
     if args.scenario is not None:
         from .scenarios import get_scenario
@@ -627,19 +627,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             update_period=params["update_period"],
             horizon=args.horizon,
             stale=not args.fresh,
-            steps_per_phase=args.steps_per_phase,
             method=args.method,
             num_agents=args.agents if args.method == "agents" else None,
             column_generation=args.column_generation,
             scenario=scenarios[name],
         )
 
-    plan = ExperimentPlan.from_axes(
-        f"sweep-{args.instance}-{args.policy}",
-        build_case,
-        instance=names,
-        update_period=periods,
-    )
+    try:
+        plan = ExperimentPlan.from_axes(
+            f"sweep-{args.instance}-{args.policy}",
+            build_case,
+            instance=names,
+            update_period=periods,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     # Seed each case with its deterministic plan seed: the value persisted by
     # --include-seed is then exactly the seed the agent simulator ran with
     # (a row is reproduced by `simulate_agents(..., seed=<value>)` with the
@@ -647,7 +650,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # lopsided starting flow).
     for case, seed in zip(plan.cases, plan.seeds):
         case.seed = seed
-    convergence = convergence_row_builder(args.delta, args.epsilon)
+    try:
+        convergence = convergence_row_builder(args.delta, args.epsilon)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     def build_row(trajectory):
         row = dict(convergence(trajectory))

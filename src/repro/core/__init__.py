@@ -20,11 +20,7 @@ from .bounds import (
     theorem_update_period,
     uniform_convergence_bound,
 )
-from .dynamics import (
-    batch_stepper_for,
-    euler_step_batch,
-    rk4_step_batch,
-)
+from .dynamics import batch_stepper_for, dormand_prince_step
 from .migration import (
     BetterResponseMigration,
     LinearMigration,
@@ -73,8 +69,7 @@ __all__ = [
     "best_response_policy",
     "better_response_policy",
     "check_alpha_smoothness",
-    "euler_step_batch",
-    "rk4_step_batch",
+    "dormand_prince_step",
     "max_safe_alpha",
     "max_update_period_for_latency",
     "migration_rule_for_period",

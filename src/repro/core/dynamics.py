@@ -1,4 +1,4 @@
-"""The fluid-limit dynamics within one phase: the stale-phase kernel and the integrators.
+"""The fluid-limit dynamics within one phase: the stale-phase kernel and the fresh-row step.
 
 The paper studies the dynamics in the fluid limit: the population shares
 evolve according to the ordinary differential equation (Eq. 1)
@@ -19,15 +19,14 @@ exponential for a batch of rows: the fluid engine (and with it column
 generation and best response) multiplies the flow by it, and the
 finite-population engine draws its stale phases' multinomials from it.
 
-Up-to-date phases (Eq. 1) have no closed form.  The integrators here are
-deliberately simple, explicit schemes (Euler and the classical Runge--Kutta
-4) operating on a ``(B, P)`` stack of path-flow vectors, one row per
-independent replica; a single run is the one-row case.
-Because every row may have its own bulletin-board period, the step size may
-be a per-row column ``(B, 1)`` (a plain scalar also works).  The growth rates
-sum to zero within every commodity by construction, so demand feasibility is
-preserved exactly; tiny negative flows from discretisation are clipped at
-phase boundaries via ``FlowVector.project_batch``.
+Up-to-date phases (Eq. 1) have no closed form.  :func:`dormand_prince_step`
+attempts one step of the embedded Runge--Kutta pair of Dormand & Prince
+(1980), the 5(4) scheme ``scipy.integrate.solve_ivp`` uses by default, on a
+``(R, P)`` stack of path flows, one row per replica, with a per-row step and
+a per-row error norm; the field is autonomous within a phase (its
+environment is frozen at the phase start), so the step takes no clock.  The
+growth rates sum to zero within every commodity, so every stage keeps the
+demand up to round-off; tiny negative flows are clipped at phase boundaries.
 """
 
 from __future__ import annotations
@@ -36,7 +35,27 @@ from typing import Callable
 
 import numpy as np
 
-RateField = Callable[[float, np.ndarray], np.ndarray]
+Field = Callable[[np.ndarray], np.ndarray]
+
+# Error control of fresh rows: a step is accepted when the RMS over a row's
+# paths of ``error / (ATOL * demand + RTOL * |f|)`` is at most 1 (``demand``
+# is the path's commodity demand); the next step is the last one times
+# ``SAFETY * norm ** (-1/5)``, clipped to ``[MIN_FACTOR, MAX_FACTOR]``.
+RTOL = 1e-10
+ATOL = 1e-12
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+# The Dormand--Prince 5(4) tableau: stages, fifth-order weights and the error
+# weights (fifth minus fourth order; the last is on the slope at the new state).
+DP_STAGES = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP_WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP_ERROR = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 
 # Poisson(x <= 1/2) terms of the uniformized exponential (see
 # :func:`transition_blocks`); the tail beyond them is below 1e-16.
@@ -85,29 +104,48 @@ def transition_blocks(generator: np.ndarray, durations: np.ndarray) -> np.ndarra
     return transitions / transitions.sum(axis=-1, keepdims=True)
 
 
-def euler_step_batch(field: RateField, time, state: np.ndarray, step) -> np.ndarray:
-    """Advance a ``(B, P)`` batch one explicit-Euler step of per-row size ``step``."""
-    return state + step * field(time, state)
+def _weighted(coefficients, slopes):
+    """Return ``sum_i c_i k_i`` over the nonzero coefficients."""
+    return sum(c * k for c, k in zip(coefficients, slopes) if c)
 
 
-def rk4_step_batch(field: RateField, time, state: np.ndarray, step) -> np.ndarray:
-    """Advance a ``(B, P)`` batch one classical RK4 step of per-row size ``step``."""
-    k1 = field(time, state)
-    k2 = field(time + 0.5 * step, state + 0.5 * step * k1)
-    k3 = field(time + 0.5 * step, state + 0.5 * step * k2)
-    k4 = field(time + step, state + step * k3)
-    return state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def dormand_prince_step(
+    field: Field, state: np.ndarray, slope: np.ndarray, step: np.ndarray, demands: np.ndarray
+):
+    """Attempt one Dormand--Prince 5(4) step of per-row size ``step`` from ``state``.
+
+    ``slope`` is ``field(state)``, ``step`` a ``(R, 1)`` column and
+    ``demands`` each path's commodity demand.  Returns the fifth-order ``(R, P)``
+    proposal, the slope there (which an accepted step hands to the next one)
+    and each row's ``(R,)`` error norm: at most 1 when the step is accepted,
+    NaN when a stage was not finite.
+    """
+    slopes = [slope]
+    for coefficients in DP_STAGES:
+        slopes.append(field(state + step * _weighted(coefficients, slopes)))
+    proposal = state + step * _weighted(DP_WEIGHTS, slopes)
+    slopes.append(field(proposal))
+    error = step * _weighted(DP_ERROR, slopes)
+    return proposal, slopes[-1], error_norms(error, state, proposal, demands)
 
 
-_BATCH_STEPPERS = {
-    "euler": euler_step_batch,
-    "rk4": rk4_step_batch,
-}
+def error_norms(error, state, proposal, demands):
+    """Return each row's RMS over its paths of ``error / (ATOL * demand + RTOL * |f|)``."""
+    weights = ATOL * demands + RTOL * np.maximum(np.abs(state), np.abs(proposal))
+    return np.sqrt(np.mean(np.square(error / weights), axis=-1))
 
 
-def batch_stepper_for(method: str):
-    """Return the batched stepper for ``method`` ('euler' or 'rk4')."""
-    try:
-        return _BATCH_STEPPERS[method]
-    except KeyError as error:
-        raise ValueError(f"unknown integration method {method!r}; use 'euler' or 'rk4'") from error
+def step_factors(norms: np.ndarray) -> np.ndarray:
+    """Return the factor each row's step changes by; a NaN norm gives ``MIN_FACTOR``."""
+    with np.errstate(divide="ignore"):
+        return np.fmin(MAX_FACTOR, np.fmax(MIN_FACTOR, SAFETY * norms ** -0.2))
+
+
+def batch_stepper_for(name: str):
+    """Return the fresh-row stepper, :func:`dormand_prince_step` (``"dopri5"``).
+
+    The engine looks it up here, so a profiler can wrap it by patching this name.
+    """
+    if name != "dopri5":
+        raise ValueError(f"unknown stepper {name!r}; the only one is 'dopri5'")
+    return dormand_prince_step

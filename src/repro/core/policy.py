@@ -81,6 +81,21 @@ class ReroutingPolicy:
         """The smoothness parameter alpha of the migration rule (None if non-smooth)."""
         return self.migration.smoothness
 
+    def check_fresh_fluid(self) -> None:
+        """Raise unless the fluid model of this policy is well posed under fresh information.
+
+        Under a rule that is not alpha-smooth (better or best response,
+        discontinuous where two latencies cross) Eq. (1) is a differential
+        inclusion whose solutions chatter at equilibrium, so no step control
+        follows it.  Such a policy runs stale (exact phases) or on the agent
+        engine.
+        """
+        if self.smoothness is None:
+            raise ValueError(
+                f"policy {self.label()} is not alpha-smooth, so its fresh fluid run is "
+                "not well posed: run it stale or with the agent engine"
+            )
+
     def safe_update_period(self, network: WardropNetwork) -> float:
         """Return the Lemma 4 safe bulletin-board period for this policy."""
         return safe_update_period_for_rule(network, self.migration)
@@ -203,7 +218,7 @@ class PolicyStack:
 
 
 def frozen_field(blocks: CommodityBlocks, sigma: np.ndarray, mu: np.ndarray):
-    """Return the field ``(t, state) -> df/dt`` of Eq. (1) for the tables ``sigma``, ``mu``.
+    """Return the field ``state -> df/dt`` of Eq. (1) for the tables ``sigma``, ``mu``.
 
     ``df_P/dt = sum_Q (rho_QP - rho_PQ)`` with ``rho_PQ = f_P sigma_PQ
     mu_PQ``: the inflow of the gathered ``(R, C, K)`` state is one batched
@@ -216,7 +231,7 @@ def frozen_field(blocks: CommodityBlocks, sigma: np.ndarray, mu: np.ndarray):
     rates = sigma * mu
     outflow_rates = rates.sum(axis=-1)
 
-    def field(_time, state: np.ndarray) -> np.ndarray:
+    def field(state: np.ndarray) -> np.ndarray:
         flows = blocks.gather(state)
         inflow = np.matmul(flows[..., None, :], rates)[..., 0, :]
         return blocks.scatter(inflow - flows * outflow_rates)

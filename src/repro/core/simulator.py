@@ -6,7 +6,8 @@ latencies (and flow shares), and for the duration of the phase the
 migration rates are read off that frozen snapshot while the true flow keeps
 moving: a linear system, solved exactly per phase.  Setting ``stale=False``
 runs the up-to-date information dynamics of Eq. (1) instead (the field reads
-the live state at every integrator stage), which is the setting of Theorem 2.
+the live state at every stage of error-controlled Dormand--Prince steps),
+which is the setting of Theorem 2.
 
 There is one fluid engine: a single run is the one-row case of
 :class:`~repro.batch.engine.BatchSimulator`, so a replica behaves the same
@@ -43,36 +44,23 @@ def simulate(
     horizon: float,
     initial_flow: Optional[FlowVector] = None,
     stale: bool = True,
-    steps_per_phase: int = 50,
-    method: str = "rk4",
     stop_when: Optional[StoppingCondition] = None,
     scenario: Optional["Scenario"] = None,
 ) -> Trajectory:
     """Simulate ``policy`` on ``network`` in the fluid limit and return the trajectory.
 
-    ``steps_per_phase`` integrator sub-steps (``method`` ``"rk4"`` or
-    ``"euler"``) resolve each up-to-date phase; stale phases are exact.
-    ``stop_when(time, flow)`` is evaluated on the projected flow at every
-    phase boundary; when it returns ``True`` the run ends early (the final
-    state is still recorded).  ``scenario``
-    optionally makes the environment nonstationary: its modulation is
+    Stale phases are exact and up-to-date ones error-controlled; the
+    trajectory records phase boundaries.  ``stop_when(time, flow)`` is
+    evaluated on the projected flow at every phase boundary; when it returns
+    ``True`` the run ends early (the final state is still recorded).
+    ``scenario`` optionally makes the environment nonstationary: its modulation is
     sampled at every phase start and frozen for the phase, so the board
     posts (and, in fresh mode, the live field prices flows in) the current
     environment.
     """
-    for name, value in (
-        ("update_period", update_period),
-        ("horizon", horizon),
-        ("steps_per_phase", steps_per_phase),
-    ):
+    for name, value in (("update_period", update_period), ("horizon", horizon)):
         if np.ndim(value) != 0:
             raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    config = BatchConfig(
-        update_periods=[update_period],
-        horizons=horizon,
-        steps_per_phase=steps_per_phase,
-        method=method,
-        stale=stale,
-    )
+    config = BatchConfig(update_periods=[update_period], horizons=horizon, stale=stale)
     simulator = BatchSimulator(network, policy, config, scenarios=scenario)
     return simulator.run(initial_flow, stop_when=one_row_stop(network, stop_when)).trajectory(0)

@@ -6,7 +6,7 @@ cases, the cheapest execution backend:
 
 * **batch** — cases whose networks share a *topology* (identical paths,
   edges and commodities; latency coefficients may differ) under the same
-  information model and integration method are fused into one vectorized
+  information model and ``method`` (fluid or agents) are fused into one vectorized
   :class:`~repro.batch.BatchSimulator` integration.  Identical network
   objects batch as before; different same-topology networks are stacked into
   a :class:`~repro.wardrop.family.NetworkFamily`, and per-row policies,
@@ -63,7 +63,8 @@ def group_key(case: SweepCase) -> GroupKey:
     (:func:`~repro.wardrop.family.topology_signature`: identical paths, edges
     and commodities — latency coefficients may differ, in which case the
     group runs as a :class:`~repro.wardrop.family.NetworkFamily` batch), the
-    same information model (stale vs fresh) and the same integration method;
+    same information model (stale vs fresh) and the same ``method`` (fluid
+    or agents);
     policy, update period, horizon, steps-per-phase, initial flow and
     *scenario* may vary per row (the batched engine stacks per-row
     nonstationary environments).
@@ -187,7 +188,6 @@ def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
         scenarios=[case.scenario for case in cases],
         stale=first.stale,
         steps_per_phase=[case.steps_per_phase for case in cases],
-        method=first.method,
     )
     return [result.trajectory(row) for row in range(len(cases))]
 
@@ -233,7 +233,6 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
         update_periods=np.array([case.update_period for case in cases], dtype=float),
         horizons=np.array([case.horizon for case in cases], dtype=float),
         steps_per_phase=np.array([case.steps_per_phase for case in cases], dtype=int),
-        method=first.method,
         stale=first.stale,
     )
     result = BatchSimulator(target, policies, config, scenarios=scenarios).run(

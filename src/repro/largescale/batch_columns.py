@@ -285,7 +285,6 @@ def simulate_with_column_generation_batch(
     initial_flows=None,
     stale: bool = True,
     steps_per_phase=50,
-    method: str = "rk4",
     stop_when: Optional[BatchStoppingCondition] = None,
 ) -> BatchColumnGenerationResult:
     """Run ``B`` column-generation replicas as one ensemble.
@@ -327,7 +326,6 @@ def simulate_with_column_generation_batch(
         update_periods=np.broadcast_to(np.asarray(update_period, dtype=float), (size,)),
         horizons=horizon,
         steps_per_phase=steps_per_phase,
-        method=method,
         stale=stale,
     )
     simulator = ColumnGenerationSimulator(active, policies, config, scenarios=scenarios)

@@ -301,8 +301,6 @@ def simulate_with_column_generation(
     horizon: float,
     initial_flow: Optional[FlowVector] = None,
     stale: bool = True,
-    steps_per_phase: int = 50,
-    method: str = "rk4",
     stop_when: Optional[Callable[[float, FlowVector], bool]] = None,
     scenario: Optional["Scenario"] = None,
 ) -> ColumnGenerationResult:
@@ -349,8 +347,6 @@ def simulate_with_column_generation(
         scenarios=None if scenario is None else [scenario],
         initial_flows=initial_flow,
         stale=stale,
-        steps_per_phase=steps_per_phase,
-        method=method,
         stop_when=batch_stop,
     )
     return ColumnGenerationResult(

@@ -287,7 +287,7 @@ def rounding_edge_agents(network, policy):
 
 def rounding_edge_fluid(network, policy):
     result = simulate_batch(network, policy, [0.2, 0.2], [HORIZON_EDGE, 3.0], steps_per_phase=4)
-    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE, steps_per_phase=4)
+    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE)
 
 
 def rounding_edge_cg(network, policy):
@@ -295,7 +295,7 @@ def rounding_edge_cg(network, policy):
         ActivePathSet.from_network(network, closed=True), policy, 0.2,
         [HORIZON_EDGE, 3.0], steps_per_phase=4,
     )
-    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE, steps_per_phase=4)
+    return result.trajectory(0), simulate(network, policy, 0.2, HORIZON_EDGE)
 
 
 def rounding_edge_best_response(network, policy):

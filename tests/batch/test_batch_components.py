@@ -16,9 +16,8 @@ from repro.core import (
     ReroutingPolicy,
     SoftmaxSampling,
     UniformSampling,
-    euler_step_batch,
+    dormand_prince_step,
     replicator_policy,
-    rk4_step_batch,
     smoothed_best_response_policy,
     uniform_policy,
 )
@@ -93,7 +92,7 @@ class TestPolicyBlockKernels:
         current = np.stack([FlowVector.random(ragged, rng).values() for _ in range(3)])
         latencies = ragged.path_latencies(posted)
         sigma, mu = PolicyStack.of([policy] * 3).tables(blocks, posted, latencies)
-        field = frozen_field(blocks, sigma, mu)(0.0, current)
+        field = frozen_field(blocks, sigma, mu)(current)
         for row in range(3):
             ref_sigma, ref_mu = tables(ragged, sampling, 2.5, exploration, posted[row])
             dense_sigma, dense_mu = (
@@ -130,12 +129,12 @@ class TestPolicyBlockKernels:
         latencies = ragged.path_latencies(posted)
         for rows in (np.arange(len(policies)), np.array([1, 3, 4])):
             tables_ = stack.select(rows).tables(blocks, posted[rows], latencies[rows])
-            field = frozen_field(blocks, *tables_)(0.0, current[rows])
+            field = frozen_field(blocks, *tables_)(current[rows])
             for i, row in enumerate(rows):
                 alone = PolicyStack.of([policies[row]]).tables(
                     blocks, posted[row : row + 1], latencies[row : row + 1]
                 )
-                alone_field = frozen_field(blocks, *alone)(0.0, current[row : row + 1])
+                alone_field = frozen_field(blocks, *alone)(current[row : row + 1])
                 assert np.array_equal(tables_[1][i], alone[1][0])
                 assert np.array_equal(
                     np.broadcast_to(tables_[0][i], blocks.pairs.shape),
@@ -188,20 +187,25 @@ class TestBatchBoard:
 
 class TestBatchSteppers:
     def test_rows_advance_independently_of_the_batch(self):
-        def rates(_t, state):
+        def rates(state):
             return -0.5 * state
 
         state = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, 0.1]])
         steps = np.array([[0.1], [0.2], [0.05]])
-        for batch_step in (euler_step_batch, rk4_step_batch):
-            advanced = batch_step(rates, np.zeros((3, 1)), state, steps)
-            for row in range(3):
-                alone = batch_step(rates, 0.0, state[row : row + 1], float(steps[row, 0]))
-                np.testing.assert_array_equal(advanced[row], alone[0])
+        demands = np.ones(2)
+        advanced = dormand_prince_step(rates, state, rates(state), steps, demands)
+        for row in range(3):
+            single = state[row : row + 1]
+            alone = dormand_prince_step(rates, single, rates(single), steps[row : row + 1], demands)
+            for together, one in zip(advanced, alone):
+                np.testing.assert_array_equal(together[row], one[0])
+
+    def test_batch_stepper_for_knows_only_the_dormand_prince_step(self):
+        assert batch_stepper_for("dopri5") is dormand_prince_step
 
     def test_batch_stepper_for_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            batch_stepper_for("verlet")
+        with pytest.raises(ValueError, match="'rk4'"):
+            batch_stepper_for("rk4")
 
 
 class TestBatchResultShape:

@@ -2,11 +2,11 @@
 
 ``simulate`` is the one-row case of the batched engine, so these tests pin
 down that a row's arithmetic does not depend on the batch it runs in: for
-Pigou and Braess, under stale and fresh information, for both integration
-methods, for mixed per-row update periods, for custom policy components and
+Pigou and Braess, under stale and fresh information, for mixed per-row
+update periods, for custom policy components and
 for per-row policies, every recorded sample of every row must equal the
 one-row ``simulate`` run bit for bit.  ``tests/core/test_reference_dynamics.py``
-checks the one-row runs themselves against an independent integrator.
+checks the one-row runs themselves against an independent solver.
 """
 
 from __future__ import annotations
@@ -31,19 +31,18 @@ from repro.wardrop import FlowVector
 
 
 def assert_rows_match_one_row_runs(network, policies, periods, horizon, starts, stale,
-                                   steps_per_phase=10, method="rk4"):
+                                   steps_per_phase=10):
     """Run the batch and every row alone, and compare trajectories."""
     policy_list = policies if isinstance(policies, list) else [policies] * len(periods)
     result = simulate_batch(
         network, policies, periods, horizon,
         initial_flows=starts, stale=stale,
-        steps_per_phase=steps_per_phase, method=method,
+        steps_per_phase=steps_per_phase,
     )
     for row, (policy, period, start) in enumerate(zip(policy_list, periods, starts)):
         alone = simulate(
             network, policy, update_period=period, horizon=horizon,
             initial_flow=start, stale=stale,
-            steps_per_phase=steps_per_phase, method=method,
         )
         batched = result.trajectory(row)
         assert len(batched.points) == len(alone.points)
@@ -83,13 +82,13 @@ class TestBraess:
         periods = [0.05, 0.07, 0.1, 0.25]
         assert_rows_match_one_row_runs(network, policy, periods, 1.3, starts, stale)
 
-    def test_replicator_euler_is_batch_invariant(self):
+    def test_replicator_fresh_is_batch_invariant(self):
         network = braess_network()
         policy = replicator_policy(network)
         starts = [FlowVector.uniform(network)] * 3
         periods = [0.06, 0.1, 0.15]
         assert_rows_match_one_row_runs(
-            network, policy, periods, 0.9, starts, stale=True, method="euler"
+            network, policy, periods, 0.9, starts, stale=False
         )
 
 

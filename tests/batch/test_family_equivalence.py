@@ -3,7 +3,7 @@ one-row run on family member ``r``.
 
 This is the correctness contract of heterogeneous-coefficient batching: for
 Pigou and Braess coefficient families, under stale and fresh information,
-for both integration methods, with shared and per-row policies, and with and
+with shared and per-row policies, and with and
 without vectorised early stopping, every recorded sample of every row must
 equal the one-row ``simulate`` run on that row's own network bit for bit --
 and the recorded stop phases must equal the one-row runs' early-exit phases.
@@ -25,14 +25,14 @@ from repro.wardrop import FlowVector, NetworkFamily
 
 def assert_family_rows_match_one_row_runs(
     family, policies, periods, horizon, starts, stale,
-    steps_per_phase=10, method="rk4", stop_condition=None,
+    steps_per_phase=10, stop_condition=None,
 ):
     """Run the family batch and every row alone on its member, and compare."""
     policy_list = policies if isinstance(policies, list) else [policies] * family.size
     result = simulate_batch(
         family, policies, periods, horizon,
         initial_flows=starts, stale=stale,
-        steps_per_phase=steps_per_phase, method=method,
+        steps_per_phase=steps_per_phase,
         stop_when=stop_condition,
     )
     for row in range(family.size):
@@ -40,7 +40,6 @@ def assert_family_rows_match_one_row_runs(
             family.member(row), policy_list[row],
             update_period=periods[row], horizon=horizon,
             initial_flow=starts[row], stale=stale,
-            steps_per_phase=steps_per_phase, method=method,
             stop_when=stop_condition.scalar(row) if stop_condition is not None else None,
         )
         batched = result.trajectory(row)
@@ -74,9 +73,8 @@ class TestPigouFamilyProperty:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         stale=st.booleans(),
-        method=st.sampled_from(["euler", "rk4"]),
     )
-    def test_heterogeneous_constants_and_degrees_are_batch_invariant(self, seed, stale, method):
+    def test_heterogeneous_constants_and_degrees_are_batch_invariant(self, seed, stale):
         rng = np.random.default_rng(seed)
         constants = rng.uniform(0.5, 1.5, size=3)
         degrees = [1, 2, 1]
@@ -87,17 +85,16 @@ class TestPigouFamilyProperty:
         starts = random_family_starts(family, seed)
         periods = [float(rng.uniform(0.05, 0.3)), 0.11, 0.17]
         assert_family_rows_match_one_row_runs(
-            family, policies, periods, 1.0, starts, stale, method=method
+            family, policies, periods, 1.0, starts, stale
         )
 
     @settings(max_examples=6, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         stale=st.booleans(),
-        method=st.sampled_from(["euler", "rk4"]),
         tolerance=st.floats(min_value=0.02, max_value=0.4),
     )
-    def test_early_stopping_is_batch_invariant(self, seed, stale, method, tolerance):
+    def test_early_stopping_is_batch_invariant(self, seed, stale, tolerance):
         rng = np.random.default_rng(seed)
         constants = rng.uniform(0.5, 1.4, size=3)
         family = NetworkFamily(
@@ -109,7 +106,7 @@ class TestPigouFamilyProperty:
         condition = distance_stop(targets, tolerance)
         result = assert_family_rows_match_one_row_runs(
             family, policies, [0.15, 0.2, 0.25], 12.0, starts, stale,
-            method=method, stop_condition=condition,
+            stop_condition=condition,
         )
         # The replicator moves towards equilibrium, so with a generous
         # tolerance at least one row should actually freeze early.
@@ -129,7 +126,7 @@ class TestBraessFamily:
         periods = [0.05, 0.07, 0.1, 0.25]
         assert_family_rows_match_one_row_runs(family, policies, periods, 1.3, starts, stale)
 
-    def test_shared_policy_euler_is_batch_invariant(self):
+    def test_shared_policy_fresh_is_batch_invariant(self):
         """A network-independent shared policy takes the fully vectorised path."""
         shortcuts = [0.0, 0.2, 0.4]
         family = NetworkFamily(
@@ -138,7 +135,7 @@ class TestBraessFamily:
         policy = scaled_policy(0.8)
         starts = [FlowVector.uniform(network) for network in family.networks]
         assert_family_rows_match_one_row_runs(
-            family, policy, [0.06, 0.1, 0.15], 0.9, starts, stale=True, method="euler"
+            family, policy, [0.06, 0.1, 0.15], 0.9, starts, stale=False
         )
 
 

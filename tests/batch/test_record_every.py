@@ -1,10 +1,12 @@
 """Strided batched recording (`BatchConfig.record_every`).
 
-`record_every=1` must record the projected state after every integrator
-sub-step, as the reference integrator of Eq. (1)/(3) computes it; larger
-strides must sample a subset of those points; and phase-boundary samples
-must be untouched by the recording mode (dense recording never changes the
-integration itself).
+`record_every=1` must record the projected state at every sub-step of the
+`steps_per_phase` grid, as the reference solver of Eq. (1)/(3) computes it;
+larger strides must sample a subset of those points; and phase-boundary
+samples must be untouched by the recording mode on stale rows (dense
+recording never changes the exact phase).  Fresh rows stop their
+error-controlled steps at every sample, so there the samples land exactly on
+the grid and match the reference at those times.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from repro.batch import BatchConfig, BatchSimulator, simulate_batch
 from repro.batch.stopping import distance_stop
 from reference_dynamics import reference_run
-from repro.core import uniform_policy
+from repro.core import replicator_policy, simulate, uniform_policy
 from repro.instances import braess_network, two_link_network
 from repro.wardrop import FlowVector
 
@@ -23,10 +25,10 @@ def network(request):
     return request.param()
 
 
-def reference_dense(network, policy, start, period, horizon, steps):
+def reference_dense(network, policy, start, period, horizon, steps, stale=True, record_every=1):
     return reference_run(
         network, "uniform", policy.migration.max_latency, 0.0, period, horizon, steps,
-        "rk4", start.values(), dense=True,
+        start.values(), stale=stale, record_every=record_every,
     )
 
 
@@ -70,6 +72,50 @@ class TestDenseEquivalence:
         for point in strided.points:
             k = int(np.argmin(np.abs(dense_times - point.time)))
             assert np.array_equal(point.flow.values(), dense.points[k].flow.values())
+
+
+class TestFreshDenseRecording:
+    def test_fresh_samples_land_on_the_grid_and_match_the_reference(self, network):
+        policy = uniform_policy(network)
+        start = FlowVector.random(network, np.random.default_rng(8))
+        periods, horizon, steps, stride = [0.1, 0.25], 1.05, 6, 2
+        result = simulate_batch(
+            network, policy, periods, horizon, initial_flows=[start, start], stale=False,
+            steps_per_phase=steps, record_every=stride,
+        )
+        alone = [
+            simulate_batch(
+                network, policy, [period], horizon, initial_flows=[start], stale=False,
+                steps_per_phase=steps, record_every=stride,
+            )
+            for period in periods
+        ]
+        for row, period in enumerate(periods):
+            times, flows = reference_dense(
+                network, policy, start, period, horizon, steps, stale=False, record_every=stride
+            )
+            count = result.num_points[row]
+            # Sample j of phase k sits at k T + j d_k / n_k, as the reference places it.
+            np.testing.assert_array_equal(result.times[row, :count], times)
+            np.testing.assert_allclose(result.flows[row, :count], flows, rtol=0, atol=1e-9)
+            assert count > result.num_phases(row) + 1  # intermediates were recorded
+            single = alone[row]
+            assert single.num_points[0] == count
+            np.testing.assert_array_equal(single.times[0, :count], result.times[row, :count])
+            np.testing.assert_array_equal(single.flows[0, :count], result.flows[row, :count])
+
+    def test_fresh_samples_do_not_move_the_phase_ends_beyond_the_tolerance(self, network):
+        # Stopping at samples changes a fresh row's steps, not its trajectory.
+        policy = replicator_policy(network)
+        start = FlowVector.random(network, np.random.default_rng(9))
+        run = dict(update_period=0.2, horizon=1.0, initial_flow=start, stale=False)
+        plain = simulate(network, policy, **run)
+        dense = simulate_batch(
+            network, policy, [0.2], 1.0, initial_flows=[start], stale=False,
+            steps_per_phase=5, record_every=1,
+        ).trajectory(0)
+        ends = np.array([phase.end_flow.values() for phase in dense.phases])
+        np.testing.assert_allclose(ends, plain.flow_matrix()[1:], rtol=0, atol=1e-9)
 
 
 class TestBoundariesAndMetadata:

@@ -34,7 +34,7 @@ def test_simulator_uses_a_falsy_initial_flow():
     start = falsy_single_path_flow(network)
     trajectory = simulate(
         network, uniform_policy(network), update_period=0.25, horizon=0.5,
-        initial_flow=start, steps_per_phase=5,
+        initial_flow=start,
     )
     assert np.array_equal(trajectory.points[0].flow.values(), start.values())
 
@@ -54,7 +54,7 @@ def test_column_generation_uses_a_falsy_initial_flow():
     start = falsy_single_path_flow(active.network)
     result = simulate_with_column_generation(
         active, uniform_policy(network), update_period=0.25, horizon=0.5,
-        initial_flow=start, steps_per_phase=5,
+        initial_flow=start,
     )
     assert np.array_equal(
         result.trajectory.points[0].flow.values(), start.values()

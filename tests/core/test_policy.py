@@ -28,7 +28,7 @@ def growth_rates(network, policy, current, posted, latencies):
     """One row's ``df/dt`` for a live flow ``current`` and a posted snapshot."""
     blocks = network.paths.blocks
     tables = PolicyStack.of([policy]).tables(blocks, posted[None], latencies[None])
-    return frozen_field(blocks, *tables)(0.0, np.asarray(current)[None])[0]
+    return frozen_field(blocks, *tables)(np.asarray(current)[None])[0]
 
 
 class TestFactories:

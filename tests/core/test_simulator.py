@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from reference_dynamics import reference_run
+from repro.batch import simulate_batch
 from repro.core import (
     MigrationRule,
     ReroutingPolicy,
     UniformSampling,
+    better_response_policy,
     replicator_policy,
     simulate,
     uniform_policy,
@@ -26,8 +28,6 @@ class TestArguments:
             simulate(two_links, policy, update_period=0.0, horizon=1.0)
         with pytest.raises(ValueError, match="horizon"):
             simulate(two_links, policy, update_period=0.1, horizon=0.0)
-        with pytest.raises(ValueError, match="steps_per_phase"):
-            simulate(two_links, policy, update_period=0.1, horizon=1.0, steps_per_phase=0)
 
     def test_rejects_array_settings(self, two_links):
         policy = uniform_policy(two_links)
@@ -45,7 +45,7 @@ class TestBasicRuns:
     def test_flow_stays_feasible_throughout(self, braess):
         policy = uniform_policy(braess)
         trajectory = simulate(
-            braess, policy, update_period=0.05, horizon=2.0, steps_per_phase=20
+            braess, policy, update_period=0.05, horizon=2.0
         )
         for point in trajectory.points:
             point.flow.check_feasible(tolerance=1e-6)
@@ -125,16 +125,6 @@ class TestConvergenceBehaviour:
         values = [potential(phase.end_flow) for phase in trajectory.phases]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_euler_and_rk4_agree_for_small_steps(self, two_links):
-        policy = uniform_policy(two_links)
-        start = lopsided_flow(two_links, 0.8)
-        kwargs = dict(
-            update_period=0.1, horizon=2.0, initial_flow=start, stale=False, steps_per_phase=200
-        )
-        euler = simulate(two_links, policy, method="euler", **kwargs)
-        rk4 = simulate(two_links, policy, method="rk4", **kwargs)
-        assert np.allclose(euler.final_flow.values(), rk4.final_flow.values(), atol=1e-4)
-
 
 class TestStalePhases:
     """Stale phases freeze sigma and mu once per phase and end at
@@ -152,17 +142,15 @@ class TestStalePhases:
             policy = make(network)
             rng = np.random.default_rng(13)
             start = FlowVector.random(network, rng)
-            run = dict(update_period=0.15, horizon=1.0, initial_flow=start, steps_per_phase=7)
-            trajectory = simulate(network, policy, **run)
+            trajectory = simulate(
+                network, policy, update_period=0.15, horizon=1.0, initial_flow=start
+            )
             _, expected = reference_run(
                 network, sampling, policy.migration.max_latency,
                 getattr(policy.sampling, "exploration", 0.0),
-                0.15, 1.0, 7, "rk4", start.values(),
+                0.15, 1.0, 7, start.values(),
             )
             np.testing.assert_allclose(trajectory.flow_matrix(), expected, rtol=0, atol=1e-12)
-            # ``method`` selects a fresh-row integrator; stale rows are exact.
-            euler = simulate(network, policy, method="euler", **run)
-            assert np.array_equal(euler.flow_matrix(), trajectory.flow_matrix())
 
 
 class TestNonFiniteState:
@@ -185,3 +173,32 @@ class TestNonFiniteState:
         records = {r["name"]: r for r in tele.tracer.records()}
         assert {"engine_run", "phase", "integrate"} <= set(records)
         assert records["after"]["parent"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_fresh_phase_whose_field_is_not_finite_raises(self, two_links):
+        # Every error-controlled step is rejected: the step shrinks below any
+        # step a Lipschitz field needs, and the run raises instead of looping.
+        # The rule claims a smoothness it lacks, so only the step control sees it.
+        class Exploding(MigrationRule):
+            smoothness = 1.0
+
+            def probability(self, latency_from, latency_to):
+                return np.where(np.greater(latency_from, latency_to), np.inf, 0.0)
+
+        policy = ReroutingPolicy(UniformSampling(), Exploding())
+        with pytest.raises(ValueError, match="row 1 needs steps below 1e-09 in phase 0: .*finite"):
+            simulate_batch(
+                two_links, [uniform_policy(two_links), policy], [0.1, 0.1], 1.0,
+                initial_flows=[lopsided_flow(two_links, 0.9)] * 2, stale=False,
+            )
+
+    def test_a_fresh_run_of_a_discontinuous_rule_is_rejected_before_it_starts(self, two_links):
+        # Better response switches where the latencies cross, so Eq. (1) is a
+        # differential inclusion: at the equilibrium the steps would chatter
+        # without end.  The engine refuses it when it is built; stale runs
+        # of the same policy are exact.
+        policy = better_response_policy()
+        with pytest.raises(ValueError, match="not alpha-smooth"), telemetry_session() as tele:
+            simulate(two_links, policy, update_period=0.1, horizon=3.0, stale=False)
+        assert "phase" not in {record["name"] for record in tele.tracer.records()}
+        simulate(two_links, policy, update_period=0.1, horizon=3.0)

@@ -119,7 +119,6 @@ class TestFusedExecution:
             uniform_policy(network),
             update_period=0.25,
             horizon=2.0,
-            steps_per_phase=5,
             scenario=scenario,
         )
         expected = flows_row_builder(single.trajectory)

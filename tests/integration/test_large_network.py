@@ -55,7 +55,7 @@ def test_sweep_sioux_falls_runs_without_enumeration(forbid_enumeration, capsys, 
         [
             "sweep", "sioux-falls", "--policy", "uniform",
             "--periods", "0.05,0.1", "--horizon", "0.2",
-            "--steps-per-phase", "10", "--csv", str(csv_path),
+            "--csv", str(csv_path),
         ]
     )
     assert code == 0
@@ -69,7 +69,7 @@ def test_sweep_sioux_falls_mini_with_column_generation(forbid_enumeration, capsy
         [
             "sweep", "sioux-falls-mini", "--policy", "uniform",
             "--periods", "0.1,0.2", "--horizon", "0.4",
-            "--steps-per-phase", "10", "--column-generation",
+            "--column-generation",
         ]
     )
     assert code == 0
@@ -77,14 +77,17 @@ def test_sweep_sioux_falls_mini_with_column_generation(forbid_enumeration, capsy
     assert "Sweep of sioux-falls-mini" in out
 
 
-def test_column_generation_rejects_agent_method(capsys):
+@pytest.mark.parametrize("command, period", [("simulate", "--period"), ("sweep", "--periods")])
+def test_column_generation_rejects_agent_method(capsys, command, period):
     code = main(
         [
-            "simulate", "sioux-falls-mini", "--method", "agents",
-            "--period", "0.1", "--column-generation",
+            command, "sioux-falls-mini", "--method", "agents",
+            period, "0.1", "--column-generation",
         ]
     )
     assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_registered_road_instances_are_restricted(forbid_enumeration):

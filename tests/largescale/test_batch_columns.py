@@ -47,7 +47,7 @@ def one_row_run(network, policy, closed=True, scenario=None, **kwargs):
 class TestClosedModeBitIdentity:
     """Closed-mode rows reproduce ``simulate`` and their one-row runs bit for bit."""
 
-    SETTINGS = dict(update_period=0.125, horizon=2.0, steps_per_phase=7)
+    SETTINGS = dict(update_period=0.125, horizon=2.0)
 
     @pytest.mark.parametrize("incident", [False, True], ids=["calm", "incident"])
     @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
@@ -124,7 +124,7 @@ class TestClosedModeBitIdentity:
         network = braess_network()
         policy = uniform_policy(network)
         scenarios = [get_scenario("braess-closure", network), None]
-        settings = dict(update_period=0.5, horizon=14.0, steps_per_phase=5)
+        settings = dict(update_period=0.5, horizon=14.0)
         batched = simulate_with_column_generation_batch(
             ActivePathSet.from_network(network, closed=True),
             policy,
@@ -150,7 +150,6 @@ class TestClosedModeBitIdentity:
             policy,
             update_period=0.125,
             horizon=5.0,
-            steps_per_phase=10,
         )
         assert open_result.total_columns_added > 0
         grown = open_result.network
@@ -206,7 +205,7 @@ class TestTrajectoryPhaseRecords:
 
 
 class TestOpenModeGrowth:
-    SETTINGS = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
+    SETTINGS = dict(update_period=0.125, horizon=5.0)
 
     def test_one_row_wrapper_reports_the_row(self):
         """``simulate_with_column_generation`` is the one-row run: growth

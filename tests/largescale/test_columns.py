@@ -33,10 +33,10 @@ class TestClosedSpecialCase:
         closed = ActivePathSet.from_network(network, closed=True)
         assert closed.num_paths == network.num_paths
         result = simulate_with_column_generation(
-            closed, policy, update_period=0.125, horizon=2.0, steps_per_phase=11
+            closed, policy, update_period=0.125, horizon=2.0
         )
         reference = simulate(
-            network, policy, update_period=0.125, horizon=2.0, steps_per_phase=11
+            network, policy, update_period=0.125, horizon=2.0
         )
         assert result.growth_events == []
         assert len(result.trajectory) == len(reference)
@@ -53,10 +53,10 @@ class TestClosedSpecialCase:
         # T=0.01 makes floor(phase*T / T) round down at some phase indices.
         closed = ActivePathSet.from_network(network, closed=True)
         result = simulate_with_column_generation(
-            closed, policy, update_period=0.01, horizon=0.35, steps_per_phase=5
+            closed, policy, update_period=0.01, horizon=0.35
         )
         reference = simulate(
-            network, policy, update_period=0.01, horizon=0.35, steps_per_phase=5
+            network, policy, update_period=0.01, horizon=0.35
         )
         assert len(result.trajectory) == len(reference)
         for ours, theirs in zip(result.trajectory.points, reference.points):
@@ -83,7 +83,7 @@ class TestGrowthSemantics:
         active = ActivePathSet.from_network(network)
         initial = active.num_paths
         result = simulate_with_column_generation(
-            active, uniform_policy, update_period=0.125, horizon=5.0, steps_per_phase=10
+            active, uniform_policy, update_period=0.125, horizon=5.0
         )
         assert result.network.num_paths >= initial
         assert result.path_counts == sorted(result.path_counts)
@@ -113,11 +113,9 @@ class TestFullEnumerationEquivalence:
         active = ActivePathSet.from_network(network)
         result = simulate_with_column_generation(
             active, uniform_policy, update_period=0.125, horizon=horizon,
-            steps_per_phase=30,
         )
         full = simulate(
             network, uniform_policy(network), update_period=0.125, horizon=horizon,
-            steps_per_phase=30,
         )
         embedded = embed_on(network, result)
         assert np.abs(embedded - full.final_flow.values()).max() < 1e-6

@@ -83,7 +83,6 @@ def ensembles(draw):
         horizons=horizons,
         steps=[draw(st.integers(2, 8)) for _ in range(batch)],
         stale=draw(st.booleans()),
-        method=draw(st.sampled_from(["rk4", "euler"])),
         specs=specs,
         shared=shared,
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -113,12 +112,12 @@ def random_starts(network, batch, seed):
     return np.stack([FlowVector.random(network, rng).values() for _ in range(batch)])
 
 
-def reference(network, policy, start, period, horizon, steps, method, stale):
+def reference(network, policy, start, period, horizon, steps, stale):
     sampling = "uniform" if isinstance(policy.sampling, UniformSampling) else "proportional"
     exploration = 0.0 if sampling == "uniform" else policy.sampling.exploration
     return reference_run(
         network, sampling, policy.migration.max_latency, exploration, period, horizon,
-        steps, method, start, stale=stale,
+        steps, start, stale=stale,
     )
 
 
@@ -141,7 +140,6 @@ def assert_feasible(network, flows):
         horizons=[0.266828260943205],
         steps=[4],
         stale=True,
-        method="rk4",
         specs=[dict(sampling="proportional", l_max_scale=1.0, exploration=EXPLORATION)],
         shared=True,
         seed=0,
@@ -154,14 +152,14 @@ def test_fluid_rows_match_the_reference_and_their_one_row_runs(network, run):
     starts = random_starts(network, len(run["periods"]), run["seed"])
     result = simulate_batch(
         network, policies, run["periods"], run["horizons"], initial_flows=starts,
-        stale=run["stale"], steps_per_phase=run["steps"], method=run["method"],
+        stale=run["stale"], steps_per_phase=run["steps"],
     )
     for row, (period, horizon, steps) in enumerate(
         zip(run["periods"], run["horizons"], run["steps"])
     ):
         policy = row_policy(policies, row)
         times, flows = reference(
-            network, policy, starts[row], period, horizon, steps, run["method"], run["stale"]
+            network, policy, starts[row], period, horizon, steps, run["stale"]
         )
         ours = result.flow_matrix(row)
         np.testing.assert_allclose(result.times[row, : len(times)], times, rtol=0, atol=1e-12)
@@ -170,7 +168,6 @@ def test_fluid_rows_match_the_reference_and_their_one_row_runs(network, run):
         alone = simulate(
             network, policy, update_period=period, horizon=horizon,
             initial_flow=FlowVector(network, starts[row]), stale=run["stale"],
-            steps_per_phase=steps, method=run["method"],
         )
         assert np.array_equal(alone.flow_matrix(), ours)
 
@@ -182,7 +179,6 @@ def test_closed_column_generation_rows_equal_the_fluid_rows(network, run):
     starts = random_starts(network, len(run["periods"]), run["seed"])
     settings_ = dict(
         initial_flows=starts, stale=run["stale"], steps_per_phase=run["steps"],
-        method=run["method"],
     )
     fluid = simulate_batch(network, policies, run["periods"], run["horizons"], **settings_)
     columns = simulate_with_column_generation_batch(
@@ -217,9 +213,9 @@ def test_runs_across_the_old_skipped_refreshes_match_the_reference(
     start = FlowVector.random(network, np.random.default_rng(11))
     trajectory = simulate(
         network, policy, update_period=period, horizon=phases * period,
-        initial_flow=start, steps_per_phase=10,
+        initial_flow=start,
     )
-    _, flows = reference(network, policy, start.values(), period, phases * period, 10, "rk4", True)
+    _, flows = reference(network, policy, start.values(), period, phases * period, 10, True)
     assert len(trajectory.phases) == phases
     np.testing.assert_allclose(trajectory.flow_matrix(), flows, rtol=0, atol=1e-9)
 
@@ -242,7 +238,7 @@ def test_the_potential_never_rises_across_a_phase_when_t_is_safe(network, run, r
     result = simulate_batch(
         network, policies, periods, horizons,
         initial_flows=random_starts(network, batch, run["seed"]),
-        steps_per_phase=run["steps"], method=run["method"],
+        steps_per_phase=run["steps"],
     )
     for row in range(batch):
         stats = phase_potential_stats(result.trajectory(row), slack=LEMMA4_SLACK)

@@ -122,7 +122,7 @@ class TestPolicyProperties:
         blocks = PARALLEL.paths.blocks
         for policy in [uniform_policy(PARALLEL), replicator_policy(PARALLEL)]:
             tables = PolicyStack.of([policy]).tables(blocks, flow.values()[None], latencies[None])
-            rates = frozen_field(blocks, *tables)(0.0, flow.values()[None])[0]
+            rates = frozen_field(blocks, *tables)(flow.values()[None])[0]
             assert np.sum(rates) == pytest.approx(0.0, abs=1e-10)
             # The instantaneous potential change sum_P l_P * df_P must be <= 0
             # (Theorem 2's selfishness argument).

@@ -22,7 +22,6 @@ class TestClosureInvalidation:
             update_period=0.5,
             horizon=25.0,
             scenario=scenario,
-            steps_per_phase=10,
         )
         # phase 20 starts at t = 10.0, the closure onset
         assert result.eviction_events, "closure must evict crossing columns"
@@ -58,7 +57,6 @@ class TestClosureInvalidation:
             update_period=0.5,
             horizon=6.0,
             scenario=scenario,
-            steps_per_phase=5,
         )
         # The incident starts at t=4.0 (phase 8): the drop makes the loaded
         # link expensive, so new columns appear at or after the onset.
@@ -74,11 +72,11 @@ class TestClosureInvalidation:
         )  # incident entirely beyond the horizon
         plain = simulate_with_column_generation(
             ActivePathSet.from_network(network), uniform_policy(network),
-            update_period=0.5, horizon=5.0, steps_per_phase=10,
+            update_period=0.5, horizon=5.0,
         )
         wrapped = simulate_with_column_generation(
             ActivePathSet.from_network(network), uniform_policy(network),
-            update_period=0.5, horizon=5.0, steps_per_phase=10, scenario=scenario,
+            update_period=0.5, horizon=5.0, scenario=scenario,
         )
         np.testing.assert_array_equal(
             np.array([p.flow.values() for p in plain.trajectory.points]),

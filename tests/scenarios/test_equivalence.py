@@ -42,7 +42,7 @@ class TestManualRestartEquivalence:
         )
         via_scenario = simulate(
             network, policy, update_period=T, horizon=3.0,
-            scenario=scenario, steps_per_phase=20,
+            scenario=scenario,
         )
 
         # Manual restarts: one stationary run per constant interval, on the
@@ -55,7 +55,7 @@ class TestManualRestartEquivalence:
             initial = None if carry is None else FlowVector(effective, carry, validate=False)
             trajectory = simulate(
                 effective, policy, update_period=T, horizon=end - start,
-                initial_flow=initial, steps_per_phase=20,
+                initial_flow=initial,
             )
             flows = phase_end_flows(trajectory)
             if carry is None:
@@ -98,8 +98,7 @@ SCENARIO_BUILDERS = {
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
-    def test_mixed_scenario_rows_bit_identical(self, stale, method):
+    def test_mixed_scenario_rows_bit_identical(self, stale):
         network = braess_network()
         policy = uniform_policy(network)
         scenarios = [None] + [build() for build in SCENARIO_BUILDERS.values()]
@@ -108,12 +107,12 @@ class TestBatchInvariance:
         result = simulate_batch(
             network, policy,
             update_periods=periods, horizons=3.0, scenarios=scenarios,
-            stale=stale, steps_per_phase=10, method=method,
+            stale=stale, steps_per_phase=10,
         )
         for row, scenario in enumerate(scenarios):
             trajectory = simulate(
                 network, policy, update_period=float(periods[row]), horizon=3.0,
-                scenario=scenario, stale=stale, steps_per_phase=10, method=method,
+                scenario=scenario, stale=stale,
             )
             alone = phase_end_flows(trajectory)
             batched = result.flow_matrix(row)
@@ -131,7 +130,7 @@ class TestBatchInvariance:
         np.testing.assert_array_equal(result.flow_matrix(0), result.flow_matrix(1))
         trajectory = simulate(
             network, policy, update_period=0.1, horizon=1.0,
-            scenario=scenario, steps_per_phase=10,
+            scenario=scenario,
         )
         np.testing.assert_array_equal(phase_end_flows(trajectory), result.flow_matrix(0))
 

@@ -149,7 +149,7 @@ class TestMetrics:
         scenario = Scenario(demand=PiecewiseConstantSchedule([6.0], [1.2, 1.8]))
         trajectory = simulate(
             network, policy, update_period=0.1, horizon=12.0,
-            scenario=scenario, steps_per_phase=20,
+            scenario=scenario,
         )
         track = interval_equilibria(network, scenario, horizon=12.0)
         times, errors = tracking_error(trajectory, track)
@@ -172,7 +172,7 @@ class TestMetrics:
         scenario = demand_step_scenario()
         trajectory = simulate(
             network, policy, update_period=0.2, horizon=8.0,
-            scenario=scenario, steps_per_phase=10,
+            scenario=scenario,
         )
         track = interval_equilibria(network, scenario, horizon=8.0)
         regret = tracking_regret(trajectory, track)

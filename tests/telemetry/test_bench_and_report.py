@@ -145,8 +145,7 @@ class TestTraceReport:
         policy = uniform_policy(network)
         path = tmp_path / "trace.jsonl"
         with telemetry_session(trace_path=path):
-            simulate(network, policy, update_period=0.2, horizon=2.0,
-                     steps_per_phase=5)
+            simulate(network, policy, update_period=0.2, horizon=2.0)
         return load_trace(path)
 
     def test_engine_run_rows_count_phases(self, trace_records):

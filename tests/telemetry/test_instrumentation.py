@@ -47,7 +47,7 @@ def engine_runs(tele):
 class TestFluidOneRow:
     def test_spans_counters_and_bit_identity(self, workload):
         network, policy, start = workload
-        kwargs = dict(update_period=0.2, horizon=2.0, initial_flow=start, steps_per_phase=10)
+        kwargs = dict(update_period=0.2, horizon=2.0, initial_flow=start)
         plain = simulate(network, policy, **kwargs)
         with telemetry_session() as tele:
             traced = simulate(network, policy, **kwargs)
@@ -131,7 +131,7 @@ class TestColumnGeneration:
             return ActivePathSet.from_network(sioux_falls_network(max_od_pairs=10))
 
         policy = uniform_policy(network)
-        kwargs = dict(update_period=0.2, horizon=1.0, steps_per_phase=5)
+        kwargs = dict(update_period=0.2, horizon=1.0)
         plain = simulate_with_column_generation(build(), policy, **kwargs)
         with telemetry_session() as tele:
             traced = simulate_with_column_generation(build(), policy, **kwargs)

@@ -103,7 +103,7 @@ class TestCommands:
     def test_sweep_with_scenario_echoes_column(self, capsys):
         assert main([
             "sweep", "braess", "--policy", "uniform", "--periods", "0.2,0.4",
-            "--horizon", "2", "--steps-per-phase", "10",
+            "--horizon", "2",
             "--scenario", "morning-peak",
         ]) == 0
         output = capsys.readouterr().out
@@ -135,6 +135,28 @@ class TestCommands:
 
     def test_sweep_rejects_non_finite_periods(self):
         assert main(["sweep", "braess", "--periods", "0.2,nan"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_fresh_fluid_run_of_better_response_is_rejected_before_running(
+        self, capsys, command
+    ):
+        # Better response is discontinuous, so its fresh fluid model is a
+        # differential inclusion; the agent engine and stale runs accept it.
+        period = ["--period", "0.1"] if command == "simulate" else ["--periods", "0.1,0.2"]
+        assert main([command, "two-links", "--policy", "better-response", "--fresh",
+                     *period, "--horizon", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "error: policy better-response is not alpha-smooth" in captured.err
+        assert captured.out == ""
+        assert main([command, "two-links", "--policy", "better-response", "--fresh",
+                     "--method", "agents", "--agents", "20", *period, "--horizon", "1"]) == 0
+
+    @pytest.mark.parametrize("option", ["--delta", "--epsilon"])
+    def test_sweep_rejects_a_nan_slack_before_running(self, capsys, option):
+        assert main(["sweep", "braess", "--periods", "0.2", option, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {option[2:]} must" in captured.err
+        assert captured.out == ""
 
     def test_oscillate(self, capsys):
         assert main(["oscillate", "--beta", "2", "--period", "0.5", "--phases", "10"]) == 0
@@ -178,7 +200,7 @@ class TestTelemetryFlags:
         csv_path = tmp_path / "sweep.csv"
         assert main([
             "sweep", "braess", "--policy", "uniform", "--periods", "0.2,0.4",
-            "--horizon", "2", "--steps-per-phase", "10",
+            "--horizon", "2",
             "--trace", str(trace), "--metrics", "--progress",
             "--csv", str(csv_path),
         ]) == 0
@@ -342,7 +364,7 @@ class TestObservabilityCli:
         ledger_dir = tmp_path / "ledger"
         assert main([
             "sweep", "braess", "--policy", "uniform", "--periods", "0.2,0.4",
-            "--horizon", "2", "--steps-per-phase", "10",
+            "--horizon", "2",
             "--ledger", str(ledger_dir),
         ]) == 0
         capsys.readouterr()

@@ -6,14 +6,21 @@ builds one object with one bad field and expects a ``ValueError`` whose
 message names that field.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from repro.analysis.convergence import (
+    count_bad_phases,
+    time_to_approximate_equilibrium,
+    time_to_potential_gap,
+)
 from repro.analysis.sweeps import SweepCase
 from repro.batch.agents import BatchAgentConfig
-from repro.batch.stopping import distance_stop
+from repro.batch.stopping import distance_stop, equilibrium_gap_stop
 from repro.batch.engine import BatchConfig, simulate_batch
-from repro.core import uniform_policy
+from repro.core import better_response_policy, uniform_policy
 from repro.core.agents import simulate_agents
 from repro.core.best_response import simulate_best_response, two_link_best_response_flow
 from repro.core.bounds import (
@@ -57,12 +64,12 @@ EDGE = ("a", "b", 0)
 
 
 def run_simulate(**overrides):
-    settings = {"update_period": 0.1, "horizon": 0.2, "steps_per_phase": 2, **overrides}
+    settings = {"update_period": 0.1, "horizon": 0.2, **overrides}
     return simulate(BRAESS, POLICY, **settings)
 
 
 def run_cg(simulate_cg, **overrides):
-    settings = {"update_period": 0.1, "horizon": 0.2, "steps_per_phase": 2, **overrides}
+    settings = {"update_period": 0.1, "horizon": 0.2, **overrides}
     if simulate_cg is simulate_with_column_generation_batch:
         settings["batch"] = 1
     return simulate_cg(ActivePathSet.from_network(BRAESS), POLICY, **settings)
@@ -71,6 +78,11 @@ def run_cg(simulate_cg, **overrides):
 def run_agents(**overrides):
     settings = {"num_agents": 10, "update_period": 0.1, "horizon": 0.2, **overrides}
     return simulate_agents(BRAESS, POLICY, **settings)
+
+
+@lru_cache(maxsize=None)
+def braess_run():
+    return simulate(BRAESS, POLICY, update_period=0.5, horizon=5.0)
 
 
 def run_best_response(**overrides):
@@ -165,11 +177,7 @@ ROWS = [
     # Engine configs.
     ("simulate(update_period=nan)", lambda: run_simulate(update_period=NAN), "update_period"),
     ("simulate(horizon=inf)", lambda: run_simulate(horizon=INF), "horizon"),
-    ("simulate(steps_per_phase=nan)", lambda: run_simulate(steps_per_phase=NAN), "steps_per_phase"),
-    ("simulate(steps_per_phase=0.5)", lambda: run_simulate(steps_per_phase=0.5), "steps_per_phase"),
-    ("simulate(steps_per_phase=2.5)", lambda: run_simulate(steps_per_phase=2.5), "steps_per_phase"),
     ("simulate(update_period=[.1, .2])", lambda: run_simulate(update_period=[0.1, 0.2]), "update_period"),
-    ("simulate(method=rk5)", lambda: run_simulate(method="rk5"), "method"),
     ("BatchConfig(update_periods=[.1, nan])", lambda: BatchConfig(update_periods=[0.1, NAN]), r"update_periods\[1\]"),
     ("BatchConfig(horizons=nan)", lambda: BatchConfig(horizons=NAN), "horizons"),
     ("BatchConfig(steps_per_phase=nan)", lambda: BatchConfig(steps_per_phase=NAN), "steps_per_phase"),
@@ -182,7 +190,11 @@ ROWS = [
     ),
     ("BatchConfig(record_every=1.5)", lambda: BatchConfig(record_every=1.5), "record_every"),
     ("BatchConfig(record_every=nan)", lambda: BatchConfig(record_every=NAN), "record_every"),
-    ("BatchConfig(method=rk5)", lambda: BatchConfig(method="rk5"), "method"),
+    (
+        "simulate_batch(better response, stale=False)",
+        lambda: simulate_batch(BRAESS, better_response_policy(), [0.1], 0.2, stale=False),
+        "policy better-response is not alpha-smooth",
+    ),
     (
         "simulate_batch(steps_per_phase=2.5)",
         lambda: simulate_batch(BRAESS, POLICY, [0.1], 0.2, steps_per_phase=2.5),
@@ -194,24 +206,9 @@ ROWS = [
         "record_every",
     ),
     (
-        "simulate_with_column_generation(steps_per_phase=2.5)",
-        lambda: run_cg(simulate_with_column_generation, steps_per_phase=2.5),
-        "steps_per_phase",
-    ),
-    (
-        "simulate_with_column_generation(method=rk5)",
-        lambda: run_cg(simulate_with_column_generation, method="rk5"),
-        "method",
-    ),
-    (
         "simulate_with_column_generation_batch(steps_per_phase=0.5)",
         lambda: run_cg(simulate_with_column_generation_batch, steps_per_phase=0.5),
         "steps_per_phase",
-    ),
-    (
-        "simulate_with_column_generation_batch(method=rk5)",
-        lambda: run_cg(simulate_with_column_generation_batch, method="rk5"),
-        "method",
     ),
     # Sweep cases.
     ("SweepCase(update_period=nan)", lambda: sweep_case(update_period=NAN), "update_period"),
@@ -219,6 +216,11 @@ ROWS = [
     ("SweepCase(steps_per_phase=0)", lambda: sweep_case(steps_per_phase=0), "steps_per_phase"),
     ("SweepCase(steps_per_phase=2.5)", lambda: sweep_case(steps_per_phase=2.5), "steps_per_phase"),
     ("SweepCase(method=rk5)", lambda: sweep_case(method="rk5"), "method"),
+    (
+        "SweepCase(better response, stale=False)",
+        lambda: SweepCase({}, BRAESS, better_response_policy(), 0.1, 1.0, stale=False),
+        "policy better-response is not alpha-smooth",
+    ),
     ("SweepCase(num_agents=0)", lambda: sweep_case(method="agents", num_agents=0), "num_agents"),
     (
         "SweepCase(column_generation, method=agents)",
@@ -321,6 +323,28 @@ ROWS = [
         "oscillation_initial_flow(T=nan)",
         lambda: oscillation_initial_flow(two_link_network(), NAN),
         "update_period",
+    ),
+    # Convergence measures and stopping conditions: a NaN slack compares
+    # False and would count no bad phase, or never stop.
+    ("count_bad_phases(delta=nan)", lambda: count_bad_phases(braess_run(), NAN, 0.1), "delta"),
+    (
+        "time_to_approximate_equilibrium(delta=nan)",
+        lambda: time_to_approximate_equilibrium(braess_run(), NAN, 0.1),
+        "delta",
+    ),
+    (
+        "time_to_approximate_equilibrium(epsilon=nan)",
+        lambda: time_to_approximate_equilibrium(braess_run(), 0.1, NAN),
+        "epsilon",
+    ),
+    ("time_to_potential_gap(gap=nan)", lambda: time_to_potential_gap(braess_run(), 0.0, NAN), "gap"),
+    ("distance_stop(tolerance=nan)", lambda: distance_stop(np.zeros((1, 3)), NAN), "tolerance"),
+    ("distance_stop(tolerance=-1)", lambda: distance_stop(np.zeros((1, 3)), -1.0), "tolerance"),
+    ("equilibrium_gap_stop(delta=nan)", lambda: equilibrium_gap_stop(BRAESS, NAN), "delta"),
+    (
+        "equilibrium_gap_stop(threshold=nan)",
+        lambda: equilibrium_gap_stop(BRAESS, 0.1, threshold=NAN),
+        "threshold",
     ),
 ]
 
