@@ -24,8 +24,11 @@ sioux-mini-ragged (n = 2000, 12 phases, stale and fresh), a capacity-drop
 scenario run and a ``stop_when`` run; the ``cg``
 lines hash ``simulate_with_column_generation``'s trajectory and eviction
 events on braess (open and closed), sioux-falls-mini (open), a braess
-closure scenario and a two-links-steep ``stop_when`` run.  Run it against two source trees and diff
-the output;
+closure scenario and a two-links-steep ``stop_when`` run.  The ``cg-batch``
+line runs ``simulate_with_column_generation_batch`` on sioux-falls-mini with
+three open-mode rows that close the three busiest links at staggered times,
+and hashes the flows, the final path order, the growth and eviction events
+and the duality gaps.  Run it against two source trees and diff the output;
 identical lines mean bit-identical answers::
 
     PYTHONPATH=src python benchmarks/oracle_digest.py > new.txt
@@ -45,6 +48,7 @@ from repro.largescale import (
     ActivePathSet,
     ShortestPathOracle,
     simulate_with_column_generation,
+    simulate_with_column_generation_batch,
 )
 from repro.scenarios import LinkIncident, Scenario, ScenarioEnsemble
 from repro.solvers import solve_edge_flow_equilibrium
@@ -262,6 +266,41 @@ def cg_lines():
     yield "two-links-steep", "stop-when", cg_digest(result)
 
 
+def cg_batch_line() -> str:
+    """Three open-mode rows on one growing path set: row ``r`` closes the
+    ``r``-th busiest link of the free-flow load over ``[r + 1, r + 6)``.
+
+    The staggered closures make two rows discover different columns in the
+    same phase, so the line also fixes the order in which the rows' queries
+    grow the set."""
+    mini = get_instance("sioux-falls-mini")
+    active = ActivePathSet.from_network(mini)
+    oracle = active.oracle
+    loaded = oracle.all_or_nothing(oracle.free_flow_costs(mini)).edge_flows
+    busiest = np.argsort(-loaded, kind="stable")[:3]
+    scenarios = [
+        Scenario(
+            incidents=[
+                LinkIncident(
+                    oracle.edges[int(edge)], row + 1.0, row + 6.0,
+                    capacity_factor=0.0, closure_penalty=50.0,
+                )
+            ]
+        )
+        for row, edge in enumerate(busiest)
+    ]
+    result = simulate_with_column_generation_batch(
+        active, lambda network: replicator_policy(network, max_latency=10.0, exploration=0.05),
+        update_period=1.0, horizon=10.0, scenarios=scenarios,
+    )
+    sha = hashlib.sha256()
+    sha.update(repr([(path.commodity_index, path.edges) for path in active.path_set()]).encode())
+    for phase, added in result.growth_events:
+        sha.update(repr((phase, [(path.commodity_index, path.edges) for path in added])).encode())
+    sha.update(repr(result.eviction_events).encode())
+    return f"{hash_arrays(result.flows, result.duality_gaps)} {sha.hexdigest()[:16]}"
+
+
 def main() -> None:
     for name in INSTANCES:
         network = get_instance(name)
@@ -288,6 +327,7 @@ def main() -> None:
         print(f"{name:17s} agents {label:11s} {line}")
     for name, label, line in cg_lines():
         print(f"{name:17s} cg {label:11s} {line}")
+    print(f"{'sioux-falls-mini':17s} cg-batch {'open':11s} {cg_batch_line()}")
 
 
 if __name__ == "__main__":

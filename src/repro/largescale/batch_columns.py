@@ -12,9 +12,12 @@ replica as its one-row case.
 
 At every row's every phase start, before its board posts (Eq. 3), the step
 
-1. queries the shared oracle for every active row against that row's live
-   edge latencies, priced in its own scenario's effective network via
-   :class:`~repro.scenarios.scenario.ScenarioEnsemble`;
+1. queries the shared oracle once for all active rows: their full-graph
+   costs are stacked as ``(R, E)``, each row's live edge latencies (priced
+   in its own scenario's effective network via
+   :class:`~repro.scenarios.scenario.ScenarioEnsemble`) on known paths and
+   its environment's zero-flow latencies elsewhere, and one predecessor
+   walk returns the distinct cheapest paths in row order;
 2. grows the one shared :class:`~repro.largescale.columns.ActivePathSet` by
    the **union** of the per-row discoveries.  A new column enters with zero
    flow on every row -- including the rows that did not discover it -- and
@@ -162,23 +165,27 @@ class ColumnGenerationSimulator(BatchSimulator):
         scenario = self._scenario(row)
         return self.network if scenario is None else scenario.network_at(self.network, time)
 
-    def _query_costs(self, row: int, time: float, edge_latencies: np.ndarray) -> np.ndarray:
-        """Full-graph cost vector of one row: its live on-path latencies, and
-        its environment's zero-flow latencies off every known path.
+    def _query_costs(self, rows: np.ndarray, starts, edge_latencies: np.ndarray) -> np.ndarray:
+        """Full-graph ``(R, E)`` costs of ``rows``: each row's live on-path
+        latencies, and its environment's zero-flow latencies off every known
+        path.
 
-        The off-path part depends only on the effective environment, which
-        scenarios change piecewise, so it is evaluated once per distinct
-        modulation on the current network.
+        The off-path part depends only on the scenario modulation -- a
+        network's latency functions do not depend on its path set -- so it
+        is evaluated once per distinct modulation and kept across growth.
         """
-        scenario = self._scenario(row)
-        modulation = None if scenario is None else scenario.modulation_at(time)
-        base = self._off_path.get(modulation)
-        if base is None:
-            base = self.active.oracle.free_flow_costs(self._member(row, time))
-            base[self._positions] = 0.0
-            self._off_path[modulation] = base
-        costs = base.copy()
-        costs[self._positions] = edge_latencies
+        bases = []
+        for row in rows.tolist():
+            time = float(starts[row])
+            scenario = self._scenario(row)
+            modulation = None if scenario is None else scenario.modulation_at(time)
+            base = self._off_path.get(modulation)
+            if base is None:
+                base = self.active.oracle.free_flow_costs(self._member(row, time))
+                self._off_path[modulation] = base
+            bases.append(base)
+        costs = np.stack(bases)
+        costs[:, self._positions] = edge_latencies
         return costs
 
     def _phase_start(self, phase, starts, rows, flows):
@@ -194,11 +201,8 @@ class ColumnGenerationSimulator(BatchSimulator):
                     latencies = self._phase_family.edge_latencies_batch(edge_flows, rows)
                 else:
                     latencies = network.edge_latencies(edge_flows)
-                candidates: List[Path] = []
-                for i, row in enumerate(rows):
-                    costs = self._query_costs(int(row), float(starts[row]), latencies[i])
-                    candidates.extend(active.oracle.shortest_commodity_paths(costs))
-                added = active.add_paths(candidates)
+                costs = self._query_costs(rows, starts, latencies)
+                added = active.add_paths(active.oracle.shortest_commodity_paths(costs))
             if added:
                 perm = active.last_permutation
                 self.network = active.network
@@ -207,7 +211,6 @@ class ColumnGenerationSimulator(BatchSimulator):
                 self._start_flows = _grow_buffer(self._start_flows, perm, width)
                 self._set_policies(self._resolve_policies(self.network))
                 self._positions = active.oracle.network_edge_positions(self.network)
-                self._off_path = {}
                 self.growth_events.append((phase, added))
                 tele.counter("cg_batch.columns_added").add(len(added))
                 tele.event("columns_grown", phase=phase, added=len(added), paths=width)

@@ -22,17 +22,25 @@ entry per distinct ``(u, v)`` node pair.  Tie rule: parallel arcs collapse
 to their cheapest arc, and among equally cheap parallel arcs the one with
 the lowest oracle edge index carries the path.  Ties between equal-cost
 routes through different nodes are broken by scipy's Dijkstra, which is
-deterministic for fixed costs.  All commodity sources are answered by one
-C call (plus one per centroid source, whose own out-arcs must stay open),
-and a single vectorised predecessor walk over every commodity then yields
-the paths and the all-or-nothing edge flows.
+deterministic for fixed costs.
+
+Every query takes one ``(E,)`` cost vector or an ``(R, E)`` stack of them
+(column generation reprices one row per replica at every phase start).  Per
+cost row, all commodity sources are answered by one C call, plus one per
+centroid source, whose own out-arcs must stay open; the rows are never
+merged into one block-diagonal graph, whose distance output would grow as
+``R**2``.  A single vectorised predecessor walk over the ``(R, sources,
+nodes)`` predecessor arrays then traces every row's every commodity at once
+and yields the paths and the all-or-nothing edge flows.  A stacked path
+query returns each distinct ``(commodity, edge sequence)`` once, in
+row-major first-appearance order.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -54,6 +62,23 @@ class AllOrNothingLoad:
 
     edge_flows: np.ndarray
     sptt: float
+
+
+class _StackIndex(NamedTuple):
+    """Flat indices of R stacked cost rows' ``R * commodities`` walks.
+
+    Entry ``r * commodities + i`` is row ``r``'s commodity ``i``:
+    ``starts`` is the offset of its query row in the flattened ``(R,
+    sources, nodes)`` arrays, ``pair_offsets`` that of its cost row in the
+    flattened ``(R, pairs)`` carrying edges, ``sinks`` and ``sources`` its
+    endpoint node indices and ``sink_entries`` its sink's flat entry.
+    """
+
+    pair_offsets: np.ndarray
+    starts: np.ndarray
+    sinks: np.ndarray
+    sink_entries: np.ndarray
+    sources: np.ndarray
 
 
 class ShortestPathOracle:
@@ -105,6 +130,7 @@ class ShortestPathOracle:
         self._pair_keys, self._pair_starts = np.unique(
             arc_keys[self._arc_order], return_index=True
         )
+        self._pair_runs = np.diff(np.append(self._pair_starts, len(self.edges)))
         self._has_parallel_arcs = len(self._pair_keys) < len(self.edges)
         pair_tails = self._pair_keys // num_nodes
         self._pair_tails = pair_tails
@@ -148,6 +174,11 @@ class ShortestPathOracle:
         # Commodities grouped by source, each group in commodity order: the
         # order every per-commodity sum runs in.
         self._grouped = np.argsort(self._commodity_rows, kind="stable")
+        self._grouped_demands = np.array([c.demand for c in self.commodities], dtype=float)[
+            self._grouped
+        ]
+        # Flat walk indices per number of stacked cost rows.
+        self._stacks: Dict[int, _StackIndex] = {}
 
     @classmethod
     def for_network(cls, network) -> "ShortestPathOracle":
@@ -217,10 +248,15 @@ class ShortestPathOracle:
     # Queries ---------------------------------------------------------------
 
     def _check_costs(self, costs: np.ndarray) -> np.ndarray:
+        """Validate one ``(E,)`` cost vector or an ``(R, E)`` stack of them."""
         costs = np.asarray(costs, dtype=float)
-        if len(costs) != self.num_edges:
+        if costs.ndim not in (1, 2):
             raise ValueError(
-                f"cost vector has length {len(costs)}, oracle has {self.num_edges} edges"
+                f"costs must be one (E,) vector or an (R, E) stack, got shape {costs.shape}"
+            )
+        if costs.shape[-1] != self.num_edges:
+            raise ValueError(
+                f"cost vector has length {costs.shape[-1]}, oracle has {self.num_edges} edges"
             )
         # ``costs < 0`` is False for NaN, so a bare negativity check would
         # let NaN costs through and silently corrupt Dijkstra distances.
@@ -233,120 +269,179 @@ class ShortestPathOracle:
         return costs
 
     def _pair_costs(self, costs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Collapse arcs to node pairs: each pair's cost and carrying edge.
+        """Collapse arcs to node pairs: each row's pair costs and carrying edges.
 
-        The carrying edge is the pair's cheapest arc, the lowest edge index
-        among equally cheap ones.
+        Returns the ``(R, pairs)`` costs and the carrying edges flattened
+        row-major to ``(R * pairs,)``.  The carrying edge is the pair's
+        cheapest arc, the lowest edge index among equally cheap ones.
         """
-        arc_costs = costs[self._arc_order]
+        arc_costs = np.take(costs, self._arc_order, axis=1)
         if not self._has_parallel_arcs:
-            return arc_costs, self._arc_order
-        cheapest = np.minimum.reduceat(arc_costs, self._pair_starts)
-        run_lengths = np.diff(np.append(self._pair_starts, len(arc_costs)))
+            return arc_costs, self._arc_order[None].repeat(len(costs), 0).reshape(-1)
+        num_arcs = arc_costs.shape[1]
+        cheapest = np.minimum.reduceat(arc_costs, self._pair_starts, axis=1)
         positions = np.where(
-            arc_costs == np.repeat(cheapest, run_lengths),
-            np.arange(len(arc_costs)),
-            len(arc_costs),
+            arc_costs == np.repeat(cheapest, self._pair_runs, axis=1),
+            np.arange(num_arcs),
+            num_arcs,
         )
-        return cheapest, self._arc_order[np.minimum.reduceat(positions, self._pair_starts)]
+        carrying = self._arc_order[np.minimum.reduceat(positions, self._pair_starts, axis=1)]
+        return cheapest, carrying.reshape(-1)
 
     def _query(self, costs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run Dijkstra from every distinct commodity source.
+        """Run Dijkstra from every distinct commodity source under every cost row.
 
-        Returns the ``(sources, nodes)`` distance and predecessor-node arrays
-        and each node pair's carrying edge.
+        ``costs`` is checked and two-dimensional, ``(R, E)``.  Returns the
+        ``(R, sources, nodes)`` distance and predecessor-node arrays and the
+        rows' flattened carrying edges (see :meth:`_pair_costs`).  Every
+        cost row is its own C call (plus one per centroid source): a
+        block-diagonal graph of all rows would return ``R * sources``
+        distances to ``R * nodes`` nodes.
         """
         from scipy.sparse import csgraph
 
-        pair_costs, pair_edges = self._pair_costs(self._check_costs(costs))
+        pair_costs, pair_edges = self._pair_costs(costs)
+        num_rows = len(costs)
         shape = (self._num_nodes, self._num_nodes)
-        dist = np.empty((len(self._sources), self._num_nodes))
-        pred = np.empty((len(self._sources), self._num_nodes), dtype=np.int64)
+        dist = np.empty((num_rows, len(self._sources), self._num_nodes))
+        pred = np.empty((num_rows, len(self._sources), self._num_nodes), dtype=np.int64)
 
-        def run(data: np.ndarray, rows: np.ndarray) -> None:
+        def run(data: np.ndarray, row: int, query_rows: np.ndarray) -> None:
             matrix = sparse.csr_matrix(
                 (data, self._csr_indices, self._csr_indptr), shape=shape
             )
-            dist[rows], pred[rows] = csgraph.dijkstra(
-                matrix, indices=self._sources[rows], return_predecessors=True
+            dist[row, query_rows], pred[row, query_rows] = csgraph.dijkstra(
+                matrix, indices=self._sources[query_rows], return_predecessors=True
             )
 
         blocked = self._centroid_out_pairs
         if len(self._plain_rows):
-            run(
-                np.where(blocked, np.inf, pair_costs) if blocked.any() else pair_costs,
-                self._plain_rows,
-            )
-        for row in self._centroid_rows:
-            own = self._pair_tails == self._sources[row]
-            run(np.where(blocked & ~own, np.inf, pair_costs), np.array([row]))
+            plain = np.where(blocked, np.inf, pair_costs) if blocked.any() else pair_costs
+            for row in range(num_rows):
+                run(plain[row], row, self._plain_rows)
+        for query_row in self._centroid_rows:
+            own = self._pair_tails == self._sources[query_row]
+            opened = np.where(blocked & ~own, np.inf, pair_costs)
+            for row in range(num_rows):
+                run(opened[row], row, np.array([query_row]))
         return dist, pred, pair_edges
 
+    def _stack(self, num_rows: int) -> _StackIndex:
+        """The flat index arrays of ``num_rows`` stacked cost rows (cached)."""
+        stack = self._stacks.get(num_rows)
+        if stack is None:
+            rows = np.repeat(np.arange(num_rows), len(self.commodities))
+            query_rows = rows * len(self._sources) + np.tile(self._commodity_rows, num_rows)
+            starts = query_rows * self._num_nodes
+            sinks = np.tile(self._commodity_sinks, num_rows)
+            stack = _StackIndex(
+                pair_offsets=rows * len(self._pair_keys),
+                starts=starts,
+                sinks=sinks,
+                sink_entries=starts + sinks,
+                sources=np.tile(self._commodity_sources, num_rows),
+            )
+            self._stacks[num_rows] = stack
+        return stack
+
     def _sink_distances(self, dist: np.ndarray) -> np.ndarray:
-        return dist[self._commodity_rows, self._commodity_sinks]
+        """Every row's commodity distances, ``(R, commodities)``."""
+        entries = self._stack(len(dist)).sink_entries
+        return dist.reshape(-1)[entries].reshape(len(dist), -1)
 
     def _require_reachable(self, sink_distances: np.ndarray) -> None:
-        unreachable = self._grouped[~np.isfinite(sink_distances[self._grouped])]
-        if len(unreachable):
-            commodity = self.commodities[int(unreachable[0])]
-            raise ValueError(f"no path from {commodity.source!r} to {commodity.sink!r}")
+        unreachable = ~np.isfinite(sink_distances[:, self._grouped])
+        if unreachable.any():
+            row, position = np.argwhere(unreachable)[0]
+            commodity = self.commodities[int(self._grouped[position])]
+            raise ValueError(
+                f"no path from {commodity.source!r} to {commodity.sink!r} in cost row {row}"
+            )
 
     def _walk(self, pred: np.ndarray, pair_edges: np.ndarray) -> np.ndarray:
-        """Trace every commodity's path back from its sink at once.
+        """Trace every row's every commodity path back from its sink at once.
 
-        Returns an ``(steps, commodities)`` matrix of oracle edge indices,
-        sink-first, padded with ``-1`` once a commodity reaches its source.
+        Returns an ``(steps, R * commodities)`` matrix of oracle edge indices,
+        row-major over (row, commodity), sink-first, padded with ``-1`` once
+        a path reaches its source.
         """
-        node = self._commodity_sinks.copy()
-        live = np.flatnonzero(node != self._commodity_sources)
+        stack = self._stack(len(pred))
+        flat_pred = pred.reshape(-1)
+        node = stack.sinks.copy()
+        live = np.flatnonzero(node != stack.sources)
         steps: List[np.ndarray] = []
         while len(live):
             heads = node[live]
-            tails = pred[self._commodity_rows[live], heads]
+            tails = flat_pred[stack.starts[live] + heads]
             step = np.full(len(node), -1, dtype=np.int64)
             pairs = np.searchsorted(self._pair_keys, tails * self._num_nodes + heads)
-            step[live] = pair_edges[pairs]
+            step[live] = pair_edges[stack.pair_offsets[live] + pairs]
             steps.append(step)
             node[live] = tails
-            live = live[tails != self._commodity_sources[live]]
+            live = live[tails != stack.sources[live]]
         return np.array(steps, dtype=np.int64).reshape(len(steps), len(node))
 
     def shortest_commodity_paths(self, costs: np.ndarray) -> List[Path]:
-        """Return one cheapest path per commodity."""
+        """Return the cheapest paths under one cost vector or a stack of them.
+
+        For ``(E,)`` costs this is one cheapest path per commodity, in
+        commodity order.  For ``(R, E)`` costs it is every distinct path the
+        rows' queries trace, in row-major first-appearance order: exactly
+        the paths, and the order, that :meth:`ActivePathSet.add_paths
+        <repro.largescale.columns.ActivePathSet.add_paths>` keeps from R
+        one-row queries.
+        """
+        costs = self._check_costs(costs).reshape(-1, self.num_edges)
         dist, pred, pair_edges = self._query(costs)
         self._require_reachable(self._sink_distances(dist))
         walk = self._walk(pred, pair_edges)
+        # A row's path repeats when an earlier row traced the same edges for
+        # its commodity; only first appearances become paths.
+        columns = walk.reshape(len(walk), len(costs), len(self.commodities))
+        repeated = np.zeros(columns.shape[1:], dtype=bool)
+        for row in range(1, len(costs)):
+            same = columns[:, :row] == columns[:, row : row + 1]
+            repeated[row] = same.all(axis=0).any(axis=0)
+        firsts = np.flatnonzero(~repeated.reshape(-1))
+        walk = walk[:, firsts]
         lengths = np.count_nonzero(walk >= 0, axis=0).tolist()
+        commodities = (firsts % columns.shape[2]).tolist()
         edges = self.edges
         return [
             Path(tuple([edges[e] for e in column[:length][::-1]]), commodity_index)
-            for commodity_index, (column, length) in enumerate(zip(walk.T.tolist(), lengths))
+            for column, length, commodity_index in zip(walk.T.tolist(), lengths, commodities)
         ]
 
     def commodity_costs(self, costs: np.ndarray) -> np.ndarray:
         """Return each commodity's shortest-path cost under ``costs``.
 
         The per-OD column of the network report: one query, no path
-        tracing.  Unreachable sinks get ``inf``.
+        tracing.  ``(E,)`` costs give ``(commodities,)`` and ``(R, E)``
+        costs ``(R, commodities)``; unreachable sinks get ``inf``.
         """
-        dist, _pred, _pair_edges = self._query(costs)
-        return self._sink_distances(dist)
+        costs = self._check_costs(costs)
+        dist, _pred, _pair_edges = self._query(costs.reshape(-1, self.num_edges))
+        return self._sink_distances(dist).reshape(costs.shape[:-1] + (-1,))
 
     def all_or_nothing(
         self, costs: np.ndarray, demands: Optional[np.ndarray] = None
     ) -> AllOrNothingLoad:
         """Load every commodity's demand onto its cheapest path.
 
-        ``demands`` defaults to the commodity demands; the result's
-        ``edge_flows`` live on the oracle's edge order and ``sptt`` is the
-        demand-weighted shortest-path travel time.  Both sums run over the
-        commodities grouped by source, so each total accumulates in one
-        fixed order.
+        ``costs`` is one ``(E,)`` vector and ``demands`` defaults to the
+        commodity demands; the result's ``edge_flows`` live on the oracle's
+        edge order and ``sptt`` is the demand-weighted shortest-path travel
+        time.  Both sums run over the commodities grouped by source, so
+        each total accumulates in one fixed order.
         """
+        costs = self._check_costs(costs)
+        if costs.ndim != 1:
+            raise ValueError(f"all_or_nothing loads one (E,) cost vector, got shape {costs.shape}")
         if demands is None:
-            demands = np.array([c.demand for c in self.commodities])
-        demands = np.asarray(demands, dtype=float)[self._grouped]
-        dist, pred, pair_edges = self._query(costs)
+            demands = self._grouped_demands
+        else:
+            demands = np.asarray(demands, dtype=float)[self._grouped]
+        dist, pred, pair_edges = self._query(costs[None])
         sink_distances = self._sink_distances(dist)
         self._require_reachable(sink_distances)
         # Commodity-major: each edge's flow adds its commodities' demands in
@@ -358,6 +453,6 @@ class ShortestPathOracle:
             weights=np.broadcast_to(demands[:, None], walk.shape)[on_path],
             minlength=self.num_edges,
         )
-        terms = sink_distances[self._grouped] * demands
+        terms = sink_distances[0, self._grouped] * demands
         sptt = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
         return AllOrNothingLoad(edge_flows=flows, sptt=sptt)

@@ -1,6 +1,7 @@
 """The shortest-path oracle against an independent reference Dijkstra."""
 
 import heapq
+import re
 
 import networkx as nx
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.instances import get_instance
-from repro.instances.tntp import sioux_falls_network
+from repro.instances.tntp import load_tntp_from_text, sioux_falls_network
 from repro.largescale import ShortestPathOracle
 from repro.wardrop.commodity import Commodity
 from repro.wardrop.latency import ConstantLatency
@@ -279,3 +280,126 @@ class TestCostValidation:
         oracle = self.build()
         with pytest.raises(ValueError, match="length 2"):
             oracle.commodity_costs(np.ones(2))
+
+
+# Zones 1-3 are centroids (first thru node 4): every source is a centroid, so
+# each query runs one C call per source, and 4 -> 7 is a parallel link pair.
+CENTROID_NET = """
+<NUMBER OF ZONES> 3
+<FIRST THRU NODE> 4
+<NUMBER OF LINKS> 17
+<END OF METADATA>
+1 4 100 1 1 0.15 4 0 0 1 ;
+1 2 100 1 1 0.15 4 0 0 1 ;
+2 5 100 1 1 0.15 4 0 0 1 ;
+2 3 100 1 1 0.15 4 0 0 1 ;
+3 6 100 1 1 0.15 4 0 0 1 ;
+4 5 100 1 1 0.15 4 0 0 1 ;
+5 4 100 1 1 0.15 4 0 0 1 ;
+4 6 100 1 1 0.15 4 0 0 1 ;
+6 7 100 1 1 0.15 4 0 0 1 ;
+7 5 100 1 1 0.15 4 0 0 1 ;
+4 7 100 1 1 0.15 4 0 0 1 ;
+4 7 100 1 1 0.15 4 0 0 1 ;
+5 2 100 1 1 0.15 4 0 0 1 ;
+6 3 100 1 1 0.15 4 0 0 1 ;
+7 1 100 1 1 0.15 4 0 0 1 ;
+4 2 100 1 1 0.15 4 0 0 1 ;
+7 3 100 1 1 0.15 4 0 0 1 ;
+"""
+
+CENTROID_TRIPS = """
+<NUMBER OF ZONES> 3
+<TOTAL OD FLOW> 25.0
+<END OF METADATA>
+Origin 1
+2 : 10.0; 3 : 5.0;
+Origin 2
+1 : 4.0; 3 : 2.0;
+Origin 3
+1 : 3.0; 2 : 1.0;
+"""
+
+PARALLEL_ARCS = [
+    (0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 3), (2, 3), (1, 3),
+    (3, 4), (2, 4), (2, 4), (4, 5), (3, 5), (5, 0), (4, 1),
+]
+PARALLEL_PAIRS = [(0, 3), (0, 5), (1, 4), (1, 5), (2, 5), (0, 4)]
+
+
+def one_row_union(oracle, costs):
+    """The paths ``add_paths`` keeps from one query per cost row, in order."""
+    union = []
+    for row in costs:
+        for path in oracle.shortest_commodity_paths(row):
+            if path not in union:
+                union.append(path)
+    return union
+
+
+class TestStackedCostRows:
+    """An ``(R, E)`` query is R one-row queries in one walk."""
+
+    @pytest.fixture(scope="class", params=["parallel-arcs", "tntp-centroids"])
+    def oracle(self, request):
+        if request.param == "parallel-arcs":
+            graph = constant_graph([(u, v, 1.0) for u, v in PARALLEL_ARCS])
+            commodities = [Commodity(s, t, 1.0 + k) for k, (s, t) in enumerate(PARALLEL_PAIRS)]
+            return ShortestPathOracle(graph, commodities)
+        return ShortestPathOracle.for_network(load_tntp_from_text(CENTROID_NET, CENTROID_TRIPS))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_stack_is_the_first_appearance_union_of_its_rows(self, oracle, data):
+        num_rows = data.draw(st.integers(min_value=1, max_value=4))
+        # Few distinct finite costs, so rows often share paths and tie.
+        finite = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.25])
+        costs = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(finite, min_size=oracle.num_edges, max_size=oracle.num_edges),
+                    min_size=num_rows,
+                    max_size=num_rows,
+                )
+            )
+        )
+        closures = st.tuples(
+            st.integers(0, num_rows - 1), st.integers(0, oracle.num_edges - 1)
+        )
+        for row, edge in data.draw(st.lists(closures, max_size=3)):
+            costs[row, edge] = np.inf
+
+        distances = oracle.commodity_costs(costs)
+        np.testing.assert_array_equal(distances, [oracle.commodity_costs(row) for row in costs])
+        unreachable = ~np.isfinite(distances)
+        if unreachable.any():
+            row = int(np.flatnonzero(unreachable.any(axis=1))[0])
+            with pytest.raises(ValueError, match=rf"in cost row {row}$") as raised:
+                oracle.shortest_commodity_paths(costs)
+            named = re.match(r"no path from (.+) to (.+) in cost row", str(raised.value))
+            assert named.groups() in {
+                (repr(c.source), repr(c.sink))
+                for c, bad in zip(oracle.commodities, unreachable[row])
+                if bad
+            }
+            return
+
+        assert oracle.shortest_commodity_paths(costs) == one_row_union(oracle, costs)
+        demands = np.array([c.demand for c in oracle.commodities])
+        for row in costs:
+            expected = np.zeros(oracle.num_edges)
+            for path, demand in zip(oracle.shortest_commodity_paths(row), demands):
+                for edge in path.edges:
+                    expected[oracle.edge_index[edge]] += demand
+            load = oracle.all_or_nothing(row)
+            np.testing.assert_allclose(load.edge_flows, expected, rtol=1e-12, atol=0.0)
+            assert load.sptt == pytest.approx(float(demands @ oracle.commodity_costs(row)), rel=1e-12)
+
+    def test_all_or_nothing_takes_one_cost_vector(self, oracle):
+        costs = oracle.free_flow_costs()
+        with pytest.raises(ValueError, match=r"one \(E,\) cost vector"):
+            oracle.all_or_nothing(np.stack([costs, costs]))
+
+    def test_costs_must_be_a_vector_or_a_stack(self, oracle):
+        with pytest.raises(ValueError, match="stack"):
+            oracle.commodity_costs(np.ones((1, 1, oracle.num_edges)))
