@@ -17,10 +17,13 @@ period, hence the same per-case cost, so the subsample rate is an unbiased
 estimate of the full loop's rate.
 
 Script mode (``python benchmarks/bench_batch_throughput.py [--smoke]``)
-additionally measures the *telemetry overhead guarantee*: the instrumented
+additionally checks the *telemetry overhead guarantee*: the instrumented
 engines must cost < 2% extra when no telemetry session is active.  The check
-combines an end-to-end enabled-vs-disabled timing with a deterministic
-microbenchmark bound (null-op cost x instrumentation calls per run).
+is a counted bound: the instrumentation calls one run makes, times the
+disabled cost of each call, over the run's wall time.  An enabled-vs-disabled
+timing is not reported: the sweep takes about 15 ms, and the best of two
+such runs swings by tens of percent either way.  ``--trace PATH`` writes the
+trace of one telemetry-enabled run.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def test_family_batch_vs_scalar_throughput(report_header):
     family, policy, starts, periods = build_family_sweep()
 
     # The runner fuses all 64 same-topology/different-coefficient cases into
-    # one batch group -- no process pool involved.
+    # one batch group.
     cases = [
         SweepCase({"beta": float(BETAS[i])}, family.member(i), policy, periods[i], HORIZON)
         for i in range(NUM_CASES)
@@ -278,27 +281,19 @@ def _instrumentation_calls() -> Dict[str, int]:
 
 
 def measure_overhead(repeats: int):
-    """Return the overhead report rows of the disabled-telemetry guarantee.
+    """Return the disabled run time, the overhead bound and the call counts.
 
-    Two complementary measurements:
-
-    * ``measured``: end-to-end enabled-vs-disabled delta of the batched
-      integration (noisy on CI runners -- reported, not asserted);
-    * ``bounded``: an upper bound with telemetry *off* -- every
-      instrumentation call one run makes, counted by kind, times the
-      disabled cost of a call of that kind, relative to the run's wall
-      time.  This is the < 2% assertion.
+    The bound holds with telemetry *off*: every instrumentation call one run
+    makes, counted by kind, times the disabled cost of a call of that kind,
+    relative to the run's wall time.  This is the < 2% assertion.
     """
     # Warm-up pass so allocator/JIT-ish effects do not bias the first timing.
     _best_run_seconds(1)
     disabled = _best_run_seconds(repeats)
-    with telemetry_session():
-        enabled = _best_run_seconds(repeats)
     null_op = _null_op_seconds()
     calls = _instrumentation_calls()
     bound = sum(calls[kind] * null_op[kind] for kind in calls) / disabled
-    measured = enabled / disabled - 1.0
-    return disabled, enabled, measured, bound, calls
+    return disabled, bound, calls
 
 
 def main(argv=None) -> int:
@@ -312,12 +307,12 @@ def main(argv=None) -> int:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write the enabled-telemetry pass's JSONL trace to this file",
+        help="write the JSONL trace of one telemetry-enabled run to this file",
     )
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else 5
 
-    disabled, enabled, measured, bound, calls = measure_overhead(repeats)
+    disabled, bound, calls = measure_overhead(repeats)
     counted = (
         f"{sum(calls.values())} calls per run: {calls['span']} span, "
         f"{calls['event']} event, {calls['metric']} metric"
@@ -343,12 +338,6 @@ def main(argv=None) -> int:
                 "overhead": "-",
             },
             {
-                "telemetry": "on",
-                "seconds": enabled,
-                "cases/sec": NUM_CASES / enabled,
-                "overhead": f"{measured:+.2%}",
-            },
-            {
                 "telemetry": "off (bound)",
                 "seconds": disabled,
                 "cases/sec": NUM_CASES / disabled,
@@ -368,8 +357,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"OK: disabled-telemetry overhead bound {bound:.2%} "
-        f"< budget {OVERHEAD_BUDGET:.0%} ({counted}; "
-        f"measured enabled-vs-disabled delta {measured:+.2%})"
+        f"< budget {OVERHEAD_BUDGET:.0%} ({counted})"
     )
     return 0
 

@@ -7,9 +7,9 @@ aggressive rule on a steep instance visibly fails to settle.  The harness
 prints, per ratio, the Lemma 4 violation count, the final potential gap and
 the tail oscillation amplitude.
 
-All ratios share one network and one policy, so the sweep runs through the
-batched engine (:mod:`repro.batch`) as a single stacked integration; the
-result table is exported via ``SweepResult.to_csv`` / ``to_jsonl``.
+All ratios share one network and one policy, so the runner fuses them into
+one batched call on :mod:`repro.batch`; the result table is exported via
+``SweepResult.to_csv`` / ``to_jsonl``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from repro.analysis import (
     analyse_oscillation,
     phase_potential_stats,
     print_table,
-    run_sweep,
 )
 from repro.core import scaled_policy
 from repro.core.smoothness import safe_update_period
+from repro.experiments import run_cases
 from repro.instances import braess_network, lopsided_flow, two_link_network
 from repro.solvers import optimal_potential
 from repro.wardrop import FlowVector, potential
@@ -75,7 +75,7 @@ def test_staleness_threshold_two_links(report_header, tmp_path):
     optimum = optimal_potential(network)
     start = lopsided_flow(network, 0.9)
     cases = [ratio_case(network, policy, alpha, ratio, start) for ratio in RATIOS]
-    result = run_sweep(cases, threshold_row_builder(optimum), engine="batch")
+    result = run_cases(cases, threshold_row_builder(optimum))
     result.to_csv(tmp_path / "staleness_two_links.csv")
     result.to_jsonl(tmp_path / "staleness_two_links.jsonl")
     print_table(result.rows, title="E3: staleness threshold sweep, two links (beta=8, alpha=4)")
@@ -111,7 +111,7 @@ def test_staleness_threshold_braess(report_header, tmp_path):
             "final_gap": potential(trajectory.final_flow) - optimum,
         }
 
-    result = run_sweep(cases, build, engine="batch")
+    result = run_cases(cases, build)
     result.to_csv(tmp_path / "staleness_braess.csv")
     result.to_jsonl(tmp_path / "staleness_braess.jsonl")
     print_table(result.rows, title="E3: staleness threshold sweep, Braess network (alpha=2)")
@@ -129,7 +129,7 @@ def test_benchmark_safe_period_run(benchmark, report_header):
     def run():
         case = ratio_case(network, policy, 4.0, 1.0, start, horizon_phases=40)
         builder = lambda t: {"lemma4_violations": phase_potential_stats(t).lemma4_violations}
-        return run_sweep([case], builder, engine="batch")
+        return run_cases([case], builder)
 
     result = benchmark(run)
     assert result.rows[0]["lemma4_violations"] == 0

@@ -7,7 +7,7 @@ count must stay below the bound, and its growth with ``|P|`` and ``1/delta^2``
 should be visible.
 
 The sweep runs through the experiment runner: each link count is its own
-network, so the cases are heterogeneous and dispatch case by case, while the
+network, so the cases are heterogeneous and each runs on its own, while the
 per-delta evaluation happens in a multi-row builder on the single trajectory
 (one simulation per network, one result row per delta).  The table is
 exported via ``SweepResult.to_csv`` / ``to_jsonl``.
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import SweepCase, count_bad_phases, print_table, run_sweep
+from repro.analysis import SweepCase, count_bad_phases, print_table
 from repro.core import uniform_policy
 from repro.core.bounds import uniform_convergence_bound
+from repro.experiments import run_cases
 from repro.instances import heterogeneous_affine_links
 from repro.wardrop import FlowVector
 
@@ -69,7 +70,7 @@ def per_delta_rows(trajectory):
 @pytest.mark.experiment("E4")
 def test_uniform_sampling_bad_phase_counts(report_header, tmp_path):
     cases = [uniform_case(num_links) for num_links in LINK_COUNTS]
-    result = run_sweep(cases, per_delta_rows, engine="auto")
+    result = run_cases(cases, per_delta_rows)
     result.to_csv(tmp_path / "uniform_convergence.csv")
     result.to_jsonl(tmp_path / "uniform_convergence.jsonl")
     print_table(result.rows, title="E4: Theorem 6 -- uniform sampling convergence time")
@@ -85,7 +86,7 @@ def test_uniform_sampling_bad_phase_counts(report_header, tmp_path):
 @pytest.mark.experiment("E4")
 def test_benchmark_uniform_policy_run(benchmark, report_header):
     def run():
-        return run_sweep([uniform_case(8, horizon=30.0)], per_delta_rows, engine="auto")
+        return run_cases([uniform_case(8, horizon=30.0)], per_delta_rows)
 
     result = benchmark(run)
     assert result.rows[0]["total_phases"] > 0

@@ -25,7 +25,6 @@ from .sweeps import (
     SweepResult,
     cartesian,
     convergence_row_builder,
-    run_sweep,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "print_table",
     "render_comparison",
     "render_table",
-    "run_sweep",
     "time_to_approximate_equilibrium",
     "time_to_potential_gap",
     "trajectory_summary_row",

@@ -6,13 +6,11 @@ approximation target delta, population size ...) and collect one summary row
 per setting.  The harness here removes the boilerplate so each benchmark
 focuses on what it varies and what it measures.
 
-Execution is delegated to :mod:`repro.experiments.runner`: cases whose
-networks share a topology (identical network objects, or same-topology
-networks with different latency coefficients, which stack into a
-:class:`~repro.wardrop.family.NetworkFamily`) are fused into one vectorized
-:class:`~repro.batch.BatchSimulator` integration, heterogeneous cases can be
-fanned out over a process pool, and ``engine="serial"`` runs the cases one
-at a time.
+Execution is :func:`repro.experiments.run_cases`: cases whose networks
+share a topology (identical network objects, or same-topology networks with
+different latency coefficients, which stack into a
+:class:`~repro.wardrop.family.NetworkFamily`) run as one batched call, and a
+case alone in its group runs as a one-row batch.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -36,7 +33,11 @@ from ..core.policy import ReroutingPolicy
 from ..core.trajectory import Trajectory
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from ..wardrop.validation import require_positive, require_positive_integer
+from ..wardrop.validation import (
+    require_nonnegative_integer,
+    require_positive,
+    require_positive_integer,
+)
 from .convergence import ConvergenceSummary, check_slacks, count_bad_phases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -76,9 +77,9 @@ class SweepCase:
     (:func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`,
     one shared oracle; update periods, horizons and steps-per-phase vary per
     row as in fluid groups); note that fused *open-mode*
-    rows grow a shared union path set, so pass ``engine="serial"`` when
-    per-row discovery sets must stay independent (closed-mode fusions stay
-    bit-identical per row).  A CG case cannot combine with
+    rows grow a shared union path set, so run ``run_cases`` once per case
+    when per-row discovery sets must stay independent (closed-mode fusions
+    stay bit-identical per row).  A CG case cannot combine with
     ``method="agents"``, ``initial_flow`` or ``stop_when`` (the last two are
     authored for the case network's fixed path dimension; pass a scalar
     ``stop_when`` to
@@ -92,8 +93,9 @@ class SweepCase:
 
     Settings are validated at construction, naming the field: periods and
     horizons must be finite and positive, ``steps_per_phase`` and
-    ``num_agents`` whole numbers >= 1, a fresh fluid case's policy
-    alpha-smooth, and column generation must not meet the fields above.
+    ``num_agents`` whole numbers >= 1, ``seed`` a whole number >= 0, a fresh
+    fluid case's policy alpha-smooth, and column generation must not meet
+    the fields above.
     """
 
     parameters: Dict[str, object]
@@ -119,6 +121,7 @@ class SweepCase:
             raise ValueError(f"method must be 'fluid' or 'agents', got {self.method!r}")
         if self.num_agents is not None:
             require_positive_integer("num_agents", self.num_agents)
+        require_nonnegative_integer("seed", self.seed)
         if self.method == "fluid" and not self.stale and isinstance(self.policy, ReroutingPolicy):
             self.policy.check_fresh_fluid()
         if self.column_generation:
@@ -205,26 +208,6 @@ class SweepResult:
         from ..telemetry.jsonl import read_jsonl
 
         return cls(rows=read_jsonl(path))
-
-
-def run_sweep(
-    cases: Iterable[SweepCase],
-    row_builder: RowBuilder,
-    engine: str = "auto",
-    processes: Optional[int] = None,
-) -> SweepResult:
-    """Run every case and collect ``parameters | row_builder(trajectory)`` rows.
-
-    ``engine`` selects the execution backend (see
-    :func:`repro.experiments.runner.run_cases`): ``"auto"`` fuses
-    same-topology groups (including different-coefficient network families)
-    into batched integrations, ``"batch"`` forces batching, ``"serial"``
-    runs one case at a time and ``"processes"`` uses a worker pool.
-    """
-    # Imported lazily: the runner builds on analysis types defined above.
-    from ..experiments.runner import run_cases
-
-    return run_cases(list(cases), row_builder, engine=engine, processes=processes)
 
 
 def convergence_row_builder(delta: float, epsilon: float) -> RowBuilder:

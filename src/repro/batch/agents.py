@@ -66,7 +66,11 @@ from ..core.agents import DEFAULT_NUM_AGENTS, build_population, population_count
 from ..core.dynamics import rate_generator, transition_blocks
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.paths import CommodityBlocks
-from ..wardrop.validation import require_positive, require_positive_integer
+from ..wardrop.validation import (
+    require_nonnegative_integer,
+    require_positive,
+    require_positive_integer,
+)
 from .board import BatchBulletinBoard
 from .engine import BatchEnsembleBase, BatchResult, BatchStoppingCondition, Networks, Policies
 
@@ -111,15 +115,8 @@ class BatchAgentConfig:
         require_positive_integer("num_agents", self.num_agents)
         require_positive("update_periods", self.update_periods)
         require_positive("horizons", self.horizons)
+        require_nonnegative_integer("seeds", self.seeds)
         seeds = np.asarray(self.seeds)
-        as_float = seeds.astype(float)
-        bad = np.flatnonzero(
-            ~(np.isfinite(as_float) & (as_float >= 0) & (as_float == np.floor(as_float)))
-        )
-        if len(bad):
-            index = int(bad[0])
-            label = "seeds" if seeds.ndim == 0 else f"seeds[{index}]"
-            raise ValueError(f"{label} must be a non-negative integer, got {seeds.flat[index]}")
         num_agents = np.atleast_1d(np.asarray(self.num_agents, dtype=np.int64))
         shape = np.broadcast_shapes(
             num_agents.shape,

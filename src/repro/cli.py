@@ -37,7 +37,7 @@ Examples::
     python -m repro.cli simulate two-links-steep --policy replicator --period auto
     python -m repro.cli simulate pigou-linear --method agents --agents 5000 --period 0.1
     python -m repro.cli sweep braess --policy uniform --periods 0.05,0.1,0.2 --csv out.csv
-    python -m repro.cli sweep pigou-linear,pigou-quadratic --periods 0.1,0.2 --engine batch
+    python -m repro.cli sweep pigou-linear,pigou-quadratic --periods 0.1,0.2
     python -m repro.cli sweep sioux-falls --scenario sioux-falls-incident --trace out.jsonl
     python -m repro.cli solve sioux-falls --edge-flow --report
     python -m repro.cli report out.jsonl
@@ -60,7 +60,6 @@ from .analysis import (
     convergence_row_builder,
     phase_start_latency_trace,
     print_table,
-    run_sweep,
 )
 from .core import (
     better_response_policy,
@@ -212,13 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta", type=float, default=0.1, help="equilibrium latency slack delta")
     sweep.add_argument("--epsilon", type=float, default=0.1, help="unsatisfied volume target eps")
     sweep.add_argument(
-        "--engine",
-        choices=["auto", "batch", "processes", "serial"],
-        default="auto",
-        help="execution backend for the sweep cases",
-    )
-    sweep.add_argument("--processes", type=int, default=None, help="worker pool size")
-    sweep.add_argument(
         "--method",
         choices=["fluid", "agents"],
         default="fluid",
@@ -232,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--column-generation",
         action="store_true",
         help="run every case with shortest-path column generation (--method "
-        "fluid only; same-network cases with equal periods fuse onto the "
-        "batched CG driver, which unions open-mode discoveries -- use "
-        "--engine serial for independent per-row route sets)",
+        "fluid only; same-network cases fuse onto the batched CG driver, "
+        "which unions open-mode discoveries)",
     )
     sweep.add_argument(
         "--scenario",
@@ -678,7 +669,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.progress:
 
             def listener(name, attrs):
-                if name in ("case_started", "case_finished", "batch_fused", "pool_dispatched"):
+                if name in ("case_started", "case_finished", "batch_fused"):
                     detail = " ".join(f"{key}={value}" for key, value in attrs.items())
                     print(f"[{name}] {detail}".rstrip(), file=sys.stderr)
 
@@ -693,13 +684,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     trace_path=args.trace, progress=listener, profile=args.profile
                 )
             )
-            result = run_plan(
-                plan,
-                build_row,
-                engine=args.engine,
-                processes=args.processes,
-                include_seed=args.include_seed,
-            )
+            result = run_plan(plan, build_row, include_seed=args.include_seed)
         if args.metrics:
             result.merge_metrics(tele.metrics.flatten())
         if args.csv:
@@ -710,8 +695,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = run_plan(
             plan,
             build_row,
-            engine=args.engine,
-            processes=args.processes,
             csv_path=args.csv,
             jsonl_path=args.jsonl,
             include_seed=args.include_seed,
@@ -719,7 +702,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print_table(
         result.rows,
         title=f"Sweep of {args.instance} ({args.policy}, "
-        f"{'fresh' if args.fresh else 'stale'} info, {args.method}, engine={args.engine})",
+        f"{'fresh' if args.fresh else 'stale'} info, {args.method})",
     )
     if use_telemetry and args.metrics:
         print_table(tele.metrics.rows(), title="telemetry metrics")

@@ -1,10 +1,9 @@
-"""Experiment plans and the parallel experiment runner.
+"""Experiment plans and the experiment runner.
 
-Build an :class:`ExperimentPlan` from parameter axes, then dispatch it with
-:func:`run_plan`: same-network case groups become one vectorized
-:class:`~repro.batch.BatchSimulator` integration, heterogeneous cases can fan
-out over a process pool, and every case carries a deterministic seed so
-randomised ingredients reproduce exactly.  Results persist as CSV/JSONL via
+Build an :class:`ExperimentPlan` from parameter axes, then run it with
+:func:`run_plan`: every group of same-topology cases runs as one batched
+call, a lone case as a one-row batch, and every case carries a
+deterministic seed so randomised ingredients reproduce exactly.  Results persist as CSV/JSONL via
 :class:`~repro.analysis.sweeps.SweepResult`.
 """
 

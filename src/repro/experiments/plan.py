@@ -5,8 +5,8 @@ An :class:`ExperimentPlan` is a named list of
 cartesian product of parameter axes (:func:`repro.analysis.sweeps.cartesian`).
 Every case carries a *deterministic* seed derived from the plan's base seed
 and the case's parameters, so randomised ingredients (random starting flows,
-random instances) are reproducible run over run, across process pools, and
-independent of the execution order chosen by the runner.
+random instances) are reproducible run over run and independent of how the
+runner groups the cases.
 """
 
 from __future__ import annotations

@@ -1,41 +1,28 @@
-"""Experiment execution: batched, pooled or serial dispatch of sweep cases.
+"""Experiment execution: one dispatch rule for sweep cases.
 
 The runner turns a list of :class:`~repro.analysis.sweeps.SweepCase` objects
-into a :class:`~repro.analysis.sweeps.SweepResult` by choosing, per group of
-cases, the cheapest execution backend:
+into a :class:`~repro.analysis.sweeps.SweepResult`.  It groups the cases by
+:func:`group_key`: cases whose networks share a *topology* (identical
+paths, edges and commodities; latency coefficients may differ) under the
+same information model and ``method`` (fluid or agents).  A group of two or
+more runs as one batched call: one network object runs directly, different
+same-topology networks stack into a
+:class:`~repro.wardrop.family.NetworkFamily`, and per-row policies, update
+periods, horizons, scenarios, stop conditions and initial flows ride along.
+A group of one runs on its own, as a one-row batch on the same engine.
 
-* **batch** — cases whose networks share a *topology* (identical paths,
-  edges and commodities; latency coefficients may differ) under the same
-  information model and ``method`` (fluid or agents) are fused into one vectorized
-  :class:`~repro.batch.BatchSimulator` integration.  Identical network
-  objects batch as before; different same-topology networks are stacked into
-  a :class:`~repro.wardrop.family.NetworkFamily`, and per-row policies,
-  update periods, horizons, resolutions and initial flows all ride along —
-  this is the fast path for the paper's coefficient sweeps;
-* **processes** — heterogeneous cases (different topologies) can be fanned
-  out over a ``multiprocessing`` pool.  With the ``fork`` start method
-  (Linux/macOS default here) workers build the result *rows* in-process and
-  return plain dicts, so big sweeps never pickle whole trajectories back to
-  the parent; without fork the runner falls back to shipping trajectories;
-* **serial** — one case at a time, as a one-case group on the same batched
-  engine its model always runs on (fluid, agents or column generation).
-
-``engine="auto"`` batches every multi-case group and runs the remainder
-serially (or on a pool when ``processes > 1`` is requested).  Whatever the
-backend, rows are emitted in the original case order and each case's
-trajectory is identical to its one-case run, so results never depend on the
-dispatch decision — with one documented exception: *open-mode*
-column-generation cases fused onto the batched CG driver grow a shared
-(union) restricted path set, so a fused row can route over columns another
-row discovered.  Closed-mode CG fusions stay bit-identical per row; force
-``engine="serial"`` when per-row discovery sets must stay independent.
+Rows come back in case order, and each case's trajectory equals its
+one-case run, ``run_cases([case], ...)``, bit for bit -- with one
+documented exception: *open-mode* column-generation cases fused onto the
+batched CG driver grow a shared (union) restricted path set, so a fused row
+can route over columns another row discovered.  Closed-mode CG fusions stay
+bit-identical per row; run ``run_cases`` once per case when per-row
+discovery sets must stay independent.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,11 +70,6 @@ def _case_num_agents(case: SweepCase) -> int:
     return case.num_agents if case.num_agents is not None else DEFAULT_NUM_AGENTS
 
 
-def _simulate_case(case: SweepCase) -> Trajectory:
-    """Run one case on its own (also the pool worker): a one-case group."""
-    return _run_batch_group([case])[0]
-
-
 def _case_event_attrs(case: SweepCase) -> Dict[str, object]:
     """Return the JSON-friendly attributes of one case's progress events."""
     attrs: Dict[str, object] = {
@@ -103,12 +85,12 @@ def _case_event_attrs(case: SweepCase) -> Dict[str, object]:
 
 
 def _serial_case_rows(case: SweepCase, row_builder: RowBuilder) -> Rows:
-    """Run one case serially, emitting started/finished progress events."""
+    """Run one case on its own (a one-case group), emitting progress events."""
     tele = get_telemetry()
     attrs = _case_event_attrs(case) if tele.enabled else {}
     tele.event("case_started", **attrs)
     begin = time.perf_counter() if tele.enabled else 0.0
-    rows = _case_rows(case, _simulate_case(case), row_builder)
+    rows = _case_rows(case, _run_batch_group([case])[0], row_builder)
     tele.event("case_finished", seconds=time.perf_counter() - begin, **attrs)
     tele.counter("runner.cases_completed").add()
     return rows
@@ -144,7 +126,7 @@ def _group_stop_when(cases: Sequence[SweepCase]):
 
     Each case's :class:`~repro.batch.stopping.StopCondition` is evaluated on
     its own single-row slice with row index 0, so a case stops in the same
-    phase whichever group (a one-case group when serial) runs it.
+    phase whichever group (a one-case group when alone) runs it.
     """
     conditions = [case.stop_when for case in cases]
     if all(condition is None for condition in conditions):
@@ -173,8 +155,8 @@ def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     one-case runs bit for bit.  **Open-mode rows do not**: fused rows grow
     one shared (union) restricted path set, so a row can discover columns
     another row's snapshot surfaced — this is the one documented departure
-    from "results never depend on the dispatch decision" (force
-    ``engine="serial"`` to keep per-row discovery sets independent).
+    from "results never depend on the grouping" (run each case on its own
+    to keep per-row discovery sets independent).
     """
     from ..largescale.batch_columns import simulate_with_column_generation_batch
     from ..largescale.columns import ActivePathSet
@@ -200,7 +182,7 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     :class:`NetworkFamily` so heterogeneous latency coefficients integrate
     in the same pass.  Groups with ``method="agents"`` run on the batched
     finite-population engine instead of the fluid integrator.  A one-case
-    group is how every case runs serially.
+    group is how a case runs on its own.
     """
     first = cases[0]
     if first.column_generation:
@@ -241,127 +223,37 @@ def _run_batch_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
     return [result.trajectory(row) for row in range(len(cases))]
 
 
-# Workers build result rows in-process so only plain dicts cross the pipe;
-# the row builder (often a closure, hence unpicklable) reaches them through
-# the fork-inherited pool initializer.
-_POOL_ROW_BUILDER: Optional[RowBuilder] = None
+def _dispatch_rows(cases: List[SweepCase], row_builder: RowBuilder) -> List[Rows]:
+    """Return one list of result rows per case, in case order.
 
-
-def _pool_initializer(row_builder: RowBuilder) -> None:
-    global _POOL_ROW_BUILDER
-    _POOL_ROW_BUILDER = row_builder
-
-
-def _pool_worker(case: SweepCase) -> Rows:
-    """Simulate one case and return its finished rows (never the trajectory)."""
-    return _case_rows(case, _simulate_case(case), _POOL_ROW_BUILDER)
-
-
-def _run_pool_rows(
-    cases: Sequence[SweepCase], processes: int, row_builder: RowBuilder
-) -> List[Rows]:
-    """Build each case's rows on a worker pool, preserving order.
-
-    Cases carrying a ``stop_when`` condition are simulated serially: stop
-    conditions are closures and do not survive the pool's pickling of the
-    case arguments (the batched backend is the fast path for them anyway).
+    Every group of two or more cases runs as one batched call; the cases
+    left alone in their group then run one at a time, in case order.
     """
-    stoppy = [i for i, case in enumerate(cases) if case.stop_when is not None]
-    if stoppy:
-        results: List[Optional[Rows]] = [None] * len(cases)
-        for i in stoppy:
-            results[i] = _case_rows(cases[i], _simulate_case(cases[i]), row_builder)
-        plain = [i for i in range(len(cases)) if cases[i].stop_when is None]
-        for i, rows in zip(
-            plain, _run_pool_rows([cases[i] for i in plain], processes, row_builder)
-        ):
-            results[i] = rows
-        return results  # type: ignore[return-value]
-    if processes <= 1 or len(cases) <= 1:
-        return [_case_rows(case, _simulate_case(case), row_builder) for case in cases]
-    try:
-        # Prefer fork (cheap, shares the loaded modules, and lets workers
-        # inherit the row builder so they return plain rows).
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        # Without fork the workers cannot inherit an arbitrary (possibly
-        # closure) row builder; ship trajectories and build rows here.
-        context = multiprocessing.get_context()
-        with context.Pool(min(processes, len(cases))) as pool:
-            trajectories = pool.map(_simulate_case, cases)
-        return [
-            _case_rows(case, trajectory, row_builder)
-            for case, trajectory in zip(cases, trajectories)
-        ]
-    with context.Pool(
-        min(processes, len(cases)),
-        initializer=_pool_initializer,
-        initargs=(row_builder,),
-    ) as pool:
-        return pool.map(_pool_worker, cases)
-
-
-def _dispatch_rows(
-    cases: List[SweepCase],
-    row_builder: RowBuilder,
-    engine: str,
-    processes: Optional[int],
-) -> List[Rows]:
-    """Return one list of result rows per case, in case order."""
     tele = get_telemetry()
-    if engine == "serial":
-        return [_serial_case_rows(case, row_builder) for case in cases]
-    if engine == "processes":
-        pool_size = processes or os.cpu_count() or 1
-        if pool_size > 1 and len(cases) > 1:
-            # Fork-based workers keep their telemetry in the child process;
-            # the parent reports only the dispatch itself.
-            tele.event("pool_dispatched", cases=len(cases), processes=pool_size)
-        results = _run_pool_rows(cases, pool_size, row_builder)
-        tele.counter("runner.cases_completed").add(len(results))
-        return results
-    if engine not in ("auto", "batch"):
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'auto', 'batch', 'processes' or 'serial'"
-        )
-
     groups: Dict[GroupKey, List[int]] = {}
     for index, case in enumerate(cases):
         groups.setdefault(group_key(case), []).append(index)
 
     rows_per_case: List[Optional[Rows]] = [None] * len(cases)
-    leftovers: List[int] = []
+    singles: List[int] = []
     for key, indices in groups.items():
-        if engine == "batch" or len(indices) > 1:
-            tele.event(
-                "batch_fused",
-                cases=len(indices),
-                method=key[2],
-                stale=key[1],
-            )
-            tele.counter("runner.batch_groups").add()
-            tele.histogram("runner.batch_group_size").observe(len(indices))
-            for index, trajectory in zip(
-                indices, _run_batch_group([cases[i] for i in indices])
-            ):
-                rows_per_case[index] = _case_rows(cases[index], trajectory, row_builder)
-                tele.event("case_finished", **_case_event_attrs(cases[index]))
-                tele.counter("runner.cases_completed").add()
-        else:
-            leftovers.extend(indices)
-    if leftovers:
-        leftovers.sort()
-        if processes and processes > 1:
-            # Fork-based workers keep their telemetry in the child process;
-            # the parent reports only the dispatch itself.
-            tele.event("pool_dispatched", cases=len(leftovers), processes=processes)
-            results = _run_pool_rows([cases[i] for i in leftovers], processes, row_builder)
-            for index, rows in zip(leftovers, results):
-                rows_per_case[index] = rows
-                tele.counter("runner.cases_completed").add()
-        else:
-            for index in leftovers:
-                rows_per_case[index] = _serial_case_rows(cases[index], row_builder)
+        if len(indices) == 1:
+            singles.extend(indices)
+            continue
+        tele.event(
+            "batch_fused",
+            cases=len(indices),
+            method=key[2],
+            stale=key[1],
+        )
+        tele.counter("runner.batch_groups").add()
+        tele.histogram("runner.batch_group_size").observe(len(indices))
+        for index, trajectory in zip(indices, _run_batch_group([cases[i] for i in indices])):
+            rows_per_case[index] = _case_rows(cases[index], trajectory, row_builder)
+            tele.event("case_finished", **_case_event_attrs(cases[index]))
+            tele.counter("runner.cases_completed").add()
+    for index in singles:
+        rows_per_case[index] = _serial_case_rows(cases[index], row_builder)
     return rows_per_case  # type: ignore[return-value]
 
 
@@ -369,14 +261,18 @@ def run_cases(
     cases: List[SweepCase],
     row_builder: RowBuilder,
     engine: str = "auto",
-    processes: Optional[int] = None,
 ) -> SweepResult:
-    """Execute cases on the selected backend and collect the result rows.
+    """Run every case and collect ``parameters | row_builder(trajectory)`` rows.
 
-    ``row_builder(trajectory)`` may return a single mapping or a list of
-    mappings (e.g. one row per evaluation target); every returned row is
-    merged over the case's echoed ``parameters``.
+    Cases are grouped by :func:`group_key`: a group of two or more runs as
+    one batched call, a group of one on its own.  ``row_builder(trajectory)``
+    may return a single mapping or a list of mappings (e.g. one row per
+    evaluation target); every returned row is merged over the case's echoed
+    ``parameters``.  ``engine`` only accepts ``"auto"``, the one dispatch
+    rule, and is echoed on the ``sweep`` span.
     """
+    if engine != "auto":
+        raise ValueError(f"engine must be 'auto' (the only dispatch rule), got {engine!r}")
     cases = list(cases)
     tele = get_telemetry()
     with tele.span("sweep", cases=len(cases), engine=engine) as sweep_span:
@@ -390,7 +286,7 @@ def run_cases(
             )
             sweep_span.annotate(instance=",".join(names))
         result = SweepResult()
-        for rows in _dispatch_rows(cases, row_builder, engine, processes):
+        for rows in _dispatch_rows(cases, row_builder):
             for row in rows:
                 result.append(row)
     return result
@@ -399,8 +295,6 @@ def run_cases(
 def run_plan(
     plan: ExperimentPlan,
     row_builder: RowBuilder,
-    engine: str = "auto",
-    processes: Optional[int] = None,
     csv_path=None,
     jsonl_path=None,
     include_seed: bool = False,
@@ -417,7 +311,7 @@ def run_plan(
         ]
     else:
         cases = plan.cases
-    result = run_cases(cases, row_builder, engine=engine, processes=processes)
+    result = run_cases(cases, row_builder)
     if csv_path is not None:
         result.to_csv(csv_path)
     if jsonl_path is not None:

@@ -125,22 +125,10 @@ class Scenario:
             incidents = IncidentPlan(list(incidents))
         self.incidents: Optional[IncidentPlan] = incidents
         # Effective-network cache: base -> {modulation: network}.  Weak keys,
-        # so the entries of a base network go when it does.  Dropped on
-        # pickling (rebuilt lazily in workers).
+        # so the entries of a base network go when it does.
         self._cache: "weakref.WeakKeyDictionary[WardropNetwork, Dict]" = (
             weakref.WeakKeyDictionary()
         )
-
-    # Pickling (process-pool dispatch) ---------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_cache"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache = weakref.WeakKeyDictionary()
 
     # Sampling ----------------------------------------------------------------
 

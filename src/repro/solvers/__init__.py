@@ -27,7 +27,7 @@ from .frank_wolfe import (
     solve_wardrop_equilibrium,
 )
 from .line_search import bisection_root, golden_section_minimise
-from .options import ALL_METHODS, EDGE_METHODS, PATH_METHODS, SolverOptions, check_method
+from .options import ALL_METHODS, EDGE_METHODS, PATH_METHODS, check_method
 from .parallel_links import equilibrium_latency_level, solve_parallel_links
 from .projection_gradient import solve_path_projection_gradient
 
@@ -37,7 +37,6 @@ __all__ = [
     "EdgeEquilibriumResult",
     "EquilibriumResult",
     "PATH_METHODS",
-    "SolverOptions",
     "all_or_nothing_flow",
     "bisection_root",
     "check_method",

@@ -1,4 +1,4 @@
-"""Shared solver configuration and the method dispatch table.
+"""The solver method table and its validator.
 
 The equilibrium suite now offers several interchangeable algorithms behind
 the two solver interfaces:
@@ -20,15 +20,10 @@ method    space                  algorithm
                                  commodity's cheapest path)
 ========  =====================  ===========================================
 
-:class:`SolverOptions` bundles the choices every caller threads through --
-the CLI ``solve --method``, :func:`repro.scenarios.tracking.interval_equilibria`
-and the benchmarks -- so new knobs do not ripple through every signature.
+:func:`check_method` validates a method name against one space.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 #: Methods available to the edge-flow (oracle-driven) solver.
 EDGE_METHODS = ("fw", "cfw", "bfw")
@@ -52,46 +47,3 @@ def check_method(method: str, space: str) -> str:
             f"use one of {', '.join(known)}"
         )
     return method
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """One bundle of solver choices shared by every equilibrium interface.
-
-    Attributes
-    ----------
-    method:
-        ``"fw"``, ``"cfw"``, ``"bfw"`` (edge space) or ``"fw"``, ``"pg"``
-        (path space); see the module table.
-    tolerance:
-        Convergence target, or ``None`` for the solver's default (absolute
-        duality gap ``1e-8`` in path space, relative duality gap ``1e-6`` in
-        edge space).
-    max_iterations:
-        Iteration cap per solve -- the *per-interval solve budget* when the
-        tracking layer threads these options through
-        :func:`~repro.scenarios.tracking.interval_equilibria`.
-    warm_start:
-        Whether sequential callers (interval tracking, continuation sweeps)
-        should seed each solve from the previous solution.
-    """
-
-    method: str = "fw"
-    tolerance: Optional[float] = None
-    max_iterations: int = 2000
-    warm_start: bool = True
-
-    def __post_init__(self) -> None:
-        if self.method not in ALL_METHODS:
-            raise ValueError(
-                f"unknown solver method {self.method!r}; "
-                f"use one of {', '.join(ALL_METHODS)}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-    def tolerance_or(self, default: float) -> float:
-        """Return the configured tolerance, or ``default`` if unset."""
-        return default if self.tolerance is None else self.tolerance

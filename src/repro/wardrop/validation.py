@@ -72,6 +72,23 @@ def require_positive_integer(name: str, values) -> None:
         raise ValueError(f"{label} must be an integer, got {array.flat[index]}")
 
 
+def require_nonnegative_integer(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every value is a whole number >= 0.
+
+    Seeds are cast to integers, so ``1.5`` would otherwise run as seed 1
+    and NaN fail later with numpy's message instead of the field's name.
+    """
+    array = np.asarray(values)
+    as_float = array.astype(float)
+    bad = np.flatnonzero(
+        ~(np.isfinite(as_float) & (as_float >= 0) & (as_float == np.floor(as_float)))
+    )
+    if len(bad):
+        index = int(bad[0])
+        label = name if array.ndim == 0 else f"{name}[{index}]"
+        raise ValueError(f"{label} must be a non-negative integer, got {array.flat[index]}")
+
+
 def validate_network(network: WardropNetwork, samples: int = 32) -> ValidationReport:
     """Check the model assumptions of Section 2.1 on a network.
 

@@ -14,9 +14,9 @@ from repro.analysis import (
     print_table,
     render_comparison,
     render_table,
-    run_sweep,
 )
 from repro.core import oscillation_amplitude, replicator_policy, simulate_best_response, uniform_policy
+from repro.experiments import run_cases
 from repro.instances import lopsided_flow, oscillation_initial_flow, two_link_network
 
 
@@ -99,7 +99,7 @@ class TestSweeps:
         assert len(combos) == 6
         assert {"a": 1, "b": "x"} in combos
 
-    def test_run_sweep_collects_rows(self, two_links):
+    def test_run_cases_collects_rows(self, two_links):
         policy = uniform_policy(two_links)
         cases = [
             SweepCase(
@@ -112,7 +112,7 @@ class TestSweeps:
             )
             for period in [0.1, 0.2]
         ]
-        result = run_sweep(cases, convergence_row_builder(delta=0.1, epsilon=0.1))
+        result = run_cases(cases, convergence_row_builder(delta=0.1, epsilon=0.1))
         assert len(result) == 2
         assert result.column("T") == [0.1, 0.2]
         assert all("bad_phases" in row for row in result.rows)

@@ -1,8 +1,7 @@
 """Runner fusion of column-generation cases.
 
-Same-network CG cases fuse into one batched CG call under
-``engine="batch"``/``"auto"``, whatever their update periods, horizons and
-steps-per-phase; cases with an initial flow, a stop
+Same-network CG cases fuse into one batched CG call, whatever their update
+periods, horizons and steps-per-phase; cases with an initial flow, a stop
 condition or the agents method are rejected when the case is built.
 Open-mode fused rows grow one shared (union) restricted path set, so
 equality with the one-case run is asserted where it is guaranteed: B=1
@@ -96,13 +95,19 @@ class TestGroupKeys:
 
 
 class TestFusedExecution:
-    def test_single_case_batch_matches_serial_bitwise(self):
+    def test_single_case_matches_the_one_row_driver_bitwise(self):
         network = grid_network(2, 3, num_commodities=2, seed=3)
         scenario = incident(network, 1)
-        make = lambda: [cg_case(network, replicator_policy(network), scenario=scenario)]
-        serial = run_cases(make(), flows_row_builder, engine="serial").rows
-        batch = run_cases(make(), flows_row_builder, engine="batch").rows
-        assert serial == batch
+        case = cg_case(network, replicator_policy(network), scenario=scenario)
+        rows = run_cases([case], flows_row_builder).rows
+        single = simulate_with_column_generation(
+            ActivePathSet.from_network(network),
+            replicator_policy(network),
+            update_period=0.25,
+            horizon=2.0,
+            scenario=scenario,
+        )
+        assert rows == [flows_row_builder(single.trajectory)]
 
     def test_identical_rows_fuse_and_match_the_one_row_driver(self):
         # Identical rows make union growth coincide with each row's own
@@ -113,7 +118,7 @@ class TestFusedExecution:
             cg_case(network, uniform_policy(network), scenario=scenario)
             for _ in range(3)
         ]
-        rows = run_cases(cases, flows_row_builder, engine="batch").rows
+        rows = run_cases(cases, flows_row_builder).rows
         single = simulate_with_column_generation(
             ActivePathSet.from_network(network),
             uniform_policy(network),
@@ -129,7 +134,7 @@ class TestFusedExecution:
     def test_rows_with_different_periods_run_as_one_batch_and_match_serial(self):
         # On two-links-steep every row discovers the second link at phase 0,
         # after which the set is complete: the fused rows then run closed,
-        # so union growth cannot make them differ from serial runs.
+        # so union growth cannot make them differ from one-case runs.
         network = get_instance("two-links-steep")
         policy = uniform_policy(network)
         make = lambda: [
@@ -137,11 +142,11 @@ class TestFusedExecution:
             cg_case(network, policy, update_period=0.5, horizon=3.0, steps_per_phase=4),
         ]
         with telemetry_session() as tele:
-            fused = run_cases(make(), flows_row_builder, engine="batch").rows
+            fused = run_cases(make(), flows_row_builder).rows
         runs = [r for r in tele.tracer.records() if r["name"] == "engine_run"]
         assert [r["attrs"]["rows"] for r in runs] == [2]
-        serial = run_cases(make(), flows_row_builder, engine="serial").rows
-        assert fused == serial
+        alone = [run_cases([case], flows_row_builder).rows[0] for case in make()]
+        assert fused == alone
         assert [len(row["times"]) for row in fused] == [9, 7]
         assert all(len(row["flows"][0]) == network.num_paths for row in fused)
 
@@ -152,7 +157,7 @@ class TestFusedExecution:
             cg_case(network, uniform_policy(network), scenario=incident(network, 0)),
             cg_case(network, uniform_policy(network), scenario=incident(network, 2)),
         ]
-        rows = run_cases(cases, flows_row_builder, engine="auto").rows
+        rows = run_cases(cases, flows_row_builder).rows
         assert len(rows) == 3
         # The incident rows must actually diverge from the calm row.
         assert rows[0]["flows"] != rows[1]["flows"]

@@ -1,6 +1,6 @@
-"""Tests for experiment plans (deterministic seeds), the runner's execution
-backends (batch / processes / serial must agree), result persistence and the
-``repro sweep`` command-line entry point.
+"""Tests for experiment plans (deterministic seeds), the runner's one
+dispatch rule (every fused row equals its case's one-case run), result
+persistence and the ``repro sweep`` command-line entry point.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import SweepCase, SweepResult, convergence_row_builder, run_sweep
+from repro.analysis import SweepCase, SweepResult, convergence_row_builder
 from repro.batch import distance_stop
 from repro.cli import build_parser, main
 from repro.core import (
@@ -21,7 +21,7 @@ from repro.core import (
     uniform_policy,
 )
 from repro.experiments import ExperimentPlan, case_seed, group_key, run_cases, run_plan
-from repro.experiments.runner import _case_rows, _run_pool_rows, _simulate_case
+from repro.experiments.runner import _case_rows, _run_batch_group
 from repro.instances import braess_network, pigou_network, two_link_network
 from repro.wardrop import FlowVector
 
@@ -92,6 +92,11 @@ class TestPlan:
         assert len(subset) == 2
 
 
+def one_case_rows(cases, row_builder):
+    """Each case's row from its own one-case run: the reference of every fusion."""
+    return [run_cases([case], row_builder).rows[0] for case in cases]
+
+
 def mixed_cases():
     """Two networks and policies: one batchable pair plus two singletons."""
     pig = pigou_network(degree=1)
@@ -114,30 +119,55 @@ class TestRunner:
         # Same network/policy but fresh info must not batch with stale.
         assert group_key(cases[2]) != group_key(cases[3])
 
-    @pytest.mark.parametrize("engine", ["auto", "batch", "serial", "processes"])
-    def test_engines_agree(self, engine):
-        rows = run_cases(
-            mixed_cases(), convergence_row_builder(0.2, 0.1), engine=engine, processes=2
-        ).rows
-        reference = run_cases(
-            mixed_cases(), convergence_row_builder(0.2, 0.1), engine="serial"
-        ).rows
-        assert rows == reference
+    def test_rows_match_one_case_runs(self):
+        builder = convergence_row_builder(0.2, 0.1)
+        rows = run_cases(mixed_cases(), builder).rows
+        assert rows == one_case_rows(mixed_cases(), builder)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_cases(mixed_cases(), convergence_row_builder(0.2, 0.1), engine="gpu")
+    @pytest.mark.parametrize("engine", ["batch", "serial", "processes", "gpu"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            run_cases(mixed_cases(), convergence_row_builder(0.2, 0.1), engine=engine)
+
+    def test_rows_come_back_in_case_order(self):
+        """Fused groups run before lone cases, yet rows keep case order."""
+        pair, lone = mixed_cases()[:2], mixed_cases()[2:]
+        cases = [lone[0], pair[0], lone[1], pair[1]]
+        builder = convergence_row_builder(0.2, 0.1)
+        rows = run_cases(cases, builder).rows
+        assert [row["case"] for row in rows] == [2, 0, 3, 1]
+        assert rows == one_case_rows(cases, builder)
+
+    def test_fresh_fluid_cases_fuse_and_match_one_case_runs(self):
+        network = braess_network()
+        policy = uniform_policy(network)
+        cases = [
+            SweepCase({"case": i}, network, policy, period, 1.0, steps_per_phase=5, stale=False)
+            for i, period in enumerate((0.1, 0.15, 0.25))
+        ]
+        assert len({group_key(case) for case in cases}) == 1
+        builder = convergence_row_builder(0.2, 0.1)
+        rows = run_cases(cases, builder).rows
+        assert rows == one_case_rows(cases, builder)
 
     def test_accepts_one_shot_case_iterator(self):
         cases = mixed_cases()
-        result = run_cases(iter(cases), convergence_row_builder(0.2, 0.1), engine="serial")
+        result = run_cases(iter(cases), convergence_row_builder(0.2, 0.1))
         assert len(result) == len(cases)
+
+    def test_case_rows_merge_parameters(self):
+        case = mixed_cases()[0]
+        trajectory = _run_batch_group([case])[0]
+        rows = _case_rows(case, trajectory, lambda t: {"phases": len(t.phases)})
+        assert rows == [{"case": 0, "phases": len(trajectory.phases)}]
+        multi = _case_rows(case, trajectory, lambda t: [{"k": 1}, {"k": 2}])
+        assert multi == [{"case": 0, "k": 1}, {"case": 0, "k": 2}]
 
     def test_multi_row_builder_expands_rows(self):
         def rows_per_delta(trajectory):
             return [{"delta": delta, "phases": len(trajectory.phases)} for delta in (0.1, 0.2)]
 
-        result = run_cases(mixed_cases()[:2], rows_per_delta, engine="batch")
+        result = run_cases(mixed_cases()[:2], rows_per_delta)
         assert len(result) == 4
         assert result.column("delta") == [0.1, 0.2, 0.1, 0.2]
         assert result.rows[0]["case"] == 0 and result.rows[2]["case"] == 1
@@ -153,9 +183,8 @@ class TestRunner:
             for i, network in enumerate(networks)
         ]
         assert len({group_key(case) for case in cases}) == 1
-        batched = run_cases(cases, convergence_row_builder(0.2, 0.1), engine="batch").rows
-        serial = run_cases(cases, convergence_row_builder(0.2, 0.1), engine="serial").rows
-        assert batched == serial
+        builder = convergence_row_builder(0.2, 0.1)
+        assert run_cases(cases, builder).rows == one_case_rows(cases, builder)
 
     @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
     def test_paper_sweep_family_with_two_policies_runs_stacked(self, stale, monkeypatch):
@@ -188,7 +217,7 @@ class TestRunner:
             return original(self, blocks, latencies)
 
         monkeypatch.setattr(MigrationRule, "matrix", counted)
-        batched = run_cases(cases, lambda t: {"flows": t.flow_matrix()}, engine="batch")
+        batched = run_cases(cases, lambda t: {"flows": t.flow_matrix()})
         # Every table build covers every row still in its phase in one call:
         # all four at each of the six phase starts and, stale, at every build
         # (a fresh row that ends its phase early leaves the sub-batch).
@@ -207,9 +236,7 @@ class TestRunner:
             SweepCase({"case": i}, network, scaled_policy(1.0), 0.2, 0.6, steps_per_phase=4)
             for i, network in enumerate(networks)
         ]
-        result = run_cases(
-            cases, lambda t: {"network_id": id(t.network)}, engine="batch"
-        )
+        result = run_cases(cases, lambda t: {"network_id": id(t.network)})
         assert result.column("network_id") == [id(n) for n in networks]
 
     def test_batch_rejects_initial_flow_from_foreign_network(self):
@@ -224,7 +251,7 @@ class TestRunner:
             for i, network in enumerate(networks)
         ]
         with pytest.raises(ValueError, match="different network"):
-            run_cases(cases, lambda t: {}, engine="batch")
+            run_cases(cases, lambda t: {})
 
 
 def stop_when_plan():
@@ -258,9 +285,8 @@ class TestStopWhenThreading:
 
     def test_run_plan_stop_phases_match_direct_simulator_runs(self):
         plan = stop_when_plan()
-        batched = run_plan(plan, self.builder, engine="batch").rows
-        serial = run_plan(plan, self.builder, engine="serial").rows
-        assert batched == serial
+        batched = run_plan(plan, self.builder).rows
+        assert batched == one_case_rows(plan.cases, self.builder)
         for case, row in zip(plan.cases, batched):
             direct = simulate(
                 case.network,
@@ -275,16 +301,10 @@ class TestStopWhenThreading:
             # The condition genuinely stopped the run early.
             assert len(direct.phases) < case.horizon / case.update_period
 
-    def test_processes_engine_runs_stop_cases_serially(self):
-        plan = stop_when_plan()
-        pooled = run_plan(plan, self.builder, engine="processes", processes=2).rows
-        serial = run_plan(plan, self.builder, engine="serial").rows
-        assert pooled == serial
-
     def test_family_group_with_per_member_conditions(self):
         """Per-case conditions authored for each case's own network stop at
         per-member phases inside a fused different-coefficient family batch
-        and agree with the serial backend (the documented row-0 contract)."""
+        and agree with the one-case runs (the documented row-0 contract)."""
         from repro.batch import equilibrium_gap_stop
 
         betas = (3.0, 8.0)
@@ -299,9 +319,8 @@ class TestStopWhenThreading:
             for beta, network in zip(betas, networks)
         ]
         assert len({group_key(case) for case in cases}) == 1
-        batched = run_cases(cases, self.builder, engine="batch").rows
-        serial = run_cases(cases, self.builder, engine="serial").rows
-        assert batched == serial
+        batched = run_cases(cases, self.builder).rows
+        assert batched == one_case_rows(cases, self.builder)
         # Both members stop early, at genuinely different per-member phases
         # (the steeper instance drives larger migration probabilities, so it
         # closes the same latency gap in fewer phases).
@@ -319,20 +338,20 @@ class TestStopWhenThreading:
             )
             for i in range(2)
         ]
-        rows = run_cases(cases, self.builder, engine="batch").rows
+        rows = run_cases(cases, self.builder).rows
         assert rows[0]["phases"] < rows[1]["phases"] == 200
 
 
 class TestAgentsMethod:
     """The runner's finite-population backend (method="agents")."""
 
-    def agent_cases(self):
+    def agent_cases(self, stale=True):
         network = pigou_network(degree=1)
         policy = replicator_policy(network, exploration=1e-3)
         return [
             SweepCase(
                 {"case": i}, network, policy, 0.2, 2.0, method="agents",
-                num_agents=60 + 30 * i, seed=100 + i,
+                num_agents=60 + 30 * i, seed=100 + i, stale=stale,
             )
             for i in range(3)
         ]
@@ -351,7 +370,7 @@ class TestAgentsMethod:
         fluid = SweepCase({}, cases[0].network, cases[0].policy, 0.2, 2.0)
         assert group_key(fluid) != group_key(cases[0])
 
-    def test_scenario_cases_fuse_and_match_serial(self):
+    def test_scenario_cases_fuse_and_match_one_case_runs(self):
         """Agent cases with (different) scenarios fuse like any other case."""
         from repro.scenarios import LinkIncident, Scenario
         from repro.telemetry import telemetry_session
@@ -367,20 +386,29 @@ class TestAgentsMethod:
 
         assert len({group_key(case) for case in cases()}) == 1
         with telemetry_session() as tele:
-            fused = run_cases(cases(), self.builder, engine="auto").rows
+            fused = run_cases(cases(), self.builder).rows
         assert tele.metrics.flatten()["runner.batch_groups"] == 1
-        assert fused == run_cases(cases(), self.builder, engine="serial").rows
-        assert fused[0] != run_cases(self.agent_cases(), self.builder, engine="serial").rows[0]
+        assert fused == one_case_rows(cases(), self.builder)
+        assert fused[0] != run_cases([self.agent_cases()[0]], self.builder).rows[0]
 
-    @pytest.mark.parametrize("engine", ["auto", "batch", "processes"])
-    def test_engines_agree_with_serial(self, engine):
-        rows = run_cases(self.agent_cases(), self.builder, engine=engine, processes=2).rows
-        serial = run_cases(self.agent_cases(), self.builder, engine="serial").rows
-        assert rows == serial
+    @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+    def test_fused_rows_match_one_case_runs(self, stale):
+        rows = run_cases(self.agent_cases(stale), self.builder).rows
+        assert rows == one_case_rows(self.agent_cases(stale), self.builder)
+
+    @pytest.mark.parametrize("seed", [102.0, np.int64(102)], ids=["float", "numpy"])
+    def test_whole_number_seed_runs_as_that_seed(self, seed):
+        """A seed given as a whole-valued float or numpy integer is the same seed."""
+        cases = self.agent_cases()
+        cases[2].seed = seed
+        as_given = run_cases(cases, self.builder).rows
+        assert as_given == run_cases(self.agent_cases(), self.builder).rows
+        cases[2].seed = 103
+        assert as_given[2] != run_cases(cases, self.builder).rows[2]
 
     def test_rows_match_direct_scalar_agent_runs(self):
         cases = self.agent_cases()
-        rows = run_cases(cases, self.builder, engine="batch").rows
+        rows = run_cases(cases, self.builder).rows
         for case, row in zip(cases, rows):
             direct = simulate_agents(
                 case.network, case.policy, num_agents=case.num_agents,
@@ -394,56 +422,21 @@ class TestAgentsMethod:
         case = self.agent_cases()[0]
         case.num_agents = 0
         with pytest.raises(ValueError, match="num_agents"):
-            run_cases([case], self.builder, engine="serial")
+            run_cases([case], self.builder)
         with pytest.raises(ValueError, match=r"num_agents\[0\]"):
-            run_cases([case, self.agent_cases()[1]], self.builder, engine="batch")
+            run_cases([case, self.agent_cases()[1]], self.builder)
 
-    def test_agent_cases_thread_stop_when_through_all_backends(self):
-        """Agent cases with stop_when stop at the same phase on every backend."""
+    def test_agent_cases_thread_stop_when_through_fused_groups(self):
+        """An agent case with stop_when stops at the same phase fused or alone."""
         stop = distance_stop(np.array([[0.5, 0.5]]), tolerance=0.2)
-        serial_cases = self.agent_cases()
-        serial_cases[0].stop_when = stop
-        serial = run_cases(serial_cases, self.builder, engine="serial").rows
-        batch_cases = self.agent_cases()
-        batch_cases[0].stop_when = stop
-        batch = run_cases(batch_cases, self.builder, engine="batch").rows
-        assert serial == batch
-        plain = run_cases(self.agent_cases(), self.builder, engine="serial").rows
+        cases = self.agent_cases()
+        cases[0].stop_when = stop
+        fused = run_cases(cases, self.builder).rows
+        assert fused == one_case_rows(cases, self.builder)
+        plain = run_cases(self.agent_cases(), self.builder).rows
         # The stopping case ended early; the untouched cases are unaffected.
-        assert serial[0]["phases"] < plain[0]["phases"]
-        assert serial[1:] == plain[1:]
-
-
-class TestPoolRowBuilding:
-    """The processes backend builds result rows inside the workers (ROADMAP
-    item): only plain row dicts cross the pipe, never whole trajectories."""
-
-    def test_case_rows_merge_parameters(self):
-        case = mixed_cases()[0]
-        trajectory = _simulate_case(case)
-        rows = _case_rows(case, trajectory, lambda t: {"phases": len(t.phases)})
-        assert rows == [{"case": 0, "phases": len(trajectory.phases)}]
-        multi = _case_rows(case, trajectory, lambda t: [{"k": 1}, {"k": 2}])
-        assert multi == [{"case": 0, "k": 1}, {"case": 0, "k": 2}]
-
-    def test_pool_rows_match_serial_rows(self):
-        cases = mixed_cases()
-        builder = convergence_row_builder(0.2, 0.1)
-        pooled = _run_pool_rows(cases, 2, builder)
-        serial = [_case_rows(case, _simulate_case(case), builder) for case in cases]
-        assert pooled == serial
-
-    def test_processes_engine_supports_closure_multi_row_builders(self):
-        """Closures are unpicklable; workers must inherit them via fork."""
-        deltas = (0.1, 0.2)
-
-        def rows_per_delta(trajectory):
-            return [{"delta": delta, "phases": len(trajectory.phases)} for delta in deltas]
-
-        pooled = run_cases(mixed_cases(), rows_per_delta, engine="processes", processes=2).rows
-        serial = run_cases(mixed_cases(), rows_per_delta, engine="serial").rows
-        assert pooled == serial
-        assert len(pooled) == 2 * len(mixed_cases())
+        assert fused[0]["phases"] < plain[0]["phases"]
+        assert fused[1:] == plain[1:]
 
 
 class TestPersistence:
@@ -468,7 +461,6 @@ class TestPersistence:
         result = run_plan(
             plan,
             convergence_row_builder(0.2, 0.1),
-            engine="batch",
             csv_path=csv_path,
             jsonl_path=jsonl_path,
             include_seed=True,
@@ -482,59 +474,47 @@ class TestPersistence:
 class TestRunnerTelemetry:
     """The runner's progress-event stream and sweep-level span."""
 
-    def collect_events(self, engine, cases=None, processes=None):
+    def collect_events(self):
         from repro.telemetry import telemetry_session
 
         events = []
         with telemetry_session(
             progress=lambda name, attrs: events.append((name, dict(attrs)))
         ) as tele:
-            run_cases(
-                cases if cases is not None else mixed_cases(),
-                convergence_row_builder(0.2, 0.1),
-                engine=engine,
-                processes=processes,
-            )
+            run_cases(mixed_cases(), convergence_row_builder(0.2, 0.1))
         return events, tele
 
-    def test_serial_engine_emits_case_started_and_finished(self):
-        events, tele = self.collect_events("serial")
+    def test_lone_cases_emit_case_started_and_finished(self):
+        events, tele = self.collect_events()
         names = [name for name, _ in events]
-        assert names.count("case_started") == 4
+        # Cases 2 and 3 are alone in their groups; the fused pair reports
+        # only its completions.
+        started = [attrs for name, attrs in events if name == "case_started"]
+        assert [attrs["case"] for attrs in started] == [2, 3]
         assert names.count("case_finished") == 4
-        finished = next(attrs for name, attrs in events if name == "case_finished")
-        assert finished["seconds"] >= 0
-        assert "method" in finished and "update_period" in finished
-        # Case parameters ride along on the event attributes.
-        assert any(attrs.get("case") == 0 for _, attrs in events)
+        finished = [attrs for name, attrs in events if name == "case_finished"]
+        lone = [attrs for attrs in finished if attrs["case"] in (2, 3)]
+        assert all(attrs["seconds"] >= 0 for attrs in lone)
+        assert all("method" in attrs and "update_period" in attrs for attrs in finished)
         assert tele.metrics.counter("runner.cases_completed").value == 4
 
-    def test_batch_engine_reports_fusion_group_sizes(self):
-        events, tele = self.collect_events("batch")
+    def test_fused_groups_report_their_sizes(self):
+        events, tele = self.collect_events()
         fused = [attrs for name, attrs in events if name == "batch_fused"]
-        assert sorted(group["cases"] for group in fused) == [1, 1, 2]
-        assert all(group["method"] == "fluid" for group in fused)
+        assert [group["cases"] for group in fused] == [2]
+        assert fused[0]["method"] == "fluid" and fused[0]["stale"] is True
         histogram = tele.metrics.histogram("runner.batch_group_size")
-        assert histogram.count == 3
+        assert histogram.count == 1
         assert histogram.maximum == 2
-        # Every case still reports completion.
-        assert tele.metrics.counter("runner.cases_completed").value == 4
-
-    def test_processes_engine_records_pool_dispatch(self):
-        events, tele = self.collect_events("processes", processes=2)
-        dispatched = [attrs for name, attrs in events if name == "pool_dispatched"]
-        assert len(dispatched) == 1
-        assert dispatched[0]["cases"] == 4
-        assert dispatched[0]["processes"] == 2
-        assert tele.metrics.counter("runner.cases_completed").value == 4
+        assert tele.metrics.counter("runner.batch_groups").value == 1
 
     def test_sweep_span_wraps_the_run(self):
-        _, tele = self.collect_events("serial")
+        _, tele = self.collect_events()
         sweeps = [r for r in tele.tracer.records() if r["name"] == "sweep"]
         assert len(sweeps) == 1
         assert sweeps[0]["attrs"] == {
             "cases": 4,
-            "engine": "serial",
+            "engine": "auto",
             "instance": "-",
         }
         # Every engine_run span nests under the sweep span.
@@ -554,12 +534,18 @@ class TestSweepCli:
     def test_parses_sweep_options(self):
         args = build_parser().parse_args(
             ["sweep", "braess", "--policy", "uniform", "--periods", "0.1,0.2",
-             "--engine", "batch", "--method", "agents"]
+             "--method", "agents"]
         )
         assert args.command == "sweep"
         assert args.periods == "0.1,0.2"
-        assert args.engine == "batch"
         assert args.method == "agents"
+
+    @pytest.mark.parametrize("option", [["--engine", "batch"], ["--processes", "2"]])
+    def test_sweep_has_no_dispatch_options(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "braess", *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_simulate_accepts_method(self, capsys):
         code = main(
@@ -574,7 +560,7 @@ class TestSweepCli:
         jsonl_path = tmp_path / "sweep.jsonl"
         code = main(
             ["sweep", "pigou-linear", "--policy", "replicator",
-             "--periods", "0.1,0.2", "--horizon", "2", "--engine", "batch",
+             "--periods", "0.1,0.2", "--horizon", "2",
              "--csv", str(csv_path), "--jsonl", str(jsonl_path)]
         )
         assert code == 0
@@ -593,7 +579,7 @@ class TestSweepCli:
         periods = [0.1, 0.2]
         code = main(
             ["sweep", "pigou-linear", "--policy", "replicator",
-             "--periods", "0.1,0.2", "--horizon", "1", "--engine", "batch",
+             "--periods", "0.1,0.2", "--horizon", "1",
              "--include-seed", "--csv", str(csv_path), "--jsonl", str(jsonl_path)]
         )
         assert code == 0
@@ -616,20 +602,22 @@ class TestSweepCli:
         jsonl_path = tmp_path / "family.jsonl"
         code = main(
             ["sweep", "pigou-linear,pigou-quadratic", "--policy", "uniform",
-             "--periods", "0.1", "--horizon", "1", "--engine", "batch",
+             "--periods", "0.1", "--horizon", "1",
              "--jsonl", str(jsonl_path)]
         )
         assert code == 0
         rows = SweepResult.from_jsonl(jsonl_path).rows
         assert [row["instance"] for row in rows] == ["pigou-linear", "pigou-quadratic"]
-        # The family batch must agree with independent serial scalar runs.
-        serial_path = tmp_path / "family-serial.jsonl"
-        assert main(
-            ["sweep", "pigou-linear,pigou-quadratic", "--policy", "uniform",
-             "--periods", "0.1", "--horizon", "1", "--engine", "serial",
-             "--jsonl", str(serial_path)]
-        ) == 0
-        assert rows == SweepResult.from_jsonl(serial_path).rows
+        # The family batch must agree with each instance's sweep on its own.
+        alone = []
+        for name in ("pigou-linear", "pigou-quadratic"):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(
+                ["sweep", name, "--policy", "uniform", "--periods", "0.1",
+                 "--horizon", "1", "--jsonl", str(path)]
+            ) == 0
+            alone.extend(SweepResult.from_jsonl(path).rows)
+        assert rows == alone
 
     def test_sweep_rejects_bad_periods(self, capsys):
         assert main(["sweep", "braess", "--periods", "0.1,-0.2"]) == 2

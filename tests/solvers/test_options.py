@@ -1,14 +1,8 @@
-"""SolverOptions and the method dispatch table."""
+"""The solver method table and its validator."""
 
 import pytest
 
-from repro.solvers import (
-    ALL_METHODS,
-    EDGE_METHODS,
-    PATH_METHODS,
-    SolverOptions,
-    check_method,
-)
+from repro.solvers import EDGE_METHODS, PATH_METHODS, check_method
 
 
 class TestCheckMethod:
@@ -29,27 +23,3 @@ class TestCheckMethod:
     def test_rejects_unknown_methods(self):
         with pytest.raises(ValueError, match="newton"):
             check_method("newton", "edge")
-
-
-class TestSolverOptions:
-    def test_defaults(self):
-        options = SolverOptions()
-        assert options.method == "fw"
-        assert options.tolerance is None
-        assert options.warm_start
-        assert options.tolerance_or(1e-6) == 1e-6
-
-    def test_explicit_tolerance_wins(self):
-        assert SolverOptions(tolerance=1e-3).tolerance_or(1e-6) == 1e-3
-
-    def test_every_method_is_constructible(self):
-        for method in ALL_METHODS:
-            assert SolverOptions(method=method).method == method
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown solver method"):
-            SolverOptions(method="gradient-descent")
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverOptions(max_iterations=0)
-        with pytest.raises(ValueError, match="tolerance"):
-            SolverOptions(tolerance=0.0)

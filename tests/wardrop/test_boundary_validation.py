@@ -54,6 +54,7 @@ from repro.wardrop.latency import (
     ScaledLatency,
     ThresholdLatency,
 )
+from repro.wardrop.validation import require_nonnegative_integer
 
 NAN = float("nan")
 INF = float("inf")
@@ -222,6 +223,9 @@ ROWS = [
         "policy better-response is not alpha-smooth",
     ),
     ("SweepCase(num_agents=0)", lambda: sweep_case(method="agents", num_agents=0), "num_agents"),
+    ("SweepCase(seed=-1)", lambda: sweep_case(seed=-1), "^seed must be a non-negative integer"),
+    ("SweepCase(seed=1.5)", lambda: sweep_case(seed=1.5), "^seed must be a non-negative integer"),
+    ("SweepCase(seed=nan)", lambda: sweep_case(seed=NAN), "^seed must be a non-negative integer"),
     (
         "SweepCase(column_generation, method=agents)",
         lambda: sweep_case(column_generation=True, method="agents"),
@@ -353,6 +357,15 @@ ROWS = [
 def test_bad_input_is_rejected_naming_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_seed_check_names_the_first_bad_entry_of_an_array_only():
+    for good in (0, 7.0, np.int64(3), [0, 2**62], np.array([1.0, 2.0])):
+        require_nonnegative_integer("seed", good)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -2"):
+        require_nonnegative_integer("seed", -2)
+    with pytest.raises(ValueError, match=r"^seeds\[1\] must be a non-negative integer, got 0.5"):
+        require_nonnegative_integer("seeds", [3, 0.5, -1])
 
 
 def test_is_feasible_is_false_for_nan_flows():
