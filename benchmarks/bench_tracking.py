@@ -62,6 +62,8 @@ from repro.solvers import solve_edge_flow_equilibrium
 # full-size value so detours are in the strategy set either way.
 INCIDENT_FACTOR = 0.35
 SMOKE_INCIDENT_FACTOR = 0.15
+# Wall-clock runs per side of the batched-versus-one-row speedup.
+TIMING_REPEATS = 3
 
 
 def grown_network(max_od_pairs: int):
@@ -133,25 +135,32 @@ def run_benchmark(
         horizons=horizon,
         steps_per_phase=steps,
     )
-    with bench_timer(
-        "bench_tracking", "E11 scenario ensemble",
-        engine="fluid-batch", instance="sioux-falls-incident", cases=batch,
-    ) as batched_timer:
-        result = BatchSimulator(network, policy, config, scenarios=scenarios).run()
-    batched_seconds = batched_timer.seconds
+    # Each side of the speedup is the best of TIMING_REPEATS runs, so one run
+    # slowed by a busy machine does not decide the gate; every run emits its
+    # record and ``repro compare`` keeps the fastest per key.
+    batched_seconds = float("inf")
+    for _ in range(TIMING_REPEATS):
+        with bench_timer(
+            "bench_tracking", "E11 scenario ensemble",
+            engine="fluid-batch", instance="sioux-falls-incident", cases=batch,
+        ) as batched_timer:
+            result = BatchSimulator(network, policy, config, scenarios=scenarios).run()
+        batched_seconds = min(batched_seconds, batched_timer.seconds)
 
-    scalar_flows = []
-    with bench_timer(
-        "bench_tracking", "E11 one-row loop",
-        engine="fluid-batch", instance="sioux-falls-incident", cases=scalar_rows,
-    ) as scalar_timer:
-        for row in range(scalar_rows):
-            trajectory = simulate(
-                network, policy, update_period=period, horizon=horizon,
-                scenario=scenarios[row],
-            )
-            scalar_flows.append(np.array([p.flow.values() for p in trajectory.points]))
-    scalar_seconds = scalar_timer.seconds
+    scalar_seconds = float("inf")
+    for _ in range(TIMING_REPEATS):
+        scalar_flows = []
+        with bench_timer(
+            "bench_tracking", "E11 one-row loop",
+            engine="fluid-batch", instance="sioux-falls-incident", cases=scalar_rows,
+        ) as scalar_timer:
+            for row in range(scalar_rows):
+                trajectory = simulate(
+                    network, policy, update_period=period, horizon=horizon,
+                    scenario=scenarios[row],
+                )
+                scalar_flows.append(np.array([p.flow.values() for p in trajectory.points]))
+        scalar_seconds = min(scalar_seconds, scalar_timer.seconds)
     # Normalise the scalar timing to the full batch when only a subset ran.
     scalar_seconds_full = scalar_seconds * batch / scalar_rows
 
@@ -227,7 +236,7 @@ def run_benchmark(
     }
     print(
         f"batched: {batch} scenario rows in {batched_seconds:.2f}s; one-row loop "
-        f"({scalar_rows} rows measured): {scalar_seconds:.2f}s "
+        f"({scalar_rows} rows measured): {scalar_seconds:.2f}s, best of {TIMING_REPEATS} "
         f"(~{scalar_seconds_full:.2f}s for all {batch}) -> {speedup:.1f}x"
     )
     print(

@@ -14,31 +14,37 @@ Correctness contract
 --------------------
 Two suites pin the engine down.  *B-invariance*: row ``r`` of a ``B``-row
 run equals the one-row run of the same configuration bit for bit
-(assignments, trajectory, stop phase).  Every row owns its own ``numpy``
+(final counts, trajectory, stop phase).  Every row owns its own ``numpy``
 generator seeded with its own seed and issues the draws of the seeding
 contract (:mod:`repro.core.agents`) whatever the other rows do, and every
 kernel is row-wise (``tests/batch/test_agent_equivalence.py``,
 ``tests/batch/test_agent_stopping.py``).  *Reference*: a one-row
 up-to-date-information run matches an event-by-event simulator written
-directly from the model (``tests/reference_agents.py``) in its assignments
-exactly; a stale run matches the model in distribution, checked by a
+directly from the model (``tests/reference_agents.py``) in its final
+counts exactly; a stale run matches the model in distribution, checked by a
 chi-square test against ``scipy.linalg.expm``
 (``tests/core/test_reference_agents.py``).
 
-Under stale information every agent reads the same frozen board, so within
-a phase of length ``d`` each agent moves on its own, as a continuous-time
-Markov chain whose generator ``Lambda`` (rate-1 clocks times the sampling
-and migration blocks) the board fixes.  A stale row's state is therefore
-its path counts, and a phase moves the ``n_P`` agents of path ``P`` by one
-multinomial over row ``P`` of ``expm(d * Lambda)`` (the stale-phase kernel
-of :mod:`repro.core.dynamics`, which the fluid engine applies to the flow):
-no per-agent array exists and a phase costs O(paths) at any ``n``.  Under
-up-to-date information each row is advanced in windows of its next
-:data:`FRESH_WINDOW` activations decided against its cached live tables;
-only the first migrating activation of the window is applied (every earlier
-one is a no-op, so it saw exactly the live state an event-by-event run
-would), the row's cursor moves past it and its tables are refreshed.  The
-outcome equals the event-by-event order by construction.
+Every activation picks one of a commodity's agents uniformly at random, so
+the agents of a commodity are exchangeable and a row's state is its
+``(P,)`` path counts under either information model; its realised flow is
+``counts * weights``, no per-agent array exists and the state costs
+O(paths) at any ``n``.  Under stale information every agent reads the same
+frozen board, so within a phase of length ``d`` each agent moves on its
+own, as a continuous-time Markov chain whose generator ``Lambda`` (rate-1
+clocks times the sampling and migration blocks) the board fixes, and a
+phase moves the ``n_P`` agents of path ``P`` by one multinomial over row
+``P`` of ``expm(d * Lambda)`` (the stale-phase kernel of
+:mod:`repro.core.dynamics`, which the fluid engine applies to the flow).
+Under up-to-date information an activation draws a rank into the row's
+agents in commodity-major path order of its current counts.  Each row is
+advanced in windows of its next :data:`FRESH_WINDOW` activations decided
+against its cached live tables; only the first migrating activation of the
+window is applied (every earlier one is a no-op, so it saw exactly the live
+state an event-by-event run would): one count moves, the row's cumulative
+counts between source and target shift by one, its cursor moves past the
+activation and its tables are refreshed.  The outcome equals the
+event-by-event order by construction.
 
 Both kernels read the tables on commodity blocks
 (:class:`~repro.wardrop.paths.CommodityBlocks`): an agent in slot ``j`` of
@@ -50,7 +56,7 @@ The phases run on the fluid engine's phase loop
 scenario freezing, the board post at every phase start (Eq. 3), the
 finiteness and conservation checks (each row's per-commodity totals to a
 relative 1e-9), recording and ``stop_when`` freezing are the fluid engine's
-own.  This engine supplies the population built from the initial flows, the
+own.  This engine supplies the path counts built from the initial flows, the
 stale phase's transition blocks and its advance step, and the result is a
 :class:`~repro.batch.engine.BatchResult` (:class:`BatchAgentResult`).
 """
@@ -62,7 +68,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.agents import DEFAULT_NUM_AGENTS, build_population, population_counts
+from ..core.agents import DEFAULT_NUM_AGENTS, population_counts
 from ..core.dynamics import rate_generator, transition_blocks
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.paths import CommodityBlocks
@@ -159,27 +165,22 @@ class BatchAgentResult(BatchResult):
     realised flows (``k = 0`` is the initial population, then one sample per
     phase), plus each row's population size and seed.
     ``final_counts[r, p]`` is the number of row ``r``'s agents on path ``p``
-    at the end, and ``agent_paths`` the per-agent assignment of
-    up-to-date-information runs (``None`` for stale runs, which keep only
-    counts).
+    at the end, the whole final state of a row under either information
+    model.
     """
 
     num_agents: np.ndarray
     seeds: np.ndarray
     final_counts: np.ndarray
-    agent_paths: Optional[List[np.ndarray]] = None
 
     @property
     def assignments(self) -> Sequence[np.ndarray]:
         """Each row's final agent-to-path assignment, indexed by row.
 
-        Agents of a commodity are exchangeable, so a stale row's assignment
-        is materialised from its final counts when indexed, agents in
-        commodity-major path order.  A slice gives a list of rows for both
-        kinds of run.
+        Agents of a commodity are exchangeable, so a row's assignment is
+        spelled out from its final counts when indexed, agents in
+        commodity-major path order.  A slice gives a list of rows.
         """
-        if self.agent_paths is not None:
-            return self.agent_paths
         return _CountAssignments(self.final_counts)
 
 
@@ -269,8 +270,8 @@ class BatchAgentSimulator(BatchEnsembleBase):
 
         ``initial_flows`` may be ``None`` (uniform split for every row), a
         single :class:`FlowVector` (shared start), a sequence of ``B`` flow
-        vectors or a raw ``(B, P)`` array; each row's agent population is
-        built from its target flow with largest-remainder rounding.
+        vectors or a raw ``(B, P)`` array; each row's path counts are built
+        from its target flow with largest-remainder rounding.
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
         mask, evaluated at every phase boundary on the realised flows --
@@ -290,74 +291,27 @@ class BatchAgentSimulator(BatchEnsembleBase):
         tele = get_telemetry()
         events_counter = tele.counter("agents_batch.events")
         migrations_counter = tele.counter("agents_batch.migrations")
-        if config.stale:
-            # Under a frozen board the agents of a commodity are exchangeable,
-            # so a row's state is its per-path agent counts.
-            counts = np.empty((batch, num_paths), dtype=np.int64)
-            weights = np.empty((batch, num_paths))
-            for row in range(batch):
-                counts[row], weights[row] = population_counts(
-                    network, int(populations[row]), initial_values[row]
-                )
-            flows = counts * weights
+        # The agents of a commodity are exchangeable, so a row's state is its
+        # per-path agent counts under either information model.
+        counts = np.empty((batch, num_paths), dtype=np.int64)
+        weights = np.empty((batch, num_paths))
+        for row in range(batch):
+            counts[row], weights[row] = population_counts(
+                network, int(populations[row]), initial_values[row]
+            )
+        flows = counts * weights
 
-            def advance(phase, rows, starts, durations, transitions, flows, recording):
-                """One multinomial per row over its phase's transition blocks."""
+        def advance(phase, rows, starts, durations, transitions, flows, recording):
+            """Move ``counts`` through one phase; return the rows' realised flows."""
+            if config.stale:
                 migrations_counter.add(
                     self._advance_counts(counts, rows, rngs, transitions, blocks)
                 )
-                return counts[rows] * weights[rows]
-
-        else:
-            # Flat agent layout: row r owns agents offsets[r]:offsets[r+1].
-            offsets = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(populations, out=offsets[1:])
-            assignment = np.empty(int(offsets[-1]), dtype=np.int64)
-            agent_weights = np.empty(int(offsets[-1]))
-            for row in range(batch):
-                span = slice(offsets[row], offsets[row + 1])
-                assignment[span], agent_weights[span] = build_population(
-                    network, int(populations[row]), initial_values[row]
-                )
-            row_key_base = np.repeat(np.arange(batch) * num_paths, populations)
-
-            def realised_flows(rows: np.ndarray) -> np.ndarray:
-                """The ``(R, P)`` realised flows of ``rows``, from their agents.
-
-                Restricting the bincount to the rows' agent slices keeps
-                heterogeneous-horizon sweeps from re-counting frozen
-                populations; each row's buckets are summed in the same agent
-                order either way, so the restriction is bit-neutral.
-                """
-                if len(rows) == batch:
-                    span = slice(None)
-                else:
-                    span = np.concatenate(
-                        [np.arange(offsets[row], offsets[row + 1]) for row in rows]
-                    )
-                keys = row_key_base[span] + assignment[span]
-                flows = np.bincount(
-                    keys, weights=agent_weights[span], minlength=batch * num_paths
-                )
-                return flows.reshape(batch, num_paths)[rows]
-
-            flows = realised_flows(np.arange(batch))
-
-            def advance(phase, rows, starts, durations, frozen, flows, recording):
-                """Event-exact activations against live tables; moves ``flows`` in place."""
+            else:
                 events_counter.add(
-                    self._apply_fresh_phase(
-                        assignment,
-                        agent_weights,
-                        flows,
-                        offsets,
-                        rows,
-                        rngs,
-                        populations[rows] * durations,
-                        blocks,
-                    )
+                    self._apply_fresh_phase(counts, weights, rows, rngs, durations, blocks)
                 )
-                return realised_flows(rows)
+            return counts[rows] * weights[rows]
 
         # Each row's agents represent each commodity's demand (a commodity
         # apportioned no agent represents none); migrations must keep it.
@@ -372,12 +326,6 @@ class BatchAgentSimulator(BatchEnsembleBase):
             agents=int(populations.sum()),
             paths=num_paths,
         )
-        agent_paths = None
-        if not config.stale:
-            agent_paths = [
-                assignment[offsets[row] : offsets[row + 1]].copy() for row in range(batch)
-            ]
-            counts = np.stack([np.bincount(row, minlength=num_paths) for row in agent_paths])
         return BatchAgentResult(
             policy_names=[
                 f"{policy.label()} (n={int(populations[row])})"
@@ -386,7 +334,6 @@ class BatchAgentSimulator(BatchEnsembleBase):
             num_agents=populations.copy(),
             seeds=config.seeds.copy(),
             final_counts=counts,
-            agent_paths=agent_paths,
             **fields,
         )
 
@@ -418,50 +365,57 @@ class BatchAgentSimulator(BatchEnsembleBase):
 
     def _apply_fresh_phase(
         self,
-        assignment: np.ndarray,
+        counts: np.ndarray,
         weights: np.ndarray,
-        flows_live: np.ndarray,
-        offsets: np.ndarray,
         rows: np.ndarray,
         rngs: List[np.random.Generator],
-        expected_activations: np.ndarray,
+        durations: np.ndarray,
         blocks: CommodityBlocks,
     ) -> int:
         """Advance one up-to-date-information phase in per-row activation windows.
 
         Each row first issues the seeding contract's block draws (activation
-        count, activated agents, sampling uniforms, migration coins).  A
-        row's live tables depend only on its flow, which changes only when
-        an activation migrates.  Each round therefore decides the next
-        :data:`FRESH_WINDOW` activations of every row that still has some
-        against the row's cached tables, applies only the first migrating
-        one (with the subtract-then-add order of ``flows_live``) and moves
-        the row's cursor past it; a row whose window holds no migration
-        moves on by the whole window.  Every decision before the applied
-        migration is a no-op that saw the live state exactly, so the outcome
-        equals the event-by-event order.  Returns the number of activations.
+        count, activated ranks, sampling uniforms, migration coins).  Rank
+        ``a`` activates an agent on the path whose cumulative count first
+        exceeds ``a``: the agents in commodity-major path order of the row's
+        current counts.  A row's live tables depend only on its counts, which
+        change only when an activation migrates.  Each round therefore
+        decides the next :data:`FRESH_WINDOW` activations of every row that
+        still has some against the row's cached tables, applies only the
+        first migrating one (one count moves from its source to its target
+        path, and the cumulative counts between the two shift by one) and
+        moves the row's cursor past it; a row whose window holds no migration
+        moves on by the whole window.  Every decision before the applied migration is a no-op that
+        saw the live state exactly, so the outcome equals the event-by-event
+        order.  Returns the number of activations.
         """
         draws = []
-        for row, mean in zip(rows, expected_activations):
+        for row, duration in zip(rows, durations):
             rng = rngs[row]
-            count = int(rng.poisson(mean))
-            agents = rng.integers(offsets[row + 1] - offsets[row], size=count)
-            draws.append((agents, rng.random(count), rng.random(count)))
-        counts = np.array([len(agents) for agents, _, _ in draws], dtype=np.int64)
-        if counts.max(initial=0) == 0:
+            population = counts[row].sum()
+            count = int(rng.poisson(population * duration))
+            ranks = rng.integers(population, size=count)
+            draws.append((ranks, rng.random(count), rng.random(count)))
+        activations = np.array([len(ranks) for ranks, _, _ in draws], dtype=np.int64)
+        if activations.max(initial=0) == 0:
             return 0
+        # Row r's ranks and cumulative counts are keyed by r * span, so the
+        # flattened cumulative counts are sorted and one searchsorted maps
+        # every activation to its flat index r * P + path.
+        batch, num_paths = counts.shape
+        span = int(counts.sum(axis=1).max()) + 1
+        cumulative = np.cumsum(counts, axis=1) + np.arange(batch)[:, None] * span
         # Per-row activation matrices, padded by one window so every window
         # gathers in bounds; padded activations carry an infinite coin, so
         # they never migrate.
-        width = int(counts.max()) + FRESH_WINDOW
-        agent_matrix = np.zeros((len(rows), width), dtype=np.int64)
+        width = int(activations.max()) + FRESH_WINDOW
+        key_matrix = np.zeros((len(rows), width), dtype=np.int64)
         sample_matrix = np.zeros((len(rows), width))
         migrate_matrix = np.full((len(rows), width), np.inf)
-        for i, (row, (agents, samples, coins)) in enumerate(zip(rows, draws)):
-            agent_matrix[i, : len(agents)] = offsets[row] + agents
-            sample_matrix[i, : len(agents)] = samples
-            migrate_matrix[i, : len(agents)] = coins
-        batch = len(flows_live)
+        for i, (row, (ranks, samples, coins)) in enumerate(zip(rows, draws)):
+            key_matrix[i, : len(ranks)] = row * span + ranks
+            sample_matrix[i, : len(ranks)] = samples
+            migrate_matrix[i, : len(ranks)] = coins
         cdf_cache: Optional[np.ndarray] = None
         # mu blocks (zero on the diagonal) with the rows of zero sampling mass
         # zeroed: a coin in [0, 1) is below it iff the sampled path differs
@@ -471,13 +425,13 @@ class BatchAgentSimulator(BatchEnsembleBase):
         cursors = np.zeros(len(rows), dtype=np.int64)
         window = np.arange(FRESH_WINDOW)
         while True:
-            slots = (cursors < counts).nonzero()[0]
+            slots = (cursors < activations).nonzero()[0]
             if not len(slots):
                 break
             live_rows = rows[slots]
             refresh = live_rows[stale_tables[live_rows]]
             if len(refresh):
-                state = flows_live[refresh]
+                state = counts[refresh] * weights[refresh]
                 latencies = self._path_latencies_rows(state, refresh)
                 sigma, mu = self._stack.select(refresh).tables(blocks, state, latencies)
                 cdf, valid = _sampling_cdf(sigma, blocks, len(refresh))
@@ -489,8 +443,8 @@ class BatchAgentSimulator(BatchEnsembleBase):
             slot_index = slots[:, None]
             table_rows = live_rows[:, None]
             columns = cursors[slot_index] + window
-            agents = agent_matrix[slot_index, columns]
-            current = assignment[agents]
+            keys = key_matrix[slot_index, columns]
+            current = cumulative.ravel().searchsorted(keys, side="right") % num_paths
             commodity = blocks.commodity[current]
             own = blocks.slot[current]
             sampling_row = own if cdf_cache.shape[2] > 1 else 0
@@ -507,14 +461,18 @@ class BatchAgentSimulator(BatchEnsembleBase):
             # dozen fancy-index calls a vectorised update costs at small B.
             for i in migrate.any(axis=1).nonzero()[0]:
                 at = first[i]
-                agent, source, target = agents[i, at], current[i, at], sampled[i, at]
-                row = live_rows[i]
-                flows_live[row, source] -= weights[agent]
-                flows_live[row, target] += weights[agent]
-                assignment[agent] = target
+                row, source, target = live_rows[i], current[i, at], sampled[i, at]
+                counts[row, source] -= 1
+                counts[row, target] += 1
+                # The paths between the two now hold one agent fewer (or more)
+                # in front of them.
+                if source < target:
+                    cumulative[row, source:target] -= 1
+                else:
+                    cumulative[row, target:source] += 1
                 stale_tables[row] = True
                 cursors[slots[i]] += at + 1 - FRESH_WINDOW
-        return int(counts.sum())
+        return int(activations.sum())
 
 
 def simulate_agent_batch(

@@ -19,7 +19,7 @@ There is one agent engine: a single run is the one-row case of
 :class:`~repro.batch.agents.BatchAgentSimulator`, whose phases run on the
 same phase loop as the fluid engine (board posted at every phase start,
 Eq. 3).  This module holds the model's building block that engine uses --
-the initial population -- and the seeding contract its phases follow; the
+the initial path counts -- and the seeding contract its phases follow; the
 phase grid is :func:`~repro.core.trajectory.planned_phase_counts`, shared
 with every other engine.
 
@@ -37,8 +37,7 @@ row sum.  The ``n_P`` agents on path ``P`` therefore end the phase spread
 over the commodity's paths as ``Multinomial(n_P, expm(d * Lambda)[P, :])``.
 The phase is one ``rng.multinomial(counts, expm(d * Lambda))`` call over the
 row's commodity blocks, summed over the source path.  This is exact in
-distribution, not event for event; agents of a commodity are exchangeable,
-so a replica's state is its path counts.
+distribution, not event for event.
 
 *Up-to-date information.*  The union of all agents' Poisson clocks is a
 Poisson process of rate ``n``, so the number of activations inside one
@@ -46,14 +45,21 @@ phase of length ``d`` is ``Poisson(n * d)`` and the activated agents are
 i.i.d. uniform.  The phase draws, in blocks:
 
 1. ``K = rng.poisson(n * d)``        -- the activation count of the phase,
-2. ``rng.integers(n, size=K)``       -- the activated agents, in clock order,
+2. ``rng.integers(n, size=K)``       -- the activated ranks, in clock order,
 3. ``rng.random(K)``                 -- one sampling uniform per activation,
 4. ``rng.random(K)``                 -- one migration coin per activation.
 
-Decisions depend only on the *order* of activations (which is exchangeable
-with their i.i.d. draw order), so this block schedule is an exact
-simulation, not a time-discretised one, and it is what
-``tests/reference_agents.py`` replays event by event.
+Rank ``a`` activates the ``a``-th agent in commodity-major path order of
+the replica's *current* counts: its path is the number of cumulative
+counts ``<= a``.  A uniform rank is a uniform agent, so the activated
+path has law ``counts / n`` as in the model.  Decisions depend only on the
+*order* of activations (which is exchangeable with their i.i.d. draw
+order), so this block schedule is an exact simulation, not a
+time-discretised one, and it is what ``tests/reference_agents.py`` replays
+event by event.
+
+Under either model the agents of a commodity are exchangeable, so a
+replica's whole state is its path counts.
 """
 
 from __future__ import annotations
@@ -112,20 +118,6 @@ def population_counts(
     return counts, weights
 
 
-def build_population(
-    network: WardropNetwork,
-    num_agents: int,
-    initial_values: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the initial ``(assignment, weights)`` arrays of one replica.
-
-    The agents of :func:`population_counts`, one entry each, in
-    commodity-major path order.
-    """
-    counts, weights = population_counts(network, num_agents, initial_values)
-    return np.repeat(np.arange(network.num_paths), counts), np.repeat(weights, counts)
-
-
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Apportion ``total`` integer units proportionally to ``weights``."""
     weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)
@@ -154,7 +146,7 @@ def simulate_agents(
 ) -> Trajectory:
     """Simulate ``num_agents`` agents on ``network`` and return the trajectory.
 
-    Agents are partitioned over paths by :func:`build_population` from
+    Agents are partitioned over paths by :func:`population_counts` from
     ``initial_flow`` (uniform split by default) and draw their randomness
     from a generator seeded with ``seed`` (see the seeding contract above).
     ``stale=True`` shows them the bulletin board posted at every phase

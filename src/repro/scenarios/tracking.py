@@ -53,6 +53,7 @@ from ..solvers.frank_wolfe import solve_wardrop_equilibrium
 from ..solvers.options import check_method
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 from .scenario import Modulation, Scenario
 
 # Path-space Frank--Wolfe enumerates over the instance's path set; beyond
@@ -211,8 +212,7 @@ def interval_equilibria(
     max_iterations:
         Per-interval solver iteration budget.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    require_positive("horizon", horizon)
     if space == "auto":
         space = "path" if network.num_paths <= AUTO_PATH_SPACE_LIMIT else "edge"
     if space not in ("path", "edge"):
@@ -223,8 +223,7 @@ def interval_equilibria(
     times = {0.0}
     times.update(scenario.breakpoints(0.0, horizon))
     if sample_every is not None:
-        if sample_every <= 0:
-            raise ValueError("sample_every must be positive")
+        require_positive("sample_every", sample_every)
         times.update(np.arange(0.0, horizon, sample_every).tolist())
     ordered = np.array(sorted(times))
     cache = cache if cache is not None else {}

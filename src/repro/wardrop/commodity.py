@@ -26,7 +26,8 @@ class Commodity:
     sink:
         The destination node ``t_i``.
     demand:
-        The amount of flow ``r_i > 0`` to be routed from source to sink.
+        The amount of flow ``r_i > 0`` to be routed from source to sink;
+        NaN and infinite demands are rejected.
     name:
         Optional human-readable identifier used in reports.
     """
@@ -37,8 +38,10 @@ class Commodity:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.demand <= 0:
-            raise ValueError(f"commodity demand must be positive, got {self.demand}")
+        # Imported here: the validation module imports this one.
+        from .validation import require_positive
+
+        require_positive("demand", self.demand)
         if self.source == self.sink:
             raise ValueError("commodity source and sink must differ")
 

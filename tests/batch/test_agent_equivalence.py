@@ -26,7 +26,7 @@ from repro.core import (
     simulate_agents,
     uniform_policy,
 )
-from repro.core.agents import build_population, population_counts
+from repro.core.agents import population_counts
 from repro.core.best_response import simulate_best_response
 from repro.core.simulator import simulate
 from repro.core.policy import PolicyStack
@@ -370,7 +370,7 @@ def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, 
     ``j`` always samples slot ``j + 1`` of its commodity (cyclically) and
     always migrates, so every activation advances its agent by one slot.
     Stale agents then follow the cyclic-shift generator; fresh ones are
-    replayed activation by activation."""
+    replayed activation by activation, each rank read on the current counts."""
     from repro.core import MigrationRule, ReroutingPolicy, SamplingRule
 
     class NextSlot(SamplingRule):
@@ -416,18 +416,21 @@ def test_current_path_dependent_sampling_reads_the_agents_own_block_row(ragged, 
     )
     starts = blocks.index[:, 0]
     for row, (population, seed) in enumerate(zip(populations, seeds)):
-        expected, _ = build_population(ragged, population)
+        counts, _ = population_counts(ragged, population)
         rng = np.random.default_rng(seed)
         for phase in range(4):
             count = rng.poisson(population * ((phase + 1) * period - phase * period))
-            agents = rng.integers(population, size=count)
+            ranks = rng.integers(population, size=count)
             rng.random(count), rng.random(count)
-            for agent in agents:
-                path = expected[agent]
+            for rank in ranks:
+                # Rank a is the a-th agent in path order of the current counts.
+                path = int(np.searchsorted(np.cumsum(counts), rank, side="right"))
                 commodity = blocks.commodity[path]
                 following = (blocks.slot[path] + 1) % blocks.sizes[commodity]
-                expected[agent] = starts[commodity] + following
-        assert np.array_equal(result.assignments[row], expected)
+                counts[path] -= 1
+                counts[starts[commodity] + following] += 1
+        assert np.array_equal(result.final_counts[row], counts)
+        assert np.array_equal(result.assignments[row], np.repeat(np.arange(ragged.num_paths), counts))
 
 
 def test_stale_rows_of_any_size_and_squaring_count_match_one_row_runs(ragged):

@@ -4,8 +4,10 @@ Property (seeded grid, deterministic in CI): on the Pigou and Braess
 instances the batched finite-population engine's empirical path shares
 converge to the fluid-limit trajectory as the population grows -- the
 sup-norm deviation averaged over replicas shrinks monotonically along an
-order-of-magnitude ``n`` grid and ends in the ``O(1/sqrt(n))`` regime.  All
-replicas of the whole grid run as one batched call.
+order-of-magnitude ``n`` grid and ends in the ``O(1/sqrt(n))`` regime, under
+stale and up-to-date information alike (each against the fluid run of its
+own information model).  All replicas of the whole grid run as one batched
+call.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ UPDATE_PERIOD = 0.1
 HORIZON = 5.0
 
 
+@pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
 @pytest.mark.parametrize(
     "make_network",
     [lambda: pigou_network(degree=1), lambda: braess_network(with_shortcut=True)],
     ids=["pigou", "braess"],
 )
-def test_empirical_shares_converge_to_fluid_trajectory(make_network):
+def test_empirical_shares_converge_to_fluid_trajectory(make_network, stale):
     network = make_network()
     policy = replicator_policy(network, exploration=1e-3)
     fluid = simulate(
-        network, policy, update_period=UPDATE_PERIOD, horizon=HORIZON
+        network, policy, update_period=UPDATE_PERIOD, horizon=HORIZON, stale=stale
     )
 
     grid = [(n, replica) for n in POPULATIONS for replica in range(REPLICAS)]
@@ -44,6 +47,7 @@ def test_empirical_shares_converge_to_fluid_trajectory(make_network):
         update_periods=UPDATE_PERIOD,
         horizons=HORIZON,
         seeds=[1000 * n + replica for n, replica in grid],
+        stale=stale,
     )
 
     deviations = {n: [] for n in POPULATIONS}

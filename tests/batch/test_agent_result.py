@@ -7,6 +7,7 @@ import pytest
 
 from repro.batch import BatchAgentResult, BatchResult, simulate_agent_batch
 from repro.core import uniform_policy
+from repro.core.agents import population_counts
 from repro.instances import braess_network
 
 
@@ -29,6 +30,22 @@ def test_assignments_slice_to_a_list_of_rows(braess, stale):
         assert np.array_equal(np.bincount(row, minlength=3), result.final_counts[index])
     assert len(result.assignments[::2]) == 2
     assert result.assignments[3:] == []
+
+
+@pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
+def test_final_counts_are_the_whole_final_state(braess, stale):
+    """Assignments are the final counts spelled out in path order, and the
+    last recorded flow is exactly the counts times the per-agent weights."""
+    populations = [50, 60, 70]
+    result = simulate_agent_batch(
+        braess, uniform_policy(braess), num_agents=populations, update_periods=0.2,
+        horizons=1.0, seeds=[1, 2, 3], stale=stale,
+    )
+    for row, population in enumerate(populations):
+        counts = result.final_counts[row]
+        _, weights = population_counts(braess, population)
+        assert np.array_equal(result.assignments[row], np.repeat(np.arange(3), counts))
+        assert np.array_equal(result.flow_matrix(row)[-1], counts * weights)
 
 
 def test_agent_result_is_a_batch_result(braess):

@@ -39,8 +39,10 @@ from repro.scenarios import (
     PeriodicSchedule,
     PiecewiseConstantSchedule,
     PiecewiseLinearSchedule,
+    Scenario,
 )
-from repro.wardrop import FlowVector
+from repro.scenarios.tracking import interval_equilibria
+from repro.wardrop import Commodity, FlowVector
 from repro.wardrop.latency import (
     AffineLatency,
     BPRLatency,
@@ -172,6 +174,10 @@ ROWS = [
         lambda: PeriodicSchedule(ConstantSchedule(1.0), NAN),
         "period",
     ),
+    # Instance data.
+    ("Commodity(demand=nan)", lambda: Commodity("a", "b", NAN), "demand"),
+    ("Commodity(demand=inf)", lambda: Commodity("a", "b", INF), "demand"),
+    ("Commodity(demand=0)", lambda: Commodity("a", "b", 0.0), "demand"),
     # Flow state.
     ("FlowVector([nan, ...])", lambda: FlowVector(BRAESS, [NAN, 0.5, 0.5]), "component 0"),
     ("FlowVector([..., inf])", lambda: FlowVector(BRAESS, [0.5, 0.5, INF]), "component 2"),
@@ -302,6 +308,17 @@ ROWS = [
         "two_link_best_response_flow(share=nan)",
         lambda: two_link_best_response_flow(NAN, 0.1, 1.0),
         "initial_first_link",
+    ),
+    # Equilibrium tracking: a NaN horizon would give a one-interval track.
+    (
+        "interval_equilibria(horizon=nan)",
+        lambda: interval_equilibria(BRAESS, Scenario(), horizon=NAN),
+        "horizon",
+    ),
+    (
+        "interval_equilibria(sample_every=nan)",
+        lambda: interval_equilibria(BRAESS, Scenario(), horizon=1.0, sample_every=NAN),
+        "sample_every",
     ),
     # Closed-form bounds and the oscillation instance.
     ("oscillation_fixed_point(nan)", lambda: oscillation_fixed_point(NAN), "update_period"),
