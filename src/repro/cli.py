@@ -6,8 +6,9 @@ writing Python:
 * ``list-instances`` -- show the registered example networks,
 * ``describe``       -- print an instance's structure and theory constants
   (``D``, ``beta``, ``l_max``, the safe update period for the linear rule),
-* ``solve``          -- compute the Wardrop equilibrium (``--method`` picks
-  plain/conjugate/biconjugate Frank--Wolfe or projection gradient),
+* ``solve``          -- compute the Wardrop equilibrium: path-space projection
+  gradient, or edge-flow Frank--Wolfe with ``--edge-flow`` (``--method``
+  picks plain/conjugate/biconjugate FW and implies it),
 * ``simulate``       -- run a rerouting policy under bulletin-board staleness
   and report convergence / oscillation diagnostics,
 * ``sweep``          -- run a whole update-period sweep through the batched
@@ -71,7 +72,7 @@ from .core import (
     uniform_policy,
 )
 from .instances import available_instances, get_instance, oscillation_initial_flow, two_link_network
-from .solvers import solve_wardrop_equilibrium
+from .solvers import EDGE_METHODS, solve_wardrop_equilibrium
 from .wardrop import FlowVector, equilibrium_violation, potential
 
 POLICY_BUILDERS = {
@@ -99,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     describe.add_argument("instance", help="registered instance name")
 
     solve = subparsers.add_parser(
-        "solve", help="compute the Wardrop equilibrium (FW/CFW/BFW/PG)"
+        "solve",
+        help="compute the Wardrop equilibrium (path-space projection gradient, "
+        "or edge-flow FW/CFW/BFW)",
     )
     solve.add_argument("instance", help="registered instance name")
     solve.add_argument(
@@ -118,11 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--method",
-        choices=["fw", "cfw", "bfw", "pg"],
-        default="fw",
-        help="solver method: fw (Frank--Wolfe, any space), cfw/bfw "
-        "(conjugate/biconjugate FW, edge space -- implies --edge-flow), pg "
-        "(path-based projection gradient, path space only)",
+        choices=EDGE_METHODS,
+        default=None,
+        help="edge-flow solver method: fw (Frank--Wolfe), cfw/bfw "
+        "(conjugate/biconjugate FW); implies --edge-flow.  Without it or "
+        "--edge-flow the path-space solve runs projection gradient",
     )
     solve.add_argument(
         "--report",
@@ -363,22 +366,20 @@ def _cmd_solve(
     instance: str,
     tolerance: Optional[float],
     edge_flow: bool = False,
-    method: str = "fw",
+    method: Optional[str] = None,
     report: bool = False,
 ) -> int:
-    network = get_instance(instance)
-    if method in ("cfw", "bfw"):
-        edge_flow = True
-    elif method == "pg" and edge_flow:
-        print("error: --method pg is path-based; drop --edge-flow", file=sys.stderr)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        print("error: --tolerance must be finite and non-negative", file=sys.stderr)
         return 2
-    if edge_flow:
+    network = get_instance(instance)
+    if edge_flow or method is not None:
         return _cmd_solve_edge_flow(
-            instance, network, tolerance if tolerance is not None else 1e-4, method,
-            report=report,
+            instance, network, tolerance if tolerance is not None else 1e-4,
+            method or "fw", report=report,
         )
     result = solve_wardrop_equilibrium(
-        network, tolerance=tolerance if tolerance is not None else 1e-8, method=method
+        network, tolerance=tolerance if tolerance is not None else 1e-8
     )
     rows = [
         {
@@ -390,7 +391,7 @@ def _cmd_solve(
             network.paths.describe(), result.flow.values(), result.flow.path_latencies()
         )
     ]
-    print_table(rows, title=f"Wardrop equilibrium of {instance} ({result.method})")
+    print_table(rows, title=f"Wardrop equilibrium of {instance} (projection gradient)")
     print(f"potential = {result.potential_value:.6g}, duality gap = {result.duality_gap:.3g}, "
           f"iterations = {result.iterations}, converged = {result.converged}")
     if report:

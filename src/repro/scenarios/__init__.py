@@ -17,7 +17,8 @@ equilibrium.  This package supplies that workload class:
   applying every row's modulation as ``(B, E)`` arrays around one
   :class:`~repro.wardrop.latency.EdgeLatencyTable`,
 * :mod:`~repro.scenarios.tracking` -- per-interval ground-truth equilibria
-  (path or edge-flow Frank--Wolfe) and the tracking metrics
+  (path-space projection gradient or edge-flow Frank--Wolfe) and the
+  tracking metrics
   (:func:`tracking_error`, :func:`time_to_reequilibrate`,
   :func:`tracking_regret`),
 * :mod:`~repro.scenarios.presets` -- the named scenario catalogue

@@ -10,8 +10,8 @@ the moving target?
 This module computes the ground truth and the three tracking metrics:
 
 * :func:`interval_equilibria` solves one equilibrium per scenario interval,
-  reusing the path-based Frank--Wolfe solver on enumerable instances and the
-  edge-flow (oracle-driven) solver on road networks,
+  reusing the path-space projection-gradient solver on enumerable instances
+  and the edge-flow (oracle-driven) solver on road networks,
 * :func:`tracking_error` measures the L1 distance of a trajectory to the
   instantaneous equilibrium over time,
 * :func:`time_to_reequilibrate` measures how long after a breakpoint the
@@ -30,9 +30,9 @@ identity of the base network (entries pin their network, so ids stay valid
 for the cache's lifetime): rows of a heterogeneous-coefficient family may
 share one cache without one network's equilibrium answering for another's.
 
-Ground-truth solves accept the accelerated methods of
-:mod:`repro.solvers.options` (``method="cfw"`` / ``"bfw"`` in edge space,
-``"pg"`` in path space) and *warm-start* by default: each interval's solve
+Edge-space solves accept the accelerated methods of
+:data:`repro.solvers.EDGE_METHODS` (``method="cfw"`` / ``"bfw"``); path
+space has one solver.  Solves *warm-start* by default: each interval's solve
 is seeded from the previous interval's equilibrium, which typically cuts the
 iteration count sharply because consecutive environments are close.
 ``EquilibriumTrack.total_iterations`` reports the summed solver work, the
@@ -48,17 +48,16 @@ import numpy as np
 
 from ..core.trajectory import Trajectory
 from ..largescale.shortest import ShortestPathOracle
-from ..solvers.edge_frank_wolfe import solve_edge_flow_equilibrium
-from ..solvers.frank_wolfe import solve_wardrop_equilibrium
-from ..solvers.options import check_method
+from ..solvers.edge_frank_wolfe import check_method, solve_edge_flow_equilibrium
+from ..solvers.projection_gradient import solve_wardrop_equilibrium
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.validation import require_positive
 from .scenario import Modulation, Scenario
 
-# Path-space Frank--Wolfe enumerates over the instance's path set; beyond
-# this many paths (or on restricted road instances) the edge-flow solver is
-# the right ground truth.
+# The path-space solver sweeps over the instance's path set; beyond this many
+# paths (or on restricted road instances) the edge-flow solver is the right
+# ground truth.
 AUTO_PATH_SPACE_LIMIT = 200
 
 
@@ -133,8 +132,7 @@ def _solve_interval(
         if seed is not None and seed.flow_values is not None:
             initial = FlowVector(effective, seed.flow_values, validate=False)
         result = solve_wardrop_equilibrium(
-            effective, tolerance=tolerance, max_iterations=max_iterations,
-            initial=initial, method=method,
+            effective, tolerance=tolerance, max_iterations=max_iterations, initial=initial
         )
         return IntervalEquilibrium(
             modulation=modulation,
@@ -201,9 +199,9 @@ def interval_equilibria(
         entry stores its network alongside the equilibrium, pinning the
         object so its id stays valid for the cache's lifetime.
     method:
-        Solver method for every interval: ``"fw"`` / ``"cfw"`` / ``"bfw"``
-        in edge space, ``"fw"`` / ``"pg"`` in path space (validated after
-        ``"auto"`` resolution).
+        Edge-space solver method for every interval: ``"fw"`` / ``"cfw"`` /
+        ``"bfw"``.  Path space has one solver, so after ``"auto"``
+        resolution any other method than the default raises there.
     warm_start:
         Seed each cache-missing solve from the previous interval's
         equilibrium (default).  Demands are interval-invariant, so the seed
@@ -217,7 +215,9 @@ def interval_equilibria(
         space = "path" if network.num_paths <= AUTO_PATH_SPACE_LIMIT else "edge"
     if space not in ("path", "edge"):
         raise ValueError(f"unknown tracking space {space!r}; use 'path', 'edge' or 'auto'")
-    check_method(method, space)
+    check_method(method)
+    if space == "path" and method != "fw":
+        raise ValueError(f"method {method!r} is edge-space only; path space has one solver")
     if space == "edge" and oracle is None:
         oracle = ShortestPathOracle.for_network(network)
     times = {0.0}

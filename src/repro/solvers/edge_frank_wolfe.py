@@ -1,7 +1,7 @@
 """Edge-flow Frank--Wolfe: equilibrium computation without a path set.
 
-The classical path-based solver (:mod:`repro.solvers.frank_wolfe`) needs the
-enumerated path sets to express flows, which confines it to toy instances.
+The path-space solver (:mod:`repro.solvers.projection_gradient`) needs the
+enumerated path sets to express flows, which confines it to small instances.
 This module solves the same Beckmann minimisation directly in *edge-flow*
 space: the state is one number per graph edge, the descent direction comes
 from the all-or-nothing oracle (one Dijkstra per origin, loading every
@@ -11,7 +11,8 @@ assignment literature.  Nothing in the solver ever enumerates a path, so
 Sioux Falls-scale road networks (hundreds of OD pairs) solve in a few dozen
 iterations.
 
-Three methods share the oracle machinery (``method=`` selects one):
+Three methods share the oracle machinery (``method=`` selects one from
+:data:`EDGE_METHODS`):
 
 * ``fw`` -- plain Frank--Wolfe: move towards the all-or-nothing point with
   the exact line-search step.  Robust, but the zig-zagging between vertices
@@ -32,7 +33,7 @@ vanishes, a step hits the segment boundary, or the composed direction stops
 being a descent direction, the iteration falls back to the plain
 all-or-nothing direction (a "restart" in the conjugate-gradient sense).
 
-The path-based solver remains the ground truth on enumerable instances; the
+On enumerable instances the path-space solver is the reference; the
 equivalence test asserts both produce the same edge flows.
 """
 
@@ -48,8 +49,12 @@ from ..largescale.shortest import ShortestPathOracle
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.latency import ordered_sum
 from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_nonnegative, require_positive_integer
 from .line_search import bisection_root
-from .options import check_method
+
+#: The edge-space methods, in display order: plain (``fw``), conjugate
+#: (``cfw``) and biconjugate (``bfw``) Frank--Wolfe.
+EDGE_METHODS = ("fw", "cfw", "bfw")
 
 # Conjugate weights are capped strictly below 1 so the composed endpoint
 # always keeps a fresh all-or-nothing component (Mitradjieva--Lindberg use
@@ -95,6 +100,15 @@ class EdgeEquilibriumResult:
     converged: bool
     gap_history: List[float]
     method: str = "fw"
+
+
+def check_method(method: str) -> str:
+    """Validate an edge-space method name; return it unchanged so calls can inline it."""
+    if method not in EDGE_METHODS:
+        raise ValueError(
+            f"unknown edge-space solver method {method!r}; use one of {', '.join(EDGE_METHODS)}"
+        )
+    return method
 
 
 def relative_duality_gap(
@@ -223,7 +237,9 @@ def solve_edge_flow_equilibrium(
         ``"fw"`` (plain), ``"cfw"`` (conjugate) or ``"bfw"`` (biconjugate);
         see the module docstring.
     """
-    check_method(method, "edge")
+    check_method(method)
+    require_nonnegative("tolerance", tolerance)
+    require_positive_integer("max_iterations", max_iterations)
     if oracle is None:
         oracle = ShortestPathOracle.for_network(network)
     if initial_edge_flows is None:
@@ -253,17 +269,13 @@ def solve_edge_flow_equilibrium(
     solve_start = time.perf_counter() if tele.enabled else 0.0
     gap_history: List[float] = []
     converged = False
-    iterations = 0
-    relative_gap = np.inf
     costs = oracle.latency_costs(network, flows)
-    tstt = float(np.dot(costs, flows))
-    sptt = tstt
     # Conjugate-direction state (cfw/bfw): the last two direction endpoints
     # and the last accepted line-search step.
     previous_point: Optional[np.ndarray] = None
     previous_point2: Optional[np.ndarray] = None
     step = 0.0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, int(max_iterations) + 1):
         iteration_span = tele.span("fw_iteration", index=iterations, method=method)
         load = oracle.all_or_nothing(costs)
         tstt = float(np.dot(costs, flows))

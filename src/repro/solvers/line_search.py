@@ -1,49 +1,14 @@
-"""One-dimensional line search used by the Frank--Wolfe equilibrium solver.
+"""One-dimensional line search used by the edge-flow Frank--Wolfe solver.
 
 The Frank--Wolfe step minimises the Beckmann potential along the segment
-between the current flow and an all-or-nothing flow.  The potential is convex
-along that segment, so both golden-section search and bisection on the
-directional derivative work; the solver uses the derivative-based bisection
-(exact for our closed-form latencies) and falls back to golden-section when
-no derivative oracle is supplied.
+between the current flow and the direction endpoint.  The potential is convex
+along that segment, so its minimiser is the root of the directional
+derivative, which the closed-form latencies give exactly; bisection finds it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
-
-
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_minimise(
-    objective: Callable[[float], float],
-    lo: float = 0.0,
-    hi: float = 1.0,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200,
-) -> float:
-    """Return the minimiser of a unimodal ``objective`` on ``[lo, hi]``."""
-    if hi < lo:
-        raise ValueError("golden-section interval is empty")
-    a, b = lo, hi
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    for _ in range(max_iterations):
-        if b - a <= tolerance:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
 
 
 def bisection_root(

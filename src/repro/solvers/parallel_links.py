@@ -11,7 +11,7 @@ non-decreasing function of ``lambda``; the equilibrium level is found by
 bisection on ``lambda`` (a "water-filling" argument).
 
 This solver is used as an independent ground truth to cross-check the
-Frank--Wolfe solver and the adaptive dynamics on the instance families used
+path-space solver and the adaptive dynamics on the instance families used
 in the benchmarks.
 """
 

@@ -1,9 +1,10 @@
-"""Path-based projection-gradient solver for enumerable instances.
+"""Path-space Wardrop equilibria by path-based projection gradient.
 
-Frank--Wolfe moves along segments towards all-or-nothing vertices, which
-zig-zags near optimality; the classical path-based alternative (Jayakrishnan
-et al.'s gradient projection, the workhorse of path-based traffic
-assignment) instead shifts flow *within each commodity* directly onto its
+The Beckmann--McGuire--Winsten potential ``Phi`` is convex in the edge flows
+and is minimised exactly at the Wardrop equilibria.  On enumerable instances
+the state is one number per path, and the classical path-based algorithm
+(Jayakrishnan et al.'s gradient projection, the workhorse of path-based
+traffic assignment) shifts flow *within each commodity* directly onto its
 cheapest path, scaling every shift by the second-order information the
 Beckmann objective exposes for free:
 
@@ -18,20 +19,20 @@ the step scale whenever a full sweep would increase the Beckmann potential
 Near convergence the true decrease falls below the rounding of the
 potential, so a sweep is also accepted when the potential's slope along the
 step, taken at the candidate, is not positive -- by convexity the potential
-then did not rise.
+then did not rise.  Unlike Frank--Wolfe, which moves towards all-or-nothing
+vertices, the shifts do not zig-zag near the boundary of the simplex.
 
-The solver needs the enumerated path set (the state is one number per path),
-so it complements -- not replaces -- the oracle-driven edge-space methods of
-:mod:`repro.solvers.edge_frank_wolfe`: use it on enumerable instances where
-per-path flows are wanted, use CFW/BFW on road networks.
-
-Convergence is certified by the same Frank--Wolfe duality gap as
-:func:`~repro.solvers.frank_wolfe.solve_wardrop_equilibrium`, so results of
-the two path-space methods are directly comparable.
+Convergence is certified by the duality gap ``sum_P c_P(f) (f_P - y_P)``
+against the all-or-nothing flow ``y`` at the current costs, which
+upper-bounds ``Phi(f) - Phi*``.  :func:`optimal_potential` returns ``Phi*``
+only with that certificate and raises otherwise.  Road networks, where
+paths cannot be enumerated, use the oracle-driven edge-space methods of
+:mod:`repro.solvers.edge_frank_wolfe`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from ..wardrop.potential import potential, potential_of_edge_flows
-from .frank_wolfe import EquilibriumResult, all_or_nothing_flow
+from ..wardrop.validation import require_nonnegative, require_positive_integer
 
 # Derivative sums can vanish on all-constant-latency instances; the shift
 # then has no curvature to scale by and falls back to moving the whole
@@ -49,6 +50,57 @@ MIN_CURVATURE = 1e-12
 # The backtracking guard halves the sweep scale at most this many times per
 # iteration before accepting the (tiny) step anyway.
 MAX_BACKTRACKS = 30
+
+
+@dataclass(frozen=True)
+class EquilibriumResult:
+    """The output of the path-space solver.
+
+    Attributes
+    ----------
+    flow:
+        The (approximate) Wardrop-equilibrium flow.
+    potential_value:
+        The Beckmann potential at the returned flow.
+    duality_gap:
+        The duality gap of the returned flow; an upper bound on
+        ``Phi(f) - Phi*``.
+    iterations:
+        Number of solver iterations: each checks the gap, then sweeps
+        unless the gap met the tolerance.
+    converged:
+        Whether the returned flow's duality gap meets the tolerance.
+    gap_history:
+        The duality gap at every check (useful for diagnostics).
+    """
+
+    flow: FlowVector
+    potential_value: float
+    duality_gap: float
+    iterations: int
+    converged: bool
+    gap_history: List[float]
+
+
+def all_or_nothing_flow(network: WardropNetwork, path_latencies: np.ndarray) -> np.ndarray:
+    """Return the all-or-nothing path flow for given path latencies.
+
+    Each commodity places its entire demand on (one of) its minimum-latency
+    paths.  Ties are broken by the first index, which keeps the solver
+    deterministic.
+    """
+    blocks = network.paths.blocks
+    latencies = np.where(blocks.valid, blocks.gather(path_latencies), np.inf)
+    target = np.zeros(blocks.shape)
+    target[np.arange(blocks.shape[0]), latencies.argmin(axis=-1)] = network.commodity_demands
+    return blocks.scatter(target)
+
+
+def duality_gap(network: WardropNetwork, flows: np.ndarray) -> float:
+    """Return the duality gap of a path-flow vector against its all-or-nothing flow."""
+    latencies = network.path_latencies(flows)
+    target = all_or_nothing_flow(network, latencies)
+    return float(np.dot(latencies, flows - target))
 
 
 def _sweep(
@@ -92,26 +144,36 @@ def _sweep(
     return result
 
 
-def solve_path_projection_gradient(
+def solve_wardrop_equilibrium(
     network: WardropNetwork,
     tolerance: float = 1e-8,
     max_iterations: int = 2000,
     initial: Optional[FlowVector] = None,
 ) -> EquilibriumResult:
-    """Compute a Wardrop equilibrium by path-based gradient projection.
+    """Compute a Wardrop equilibrium of ``network`` by path-based gradient projection.
 
-    Parameters mirror :func:`~repro.solvers.frank_wolfe.solve_wardrop_equilibrium`:
-    ``tolerance`` is the absolute Frank--Wolfe duality gap (same certificate,
-    so tolerances carry over), ``max_iterations`` caps the sweeps and
-    ``initial`` warm-starts from a feasible flow (default: uniform split).
+    Parameters
+    ----------
+    network:
+        The instance to solve; its path set must be enumerated.
+    tolerance:
+        Target duality gap (absolute, in latency x flow units); 0 sweeps
+        until the computed gap is not positive or the cap is hit.
+    max_iterations:
+        Sweep cap; the result reports whether the tolerance was met.
+    initial:
+        Optional warm-start flow; defaults to the uniform split.  The check
+        is an explicit ``is None`` -- a warm start is honoured even when its
+        truthiness is degenerate (``FlowVector.__len__`` makes empty vectors
+        falsy, which an ``or`` default would silently drop).
     """
+    require_nonnegative("tolerance", tolerance)
+    require_positive_integer("max_iterations", max_iterations)
     flow = (FlowVector.uniform(network) if initial is None else initial).values()
     gap_history: List[float] = []
-    converged = False
-    iterations = 0
     scale = 1.0
     value = potential_of_edge_flows(network, network.edge_flows(flow))
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, int(max_iterations) + 1):
         edge_flows = network.edge_flows(flow)
         edge_latencies = network.edge_latencies(edge_flows)
         costs = network.path_latencies_from_edge_latencies(edge_latencies)
@@ -119,7 +181,6 @@ def solve_path_projection_gradient(
         gap = float(np.dot(costs, flow - target))
         gap_history.append(gap)
         if gap <= tolerance:
-            converged = True
             break
         derivatives = network.edge_latency_derivatives(edge_flows)
         for _ in range(MAX_BACKTRACKS):
@@ -136,15 +197,37 @@ def solve_path_projection_gradient(
         # changes, so a permanently shrunk scale would crawl.
         scale = min(1.0, scale * 2.0)
     result_flow = FlowVector(network, flow).projected()
-    final_costs = network.path_latencies(result_flow.values())
-    final_target = all_or_nothing_flow(network, final_costs)
-    final_gap = float(np.dot(final_costs, result_flow.values() - final_target))
+    final_gap = duality_gap(network, result_flow.values())
     return EquilibriumResult(
         flow=result_flow,
         potential_value=potential(result_flow),
         duality_gap=final_gap,
         iterations=iterations,
-        converged=converged or final_gap <= tolerance,
+        converged=final_gap <= tolerance,
         gap_history=gap_history,
-        method="pg",
     )
+
+
+def certified_equilibrium(
+    network: WardropNetwork, tolerance: float, max_iterations: int = 2000
+) -> EquilibriumResult:
+    """Solve ``network`` and raise unless the returned flow's gap meets ``tolerance``.
+
+    The error names the network (its registry name, else its shape) and the
+    gap reached, so an uncertified ``Phi*`` never reaches a caller.
+    """
+    result = solve_wardrop_equilibrium(
+        network, tolerance=tolerance, max_iterations=max_iterations
+    )
+    if not result.converged:
+        name = network.graph.graph.get("name") or repr(network)
+        raise RuntimeError(
+            f"no certified equilibrium of {name}: duality gap {result.duality_gap:.3g} "
+            f"> tolerance {tolerance:.3g} after {result.iterations} sweeps"
+        )
+    return result
+
+
+def optimal_potential(network: WardropNetwork, tolerance: float = 1e-9) -> float:
+    """Return the minimum Beckmann potential ``Phi*``, within ``tolerance`` above it."""
+    return certified_equilibrium(network, tolerance).potential_value

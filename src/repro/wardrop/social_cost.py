@@ -12,8 +12,10 @@ potential axis.
 The socially optimal flow is computed by observing the classical
 correspondence (also cited in the paper, Section 1.2): a flow minimises the
 social cost iff it is a Wardrop equilibrium with respect to the *marginal
-cost* latencies ``l_e(x) + x * l_e'(x)``.  We therefore reuse the Frank--
-Wolfe equilibrium solver on a marginal-cost twin of the network.
+cost* latencies ``l_e(x) + x * l_e'(x)``.  We therefore reuse the path-space
+equilibrium solver on a marginal-cost twin of the network.  Both solves must
+meet their duality-gap tolerance, or the functions below raise: an
+uncertified optimum would make the price of anarchy silently wrong.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def marginal_cost_network(network: WardropNetwork) -> WardropNetwork:
     """Return a copy of the network with marginal-cost latencies.
 
     A Wardrop equilibrium of the returned network is a social optimum of the
-    original network.
+    original network.  The twin keeps the graph attributes, so a solver
+    error names the same instance.
     """
-    graph = nx.MultiDiGraph()
+    graph = nx.MultiDiGraph(**network.graph.graph)
     graph.add_nodes_from(network.graph.nodes())
     for u, v, key in network.graph.edges(keys=True):
         # Resolved through latency_function (not the raw graph attribute) so
@@ -93,11 +96,11 @@ def marginal_cost_network(network: WardropNetwork) -> WardropNetwork:
 
 
 def optimal_flow(network: WardropNetwork, tolerance: float = 1e-8, max_iterations: int = 2000) -> FlowVector:
-    """Return (approximately) the socially optimal flow of the network."""
-    from ..solvers.frank_wolfe import solve_wardrop_equilibrium
+    """Return the socially optimal flow, certified to the duality-gap ``tolerance``."""
+    from ..solvers.projection_gradient import certified_equilibrium
 
     twin = marginal_cost_network(network)
-    result = solve_wardrop_equilibrium(twin, tolerance=tolerance, max_iterations=max_iterations)
+    result = certified_equilibrium(twin, tolerance, max_iterations)
     return FlowVector(network, result.flow.values())
 
 
@@ -106,11 +109,12 @@ def price_of_anarchy(network: WardropNetwork, tolerance: float = 1e-8) -> Tuple[
 
     The ratio is the empirical price of anarchy of the instance.  Returns
     ``ratio = 1.0`` when the optimal cost is zero (both costs are then zero
-    as well for non-negative latencies).
+    as well for non-negative latencies).  Both flows are certified to the
+    duality-gap ``tolerance``, or this raises.
     """
-    from ..solvers.frank_wolfe import solve_wardrop_equilibrium
+    from ..solvers.projection_gradient import certified_equilibrium
 
-    equilibrium = solve_wardrop_equilibrium(network, tolerance=tolerance).flow
+    equilibrium = certified_equilibrium(network, tolerance).flow
     optimum = optimal_flow(network, tolerance=tolerance)
     cost_eq = social_cost(equilibrium)
     cost_opt = social_cost(optimum)

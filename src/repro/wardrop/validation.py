@@ -57,6 +57,16 @@ def require_positive(name: str, values) -> None:
         raise ValueError(f"{label} must be finite and positive, got {array.flat[index]}")
 
 
+def require_nonnegative(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and >= 0.
+
+    A NaN tolerance compares False with every gap, so a solver would run
+    to its iteration cap without saying why.
+    """
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 def require_positive_integer(name: str, values) -> None:
     """Raise ``ValueError`` naming ``name`` unless every value is an integer >= 1.
 

@@ -122,6 +122,20 @@ def test_one_row_run_matches_the_reference(name, sampling, stale):
     check(network, sampling, policy, start, trajectory, assignment, **run)
 
 
+@pytest.mark.parametrize("name", INSTANCES)
+def test_fresh_run_with_many_migrations_per_phase_matches_the_reference(name):
+    """Long phases of a large population move dozens to hundreds of agents
+    per phase (net moves of 18 to 151 here), so later ranks in a phase read
+    cumulative counts that earlier migrations shifted: a rank lookup on the
+    phase-start counts fails here on every instance."""
+    network = get_instance(name)
+    policy = POLICIES["uniform"](network)
+    start = FlowVector.random(network, np.random.default_rng(3))
+    run = dict(n=2000, period=1.0, horizon=2.0, seed=5, stale=False)
+    trajectory, assignment = one_row(network, policy, start, **run)
+    check(network, "uniform", policy, start, trajectory, assignment, **run)
+
+
 @pytest.mark.parametrize("stale", [True, False], ids=["stale", "fresh"])
 def test_scenario_run_matches_the_reference(stale):
     network = get_instance("braess")

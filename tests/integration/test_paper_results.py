@@ -193,7 +193,7 @@ class TestTheorems6And7ConvergenceTime:
 
 
 class TestDynamicsAgainstGroundTruth:
-    def test_final_flow_matches_frank_wolfe(self):
+    def test_final_flow_matches_the_path_solver(self):
         network = pigou_network(degree=1)
         policy = replicator_policy(network)
         period = policy.safe_update_period(network)

@@ -118,16 +118,19 @@ class TestIntervalEquilibria:
 
     def test_method_is_validated_against_the_resolved_space(self):
         network = braess_network()
-        with pytest.raises(ValueError, match="pg"):
+        with pytest.raises(ValueError, match="newton"):
             interval_equilibria(
                 network, demand_step_scenario(), horizon=8.0, space="edge",
-                method="pg",
+                method="newton",
             )
-        with pytest.raises(ValueError, match="bfw"):
-            interval_equilibria(
-                network, demand_step_scenario(), horizon=8.0, space="path",
-                method="bfw",
-            )
+        # Path space has one solver: an edge-space method raises there,
+        # also when "auto" resolves to path space.
+        for space in ("path", "auto"):
+            with pytest.raises(ValueError, match="^method 'bfw'"):
+                interval_equilibria(
+                    network, demand_step_scenario(), horizon=8.0, space=space,
+                    method="bfw",
+                )
 
     def test_edge_space_on_request(self):
         network = braess_network()

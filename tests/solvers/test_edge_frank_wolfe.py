@@ -1,4 +1,4 @@
-"""The edge-flow Frank--Wolfe solver against the path-based ground truth."""
+"""The edge-flow Frank--Wolfe solver against the path-space reference."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from repro.solvers import (
 )
 def test_edge_flows_match_the_path_based_solver(factory):
     network = factory()
-    path_result = solve_wardrop_equilibrium(network, tolerance=1e-12)
+    path_result = solve_wardrop_equilibrium(network, tolerance=1e-9)
+    assert path_result.converged
     edge_result = solve_edge_flow_equilibrium(network, tolerance=1e-10)
     assert edge_result.converged
     oracle = ShortestPathOracle(network.graph, network.commodities)
@@ -42,7 +43,7 @@ def test_result_diagnostics_are_consistent():
     assert result.iterations >= 1
     assert len(result.gap_history) == result.iterations
     assert result.potential_value == pytest.approx(
-        solve_wardrop_equilibrium(network, tolerance=1e-12).potential_value, abs=1e-8
+        solve_wardrop_equilibrium(network, tolerance=1e-9).potential_value, abs=1e-8
     )
 
 
@@ -111,10 +112,8 @@ def test_conjugate_methods_reach_the_same_equilibrium(method):
     assert accelerated.iterations <= plain.iterations
 
 
-def test_edge_solver_rejects_path_space_methods():
+def test_edge_solver_rejects_unknown_methods():
     network = braess_network()
-    with pytest.raises(ValueError, match="pg"):
-        solve_edge_flow_equilibrium(network, method="pg")
     with pytest.raises(ValueError, match="newton"):
         solve_edge_flow_equilibrium(network, method="newton")
 

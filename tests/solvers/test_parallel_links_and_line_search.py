@@ -1,4 +1,4 @@
-"""Unit tests for the exact parallel-link solver and the line-search helpers."""
+"""Unit tests for the exact parallel-link solver and the line search."""
 
 from __future__ import annotations
 
@@ -15,20 +15,12 @@ from repro.instances import (
 from repro.solvers import (
     bisection_root,
     equilibrium_latency_level,
-    golden_section_minimise,
     solve_parallel_links,
 )
 from repro.wardrop import AffineLatency, ConstantLatency, is_wardrop_equilibrium
 
 
 class TestLineSearch:
-    def test_golden_section_quadratic(self):
-        minimiser = golden_section_minimise(lambda x: (x - 0.3) ** 2)
-        assert minimiser == pytest.approx(0.3, abs=1e-6)
-
-    def test_golden_section_boundary_minimum(self):
-        assert golden_section_minimise(lambda x: x) == pytest.approx(0.0, abs=1e-6)
-
     def test_bisection_interior_root(self):
         minimiser = bisection_root(lambda x: 2 * (x - 0.7))
         assert minimiser == pytest.approx(0.7, abs=1e-9)
@@ -38,8 +30,6 @@ class TestLineSearch:
         assert bisection_root(lambda x: -1.0) == 1.0
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            golden_section_minimise(lambda x: x, lo=1.0, hi=0.0)
         with pytest.raises(ValueError):
             bisection_root(lambda x: x, lo=1.0, hi=0.0)
 

@@ -42,6 +42,7 @@ from repro.scenarios import (
     Scenario,
 )
 from repro.scenarios.tracking import interval_equilibria
+from repro.solvers import solve_edge_flow_equilibrium, solve_wardrop_equilibrium
 from repro.wardrop import Commodity, FlowVector
 from repro.wardrop.latency import (
     AffineLatency,
@@ -64,6 +65,7 @@ BASE = LinearLatency(1.0)
 BRAESS = braess_network()
 POLICY = uniform_policy(BRAESS)
 EDGE = ("a", "b", 0)
+PIGOU_QUADRATIC = get_instance("pigou-quadratic")
 
 
 def run_simulate(**overrides):
@@ -320,6 +322,48 @@ ROWS = [
         lambda: interval_equilibria(BRAESS, Scenario(), horizon=1.0, sample_every=NAN),
         "sample_every",
     ),
+    # Equilibrium solvers: a NaN or negative tolerance used to run every
+    # sweep to the cap and return converged=False.
+    (
+        "solve_wardrop_equilibrium(tolerance=nan)",
+        lambda: solve_wardrop_equilibrium(PIGOU_QUADRATIC, tolerance=NAN),
+        "^tolerance",
+    ),
+    (
+        "solve_wardrop_equilibrium(tolerance=-1)",
+        lambda: solve_wardrop_equilibrium(PIGOU_QUADRATIC, tolerance=-1.0),
+        "^tolerance",
+    ),
+    (
+        "solve_wardrop_equilibrium(max_iterations=0)",
+        lambda: solve_wardrop_equilibrium(PIGOU_QUADRATIC, max_iterations=0),
+        "^max_iterations",
+    ),
+    (
+        "solve_wardrop_equilibrium(max_iterations=2.5)",
+        lambda: solve_wardrop_equilibrium(PIGOU_QUADRATIC, max_iterations=2.5),
+        "^max_iterations",
+    ),
+    (
+        "solve_edge_flow_equilibrium(tolerance=nan)",
+        lambda: solve_edge_flow_equilibrium(PIGOU_QUADRATIC, tolerance=NAN),
+        "^tolerance",
+    ),
+    (
+        "solve_edge_flow_equilibrium(tolerance=-1)",
+        lambda: solve_edge_flow_equilibrium(PIGOU_QUADRATIC, tolerance=-1.0),
+        "^tolerance",
+    ),
+    (
+        "solve_edge_flow_equilibrium(max_iterations=-3)",
+        lambda: solve_edge_flow_equilibrium(PIGOU_QUADRATIC, max_iterations=-3),
+        "^max_iterations",
+    ),
+    (
+        "solve_edge_flow_equilibrium(max_iterations=nan)",
+        lambda: solve_edge_flow_equilibrium(PIGOU_QUADRATIC, max_iterations=NAN),
+        "^max_iterations",
+    ),
     # Closed-form bounds and the oscillation instance.
     ("oscillation_fixed_point(nan)", lambda: oscillation_fixed_point(NAN), "update_period"),
     ("oscillation_amplitude(1, nan)", lambda: oscillation_amplitude(1.0, NAN), "update_period"),
@@ -391,6 +435,9 @@ def test_is_feasible_is_false_for_nan_flows():
 
 
 def test_valid_boundary_values_still_accepted():
+    # A zero tolerance is legal: it asks for an exact gap.
+    assert solve_wardrop_equilibrium(PIGOU_QUADRATIC, tolerance=0.0).converged
+    assert solve_edge_flow_equilibrium(PIGOU_QUADRATIC, tolerance=0.0, max_iterations=3).iterations <= 3
     assert ConstantLatency(0.0).value(0.5) == 0.0
     assert BPRLatency(1.0, 0.5, alpha=0.0).value(1.0) == 1.0
     assert ModulatedLatency(BASE, gain=0.0, offset=1e3).value(0.5) == 1e3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.instances import pigou_network, pigou_optimal_cost, braess_network
+from repro.instances import braess_network, get_instance, pigou_network, pigou_optimal_cost
 from repro.wardrop import (
     FlowVector,
     MarginalCostLatency,
@@ -56,6 +56,11 @@ class TestOptimum:
     def test_braess_price_of_anarchy(self):
         network = braess_network(with_shortcut=True)
         cost_eq, cost_opt, ratio = price_of_anarchy(network)
-        assert cost_eq == pytest.approx(2.0, abs=1e-3)
-        assert cost_opt == pytest.approx(1.5, abs=1e-2)
-        assert ratio == pytest.approx(4.0 / 3.0, abs=2e-2)
+        assert cost_eq == pytest.approx(2.0, abs=1e-9)
+        assert cost_opt == pytest.approx(1.5, abs=1e-9)
+        assert ratio == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    def test_an_uncertified_optimum_raises_naming_the_network_and_the_gap(self):
+        # The marginal-cost twin keeps the instance's name for the error.
+        with pytest.raises(RuntimeError, match=r"grid-3x3: duality gap [0-9.e-]+ > tolerance"):
+            optimal_flow(get_instance("grid-3x3"), max_iterations=1)
