@@ -45,6 +45,7 @@ from repro.largescale import (
 from repro.solvers import relative_duality_gap, solve_edge_flow_equilibrium
 from repro.telemetry import telemetry_session
 from repro.telemetry.bench import bench_timer
+from repro.wardrop import FlowVector
 
 POLICY_NAMES = ("uniform", "replicator")
 GAP_TARGET = 0.03
@@ -115,15 +116,18 @@ def run_benchmark(smoke: bool = False) -> List[dict]:
         build_policy = builders[policy_name]
         for period in periods:
 
-            def gap_reached(_time, flow):
-                return final_relative_gap(flow.network, oracle, flow) <= GAP_TARGET
+            def gap_reached(times, flows, rows):
+                """Stop once the flow on the current restricted network meets the gap."""
+                flow = FlowVector(active.network, flows[0], validate=False)
+                return np.array([final_relative_gap(active.network, oracle, flow) <= GAP_TARGET])
 
             with bench_timer(
                 "bench_large_network", f"CG {policy_name} T={period:g}",
                 engine="column-generation", instance=instance,
             ) as cg_timer:
+                active = ActivePathSet.from_network(build_instance())
                 result = simulate_with_column_generation(
-                    ActivePathSet.from_network(build_instance()),
+                    active,
                     build_policy,
                     update_period=period,
                     horizon=horizon,

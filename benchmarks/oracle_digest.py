@@ -14,17 +14,19 @@ a capacity-drop incident and a closure; and the Sioux Falls edge-flow
 relative gap bytes and the potential bytes.  The ``fluid`` lines hash the
 times and flow matrix of ``simulate(...)`` on braess, pigou-quadratic,
 two-links-steep and parallel-8-affine under stale and fresh information, plus
-one stale run through a Braess shortcut closure, one run ended by
-``stop_when`` and stale/fresh runs on ``sioux-mini-ragged`` -- sioux-falls-mini's
+one stale run through a Braess shortcut closure, one one-row
+``simulate_batch`` run ended by a ``stop_when`` batch predicate and
+stale/fresh runs on ``sioux-mini-ragged`` -- sioux-falls-mini's
 free-flow shortest paths after one ``ActivePathSet.augment`` at the
 all-or-nothing load, so its 40 commodities have one or two paths and the
 commodity blocks are padded.  The ``agents`` lines do the same for
 ``simulate_agents`` on braess, parallel-8-affine, sioux-falls-mini and
 sioux-mini-ragged (n = 2000, 12 phases, stale and fresh), a capacity-drop
-scenario run and a ``stop_when`` run; the ``cg``
-lines hash ``simulate_with_column_generation``'s trajectory and eviction
-events on braess (open and closed), sioux-falls-mini (open), a braess
-closure scenario and a two-links-steep ``stop_when`` run.  The ``cg-batch``
+scenario run and a one-row ``simulate_agent_batch`` ``stop_when`` run; the
+``cg`` lines hash ``simulate_with_column_generation``'s trajectory and
+eviction events on braess (open and closed), sioux-falls-mini (open), a
+braess closure scenario and a two-links-steep ``stop_when`` run through
+``simulate_with_column_generation_batch(batch=1)``.  The ``cg-batch``
 line runs ``simulate_with_column_generation_batch`` on sioux-falls-mini with
 three open-mode rows that close the three busiest links at staggered times,
 and hashes the flows, the final path order, the growth and eviction events
@@ -42,6 +44,7 @@ import hashlib
 
 import numpy as np
 
+from repro.batch import simulate_agent_batch, simulate_batch
 from repro.core import replicator_policy, simulate, simulate_agents, uniform_policy
 from repro.instances import get_instance, grid_network, lopsided_flow
 from repro.largescale import (
@@ -52,7 +55,7 @@ from repro.largescale import (
 )
 from repro.scenarios import LinkIncident, Scenario, ScenarioEnsemble
 from repro.solvers import solve_edge_flow_equilibrium
-from repro.wardrop import FlowVector, equilibrium_violation
+from repro.wardrop import FlowVector, NetworkFamily, equilibrium_violation
 
 INSTANCES = ("sioux-falls", "city-grid", "braess", "two-links")
 FW_METHODS = ("fw", "cfw", "bfw")
@@ -128,10 +131,24 @@ def incident_family_digest() -> str:
         Scenario(incidents=[LinkIncident(busiest, 0.0, 1.0, closure_penalty=50.0)]),
         Scenario(incidents=[LinkIncident(busiest, 2.0, 3.0, capacity_factor=0.35)]),
     ]
-    family = ScenarioEnsemble(network, scenarios).family_at(np.full(len(scenarios), 0.5))
+    replicas = NetworkFamily.replicate(network, len(scenarios))
+    family = ScenarioEnsemble(replicas, scenarios).family_at(np.full(len(scenarios), 0.5))
     flows = np.tile(edge_flow_vectors(network)[1], (len(scenarios), 1))
     flows *= np.linspace(0.5, 2.0, len(scenarios))[:, None]
     return hash_arrays(family.edge_latencies_batch(flows))
+
+
+def violation_below(network, tolerance, min_paths=1):
+    """A one-row ``stop_when`` predicate: the row has at least ``min_paths``
+    paths and its equilibrium violation on ``network()`` is below ``tolerance``."""
+
+    def predicate(times, flows, rows):
+        if flows.shape[1] < min_paths:
+            return np.array([False])
+        flow = FlowVector(network(), flows[0], validate=False)
+        return np.array([equilibrium_violation(flow) < tolerance])
+
+    return predicate
 
 
 def trajectory_digest(trajectory) -> str:
@@ -175,12 +192,12 @@ def fluid_lines():
     )
     yield "braess", "closure", trajectory_digest(trajectory)
     steep = get_instance("two-links-steep")
-    trajectory = simulate(
-        steep, replicator_policy(steep), update_period=0.1, horizon=100.0,
-        initial_flow=lopsided_flow(steep, 0.95),
-        stop_when=lambda time, flow: equilibrium_violation(flow) < 1e-3,
+    result = simulate_batch(
+        steep, replicator_policy(steep), [0.1], 100.0,
+        initial_flows=lopsided_flow(steep, 0.95),
+        stop_when=violation_below(lambda: steep, 1e-3),
     )
-    yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
+    yield "two-links-steep", "stop-when", trajectory_digest(result.trajectory(0))
     ragged = ragged_network()
     start = FlowVector.random(ragged, np.random.default_rng(5))
     for stale in (True, False):
@@ -220,17 +237,26 @@ def agent_lines():
         )
         yield "braess", f"drop-{'stale' if stale else 'fresh'}", trajectory_digest(trajectory)
     steep = get_instance("two-links-steep")
-    trajectory = simulate_agents(
-        steep, replicator_policy(steep, exploration=0.05), num_agents=2000,
-        update_period=0.1, horizon=20.0, initial_flow=lopsided_flow(steep, 0.95), seed=5,
-        stop_when=lambda time, flow: equilibrium_violation(flow) < 0.05,
+    result = simulate_agent_batch(
+        steep, replicator_policy(steep, exploration=0.05), 2000, 0.1, 20.0,
+        initial_flows=lopsided_flow(steep, 0.95), seeds=5,
+        stop_when=violation_below(lambda: steep, 0.05),
     )
-    yield "two-links-steep", "stop-when", trajectory_digest(trajectory)
+    yield "two-links-steep", "stop-when", trajectory_digest(result.trajectory(0))
 
 
 def cg_digest(result) -> str:
     evictions = np.array([[phase, volume] for phase, volume in result.eviction_events])
     return f"{trajectory_digest(result.trajectory)} {hash_arrays(evictions, result.path_counts)}"
+
+
+def cg_batch_row_digest(result) -> str:
+    """:func:`cg_digest` of row 0 of a one-row batched column-generation run."""
+    evictions = np.array([[phase, volume] for phase, _, volume in result.eviction_events])
+    return (
+        f"{trajectory_digest(result.trajectory(0))} "
+        f"{hash_arrays(evictions, result.path_counts)}"
+    )
 
 
 def cg_lines():
@@ -257,13 +283,13 @@ def cg_lines():
     )
     yield "braess", "closure", cg_digest(result)
     steep = get_instance("two-links-steep")
-    result = simulate_with_column_generation(
-        ActivePathSet.from_network(steep), replicator_policy(steep, exploration=0.05),
-        update_period=0.1, horizon=100.0,
-        stop_when=lambda time, flow: flow.network.num_paths > 1
-        and equilibrium_violation(flow) < 1e-2,
+    active = ActivePathSet.from_network(steep)
+    result = simulate_with_column_generation_batch(
+        active, replicator_policy(steep, exploration=0.05),
+        update_period=0.1, horizon=100.0, batch=1,
+        stop_when=violation_below(lambda: active.network, 1e-2, min_paths=2),
     )
-    yield "two-links-steep", "stop-when", cg_digest(result)
+    yield "two-links-steep", "stop-when", cg_batch_row_digest(result)
 
 
 def cg_batch_line() -> str:

@@ -41,7 +41,7 @@ from ..wardrop.validation import (
 from .convergence import ConvergenceSummary, check_slacks, count_bad_phases
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from ..batch.stopping import StopCondition
+    from ..batch.engine import StopPredicate
     from ..scenarios.scenario import Scenario
 
 # A row builder may return one row or a list of rows (e.g. one per target
@@ -58,10 +58,12 @@ class SweepCase:
     runs the fluid-limit engine, ``"agents"`` the finite-population agent
     simulator (``num_agents`` agents, seeded with ``seed``).
     ``steps_per_phase`` changes no result (sweeps record phase boundaries,
-    and no step size reaches a phase).  ``stop_when`` is an optional
-    :class:`~repro.batch.stopping.StopCondition` evaluated at every phase
-    boundary (fluid and agent methods); the case is always evaluated as
-    batch row 0, so the stop phase never depends on the dispatch decision.
+    and no step size reaches a phase).  ``stop_when`` is an optional batch
+    predicate ``(times, flows, rows) -> mask`` (see
+    :mod:`repro.batch.stopping`) evaluated at every phase boundary (fluid
+    and agent methods); the case is always evaluated as batch row 0, so the
+    stop phase never depends on the dispatch decision and equals that of
+    ``simulate(..., stop_when=case.stop_when)``.
     A per-case condition must therefore be authored for the case's *own*
     network -- e.g. ``equilibrium_gap_stop(case.network, delta)`` or
     ``distance_stop(target_of_this_case[None, :], tol)`` -- never for a
@@ -81,9 +83,8 @@ class SweepCase:
     when per-row discovery sets must stay independent (closed-mode fusions
     stay bit-identical per row).  A CG case cannot combine with
     ``method="agents"``, ``initial_flow`` or ``stop_when`` (the last two are
-    authored for the case network's fixed path dimension; pass a scalar
-    ``stop_when`` to
-    :func:`~repro.largescale.columns.simulate_with_column_generation`
+    authored for the case network's fixed path dimension; pass ``stop_when``
+    to :func:`~repro.largescale.columns.simulate_with_column_generation`
     directly instead); such a case is rejected at construction.
 
     ``scenario`` makes the case's environment nonstationary (see
@@ -109,7 +110,7 @@ class SweepCase:
     method: str = "fluid"
     num_agents: Optional[int] = None
     seed: int = 0
-    stop_when: Optional["StopCondition"] = None
+    stop_when: Optional["StopPredicate"] = None
     column_generation: bool = False
     scenario: Optional["Scenario"] = None
 

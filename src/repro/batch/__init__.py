@@ -5,9 +5,9 @@ of running ``B`` independent simulations through Python loops, a
 :class:`BatchSimulator` evolves all replicas as a single ``(B, P)`` array
 with vectorised right-hand sides, per-row bulletin-board clocks (rows may
 have different update periods ``T``) and per-row horizons.  The replicas
-route on one shared network or on a
-:class:`~repro.wardrop.family.NetworkFamily` (same topology, per-row latency
-coefficients), and a vectorised ``stop_when`` mask (see
+route on the members of a :class:`~repro.wardrop.family.NetworkFamily`
+(same topology, per-row latency coefficients; a shared network is the
+family of ``B`` references to it), and a vectorised ``stop_when`` mask (see
 :mod:`repro.batch.stopping`) freezes converged rows early so they skip all
 remaining work.  It is the only fluid engine: :func:`~repro.core.simulate`
 is its one-row case, row ``r`` of a ``B``-row run equals that one-row run
@@ -26,10 +26,10 @@ from .engine import (
     BatchConfig,
     BatchResult,
     BatchSimulator,
-    BatchStoppingCondition,
+    StopPredicate,
     simulate_batch,
 )
-from .stopping import StopCondition, distance_stop, equilibrium_gap_stop
+from .stopping import distance_stop, equilibrium_gap_stop
 
 __all__ = [
     "BatchAgentConfig",
@@ -39,8 +39,7 @@ __all__ = [
     "BatchConfig",
     "BatchResult",
     "BatchSimulator",
-    "BatchStoppingCondition",
-    "StopCondition",
+    "StopPredicate",
     "distance_stop",
     "equilibrium_gap_stop",
     "simulate_agent_batch",

@@ -78,7 +78,7 @@ from ..wardrop.validation import (
     require_positive_integer,
 )
 from .board import BatchBulletinBoard
-from .engine import BatchEnsembleBase, BatchResult, BatchStoppingCondition, Networks, Policies
+from .engine import BatchEnsembleBase, BatchResult, Networks, Policies, StopPredicate
 
 # Up-to-date information: activations decided per row per round against the
 # row's cached live tables (see :meth:`BatchAgentSimulator._apply_fresh_phase`).
@@ -264,7 +264,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
     def run(
         self,
         initial_flows=None,
-        stop_when: Optional[BatchStoppingCondition] = None,
+        stop_when: Optional[StopPredicate] = None,
     ) -> BatchAgentResult:
         """Simulate every replica to its horizon and return the batch result.
 
@@ -484,7 +484,7 @@ def simulate_agent_batch(
     initial_flows=None,
     seeds=0,
     stale: bool = True,
-    stop_when: Optional[BatchStoppingCondition] = None,
+    stop_when: Optional[StopPredicate] = None,
     scenarios=None,
 ) -> BatchAgentResult:
     """Build a :class:`BatchAgentConfig` from per-row settings and run it once.

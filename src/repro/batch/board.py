@@ -16,21 +16,21 @@ times even though the engines advance them phase by phase in lockstep (row
 ``r`` is always inside *its own* phase ``k``), which is fine because
 replicas are independent.  The posted flows, edge latencies and path
 latencies of all rows are stored as stacked arrays, and any subset of rows
-refreshes in one vectorised network evaluation.  The rows may route on a
-single shared network or on the members of a
-:class:`~repro.wardrop.family.NetworkFamily` (same topology, per-row latency
-coefficients); in the family case row ``r``'s snapshot is evaluated with
-member ``r``'s latency functions.
+refreshes in one vectorised network evaluation.  The rows route on the
+members of a :class:`~repro.wardrop.family.NetworkFamily` (same topology,
+per-row latency coefficients; a shared network is the family of ``B``
+references to it), and row ``r``'s snapshot is evaluated with member ``r``'s
+latency functions.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..wardrop.family import NetworkFamily
-from ..wardrop.network import WardropNetwork
+from ..wardrop.validation import require_positive
 
 
 class BatchBulletinBoard:
@@ -49,19 +49,13 @@ class BatchBulletinBoard:
         The per-row phase-start times ``t_hat_r`` of the current snapshots.
     """
 
-    def __init__(
-        self,
-        network: Union[WardropNetwork, NetworkFamily],
-        update_periods: np.ndarray,
-    ):
+    def __init__(self, family: NetworkFamily, update_periods: np.ndarray):
         update_periods = np.asarray(update_periods, dtype=float)
         if update_periods.ndim != 1:
             raise ValueError("update_periods must be a one-dimensional array")
-        if np.any(update_periods <= 0):
-            raise ValueError("all update periods must be positive")
+        require_positive("update_periods", update_periods)
         self.update_periods = update_periods
-        self.family: Optional[NetworkFamily] = None
-        self.set_networks(network)
+        self.set_networks(family)
         batch = len(update_periods)
         self.posted_flows = np.zeros((batch, self.network.num_paths))
         self.posted_edge_latencies = np.zeros((batch, self.network.num_edges))
@@ -72,24 +66,18 @@ class BatchBulletinBoard:
     def __len__(self) -> int:
         return len(self.update_periods)
 
-    def set_networks(self, network: Union[WardropNetwork, NetworkFamily]) -> None:
-        """Swap the latency source to another same-topology network/family.
+    def set_networks(self, family: NetworkFamily) -> None:
+        """Swap the latency source to another same-topology family.
 
         The scenario layer calls this at every phase boundary: posting then
         prices the rows' live flows in their *current* environments.  Only the
         latency functions may differ -- posted arrays, clocks and phase
         counters are untouched.
         """
-        if isinstance(network, NetworkFamily):
-            if network.size != len(self):
-                raise ValueError(
-                    f"family of {network.size} networks for {len(self)} boards"
-                )
-            self.family = network
-            self.network = network.base
-        else:
-            self.family = None
-            self.network = network
+        if family.size != len(self):
+            raise ValueError(f"family of {family.size} networks for {len(self)} boards")
+        self.family = family
+        self.network = family.base
 
     def post_rows(
         self,
@@ -109,13 +97,9 @@ class BatchBulletinBoard:
         if not mask.any():
             return
         flows = np.asarray(path_flows, dtype=float)[mask]
-        edge_flows = network.edge_flows(flows)
-        if self.family is None:
-            edge_latencies = network.edge_latencies(edge_flows)
-        else:
-            edge_latencies = self.family.edge_latencies_batch(
-                edge_flows, np.flatnonzero(mask)
-            )
+        edge_latencies = self.family.edge_latencies_batch(
+            network.edge_flows(flows), np.flatnonzero(mask)
+        )
         self.posted_flows[mask] = flows
         self.posted_edge_latencies[mask] = edge_latencies
         self.posted_path_latencies[mask] = network.path_latencies_from_edge_latencies(

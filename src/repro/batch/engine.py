@@ -5,12 +5,13 @@ dynamics as one stacked ``(B, P)`` array: one vectorised product per phase
 or integration step instead of one Python-level simulation per replica.  Rows
 may differ in initial flow, bulletin-board update period, horizon,
 recording grid and (via a list of policies) policy parameters,
-so a whole parameter sweep becomes a single run.  The replicas route
-either on one shared :class:`~repro.wardrop.network.WardropNetwork` or on
+so a whole parameter sweep becomes a single run.  The replicas route on
 the members of a :class:`~repro.wardrop.family.NetworkFamily` -- networks
 with identical topology but per-row latency coefficients -- which turns the
 paper's coefficient sweeps (Pigou constants, Braess shortcut latencies,
-two-link slopes) into one batched run as well.
+two-link slopes) into one batched run as well.  A shared
+:class:`~repro.wardrop.network.WardropNetwork` runs as the family of ``B``
+references to it, whose one latency table prices every row.
 
 Correctness contract
 --------------------
@@ -93,11 +94,12 @@ from .board import BatchBulletinBoard
 Policies = Union[ReroutingPolicy, Sequence[ReroutingPolicy]]
 Networks = Union[WardropNetwork, NetworkFamily]
 
-# A vectorised stopping condition: ``stop_when(times, flows, rows)`` receives
-# the phase-end times ``(R,)``, the projected phase-end flows ``(R, P)`` and
-# the batch row indices ``(R,)`` of the currently active rows, and returns a
-# boolean mask of shape ``(R,)`` — True freezes the row after this phase.
-BatchStoppingCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# The one stopping form of every engine and entry point: ``stop_when(times,
+# flows, rows)`` receives the phase-end times ``(R,)``, the projected
+# phase-end flows ``(R, P)`` and the batch row indices ``(R,)`` of the
+# currently active rows, and returns a boolean mask of shape ``(R,)`` — True
+# freezes the row after this phase.  One-row runs pass ``rows == [0]``.
+StopPredicate = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # Every engine checks at every phase boundary that each active row routes
 # every commodity's demand to this relative tolerance.
@@ -211,8 +213,8 @@ class BatchResult:
     times: np.ndarray
     flows: np.ndarray
     num_points: np.ndarray
+    family: NetworkFamily
     stop_phases: Optional[np.ndarray] = None
-    family: Optional[NetworkFamily] = None
     sample_phases: Optional[np.ndarray] = None
     boundary_mask: Optional[np.ndarray] = None
     phase_counts: Optional[np.ndarray] = None
@@ -227,9 +229,7 @@ class BatchResult:
 
     def row_network(self, row: int) -> WardropNetwork:
         """Return the network row ``row`` routed on (its family member)."""
-        if self.family is not None:
-            return self.family.member(row)
-        return self.network
+        return self.family.member(row)
 
     def num_phases(self, row: int) -> int:
         """Return the number of completed bulletin-board phases of one row."""
@@ -361,8 +361,9 @@ PhaseStep = Callable[..., np.ndarray]
 class BatchEnsembleBase:
     """The phase loop every batched engine runs, and its shared plumbing.
 
-    Normalises the ``network`` argument (shared network vs
-    :class:`~repro.wardrop.family.NetworkFamily` of the batch size), the
+    Normalises the ``network`` argument (a
+    :class:`~repro.wardrop.family.NetworkFamily` of the batch size, or a
+    shared network, which becomes the family of ``B`` references to it), the
     ``policies`` argument (one policy for every row, or one per row; either
     way stacked once into a :class:`~repro.core.policy.PolicyStack`), the
     ``scenarios`` argument and the ``initial_flows`` argument, and provides
@@ -391,16 +392,12 @@ class BatchEnsembleBase:
 
     def __init__(self, network: Networks, policies: Policies, config, scenarios=None):
         batch_size = config.batch_size
-        if isinstance(network, NetworkFamily):
-            if network.size != batch_size:
-                raise ValueError(
-                    f"family of {network.size} networks for a batch of {batch_size}"
-                )
-            self.family: Optional[NetworkFamily] = network
-            self.network = network.base
-        else:
-            self.family = None
-            self.network = network
+        if not isinstance(network, NetworkFamily):
+            network = NetworkFamily.replicate(network, batch_size)
+        if network.size != batch_size:
+            raise ValueError(f"family of {network.size} networks for a batch of {batch_size}")
+        self.family = network
+        self.network = network.base
         self._batch_size = batch_size
         self.config = config
         # Scenario runs point this at the current phase's effective family;
@@ -443,9 +440,7 @@ class BatchEnsembleBase:
 
     def _is_row_network(self, candidate: WardropNetwork, row: int) -> bool:
         """True if ``candidate`` is a legal network for batch row ``row``."""
-        if candidate is self.network:
-            return True
-        return self.family is not None and candidate is self.family.networks[row]
+        return candidate is self.network or candidate is self.family.member(row)
 
     def _initial_flows(self, initial_flows) -> np.ndarray:
         batch = self._batch_size
@@ -476,12 +471,8 @@ class BatchEnsembleBase:
     # Latency evaluation ------------------------------------------------------
 
     def _path_latencies_rows(self, state: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Live path latencies of the active sub-batch (family/scenario-aware)."""
-        if self._phase_family is not None:
-            return self._phase_family.path_latencies_batch(state, rows)
-        if self.family is None:
-            return self.network.path_latencies(state)
-        return self.family.path_latencies_batch(state, rows)
+        """Live path latencies of the active sub-batch (scenario-aware)."""
+        return (self._phase_family or self.family).path_latencies_batch(state, rows)
 
     # Conservation ------------------------------------------------------------
 
@@ -517,10 +508,11 @@ class BatchEnsembleBase:
         Receives the phase index, every row's phase-start time, the active
         rows and the live ``(B, P)`` state, and returns the state to post and
         advance from together with ``None``, or -- when the path set grew
-        -- the old-to-new column permutation, with :attr:`network` and the
-        policies already moved to the grown network.  The fluid and agent
-        dynamics have nothing to do here; column generation grows and
-        repairs its restricted path set (:mod:`repro.largescale.batch_columns`).
+        -- the old-to-new column permutation, with :attr:`network`,
+        :attr:`family` and the policies already moved to the grown network.
+        The fluid and agent dynamics have nothing to do here; column
+        generation grows and repairs its restricted path set
+        (:mod:`repro.largescale.batch_columns`).
         """
         return flows, None
 
@@ -535,7 +527,7 @@ class BatchEnsembleBase:
     def _phase_loop(
         self,
         flows: np.ndarray,
-        stop_when: Optional[BatchStoppingCondition],
+        stop_when: Optional[StopPredicate],
         advance: PhaseStep,
         demands: np.ndarray,
         samples_per_phase: Optional[int] = None,
@@ -587,11 +579,11 @@ class BatchEnsembleBase:
 
         ensemble = None
         if self._scenarios is not None:
-            ensemble = ScenarioEnsemble(self.family or self.network, self._scenarios)
+            ensemble = ScenarioEnsemble(self.family, self._scenarios)
 
         board: Optional[BatchBulletinBoard] = None
         if config.stale:
-            board = BatchBulletinBoard(self.family or self.network, periods)
+            board = BatchBulletinBoard(self.family, periods)
 
         try:
             for phase in range(max_phases):
@@ -613,13 +605,13 @@ class BatchEnsembleBase:
                     if perm is not None:
                         # The path set grew: re-express the recorded samples on
                         # the grown network and rebuild what is sized by it.
-                        network = self.network
-                        recording.flows = _grow_buffer(recording.flows, perm, network.num_paths)
+                        width = self.network.num_paths
+                        recording.flows = _grow_buffer(recording.flows, perm, width)
                         if ensemble is not None:
-                            ensemble = ScenarioEnsemble(network, self._scenarios)
+                            ensemble = ScenarioEnsemble(self.family, self._scenarios)
                             self._phase_family = ensemble.family_at(starts)
                         if board is not None:
-                            board = BatchBulletinBoard(network, periods)
+                            board = BatchBulletinBoard(self.family, periods)
                     frozen = None
                     if config.stale:
                         # Eq. (3): every active row posts at the start of each of
@@ -685,10 +677,11 @@ class BatchSimulator(BatchEnsembleBase):
     Parameters
     ----------
     network:
-        Either the shared :class:`WardropNetwork` (all rows route on it) or a
-        :class:`~repro.wardrop.family.NetworkFamily` whose size equals the
+        A :class:`~repro.wardrop.family.NetworkFamily` whose size equals the
         batch size (row ``r`` routes on member ``r``, enabling heterogeneous
-        latency coefficients within one integration).
+        latency coefficients within one integration), or a shared
+        :class:`WardropNetwork`, which runs as the family of ``B``
+        references to it.
     policies:
         Either one :class:`ReroutingPolicy` applied to every row or a
         sequence of ``B`` policies, one per row; rows whose rules share a
@@ -742,7 +735,7 @@ class BatchSimulator(BatchEnsembleBase):
     def run(
         self,
         initial_flows=None,
-        stop_when: Optional[BatchStoppingCondition] = None,
+        stop_when: Optional[StopPredicate] = None,
     ) -> BatchResult:
         """Advance every replica to its horizon and return the batch result.
 
@@ -751,7 +744,7 @@ class BatchSimulator(BatchEnsembleBase):
         vectors or a raw ``(B, P)`` array.
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
-        condition (see :data:`BatchStoppingCondition`), evaluated at every
+        condition (see :data:`StopPredicate`), evaluated at every
         phase boundary on the projected flows.  Rows whose condition fires
         are frozen: the stopping phase is still recorded and the row then
         drops out of the active sub-batch, skipping all further sampling,
@@ -910,7 +903,7 @@ def simulate_batch(
     initial_flows=None,
     stale: bool = True,
     steps_per_phase=50,
-    stop_when: Optional[BatchStoppingCondition] = None,
+    stop_when: Optional[StopPredicate] = None,
     record_every: Optional[int] = None,
     scenarios=None,
 ) -> BatchResult:

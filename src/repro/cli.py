@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import ExitStack
 from typing import List, Optional
 
 from .analysis import (
@@ -454,6 +455,41 @@ def _cmd_solve_edge_flow(
     return 0
 
 
+def _telemetry_stack(trace, metrics, profile, ledger, progress=None):
+    """Open the telemetry session the flags ask for; return ``(stack, session)``.
+
+    ``session`` is ``None`` when no flag asks for telemetry.  Closing
+    ``stack`` ends the session and then restores the ledger directory that
+    ``ledger`` overrode (LIFO, so the session's ledger write still sees it).
+    """
+    stack = ExitStack()
+    if ledger is not None:
+        from .telemetry.ledger import set_ledger_dir
+
+        stack.callback(set_ledger_dir, set_ledger_dir(ledger))
+    session = None
+    if trace is not None or metrics or profile or ledger is not None or progress is not None:
+        from .telemetry import telemetry_session
+
+        session = stack.enter_context(
+            telemetry_session(trace_path=trace, progress=progress, profile=profile)
+        )
+    return stack, session
+
+
+def _print_telemetry(session, metrics: bool, profile: bool) -> None:
+    """Print the metrics and profiler tables of ``session`` that the flags asked for."""
+    if session is None:
+        return
+    if metrics:
+        print_table(session.metrics.rows(), title="telemetry metrics")
+    if profile and session.profiler is not None:
+        print_table(
+            session.profiler.rows(),
+            title="sampling profiler (top self-time locations)",
+        )
+
+
 def _cmd_simulate(
     instance: str,
     policy_name: str,
@@ -501,22 +537,7 @@ def _cmd_simulate(
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    from contextlib import ExitStack
-
-    stack = ExitStack()
-    tele = None
-    if ledger is not None:
-        from .telemetry.ledger import set_ledger_dir
-
-        # Restored after the session exits (LIFO), so the session's ledger
-        # write still sees the override.
-        stack.callback(set_ledger_dir, set_ledger_dir(ledger))
-    if trace is not None or metrics or profile or ledger is not None:
-        from .telemetry import telemetry_session
-
-        tele = stack.enter_context(
-            telemetry_session(trace_path=trace, profile=profile)
-        )
+    stack, tele = _telemetry_stack(trace, metrics, profile, ledger)
     with stack:
         if column_generation:
             from .largescale import ActivePathSet, simulate_with_column_generation
@@ -555,13 +576,7 @@ def _cmd_simulate(
                     network, policy, update_period=update_period, horizon=horizon,
                     initial_flow=start, stale=not fresh, scenario=scenario,
                 )
-    if metrics and tele is not None:
-        print_table(tele.metrics.rows(), title="telemetry metrics")
-    if profile and tele is not None and tele.profiler is not None:
-        print_table(
-            tele.profiler.rows(),
-            title="sampling profiler (top self-time locations)",
-        )
+    _print_telemetry(tele, metrics, profile)
     if ledger is not None:
         print(f"ledgered run under {ledger}")
     if trace is not None:
@@ -654,64 +669,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         row["final_potential"] = potential(trajectory.final_flow)
         return row
 
-    use_telemetry = (
-        args.trace is not None
-        or args.metrics
-        or args.progress
-        or args.profile
-        or args.ledger is not None
-    )
-    if use_telemetry:
-        from contextlib import ExitStack
+    listener = None
+    if args.progress:
 
-        from .telemetry import telemetry_session
+        def listener(name, attrs):
+            if name in ("case_started", "case_finished", "batch_fused"):
+                detail = " ".join(f"{key}={value}" for key, value in attrs.items())
+                print(f"[{name}] {detail}".rstrip(), file=sys.stderr)
 
-        listener = None
-        if args.progress:
-
-            def listener(name, attrs):
-                if name in ("case_started", "case_finished", "batch_fused"):
-                    detail = " ".join(f"{key}={value}" for key, value in attrs.items())
-                    print(f"[{name}] {detail}".rstrip(), file=sys.stderr)
-
-        # Persist after the session so --metrics columns reach the files.
-        with ExitStack() as stack:
-            if args.ledger is not None:
-                from .telemetry.ledger import set_ledger_dir
-
-                stack.callback(set_ledger_dir, set_ledger_dir(args.ledger))
-            tele = stack.enter_context(
-                telemetry_session(
-                    trace_path=args.trace, progress=listener, profile=args.profile
-                )
-            )
-            result = run_plan(plan, build_row, include_seed=args.include_seed)
-        if args.metrics:
-            result.merge_metrics(tele.metrics.flatten())
-        if args.csv:
-            result.to_csv(args.csv)
-        if args.jsonl:
-            result.to_jsonl(args.jsonl)
-    else:
-        result = run_plan(
-            plan,
-            build_row,
-            csv_path=args.csv,
-            jsonl_path=args.jsonl,
-            include_seed=args.include_seed,
-        )
+    stack, tele = _telemetry_stack(args.trace, args.metrics, args.profile, args.ledger, listener)
+    with stack:
+        result = run_plan(plan, build_row, include_seed=args.include_seed)
+    # Persisted after the session, so --metrics columns reach the files.
+    if args.metrics:
+        result.merge_metrics(tele.metrics.flatten())
+    if args.csv:
+        result.to_csv(args.csv)
+    if args.jsonl:
+        result.to_jsonl(args.jsonl)
     print_table(
         result.rows,
         title=f"Sweep of {args.instance} ({args.policy}, "
         f"{'fresh' if args.fresh else 'stale'} info, {args.method})",
     )
-    if use_telemetry and args.metrics:
-        print_table(tele.metrics.rows(), title="telemetry metrics")
-    if use_telemetry and args.profile and tele.profiler is not None:
-        print_table(
-            tele.profiler.rows(),
-            title="sampling profiler (top self-time locations)",
-        )
+    _print_telemetry(tele, args.metrics, args.profile)
     if args.ledger is not None:
         print(f"ledgered sweep under {args.ledger}")
     for path in (args.csv, args.jsonl, args.trace):

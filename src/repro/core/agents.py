@@ -64,19 +64,18 @@ replica's whole state is its path counts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..batch.engine import StopPredicate
     from ..scenarios.scenario import Scenario
 
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from .policy import ReroutingPolicy
 from .trajectory import Trajectory
-
-StoppingCondition = Callable[[float, FlowVector], bool]
 
 DEFAULT_NUM_AGENTS = 1000
 
@@ -141,7 +140,7 @@ def simulate_agents(
     initial_flow: Optional[FlowVector] = None,
     seed: int = 0,
     stale: bool = True,
-    stop_when: Optional[StoppingCondition] = None,
+    stop_when: Optional["StopPredicate"] = None,
     scenario: Optional["Scenario"] = None,
 ) -> Trajectory:
     """Simulate ``num_agents`` agents on ``network`` and return the trajectory.
@@ -151,13 +150,13 @@ def simulate_agents(
     from a generator seeded with ``seed`` (see the seeding contract above).
     ``stale=True`` shows them the bulletin board posted at every phase
     start; ``stale=False`` prices the live flow at every activation.
-    ``stop_when(time, flow)`` is evaluated on the realised flow at every
-    phase boundary and ends the run early when it returns ``True``.
+    ``stop_when(times, flows, rows)`` is the engines' batch predicate,
+    evaluated on the realised flow at every phase boundary as a one-row
+    batch (``rows == [0]``); the run ends early when its mask is ``True``.
     ``scenario`` makes the environment nonstationary: it is sampled at
     every phase start and frozen for the phase.
     """
     from ..batch.agents import simulate_agent_batch
-    from ..batch.stopping import one_row_stop
 
     for name, value in (
         ("num_agents", num_agents),
@@ -176,7 +175,7 @@ def simulate_agents(
         initial_flows=initial_flow,
         seeds=seed,
         stale=stale,
-        stop_when=one_row_stop(network, stop_when),
+        stop_when=stop_when,
         scenarios=scenario,
     )
     return result.trajectory(0)

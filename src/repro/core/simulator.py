@@ -20,12 +20,11 @@ equilibrium").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..batch.engine import BatchConfig, BatchSimulator
-from ..batch.stopping import one_row_stop
+from ..batch.engine import BatchConfig, BatchSimulator, StopPredicate
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from .policy import ReroutingPolicy
@@ -33,8 +32,6 @@ from .trajectory import Trajectory
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..scenarios.scenario import Scenario
-
-StoppingCondition = Callable[[float, FlowVector], bool]
 
 
 def simulate(
@@ -44,15 +41,18 @@ def simulate(
     horizon: float,
     initial_flow: Optional[FlowVector] = None,
     stale: bool = True,
-    stop_when: Optional[StoppingCondition] = None,
+    stop_when: Optional[StopPredicate] = None,
     scenario: Optional["Scenario"] = None,
 ) -> Trajectory:
     """Simulate ``policy`` on ``network`` in the fluid limit and return the trajectory.
 
     Stale phases are exact and up-to-date ones error-controlled; the
-    trajectory records phase boundaries.  ``stop_when(time, flow)`` is
-    evaluated on the projected flow at every phase boundary; when it returns
-    ``True`` the run ends early (the final state is still recorded).
+    trajectory records phase boundaries.  ``stop_when(times, flows, rows)``
+    is the engines' batch predicate (:mod:`repro.batch.stopping`), evaluated
+    on the projected flow at every phase boundary with ``times`` and
+    ``rows == [0]`` of shape ``(1,)`` and ``flows`` of shape ``(1, P)``;
+    when its mask is ``True`` the run ends early (the final state is still
+    recorded).
     ``scenario`` optionally makes the environment nonstationary: its modulation is
     sampled at every phase start and frozen for the phase, so the board
     posts (and, in fresh mode, the live field prices flows in) the current
@@ -63,4 +63,4 @@ def simulate(
             raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
     config = BatchConfig(update_periods=[update_period], horizons=horizon, stale=stale)
     simulator = BatchSimulator(network, policy, config, scenarios=scenario)
-    return simulator.run(initial_flow, stop_when=one_row_stop(network, stop_when)).trajectory(0)
+    return simulator.run(initial_flow, stop_when=stop_when).trajectory(0)

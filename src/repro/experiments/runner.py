@@ -124,9 +124,9 @@ def _group_target_and_policies(cases: Sequence[SweepCase]):
 def _group_stop_when(cases: Sequence[SweepCase]):
     """Build the combined batch stopping condition of one fused group.
 
-    Each case's :class:`~repro.batch.stopping.StopCondition` is evaluated on
-    its own single-row slice with row index 0, so a case stops in the same
-    phase whichever group (a one-case group when alone) runs it.
+    Each case's ``stop_when`` predicate is evaluated on its own single-row
+    slice with row index 0, so a case stops in the same phase whichever
+    group (a one-case group when alone) runs it.
     """
     conditions = [case.stop_when for case in cases]
     if all(condition is None for condition in conditions):
@@ -138,9 +138,7 @@ def _group_stop_when(cases: Sequence[SweepCase]):
         for i, row in enumerate(rows):
             condition = conditions[row]
             if condition is not None:
-                mask[i] = bool(
-                    np.asarray(condition.batch(times[i : i + 1], flows[i : i + 1], zero))[0]
-                )
+                mask[i] = bool(np.asarray(condition(times[i : i + 1], flows[i : i + 1], zero))[0])
         return mask
 
     return combined

@@ -22,7 +22,8 @@ At every row's every phase start, before its board posts (Eq. 3), the step
    the **union** of the per-row discoveries.  A new column enters with zero
    flow on every row -- including the rows that did not discover it -- and
    the engine re-expresses its state, its recorded samples, its board and
-   its scenario ensemble on the grown network;
+   its scenario ensemble on the grown network (the one-network family of
+   its ``B`` rows);
 3. evicts per row: a row whose scenario closes an edge moves the flow of
    its crossing columns onto its best open column, while other rows keep
    routing over those columns.
@@ -57,11 +58,12 @@ from ..batch.engine import (
     BatchConfig,
     BatchResult,
     BatchSimulator,
-    BatchStoppingCondition,
+    StopPredicate,
     _grow_buffer,
 )
 from ..core.trajectory import planned_phase_counts
 from ..telemetry.runtime import get_telemetry
+from ..wardrop.family import NetworkFamily
 from ..wardrop.network import WardropNetwork
 from ..wardrop.paths import Path
 from .columns import (
@@ -195,17 +197,15 @@ class ColumnGenerationSimulator(BatchSimulator):
         with tele.span("column_generation_round", phase=phase, rows=len(rows)) as span:
             added: List[Path] = []
             if not active.closed:
-                network = self.network
-                edge_flows = network.edge_flows(flows[rows])
-                if self._phase_family is not None:
-                    latencies = self._phase_family.edge_latencies_batch(edge_flows, rows)
-                else:
-                    latencies = network.edge_latencies(edge_flows)
+                latencies = (self._phase_family or self.family).edge_latencies_batch(
+                    self.network.edge_flows(flows[rows]), rows
+                )
                 costs = self._query_costs(rows, starts, latencies)
                 added = active.add_paths(active.oracle.shortest_commodity_paths(costs))
             if added:
                 perm = active.last_permutation
                 self.network = active.network
+                self.family = NetworkFamily.replicate(self.network, self.family.size)
                 width = self.network.num_paths
                 flows = _grow_buffer(flows, perm, width)
                 self._start_flows = _grow_buffer(self._start_flows, perm, width)
@@ -241,7 +241,7 @@ class ColumnGenerationSimulator(BatchSimulator):
     def run(
         self,
         initial_flows=None,
-        stop_when: Optional[BatchStoppingCondition] = None,
+        stop_when: Optional[StopPredicate] = None,
     ) -> BatchColumnGenerationResult:
         """Run the batch (see :meth:`BatchSimulator.run`) and certify every row.
 
@@ -288,7 +288,7 @@ def simulate_with_column_generation_batch(
     initial_flows=None,
     stale: bool = True,
     steps_per_phase=50,
-    stop_when: Optional[BatchStoppingCondition] = None,
+    stop_when: Optional[StopPredicate] = None,
 ) -> BatchColumnGenerationResult:
     """Run ``B`` column-generation replicas as one ensemble.
 

@@ -46,6 +46,7 @@ from ..wardrop.paths import Path, PathSet
 from .shortest import ShortestPathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..batch.engine import StopPredicate
     from ..scenarios.scenario import Scenario
 
 PolicyOrBuilder = Union[ReroutingPolicy, Callable[[WardropNetwork], ReroutingPolicy]]
@@ -301,7 +302,7 @@ def simulate_with_column_generation(
     horizon: float,
     initial_flow: Optional[FlowVector] = None,
     stale: bool = True,
-    stop_when: Optional[Callable[[float, FlowVector], bool]] = None,
+    stop_when: Optional["StopPredicate"] = None,
     scenario: Optional["Scenario"] = None,
 ) -> ColumnGenerationResult:
     """Run the rerouting dynamics with column generation at every refresh.
@@ -318,8 +319,9 @@ def simulate_with_column_generation(
     ``policy`` may be a fixed :class:`ReroutingPolicy` (reused across
     growth, e.g. one whose migration constant covers the full network) or a
     builder ``network -> policy`` re-invoked after every growth event.
-    ``stop_when(time, flow)`` is evaluated at phase boundaries on the flow
-    over the current restricted network, exactly like
+    ``stop_when(times, flows, rows)`` is the engines' batch predicate,
+    evaluated at phase boundaries as a one-row batch (``rows == [0]``) on
+    the flow over the current restricted network, exactly like
     :func:`~repro.core.simulator.simulate`'s.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
@@ -331,13 +333,6 @@ def simulate_with_column_generation(
     """
     from .batch_columns import simulate_with_column_generation_batch
 
-    batch_stop = None
-    if stop_when is not None:
-
-        def batch_stop(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            flow = FlowVector(active.network, flows[0], validate=False)
-            return np.array([bool(stop_when(float(times[0]), flow))])
-
     result = simulate_with_column_generation_batch(
         active,
         policy,
@@ -347,7 +342,7 @@ def simulate_with_column_generation(
         scenarios=None if scenario is None else [scenario],
         initial_flows=initial_flow,
         stale=stale,
-        stop_when=batch_stop,
+        stop_when=stop_when,
     )
     return ColumnGenerationResult(
         trajectory=result.trajectory(0),

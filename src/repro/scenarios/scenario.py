@@ -238,28 +238,21 @@ class Scenario:
 class ScenarioEnsemble:
     """Per-row scenarios of a batched run, applied to one shared latency table.
 
-    ``base`` is the shared :class:`WardropNetwork` or the
-    :class:`NetworkFamily` the batch routes on; ``scenarios`` holds one
-    :class:`Scenario` (or ``None`` for a stationary row) per batch row.
+    ``family`` is the :class:`NetworkFamily` the batch routes on (a shared
+    network is :meth:`NetworkFamily.replicate` of it); ``scenarios`` holds
+    one :class:`Scenario` (or ``None`` for a stationary row) per batch row.
     :meth:`family_at` returns the effective family at per-row sample times:
     the base family's latency table, built once, under ``(B, E)``
     modulation arrays.
     """
 
-    def __init__(
-        self,
-        base: Union[WardropNetwork, NetworkFamily],
-        scenarios: Sequence[Optional[Scenario]],
-    ):
+    def __init__(self, family: NetworkFamily, scenarios: Sequence[Optional[Scenario]]):
         self.scenarios: List[Optional[Scenario]] = list(scenarios)
-        if isinstance(base, NetworkFamily):
-            if base.size != len(self.scenarios):
-                raise ValueError(
-                    f"family of {base.size} networks for {len(self.scenarios)} scenarios"
-                )
-            self.family = base
-        else:
-            self.family = NetworkFamily.replicate(base, len(self.scenarios))
+        if family.size != len(self.scenarios):
+            raise ValueError(
+                f"family of {family.size} networks for {len(self.scenarios)} scenarios"
+            )
+        self.family = family
         for row, scenario in enumerate(self.scenarios):
             if scenario is not None:
                 scenario.require_edges(self.family.member(row))

@@ -89,6 +89,8 @@ class EquilibriumTrack:
 
     ``times[i]`` is the start of interval ``i``; interval ``i`` covers
     ``[times[i], times[i+1])`` (the last one runs to the horizon).
+    ``method`` names the edge-space solver that ran; path-space tracks,
+    whose one solver is projection gradient, carry ``None``.
     """
 
     network: WardropNetwork
@@ -98,7 +100,7 @@ class EquilibriumTrack:
     equilibria: List[IntervalEquilibrium]
     oracle: Optional[ShortestPathOracle] = None
     solves: int = field(default=0)
-    method: str = "fw"
+    method: Optional[str] = None
     total_iterations: int = field(default=0)
 
     def index_at(self, t: float) -> int:
@@ -193,7 +195,8 @@ def interval_equilibria(
         rows by the benchmark.
     cache:
         Optional dict shared across calls: equilibria are memoised by
-        ``(network identity, modulation, space, tolerance, method)``, so
+        ``(network identity, modulation, space, tolerance, method)`` (the
+        method is ``None`` in path space), so
         sweeps whose rows revisit the same environment states (e.g. the same
         incident at different times) solve each distinct state once.  Each
         entry stores its network alongside the equilibrium, pinning the
@@ -218,6 +221,7 @@ def interval_equilibria(
     check_method(method)
     if space == "path" and method != "fw":
         raise ValueError(f"method {method!r} is edge-space only; path space has one solver")
+    solver = method if space == "edge" else None
     if space == "edge" and oracle is None:
         oracle = ShortestPathOracle.for_network(network)
     times = {0.0}
@@ -232,7 +236,7 @@ def interval_equilibria(
     total_iterations = 0
     for t in ordered:
         modulation = scenario.modulation_at(float(t))
-        key = (id(network), modulation, space, tolerance, method)
+        key = (id(network), modulation, space, tolerance, solver)
         entry = cache.get(key)
         if entry is None:
             effective = scenario.network_at(network, float(t))
@@ -255,7 +259,7 @@ def interval_equilibria(
         equilibria=equilibria,
         oracle=oracle,
         solves=solves,
-        method=method,
+        method=solver,
         total_iterations=total_iterations,
     )
 

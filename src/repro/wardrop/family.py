@@ -134,10 +134,13 @@ class NetworkFamily:
 
     @classmethod
     def replicate(cls, network: WardropNetwork, count: int) -> "NetworkFamily":
-        """Return a family of ``count`` references to one shared network."""
+        """Return a family of ``count`` references to one shared network.
+
+        The members are one object, so the topology check is skipped.
+        """
         if count < 1:
             raise ValueError("a family needs at least one member")
-        return cls([network] * count)
+        return cls([network] * count, validate=False)
 
     def modulated(
         self,

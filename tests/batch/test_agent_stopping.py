@@ -19,15 +19,9 @@ from repro.wardrop import FlowVector
 
 
 def one_row_run(network, policy, n, period, horizon, seed, stop_when=None, stale=True):
-    """A one-row run with a scalar ``stop_when(time, flow)``, plus its assignment."""
-    batch_stop = None
-    if stop_when is not None:
-
-        def batch_stop(times, flows, rows):
-            return np.array([stop_when(times[0], FlowVector(network, flows[0]))])
-
+    """A one-row run, plus its assignment."""
     result = simulate_agent_batch(
-        network, policy, n, period, horizon, seeds=seed, stale=stale, stop_when=batch_stop
+        network, policy, n, period, horizon, seeds=seed, stale=stale, stop_when=stop_when
     )
     return result.trajectory(0), result.assignments[0]
 
@@ -38,9 +32,9 @@ class TestOneRowStopping:
         policy = uniform_policy(network)
         fired = []
 
-        def stop(time, flow):
-            fired.append(time)
-            return len(fired) == 4
+        def stop(times, flows, rows):
+            fired.append(times[0])
+            return np.array([len(fired) == 4])
 
         trajectory, _ = one_row_run(network, policy, 50, 0.2, 5.0, 3, stop_when=stop)
         assert len(trajectory.phases) == 4
@@ -51,7 +45,7 @@ class TestOneRowStopping:
         policy = uniform_policy(network)
         trajectory = simulate_agents(
             network, policy, 40, 0.1, 5.0, seed=1,
-            stop_when=lambda time, flow: time >= 0.3,
+            stop_when=lambda times, flows, rows: times >= 0.3,
         )
         assert trajectory.points[-1].time == pytest.approx(0.3)
         assert len(trajectory.phases) == 3
@@ -62,7 +56,7 @@ class TestOneRowStopping:
         policy = replicator_policy(network, exploration=1e-3)
         stopped, _ = one_row_run(
             network, policy, 80, 0.2, 4.0, 7,
-            stop_when=lambda time, flow: time >= 1.0,
+            stop_when=lambda times, flows, rows: times >= 1.0,
         )
         full, _ = one_row_run(network, policy, 80, 0.2, 4.0, 7)
         for ours, theirs in zip(stopped.points, full.points):
@@ -84,7 +78,7 @@ class TestBatchStopping:
         for row, (n, seed) in enumerate([(60, 11), (90, 12), (120, 13)]):
             trajectory, assignment = one_row_run(
                 network, policy, n, 0.2, 4.0, seed,
-                stop_when=stop.scalar(row), stale=stale,
+                stop_when=lambda t, f, r, row=row: stop(t, f, r + row), stale=stale,
             )
             ours = result.trajectory(row)
             assert len(ours) == len(trajectory)

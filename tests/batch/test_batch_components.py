@@ -24,7 +24,7 @@ from repro.core import (
 from repro.core.dynamics import batch_stepper_for
 from repro.core.policy import PolicyStack, frozen_field
 from repro.instances import braess_network, pigou_network
-from repro.wardrop import FlowVector
+from repro.wardrop import FlowVector, NetworkFamily
 
 
 class TestNetworkBatchKernels:
@@ -170,7 +170,7 @@ def densify(blocks, table):
 class TestBatchBoard:
     def test_per_row_clocks(self):
         network = pigou_network(degree=1)
-        board = BatchBulletinBoard(network, np.array([0.1, 0.4]))
+        board = BatchBulletinBoard(NetworkFamily.replicate(network, 2), np.array([0.1, 0.4]))
         flows = np.tile(FlowVector.uniform(network).values(), (2, 1))
         board.post_rows(0.0, flows)
         assert list(board.phase_index) == [0, 0]
@@ -182,7 +182,7 @@ class TestBatchBoard:
     def test_rejects_nonpositive_period(self):
         network = pigou_network(degree=1)
         with pytest.raises(ValueError):
-            BatchBulletinBoard(network, np.array([0.1, 0.0]))
+            BatchBulletinBoard(NetworkFamily.replicate(network, 2), np.array([0.1, 0.0]))
 
 
 class TestBatchSteppers:

@@ -36,11 +36,15 @@ def assert_family_rows_match_one_row_runs(
         stop_when=stop_condition,
     )
     for row in range(family.size):
+        # The one-row run is batch row 0; the predicate indexes row ``row``.
+        row_stop = None
+        if stop_condition is not None:
+            row_stop = lambda t, f, r, row=row: stop_condition(t, f, r + row)  # noqa: E731
         alone = simulate(
             family.member(row), policy_list[row],
             update_period=periods[row], horizon=horizon,
             initial_flow=starts[row], stale=stale,
-            stop_when=stop_condition.scalar(row) if stop_condition is not None else None,
+            stop_when=row_stop,
         )
         batched = result.trajectory(row)
         assert batched.network is family.member(row)
@@ -59,7 +63,9 @@ def assert_family_rows_match_one_row_runs(
             if result.stop_phases[row] >= 0:
                 assert result.stop_phases[row] == len(alone.phases) - 1
                 last = alone.phases[-1]
-                assert stop_condition.scalar(row)(last.end_time, last.end_flow)
+                assert row_stop(
+                    np.array([last.end_time]), last.end_flow.values()[None, :], np.zeros(1, int)
+                )[0]
     return result
 
 

@@ -1,10 +1,8 @@
 """Edge cases of the vectorised stopping conditions (`repro.batch.stopping`).
 
 Covers the degenerate stopping patterns -- every row stops at the very first
-phase boundary, no row ever stops -- and the paired batch/scalar property:
-for a well-formed :class:`StopCondition` the batch predicate and the derived
-per-row scalar predicates agree everywhere, and a condition whose two views
-disagree is caught by the paired property check.
+phase boundary, no row ever stops -- and a predicate returning the wrong
+mask shape.
 """
 
 from __future__ import annotations
@@ -12,32 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch import (
-    StopCondition,
-    distance_stop,
-    equilibrium_gap_stop,
-    simulate_batch,
-)
+from repro.batch import distance_stop, simulate_batch
 from repro.core import uniform_policy
-from repro.instances import two_link_network
-from repro.wardrop import FlowVector, NetworkFamily
-
-
-def assert_paired_consistent(condition, times, flows, rows):
-    """The paired property: batch mask == per-row scalar evaluations.
-
-    Raises ``AssertionError`` when any row's scalar adapter disagrees with
-    the vectorised predicate -- the guard the equivalence suite relies on.
-    """
-    batch_mask = np.asarray(condition(times, flows, rows), dtype=bool)
-    network = two_link_network(beta=2.0)
-    for i, row in enumerate(rows):
-        scalar = condition.scalar(int(row))(
-            float(times[i]), FlowVector(network, flows[i], validate=False)
-        )
-        assert bool(batch_mask[i]) == scalar, (
-            f"batch/scalar disagreement at row {row}: {batch_mask[i]} vs {scalar}"
-        )
+from repro.wardrop import FlowVector
 
 
 @pytest.fixture
@@ -72,34 +47,6 @@ def test_no_row_ever_stops(settled_batch):
     assert np.array_equal(result.stop_phases, [-1, -1])
     assert not result.stopped_rows().any()
     assert np.array_equal(result.num_points, [21, 21])
-
-
-def test_paired_property_holds_for_builtin_conditions(two_links):
-    rng = np.random.default_rng(7)
-    family = NetworkFamily.replicate(two_links, 4)
-    flows = rng.dirichlet(np.ones(2), size=4)
-    times = rng.random(4) * 3.0
-    rows = np.arange(4)
-    for condition in (
-        distance_stop(np.full((4, 2), 0.5), tolerance=0.25),
-        equilibrium_gap_stop(two_links, delta=0.05),
-        equilibrium_gap_stop(family, delta=0.05),
-    ):
-        assert_paired_consistent(condition, times, flows, rows)
-
-
-def test_paired_property_catches_disagreeing_predicates():
-    # A rigged condition whose decision depends on the batch size: the
-    # vectorised view (several rows) and the scalar adapter (single-row
-    # batches) then disagree, which the paired property must surface.
-    def batch(times, flows, rows):
-        return np.full(len(rows), len(rows) > 1, dtype=bool)
-
-    condition = StopCondition(batch=batch)
-    flows = np.full((3, 2), 0.5)
-    times = np.zeros(3)
-    with pytest.raises(AssertionError, match="disagreement"):
-        assert_paired_consistent(condition, times, flows, np.arange(3))
 
 
 def test_stop_when_shape_mismatch_raises(settled_batch):

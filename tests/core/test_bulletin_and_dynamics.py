@@ -8,14 +8,14 @@ import pytest
 from repro.batch import BatchBulletinBoard
 from repro.core import dormand_prince_step
 from repro.core.dynamics import MAX_FACTOR, MIN_FACTOR, SAFETY, batch_stepper_for, step_factors
-from repro.wardrop import FlowVector
+from repro.wardrop import FlowVector, NetworkFamily
 
 
 class TestBulletinBoard:
     """One bulletin board: the one-row case of :class:`BatchBulletinBoard`."""
 
     def test_posts_freeze_the_snapshot_until_the_next_post(self, two_links):
-        board = BatchBulletinBoard(two_links, np.array([1.0]))
+        board = BatchBulletinBoard(NetworkFamily.replicate(two_links, 1), np.array([1.0]))
         assert board.phase_index[0] == -1
         board.post_rows(0.0, np.array([[0.9, 0.1]]))
         posted = board.posted_path_latencies.copy()
@@ -26,7 +26,7 @@ class TestBulletinBoard:
         assert not np.array_equal(board.posted_path_latencies, posted)
 
     def test_path_latencies_consistent_with_edge_latencies(self, braess):
-        board = BatchBulletinBoard(braess, np.array([0.5]))
+        board = BatchBulletinBoard(NetworkFamily.replicate(braess, 1), np.array([0.5]))
         flow = FlowVector.uniform(braess)
         board.post_rows(0.0, flow.values()[None, :])
         expected = braess.path_latencies(flow.values())

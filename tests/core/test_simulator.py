@@ -74,7 +74,9 @@ class TestBasicRuns:
             update_period=0.1,
             horizon=100.0,
             initial_flow=lopsided_flow(two_links, 0.9),
-            stop_when=lambda time, flow: equilibrium_violation(flow) < 1e-3,
+            stop_when=lambda times, flows, rows: np.array(
+                [equilibrium_violation(FlowVector(two_links, flows[0])) < 1e-3]
+            ),
         )
         assert trajectory.points[-1].time < 100.0
 

@@ -294,7 +294,7 @@ class TestStopWhenThreading:
                 update_period=case.update_period,
                 horizon=case.horizon,
                 initial_flow=case.initial_flow,
-                stop_when=case.stop_when.scalar(0),
+                stop_when=case.stop_when,
             )
             assert row["phases"] == len(direct.phases)
             assert row["final"] == direct.final_flow.values().tolist()

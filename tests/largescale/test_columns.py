@@ -150,9 +150,9 @@ class TestFullEnumerationEquivalence:
         active = ActivePathSet.from_network(network)
         seen = []
 
-        def stop(time, flow):
-            seen.append(time)
-            return len(seen) >= 3
+        def stop(times, flows, rows):
+            seen.append(float(times[0]))
+            return np.array([len(seen) >= 3])
 
         result = simulate_with_column_generation(
             active, uniform_policy, update_period=0.25, horizon=10.0, stop_when=stop,

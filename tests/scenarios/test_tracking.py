@@ -51,6 +51,20 @@ class TestIntervalEquilibria:
         # the first row, zero fresh solves afterwards.
         assert solves == [2, 0, 0]
 
+    def test_path_space_tracks_name_no_edge_method(self):
+        """Path space has one solver, so its tracks and cache keys carry no
+        edge-space method; edge-space tracks name the method that ran."""
+        network = pigou_network(degree=1)
+        cache = {}
+        track = interval_equilibria(network, demand_step_scenario(), horizon=8.0, cache=cache)
+        assert track.space == "path"
+        assert track.method is None
+        assert {key[-1] for key in cache} == {None}
+        edge = interval_equilibria(
+            network, demand_step_scenario(), horizon=8.0, space="edge", tolerance=1e-5
+        )
+        assert edge.method == "fw"
+
     def test_cache_distinguishes_networks(self):
         # Regression: the cache key used to be (modulation, space, tolerance)
         # only, so two *different* networks sharing one cache dict would

@@ -228,6 +228,23 @@ class TestTelemetryFlags:
         assert "tele_runner.cases_completed" in header
         assert trace.exists()
 
+    def test_sweep_writes_csv_and_jsonl_without_telemetry(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        jsonl_path = tmp_path / "sweep.jsonl"
+        assert main([
+            "sweep", "braess", "--policy", "uniform", "--periods", "0.2,0.4",
+            "--horizon", "2", "--csv", str(csv_path), "--jsonl", str(jsonl_path),
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "telemetry metrics" not in output
+        assert f"wrote {csv_path}" in output
+        header, *rows = csv_path.read_text().splitlines()
+        assert len(rows) == 2
+        assert header.startswith("instance,T,")
+        assert "tele_" not in header
+        records = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
+        assert [record["T"] for record in records] == [0.2, 0.4]
+
     def test_report_renders_a_recorded_trace(self, capsys, tmp_path):
         path = tmp_path / "sim.jsonl"
         assert main([

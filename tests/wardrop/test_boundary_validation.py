@@ -18,6 +18,7 @@ from repro.analysis.convergence import (
 )
 from repro.analysis.sweeps import SweepCase
 from repro.batch.agents import BatchAgentConfig
+from repro.batch.board import BatchBulletinBoard
 from repro.batch.stopping import distance_stop, equilibrium_gap_stop
 from repro.batch.engine import BatchConfig, simulate_batch
 from repro.core import better_response_policy, uniform_policy
@@ -43,7 +44,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.tracking import interval_equilibria
 from repro.solvers import solve_edge_flow_equilibrium, solve_wardrop_equilibrium
-from repro.wardrop import Commodity, FlowVector
+from repro.wardrop import Commodity, FlowVector, NetworkFamily
 from repro.wardrop.latency import (
     AffineLatency,
     BPRLatency,
@@ -199,6 +200,11 @@ ROWS = [
     ),
     ("BatchConfig(record_every=1.5)", lambda: BatchConfig(record_every=1.5), "record_every"),
     ("BatchConfig(record_every=nan)", lambda: BatchConfig(record_every=NAN), "record_every"),
+    (
+        "BatchBulletinBoard(update_periods=[nan])",
+        lambda: BatchBulletinBoard(NetworkFamily.replicate(BRAESS, 1), np.array([NAN])),
+        r"update_periods\[0\]",
+    ),
     (
         "simulate_batch(better response, stale=False)",
         lambda: simulate_batch(BRAESS, better_response_policy(), [0.1], 0.2, stale=False),
