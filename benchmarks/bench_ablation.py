@@ -62,15 +62,14 @@ def test_dense_recording_does_not_change_phase_ends(report_header, stale):
             network, policy, [period], horizon, initial_flows=[start], stale=stale,
             steps_per_phase=steps, record_every=1,
         ).trajectory(0)
-    plain_ends = np.array([p.end_flow.values() for p in plain.phases])
+    plain_ends = plain.phase_ends
     rows = []
     for recording, trajectory in runs.items():
-        ends = np.array([p.end_flow.values() for p in trajectory.phases])
         rows.append(
             {
                 "recording": recording,
-                "points": len(trajectory.points),
-                "max_end_shift": float(np.abs(ends - plain_ends).max()),
+                "points": len(trajectory),
+                "max_end_shift": float(np.abs(trajectory.phase_ends - plain_ends).max()),
                 "final_potential": potential(trajectory.final_flow),
                 "identity_residual": phase_potential_stats(trajectory).max_identity_residual,
             }
@@ -101,11 +100,8 @@ def test_migration_cap_never_binds_for_smooth_settings(report_header):
         network, policy, update_period=period, horizon=20.0, initial_flow=start
     )
     # Largest migration probability actually used along the run.
-    largest = 0.0
-    for phase in trajectory.phases:
-        latencies = phase.start_flow.path_latencies()
-        gap = float(latencies.max() - latencies.min())
-        largest = max(largest, alpha * gap)
+    latencies = network.path_latencies(trajectory.phase_starts)
+    largest = float((alpha * (latencies.max(axis=1) - latencies.min(axis=1))).max())
     rows = [{
         "alpha": alpha,
         "alpha*l_max": alpha * network.max_latency(),

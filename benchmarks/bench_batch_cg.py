@@ -185,11 +185,8 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
                 update_period=period, horizon=horizon,
                 scenario=scenarios[row], stale=True,
             )
-            scalar_matrix = np.array(
-                [point.flow.values() for point in scalar_closed.trajectory.points]
-            )
             exact = exact and np.array_equal(
-                scalar_matrix, closed_result.flow_matrix(row)
+                scalar_closed.trajectory.flows, closed_result.flow_matrix(row)
             )
 
     rows = [

@@ -100,7 +100,7 @@ def test_fixed_point_is_period_two(report_header):
     for period in PERIODS:
         network = two_link_network(beta=2.0)
         trajectory = run_oscillation(2.0, period, phases=20)
-        starts = np.array([flow.values()[0] for flow in trajectory.phase_start_flows()])
+        starts = trajectory.phase_starts[:, 0]
         rows.append(
             {
                 "T": period,

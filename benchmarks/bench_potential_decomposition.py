@@ -33,7 +33,12 @@ def run_and_decompose(network, phases=100):
         network, policy, update_period=period, horizon=phases * period,
         initial_flow=start,
     )
-    return [decompose_phase(p.start_flow, p.end_flow) for p in trajectory.phases]
+    return [
+        decompose_phase(
+            FlowVector(network, start, validate=False), FlowVector(network, end, validate=False)
+        )
+        for start, end in zip(trajectory.phase_starts, trajectory.phase_ends)
+    ]
 
 
 @pytest.mark.experiment("E7")

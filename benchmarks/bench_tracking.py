@@ -159,7 +159,7 @@ def run_benchmark(
                     network, policy, update_period=period, horizon=horizon,
                     scenario=scenarios[row],
                 )
-                scalar_flows.append(np.array([p.flow.values() for p in trajectory.points]))
+                scalar_flows.append(trajectory.flow_matrix())
         scalar_seconds = min(scalar_seconds, scalar_timer.seconds)
     # Normalise the scalar timing to the full batch when only a subset ran.
     scalar_seconds_full = scalar_seconds * batch / scalar_rows

@@ -49,7 +49,7 @@ def main() -> None:
     best_response = simulate_best_response(
         network, update_period=update_period, horizon=horizon, initial_flow=start
     )
-    shares = [flow.values()[0] for flow in best_response.phase_start_flows()]
+    shares = best_response.phase_starts[:, 0].tolist()
     print("Best response -- share of traffic on link 1 at each phase start:")
     print(ascii_series(shares))
     print()
@@ -65,7 +65,7 @@ def main() -> None:
         horizon=max(horizon, 150 * update_period),
         initial_flow=start,
     )
-    smooth_shares = [flow.values()[0] for flow in smooth.phase_start_flows()]
+    smooth_shares = smooth.phase_starts[:, 0].tolist()
     print(f"alpha-smooth policy (alpha={alpha:.4g}) -- first 20 phases of the same plot:")
     print(ascii_series(smooth_shares[:20]))
     print()

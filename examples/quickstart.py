@@ -17,6 +17,8 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis import analyse_oscillation, print_table
 from repro.core import (
     oscillation_amplitude,
@@ -25,7 +27,7 @@ from repro.core import (
     simulate_best_response,
 )
 from repro.instances import lopsided_flow, oscillation_initial_flow, two_link_network
-from repro.wardrop import equilibrium_violation, potential
+from repro.wardrop import equilibrium_violations, potentials
 
 
 def main() -> None:
@@ -49,18 +51,25 @@ def main() -> None:
     trajectory = simulate(
         network, policy, update_period=safe_period, horizon=40.0, initial_flow=start
     )
-    rows = []
-    for time in [0.0, 5.0, 10.0, 20.0, 40.0]:
-        point = trajectory.sample_at(time)
-        rows.append(
-            {
-                "time": point.time,
-                "flow_link_1": point.flow.values()[0],
-                "flow_link_2": point.flow.values()[1],
-                "potential": potential(point.flow),
-                "violation": equilibrium_violation(point.flow),
-            }
+    # The trajectory is arrays: pick the recorded samples nearest these
+    # times and evaluate each measure on them in one call.
+    samples = [int(np.argmin(np.abs(trajectory.times - t))) for t in [0, 5, 10, 20, 40]]
+    flows = trajectory.flows[samples]
+    rows = [
+        {
+            "time": time,
+            "flow_link_1": flow[0],
+            "flow_link_2": flow[1],
+            "potential": phi,
+            "violation": violation,
+        }
+        for time, flow, phi, violation in zip(
+            trajectory.times[samples],
+            flows,
+            potentials(network, flows),
+            equilibrium_violations(network, flows),
         )
+    ]
     print_table(rows, title="Replicator policy under stale information (T = T*)")
 
     # 5. Best response at a much larger update period oscillates forever.

@@ -2,9 +2,10 @@
 
 Theorems 6 and 7 bound "the number of update periods not starting at a
 (weak) (delta, eps)-equilibrium".  The functions here compute exactly that
-quantity from a recorded trajectory (which stores the flow at every phase
-start), plus continuous-time variants (first time the potential gap or the
-unsatisfied volume drops below a target) that the examples report.
+quantity from a recorded trajectory (one stacked evaluation over its
+``(K, P)`` phase-start flows), plus continuous-time variants (first time the
+potential gap or the unsatisfied volume drops below a target) that the
+examples report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..core.trajectory import Trajectory
-from ..wardrop.equilibrium import unsatisfied_volume, weakly_unsatisfied_volume
-from ..wardrop.potential import potential
+from ..wardrop.equilibrium import unsatisfied_volumes, weakly_unsatisfied_volumes
+from ..wardrop.potential import potentials
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,22 @@ def check_slacks(delta: float, epsilon: float) -> None:
 def count_bad_phases(trajectory: Trajectory, delta: float, epsilon: float) -> ConvergenceSummary:
     """Count update periods not starting at a (weak) (delta, eps)-equilibrium."""
     check_slacks(delta, epsilon)
-    bad = 0
-    weak_bad = 0
-    last_bad = -1
-    for phase in trajectory.phases:
-        start = phase.start_flow
-        if unsatisfied_volume(start, delta) > epsilon:
-            bad += 1
-            last_bad = phase.index
-        if weakly_unsatisfied_volume(start, delta) > epsilon:
-            weak_bad += 1
+    network, starts = trajectory.network, trajectory.phase_starts
+    bad = unsatisfied_volumes(network, starts, delta) > epsilon
+    weak_bad = weakly_unsatisfied_volumes(network, starts, delta) > epsilon
     return ConvergenceSummary(
-        total_phases=len(trajectory.phases),
-        bad_phases=bad,
-        weak_bad_phases=weak_bad,
-        last_bad_phase=last_bad,
+        total_phases=len(starts),
+        bad_phases=int(np.count_nonzero(bad)),
+        weak_bad_phases=int(np.count_nonzero(weak_bad)),
+        last_bad_phase=int(np.flatnonzero(bad)[-1]) if bad.any() else -1,
         delta=delta,
         epsilon=epsilon,
     )
+
+
+def _first_time(times: np.ndarray, reached: np.ndarray) -> Optional[float]:
+    """Return the first of ``times`` where ``reached`` holds, or ``None``."""
+    return float(times[np.argmax(reached)]) if reached.any() else None
 
 
 def time_to_potential_gap(
@@ -88,10 +87,8 @@ def time_to_potential_gap(
     """
     if not gap >= 0:
         raise ValueError(f"gap must be non-negative, got {gap}")
-    for point in trajectory.points:
-        if potential(point.flow) - optimal_potential <= gap:
-            return point.time
-    return None
+    reached = potentials(trajectory.network, trajectory.flows) - optimal_potential <= gap
+    return _first_time(trajectory.times, reached)
 
 
 def time_to_approximate_equilibrium(
@@ -103,11 +100,9 @@ def time_to_approximate_equilibrium(
     recorded phase start qualifies.
     """
     check_slacks(delta, epsilon)
-    measure = weakly_unsatisfied_volume if weak else unsatisfied_volume
-    for phase in trajectory.phases:
-        if measure(phase.start_flow, delta) <= epsilon:
-            return phase.start_time
-    return None
+    measure = weakly_unsatisfied_volumes if weak else unsatisfied_volumes
+    reached = measure(trajectory.network, trajectory.phase_starts, delta) <= epsilon
+    return _first_time(trajectory.phases[:, 0], reached)
 
 
 def potential_is_monotone(trajectory: Trajectory, slack: float = 1e-9) -> bool:
@@ -117,8 +112,8 @@ def potential_is_monotone(trajectory: Trajectory, slack: float = 1e-9) -> bool:
     a safe update period (Lemma 4) the potential measured at phase ends must
     be non-increasing; oscillating runs violate this.
     """
-    values = [potential(phase.end_flow) for phase in trajectory.phases]
-    return all(b <= a + slack for a, b in zip(values, values[1:]))
+    values = potentials(trajectory.network, trajectory.phase_ends)
+    return bool(np.all(values[1:] <= values[:-1] + slack))
 
 
 def final_distance_to(trajectory: Trajectory, reference_values: np.ndarray) -> float:
@@ -138,7 +133,7 @@ def fluid_limit_deviation(trajectory: Trajectory, fluid: Trajectory) -> float:
     Both trajectories are typically recorded on the same phase grid (same
     update period and horizon), in which case the time matching is exact.
     """
-    if not trajectory.points or not fluid.points:
+    if not len(trajectory) or not len(fluid):
         raise ValueError("both trajectories must contain recorded points")
     times = trajectory.times
     fluid_times = fluid.times
@@ -152,5 +147,4 @@ def fluid_limit_deviation(trajectory: Trajectory, fluid: Trajectory) -> float:
         left,
         right,
     )
-    fluid_flows = fluid.flow_matrix()[nearest]
-    return float(np.max(np.abs(trajectory.flow_matrix() - fluid_flows)))
+    return float(np.max(np.abs(trajectory.flows - fluid.flows[nearest])))

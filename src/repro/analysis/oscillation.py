@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.trajectory import Trajectory
+from ..wardrop.flow import max_used_latencies
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,11 @@ def analyse_oscillation(
     ``window`` phase-start flows from the end of the run are examined; runs
     shorter than the window use every recorded phase.
     """
-    starts = trajectory.phase_start_flows()
-    if not starts:
+    if not len(trajectory.phases):
         raise ValueError("trajectory has no recorded phases")
-    tail = starts[-window:]
-    matrix = np.array([flow.values() for flow in tail])
+    matrix = trajectory.phase_starts[-window:]
     amplitude = float((matrix.max(axis=0) - matrix.min(axis=0)).max())
-    latencies = [flow.max_used_latency() for flow in tail]
+    latencies = max_used_latencies(trajectory.network, matrix)
     period = _estimate_period(matrix)
     return OscillationReport(
         amplitude=amplitude,
@@ -106,4 +105,4 @@ def phase_start_latency_trace(trajectory: Trajectory) -> np.ndarray:
     For the two-link oscillation instance this is the quantity whose closed
     form is ``X = beta (1 - e^{-T}) / (2 e^{-T} + 2)``.
     """
-    return np.array([flow.max_used_latency() for flow in trajectory.phase_start_flows()])
+    return max_used_latencies(trajectory.network, trajectory.phase_starts)

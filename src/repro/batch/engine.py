@@ -82,7 +82,7 @@ from ..core.dynamics import (
     transition_blocks,
 )
 from ..core.policy import PolicyStack, ReroutingPolicy, frozen_field
-from ..core.trajectory import PhaseRecord, Trajectory, planned_phase_counts
+from ..core.trajectory import Trajectory, planned_phase_counts
 from ..scenarios.scenario import ScenarioEnsemble
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.family import NetworkFamily
@@ -190,19 +190,17 @@ class BatchResult:
 
     ``times[r, k]`` and ``flows[r, k]`` hold row ``r``'s ``k``-th recorded
     sample (``k = 0`` is the initial state, then one sample per completed
-    phase); only the first ``num_points[r]`` slots of row ``r`` are valid.
-    ``stop_phases[r]`` is the index of the phase whose end triggered row
-    ``r``'s ``stop_when`` condition (−1 if it never fired).
-
-    Dense (strided) runs additionally fill ``sample_phases[r, k]`` with the
-    phase index each sample belongs to, ``boundary_mask[r, k]`` with whether
-    it is a phase boundary, and ``phase_counts[r]`` with the number of
-    completed phases (which no longer equals ``num_points - 1``).
+    phase, plus the intermediate samples of dense runs); only the first
+    ``num_points[r]`` slots of row ``r`` are valid.  ``sample_phases[r, k]``
+    is the phase sample ``k`` belongs to, ``boundary_mask[r, k]`` whether it
+    is a phase boundary and ``phase_counts[r]`` the number of completed
+    phases.  ``stop_phases[r]`` is the index of the phase whose end
+    triggered row ``r``'s ``stop_when`` condition (−1 if it never fired).
 
     ``phase_start_flows[r, k]``, when set, is the state row ``r``'s phase
     ``k`` integrated from.  Only a phase-start step that moves flow (column
     generation evicting closed columns) makes it differ from the sample
-    closing phase ``k - 1``; without it, phase records start there.
+    closing phase ``k - 1``; without it, phases start there.
     """
 
     network: WardropNetwork
@@ -214,10 +212,10 @@ class BatchResult:
     flows: np.ndarray
     num_points: np.ndarray
     family: NetworkFamily
+    sample_phases: np.ndarray
+    boundary_mask: np.ndarray
+    phase_counts: np.ndarray
     stop_phases: Optional[np.ndarray] = None
-    sample_phases: Optional[np.ndarray] = None
-    boundary_mask: Optional[np.ndarray] = None
-    phase_counts: Optional[np.ndarray] = None
     phase_start_flows: Optional[np.ndarray] = None
 
     @property
@@ -233,9 +231,7 @@ class BatchResult:
 
     def num_phases(self, row: int) -> int:
         """Return the number of completed bulletin-board phases of one row."""
-        if self.phase_counts is not None:
-            return int(self.phase_counts[row])
-        return int(self.num_points[row]) - 1
+        return int(self.phase_counts[row])
 
     def stopped_rows(self) -> np.ndarray:
         """Return the boolean mask of rows frozen by ``stop_when``."""
@@ -261,53 +257,32 @@ class BatchResult:
         return self.flows[row, : self.num_points[row]].copy()
 
     def trajectory(self, row: int) -> Trajectory:
-        """Materialise one row as a scalar :class:`Trajectory`.
+        """Return one row as a :class:`Trajectory` of views into this result.
 
-        The result has the same points, phase records and metadata as the
-        one-row run of that configuration (on the row's own family member
-        for heterogeneous batches), so the whole analysis toolkit
-        (convergence counting, oscillation detection, sweep row builders)
-        applies unchanged.
+        The result equals the one-row run of that configuration (on the
+        row's own family member for heterogeneous batches), so the whole
+        analysis toolkit (convergence counting, oscillation detection, sweep
+        row builders) applies unchanged.
         """
-        network = self.row_network(row)
         count = int(self.num_points[row])
-        trajectory = Trajectory(
-            network=network,
+        times = self.times[row, :count]
+        flows = self.flows[row, :count]
+        boundaries = np.flatnonzero(self.boundary_mask[row, :count])
+        starts, ends = boundaries[:-1], boundaries[1:]
+        phase_starts = flows[starts]
+        if self.phase_start_flows is not None:
+            phase_starts = self.phase_start_flows[row, : len(starts)]
+        return Trajectory(
+            network=self.row_network(row),
+            times=times,
+            flows=flows,
+            sample_phases=self.sample_phases[row, :count],
+            phases=np.stack([times[starts], times[ends]], axis=1),
+            phase_starts=phase_starts,
+            phase_ends=flows[ends],
             policy_name=self.policy_names[row],
             update_period=float(self.update_periods[row]) if self.stale else 0.0,
         )
-        vectors = [
-            FlowVector(network, self.flows[row, k], validate=False)
-            for k in range(count)
-        ]
-        if self.sample_phases is None:
-            # Boundary-only recording: sample k closes phase k-1.
-            for k in range(count):
-                trajectory.record(float(self.times[row, k]), vectors[k], max(k - 1, 0))
-            boundary_indices = list(range(count))
-        else:
-            for k in range(count):
-                trajectory.record(
-                    float(self.times[row, k]), vectors[k], int(self.sample_phases[row, k])
-                )
-            boundary_indices = [
-                k for k in range(count) if bool(self.boundary_mask[row, k])
-            ]
-        for p in range(len(boundary_indices) - 1):
-            start, end = boundary_indices[p], boundary_indices[p + 1]
-            start_flow = vectors[start]
-            if self.phase_start_flows is not None:
-                start_flow = FlowVector(network, self.phase_start_flows[row, p], validate=False)
-            trajectory.record_phase(
-                PhaseRecord(
-                    index=p,
-                    start_time=float(self.times[row, start]),
-                    end_time=float(self.times[row, end]),
-                    start_flow=start_flow,
-                    end_flow=vectors[end],
-                )
-            )
-        return trajectory
 
     def trajectories(self) -> List[Trajectory]:
         """Materialise every row (convenience for small batches)."""
@@ -654,7 +629,6 @@ class BatchEnsembleBase:
             )
             run_span.close()
         tele.counter(f"{prefix}.runs").add()
-        dense = samples_per_phase is not None
         return dict(
             network=self.network,
             update_periods=periods.copy(),
@@ -665,9 +639,9 @@ class BatchEnsembleBase:
             num_points=recording.num_points,
             stop_phases=stop_phases,
             family=self.family,
-            sample_phases=recording.sample_phases if dense else None,
-            boundary_mask=recording.boundary_mask if dense else None,
-            phase_counts=recording.phase_counts if dense else None,
+            sample_phases=recording.sample_phases,
+            boundary_mask=recording.boundary_mask,
+            phase_counts=recording.phase_counts,
         )
 
 

@@ -7,7 +7,8 @@ returns a boolean mask -- True freezes a row.  A one-replica run
 (``simulate``, ``simulate_agents``, ``simulate_with_column_generation``) is a
 one-row batch and passes the same predicate with ``rows == [0]``, so a
 single predicate object stops a batched row and its one-row run at the same
-phase, with the same floating-point operations.
+phase, with the same floating-point operations.  Both predicates here raise
+``ValueError`` on flows over a path set that column generation grew.
 """
 
 from __future__ import annotations
@@ -16,10 +17,19 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ..wardrop.equilibrium import equilibrium_violations
 from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from .engine import StopPredicate
+
+
+def _check_paths(name: str, paths: int, flows: np.ndarray) -> None:
+    if flows.shape[-1] != paths:
+        raise ValueError(
+            f"{name} was built for {paths} paths but got flows over {flows.shape[-1]}: column "
+            "generation grew the run's path set, and the predicate prices only its fixed set"
+        )
 
 
 def _stack_targets(targets) -> np.ndarray:
@@ -48,6 +58,7 @@ def distance_stop(
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
 
     def predicate(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        _check_paths("distance_stop", stacked.shape[-1], flows)
         return np.abs(flows - stacked[rows]).sum(axis=1) <= tolerance
 
     return predicate
@@ -64,7 +75,8 @@ def equilibrium_gap_stop(
     carrying more than ``threshold`` flow exceeds the commodity's minimum
     path latency by at most ``delta`` -- the delta-approximate-equilibrium
     criterion of the convergence theorems, evaluated on row ``r``'s live
-    latencies (member ``r``'s for a family; a network prices every row).
+    latencies (member ``r``'s for a family; a network prices every row) by
+    the :func:`~repro.wardrop.equilibrium.equilibrium_violations` kernel.
     """
     family = (
         network if isinstance(network, NetworkFamily) else NetworkFamily.replicate(network, 1)
@@ -73,12 +85,10 @@ def equilibrium_gap_stop(
     for name, value in (("delta", delta), ("threshold", threshold)):
         if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    blocks = family.base.paths.blocks
 
     def predicate(times: np.ndarray, flows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        latencies = blocks.gather(family.path_latencies_batch(flows, rows))
-        worst = np.where(blocks.gather(flows) > threshold, latencies, -np.inf).max(axis=-1)
-        best = np.where(blocks.valid, latencies, np.inf).min(axis=-1)
-        return (worst - best <= delta).all(axis=-1)
+        _check_paths("equilibrium_gap_stop", family.num_paths, flows)
+        latencies = family.path_latencies_batch(flows, rows)
+        return equilibrium_violations(family.base, flows, latencies, threshold) <= delta
 
     return predicate

@@ -47,13 +47,12 @@ from .smoothness import (
     safe_update_period,
     safe_update_period_for_rule,
 )
-from .trajectory import PhaseRecord, Trajectory, TrajectoryPoint
+from .trajectory import Trajectory
 
 __all__ = [
     "BetterResponseMigration",
     "LinearMigration",
     "MigrationRule",
-    "PhaseRecord",
     "ProportionalSampling",
     "ReroutingPolicy",
     "SamplingRule",
@@ -62,7 +61,6 @@ __all__ = [
     "SmoothnessCheck",
     "SoftmaxSampling",
     "Trajectory",
-    "TrajectoryPoint",
     "UniformSampling",
     "batch_stepper_for",
     "best_reply_target",

@@ -12,10 +12,10 @@ which is the setting of Theorem 2.
 There is one fluid engine: a single run is the one-row case of
 :class:`~repro.batch.engine.BatchSimulator`, so a replica behaves the same
 whether it runs alone or as row ``r`` of an ensemble.  The returned
-:class:`~repro.core.trajectory.Trajectory` holds per-phase start/end flows,
-which is exactly the granularity the paper's convergence-time statements
-are about ("the number of update periods not starting at an approximate
-equilibrium").
+:class:`~repro.core.trajectory.Trajectory` holds the ``(K, P)`` stacks of
+phase-start and phase-end flows, which is exactly the granularity the
+paper's convergence-time statements are about ("the number of update
+periods not starting at an approximate equilibrium").
 """
 
 from __future__ import annotations

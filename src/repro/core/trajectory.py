@@ -1,23 +1,21 @@
-"""Trajectory recording for the dynamics simulators.
+"""The recorded form of a dynamics run and the phase grid every engine uses.
 
-A :class:`Trajectory` stores the flow at sample times together with the
-derived quantities the analyses need (potential, average latency,
-unsatisfied volumes, phase boundaries).  Both the fluid-limit simulator and
-the finite-agent simulator produce trajectories, so the analysis toolkit and
-the benchmarks can treat them uniformly.
+A :class:`Trajectory` is one row of an engine's result as arrays
+(:meth:`repro.batch.engine.BatchResult.trajectory`), for every model alike;
+each derived quantity (potential, average latency, unsatisfied volumes) is
+one stacked evaluation over those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..wardrop.equilibrium import unsatisfied_volume, weakly_unsatisfied_volume
-from ..wardrop.flow import FlowVector
+from ..wardrop.equilibrium import unsatisfied_volumes, weakly_unsatisfied_volumes
+from ..wardrop.flow import FlowVector, average_latencies, max_used_latencies
 from ..wardrop.network import WardropNetwork
-from ..wardrop.potential import potential
+from ..wardrop.potential import potential, potentials
 
 
 def planned_phase_counts(horizons, periods) -> np.ndarray:
@@ -42,111 +40,84 @@ def planned_phase_counts(horizons, periods) -> np.ndarray:
 
 
 @dataclass
-class TrajectoryPoint:
-    """One recorded sample of a dynamics run."""
+class Trajectory:
+    """A recorded run of one of the dynamics simulators, as arrays.
 
-    time: float
-    flow: FlowVector
-    phase_index: int
-
-    @property
-    def potential(self) -> float:
-        return potential(self.flow)
-
-
-@dataclass
-class PhaseRecord:
-    """Summary of one bulletin-board phase (one update period).
-
-    ``start_flow`` is the flow at the phase start (i.e. the posted state) and
-    ``end_flow`` the flow when the next update happened; the Lemma 3/4
-    quantities are derived from the pair by the analysis module.
+    ``times`` ``(N,)`` and ``flows`` ``(N, P)`` are the run's samples (sample
+    0 is the initial state) and ``sample_phases[k]`` the phase sample ``k``
+    belongs to.  Row ``k`` of ``phases`` ``(K, 2)`` holds phase ``k``'s
+    (start, end) times, ``phase_starts[k]`` the state the phase moved from
+    (the flow posted on the board) and ``phase_ends[k]`` the state it ended
+    in; the Lemma 3/4 quantities and the Theorem 6/7 counts are evaluated on
+    these two ``(K, P)`` stacks.  The arrays may be views of the batch result
+    the trajectory was read from.
     """
 
-    index: int
-    start_time: float
-    end_time: float
-    start_flow: FlowVector
-    end_flow: FlowVector
-
-
-@dataclass
-class Trajectory:
-    """A recorded run of one of the dynamics simulators."""
-
     network: WardropNetwork
-    points: List[TrajectoryPoint] = field(default_factory=list)
-    phases: List[PhaseRecord] = field(default_factory=list)
+    times: np.ndarray
+    flows: np.ndarray
+    sample_phases: np.ndarray
+    phases: np.ndarray
+    phase_starts: np.ndarray
+    phase_ends: np.ndarray
     policy_name: str = ""
     update_period: float = 0.0
 
-    # Recording ------------------------------------------------------------
-
-    def record(self, time: float, flow: FlowVector, phase_index: int) -> None:
-        self.points.append(TrajectoryPoint(time=time, flow=flow, phase_index=phase_index))
-
-    def record_phase(self, record: PhaseRecord) -> None:
-        self.phases.append(record)
+    def __post_init__(self) -> None:
+        samples, phases, paths = len(self.times), len(self.phases), self.network.num_paths
+        expected = dict(
+            flows=(samples, paths), sample_phases=(samples,), phases=(phases, 2),
+            phase_starts=(phases, paths), phase_ends=(phases, paths),
+        )
+        for name, shape in expected.items():
+            if np.shape(getattr(self, name)) != shape:
+                got = np.shape(getattr(self, name))
+                raise ValueError(f"trajectory {name} has shape {got}, expected {shape}")
 
     # Access ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.times)
 
     @property
     def initial_flow(self) -> FlowVector:
-        return self.points[0].flow
+        return FlowVector(self.network, self.flows[0], validate=False)
 
     @property
     def final_flow(self) -> FlowVector:
-        return self.points[-1].flow
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([point.time for point in self.points])
+        return FlowVector(self.network, self.flows[-1], validate=False)
 
     def flow_matrix(self) -> np.ndarray:
-        """Return an array of shape (samples, paths) of path flows over time."""
-        return np.array([point.flow.values() for point in self.points])
+        """Return a copy of the ``(samples, paths)`` array of path flows over time."""
+        return np.array(self.flows, dtype=float)
 
     def potential_trace(self) -> np.ndarray:
         """Return the Beckmann potential at every recorded sample."""
-        return np.array([point.potential for point in self.points])
+        return potentials(self.network, self.flows)
 
     def average_latency_trace(self) -> np.ndarray:
         """Return the overall average latency ``L`` at every sample."""
-        return np.array([point.flow.average_latency() for point in self.points])
+        return average_latencies(self.network, self.flows)
 
     def max_used_latency_trace(self) -> np.ndarray:
         """Return the maximum latency over used paths at every sample."""
-        return np.array([point.flow.max_used_latency() for point in self.points])
+        return max_used_latencies(self.network, self.flows)
 
     def unsatisfied_trace(self, delta: float) -> np.ndarray:
         """Return the delta-unsatisfied volume (Definition 3) at every sample."""
-        return np.array([unsatisfied_volume(point.flow, delta) for point in self.points])
+        return unsatisfied_volumes(self.network, self.flows, delta)
 
     def weakly_unsatisfied_trace(self, delta: float) -> np.ndarray:
         """Return the weakly delta-unsatisfied volume (Definition 4) at every sample."""
-        return np.array([weakly_unsatisfied_volume(point.flow, delta) for point in self.points])
-
-    def phase_start_flows(self) -> List[FlowVector]:
-        """Return the flow at the start of every completed phase."""
-        return [phase.start_flow for phase in self.phases]
-
-    def sample_at(self, time: float) -> TrajectoryPoint:
-        """Return the recorded point closest to ``time``."""
-        if not self.points:
-            raise ValueError("trajectory is empty")
-        index = int(np.argmin(np.abs(self.times - time)))
-        return self.points[index]
+        return weakly_unsatisfied_volumes(self.network, self.flows, delta)
 
     def describe(self) -> str:
         """Return a one-line summary of the run."""
-        if not self.points:
+        if not len(self):
             return "Trajectory(empty)"
         return (
             f"Trajectory(policy={self.policy_name or 'unknown'}, T={self.update_period:g}, "
-            f"samples={len(self.points)}, phases={len(self.phases)}, "
-            f"t_final={self.points[-1].time:g}, "
-            f"Phi_final={self.points[-1].potential:.6g})"
+            f"samples={len(self)}, phases={len(self.phases)}, "
+            f"t_final={self.times[-1]:g}, "
+            f"Phi_final={potential(self.final_flow):.6g})"
         )

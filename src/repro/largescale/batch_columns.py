@@ -89,8 +89,8 @@ class BatchColumnGenerationResult(BatchResult):
 
     A :class:`~repro.batch.engine.BatchResult` on the **final** restricted
     network (``flows`` has shape ``(B, S, P_final)``; earlier samples carry
-    zero flow on later-discovered columns), whose phase records start from
-    the post-eviction state.  ``duality_gaps`` holds the per-row relative
+    zero flow on later-discovered columns), whose trajectories' phase starts
+    are the post-eviction states.  ``duality_gaps`` holds the per-row relative
     duality gap of the final flows in each row's final effective network --
     the oracle certificate that the row settled (close) to a Wardrop
     equilibrium of the *full* network.  ``growth_events`` lists
@@ -116,7 +116,8 @@ class BatchColumnGenerationResult(BatchResult):
         for row in range(1, self.batch_size):
             if not np.array_equal(self.times[row, : self.num_points[row]], clock):
                 raise ValueError(
-                    "rows run on different clocks; read trajectory(row).phases instead"
+                    "rows run on different clocks; read each row's (K, 2) "
+                    "trajectory(row).phases array instead"
                 )
         return list(zip(clock[:-1].tolist(), clock[1:].tolist()))
 

@@ -7,10 +7,10 @@ touches a handful of the edges, so :class:`EdgeIncidence` stores ``A`` in
 CSR form in both orientations and evaluates each product in ``O(nnz)`` on
 every instance, from Pigou's two links to a road network.
 
-Each product takes one row or a batch of rows: row ``b`` of a batched
-product accumulates the same nonzeros in the same order as the one-row
-product, so the two agree bit for bit, and batched results are C-contiguous
-like every other ``(B, ...)`` array of the engines.
+Each product takes one row or a stack of rows ``(..., N)``: each row of a
+stacked product accumulates the same nonzeros in the same order as the
+one-row product, so the two agree bit for bit, and stacked results are
+C-contiguous like every other ``(B, ...)`` array of the engines.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 def _product(matrix: _sparse.csr_matrix, operand: np.ndarray) -> np.ndarray:
-    """Apply a CSR matrix to a vector or to every row of a ``(B, N)`` batch."""
+    """Apply a CSR matrix to a vector or to every row of a ``(..., N)`` stack."""
     operand = np.asarray(operand, dtype=float)
     if operand.ndim == 1:
         return matrix @ operand
+    rows = operand.reshape(-1, operand.shape[-1])
     # ``(M @ X.T).T`` is F-ordered; BLAS products downstream pick their
     # kernel by layout, so the rows are handed out C-contiguous.
-    return np.ascontiguousarray((matrix @ operand.T).T)
+    product = np.ascontiguousarray((matrix @ rows.T).T)
+    return product.reshape(operand.shape[:-1] + (matrix.shape[0],))
 
 
 class EdgeIncidence:
@@ -61,11 +63,11 @@ class EdgeIncidence:
         self._dense_cache: np.ndarray = None
 
     def edge_flows(self, path_flows: np.ndarray) -> np.ndarray:
-        """``A @ f`` on path flows ``(P,)`` or ``(B, P)``."""
+        """``A @ f`` on path flows ``(P,)`` or ``(..., P)``."""
         return _product(self._by_edge, path_flows)
 
     def path_totals(self, edge_values: np.ndarray) -> np.ndarray:
-        """``A.T @ v`` on edge values ``(E,)`` or ``(B, E)`` (latencies, slopes ...)."""
+        """``A.T @ v`` on edge values ``(E,)`` or ``(..., E)`` (latencies, slopes ...)."""
         return _product(self._by_path, edge_values)
 
     def dense(self) -> np.ndarray:

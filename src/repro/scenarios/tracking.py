@@ -52,6 +52,7 @@ from ..solvers.edge_frank_wolfe import check_method, solve_edge_flow_equilibrium
 from ..solvers.projection_gradient import solve_wardrop_equilibrium
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
+from ..wardrop.potential import potentials
 from ..wardrop.validation import require_positive
 from .scenario import Modulation, Scenario
 
@@ -272,21 +273,17 @@ def tracking_error(trajectory: Trajectory, track: EquilibriumTrack) -> Tuple[np.
     with the edge-flow equilibrium.  Evaluated at every recorded trajectory
     point.
     """
-    network = track.network
-    times = np.array([point.time for point in trajectory.points])
-    errors = np.empty(len(times))
-    positions = None
-    if track.space == "edge":
-        positions = track.oracle.network_edge_positions(network)
-    for i, point in enumerate(trajectory.points):
-        reference = track.equilibrium_at(float(times[i]))
-        if track.space == "path":
-            errors[i] = float(np.abs(point.flow.values() - reference.flow_values).sum())
-        else:
-            full = np.zeros(track.oracle.num_edges)
-            full[positions] = network.edge_flows(point.flow.values())
-            errors[i] = float(np.abs(full - reference.edge_flows).sum())
-    return times, errors
+    times = np.array(trajectory.times, dtype=float)
+    references = [track.equilibrium_at(float(t)) for t in times]
+    if track.space == "path":
+        flows = trajectory.flows
+        targets = np.array([reference.flow_values for reference in references])
+    else:
+        flows = np.zeros((len(times), track.oracle.num_edges))
+        positions = track.oracle.network_edge_positions(track.network)
+        flows[:, positions] = track.network.edge_flows(trajectory.flows)
+        targets = np.array([reference.edge_flows for reference in references])
+    return times, np.abs(flows - targets).sum(axis=-1)
 
 
 def time_to_reequilibrate(
@@ -321,18 +318,12 @@ def tracking_regret(
     iff the dynamics sit on the instantaneous equilibrium throughout, and
     non-negative up to solver tolerance.
     """
-    from ..wardrop.potential import potential
-    from ..wardrop.flow import FlowVector
-
-    network = track.network
-    scenario = track.scenario
-    times = np.array([point.time for point in trajectory.points])
+    times = trajectory.times
     excess = np.empty(len(times))
-    for i, point in enumerate(trajectory.points):
-        t = float(times[i])
-        effective = scenario.network_at(network, t)
-        value = potential(FlowVector(effective, point.flow.values(), validate=False))
-        excess[i] = value - track.equilibrium_at(t).potential
+    # One potential per sample: each is priced on its own effective network.
+    for i, (t, flows) in enumerate(zip(times.tolist(), trajectory.flows)):
+        effective = track.scenario.network_at(track.network, t)
+        excess[i] = float(potentials(effective, flows)) - track.equilibrium_at(t).potential
     if len(times) < 2:
         return 0.0
     # np.trapezoid is the numpy >= 2 name; fall back to trapz on 1.x so this

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from ..wardrop.potential import potential, potential_of_edge_flows
+from ..wardrop.potential import potential, potentials
 from ..wardrop.validation import require_nonnegative, require_positive_integer
 
 # Derivative sums can vanish on all-constant-latency instances; the shift
@@ -172,7 +172,7 @@ def solve_wardrop_equilibrium(
     flow = (FlowVector.uniform(network) if initial is None else initial).values()
     gap_history: List[float] = []
     scale = 1.0
-    value = potential_of_edge_flows(network, network.edge_flows(flow))
+    value = float(potentials(network, flow))
     for iterations in range(1, int(max_iterations) + 1):
         edge_flows = network.edge_flows(flow)
         edge_latencies = network.edge_latencies(edge_flows)
@@ -185,7 +185,7 @@ def solve_wardrop_equilibrium(
         derivatives = network.edge_latency_derivatives(edge_flows)
         for _ in range(MAX_BACKTRACKS):
             candidate = _sweep(network, flow, costs, derivatives, scale)
-            candidate_value = potential_of_edge_flows(network, network.edge_flows(candidate))
+            candidate_value = float(potentials(network, candidate))
             if candidate_value <= value:
                 break
             if np.dot(network.path_latencies(candidate), candidate - flow) <= 0.0:

@@ -9,7 +9,7 @@ theorems.
 """
 
 from .commodity import Commodity, demands_are_normalised, normalise_demands, total_demand
-from .flow import FlowVector
+from .flow import FlowVector, average_latencies, max_used_latencies
 from .latency import (
     AffineLatency,
     BPRLatency,
@@ -34,20 +34,22 @@ from .potential import (
     error_terms,
     potential,
     potential_gap,
-    potential_of_edge_flows,
-    potential_trace,
+    potentials,
     virtual_potential_gain,
 )
 from .equilibrium import (
     EquilibriumReport,
     equilibrium_violation,
+    equilibrium_violations,
     is_approximate_equilibrium,
     is_wardrop_equilibrium,
     is_weak_approximate_equilibrium,
     report,
     support,
     unsatisfied_volume,
+    unsatisfied_volumes,
     weakly_unsatisfied_volume,
+    weakly_unsatisfied_volumes,
 )
 from .social_cost import (
     MarginalCostLatency,
@@ -85,22 +87,24 @@ __all__ = [
     "ValidationReport",
     "WardropNetwork",
     "assert_valid",
+    "average_latencies",
     "build_path_set",
     "decompose_phase",
     "demands_are_normalised",
     "enumerate_commodity_paths",
     "equilibrium_violation",
+    "equilibrium_violations",
     "error_terms",
     "is_approximate_equilibrium",
     "is_wardrop_equilibrium",
     "is_weak_approximate_equilibrium",
     "marginal_cost_network",
+    "max_used_latencies",
     "normalise_demands",
     "optimal_flow",
     "potential",
     "potential_gap",
-    "potential_of_edge_flows",
-    "potential_trace",
+    "potentials",
     "price_of_anarchy",
     "report",
     "social_cost",
@@ -108,7 +112,9 @@ __all__ = [
     "topology_signature",
     "total_demand",
     "unsatisfied_volume",
+    "unsatisfied_volumes",
     "validate_network",
     "virtual_potential_gain",
     "weakly_unsatisfied_volume",
+    "weakly_unsatisfied_volumes",
 ]

@@ -16,17 +16,20 @@ time, the paper relaxes the notion in two ways (Definitions 3 and 4):
 
 Every ``(delta, eps)``-equilibrium is also a weak one.  This module
 implements exact and approximate predicates plus the "unsatisfied volume"
-measurements the convergence-time benchmarks report.
+measurements the convergence-time benchmarks report, each once over
+``(..., P)`` flows of one network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from .flow import FlowVector
+from .latency import ordered_sum
+from .network import WardropNetwork
 
 
 def is_wardrop_equilibrium(flow: FlowVector, tolerance: float = 1e-6) -> bool:
@@ -40,51 +43,77 @@ def is_wardrop_equilibrium(flow: FlowVector, tolerance: float = 1e-6) -> bool:
 
 
 def equilibrium_violation(flow: FlowVector) -> float:
-    """Return the largest gap ``l_P - l^i_min`` over used paths.
-
-    Zero exactly at Wardrop equilibria; continuous in the flow, which makes
-    it a convenient convergence measure for tests.
-    """
-    blocks = flow.network.paths.blocks
-    latencies = blocks.gather(flow.path_latencies())
-    minimum = np.where(blocks.valid, latencies, np.inf).min(axis=-1, keepdims=True)
-    used = blocks.gather(flow.values()) > 1e-9
-    return float(np.where(used, latencies - minimum, 0.0).max())
+    """Return the one-row :func:`equilibrium_violations`."""
+    return float(equilibrium_violations(flow.network, flow.values()))
 
 
 def unsatisfied_volume(flow: FlowVector, delta: float) -> float:
-    """Return the volume of ``delta``-unsatisfied agents (Definition 3).
-
-    An agent on path ``P`` of commodity ``i`` is ``delta``-unsatisfied iff
-    ``l_P(f) > l^i_min + delta``; the function sums the flow on all such
-    paths.
-    """
-    blocks = flow.network.paths.blocks
-    latencies = blocks.gather(flow.path_latencies())
-    minimum = np.where(blocks.valid, latencies, np.inf).min(axis=-1, keepdims=True)
-    unsatisfied = np.where(latencies > minimum + delta, blocks.gather(flow.values()), 0.0)
-    # A Python sum adds the commodities' volumes one by one, in order.
-    return float(sum(unsatisfied.sum(axis=-1).tolist()))
+    """Return the one-row :func:`unsatisfied_volumes`."""
+    return float(unsatisfied_volumes(flow.network, flow.values(), delta))
 
 
 def weakly_unsatisfied_volume(flow: FlowVector, delta: float) -> float:
+    """Return the one-row :func:`weakly_unsatisfied_volumes`."""
+    return float(weakly_unsatisfied_volumes(flow.network, flow.values(), delta))
+
+
+# Each measure takes ``(..., P)`` flows of one network and returns one value
+# per row.  Per-commodity quantities live on the padded ``(..., C, K)``
+# commodity blocks, and volumes are added commodity by commodity, in order.
+
+
+def _commodity_blocks(network: WardropNetwork, flows: np.ndarray, latencies=None):
+    """Return flows and path latencies as padded ``(..., C, K)`` blocks, and ``l^i_min``."""
+    blocks = network.paths.blocks
+    flows = np.asarray(flows, dtype=float)
+    if latencies is None:
+        latencies = network.path_latencies(flows)
+    latencies = blocks.gather(latencies)
+    minimum = np.where(blocks.valid, latencies, np.inf).min(axis=-1, keepdims=True)
+    return blocks.gather(flows), latencies, minimum
+
+
+def equilibrium_violations(
+    network: WardropNetwork,
+    flows: np.ndarray,
+    latencies: Optional[np.ndarray] = None,
+    threshold: float = 1e-9,
+) -> np.ndarray:
+    """Return the largest gap ``l_P - l^i_min`` over paths carrying more than ``threshold``.
+
+    Zero exactly at Wardrop equilibria; continuous in the flow, which makes
+    it a convenient convergence measure.  ``latencies`` are the ``(..., P)``
+    path latencies to judge the flows by; by default they are priced on
+    ``network``.
+    """
+    flows, latencies, minimum = _commodity_blocks(network, flows, latencies)
+    return np.where(flows > threshold, latencies - minimum, 0.0).max(axis=(-2, -1))
+
+
+def unsatisfied_volumes(network: WardropNetwork, flows: np.ndarray, delta: float) -> np.ndarray:
+    """Return the volume of ``delta``-unsatisfied agents (Definition 3).
+
+    An agent on path ``P`` of commodity ``i`` is ``delta``-unsatisfied iff
+    ``l_P(f) > l^i_min + delta``.
+    """
+    flows, latencies, minimum = _commodity_blocks(network, flows)
+    unsatisfied = np.where(latencies > minimum + delta, flows, 0.0)
+    return ordered_sum(unsatisfied.sum(axis=-1))
+
+
+def weakly_unsatisfied_volumes(
+    network: WardropNetwork, flows: np.ndarray, delta: float
+) -> np.ndarray:
     """Return the volume of weakly ``delta``-unsatisfied agents (Definition 4).
 
     Agents are weakly ``delta``-unsatisfied iff their path latency exceeds
     the *average* latency ``L_i`` of their commodity by more than ``delta``.
     """
-    network = flow.network
-    latencies = flow.path_latencies()
-    flows = flow.values()
-    volume = 0.0
-    for i in range(network.num_commodities):
-        indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-        commodity_latencies = latencies[indices]
-        demand = network.commodities[i].demand
-        average = float(np.dot(flows[indices], commodity_latencies) / demand)
-        unsatisfied = commodity_latencies > average + delta
-        volume += float(flows[indices][unsatisfied].sum())
-    return volume
+    flows, latencies, _ = _commodity_blocks(network, flows)
+    averages = ordered_sum(flows * latencies)[..., None] / network.commodity_demands[:, None]
+    # Padding slots carry no flow, so they add nothing.
+    unsatisfied = np.where(latencies > averages + delta, flows, 0.0)
+    return ordered_sum(unsatisfied.sum(axis=-1))
 
 
 def is_approximate_equilibrium(flow: FlowVector, delta: float, eps: float) -> bool:

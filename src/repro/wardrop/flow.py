@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .latency import ordered_sum
 from .network import WardropNetwork
 from .paths import Path
 
@@ -211,15 +212,11 @@ class FlowVector:
 
     def average_latency(self) -> float:
         """Return the overall average latency ``L = sum_P f_P * l_P``."""
-        return float(np.dot(self._flows, self.path_latencies()))
+        return float(average_latencies(self.network, self._flows))
 
     def max_used_latency(self, threshold: float = 1e-9) -> float:
         """Return the maximum latency over paths carrying positive flow."""
-        latencies = self.path_latencies()
-        used = self._flows > threshold
-        if not used.any():
-            return 0.0
-        return float(latencies[used].max())
+        return float(max_used_latencies(self.network, self._flows, threshold))
 
     # Arithmetic -----------------------------------------------------------------
 
@@ -246,3 +243,19 @@ class FlowVector:
     def __repr__(self) -> str:
         entries = ", ".join(f"{x:.4g}" for x in self._flows)
         return f"FlowVector([{entries}])"
+
+
+def average_latencies(network: WardropNetwork, flows: np.ndarray) -> np.ndarray:
+    """Return ``L = sum_P f_P * l_P`` of ``(..., P)`` flows per row, added in path order."""
+    flows = np.asarray(flows, dtype=float)
+    return ordered_sum(flows * network.path_latencies(flows))
+
+
+def max_used_latencies(
+    network: WardropNetwork, flows: np.ndarray, threshold: float = 1e-9
+) -> np.ndarray:
+    """Return the largest latency over paths carrying more than ``threshold`` (0 if none)."""
+    flows = np.asarray(flows, dtype=float)
+    used = flows > threshold
+    worst = np.where(used, network.path_latencies(flows), -np.inf).max(axis=-1)
+    return np.where(used.any(axis=-1), worst, 0.0)

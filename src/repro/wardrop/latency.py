@@ -635,13 +635,18 @@ class SumLatency(LatencyFunction):
 # The latency table ----------------------------------------------------------
 
 
-def ordered_sum(values: np.ndarray) -> float:
-    """Return the sum of ``values`` added left to right (0.0 when empty).
+def ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Return the sums of ``(..., N)`` values over the last axis, each added left to right.
 
     ``np.sum`` adds pairwise and rounds differently; adding in order keeps
-    the result identical to a plain loop over the same terms.
+    every row's sum identical to a plain loop over the same terms, whatever
+    the rows stacked with it.  An empty row sums to 0.0.
     """
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        # One row is a Python float, as the scalar solvers expect.
+        return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 def _stackable(function: LatencyFunction) -> bool:
@@ -759,8 +764,8 @@ class EdgeLatencyTable:
         """Return every cell's ``int_0^x l`` at flows ``x``."""
         return self._evaluate("integral", x, rows)
 
-    def potential(self, x: np.ndarray) -> float:
-        """Return the Beckmann potential ``sum_e int_0^{x_e} l_e`` of ``(E,)`` flows."""
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        """Return the Beckmann potential ``sum_e int_0^{x_e} l_e`` of ``(..., E)`` flows."""
         return ordered_sum(self.integrals(x))
 
     def _evaluate(self, operation: str, x, rows) -> np.ndarray:

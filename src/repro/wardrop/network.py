@@ -273,15 +273,15 @@ class WardropNetwork:
 
     # Latency evaluation -----------------------------------------------------
     #
-    # Row b of a batched result equals the one-row evaluation of row b bit
-    # for bit: the batched engines (:mod:`repro.batch`) rely on it.
+    # Row b of a stacked result equals the one-row evaluation of row b bit
+    # for bit: the batched engines and the trajectory analyses rely on it.
 
     def edge_flows(self, path_flows: np.ndarray) -> np.ndarray:
-        """Aggregate path flows ``(P,)``/``(B, P)`` to edge flows ``f_e = sum_{P ∋ e} f_P``."""
+        """Aggregate path flows ``(P,)``/``(..., P)`` to edge flows ``f_e = sum_{P ∋ e} f_P``."""
         return self._inc.edge_flows(path_flows)
 
     def edge_latencies(self, edge_flows: np.ndarray) -> np.ndarray:
-        """Evaluate every edge latency at edge flows ``(E,)`` or ``(B, E)``."""
+        """Evaluate every edge latency at edge flows ``(E,)`` or ``(..., E)``."""
         return self.latency_table().values(edge_flows)
 
     def edge_latency_derivatives(self, edge_flows: np.ndarray) -> np.ndarray:
@@ -289,7 +289,7 @@ class WardropNetwork:
         return self.latency_table().derivatives(edge_flows)
 
     def path_latencies(self, path_flows: np.ndarray) -> np.ndarray:
-        """Return ``l_P(f)`` for every path of ``(P,)`` or ``(B, P)`` flows."""
+        """Return ``l_P(f)`` for every path of ``(P,)`` or ``(..., P)`` flows."""
         edge_latencies = self.edge_latencies(self.edge_flows(path_flows))
         return self._inc.path_totals(edge_latencies)
 

@@ -23,7 +23,6 @@ verify the central inequality ``Delta Phi <= V / 2`` of Lemma 4 empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -32,14 +31,18 @@ from .latency import ordered_sum
 from .network import WardropNetwork
 
 
+def potentials(network: WardropNetwork, flows: np.ndarray) -> np.ndarray:
+    """Return ``Phi`` of ``(..., P)`` path flows, one value per row.
+
+    Each row's edge integrals are added in edge order, so a row equals the
+    one-row :func:`potential` bit for bit.
+    """
+    return network.latency_table().potential(network.edge_flows(flows))
+
+
 def potential(flow: FlowVector) -> float:
     """Return the Beckmann--McGuire--Winsten potential ``Phi(f)``."""
-    return potential_of_edge_flows(flow.network, flow.edge_flows())
-
-
-def potential_of_edge_flows(network: WardropNetwork, edge_flows: np.ndarray) -> float:
-    """Return ``Phi`` evaluated directly on an edge-flow vector."""
-    return network.latency_table().potential(edge_flows)
+    return float(potentials(flow.network, flow.values()))
 
 
 def potential_gap(flow: FlowVector, optimum: float) -> float:
@@ -122,8 +125,3 @@ def decompose_phase(stale: FlowVector, current: FlowVector) -> PotentialDecompos
         # int_{fhat}^{f} (l(u) - posted) du, exact via the antiderivative.
         error_terms=phi_current - phi_stale - posted * delta,
     )
-
-
-def potential_trace(flows: List[FlowVector]) -> np.ndarray:
-    """Return the potential evaluated along a trajectory of flow vectors."""
-    return np.array([potential(flow) for flow in flows])

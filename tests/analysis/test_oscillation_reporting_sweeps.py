@@ -18,6 +18,7 @@ from repro.analysis import (
 from repro.core import oscillation_amplitude, replicator_policy, simulate_best_response, uniform_policy
 from repro.experiments import run_cases
 from repro.instances import lopsided_flow, oscillation_initial_flow, two_link_network
+from trajectory_arrays import boundary_trajectory
 
 
 class TestOscillationDetection:
@@ -56,10 +57,8 @@ class TestOscillationDetection:
         assert len(trace) == len(trajectory.phases)
 
     def test_empty_trajectory_rejected(self, two_links):
-        from repro.core import Trajectory
-
         with pytest.raises(ValueError):
-            analyse_oscillation(Trajectory(network=two_links))
+            analyse_oscillation(boundary_trajectory(two_links, [], []))
 
 
 class TestReporting:

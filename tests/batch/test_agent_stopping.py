@@ -38,7 +38,7 @@ class TestOneRowStopping:
 
         trajectory, _ = one_row_run(network, policy, 50, 0.2, 5.0, 3, stop_when=stop)
         assert len(trajectory.phases) == 4
-        assert trajectory.points[-1].time == pytest.approx(0.8)
+        assert trajectory.times[-1] == pytest.approx(0.8)
 
     def test_simulate_agents_passes_the_condition_through(self):
         network = two_link_network(beta=4.0)
@@ -47,7 +47,7 @@ class TestOneRowStopping:
             network, policy, 40, 0.1, 5.0, seed=1,
             stop_when=lambda times, flows, rows: times >= 0.3,
         )
-        assert trajectory.points[-1].time == pytest.approx(0.3)
+        assert trajectory.times[-1] == pytest.approx(0.3)
         assert len(trajectory.phases) == 3
 
     def test_prefix_of_a_non_stopping_run(self):
@@ -59,9 +59,9 @@ class TestOneRowStopping:
             stop_when=lambda times, flows, rows: times >= 1.0,
         )
         full, _ = one_row_run(network, policy, 80, 0.2, 4.0, 7)
-        for ours, theirs in zip(stopped.points, full.points):
-            assert ours.time == theirs.time
-            assert np.array_equal(ours.flow.values(), theirs.flow.values())
+        prefix = min(len(stopped), len(full))
+        assert np.array_equal(stopped.times[:prefix], full.times[:prefix])
+        assert np.array_equal(stopped.flows[:prefix], full.flows[:prefix])
 
 
 class TestBatchStopping:
@@ -82,8 +82,7 @@ class TestBatchStopping:
             )
             ours = result.trajectory(row)
             assert len(ours) == len(trajectory)
-            for a, b in zip(ours.points, trajectory.points):
-                assert np.array_equal(a.flow.values(), b.flow.values())
+            assert np.array_equal(ours.flows, trajectory.flows)
             assert np.array_equal(result.assignments[row], assignment)
             if result.stop_phases[row] >= 0:
                 assert len(trajectory.phases) == result.stop_phases[row] + 1

@@ -45,15 +45,14 @@ def assert_rows_match_one_row_runs(network, policies, periods, horizon, starts, 
             initial_flow=start, stale=stale,
         )
         batched = result.trajectory(row)
-        assert len(batched.points) == len(alone.points)
+        assert len(batched) == len(alone)
         assert len(batched.phases) == len(alone.phases)
         np.testing.assert_array_equal(batched.times, alone.times)
         np.testing.assert_array_equal(batched.flow_matrix(), alone.flow_matrix())
-        for got, expected in zip(batched.phases, alone.phases):
-            assert got.index == expected.index
-            assert (got.start_time, got.end_time) == (expected.start_time, expected.end_time)
-            np.testing.assert_array_equal(got.start_flow.values(), expected.start_flow.values())
-            np.testing.assert_array_equal(got.end_flow.values(), expected.end_flow.values())
+        np.testing.assert_array_equal(batched.sample_phases, alone.sample_phases)
+        np.testing.assert_array_equal(batched.phases, alone.phases)
+        np.testing.assert_array_equal(batched.phase_starts, alone.phase_starts)
+        np.testing.assert_array_equal(batched.phase_ends, alone.phase_ends)
 
 
 class TestPigouProperty:

@@ -48,23 +48,21 @@ def assert_family_rows_match_one_row_runs(
         )
         batched = result.trajectory(row)
         assert batched.network is family.member(row)
-        assert len(batched.points) == len(alone.points)
+        assert len(batched) == len(alone)
         assert len(batched.phases) == len(alone.phases)
         np.testing.assert_array_equal(batched.times, alone.times)
         np.testing.assert_array_equal(batched.flow_matrix(), alone.flow_matrix())
-        for got, expected in zip(batched.phases, alone.phases):
-            assert got.index == expected.index
-            assert (got.start_time, got.end_time) == (expected.start_time, expected.end_time)
-            np.testing.assert_array_equal(got.start_flow.values(), expected.start_flow.values())
-            np.testing.assert_array_equal(got.end_flow.values(), expected.end_flow.values())
+        np.testing.assert_array_equal(batched.sample_phases, alone.sample_phases)
+        np.testing.assert_array_equal(batched.phases, alone.phases)
+        np.testing.assert_array_equal(batched.phase_starts, alone.phase_starts)
+        np.testing.assert_array_equal(batched.phase_ends, alone.phase_ends)
         if stop_condition is not None:
             # The one-row run completes the phase that fires stop_when and
             # then exits; the batched stop phase must point at that phase.
             if result.stop_phases[row] >= 0:
                 assert result.stop_phases[row] == len(alone.phases) - 1
-                last = alone.phases[-1]
                 assert row_stop(
-                    np.array([last.end_time]), last.end_flow.values()[None, :], np.zeros(1, int)
+                    alone.phases[-1:, 1], alone.phase_ends[-1:], np.zeros(1, int)
                 )[0]
     return result
 

@@ -46,7 +46,7 @@ class TestDenseEquivalence:
             np.testing.assert_allclose(trajectory.times, times, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trajectory.flow_matrix(), flows, rtol=0, atol=1e-9)
             ends = [min((k + 1) * period, 1.05) for k in range(int(np.ceil(1.05 / period)))]
-            assert [phase.end_time for phase in trajectory.phases] == pytest.approx(ends)
+            assert trajectory.phases[:, 1].tolist() == pytest.approx(ends)
             # The start carries index 0; phase k's intermediates and boundary carry
             # k.  A full phase takes exactly 7 sub-steps, even where (k + 1) T - k T
             # rounds above T; the short last phase keeps steps <= T / 7.
@@ -54,7 +54,7 @@ class TestDenseEquivalence:
             for k, end in enumerate(ends):
                 full = end == (k + 1) * period
                 expected += [k] * (7 if full else int(np.ceil((end - k * period) / (period / 7))))
-            assert [point.phase_index for point in trajectory.points] == expected
+            assert trajectory.sample_phases.tolist() == expected
 
     def test_strided_samples_are_a_subset_of_the_dense_run(self, network):
         policy = uniform_policy(network)
@@ -69,9 +69,9 @@ class TestDenseEquivalence:
         ).trajectory(0)
         assert 1 < len(strided) < len(dense)
         dense_times = dense.times
-        for point in strided.points:
-            k = int(np.argmin(np.abs(dense_times - point.time)))
-            assert np.array_equal(point.flow.values(), dense.points[k].flow.values())
+        for time, flow in zip(strided.times, strided.flows):
+            k = int(np.argmin(np.abs(dense_times - time)))
+            assert np.array_equal(flow, dense.flows[k])
 
 
 class TestFreshDenseRecording:
@@ -114,8 +114,7 @@ class TestFreshDenseRecording:
             network, policy, [0.2], 1.0, initial_flows=[start], stale=False,
             steps_per_phase=5, record_every=1,
         ).trajectory(0)
-        ends = np.array([phase.end_flow.values() for phase in dense.phases])
-        np.testing.assert_allclose(ends, plain.flow_matrix()[1:], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dense.phase_ends, plain.flow_matrix()[1:], rtol=0, atol=1e-9)
 
 
 class TestBoundariesAndMetadata:
@@ -136,14 +135,14 @@ class TestBoundariesAndMetadata:
             plain_traj = plain.trajectory(row)
             dense_traj = dense.trajectory(row)
             assert len(dense_traj.phases) == len(plain_traj.phases)
-            for ours, theirs in zip(dense_traj.phases, plain_traj.phases):
-                assert np.array_equal(ours.end_flow.values(), theirs.end_flow.values())
+            assert np.array_equal(dense_traj.phase_ends, plain_traj.phase_ends)
 
-    def test_boundary_only_runs_report_no_dense_metadata(self, network):
+    def test_boundary_only_runs_mark_every_sample_a_boundary(self, network):
         result = simulate_batch(network, uniform_policy(network), [0.1], 0.5)
-        assert result.sample_phases is None
-        assert result.boundary_mask is None
-        assert result.phase_counts is None
+        count = result.num_points[0]
+        assert result.boundary_mask[0, :count].all()
+        assert result.sample_phases[0, :count].tolist() == [0, 0, 1, 2, 3, 4]
+        assert result.phase_counts.tolist() == [count - 1] == [5]
 
     def test_record_every_composes_with_stop_when(self):
         network = two_link_network(beta=4.0)

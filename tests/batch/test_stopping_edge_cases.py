@@ -1,8 +1,9 @@
 """Edge cases of the vectorised stopping conditions (`repro.batch.stopping`).
 
 Covers the degenerate stopping patterns -- every row stops at the very first
-phase boundary, no row ever stops -- and a predicate returning the wrong
-mask shape.
+phase boundary, no row ever stops -- a predicate returning the wrong mask
+shape, and the ready-made predicates meeting a path set that column
+generation grew.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch import distance_stop, simulate_batch
+from repro.batch import distance_stop, equilibrium_gap_stop, simulate_batch
 from repro.core import uniform_policy
+from repro.instances import braess_network
+from repro.largescale import ActivePathSet, simulate_with_column_generation
 from repro.wardrop import FlowVector
 
 
@@ -59,4 +62,28 @@ def test_stop_when_shape_mismatch_raises(settled_batch):
         simulate_batch(
             network, policy, [0.1, 0.1], 1.0, initial_flows=starts,
             stop_when=bad_condition,
+        )
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("equilibrium_gap_stop", lambda network: equilibrium_gap_stop(network, 1e-3)),
+        (
+            "distance_stop",
+            lambda network: distance_stop([FlowVector.uniform(network)], tolerance=1e-3),
+        ),
+    ],
+)
+def test_predicates_name_a_grown_path_set(name, build):
+    """A predicate built for braess's 3 paths meets the open run's grown set
+    of 2 and says so, instead of failing inside numpy."""
+    network = braess_network()
+    with pytest.raises(
+        ValueError,
+        match=rf"{name} was built for 3 paths but got flows over 2: column generation grew",
+    ):
+        simulate_with_column_generation(
+            ActivePathSet.from_network(network), uniform_policy, 0.2, 10.0,
+            stop_when=build(network),
         )

@@ -15,7 +15,13 @@ from repro.core import (
 )
 from repro.core.agents import _largest_remainder
 from repro.instances import lopsided_flow, two_link_network
-from repro.wardrop import FlowVector
+from repro.wardrop import (
+    FlowVector,
+    potential,
+    unsatisfied_volume,
+    weakly_unsatisfied_volume,
+)
+from trajectory_arrays import boundary_trajectory
 
 
 class TestLargestRemainder:
@@ -46,9 +52,9 @@ class TestAgentSimulation:
         trajectory = simulate_agents(
             two_links, policy, num_agents=100, update_period=0.2, horizon=3.0, seed=0
         )
-        for point in trajectory.points:
-            assert point.flow.values().sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(point.flow.values() >= -1e-12)
+        for flow in trajectory.flows:
+            assert flow.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(flow >= -1e-12)
 
     def test_reproducible_with_seed(self, two_links):
         policy = uniform_policy(two_links)
@@ -100,8 +106,8 @@ class TestAgentSimulation:
             seed=5, stale=False,
         )
         assert trajectory.update_period == 0.0
-        for point in trajectory.points:
-            assert point.flow.values().sum() == pytest.approx(1.0, abs=1e-9)
+        for flow in trajectory.flows:
+            assert flow.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_final_assignment_reproduces_final_flow(self, two_links):
         policy = uniform_policy(two_links)
@@ -124,7 +130,7 @@ class TestTrajectory:
 
     def test_basic_accessors(self, two_links):
         trajectory = self._trajectory(two_links)
-        assert len(trajectory) == len(trajectory.points)
+        assert len(trajectory) == len(trajectory.times) == len(trajectory.flows)
         assert trajectory.initial_flow.values()[0] == pytest.approx(0.9)
         assert trajectory.times[0] == 0.0
         assert trajectory.flow_matrix().shape == (len(trajectory), two_links.num_paths)
@@ -138,19 +144,39 @@ class TestTrajectory:
         assert len(trajectory.unsatisfied_trace(0.1)) == n
         assert len(trajectory.weakly_unsatisfied_trace(0.1)) == n
 
-    def test_sample_at_picks_nearest(self, two_links):
-        trajectory = self._trajectory(two_links)
-        point = trajectory.sample_at(0.52)
-        assert point.time == pytest.approx(0.5, abs=0.06)
+    def test_traces_are_the_one_row_measures(self, braess):
+        trajectory = simulate(braess, uniform_policy(braess), update_period=0.1, horizon=1.0)
+        rows = [FlowVector(braess, flow, validate=False) for flow in trajectory.flows]
+        assert trajectory.potential_trace().tolist() == [potential(flow) for flow in rows]
+        assert trajectory.average_latency_trace().tolist() == [
+            flow.average_latency() for flow in rows
+        ]
+        assert trajectory.max_used_latency_trace().tolist() == [
+            flow.max_used_latency() for flow in rows
+        ]
+        assert trajectory.unsatisfied_trace(0.05).tolist() == [
+            unsatisfied_volume(flow, 0.05) for flow in rows
+        ]
+        assert trajectory.weakly_unsatisfied_trace(0.05).tolist() == [
+            weakly_unsatisfied_volume(flow, 0.05) for flow in rows
+        ]
 
-    def test_sample_at_empty_raises(self, two_links):
-        empty = Trajectory(network=two_links)
-        with pytest.raises(ValueError):
-            empty.sample_at(0.0)
+    def test_rejects_arrays_of_the_wrong_shape(self, two_links):
+        trajectory = self._trajectory(two_links)
+        with pytest.raises(ValueError, match="phase_ends has shape"):
+            Trajectory(
+                network=two_links,
+                times=trajectory.times,
+                flows=trajectory.flows,
+                sample_phases=trajectory.sample_phases,
+                phases=trajectory.phases,
+                phase_starts=trajectory.phase_starts,
+                phase_ends=trajectory.phase_ends[1:],
+            )
 
     def test_describe(self, two_links):
         trajectory = self._trajectory(two_links)
         text = trajectory.describe()
         assert "Trajectory" in text
         assert "phases" in text
-        assert Trajectory(network=two_links).describe() == "Trajectory(empty)"
+        assert boundary_trajectory(two_links, [], []).describe() == "Trajectory(empty)"

@@ -58,7 +58,7 @@ class TestBestResponseDynamics:
         trajectory = simulate_best_response(
             network, update_period=period, horizon=20.0, initial_flow=start
         )
-        starts = np.array([flow.values()[0] for flow in trajectory.phase_start_flows()])
+        starts = trajectory.phase_starts[:, 0]
         # Period-2 cycle: every other phase start returns to the same share.
         assert np.allclose(starts[0::2], starts[0], atol=1e-9)
         assert np.allclose(starts[1::2], starts[1], atol=1e-9)
@@ -75,9 +75,9 @@ class TestBestResponseDynamics:
             initial_flow=FlowVector(network, [start_share, 1 - start_share]),
             samples_per_phase=1,
         )
-        for phase in trajectory.phases:
-            expected = two_link_best_response_flow(start_share, period, phase.end_time)
-            assert phase.end_flow.values()[0] == pytest.approx(expected, abs=1e-9)
+        for (_, end_time), end in zip(trajectory.phases, trajectory.phase_ends):
+            expected = two_link_best_response_flow(start_share, period, end_time)
+            assert end[0] == pytest.approx(expected, abs=1e-9)
 
     def test_converges_on_asymmetric_parallel_links(self):
         # With fresh info best response converges even on multi-link instances.

@@ -42,12 +42,13 @@ def test_exact_phase_is_the_closed_form(name):
     start = FlowVector.random(network, np.random.default_rng(2))
     trajectory = simulate_best_response(network, 0.7, 14.0, initial_flow=start)
     assert len(trajectory.phases) == 20
-    for phase in trajectory.phases:
-        begin = phase.start_flow.values()
+    for (start_time, end_time), begin, end in zip(
+        trajectory.phases, trajectory.phase_starts, trajectory.phase_ends
+    ):
         target = best_reply_target(network, network.path_latencies(begin))
-        decay = math.exp(-(phase.end_time - phase.start_time))
+        decay = math.exp(-(end_time - start_time))
         expected = target + (begin - target) * decay
-        np.testing.assert_allclose(phase.end_flow.values(), expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(end, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("period", [0.1, 0.3, 0.7])
@@ -56,7 +57,7 @@ def test_every_full_phase_records_samples_per_phase_points(two_links, period):
     phases, samples = 60, 10
     trajectory = simulate_best_response(two_links, period, phases * period, samples_per_phase=samples)
     assert len(trajectory) == phases * samples + 1
-    per_phase = np.bincount([point.phase_index for point in trajectory.points[1:]])
+    per_phase = np.bincount(trajectory.sample_phases[1:])
     assert per_phase.tolist() == [samples] * phases
     gaps = np.diff(trajectory.times)
     np.testing.assert_allclose(gaps, period / samples, rtol=1e-9)

@@ -36,7 +36,7 @@ def test_simulator_uses_a_falsy_initial_flow():
         network, uniform_policy(network), update_period=0.25, horizon=0.5,
         initial_flow=start,
     )
-    assert np.array_equal(trajectory.points[0].flow.values(), start.values())
+    assert np.array_equal(trajectory.flows[0], start.values())
 
 
 def test_best_response_uses_a_falsy_initial_flow():
@@ -45,7 +45,7 @@ def test_best_response_uses_a_falsy_initial_flow():
     trajectory = simulate_best_response(
         network, update_period=0.25, horizon=0.5, initial_flow=start
     )
-    assert np.array_equal(trajectory.points[0].flow.values(), start.values())
+    assert np.array_equal(trajectory.flows[0], start.values())
 
 
 def test_column_generation_uses_a_falsy_initial_flow():
@@ -56,6 +56,4 @@ def test_column_generation_uses_a_falsy_initial_flow():
         active, uniform_policy(network), update_period=0.25, horizon=0.5,
         initial_flow=start,
     )
-    assert np.array_equal(
-        result.trajectory.points[0].flow.values(), start.values()
-    )
+    assert np.array_equal(result.trajectory.flows[0], start.values())

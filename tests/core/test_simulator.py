@@ -47,16 +47,15 @@ class TestBasicRuns:
         trajectory = simulate(
             braess, policy, update_period=0.05, horizon=2.0
         )
-        for point in trajectory.points:
-            point.flow.check_feasible(tolerance=1e-6)
+        for flow in trajectory.flows:
+            FlowVector(braess, flow, validate=False).check_feasible(tolerance=1e-6)
 
     def test_phase_records_chain_correctly(self, two_links):
         policy = uniform_policy(two_links)
         trajectory = simulate(two_links, policy, update_period=0.1, horizon=1.0)
         assert len(trajectory.phases) == 10
-        for previous, current in zip(trajectory.phases, trajectory.phases[1:]):
-            assert current.start_time == pytest.approx(previous.end_time)
-            assert np.allclose(current.start_flow.values(), previous.end_flow.values())
+        assert trajectory.phases[1:, 0] == pytest.approx(trajectory.phases[:-1, 1])
+        assert np.allclose(trajectory.phase_starts[1:], trajectory.phase_ends[:-1])
 
     def test_equilibrium_is_stationary(self, two_links):
         policy = replicator_policy(two_links)
@@ -78,7 +77,7 @@ class TestBasicRuns:
                 [equilibrium_violation(FlowVector(two_links, flows[0])) < 1e-3]
             ),
         )
-        assert trajectory.points[-1].time < 100.0
+        assert trajectory.times[-1] < 100.0
 
     def test_wrong_network_initial_flow_rejected(self, two_links, braess):
         policy = uniform_policy(two_links)
@@ -124,7 +123,7 @@ class TestConvergenceBehaviour:
             horizon=10.0,
             initial_flow=FlowVector.single_path(braess, {0: 0}),
         )
-        values = [potential(phase.end_flow) for phase in trajectory.phases]
+        values = [potential(FlowVector(braess, end, validate=False)) for end in trajectory.phase_ends]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 

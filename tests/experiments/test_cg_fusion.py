@@ -28,10 +28,8 @@ from repro.wardrop import FlowVector
 def flows_row_builder(trajectory):
     """Expose the full sample matrix so bitwise comparisons survive rows."""
     return {
-        "times": tuple(point.time for point in trajectory.points),
-        "flows": tuple(
-            tuple(point.flow.values()) for point in trajectory.points
-        ),
+        "times": tuple(trajectory.times.tolist()),
+        "flows": tuple(tuple(flow) for flow in trajectory.flows.tolist()),
     }
 
 

@@ -30,11 +30,6 @@ from repro.telemetry import telemetry_session
 from repro.wardrop import FlowVector
 
 
-def trajectory_matrix(trajectory):
-    """Stack a trajectory's samples into an ``(S, P)`` array."""
-    return np.array([point.flow.values() for point in trajectory.points])
-
-
 def one_row_run(network, policy, closed=True, scenario=None, **kwargs):
     return simulate_with_column_generation(
         ActivePathSet.from_network(network, closed=closed),
@@ -89,7 +84,7 @@ class TestClosedModeBitIdentity:
             **self.SETTINGS,
         )
         single = one_row_run(network, policy, **self.SETTINGS)
-        reference = trajectory_matrix(single.trajectory)
+        reference = single.trajectory.flows
         assert batched.growth_events == []
         for row in range(3):
             assert np.array_equal(batched.times[row], single.trajectory.times)
@@ -115,7 +110,7 @@ class TestClosedModeBitIdentity:
         for row, scenario in enumerate(scenarios):
             single = one_row_run(network, policy, scenario=scenario, **self.SETTINGS)
             assert np.array_equal(
-                trajectory_matrix(single.trajectory), batched.flow_matrix(row)
+                single.trajectory.flows, batched.flow_matrix(row)
             )
 
     def test_closure_scenario_rows_match_one_row_runs_including_eviction(self):
@@ -136,7 +131,7 @@ class TestClosedModeBitIdentity:
         for row, scenario in enumerate(scenarios):
             single = one_row_run(network, policy, scenario=scenario, **settings)
             assert np.array_equal(
-                trajectory_matrix(single.trajectory), batched.flow_matrix(row)
+                single.trajectory.flows, batched.flow_matrix(row)
             )
 
     def test_closed_rows_on_a_grown_network_match_one_row_runs(self):
@@ -160,16 +155,16 @@ class TestClosedModeBitIdentity:
             **self.SETTINGS,
         )
         single = one_row_run(grown, policy, **self.SETTINGS)
-        reference = trajectory_matrix(single.trajectory)
+        reference = single.trajectory.flows
         for row in range(4):
             assert np.array_equal(reference, batched.flow_matrix(row))
 
 
-class TestTrajectoryPhaseRecords:
+class TestTrajectoryPhaseStarts:
     def test_closure_phase_starts_post_eviction_and_samples_pre_eviction(self):
-        """Under a closure, phase k's ``start_flow`` is the repaired state
-        (zero on crossing columns) the phase integrated from, while sample k
-        stays the unrepaired end of phase k - 1."""
+        """Under a closure, ``phase_starts[k]`` is the repaired state (zero on
+        crossing columns) phase k integrated from, while sample k stays the
+        unrepaired end of phase k - 1."""
         network = braess_network()
         scenario = get_scenario("braess-closure", network)
         result = simulate_with_column_generation_batch(
@@ -189,19 +184,15 @@ class TestTrajectoryPhaseRecords:
         ]
         assert crossing
         trajectory = result.trajectory(row)
-        record = trajectory.phases[phase]
-        sample = trajectory.points[phase].flow.values()
-        start = record.start_flow.values()
+        sample = trajectory.flows[phase]
+        start = trajectory.phase_starts[phase]
         assert np.array_equal(start[crossing], np.zeros(len(crossing)))
         assert sample[crossing].sum() == pytest.approx(moved)
-        assert np.array_equal(sample, trajectory.phases[phase - 1].end_flow.values())
+        assert np.array_equal(sample, trajectory.phase_ends[phase - 1])
         assert start.sum() == pytest.approx(sample.sum())
         # Without a closure, every phase starts where the previous one ended.
         calm = result.trajectory(0)
-        for k in range(1, len(calm.phases)):
-            assert np.array_equal(
-                calm.phases[k].start_flow.values(), calm.points[k].flow.values()
-            )
+        assert np.array_equal(calm.phase_starts[1:], calm.flows[1 : len(calm.phases)])
 
 
 class TestOpenModeGrowth:
@@ -226,7 +217,7 @@ class TestOpenModeGrowth:
         assert single.path_counts == batched.path_counts
         assert list(batched.network.paths) == list(single.network.paths)
         assert np.array_equal(
-            trajectory_matrix(single.trajectory), batched.flow_matrix(0)
+            single.trajectory.flows, batched.flow_matrix(0)
         )
         assert single.trajectory.policy_name == batched.trajectory(0).policy_name
 
@@ -404,7 +395,7 @@ class TestBatchApiSurface:
         )
         trajectory = result.trajectory(1)
         assert len(trajectory) == result.num_points[1]
-        assert np.array_equal(trajectory_matrix(trajectory), result.flow_matrix(1))
+        assert np.array_equal(trajectory.flows, result.flow_matrix(1))
         assert len(trajectory.phases) == len(result.phase_spans)
 
     def test_inconsistent_batch_sizes_rejected(self):

@@ -32,9 +32,10 @@ class TestClosureInvalidation:
         assert "s->a->t" in descriptions or "s->b->t" in descriptions
         # During the closure the shortcut path must stay (essentially) empty.
         shortcut = descriptions.index("s->a->b->t")
-        for point in result.trajectory.points:
-            if 10.0 < point.time <= 20.0:
-                assert point.flow.values()[shortcut] < 0.05
+        trajectory = result.trajectory
+        during = (10.0 < trajectory.times) & (trajectory.times <= 20.0)
+        assert during.any()
+        assert np.all(trajectory.flows[during, shortcut] < 0.05)
 
     def test_invalidate_columns_lists_crossing_paths(self):
         network = braess_network()
@@ -78,8 +79,5 @@ class TestClosureInvalidation:
             ActivePathSet.from_network(network), uniform_policy(network),
             update_period=0.5, horizon=5.0, scenario=scenario,
         )
-        np.testing.assert_array_equal(
-            np.array([p.flow.values() for p in plain.trajectory.points]),
-            np.array([p.flow.values() for p in wrapped.trajectory.points]),
-        )
+        np.testing.assert_array_equal(plain.trajectory.flows, wrapped.trajectory.flows)
         assert wrapped.eviction_events == []

@@ -28,10 +28,6 @@ from repro.wardrop.flow import FlowVector
 T = 0.25  # breakpoints below are exact multiples, so phase grids align
 
 
-def phase_end_flows(trajectory):
-    return np.array([point.flow.values() for point in trajectory.points])
-
-
 class TestManualRestartEquivalence:
     def test_piecewise_constant_demand_matches_manual_restarts(self):
         """Scenario-layer demand steps == stationary runs glued by hand."""
@@ -57,7 +53,7 @@ class TestManualRestartEquivalence:
                 effective, policy, update_period=T, horizon=end - start,
                 initial_flow=initial,
             )
-            flows = phase_end_flows(trajectory)
+            flows = trajectory.flows
             if carry is None:
                 manual_samples.append(flows)
             else:
@@ -65,7 +61,7 @@ class TestManualRestartEquivalence:
             carry = flows[-1]
         manual = np.vstack(manual_samples)
 
-        np.testing.assert_array_equal(phase_end_flows(via_scenario), manual)
+        np.testing.assert_array_equal(via_scenario.flows, manual)
 
     def test_stationary_scenario_is_a_no_op(self):
         network = pigou_network(degree=2)
@@ -75,7 +71,7 @@ class TestManualRestartEquivalence:
         wrapped = simulate(
             network, policy, update_period=0.1, horizon=2.0, scenario=scenario
         )
-        np.testing.assert_array_equal(phase_end_flows(plain), phase_end_flows(wrapped))
+        np.testing.assert_array_equal(plain.flows, wrapped.flows)
 
 
 SCENARIO_BUILDERS = {
@@ -114,7 +110,7 @@ class TestBatchInvariance:
                 network, policy, update_period=float(periods[row]), horizon=3.0,
                 scenario=scenario, stale=stale,
             )
-            alone = phase_end_flows(trajectory)
+            alone = trajectory.flows
             batched = result.flow_matrix(row)
             assert alone.shape == batched.shape
             np.testing.assert_array_equal(alone, batched, err_msg=f"row {row}")
@@ -132,7 +128,7 @@ class TestBatchInvariance:
             network, policy, update_period=0.1, horizon=1.0,
             scenario=scenario,
         )
-        np.testing.assert_array_equal(phase_end_flows(trajectory), result.flow_matrix(0))
+        np.testing.assert_array_equal(trajectory.flows, result.flow_matrix(0))
 
     def test_scenario_count_mismatch_rejected(self):
         network = two_link_network(beta=2.0)
@@ -156,7 +152,7 @@ class TestAgentEngine:
             network, policy, num_agents=200, update_period=0.25, horizon=2.0, seed=11,
             scenario=scenario,
         )
-        np.testing.assert_array_equal(phase_end_flows(plain), phase_end_flows(wrapped))
+        np.testing.assert_array_equal(plain.flows, wrapped.flows)
 
     def test_demand_step_changes_behaviour_not_randomness(self):
         """The randomness schedule is scenario-independent: runs with and
@@ -172,8 +168,8 @@ class TestAgentEngine:
             network, policy, num_agents=500, update_period=0.25, horizon=2.0, seed=3,
             scenario=scenario,
         )
-        plain_flows = phase_end_flows(plain)
-        stepped_flows = phase_end_flows(stepped)
+        plain_flows = plain.flows
+        stepped_flows = stepped.flows
         # identical before the step (samples 0..4 cover t <= 1.0; the phase
         # starting at t=1.0 is the first to see the new environment)
         np.testing.assert_array_equal(plain_flows[:5], stepped_flows[:5])

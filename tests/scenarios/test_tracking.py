@@ -14,6 +14,7 @@ from repro.scenarios import (
     tracking_error,
     tracking_regret,
 )
+from trajectory_arrays import boundary_trajectory
 
 
 def demand_step_scenario():
@@ -203,15 +204,11 @@ class TestMetrics:
         track = interval_equilibria(network, scenario, horizon=8.0)
         # A "trajectory" that sits on the instantaneous equilibrium of every
         # interval accrues (essentially) zero regret.
-        from repro.core.trajectory import Trajectory
-        from repro.wardrop.flow import FlowVector
-
-        trajectory = Trajectory(network=network, policy_name="oracle", update_period=0.5)
-        for t in np.arange(0.0, 8.01, 0.5):
-            reference = track.equilibrium_at(float(t))
-            trajectory.record(
-                float(t), FlowVector(network, reference.flow_values, validate=False), 0
-            )
+        times = np.arange(0.0, 8.01, 0.5)
+        flows = [track.equilibrium_at(float(t)).flow_values for t in times]
+        trajectory = boundary_trajectory(
+            network, times, flows, policy_name="oracle", update_period=0.5
+        )
         assert abs(tracking_regret(trajectory, track)) < 1e-6
 
     def test_incident_track_on_braess(self):
@@ -251,15 +248,16 @@ class TestMetricEdgeCases:
         assert time_to_reequilibrate(times, errors, 1.0, tolerance=1.0) == float("inf")
 
     def test_regret_of_empty_and_singleton_trajectories_is_zero(self):
-        from repro.core.trajectory import Trajectory
         from repro.wardrop.flow import FlowVector
 
         network = pigou_network(degree=1)
         scenario = demand_step_scenario()
         track = interval_equilibria(network, scenario, horizon=8.0)
-        empty = Trajectory(network=network, policy_name="none", update_period=0.5)
+        empty = boundary_trajectory(network, [], [], policy_name="none", update_period=0.5)
         assert tracking_regret(empty, track) == 0.0
-        singleton = Trajectory(network=network, policy_name="one", update_period=0.5)
-        singleton.record(0.0, FlowVector.uniform(network), 0)
+        singleton = boundary_trajectory(
+            network, [0.0], [FlowVector.uniform(network).values()],
+            policy_name="one", update_period=0.5,
+        )
         # One sample spans no time, so the trapezoid integral is empty.
         assert tracking_regret(singleton, track) == 0.0

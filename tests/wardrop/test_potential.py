@@ -10,8 +10,7 @@ from repro.wardrop import (
     decompose_phase,
     error_terms,
     potential,
-    potential_of_edge_flows,
-    potential_trace,
+    potentials,
     virtual_potential_gain,
 )
 
@@ -32,14 +31,16 @@ class TestPotentialValue:
     def test_matches_edge_flow_form(self, braess):
         flow = FlowVector.uniform(braess)
         assert potential(flow) == pytest.approx(
-            potential_of_edge_flows(braess, flow.edge_flows())
+            braess.latency_table().potential(flow.edge_flows())
         )
 
-    def test_potential_trace(self, two_links):
-        flows = [FlowVector(two_links, [x, 1 - x]) for x in [0.5, 0.7, 0.9]]
-        trace = potential_trace(flows)
+    def test_potentials_of_stacked_flows(self, two_links):
+        flows = np.array([[x, 1 - x] for x in [0.5, 0.7, 0.9]])
+        trace = potentials(two_links, flows)
         assert len(trace) == 3
         assert trace[0] <= trace[1] <= trace[2]
+        # Each row is the one-row potential, bit for bit.
+        assert trace.tolist() == [potential(FlowVector(two_links, row)) for row in flows]
 
 
 class TestLemma3Decomposition:
